@@ -24,10 +24,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import kendall
-from .errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
+from .errors import GammaOutOfRange, InvalidParams, NoSignChange, NotReversible, OutOfRange
 from .kendall import KendallParams
-from .numerics import maximize_scalar, solve_monotone, Bracket
+from .numerics import Bracket, log_grid, refine_max, solve_monotone
 
 __all__ = [
     "DriftMinorization",
@@ -213,17 +215,37 @@ def _atomic_kendall_params(p: DriftMinorization) -> KendallParams:
 
 
 def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents):
+    # R1(beta, R, L(R)) over the scan points of maximize_scalar, all at once,
+    # then the golden-section refine on the scalar path.
     lo = 1.0 + 1e-9
     hi = de.r0 - 1e-9
     if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
+    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
 
     def objective(big_r: float) -> float:
-        big_l_val = _big_l_at(big_r, p.beta_tilde, de.alpha1, de.alpha2)
+        big_l_val = _big_l_at(big_r, bt, a1, a2)
         return kendall.solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
 
-    r_tilde, r1 = maximize_scalar(objective, lo, hi, grid_points=512, refine_tol=1e-10)
-    return r_tilde, r1
+    xs = log_grid(lo, hi, 512)
+    big_ls = []
+    for x in xs:
+        try:
+            big_ls.append(_big_l_at(x, bt, a1, a2))
+        except OutOfRange:
+            big_ls.append(math.nan)
+    grid = np.array(xs)
+    ls = np.array(big_ls)
+    # Points that _big_l_at or KendallParams reject get L = NaN, hence R1 = NaN.
+    ls[~((ls >= grid) & (p.beta * grid <= ls))] = math.nan
+    r1s = kendall.solve_r1_array(p.beta, grid, ls)
+    failed = np.flatnonzero(np.isnan(r1s))
+    if failed.size:
+        # The scalar path at the first failing point raises its own error.
+        x_bad = xs[failed[0]]
+        objective(x_bad)
+        raise NoSignChange(f"R1 has no root at envelope radius R={x_bad}")
+    return refine_max(objective, xs, r1s.tolist(), refine_tol=1e-10)
 
 
 def rho_general(p: DriftMinorization) -> RatePart:

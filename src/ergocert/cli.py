@@ -8,15 +8,13 @@ Subcommands:
   verify   run the oracle suites (kendall | matrix | mc | all)
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or
-validation error. ERGO_CERT_THREADS caps internal parallelism; execution
-is currently sequential, which satisfies any cap.
+validation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -31,18 +29,6 @@ _METHOD_TO_SYMMETRY = {
     "thm1.2": "reversible",
     "thm1.3": "reversible-positive",
 }
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("ERGO_CERT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer ERGO_CERT_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return max(cap, 1)
 
 
 def _fmt(value, precision: int) -> str:
@@ -376,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

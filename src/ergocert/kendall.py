@@ -6,6 +6,8 @@ converges on a disc whose radius these routines certify:
 
   * ``solve_r1``            general chains, radius R1 from a transcendental
                             equation in (1, R);
+  * ``solve_r1_array``      the same radius for whole arrays of (beta, R, L)
+                            at once, element by element equal to ``solve_r1``;
   * ``solve_r2_reversible`` reversible chains, radius R2 from the crossing
                             of 1 + 2*beta*r with r**(log L / log R);
   * ``r2_positive``         reversible chains with nonnegative spectrum,
@@ -20,13 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParams, OutOfRange
+import numpy as np
+
+from .errors import InvalidParams, NoConvergence, OutOfRange
 from .numerics import Bracket, solve_monotone
 
 __all__ = [
     "KendallParams",
     "KendallRate",
     "solve_r1",
+    "solve_r1_array",
     "k1",
     "k1_single_fraction",
     "solve_r2_reversible",
@@ -122,6 +127,72 @@ def solve_r1(p: KendallParams, tol_abs: float = 1e-12, tol_residual: float = 1e-
         Bracket(lo, hi, tol_abs=tol_abs),
         tol_residual=tol_residual,
     )
+
+
+def solve_r1_array(
+    beta,
+    big_r,
+    big_l,
+    tol_abs: float = 1e-12,
+    tol_residual: float = 1e-10,
+    max_iter: int = 256,
+) -> np.ndarray:
+    """``solve_r1`` for arrays of (beta, R, L), broadcast against each other.
+
+    Each element follows ``solve_r1`` step for step: the same bracket
+    [1 + 1e-14, R - max(1e-14, (R-1)*1e-13)], the same clamp to its lower
+    end, and the bisection of ``solve_monotone`` with the same stopping
+    rule. All elements bisect together and finished ones drop out. The
+    inputs are not validated as ``KendallParams`` are: an element whose
+    equation has no sign change on its bracket, or that has no bracket,
+    comes back NaN (NaN inputs included), where ``solve_r1`` would raise.
+    Raises NoConvergence, as ``solve_monotone`` does, if an element is still
+    open after ``max_iter`` steps.
+    """
+    beta, big_r, big_l = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (beta, big_r, big_l))
+    )
+    shape = big_r.shape
+    beta, big_r, big_l = beta.ravel(), big_r.ravel(), big_l.ravel()
+    out = np.full(big_r.shape, np.nan)
+    lo0 = 1.0 + 1e-14
+
+    def lhs(r, rr):
+        return (r - 1.0) / (r * np.log1p((rr - r) / r) ** 2)
+
+    with np.errstate(all="ignore"):
+        target = _E2 * beta / (8.0 * ((big_l - 1.0) / (big_r - 1.0)))
+        hi = big_r - np.maximum(1e-14, (big_r - 1.0) * 1e-13)
+        flo = lhs(lo0, big_r) - target
+        clamp = flo >= 0.0
+        out[clamp] = lo0
+        open_ = ~clamp & (lo0 < hi)
+        fhi = lhs(hi, big_r) - target
+        at_hi = open_ & (fhi == 0.0)
+        out[at_hi] = hi[at_hi]
+        idx = np.flatnonzero(open_ & (flo < 0.0) & (fhi > 0.0))
+        lo = np.full(idx.size, lo0)
+        hi, big_r, target = hi[idx], big_r[idx], target[idx]
+        for _ in range(max_iter):
+            if idx.size == 0:
+                break
+            mid = 0.5 * (lo + hi)
+            fm = lhs(mid, big_r) - target
+            done = (
+                ~((lo < mid) & (mid < hi))
+                | (fm == 0.0)
+                | ((hi - lo <= tol_abs) & (np.abs(fm) <= tol_residual))
+            )
+            below = fm < 0.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            if done.any():
+                out[idx[done]] = mid[done]
+                keep = ~done
+                idx, lo, hi, big_r, target = (a[keep] for a in (idx, lo, hi, big_r, target))
+    if idx.size:
+        raise NoConvergence(f"no convergence after {max_iter} bisection steps")
+    return out.reshape(shape)
 
 
 def _k1_parts(r: float, p: KendallParams) -> tuple[float, float, float]:

@@ -25,6 +25,7 @@ from scipy.special import ndtr
 from .bounds import NU_CONCENTRATED, NU_V_INTEGRAL, DriftMinorization
 from .competitors import CouplingInput
 from .errors import InvalidParams, MonotoneViolation, TruncationTooSmall
+from .kendall import solve_r1_array
 from .numerics import std_normal_cdf
 
 __all__ = [
@@ -408,8 +409,12 @@ def binomial_modification(p: DriftMinorization, sup_v_on_c: float) -> DriftMinor
 
 
 # ---------------------------------------------------------------------------
-# tuning searches (vectorised; final winners are re-evaluated through the
-# scalar production path by the callers)
+# tuning searches
+#
+# The Metropolis search evaluates its objectives on numpy arrays and returns
+# the array-path rho of the winning (d, s) as it is; nothing re-evaluates it
+# through the scalar functions of ``bounds``. The contracting search calls
+# those scalar functions directly.
 # ---------------------------------------------------------------------------
 
 
@@ -491,24 +496,6 @@ def _rho_coupling_np(lam, big_k, beta_tilde, b, v_min):
     return np.where(bad, np.inf, rho)
 
 
-def _solve_r1_np(beta, big_r, big_l, iters=70):
-    target = math.e**2 * beta / (8.0 * (big_l - 1.0) / (big_r - 1.0))
-    lo = np.full_like(big_r, 1.0 + 1e-14)
-    hi = big_r * (1.0 - 1e-14)
-
-    def lhs(r):
-        return (r - 1.0) / (r * np.log(big_r / r) ** 2)
-
-    clamp = lhs(lo) >= target
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        too_high = lhs(mid) > target
-        hi = np.where(too_high, mid, hi)
-        lo = np.where(too_high, lo, mid)
-    r1 = 0.5 * (lo + hi)
-    return np.where(clamp, 1.0 + 1e-14, r1)
-
-
 def _rho_general_np(lam, big_k, beta, beta_tilde, k_tilde, nu_variant, n_radii=96):
     a1, a2, r0 = _alphas_np(lam, big_k, beta_tilde, k_tilde, nu_variant)
     shape = np.broadcast(lam, beta).shape
@@ -521,9 +508,12 @@ def _rho_general_np(lam, big_k, beta, beta_tilde, k_tilde, nu_variant, n_radii=9
         np.inf,
     )
     big_l = np.maximum(big_l, big_r)  # guard rounding at r -> 1
-    r1 = _solve_r1_np(np.broadcast_to(beta[..., None], big_l.shape), big_r, big_l)
-    best = r1.max(axis=-1)
-    return 1.0 / best.reshape(shape)
+    r1 = solve_r1_array(beta[..., None], big_r, big_l)
+    # A radius whose R1 equation has no root (NaN) gives no rate; a tuning
+    # with no rate at any radius gets rho = inf, which never wins the argmin.
+    best = np.fmax.reduce(r1, axis=-1)
+    rho = np.where(np.isnan(best), np.inf, 1.0 / best)
+    return rho.reshape(shape)
 
 
 _MH_OBJECTIVES = {

@@ -9,13 +9,21 @@ is where plain bisection with explicit tolerances is hard to beat.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EmptyDomain, InvalidParams, NoConvergence, NoSignChange
 
-__all__ = ["Bracket", "solve_monotone", "maximize_scalar", "std_normal_cdf"]
+__all__ = [
+    "Bracket",
+    "solve_monotone",
+    "log_grid",
+    "refine_max",
+    "maximize_scalar",
+    "std_normal_cdf",
+]
 
 _SQRT2 = math.sqrt(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -102,35 +110,48 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def maximize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid_points: int = 512,
-    refine_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Maximize f on [lo, hi]: log-spaced grid scan, then golden-section.
+@functools.cache
+def _log_offsets(grid_points: int) -> tuple[float, ...]:
+    # Relative offsets of the grid points after ``lo``, geometric from 1e-9
+    # up to 1; they do not depend on the interval, so each size is built once.
+    if grid_points == 2:
+        return (1.0,)
+    log_eps = math.log(1e-9)
+    return tuple(
+        math.exp(log_eps * (1.0 - i / (grid_points - 2))) for i in range(grid_points - 1)
+    )
 
-    The grid concentrates points near ``lo`` (offsets are geometric, down to
-    1e-9 of the interval width) because the objectives fed to this routine
-    typically live on intervals whose left end sits against a pole at 1.
-    Unimodality is not assumed; the scan guards against local maxima and the
-    golden-section pass only refines between the winning point's neighbours.
 
-    Returns (argmax, value) with value >= every grid evaluation.
+def log_grid(lo: float, hi: float, grid_points: int = 512) -> list[float]:
+    """The scan points of ``maximize_scalar`` on [lo, hi], in increasing order.
+
+    The first point is ``lo`` and the last ``hi``; the offsets in between are
+    geometric, down to 1e-9 of the interval width, so the points crowd
+    towards ``lo``.
     """
     if hi <= lo:
         raise EmptyDomain(f"need lo < hi, got [{lo}, {hi}]")
     if grid_points < 2:
         raise InvalidParams("grid_points must be >= 2")
     width = hi - lo
-    log_eps = math.log(1e-9)
     xs = [lo]
-    for i in range(grid_points - 1):
-        t = math.exp(log_eps * (1.0 - i / (grid_points - 2))) if grid_points > 2 else 1.0
-        xs.append(lo + width * t)
+    xs.extend(lo + width * t for t in _log_offsets(grid_points))
     xs[-1] = hi
-    vals = [f(x) for x in xs]
+    return xs
+
+
+def refine_max(
+    f: Callable[[float], float],
+    xs: list[float],
+    vals: list[float],
+    refine_tol: float = 1e-10,
+) -> tuple[float, float]:
+    """Best of the scan values ``vals = [f(x) for x in xs]``, refined by
+    golden-section search on f between the winning point's neighbours.
+
+    The first of several equal best values wins. Returns (argmax, value)
+    with value >= every scan value.
+    """
     i_best = max(range(len(xs)), key=lambda i: vals[i])
     a = xs[max(i_best - 1, 0)]
     b = xs[min(i_best + 1, len(xs) - 1)]
@@ -140,6 +161,27 @@ def maximize_scalar(
         if v_ref > v_best:
             x_best, v_best = x_ref, v_ref
     return x_best, v_best
+
+
+def maximize_scalar(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    grid_points: int = 512,
+    refine_tol: float = 1e-10,
+) -> tuple[float, float]:
+    """Maximize f on [lo, hi]: log-spaced grid scan, then golden-section.
+
+    The grid (``log_grid``) concentrates points near ``lo`` because the
+    objectives fed to this routine typically live on intervals whose left
+    end sits against a pole at 1. Unimodality is not assumed; the scan
+    guards against local maxima and the golden-section pass (``refine_max``)
+    only refines between the winning point's neighbours.
+
+    Returns (argmax, value) with value >= every grid evaluation.
+    """
+    xs = log_grid(lo, hi, grid_points)
+    return refine_max(f, xs, [f(x) for x in xs], refine_tol)
 
 
 def std_normal_cdf(x: float) -> float:

@@ -289,6 +289,69 @@ def test_radius_search_matches_dense_rescan():
     assert abs(value - dense) <= 1e-5
 
 
+def _old_general_search(p):
+    # The radius search as it was written before the grid went through the
+    # array solver: maximize_scalar over one scalar solve_r1 per point.
+    from ergocert import bounds
+    from ergocert.kendall import KendallParams, solve_r1
+
+    de = derived_exponents(p)
+
+    def objective(big_r):
+        big_l_val = bounds._big_l_at(big_r, p.beta_tilde, de.alpha1, de.alpha2)
+        return solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
+
+    return maximize_scalar(objective, 1.0 + 1e-9, de.r0 - 1e-9, grid_points=512, refine_tol=1e-10)
+
+
+def _nonatomic_inputs(n_each, seed):
+    # Drawn over the validated domain: lambda near 0, near 1 or in between,
+    # K up to 1e3, beta down to 1e-6 * beta_tilde.
+    rng = np.random.default_rng(seed)
+    out = []
+    for nu_info in ("none", NU_CONCENTRATED, NU_V_INTEGRAL):
+        for i in range(n_each):
+            near = 10.0 ** rng.uniform(-4.0, -1.0)
+            lam = (near, 1.0 - near, rng.uniform(0.05, 0.95))[i % 3]
+            beta_tilde = rng.uniform(0.02, 0.98)
+            out.append(DriftMinorization(
+                lam=lam, big_k=10.0 ** rng.uniform(0.0, 3.0), atomic=False,
+                beta=beta_tilde * 10.0 ** rng.uniform(-6.0, 0.0), beta_tilde=beta_tilde,
+                nu_info=nu_info,
+                k_tilde=10.0 ** rng.uniform(0.0, 3.0) if nu_info == NU_V_INTEGRAL else None,
+            ))
+    return out
+
+
+def test_radius_search_matches_old_scalar_search():
+    for p in _nonatomic_inputs(10, seed=20):
+        r_tilde, r1 = _old_general_search(p)
+        diag = rho_general(p).diagnostics
+        assert (diag["R_tilde"], diag["R1"]) == (r_tilde, r1), p
+        assert diag["L_at_R_tilde"] == big_l(r_tilde, p)
+
+
+def test_radius_search_raises_scalar_error_at_first_failing_point(monkeypatch):
+    # Past a cut the envelope raises, as it does past its pole: the search
+    # must raise what the scalar search raises, at the same grid point.
+    from ergocert import bounds
+
+    original = bounds._big_l_at
+    cut = 1.0 + 0.5 * (derived_exponents(CONTRACT).r0 - 1.0)
+
+    def envelope(r, *args):
+        if r > cut:
+            raise OutOfRange(f"envelope cut at r={r}")
+        return original(r, *args)
+
+    monkeypatch.setattr(bounds, "_big_l_at", envelope)
+    with pytest.raises(OutOfRange) as old:
+        _old_general_search(CONTRACT)
+    with pytest.raises(OutOfRange) as new:
+        rho_general(CONTRACT)
+    assert str(new.value) == str(old.value)
+
+
 def test_certificate_dispatch_and_default_gamma():
     cert = certificate(WALK_09, "reversible-positive", gamma=0.8)
     assert cert.rho == 0.6

@@ -179,20 +179,6 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["rho"] > 0.9
 
 
-def test_threads_env_var_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("ERGO_CERT_THREADS", "4")
-    code, out, _ = run_cli(
-        capsys, "bound", "--lambda", "0.6", "--K", "1.2", "--beta", "0.9", "--atomic"
-    )
-    assert code == 0
-    monkeypatch.setenv("ERGO_CERT_THREADS", "not-a-number")
-    code, _, err = run_cli(
-        capsys, "bound", "--lambda", "0.6", "--K", "1.2", "--beta", "0.9", "--atomic"
-    )
-    assert code == 0
-    assert "ERGO_CERT_THREADS" in err
-
-
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "ergocert", "model", "contracting-normal",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from ergocert.kendall import (
     r2_positive,
     rho_tilde_reversible_atomic,
     solve_r1,
+    solve_r1_array,
     solve_r2_reversible,
 )
 
@@ -198,3 +200,42 @@ def test_kendall_rate_container():
     r2 = solve_r2_reversible(WALK_09)
     rev = KendallRate(r_star=r2, regime="reversible", params=WALK_09, beta_tilde=1.0)
     assert rev.series_bound_at(1.2) == k2_series_bound(1.2, r2, 1.0)
+
+
+# One (beta, R - 1, log10(L / R)) element of an R1 array. The second R - 1
+# range, near 1e-9 as at the left end of the radius search, takes the branch
+# that clamps the root to the bracket's lower end 1 + 1e-14.
+_R1_ELEMENT = st.tuples(
+    st.floats(1e-6, 1.0),
+    st.one_of(st.floats(1e-6, 1.5), st.floats(5e-10, 2e-9)),
+    st.floats(0.0, 6.0),
+)
+
+
+@given(elements=st.lists(_R1_ELEMENT, min_size=1, max_size=24), shared_beta=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_r1_array_matches_scalar(elements, shared_beta):
+    betas = np.array([e[0] for e in elements])
+    big_r = 1.0 + np.array([e[1] for e in elements])
+    big_l = big_r * 10.0 ** np.array([e[2] for e in elements])
+    beta = float(betas[0]) if shared_beta else betas  # a scalar beta broadcasts
+    got = solve_r1_array(beta, big_r, big_l)
+    assert got.shape == big_r.shape
+    for i in range(len(elements)):
+        b = float(betas[0]) if shared_beta else float(betas[i])
+        want = solve_r1(KendallParams(beta=b, big_r=float(big_r[i]), big_l=float(big_l[i])))
+        # 2 * tol_abs: numpy's log1p may differ from math.log1p by an ulp.
+        assert abs(float(got[i]) - want) <= 2e-12
+
+
+def test_r1_array_clamp_nan_and_shape():
+    beta = np.array([[0.5, 0.5], [0.9, 0.9]])
+    big_r = np.array([[1.0 + 1e-9, 1.4], [1.0 / 0.6, 1.4]])
+    # L = 1 makes N = 0, so the target is infinite: no sign change. A NaN
+    # input has none either.
+    big_l = np.array([[1e3, 1.0], [2.0, math.nan]])
+    got = solve_r1_array(beta, big_r, big_l)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == 1.0 + 1e-14 == solve_r1(KendallParams(0.5, 1.0 + 1e-9, 1e3))
+    assert got[1, 0] == solve_r1(WALK_09)
+    assert math.isnan(got[0, 1]) and math.isnan(got[1, 1])

@@ -247,3 +247,24 @@ def test_optimize_contracting_matches_published_choice():
     res = optimize_contracting_tuning("thm1.3", theta=0.5, c_range=(1.05, 3.0))
     assert res["rho"] <= 0.897 + 0.002
     assert abs(res["c"] - 1.5) <= 0.25  # published tuning sits in this well
+
+
+def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
+    # A radius whose R1 equation has no root (NaN) must not decide the rate;
+    # a tuning with no root at any radius gets rho = inf, never the argmin.
+    from ergocert import models
+
+    consts = models._mh_constants_np(np.array([1.0, 1.2]), np.array([0.1, 0.1]), MT_MEASURE)
+    want = models._rho_general_np(*consts, MT_MEASURE)
+    real = models.solve_r1_array
+
+    def with_nan(beta, big_r, big_l):
+        r1 = real(beta, big_r, big_l)
+        r1[0, :] = np.nan
+        r1[1, np.arange(r1.shape[1]) != np.argmax(r1[1])] = np.nan
+        return r1
+
+    monkeypatch.setattr(models, "solve_r1_array", with_nan)
+    got = models._rho_general_np(*consts, MT_MEASURE)
+    assert got[0] == math.inf
+    assert got[1] == want[1]
