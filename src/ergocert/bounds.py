@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import kendall
-from .errors import GammaOutOfRange, InvalidParams, NoSignChange, NotReversible, OutOfRange
+from .errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
 from .kendall import KendallParams
 from .numerics import Bracket, log_grid, refine_max, solve_monotone
 
@@ -239,12 +239,10 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents):
     # Points that _big_l_at or KendallParams reject get L = NaN, hence R1 = NaN.
     ls[~((ls >= grid) & (p.beta * grid <= ls))] = math.nan
     r1s = kendall.solve_r1_array(p.beta, grid, ls)
-    failed = np.flatnonzero(np.isnan(r1s))
-    if failed.size:
-        # The scalar path at the first failing point raises its own error.
-        x_bad = xs[failed[0]]
-        objective(x_bad)
-        raise NoSignChange(f"R1 has no root at envelope radius R={x_bad}")
+    # Where the array gives no root, the scalar path decides: it raises its
+    # own error at the first point that really fails, in grid order.
+    for i in np.flatnonzero(np.isnan(r1s)):
+        r1s[i] = objective(xs[i])
     return refine_max(objective, xs, r1s.tolist(), refine_tol=1e-10)
 
 

@@ -43,6 +43,12 @@ __all__ = [
 _E2 = math.exp(2.0)
 _EM2 = math.exp(-2.0)
 
+# Stopping rule of the R1 bisection, shared by the scalar and array solvers;
+# the step budget is Bracket's default, which solve_r1 uses.
+_R1_TOL_ABS = 1e-12
+_R1_TOL_RESIDUAL = 1e-10
+_R1_MAX_ITER = 256
+
 
 @dataclass(frozen=True)
 class KendallParams:
@@ -103,7 +109,9 @@ def _r1_lhs(r: float, big_r: float) -> float:
     return (r - 1.0) / (r * _log_ratio(big_r, r) ** 2)
 
 
-def solve_r1(p: KendallParams, tol_abs: float = 1e-12, tol_residual: float = 1e-10) -> float:
+def solve_r1(
+    p: KendallParams, tol_abs: float = _R1_TOL_ABS, tol_residual: float = _R1_TOL_RESIDUAL
+) -> float:
     """Certified radius R1 for the general regime.
 
     R1 is the unique r in (1, R) with
@@ -129,14 +137,7 @@ def solve_r1(p: KendallParams, tol_abs: float = 1e-12, tol_residual: float = 1e-
     )
 
 
-def solve_r1_array(
-    beta,
-    big_r,
-    big_l,
-    tol_abs: float = 1e-12,
-    tol_residual: float = 1e-10,
-    max_iter: int = 256,
-) -> np.ndarray:
+def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     """``solve_r1`` for arrays of (beta, R, L), broadcast against each other.
 
     Each element follows ``solve_r1`` step for step: the same bracket
@@ -147,7 +148,7 @@ def solve_r1_array(
     equation has no sign change on its bracket, or that has no bracket,
     comes back NaN (NaN inputs included), where ``solve_r1`` would raise.
     Raises NoConvergence, as ``solve_monotone`` does, if an element is still
-    open after ``max_iter`` steps.
+    open after 256 steps.
     """
     beta, big_r, big_l = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (beta, big_r, big_l))
@@ -173,7 +174,7 @@ def solve_r1_array(
         idx = np.flatnonzero(open_ & (flo < 0.0) & (fhi > 0.0))
         lo = np.full(idx.size, lo0)
         hi, big_r, target = hi[idx], big_r[idx], target[idx]
-        for _ in range(max_iter):
+        for _ in range(_R1_MAX_ITER):
             if idx.size == 0:
                 break
             mid = 0.5 * (lo + hi)
@@ -181,7 +182,7 @@ def solve_r1_array(
             done = (
                 ~((lo < mid) & (mid < hi))
                 | (fm == 0.0)
-                | ((hi - lo <= tol_abs) & (np.abs(fm) <= tol_residual))
+                | ((hi - lo <= _R1_TOL_ABS) & (np.abs(fm) <= _R1_TOL_RESIDUAL))
             )
             below = fm < 0.0
             lo = np.where(below, mid, lo)
@@ -191,7 +192,7 @@ def solve_r1_array(
                 keep = ~done
                 idx, lo, hi, big_r, target = (a[keep] for a in (idx, lo, hi, big_r, target))
     if idx.size:
-        raise NoConvergence(f"no convergence after {max_iter} bisection steps")
+        raise NoConvergence(f"no convergence after {_R1_MAX_ITER} bisection steps")
     return out.reshape(shape)
 
 
@@ -243,13 +244,15 @@ def solve_r2_reversible(
     def gap(r: float) -> float:
         return math.exp(exponent * math.log1p(r - 1.0)) - 1.0 - 2.0 * p.beta * r
 
+    hi = p.big_r - max(1e-14, (p.big_r - 1.0) * 1e-13)
+    if gap(hi) < 0.0:
+        # L exceeds 1 + 2*beta*R only by rounding, so the crossing lies in
+        # (hi, R]; hi is its lower, safe end.
+        return hi
     # gap(1+) = -2*beta < 0 and gap(R) = L - (1 + 2*beta*R) > 0; the crossing
     # is unique by convexity, so bisection lands on it.
     return solve_monotone(
-        gap,
-        0.0,
-        Bracket(1.0 + 1e-14, p.big_r - max(1e-14, (p.big_r - 1.0) * 1e-13), tol_abs=tol_abs),
-        tol_residual=tol_residual,
+        gap, 0.0, Bracket(1.0 + 1e-14, hi, tol_abs=tol_abs), tol_residual=tol_residual
     )
 
 

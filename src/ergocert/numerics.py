@@ -9,7 +9,6 @@ is where plain bisection with explicit tolerances is hard to beat.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -110,18 +109,6 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-@functools.cache
-def _log_offsets(grid_points: int) -> tuple[float, ...]:
-    # Relative offsets of the grid points after ``lo``, geometric from 1e-9
-    # up to 1; they do not depend on the interval, so each size is built once.
-    if grid_points == 2:
-        return (1.0,)
-    log_eps = math.log(1e-9)
-    return tuple(
-        math.exp(log_eps * (1.0 - i / (grid_points - 2))) for i in range(grid_points - 1)
-    )
-
-
 def log_grid(lo: float, hi: float, grid_points: int = 512) -> list[float]:
     """The scan points of ``maximize_scalar`` on [lo, hi], in increasing order.
 
@@ -134,8 +121,11 @@ def log_grid(lo: float, hi: float, grid_points: int = 512) -> list[float]:
     if grid_points < 2:
         raise InvalidParams("grid_points must be >= 2")
     width = hi - lo
+    log_eps = math.log(1e-9)
     xs = [lo]
-    xs.extend(lo + width * t for t in _log_offsets(grid_points))
+    for i in range(grid_points - 1):
+        t = math.exp(log_eps * (1.0 - i / (grid_points - 2))) if grid_points > 2 else 1.0
+        xs.append(lo + width * t)
     xs[-1] = hi
     return xs
 

@@ -324,11 +324,34 @@ def _nonatomic_inputs(n_each, seed):
 
 
 def test_radius_search_matches_old_scalar_search():
+    # Exact equality holds because the array R1 on the grid matches the
+    # scalar R1 bit for bit, and that depends on numpy's log1p agreeing with
+    # math.log1p closely enough not to move the winning grid point. numpy's
+    # SIMD log1p can be an ulp off math.log1p, and a different numpy build or
+    # CPU path could move R_tilde without any change in this package.
     for p in _nonatomic_inputs(10, seed=20):
         r_tilde, r1 = _old_general_search(p)
         diag = rho_general(p).diagnostics
         assert (diag["R_tilde"], diag["R1"]) == (r_tilde, r1), p
         assert diag["L_at_R_tilde"] == big_l(r_tilde, p)
+
+
+def test_radius_search_takes_scalar_value_where_array_has_no_root(monkeypatch):
+    # A root the array solver misses (an ulp of log1p at a sign change) is
+    # taken from the scalar path, as the old search took it, not an error.
+    from ergocert import kendall
+
+    want = rho_general(CONTRACT).diagnostics
+    real = kendall.solve_r1_array
+
+    def with_nan(beta, big_r, big_l):
+        r1 = real(beta, big_r, big_l)
+        r1[np.argmax(r1)] = np.nan
+        r1[::7] = np.nan
+        return r1
+
+    monkeypatch.setattr(kendall, "solve_r1_array", with_nan)
+    assert rho_general(CONTRACT).diagnostics == want
 
 
 def test_radius_search_raises_scalar_error_at_first_failing_point(monkeypatch):

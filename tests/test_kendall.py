@@ -183,6 +183,16 @@ def test_rho_tilde_dominates_exact_reversible_rate(beta, lam, k_extra):
     assert easy >= exact - 1e-9
 
 
+def test_r2_at_rounding_edge_stays_below_full_radius():
+    # L = 1 + 2*beta*R in exact terms; rounded, L sits an ulp above it and
+    # the gap is still negative at the bracket's upper end.
+    lam = 0.21797575134834302
+    p = KendallParams(beta=0.5, big_r=1.0 / lam, big_l=(1.0 + lam) / lam)
+    assert p.big_l > 1.0 + 2.0 * p.beta * p.big_r
+    r2 = solve_r2_reversible(p)
+    assert p.big_r * (1.0 - 1e-12) < r2 < p.big_r
+
+
 def test_rates_stay_inside_interval():
     for p in (WALK_09, WALK_23):
         for rate in (solve_r1(p), solve_r2_reversible(p), r2_positive(p)):
