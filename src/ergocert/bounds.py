@@ -29,15 +29,26 @@ import numpy as np
 from . import kendall
 from .errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
 from .kendall import KendallParams
-from .numerics import Bracket, log_grid, refine_max, solve_monotone
+from .numerics import (
+    Bracket,
+    elementary,
+    log_grid,
+    refine_max,
+    solve_increasing_array,
+    solve_monotone,
+)
 
 __all__ = [
     "DriftMinorization",
     "DerivedExponents",
     "Certificate",
     "RatePart",
+    "split_exponents",
     "derived_exponents",
     "big_l",
+    "big_l_array",
+    "reversible_radius_array",
+    "rate_part",
     "rho_general",
     "m_general",
     "rho_reversible",
@@ -163,26 +174,35 @@ class Certificate:
         }
 
 
-def derived_exponents(p: DriftMinorization) -> DerivedExponents:
-    """alpha_1, alpha_2 and R0 = min(1/lambda, (1 - beta_tilde)**(-1/alpha_1)).
+def split_exponents(lam, big_k, beta_tilde, nu_info: str, k_tilde=None) -> tuple:
+    """(alpha_1, alpha_2, R0) from floats, or from numpy arrays elementwise.
 
-    Only meaningful for nonatomic chains. alpha_2 takes the sharpest value
-    the available side information permits: 1 when nu is concentrated on C,
-    1 + log(k_tilde)/log(1/lambda) under a V-integral bound, and the generic
-    1 + log(K/beta_tilde)/log(1/lambda) otherwise.
+    R0 = min(1/lambda, (1 - beta_tilde)**(-1/alpha_1)). alpha_2 takes the
+    sharpest value the side information ``nu_info`` permits: 1 when nu is
+    concentrated on C, 1 + log(k_tilde)/log(1/lambda) under a V-integral
+    bound, and the generic 1 + log(K/beta_tilde)/log(1/lambda) otherwise.
+    The coupling rate takes R0 with lambda_1 in place of lambda. Inputs are
+    not validated; lambda decides between float and array functions.
     """
+    xp = elementary(lam)
+    log_lam_inv = xp.log(1.0 / lam)
+    alpha1 = 1.0 + xp.log((big_k - beta_tilde) / (1.0 - beta_tilde)) / log_lam_inv
+    if nu_info == NU_CONCENTRATED:
+        alpha2 = 1.0
+    elif nu_info == NU_V_INTEGRAL:
+        alpha2 = 1.0 + xp.log(k_tilde) / log_lam_inv
+    else:
+        alpha2 = 1.0 + xp.log(big_k / beta_tilde) / log_lam_inv
+    pole = (1.0 - beta_tilde) ** (-1.0 / alpha1)
+    return alpha1, alpha2, xp.minimum(1.0 / lam, pole)
+
+
+def derived_exponents(p: DriftMinorization) -> DerivedExponents:
+    """``split_exponents`` of a nonatomic chain's constants."""
     if p.atomic:
         raise InvalidParams("derived exponents apply to nonatomic chains only")
-    log_lam_inv = math.log(p.lam_inv)
-    alpha1 = 1.0 + math.log((p.big_k - p.beta_tilde) / (1.0 - p.beta_tilde)) / log_lam_inv
-    if p.nu_info == NU_CONCENTRATED:
-        alpha2 = 1.0
-    elif p.nu_info == NU_V_INTEGRAL:
-        alpha2 = 1.0 + math.log(p.k_tilde) / log_lam_inv
-    else:
-        alpha2 = 1.0 + math.log(p.big_k / p.beta_tilde) / log_lam_inv
-    pole = (1.0 - p.beta_tilde) ** (-1.0 / alpha1)
-    return DerivedExponents(alpha1=alpha1, alpha2=alpha2, r0=min(p.lam_inv, pole))
+    alpha1, alpha2, r0 = split_exponents(p.lam, p.big_k, p.beta_tilde, p.nu_info, p.k_tilde)
+    return DerivedExponents(alpha1=alpha1, alpha2=alpha2, r0=r0)
 
 
 def _big_l_at(r: float, beta_tilde: float, alpha1: float, alpha2: float) -> float:
@@ -190,6 +210,14 @@ def _big_l_at(r: float, beta_tilde: float, alpha1: float, alpha2: float) -> floa
     if denominator <= 0.0:
         raise OutOfRange(f"r={r} is at or beyond the envelope pole")
     return beta_tilde * r**alpha2 / denominator
+
+
+def big_l_array(r, beta_tilde, alpha1, alpha2) -> np.ndarray:
+    """The envelope L(r) of ``big_l`` on arrays (broadcast against each
+    other), NaN at or beyond the pole, where ``big_l`` raises."""
+    with np.errstate(all="ignore"):
+        denominator = 1.0 - (1.0 - beta_tilde) * r**alpha1
+        return np.where(denominator > 0.0, beta_tilde * r**alpha2 / denominator, np.nan)
 
 
 def big_l(r: float, p: DriftMinorization) -> float:
@@ -228,15 +256,10 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents):
         return kendall.solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
 
     xs = log_grid(lo, hi, 512)
-    big_ls = []
-    for x in xs:
-        try:
-            big_ls.append(_big_l_at(x, bt, a1, a2))
-        except OutOfRange:
-            big_ls.append(math.nan)
     grid = np.array(xs)
-    ls = np.array(big_ls)
-    # Points that _big_l_at or KendallParams reject get L = NaN, hence R1 = NaN.
+    ls = big_l_array(grid, bt, a1, a2)
+    # Points beyond the pole, or that KendallParams rejects, get L = NaN,
+    # hence R1 = NaN.
     ls[~((ls >= grid) & (p.beta * grid <= ls))] = math.nan
     r1s = kendall.solve_r1_array(p.beta, grid, ls)
     # Where the array gives no root, the scalar path decides: it raises its
@@ -317,7 +340,29 @@ def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> 
         return _big_l_at(r, bt, a1, a2) - 1.0 - 2.0 * p.beta * r
 
     # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0).
-    return solve_monotone(gap, 0.0, Bracket(1.0 + 1e-14, hi, tol_abs=1e-12))
+    return solve_monotone(gap, 0.0, Bracket(1.0 + 1e-14, hi))
+
+
+def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
+    """The nonatomic R2 of ``rho_reversible`` on arrays of constants.
+
+    Takes the branches of the scalar radius element by element: R0 when R0
+    lies below the pole and L(R0) <= 1 + 2*beta*R0, otherwise the crossing
+    on [1 + 1e-14, hi] with hi = R0, or R0 * (1 - 1e-13) when the pole
+    limits R0. NaN where the crossing has no sign change on that bracket,
+    where the scalar radius raises.
+    """
+    with np.errstate(all="ignore"):
+        pole_limited = (1.0 - beta_tilde) * r0**alpha1 >= 1.0 - 1e-14
+        l_at_r0 = big_l_array(r0, beta_tilde, alpha1, alpha2)
+        at_r0 = ~pole_limited & (l_at_r0 <= 1.0 + 2.0 * beta * r0)
+        hi = np.where(pole_limited, r0 * (1.0 - 1e-13), r0)
+
+    def gap(r, b, bt, a1, a2):
+        return big_l_array(r, bt, a1, a2) - 1.0 - 2.0 * b * r
+
+    r2 = solve_increasing_array(gap, 1.0 + 1e-14, hi, beta, beta_tilde, alpha1, alpha2)
+    return np.where(at_r0, r0, r2)
 
 
 def rho_positive(p: DriftMinorization) -> RatePart:
@@ -550,6 +595,17 @@ def prop44_bounds(r: float, p: DriftMinorization) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def rate_part(p: DriftMinorization, symmetry: str) -> RatePart:
+    """``rho_general``, ``rho_reversible`` or ``rho_positive``, by regime."""
+    if symmetry not in _SYMMETRIES:
+        raise InvalidParams(f"symmetry must be one of {_SYMMETRIES}, got {symmetry!r}")
+    if symmetry == "general":
+        return rho_general(p)
+    if symmetry == "reversible":
+        return rho_reversible(p)
+    return rho_positive(p)
+
+
 def certificate(
     p: DriftMinorization,
     symmetry: str = "general",
@@ -560,14 +616,7 @@ def certificate(
     gamma defaults to (1 + rho)/2: M diverges as gamma approaches rho, so a
     midpoint keeps both the rate and the constant moderate.
     """
-    if symmetry not in _SYMMETRIES:
-        raise InvalidParams(f"symmetry must be one of {_SYMMETRIES}, got {symmetry!r}")
-    if symmetry == "general":
-        part = rho_general(p)
-    elif symmetry == "reversible":
-        part = rho_reversible(p)
-    else:
-        part = rho_positive(p)
+    part = rate_part(p, symmetry)
     if gamma is None:
         gamma = 0.5 * (1.0 + part.rho)
     big_m = _m_with_part(p, gamma, part)
@@ -604,8 +653,6 @@ def l2_contraction(p: DriftMinorization, symmetry: str) -> float:
     For reversible chains the operator norm of P - 1 (x) pi on L2(pi) is at
     most the certified rho, so ||P^n f - pi(f)|| <= rho^n ||f - pi(f)||.
     """
-    if symmetry == "reversible":
-        return rho_reversible(p).rho
-    if symmetry == "reversible-positive":
-        return rho_positive(p).rho
-    raise NotReversible("L2 contraction requires a reversible chain")
+    if symmetry not in ("reversible", "reversible-positive"):
+        raise NotReversible("L2 contraction requires a reversible chain")
+    return rate_part(p, symmetry).rho

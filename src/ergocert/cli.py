@@ -19,16 +19,9 @@ import sys
 from typing import Optional
 
 from . import bounds, models, tables, verify
-from .competitors import coupling_rho
 from .errors import ErgoCertError
 
 __all__ = ["main"]
-
-_METHOD_TO_SYMMETRY = {
-    "thm1.1": "general",
-    "thm1.2": "reversible",
-    "thm1.3": "reversible-positive",
-}
 
 
 def _fmt(value, precision: int) -> str:
@@ -144,17 +137,12 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _model_certificate(args) -> bounds.Certificate:
-    symmetry = _METHOD_TO_SYMMETRY[args.method]
+def _chain(args) -> models.ModelSpec:
     if args.model == "reflecting-walk":
-        params = models.reflecting_walk_params(
-            models.ReflectingWalk(p=args.p, epsilon=args.epsilon)
-        )
-    elif args.model == "mh-normal":
-        params = models.mh_normal_params(args.d, args.s, _nu_variant(args))
-    else:
-        params = models.contracting_params(args.theta, args.c)
-    return bounds.certificate(params, symmetry, args.gamma)
+        return models.ReflectingWalk(p=args.p, epsilon=args.epsilon)
+    if args.model == "mh-normal":
+        return models.MetropolisNormal(d=args.d, s=args.s, nu_variant=_nu_variant(args))
+    return models.ContractingNormal(theta=args.theta, c=args.c)
 
 
 def _nu_variant(args) -> str:
@@ -195,13 +183,9 @@ def _cmd_model(args) -> int:
         return 0
 
     if args.method == "coupling":
-        if args.model == "mh-normal":
-            _require(args, ["d", "s"])
-            rho = coupling_rho(models.mh_coupling_input(args.d, args.s, _nu_variant(args)))
-        elif args.model == "contracting-normal":
-            rho = coupling_rho(models.contracting_coupling_input(args.theta, args.c))
-        else:
+        if args.model == "reflecting-walk":
             raise ErgoCertError("coupling is available for mh-normal and contracting-normal")
+        rho = models.method_rho("coupling", _chain(args))
         payload = {"model": args.model, "method": "coupling", "rho": rho, "one_minus_rho": 1 - rho}
         if args.format == "json":
             _emit(json.dumps(payload, indent=2), args.output)
@@ -210,18 +194,9 @@ def _cmd_model(args) -> int:
         return 0
 
     if args.method == "binomial":
-        if args.model == "reflecting-walk":
-            params = models.reflecting_walk_params(
-                models.ReflectingWalk(p=args.p, epsilon=args.epsilon)
-            )
-            sup_v = 1.0
-        elif args.model == "contracting-normal":
-            params = models.contracting_params(args.theta, args.c)
-            sup_v = 1.0 + args.c * args.c
-        else:
+        if args.model == "mh-normal":
             raise ErgoCertError("binomial modification is set up for walks and contracting normals")
-        lazy = models.binomial_modification(params, sup_v_on_c=sup_v)
-        rho = bounds.rho_positive(lazy).rho
+        rho = bounds.rho_positive(_chain(args).lazy_params()).rho
         payload = {
             "model": args.model,
             "method": "binomial-modification",
@@ -237,7 +212,8 @@ def _cmd_model(args) -> int:
             )
         return 0
 
-    cert = _model_certificate(args)
+    params = _chain(args).params()
+    cert = bounds.certificate(params, models.THEOREM_SYMMETRY[args.method], args.gamma)
     _emit(_render_certificate(cert, args.format, args.precision), args.output)
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import NU_NONE, split_exponents
 from .errors import CouplingFails, InvalidParams
 
 __all__ = ["CouplingInput", "mt_zeta", "mtb_zeta", "coupling_rho"]
@@ -94,10 +95,4 @@ def coupling_rho(c_in: CouplingInput) -> float:
         raise CouplingFails(
             f"lambda_1 = {lam1:.6g} >= 1; enlarge C until min V off C is big enough"
         )
-    log_lam1_inv = math.log(1.0 / lam1)
-    alpha1_hat = 1.0 + math.log(
-        (c_in.big_k - c_in.beta_tilde) / (1.0 - c_in.beta_tilde)
-    ) / log_lam1_inv
-    pole = (1.0 - c_in.beta_tilde) ** (-1.0 / alpha1_hat)
-    r0_hat = min(1.0 / lam1, pole)
-    return 1.0 / r0_hat
+    return 1.0 / split_exponents(lam1, c_in.big_k, c_in.beta_tilde, NU_NONE)[2]

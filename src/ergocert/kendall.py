@@ -9,12 +9,11 @@ converges on a disc whose radius these routines certify:
   * ``solve_r1_array``      the same radius for whole arrays of (beta, R, L)
                             at once, element by element equal to ``solve_r1``;
   * ``solve_r2_reversible`` reversible chains, radius R2 from the crossing
-                            of 1 + 2*beta*r with r**(log L / log R);
-  * ``r2_positive``         reversible chains with nonnegative spectrum,
-                            where the full radius R is certified.
+                            of 1 + 2*beta*r with r**(log L / log R).
 
-``k1`` and ``k2_series_bound`` give the matching uniform bounds on the
-series inside those radii.
+For reversible chains with nonnegative spectrum the full radius R is
+certified, with no equation to solve. ``k1`` and ``k2_series_bound`` give
+the matching uniform bounds on the series inside those radii.
 """
 
 from __future__ import annotations
@@ -24,30 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence, OutOfRange
-from .numerics import Bracket, solve_monotone
+from .errors import InvalidParams, OutOfRange
+from .numerics import Bracket, solve_increasing_array, solve_monotone
 
 __all__ = [
     "KendallParams",
-    "KendallRate",
     "solve_r1",
     "solve_r1_array",
     "k1",
     "k1_single_fraction",
     "solve_r2_reversible",
-    "r2_positive",
     "k2_series_bound",
     "rho_tilde_reversible_atomic",
 ]
 
 _E2 = math.exp(2.0)
 _EM2 = math.exp(-2.0)
-
-# Stopping rule of the R1 bisection, shared by the scalar and array solvers;
-# the step budget is Bracket's default, which solve_r1 uses.
-_R1_TOL_ABS = 1e-12
-_R1_TOL_RESIDUAL = 1e-10
-_R1_MAX_ITER = 256
 
 
 @dataclass(frozen=True)
@@ -84,21 +75,6 @@ class KendallParams:
         return (self.big_l - 1.0) / (self.big_r - 1.0)
 
 
-@dataclass(frozen=True)
-class KendallRate:
-    """A certified radius together with the series bound valid inside it."""
-
-    r_star: float
-    regime: str  # "general" | "reversible" | "reversible-positive"
-    params: KendallParams
-    beta_tilde: float = 1.0
-
-    def series_bound_at(self, r: float) -> float:
-        if self.regime == "general":
-            return k1(r, self.params)
-        return k2_series_bound(r, self.r_star, self.beta_tilde)
-
-
 def _log_ratio(big_r: float, r: float) -> float:
     # log(R / r) computed as log1p((R - r) / r) to keep accuracy when both
     # sit within 1e-6 of each other (routine in the radius search).
@@ -109,9 +85,7 @@ def _r1_lhs(r: float, big_r: float) -> float:
     return (r - 1.0) / (r * _log_ratio(big_r, r) ** 2)
 
 
-def solve_r1(
-    p: KendallParams, tol_abs: float = _R1_TOL_ABS, tol_residual: float = _R1_TOL_RESIDUAL
-) -> float:
+def solve_r1(p: KendallParams) -> float:
     """Certified radius R1 for the general regime.
 
     R1 is the unique r in (1, R) with
@@ -129,12 +103,7 @@ def solve_r1(
     hi = p.big_r - max(1e-14, (p.big_r - 1.0) * 1e-13)
     if _r1_lhs(lo, p.big_r) >= target:
         return lo
-    return solve_monotone(
-        lambda r: _r1_lhs(r, p.big_r),
-        target,
-        Bracket(lo, hi, tol_abs=tol_abs),
-        tol_residual=tol_residual,
-    )
+    return solve_monotone(lambda r: _r1_lhs(r, p.big_r), target, Bracket(lo, hi))
 
 
 def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
@@ -142,58 +111,26 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
 
     Each element follows ``solve_r1`` step for step: the same bracket
     [1 + 1e-14, R - max(1e-14, (R-1)*1e-13)], the same clamp to its lower
-    end, and the bisection of ``solve_monotone`` with the same stopping
-    rule. All elements bisect together and finished ones drop out. The
-    inputs are not validated as ``KendallParams`` are: an element whose
+    end, and ``solve_increasing_array``, the array twin of the bisection.
+    The inputs are not validated as ``KendallParams`` are: an element whose
     equation has no sign change on its bracket, or that has no bracket,
     comes back NaN (NaN inputs included), where ``solve_r1`` would raise.
-    Raises NoConvergence, as ``solve_monotone`` does, if an element is still
-    open after 256 steps.
+    Raises NoConvergence as ``solve_monotone`` does.
     """
-    beta, big_r, big_l = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (beta, big_r, big_l))
-    )
-    shape = big_r.shape
-    beta, big_r, big_l = beta.ravel(), big_r.ravel(), big_l.ravel()
-    out = np.full(big_r.shape, np.nan)
-    lo0 = 1.0 + 1e-14
+    lo = 1.0 + 1e-14
 
-    def lhs(r, rr):
-        return (r - 1.0) / (r * np.log1p((rr - r) / r) ** 2)
+    def gap(r, rr, target):
+        return (r - 1.0) / (r * np.log1p((rr - r) / r) ** 2) - target
 
     with np.errstate(all="ignore"):
         target = _E2 * beta / (8.0 * ((big_l - 1.0) / (big_r - 1.0)))
+        big_r, target = np.broadcast_arrays(np.asarray(big_r, dtype=float), target)
         hi = big_r - np.maximum(1e-14, (big_r - 1.0) * 1e-13)
-        flo = lhs(lo0, big_r) - target
-        clamp = flo >= 0.0
-        out[clamp] = lo0
-        open_ = ~clamp & (lo0 < hi)
-        fhi = lhs(hi, big_r) - target
-        at_hi = open_ & (fhi == 0.0)
-        out[at_hi] = hi[at_hi]
-        idx = np.flatnonzero(open_ & (flo < 0.0) & (fhi > 0.0))
-        lo = np.full(idx.size, lo0)
-        hi, big_r, target = hi[idx], big_r[idx], target[idx]
-        for _ in range(_R1_MAX_ITER):
-            if idx.size == 0:
-                break
-            mid = 0.5 * (lo + hi)
-            fm = lhs(mid, big_r) - target
-            done = (
-                ~((lo < mid) & (mid < hi))
-                | (fm == 0.0)
-                | ((hi - lo <= _R1_TOL_ABS) & (np.abs(fm) <= _R1_TOL_RESIDUAL))
-            )
-            below = fm < 0.0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if done.any():
-                out[idx[done]] = mid[done]
-                keep = ~done
-                idx, lo, hi, big_r, target = (a[keep] for a in (idx, lo, hi, big_r, target))
-    if idx.size:
-        raise NoConvergence(f"no convergence after {_R1_MAX_ITER} bisection steps")
-    return out.reshape(shape)
+        r1 = np.where(gap(lo, big_r, target) >= 0.0, lo, np.nan)
+    # Only the elements not clamped go on to the bisection.
+    rest = np.isnan(r1)
+    r1[rest] = solve_increasing_array(gap, lo, hi[rest], big_r[rest], target[rest])
+    return r1
 
 
 def _k1_parts(r: float, p: KendallParams) -> tuple[float, float, float]:
@@ -228,9 +165,7 @@ def k1_single_fraction(r: float, p: KendallParams) -> float:
     return (2.0 * p.beta + log_n_term - a_term) / ((r - 1.0) * denominator)
 
 
-def solve_r2_reversible(
-    p: KendallParams, tol_abs: float = 1e-12, tol_residual: float = 1e-10
-) -> float:
+def solve_r2_reversible(p: KendallParams) -> float:
     """Certified radius R2 for reversible chains.
 
     When L > 1 + 2*beta*R the radius is the unique r in (1, R) where
@@ -251,14 +186,7 @@ def solve_r2_reversible(
         return hi
     # gap(1+) = -2*beta < 0 and gap(R) = L - (1 + 2*beta*R) > 0; the crossing
     # is unique by convexity, so bisection lands on it.
-    return solve_monotone(
-        gap, 0.0, Bracket(1.0 + 1e-14, hi, tol_abs=tol_abs), tol_residual=tol_residual
-    )
-
-
-def r2_positive(p: KendallParams) -> float:
-    """For reversible chains with nonnegative spectrum the radius is R itself."""
-    return p.big_r
+    return solve_monotone(gap, 0.0, Bracket(1.0 + 1e-14, hi))
 
 
 def k2_series_bound(r: float, r2: float, beta_tilde: float) -> float:

@@ -20,13 +20,22 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
-from .bounds import NU_CONCENTRATED, NU_V_INTEGRAL, DriftMinorization
-from .competitors import CouplingInput
+from .bounds import (
+    NU_CONCENTRATED,
+    NU_NONE,
+    NU_V_INTEGRAL,
+    DriftMinorization,
+    big_l_array,
+    rate_part,
+    reversible_radius_array,
+    rho_positive,
+    split_exponents,
+)
+from .competitors import CouplingInput, coupling_rho
 from .errors import InvalidParams, MonotoneViolation, TruncationTooSmall
 from .kendall import solve_r1_array
-from .numerics import std_normal_cdf
+from .numerics import elementary, std_normal_cdf
 
 __all__ = [
     "ReflectingWalk",
@@ -43,6 +52,7 @@ __all__ = [
     "contracting_coupling_input",
     "binomial_modification",
     "walk_truncated_chain",
+    "method_rho",
     "optimize_mh_tuning",
     "optimize_contracting_tuning",
 ]
@@ -82,6 +92,12 @@ class ReflectingWalk:
     def boundary_hold(self) -> float:
         return self.p if self.epsilon is None else self.epsilon
 
+    def params(self) -> DriftMinorization:
+        return reflecting_walk_params(self)
+
+    def lazy_params(self) -> DriftMinorization:
+        return binomial_modification(self.params(), sup_v_on_c=1.0)
+
 
 @dataclass(frozen=True)
 class MetropolisNormal:
@@ -98,6 +114,12 @@ class MetropolisNormal:
         if self.nu_variant not in (MT_MEASURE, INFIMUM_MEASURE):
             raise InvalidParams(f"unknown nu_variant {self.nu_variant!r}")
 
+    def params(self) -> DriftMinorization:
+        return mh_normal_params(self.d, self.s, self.nu_variant)
+
+    def coupling_input(self) -> CouplingInput:
+        return mh_coupling_input(self.d, self.s, self.nu_variant)
+
 
 @dataclass(frozen=True)
 class ContractingNormal:
@@ -112,8 +134,19 @@ class ContractingNormal:
         if not (self.c > 1.0):
             raise InvalidParams(f"c must exceed 1 (else lambda >= 1), got {self.c}")
 
+    def params(self) -> DriftMinorization:
+        return contracting_params(self.theta, self.c)
 
-# Any benchmark chain accepted by the constant maps below.
+    def coupling_input(self) -> CouplingInput:
+        return contracting_coupling_input(self.theta, self.c)
+
+    def lazy_params(self) -> DriftMinorization:
+        return binomial_modification(self.params(), sup_v_on_c=1.0 + self.c * self.c)
+
+
+# Any benchmark chain accepted by the constant maps below. Each gives its
+# constants through params(); coupling_input() and lazy_params() exist where
+# the chain has the coupling rate or the binomial modification.
 ModelSpec = ReflectingWalk | MetropolisNormal | ContractingNormal
 
 
@@ -225,43 +258,61 @@ def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
 # ---------------------------------------------------------------------------
 
 
-def mh_normal_lambda(x: float, s: float) -> float:
+# The formulas below take floats or numpy arrays (broadcast against each
+# other); the first argument decides between math and numpy functions.
+
+
+def mh_normal_lambda(x, s):
     """One-step drift ratio PV(x)/V(x) for V(y) = exp(s|y|), x, s >= 0.
 
     Closed form in the normal distribution function; telescopes to 1 when
-    s = 0 (V constant).
+    s = 0 (V constant). Float arguments are validated; with x a numpy array
+    the ratio is evaluated elementwise, unchecked.
     """
-    if not (x >= 0.0 and s >= 0.0) or not (math.isfinite(x) and math.isfinite(s)):
+    if not isinstance(x, np.ndarray) and (
+        not (x >= 0.0 and s >= 0.0) or not (math.isfinite(x) and math.isfinite(s))
+    ):
         raise InvalidParams(f"x and s must be finite and nonnegative, got x={x}, s={s}")
-    cdf = std_normal_cdf
-    t1 = math.exp(s * s / 2.0) * (cdf(-s) - cdf(-x - s))
-    t2 = math.exp(s * s / 2.0 - 2.0 * s * x) * (cdf(-x + s) - cdf(-2.0 * x + s))
-    t3 = math.exp((x - s) ** 2 / 4.0) * cdf((s - x) / _SQRT2) / _SQRT2
-    t4 = math.exp((x * x - 6.0 * x * s + s * s) / 4.0) * cdf((s - 3.0 * x) / _SQRT2) / _SQRT2
+    xp = elementary(x)
+    exp, cdf = xp.exp, xp.cdf
+    t1 = exp(s * s / 2.0) * (cdf(-s) - cdf(-x - s))
+    t2 = exp(s * s / 2.0 - 2.0 * s * x) * (cdf(-x + s) - cdf(-2.0 * x + s))
+    t3 = exp((x - s) ** 2 / 4.0) * cdf((s - x) / _SQRT2) / _SQRT2
+    t4 = exp((x * x - 6.0 * x * s + s * s) / 4.0) * cdf((s - 3.0 * x) / _SQRT2) / _SQRT2
     t5 = cdf(0.0) + cdf(-2.0 * x)
-    t6 = -math.exp(x * x / 4.0) * (cdf(-x / _SQRT2) + cdf(-3.0 * x / _SQRT2)) / _SQRT2
+    t6 = -exp(x * x / 4.0) * (cdf(-x / _SQRT2) + cdf(-3.0 * x / _SQRT2)) / _SQRT2
     return t1 + t2 + t3 + t4 + t5 + t6
 
 
-def _mh_beta_mt(d: float) -> float:
-    return _SQRT2 * math.exp(-d * d) * (std_normal_cdf(_SQRT2 * d) - 0.5)
+def _mh_beta_mt(d):
+    xp = elementary(d)
+    return _SQRT2 * xp.exp(-d * d) * (xp.cdf(_SQRT2 * d) - 0.5)
 
 
-def _mh_beta_infimum(d: float) -> tuple[float, float]:
-    beta = 2.0 * (std_normal_cdf(2.0 * d) - std_normal_cdf(d))
-    beta_tilde = beta + _SQRT2 * math.exp(d * d / 4.0) * (
-        1.0 - std_normal_cdf(3.0 * d / _SQRT2)
-    )
+def _mh_beta_infimum(d):
+    xp = elementary(d)
+    beta = 2.0 * (xp.cdf(2.0 * d) - xp.cdf(d))
+    beta_tilde = beta + _SQRT2 * xp.exp(d * d / 4.0) * (1.0 - xp.cdf(3.0 * d / _SQRT2))
     return beta, beta_tilde
 
 
-def _mh_k_tilde(d: float, s: float, beta: float, beta_tilde: float) -> float:
-    value = beta / beta_tilde + (_SQRT2 / beta_tilde) * math.exp((d - s) ** 2 / 4.0) * (
-        1.0 - std_normal_cdf((3.0 * d - s) / _SQRT2)
+def _mh_k_tilde(d, s, beta, beta_tilde):
+    xp = elementary(d)
+    value = beta / beta_tilde + (_SQRT2 / beta_tilde) * xp.exp((d - s) ** 2 / 4.0) * (
+        1.0 - xp.cdf((3.0 * d - s) / _SQRT2)
     )
     # nu(C) + integral of V off C is >= 1 since V >= 1; for large d the two
     # terms land exactly on 1 and rounding may dip a few ulp below it.
-    return max(value, 1.0)
+    return xp.maximum(value, 1.0)
+
+
+def _mh_minorization(d, s, nu_variant: str) -> tuple:
+    """(beta, beta_tilde, nu_info, k_tilde) of the chosen minorization measure."""
+    if nu_variant == MT_MEASURE:
+        beta = _mh_beta_mt(d)
+        return beta, beta, NU_CONCENTRATED, None
+    beta, beta_tilde = _mh_beta_infimum(d)
+    return beta, beta_tilde, NU_V_INTEGRAL, _mh_k_tilde(d, s, beta, beta_tilde)
 
 
 def mh_normal_params(d: float, s: float, nu_variant: str = MT_MEASURE) -> DriftMinorization:
@@ -277,26 +328,15 @@ def mh_normal_params(d: float, s: float, nu_variant: str = MT_MEASURE) -> DriftM
     lam = mh_normal_lambda(d, s)
     if lam >= 1.0:
         raise MonotoneViolation(f"lambda(d={d}, s={s}) = {lam:.6g} >= 1: no drift")
-    big_k = math.exp(s * d) * lam
-    if nu_variant == MT_MEASURE:
-        beta = _mh_beta_mt(d)
-        return DriftMinorization(
-            lam=lam,
-            big_k=big_k,
-            beta=beta,
-            beta_tilde=beta,
-            atomic=False,
-            nu_info=NU_CONCENTRATED,
-        )
-    beta, beta_tilde = _mh_beta_infimum(d)
+    beta, beta_tilde, nu_info, k_tilde = _mh_minorization(d, s, nu_variant)
     return DriftMinorization(
         lam=lam,
-        big_k=big_k,
+        big_k=math.exp(s * d) * lam,
         beta=beta,
         beta_tilde=beta_tilde,
         atomic=False,
-        nu_info=NU_V_INTEGRAL,
-        k_tilde=_mh_k_tilde(d, s, beta, beta_tilde),
+        nu_info=nu_info,
+        k_tilde=k_tilde,
     )
 
 
@@ -409,139 +449,94 @@ def binomial_modification(p: DriftMinorization, sup_v_on_c: float) -> DriftMinor
 
 
 # ---------------------------------------------------------------------------
+# rate methods
+# ---------------------------------------------------------------------------
+
+# The regime of bounds.certificate that each theorem's rate comes from.
+THEOREM_SYMMETRY = {"thm1.1": "general", "thm1.2": "reversible", "thm1.3": "reversible-positive"}
+RATE_METHODS = (*THEOREM_SYMMETRY, "coupling", "binomial")
+
+
+def method_rho(method: str, chain: ModelSpec) -> float:
+    """The rate a method certifies for a benchmark chain.
+
+    thm1.1, thm1.2 and thm1.3 give rho_general, rho_reversible and
+    rho_positive of the chain's constants, coupling gives coupling_rho, and
+    binomial gives rho_positive of the lazy chain, squared: two lazy steps
+    match one step of the chain on average. ``method`` is one of
+    RATE_METHODS.
+    """
+    if method == "coupling":
+        return coupling_rho(chain.coupling_input())
+    if method == "binomial":
+        return rho_positive(chain.lazy_params()).rho ** 2
+    return rate_part(chain.params(), THEOREM_SYMMETRY[method]).rho
+
+
+# ---------------------------------------------------------------------------
 # tuning searches
 #
-# The Metropolis search evaluates its objectives on numpy arrays and returns
-# the array-path rho of the winning (d, s) as it is; nothing re-evaluates it
-# through the scalar functions of ``bounds``. The contracting search calls
-# those scalar functions directly.
+# The Metropolis search evaluates its objectives on numpy arrays of (d, s),
+# through the same formulas as the scalar path: the Metropolis constants
+# above, and split_exponents, big_l_array, reversible_radius_array and
+# solve_r1_array behind the rates. Its thm1.1 objective scans 96 radii per
+# tuning, where rho_general scans 512 and refines. It returns the array rho
+# of the winning (d, s) as it is. The contracting search calls method_rho.
 # ---------------------------------------------------------------------------
 
 
-def _mh_lambda_np(x, s):
-    """Vectorised drift ratio; mirrors ``mh_normal_lambda``."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    t1 = np.exp(s * s / 2.0) * (ndtr(-s) - ndtr(-x - s))
-    t2 = np.exp(s * s / 2.0 - 2.0 * s * x) * (ndtr(-x + s) - ndtr(-2.0 * x + s))
-    t3 = np.exp((x - s) ** 2 / 4.0) * ndtr((s - x) / _SQRT2) / _SQRT2
-    t4 = np.exp((x * x - 6.0 * x * s + s * s) / 4.0) * ndtr((s - 3.0 * x) / _SQRT2) / _SQRT2
-    t5 = ndtr(np.zeros_like(x)) + ndtr(-2.0 * x)
-    t6 = -np.exp(x * x / 4.0) * (ndtr(-x / _SQRT2) + ndtr(-3.0 * x / _SQRT2)) / _SQRT2
-    return t1 + t2 + t3 + t4 + t5 + t6
+def _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde, n_radii=96):
+    a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
+    t = np.exp(np.log(1e-9) * (1.0 - np.linspace(0.0, 1.0, n_radii)))
+    big_r = 1.0 + 1e-9 + (r0 - 2e-9 - 1.0)[..., None] * t  # (..., n_radii)
+    big_l = big_l_array(big_r, beta_tilde[..., None], a1[..., None], np.asarray(a2)[..., None])
+    big_l = np.maximum(big_l, big_r)  # guard rounding at r -> 1
+    r1 = solve_r1_array(beta[..., None], big_r, big_l)
+    # A radius beyond the pole or whose R1 equation has no root (NaN) gives
+    # no rate; a tuning with no rate at any radius gets rho = inf, which
+    # never wins the argmin.
+    best = np.fmax.reduce(r1, axis=-1)
+    return np.where(np.isnan(best), np.inf, 1.0 / best)
 
 
-def _mh_constants_np(d, s, nu_variant):
-    lam = _mh_lambda_np(d, s)
-    big_k = np.exp(s * d) * lam
-    if nu_variant == MT_MEASURE:
-        beta = _SQRT2 * np.exp(-d * d) * (ndtr(_SQRT2 * d) - 0.5)
-        beta_tilde = beta
-        k_tilde = None
-    else:
-        beta = 2.0 * (ndtr(2.0 * d) - ndtr(d))
-        beta_tilde = beta + _SQRT2 * np.exp(d * d / 4.0) * (1.0 - ndtr(3.0 * d / _SQRT2))
-        k_tilde = beta / beta_tilde + (_SQRT2 / beta_tilde) * np.exp((d - s) ** 2 / 4.0) * (
-            1.0 - ndtr((3.0 * d - s) / _SQRT2)
-        )
-        k_tilde = np.maximum(k_tilde, 1.0)
-    return lam, big_k, beta, beta_tilde, k_tilde
-
-
-def _alphas_np(lam, big_k, beta_tilde, k_tilde, nu_variant):
-    log_lam_inv = -np.log(lam)
-    a1 = 1.0 + np.log((big_k - beta_tilde) / (1.0 - beta_tilde)) / log_lam_inv
-    if nu_variant == MT_MEASURE:
-        a2 = np.ones_like(a1)
-    else:
-        a2 = 1.0 + np.log(k_tilde) / log_lam_inv
-    r0 = np.minimum(1.0 / lam, (1.0 - beta_tilde) ** (-1.0 / a1))
-    return a1, a2, r0
-
-
-def _rho_positive_np(lam, big_k, beta, beta_tilde, k_tilde, nu_variant):
-    _, _, r0 = _alphas_np(lam, big_k, beta_tilde, k_tilde, nu_variant)
-    return 1.0 / r0
-
-
-def _rho_reversible_np(lam, big_k, beta, beta_tilde, k_tilde, nu_variant, iters=70):
-    a1, a2, r0 = _alphas_np(lam, big_k, beta_tilde, k_tilde, nu_variant)
-
-    def envelope(r):
-        return beta_tilde * r**a2 / (1.0 - (1.0 - beta_tilde) * r**a1)
-
-    hi = r0 * (1.0 - 1e-12)
-    lo = np.full_like(hi, 1.0 + 1e-12)
-    denom_hi = 1.0 - (1.0 - beta_tilde) * hi**a1
-    at_pole = denom_hi <= 0.0
-    hi = np.where(at_pole, r0 * (1.0 - 1e-9), hi)
-    # Where the envelope never crosses the line below R0, the radius is R0.
-    crosses = at_pole | (envelope(hi) > 1.0 + 2.0 * beta * hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        above = envelope(mid) > 1.0 + 2.0 * beta * mid
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    r2 = np.where(crosses, 0.5 * (lo + hi), r0)
-    return 1.0 / r2
+def _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
+    a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
+    r2 = reversible_radius_array(beta, beta_tilde, a1, a2, r0)
+    return np.where(np.isnan(r2), np.inf, 1.0 / r2)
 
 
 def _rho_coupling_np(lam, big_k, beta_tilde, b, v_min):
     lam1 = lam + b / (1.0 + v_min)
     bad = (lam1 >= 1.0) | (b <= 0.0)
     lam1 = np.where(bad, 0.5, lam1)  # placeholder; masked below
-    a1 = 1.0 + np.log((big_k - beta_tilde) / (1.0 - beta_tilde)) / (-np.log(lam1))
-    r0 = np.minimum(1.0 / lam1, (1.0 - beta_tilde) ** (-1.0 / a1))
-    rho = 1.0 / r0
+    rho = 1.0 / split_exponents(lam1, big_k, beta_tilde, NU_NONE)[2]
     return np.where(bad, np.inf, rho)
 
 
-def _rho_general_np(lam, big_k, beta, beta_tilde, k_tilde, nu_variant, n_radii=96):
-    a1, a2, r0 = _alphas_np(lam, big_k, beta_tilde, k_tilde, nu_variant)
-    shape = np.broadcast(lam, beta).shape
-    t = np.exp(np.log(1e-9) * (1.0 - np.linspace(0.0, 1.0, n_radii)))
-    big_r = 1.0 + 1e-9 + (r0 - 2e-9 - 1.0)[..., None] * t  # (..., n_radii)
-    denom = 1.0 - (1.0 - beta_tilde)[..., None] * big_r ** a1[..., None]
-    big_l = np.where(
-        denom > 0.0,
-        beta_tilde[..., None] * big_r ** a2[..., None] / np.where(denom > 0, denom, 1.0),
-        np.inf,
-    )
-    big_l = np.maximum(big_l, big_r)  # guard rounding at r -> 1
-    r1 = solve_r1_array(beta[..., None], big_r, big_l)
-    # A radius whose R1 equation has no root (NaN) gives no rate; a tuning
-    # with no rate at any radius gets rho = inf, which never wins the argmin.
-    best = np.fmax.reduce(r1, axis=-1)
-    rho = np.where(np.isnan(best), np.inf, 1.0 / best)
-    return rho.reshape(shape)
-
-
-_MH_OBJECTIVES = {
-    "thm1.1": lambda lam, K, b0, bt, kt, nu, b, vmin: _rho_general_np(lam, K, b0, bt, kt, nu),
-    "thm1.2": lambda lam, K, b0, bt, kt, nu, b, vmin: _rho_reversible_np(
-        lam, K, b0, bt, kt, nu
-    ),
-    "thm1.3": lambda lam, K, b0, bt, kt, nu, b, vmin: _rho_positive_np(
-        lam, K, b0, bt, kt, nu
-    ),
-    "coupling": lambda lam, K, b0, bt, kt, nu, b, vmin: _rho_coupling_np(
-        lam, K, bt, b, vmin
-    ),
-}
+_MH_METHODS = ("thm1.1", "thm1.2", "thm1.3", "coupling")
 
 
 def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
     dd, ss = np.meshgrid(np.asarray(d_grid), np.asarray(s_grid), indexing="ij")
-    lam, big_k, beta, beta_tilde, k_tilde = _mh_constants_np(dd, ss, nu_variant)
+    lam = mh_normal_lambda(dd, ss)
+    big_k = np.exp(ss * dd) * lam
+    beta, beta_tilde, nu_info, k_tilde = _mh_minorization(dd, ss, nu_variant)
     valid = (lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)
-    lam_safe = np.where(valid, lam, 0.5)
-    k_safe = np.where(valid, big_k, 2.0)
-    b_safe = np.where(valid, beta, 0.1)
-    bt_safe = np.where(valid, beta_tilde, 0.1)
-    kt_safe = None if k_tilde is None else np.where(valid, k_tilde, 1.0)
-    b_coup = _mh_lambda_np(np.zeros_like(dd), ss) - lam_safe
-    v_min = np.exp(ss * dd)
-    rho = _MH_OBJECTIVES[method](lam_safe, k_safe, b_safe, bt_safe, kt_safe, nu_variant, b_coup, v_min)
+    lam = np.where(valid, lam, 0.5)
+    big_k = np.where(valid, big_k, 2.0)
+    beta = np.where(valid, beta, 0.1)
+    beta_tilde = np.where(valid, beta_tilde, 0.1)
+    if k_tilde is not None:
+        k_tilde = np.where(valid, k_tilde, 1.0)
+    if method == "thm1.1":
+        rho = _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde)
+    elif method == "thm1.2":
+        rho = _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde)
+    elif method == "thm1.3":
+        rho = 1.0 / split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)[2]
+    else:
+        b = mh_normal_lambda(np.zeros_like(dd), ss) - lam
+        rho = _rho_coupling_np(lam, big_k, beta_tilde, b, np.exp(ss * dd))
     return np.where(valid, rho, np.inf), dd, ss
 
 
@@ -558,8 +553,8 @@ def optimize_mh_tuning(
     refinement, at a fraction of the work for the radius-search objective).
     Returns the winning tuning with its rate.
     """
-    if method not in _MH_OBJECTIVES:
-        raise InvalidParams(f"method must be one of {sorted(_MH_OBJECTIVES)}")
+    if method not in _MH_METHODS:
+        raise InvalidParams(f"method must be one of {sorted(_MH_METHODS)}")
     d_lo, d_hi = d_range
     s_lo, s_hi = s_range
     d_grid = np.arange(d_lo, d_hi + 1e-12, 0.05)
@@ -582,7 +577,13 @@ def optimize_contracting_tuning(
     theta: float,
     c_range: tuple[float, float] = (1.05, 4.0),
 ) -> dict:
-    """Grid-search the small-set half-width c to minimise rho for fixed theta."""
+    """Grid-search the small-set half-width c to minimise rho for fixed theta.
+
+    A c where the method has no rate (invalid constants, no drift) is
+    skipped; an unknown method raises InvalidParams.
+    """
+    if method not in RATE_METHODS:
+        raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
     lo, hi = c_range
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
@@ -590,28 +591,9 @@ def optimize_contracting_tuning(
     grid = np.arange(lo, hi + 1e-12, 0.01)
     for c in grid:
         try:
-            rho = _contracting_rho(method, theta, float(c))
+            rho = method_rho(method, ContractingNormal(theta=theta, c=float(c)))
         except (InvalidParams, MonotoneViolation):
             continue
         if rho < best_rho:
             best_c, best_rho = float(c), rho
     return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}
-
-
-def _contracting_rho(method: str, theta: float, c: float) -> float:
-    from . import bounds
-    from .competitors import coupling_rho
-
-    if method == "coupling":
-        return coupling_rho(contracting_coupling_input(theta, c))
-    p = contracting_params(theta, c)
-    if method == "thm1.1":
-        return bounds.rho_general(p).rho
-    if method == "thm1.2":
-        return bounds.rho_reversible(p).rho
-    if method == "thm1.3":
-        return bounds.rho_positive(p).rho
-    if method == "binomial":
-        lazy = binomial_modification(p, sup_v_on_c=1.0 + c * c)
-        return bounds.rho_positive(lazy).rho ** 2
-    raise InvalidParams(f"unknown method {method!r}")

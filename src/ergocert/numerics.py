@@ -1,31 +1,45 @@
-"""Shared scalar numerics: bracketed root finding, 1-D maximization and the
-standard normal distribution function.
+"""Shared numerics: bracketed root finding, 1-D maximization, the standard
+normal distribution function, and the elementary functions that let one
+formula serve floats and numpy arrays.
 
 Everything is a pure function of its arguments. The solvers favour
-robustness over speed: every equation in this package is scalar and cheap,
-but some are badly scaled (roots within 1e-7 of a bracket endpoint), which
-is where plain bisection with explicit tolerances is hard to beat.
+robustness over speed: every equation in this package is cheap, but some
+are badly scaled (roots within 1e-7 of a bracket endpoint), which is where
+plain bisection with explicit tolerances is hard to beat. ``solve_monotone``
+solves one scalar equation; ``solve_increasing_array`` solves a whole array
+of them with the same steps and stopping rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
+
+import numpy as np
+from scipy.special import ndtr
 
 from .errors import EmptyDomain, InvalidParams, NoConvergence, NoSignChange
 
 __all__ = [
     "Bracket",
     "solve_monotone",
+    "solve_increasing_array",
     "log_grid",
     "refine_max",
     "maximize_scalar",
     "std_normal_cdf",
+    "elementary",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Stopping rule of every bisection: bracket width, residual, step budget.
+_TOL_ABS = 1e-12
+_TOL_RESIDUAL = 1e-10
+_MAX_ITER = 256
 
 
 @dataclass(frozen=True)
@@ -34,8 +48,8 @@ class Bracket:
 
     lo: float
     hi: float
-    tol_abs: float = 1e-12
-    max_iter: int = 256
+    tol_abs: float = _TOL_ABS
+    max_iter: int = _MAX_ITER
 
     def __post_init__(self) -> None:
         if not (self.lo < self.hi):
@@ -50,7 +64,7 @@ def solve_monotone(
     f: Callable[[float], float],
     target: float,
     bracket: Bracket,
-    tol_residual: float = 1e-10,
+    tol_residual: float = _TOL_RESIDUAL,
 ) -> float:
     """Solve f(x) = target for continuous, strictly monotone f on [lo, hi].
 
@@ -91,6 +105,56 @@ def solve_monotone(
         else:
             hi = mid
     raise NoConvergence(f"no convergence after {bracket.max_iter} bisection steps")
+
+
+def solve_increasing_array(f: Callable, lo, hi, *args) -> np.ndarray:
+    """``solve_monotone`` for arrays of increasing functions: element i
+    solves f(x, args[0][i], args[1][i], ...) = 0 on [lo[i], hi[i]].
+
+    lo, hi and args broadcast against each other; f takes and returns 1-d
+    arrays. Each element takes the steps of ``solve_monotone`` with the
+    default bracket and residual tolerances: an exact root at either end is
+    returned as it is, and bisection stops on the same rule. All elements
+    bisect together and finished ones drop out. Where f(lo) < 0 < f(hi)
+    does not hold (no sign change, NaN values, or lo >= hi) the element
+    comes back NaN, where ``solve_monotone`` would raise. Raises
+    NoConvergence if an element is still open after the step budget.
+    """
+    lo, hi, *args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *args)))
+    shape = lo.shape
+    lo, hi, args = lo.ravel(), hi.ravel(), [a.ravel() for a in args]
+    out = np.full(lo.shape, np.nan)
+    with np.errstate(all="ignore"):
+        bracketed = lo < hi
+        flo = f(lo, *args)
+        fhi = f(hi, *args)
+        at_lo = bracketed & (flo == 0.0)
+        at_hi = bracketed & ~at_lo & (fhi == 0.0)
+        out[at_lo] = lo[at_lo]
+        out[at_hi] = hi[at_hi]
+        idx = np.flatnonzero(bracketed & (flo < 0.0) & (fhi > 0.0))
+        lo, hi, args = lo[idx], hi[idx], [a[idx] for a in args]
+        for _ in range(_MAX_ITER):
+            if idx.size == 0:
+                break
+            mid = 0.5 * (lo + hi)
+            fm = f(mid, *args)
+            done = (
+                ~((lo < mid) & (mid < hi))
+                | (fm == 0.0)
+                | ((hi - lo <= _TOL_ABS) & (np.abs(fm) <= _TOL_RESIDUAL))
+            )
+            below = fm < 0.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            if done.any():
+                out[idx[done]] = mid[done]
+                keep = ~done
+                idx, lo, hi = idx[keep], lo[keep], hi[keep]
+                args = [a[keep] for a in args]
+    if idx.size:
+        raise NoConvergence(f"no convergence after {_MAX_ITER} bisection steps")
+    return out.reshape(shape)
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float):
@@ -182,3 +246,22 @@ def std_normal_cdf(x: float) -> float:
     0.0 / 1.0 for large |x|.
     """
     return 0.5 * math.erfc(-x / _SQRT2)
+
+
+_FLOAT_FUNCTIONS = SimpleNamespace(
+    exp=math.exp, log=math.log, cdf=std_normal_cdf, minimum=min, maximum=max
+)
+_ARRAY_FUNCTIONS = SimpleNamespace(
+    exp=np.exp, log=np.log, cdf=ndtr, minimum=np.minimum, maximum=np.maximum
+)
+
+
+def elementary(x) -> SimpleNamespace:
+    """exp, log, cdf (Phi), minimum and maximum for arguments like x.
+
+    numpy's functions and ``scipy.special.ndtr`` when x is a numpy array,
+    ``math``'s, ``std_normal_cdf`` and the builtins otherwise. A formula
+    that takes floats or arrays calls this once, on its first argument, so
+    float arguments go through exactly the float operations.
+    """
+    return _ARRAY_FUNCTIONS if isinstance(x, np.ndarray) else _FLOAT_FUNCTIONS

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from . import paper_values as pv
 from .bounds import rho_general, rho_positive, rho_reversible
-from .competitors import coupling_rho, mt_zeta, mtb_zeta
+from .competitors import mt_zeta, mtb_zeta
 from .errors import InvalidParams
 from .models import (
+    ContractingNormal,
+    MetropolisNormal,
     ReflectingWalk,
-    binomial_modification,
-    contracting_coupling_input,
-    contracting_params,
-    mh_coupling_input,
-    mh_normal_params,
+    method_rho,
     reflecting_walk_params,
     reflecting_walk_rho_exact,
     INFIMUM_MEASURE,
@@ -67,19 +65,6 @@ def _table1() -> list[dict]:
     return records
 
 
-def _mh_one_minus_rho(method: str, d: float, s: float, nu_variant: str) -> float:
-    if method == "coupling":
-        return 1.0 - coupling_rho(mh_coupling_input(d, s, nu_variant))
-    p = mh_normal_params(d, s, nu_variant)
-    if method == "thm1.1":
-        return 1.0 - rho_general(p).rho
-    if method == "thm1.2":
-        return 1.0 - rho_reversible(p).rho
-    if method == "thm1.3":
-        return 1.0 - rho_positive(p).rho
-    raise InvalidParams(f"unknown method {method!r}")
-
-
 def _mh_table(number: int, rows, nu_variant: str) -> list[dict]:
     records = []
     for method, d, s, published, computable, note in rows:
@@ -89,7 +74,7 @@ def _mh_table(number: int, rows, nu_variant: str) -> list[dict]:
                 _record(number, method, case, "1-rho", published, None, f"skipped: {note}")
             )
             continue
-        computed = _mh_one_minus_rho(method, d, s, nu_variant)
+        computed = 1.0 - method_rho(method, MetropolisNormal(d=d, s=s, nu_variant=nu_variant))
         records.append(_record(number, method, case, "1-rho", published, computed, note))
     return records
 
@@ -98,19 +83,8 @@ def _table4() -> list[dict]:
     records = []
     for method, theta, c, published in pv.TABLE4:
         case = f"theta={theta:g}, c={c:g}"
-        if method == "coupling":
-            computed = coupling_rho(contracting_coupling_input(theta, c))
-            quantity = "rho"
-        elif method == "thm1.2":
-            computed = rho_reversible(contracting_params(theta, c)).rho
-            quantity = "rho"
-        elif method == "thm1.3":
-            computed = rho_positive(contracting_params(theta, c)).rho
-            quantity = "rho"
-        else:  # binomial modification, compared through the squared rate
-            lazy = binomial_modification(contracting_params(theta, c), sup_v_on_c=1.0 + c * c)
-            computed = rho_positive(lazy).rho ** 2
-            quantity = "rho_lazy^2"
+        quantity = "rho_lazy^2" if method == "binomial" else "rho"
+        computed = method_rho(method, ContractingNormal(theta=theta, c=c))
         records.append(_record(4, method, case, quantity, published, computed))
     return records
 
@@ -138,9 +112,7 @@ def _table5() -> list[dict]:
 def _table6() -> list[dict]:
     records = []
     for p, published in pv.TABLE6:
-        params = reflecting_walk_params(ReflectingWalk(p=p))
-        lazy = binomial_modification(params, sup_v_on_c=1.0)
-        computed = rho_positive(lazy).rho ** 2
+        computed = method_rho("binomial", ReflectingWalk(p=p))
         records.append(_record(6, "binomial", f"p={p:g}", "rho_lazy^2", published, computed))
     return records
 

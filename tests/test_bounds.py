@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergocert.bounds import (
     NU_CONCENTRATED,
+    NU_NONE,
     NU_V_INTEGRAL,
     DriftMinorization,
+    _big_l_at,
     big_l,
+    big_l_array,
     certificate,
     derived_exponents,
     g_tilde_bound,
@@ -20,6 +25,7 @@ from ergocert.bounds import (
     rho_general,
     rho_positive,
     rho_reversible,
+    split_exponents,
     _m_atomic_gamma,
     _m_atomic_r,
     _m_nonatomic_gamma,
@@ -101,6 +107,48 @@ def test_r0_limit_as_minorization_saturates():
         t = j * math.log(10.0)
         predicted = (1.0 / lam) * log_li * (log_li + math.log(big_k - 1.0)) / t
         assert abs(gap / predicted - 1.0) <= 0.15
+
+
+# One row of split-chain constants: lambda (near 0, in between, near 1),
+# log10 K, beta_tilde, log10 k_tilde, and where r sits in (1, r_max).
+_SPLIT_ROW = st.tuples(
+    st.one_of(st.floats(1e-4, 0.1), st.floats(0.05, 0.95), st.floats(0.9, 1.0 - 1e-4)),
+    st.floats(0.0, 3.0),
+    st.floats(0.02, 0.98),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@given(
+    rows=st.lists(_SPLIT_ROW, min_size=1, max_size=16),
+    nu_info=st.sampled_from([NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL]),
+)
+@settings(max_examples=80, deadline=None)
+def test_split_formulas_agree_on_floats_and_arrays(rows, nu_info):
+    lam, log_k, bt, log_kt, u = (np.array(col) for col in zip(*rows))
+    big_k, k_tilde = 10.0**log_k, 10.0**log_kt
+    arrays = split_exponents(lam, big_k, bt, nu_info, k_tilde)
+    r_max, floats = [], []
+    for i in range(len(rows)):
+        a1, a2, r0 = split_exponents(
+            float(lam[i]), float(big_k[i]), float(bt[i]), nu_info, float(k_tilde[i])
+        )
+        floats.append((a1, a2, r0))
+        # Away from the pole, where the envelope's denominator cancels.
+        r_max.append(min(r0, (0.9 / (1.0 - bt[i])) ** (1.0 / a1)))
+    for got, want in zip(arrays, zip(*floats)):
+        got = np.broadcast_to(got, lam.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    a1, a2, _ = (np.array(col) for col in zip(*floats))
+    r = 1.0 + u * (np.array(r_max) - 1.0)
+    want = [_big_l_at(float(r[i]), float(bt[i]), a1[i], a2[i]) for i in range(len(rows))]
+    np.testing.assert_allclose(big_l_array(r, bt, a1, a2), want, rtol=1e-13, atol=0.0)
+    # Beyond the pole the array envelope is NaN where the float one raises.
+    beyond = (1.0 + 1e-6) * (1.0 - bt) ** (-1.0 / a1)
+    assert np.isnan(big_l_array(beyond, bt, a1, a2)).all()
+    with pytest.raises(OutOfRange):
+        _big_l_at(float(beyond[0]), float(bt[0]), float(a1[0]), float(a2[0]))
 
 
 def test_big_l_limits_and_pole():
@@ -360,6 +408,7 @@ def test_radius_search_raises_scalar_error_at_first_failing_point(monkeypatch):
     from ergocert import bounds
 
     original = bounds._big_l_at
+    original_array = bounds.big_l_array
     cut = 1.0 + 0.5 * (derived_exponents(CONTRACT).r0 - 1.0)
 
     def envelope(r, *args):
@@ -367,7 +416,11 @@ def test_radius_search_raises_scalar_error_at_first_failing_point(monkeypatch):
             raise OutOfRange(f"envelope cut at r={r}")
         return original(r, *args)
 
+    def envelope_array(r, *args):
+        return np.where(r > cut, np.nan, original_array(r, *args))
+
     monkeypatch.setattr(bounds, "_big_l_at", envelope)
+    monkeypatch.setattr(bounds, "big_l_array", envelope_array)
     with pytest.raises(OutOfRange) as old:
         _old_general_search(CONTRACT)
     with pytest.raises(OutOfRange) as new:

@@ -161,6 +161,15 @@ def test_model_optimize_contracting(capsys):
     assert "c" in data["tuned"]
 
 
+def test_model_optimize_unknown_method_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "model", "contracting-normal", "--theta", "0.5",
+        "--method", "exact", "--optimize",
+    )
+    assert code == 2 and out == ""
+    assert "method must be one of" in err
+
+
 def test_verify_mc_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "mc", "--seed", "1", "--format", "json")
     assert code == 0

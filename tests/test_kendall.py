@@ -11,7 +11,6 @@ from ergocert.kendall import (
     k1,
     k1_single_fraction,
     k2_series_bound,
-    r2_positive,
     rho_tilde_reversible_atomic,
     solve_r1,
     solve_r1_array,
@@ -115,11 +114,6 @@ def test_r2_no_crossing_returns_r():
     assert abs(1.0 / r2 - 0.9428) <= 1e-4
 
 
-def test_r2_positive_is_identity_on_r():
-    assert r2_positive(WALK_09) == WALK_09.big_r
-    assert abs(1.0 / r2_positive(WALK_09) - 0.6) <= 1e-12
-
-
 def test_k2_matches_atomic_form():
     gamma, rho = 0.8, 0.6
     value = k2_series_bound(1.0 / gamma, 1.0 / rho, 1.0)
@@ -195,21 +189,8 @@ def test_r2_at_rounding_edge_stays_below_full_radius():
 
 def test_rates_stay_inside_interval():
     for p in (WALK_09, WALK_23):
-        for rate in (solve_r1(p), solve_r2_reversible(p), r2_positive(p)):
+        for rate in (solve_r1(p), solve_r2_reversible(p)):
             assert 1.0 < rate <= p.big_r + 1e-12
-
-
-def test_kendall_rate_container():
-    from ergocert.kendall import KendallRate
-
-    r1 = solve_r1(WALK_09)
-    rate = KendallRate(r_star=r1, regime="general", params=WALK_09)
-    for frac in (0.2, 0.5, 0.9):
-        value = rate.series_bound_at(1.0 + frac * (r1 - 1.0))
-        assert math.isfinite(value) and value > 0.0
-    r2 = solve_r2_reversible(WALK_09)
-    rev = KendallRate(r_star=r2, regime="reversible", params=WALK_09, beta_tilde=1.0)
-    assert rev.series_bound_at(1.2) == k2_series_bound(1.2, r2, 1.0)
 
 
 # One (beta, R - 1, log10(L / R)) element of an R1 array. The second R - 1

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ergocert import models
 from ergocert.bounds import rho_positive, rho_reversible
-from ergocert.errors import InvalidParams, TruncationTooSmall
+from ergocert.errors import ErgoCertError, InvalidParams, TruncationTooSmall
 from ergocert.models import (
     INFIMUM_MEASURE,
     MT_MEASURE,
@@ -13,7 +16,6 @@ from ergocert.models import (
     MetropolisNormal,
     ReflectingWalk,
     _contracting_lambda,
-    _mh_lambda_np,
     binomial_modification,
     contracting_coupling_input,
     contracting_params,
@@ -117,9 +119,29 @@ def test_mh_lambda_vectorised_matches_scalar():
     rng = np.random.default_rng(11)
     xs = rng.uniform(0.0, 3.0, 50)
     ss = rng.uniform(0.01, 1.5, 50)
-    vec = _mh_lambda_np(xs, ss)
+    vec = mh_normal_lambda(xs, ss)
     for x, s, v in zip(xs, ss, vec):
         assert abs(mh_normal_lambda(x, s) - v) <= 1e-12
+
+
+@given(
+    points=st.lists(st.tuples(st.floats(0.5, 3.0), st.floats(0.0, 1.5)), min_size=1, max_size=16),
+    nu_variant=st.sampled_from([MT_MEASURE, INFIMUM_MEASURE]),
+)
+@settings(max_examples=60, deadline=None)
+def test_mh_constants_agree_on_floats_and_arrays(points, nu_variant):
+    # The search domain of optimize_mh_tuning; math's erfc and scipy's ndtr
+    # differ by an ulp, which the 1 - Phi(3d/sqrt 2) tail of the infimum
+    # measure magnifies to ~1e-13 relative at d = 3.
+    d, s = (np.array(col) for col in zip(*points))
+    arrays = (mh_normal_lambda(d, s), *models._mh_minorization(d, s, nu_variant))
+    for i, (di, si) in enumerate(points):
+        floats = (mh_normal_lambda(di, si), *models._mh_minorization(di, si, nu_variant))
+        for got, want in zip(arrays, floats):
+            if want is None or isinstance(want, str):
+                assert got == want
+            else:
+                assert abs(got[i] - want) <= 1e-13 * abs(want)
 
 
 def test_mh_params_mt_measure():
@@ -243,6 +265,27 @@ def test_truncation_too_small():
 # --- tuning searches ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
+def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
+    d_grid = np.arange(0.5, 3.0 + 1e-12, 0.05)
+    s_grid = np.arange(0.01, 1.5 + 1e-12, 0.05)
+    for method, rate in (("thm1.2", rho_reversible), ("thm1.3", rho_positive)):
+        got, dd, ss = models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
+        for (i, j), rho in np.ndenumerate(got):
+            try:
+                want = rate(mh_normal_params(float(dd[i, j]), float(ss[i, j]), nu_variant)).rho
+            except ErgoCertError:
+                want = math.inf
+            assert math.isinf(rho) == math.isinf(want), (method, dd[i, j], ss[i, j])
+            if math.isfinite(want):
+                assert abs(rho - want) <= 1e-12, (method, dd[i, j], ss[i, j])
+
+
+def test_optimize_contracting_rejects_unknown_method():
+    with pytest.raises(InvalidParams):
+        optimize_contracting_tuning("exact", theta=0.5)
+
+
 def test_optimize_contracting_matches_published_choice():
     res = optimize_contracting_tuning("thm1.3", theta=0.5, c_range=(1.05, 3.0))
     assert res["rho"] <= 0.897 + 0.002
@@ -252,10 +295,10 @@ def test_optimize_contracting_matches_published_choice():
 def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
     # A radius whose R1 equation has no root (NaN) must not decide the rate;
     # a tuning with no root at any radius gets rho = inf, never the argmin.
-    from ergocert import models
-
-    consts = models._mh_constants_np(np.array([1.0, 1.2]), np.array([0.1, 0.1]), MT_MEASURE)
-    want = models._rho_general_np(*consts, MT_MEASURE)
+    d, s = np.array([1.0, 1.2]), np.array([0.1, 0.1])
+    lam = mh_normal_lambda(d, s)
+    consts = (lam, np.exp(s * d) * lam, *models._mh_minorization(d, s, MT_MEASURE))
+    want = models._rho_general_np(*consts)
     real = models.solve_r1_array
 
     def with_nan(beta, big_r, big_l):
@@ -265,6 +308,6 @@ def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
         return r1
 
     monkeypatch.setattr(models, "solve_r1_array", with_nan)
-    got = models._rho_general_np(*consts, MT_MEASURE)
+    got = models._rho_general_np(*consts)
     assert got[0] == math.inf
     assert got[1] == want[1]
