@@ -32,8 +32,9 @@ from .kendall import KendallParams
 from .numerics import (
     Bracket,
     elementary,
-    log_grid,
+    log_grid_array,
     refine_max,
+    refine_max_array,
     solve_increasing_array,
     solve_monotone,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "big_l",
     "big_l_array",
     "reversible_radius_array",
+    "general_radius_array",
     "rate_part",
     "rho_general",
     "m_general",
@@ -206,7 +208,10 @@ def derived_exponents(p: DriftMinorization) -> DerivedExponents:
 
 
 def _big_l_at(r: float, beta_tilde: float, alpha1: float, alpha2: float) -> float:
-    denominator = 1.0 - (1.0 - beta_tilde) * r**alpha1
+    try:
+        denominator = 1.0 - (1.0 - beta_tilde) * r**alpha1
+    except OverflowError:  # r**alpha1 past the float range lies far past the pole
+        denominator = -math.inf
     if denominator <= 0.0:
         raise OutOfRange(f"r={r} is at or beyond the envelope pole")
     return beta_tilde * r**alpha2 / denominator
@@ -242,12 +247,36 @@ def _atomic_kendall_params(p: DriftMinorization) -> KendallParams:
     return KendallParams(beta=p.beta, big_r=p.lam_inv, big_l=p.lam_inv * p.big_k)
 
 
+# The radius search of the nonatomic general rate: R1(beta, R, L(R)) at 512
+# log-spaced radii on [1 + 1e-9, R0 - 1e-9], then golden section between the
+# best point's neighbours. Arrays of constants are scanned this many rows at
+# a time, which bounds the solver's temporaries.
+_RADIUS_LO = 1.0 + 1e-9
+_SCAN_POINTS = 512
+_SCAN_BLOCK_ROWS = 32
+
+
+def _r1_at_radius(big_r, beta, beta_tilde, alpha1, alpha2) -> np.ndarray:
+    # R1 at radius R on arrays: NaN beyond the pole, where KendallParams
+    # rejects (R, L(R)), or where the R1 equation has no root; the scalar
+    # objective raises at each of these.
+    ls = big_l_array(big_r, beta_tilde, alpha1, alpha2)
+    ls[~((ls >= big_r) & (beta * big_r <= ls))] = math.nan
+    return kendall.solve_r1_array(beta, big_r, ls)
+
+
+def _radius_scan(hi, beta, beta_tilde, alpha1, alpha2) -> tuple:
+    # The scan points on [_RADIUS_LO, hi] and their R1: one 1-d scan for
+    # floats, one row per element for 1-d hi with column constants.
+    grid = log_grid_array(_RADIUS_LO, hi, _SCAN_POINTS)
+    return grid, _r1_at_radius(grid, beta, beta_tilde, alpha1, alpha2)
+
+
 def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents):
-    # R1(beta, R, L(R)) over the scan points of maximize_scalar, all at once,
-    # then the golden-section refine on the scalar path.
-    lo = 1.0 + 1e-9
+    # The array scan of one chain (floats give a 1-d scan), then the
+    # golden-section refine on the scalar path.
     hi = de.r0 - 1e-9
-    if hi <= lo:
+    if hi <= _RADIUS_LO:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
     bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
 
@@ -255,18 +284,48 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents):
         big_l_val = _big_l_at(big_r, bt, a1, a2)
         return kendall.solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
 
-    xs = log_grid(lo, hi, 512)
-    grid = np.array(xs)
-    ls = big_l_array(grid, bt, a1, a2)
-    # Points beyond the pole, or that KendallParams rejects, get L = NaN,
-    # hence R1 = NaN.
-    ls[~((ls >= grid) & (p.beta * grid <= ls))] = math.nan
-    r1s = kendall.solve_r1_array(p.beta, grid, ls)
+    grid, r1s = _radius_scan(hi, p.beta, bt, a1, a2)
+    xs = grid.tolist()
     # Where the array gives no root, the scalar path decides: it raises its
     # own error at the first point that really fails, in grid order.
     for i in np.flatnonzero(np.isnan(r1s)):
         r1s[i] = objective(xs[i])
     return refine_max(objective, xs, r1s.tolist(), refine_tol=1e-10)
+
+
+def general_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
+    """The nonatomic (R_tilde, R1) of ``rho_general`` on arrays of constants.
+
+    Inputs are 1-d arrays (or floats), broadcast against each other. Each
+    element scans the 512 radii of the scalar search and refines the best
+    with ``refine_max_array``, through the same points, steps and picks, so a
+    finite element equals ``rho_general``'s R_tilde and R1 bit for bit. NaN
+    wherever the scalar search would have to decide: R0 too close to 1, a
+    scan point or a golden-section point without an R1.
+    """
+    beta, beta_tilde, alpha1, alpha2, r0 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (beta, beta_tilde, alpha1, alpha2, r0))
+    )
+    hi = r0 - 1e-9
+    rows = np.flatnonzero(hi > _RADIUS_LO)
+    hi, consts = hi[rows], [c[rows] for c in (beta, beta_tilde, alpha1, alpha2)]
+    # The refine reads only a row's first best point and its neighbours, so
+    # each block keeps the three scan points from one before it (clipped to
+    # the grid): the first best of those is the same point, with the same
+    # bracket. np.argmax takes a row's first NaN as its best, so a scan
+    # with a NaN keeps one.
+    xs = np.empty((rows.size, 3))
+    vals = np.empty_like(xs)
+    for start in range(0, rows.size, _SCAN_BLOCK_ROWS):
+        block = slice(start, start + _SCAN_BLOCK_ROWS)
+        grid, r1s = _radius_scan(hi[block], *(c[block, None] for c in consts))
+        window = np.clip(np.argmax(r1s, axis=1) - 1, 0, _SCAN_POINTS - 3)[:, None] + np.arange(3)
+        xs[block] = np.take_along_axis(grid, window, axis=1)
+        vals[block] = np.take_along_axis(r1s, window, axis=1)
+    r_tilde = np.full(r0.shape, np.nan)
+    r1 = np.full(r0.shape, np.nan)
+    r_tilde[rows], r1[rows] = refine_max_array(_r1_at_radius, xs, vals, 1e-10, *consts)
+    return r_tilde, r1
 
 
 def rho_general(p: DriftMinorization) -> RatePart:

@@ -27,6 +27,8 @@ from .bounds import (
     NU_V_INTEGRAL,
     DriftMinorization,
     big_l_array,
+    derived_exponents,
+    general_radius_array,
     rate_part,
     reversible_radius_array,
     rho_positive,
@@ -481,7 +483,11 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # above, and split_exponents, big_l_array, reversible_radius_array and
 # solve_r1_array behind the rates. Its thm1.1 objective scans 96 radii per
 # tuning, where rho_general scans 512 and refines. It returns the array rho
-# of the winning (d, s) as it is. The contracting search calls method_rho.
+# of the winning (d, s) as it is. The contracting search takes each c's
+# constants from the scalar map. For thm1.1 it finds every c's radius in one
+# call of general_radius_array, which equals rho_general bit for bit where it
+# is finite, and calls method_rho for the rest and at the winner; the other
+# methods call method_rho at every c.
 # ---------------------------------------------------------------------------
 
 
@@ -572,6 +578,35 @@ def optimize_mh_tuning(
     return {"d": best_d, "s": best_s, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}
 
 
+def _contracting_rho_or_inf(method: str, theta: float, c: float) -> float:
+    # A c where the method has no rate (invalid constants, no drift) gets
+    # rho = inf, which never wins the argmin.
+    try:
+        return method_rho(method, ContractingNormal(theta=theta, c=c))
+    except (InvalidParams, MonotoneViolation):
+        return math.inf
+
+
+def _contracting_general_rhos(theta: float, cs: list[float]) -> list[float]:
+    # rho_general at every c: one general_radius_array call over the chains
+    # that have constants, and method_rho, in c order, where it gives NaN.
+    rhos = [math.inf] * len(cs)
+    rows = []
+    for i, c in enumerate(cs):
+        try:
+            p = ContractingNormal(theta=theta, c=c).params()
+        except (InvalidParams, MonotoneViolation):
+            continue
+        de = derived_exponents(p)
+        rows.append((i, (p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)))
+    if not rows:
+        return rhos
+    _, r1 = general_radius_array(*np.array([consts for _, consts in rows]).T)
+    for (i, _), r in zip(rows, r1.tolist()):
+        rhos[i] = _contracting_rho_or_inf("thm1.1", theta, cs[i]) if math.isnan(r) else 1.0 / r
+    return rhos
+
+
 def optimize_contracting_tuning(
     method: str,
     theta: float,
@@ -580,20 +615,25 @@ def optimize_contracting_tuning(
     """Grid-search the small-set half-width c to minimise rho for fixed theta.
 
     A c where the method has no rate (invalid constants, no drift) is
-    skipped; an unknown method raises InvalidParams.
+    skipped; an unknown method or a theta outside (-1, 1) raises
+    InvalidParams. The first c with the lowest rate wins.
     """
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
+    if not (-1.0 < theta < 1.0):
+        raise InvalidParams(f"theta must lie in (-1, 1), got {theta}")
     lo, hi = c_range
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
+    cs = [float(c) for c in np.arange(lo, hi + 1e-12, 0.01)]
+    if method == "thm1.1":
+        rhos = _contracting_general_rhos(theta, cs)
+    else:
+        rhos = [_contracting_rho_or_inf(method, theta, c) for c in cs]
     best_c, best_rho = None, math.inf
-    grid = np.arange(lo, hi + 1e-12, 0.01)
-    for c in grid:
-        try:
-            rho = method_rho(method, ContractingNormal(theta=theta, c=float(c)))
-        except (InvalidParams, MonotoneViolation):
-            continue
+    for c, rho in zip(cs, rhos):
         if rho < best_rho:
-            best_c, best_rho = float(c), rho
+            best_c, best_rho = c, rho
+    if method == "thm1.1" and best_c is not None:
+        best_rho = method_rho(method, ContractingNormal(theta=theta, c=best_c))
     return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}

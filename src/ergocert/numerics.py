@@ -7,7 +7,8 @@ robustness over speed: every equation in this package is cheap, but some
 are badly scaled (roots within 1e-7 of a bracket endpoint), which is where
 plain bisection with explicit tolerances is hard to beat. ``solve_monotone``
 solves one scalar equation; ``solve_increasing_array`` solves a whole array
-of them with the same steps and stopping rule.
+of them with the same steps and stopping rule. Likewise ``refine_max``
+refines one scan by golden section and ``refine_max_array`` a scan per row.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ __all__ = [
     "solve_monotone",
     "solve_increasing_array",
     "log_grid",
+    "log_grid_array",
     "refine_max",
+    "refine_max_array",
     "maximize_scalar",
     "std_normal_cdf",
     "elementary",
@@ -180,18 +183,28 @@ def log_grid(lo: float, hi: float, grid_points: int = 512) -> list[float]:
     geometric, down to 1e-9 of the interval width, so the points crowd
     towards ``lo``.
     """
-    if hi <= lo:
+    return log_grid_array(lo, hi, grid_points).tolist()
+
+
+def log_grid_array(lo, hi, grid_points: int = 512) -> np.ndarray:
+    """``log_grid`` for arrays of intervals: lo and hi broadcast against each
+    other, and the result has their shape plus a last axis of
+    ``grid_points`` scan points, so row i of 1-d inputs is the grid on
+    [lo[i], hi[i]]. Each point is lo + (hi - lo) * offset, the last one hi.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not (hi > lo).all():
         raise EmptyDomain(f"need lo < hi, got [{lo}, {hi}]")
     if grid_points < 2:
         raise InvalidParams("grid_points must be >= 2")
-    width = hi - lo
     log_eps = math.log(1e-9)
-    xs = [lo]
-    for i in range(grid_points - 1):
-        t = math.exp(log_eps * (1.0 - i / (grid_points - 2))) if grid_points > 2 else 1.0
-        xs.append(lo + width * t)
-    xs[-1] = hi
-    return xs
+    offsets = [0.0] + [
+        math.exp(log_eps * (1.0 - i / (grid_points - 2))) if grid_points > 2 else 1.0
+        for i in range(grid_points - 1)
+    ]
+    grid = lo[..., None] + (hi - lo)[..., None] * np.array(offsets)
+    grid[..., -1] = hi
+    return grid
 
 
 def refine_max(
@@ -214,6 +227,66 @@ def refine_max(
         x_ref, v_ref = _golden_max(f, a, b, refine_tol)
         if v_ref > v_best:
             x_best, v_best = x_ref, v_ref
+    return x_best, v_best
+
+
+def refine_max_array(f: Callable, xs, vals, refine_tol: float, *args) -> tuple:
+    """``refine_max`` for rows: row i refines the scan ``vals[i]`` of
+    f(x, args[0][i], args[1][i], ...) at the points ``xs[i]``.
+
+    xs and vals are 2-d arrays of one shape, args 1-d arrays with one entry
+    per row; f takes and returns 1-d arrays. Each row takes the steps of
+    ``refine_max`` and its golden section: the first of equal best values,
+    the same neighbour bracket, the same golden points and stop, the same
+    pick of the final pair and acceptance only above the scan value. All
+    open rows advance together, one evaluation each per call of f, and
+    finished rows drop out. Returns arrays (argmax, value); a row is NaN
+    where any of its scan values or evaluations was NaN, where the scalar
+    objective would raise.
+    """
+    xs, vals = np.asarray(xs, dtype=float), np.asarray(vals, dtype=float)
+    n_rows, n_points = xs.shape
+    rows = np.arange(n_rows)
+    i_best = np.argmax(vals, axis=1)
+    x_best, v_best = xs[rows, i_best], vals[rows, i_best]
+    a = xs[rows, np.maximum(i_best - 1, 0)]
+    b = xs[rows, np.minimum(i_best + 1, n_points - 1)]
+    failed = np.isnan(vals).any(axis=1)
+    idx = np.flatnonzero(~failed & (b > a))
+    a, b, args = a[idx], b[idx], [np.asarray(arg, dtype=float)[idx] for arg in args]
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1, *args), f(x2, *args)
+    while idx.size:
+        bad = np.isnan(f1) | np.isnan(f2)
+        done = bad | ~(b - a > refine_tol)
+        if done.any():
+            failed[idx[bad]] = True
+            fin = done & ~bad
+            second = ~(f1[fin] >= f2[fin])
+            x_ref = np.where(second, x2[fin], x1[fin])
+            v_ref = np.where(second, f2[fin], f1[fin])
+            better = v_ref > v_best[idx[fin]]
+            won = idx[fin][better]
+            x_best[won], v_best[won] = x_ref[better], v_ref[better]
+            keep = ~done
+            idx, a, b, x1, x2, f1, f2 = (v[keep] for v in (idx, a, b, x1, x2, f1, f2))
+            args = [arg[keep] for arg in args]
+            if not idx.size:
+                break
+        up = f1 < f2
+        a = np.where(up, x1, a)
+        b = np.where(up, b, x2)
+        x_new = np.where(up, a + _INVPHI * (b - a), b - _INVPHI * (b - a))
+        f_new = f(x_new, *args)
+        x1, f1, x2, f2 = (
+            np.where(up, x2, x_new),
+            np.where(up, f2, f_new),
+            np.where(up, x_new, x1),
+            np.where(up, f_new, f1),
+        )
+    x_best[failed] = np.nan
+    v_best[failed] = np.nan
     return x_best, v_best
 
 

@@ -16,6 +16,7 @@ from ergocert.bounds import (
     certificate,
     derived_exponents,
     g_tilde_bound,
+    general_radius_array,
     l2_contraction,
     m_general,
     m_positive,
@@ -149,6 +150,16 @@ def test_split_formulas_agree_on_floats_and_arrays(rows, nu_info):
     assert np.isnan(big_l_array(beyond, bt, a1, a2)).all()
     with pytest.raises(OutOfRange):
         _big_l_at(float(beyond[0]), float(bt[0]), float(a1[0]), float(a2[0]))
+
+
+def test_big_l_far_beyond_pole_raises_out_of_range():
+    # alpha_1 ~ 6.9e4, so r**alpha_1 leaves the float range at 2 * R0.
+    p = DriftMinorization(lam=1.0 - 1e-4, big_k=1e3, beta=0.01, beta_tilde=0.02, atomic=False)
+    de = derived_exponents(p)
+    assert de.alpha1 > 6e4
+    with pytest.raises(OutOfRange):
+        big_l(2.0 * de.r0, p)
+    assert np.isnan(big_l_array(np.array([2.0 * de.r0]), p.beta_tilde, de.alpha1, de.alpha2)).all()
 
 
 def test_big_l_limits_and_pole():
@@ -382,6 +393,86 @@ def test_radius_search_matches_old_scalar_search():
         diag = rho_general(p).diagnostics
         assert (diag["R_tilde"], diag["R1"]) == (r_tilde, r1), p
         assert diag["L_at_R_tilde"] == big_l(r_tilde, p)
+
+
+def _radius_array_of(ps):
+    des = [derived_exponents(p) for p in ps]
+    return general_radius_array(
+        [p.beta for p in ps], [p.beta_tilde for p in ps],
+        [de.alpha1 for de in des], [de.alpha2 for de in des], [de.r0 for de in des],
+    )
+
+
+def _assert_radius_array_matches_scalar(ps):
+    r_tilde, r1 = _radius_array_of(ps)
+    for i, p in enumerate(ps):
+        if np.isnan(r1[i]):
+            assert np.isnan(r_tilde[i])
+            continue
+        diag = rho_general(p).diagnostics
+        assert (r_tilde[i], r1[i]) == (diag["R_tilde"], diag["R1"]), p
+    return r1
+
+
+def test_radius_array_matches_scalar_search_across_blocks():
+    # 42 rows: two scan blocks, one of them partial.
+    r1 = _assert_radius_array_matches_scalar(_nonatomic_inputs(14, seed=21))
+    assert np.isfinite(r1).sum() >= 30
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.floats(1e-4, 0.1), st.floats(0.05, 0.95), st.floats(0.9, 1.0 - 1e-4)),
+            st.floats(0.0, 3.0),
+            st.floats(0.02, 0.98),
+            st.floats(-6.0, 0.0),
+            st.floats(0.0, 3.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    nu_info=st.sampled_from([NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL]),
+)
+@settings(max_examples=25, deadline=None)
+def test_radius_array_matches_scalar_search_property(rows, nu_info):
+    ps = []
+    for lam, log_k, bt, log_beta, log_kt in rows:
+        try:
+            ps.append(DriftMinorization(
+                lam=lam, big_k=10.0**log_k, beta=bt * 10.0**log_beta, beta_tilde=bt,
+                atomic=False, nu_info=nu_info,
+                k_tilde=10.0**log_kt if nu_info == NU_V_INTEGRAL else None,
+            ))
+        except InvalidParams:
+            continue
+    if ps:
+        _assert_radius_array_matches_scalar(ps)
+
+
+def test_radius_array_is_nan_where_scalar_search_decides(monkeypatch):
+    # Row 0 has a scan point without an R1, row 1 a golden-section point
+    # without one; row 2 is untouched. A fourth element has R0 too close to 1.
+    from ergocert import kendall
+
+    ps = _nonatomic_inputs(1, seed=22)
+    real = kendall.solve_r1_array
+
+    def with_nan(beta, big_r, big_l):
+        r1 = real(beta, big_r, big_l)
+        if np.ndim(big_r) == 2:
+            r1[np.broadcast_to(beta == ps[0].beta, r1.shape) & (np.arange(r1.shape[1]) == 7)] = np.nan
+        else:
+            r1[np.broadcast_to(beta == ps[1].beta, r1.shape)] = np.nan
+        return r1
+
+    monkeypatch.setattr(kendall, "solve_r1_array", with_nan)
+    r_tilde, r1 = _radius_array_of(ps)
+    assert np.isnan(r_tilde[:2]).all() and np.isnan(r1[:2]).all()
+    diag = rho_general(ps[2]).diagnostics
+    assert (r_tilde[2], r1[2]) == (diag["R_tilde"], diag["R1"])
+    too_close = general_radius_array(0.1, 0.5, 2.0, 1.0, 1.0 + 1.5e-9)
+    assert np.isnan(too_close).all()
 
 
 def test_radius_search_takes_scalar_value_where_array_has_no_root(monkeypatch):

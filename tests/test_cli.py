@@ -170,6 +170,15 @@ def test_model_optimize_unknown_method_exits_2(capsys):
     assert "method must be one of" in err
 
 
+def test_model_optimize_invalid_theta_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "model", "contracting-normal", "--theta", "1.5",
+        "--method", "thm1.3", "--optimize",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "theta must lie in (-1, 1)" in err
+
+
 def test_verify_mc_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "mc", "--seed", "1", "--format", "json")
     assert code == 0

@@ -8,7 +8,13 @@ from scipy.integrate import quad
 
 from ergocert import models
 from ergocert.bounds import rho_positive, rho_reversible
-from ergocert.errors import ErgoCertError, InvalidParams, TruncationTooSmall
+from ergocert.errors import (
+    ErgoCertError,
+    InvalidParams,
+    MonotoneViolation,
+    NoSignChange,
+    TruncationTooSmall,
+)
 from ergocert.models import (
     INFIMUM_MEASURE,
     MT_MEASURE,
@@ -284,6 +290,85 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
 def test_optimize_contracting_rejects_unknown_method():
     with pytest.raises(InvalidParams):
         optimize_contracting_tuning("exact", theta=0.5)
+
+
+@pytest.mark.parametrize("theta", [1.5, 1.0, -1.0, math.nan])
+def test_optimize_contracting_rejects_theta_outside_unit_interval(theta):
+    with pytest.raises(InvalidParams, match="theta"):
+        optimize_contracting_tuning("thm1.3", theta=theta)
+
+
+def _reference_contracting_search(method, theta, c_range=(1.05, 4.0)):
+    # The search as a loop of scalar rates over c, as it was before the
+    # thm1.1 rates went through one array pass; also returns each c's rate
+    # (inf where the c is skipped).
+    lo, hi = c_range
+    if method == "coupling":
+        lo = max(lo, math.sqrt(2.0) + 1e-6)
+    best_c, best_rho = None, math.inf
+    rates = []
+    for c in np.arange(lo, hi + 1e-12, 0.01):
+        try:
+            rho = models.method_rho(method, ContractingNormal(theta=theta, c=float(c)))
+        except (InvalidParams, MonotoneViolation):
+            rates.append(math.inf)
+            continue
+        rates.append(rho)
+        if rho < best_rho:
+            best_c, best_rho = float(c), rho
+    return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}, rates
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75, 0.9, -0.5])
+def test_optimize_contracting_matches_scalar_loop(theta):
+    for method in models.RATE_METHODS:
+        if (method, theta) == ("thm1.2", 0.9):
+            with pytest.raises(NoSignChange):
+                _reference_contracting_search(method, theta)
+            with pytest.raises(NoSignChange):
+                optimize_contracting_tuning(method, theta)
+            continue
+        want, rates = _reference_contracting_search(method, theta)
+        assert optimize_contracting_tuning(method, theta) == want, method
+        if method == "thm1.1":
+            cs = [float(c) for c in np.arange(1.05, 4.0 + 1e-12, 0.01)]
+            assert models._contracting_general_rhos(theta, cs) == rates
+
+
+def test_optimize_contracting_general_takes_scalar_rate_where_array_has_none(monkeypatch):
+    # A c whose array radius is NaN gets its rate from method_rho, the
+    # winner included, so the result is the scalar loop's.
+    theta = 0.9
+    want, rates = _reference_contracting_search("thm1.1", theta)
+    real = models.general_radius_array
+
+    def with_nan(*consts):
+        r_tilde, r1 = real(*consts)
+        r1[r1 == np.nanmax(r1)] = np.nan
+        r1[::5] = np.nan
+        return r_tilde, r1
+
+    monkeypatch.setattr(models, "general_radius_array", with_nan)
+    assert optimize_contracting_tuning("thm1.1", theta) == want
+    cs = [float(c) for c in np.arange(1.05, 4.0 + 1e-12, 0.01)]
+    assert models._contracting_general_rhos(theta, cs) == rates
+
+
+def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
+    # The per-c scalar certificates made 11,215 scalar R1 solves here; the
+    # array pass leaves those of the certificate at the winner.
+    from ergocert import kendall
+
+    calls = []
+    real = kendall.solve_r1
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(kendall, "solve_r1", counting)
+    optimize_contracting_tuning("thm1.1", theta=0.5)
+    assert 0 < len(calls) <= 100
 
 
 def test_optimize_contracting_matches_published_choice():

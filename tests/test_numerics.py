@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert.errors import EmptyDomain, NoConvergence, NoSignChange
-from ergocert.numerics import Bracket, maximize_scalar, solve_monotone, std_normal_cdf
+from ergocert.errors import EmptyDomain, NoConvergence, NoSignChange, OutOfRange
+from ergocert.numerics import (
+    Bracket,
+    log_grid,
+    log_grid_array,
+    maximize_scalar,
+    refine_max,
+    refine_max_array,
+    solve_monotone,
+    std_normal_cdf,
+)
 
 
 def test_solve_sqrt2():
@@ -72,6 +81,88 @@ def test_maximize_dominates_grid():
 def test_maximize_empty_domain():
     with pytest.raises(EmptyDomain):
         maximize_scalar(lambda x: x, 1.0, 1.0)
+
+
+def _plateau(x, centre, half_width, nan_lo, nan_hi):
+    # -(distance beyond the plateau [centre -+ half_width])**2 on arrays,
+    # NaN on (nan_lo, nan_hi).
+    d = np.maximum(np.abs(x - centre) - half_width, 0.0)
+    return np.where((nan_lo < x) & (x < nan_hi), np.nan, -(d * d))
+
+
+def _scalar_plateau(centre, half_width, nan_lo, nan_hi):
+    # The same arithmetic on one point; raises where the array form is NaN.
+    def f(x):
+        value = float(_plateau(np.array([x]), centre, half_width, nan_lo, nan_hi)[0])
+        if math.isnan(value):
+            raise OutOfRange(f"no value at {x}")
+        return value
+
+    return f
+
+
+def _check_refine_twins(los, his, rows, grid_points=41):
+    xs = log_grid_array(np.array(los), np.array(his), grid_points)
+    args = [np.array(col) for col in zip(*rows)]
+    vals = np.array([_plateau(xs[i], *row) for i, row in enumerate(rows)])
+    got_x, got_v = refine_max_array(_plateau, xs, vals, 1e-10, *args)
+    for i, row in enumerate(rows):
+        assert xs[i].tolist() == log_grid(los[i], his[i], grid_points)
+        f = _scalar_plateau(*row)
+        try:
+            want = refine_max(f, xs[i].tolist(), [f(x) for x in xs[i].tolist()], 1e-10)
+        except OutOfRange:
+            assert math.isnan(got_x[i]) and math.isnan(got_v[i]), row
+            continue
+        assert (got_x[i], got_v[i]) == want, row
+
+
+def test_refine_max_array_matches_refine_max_row_by_row():
+    inf = math.inf
+    rows = [
+        (0.37, 0.0, inf, inf),  # smooth unimodal, interior maximum
+        (0.5, 0.2, inf, inf),  # plateau: tied maxima, the first one wins
+        (0.5, 1.0, inf, inf),  # constant row: argmax at index 0
+        (-1.0, 0.0, inf, inf),  # decreasing: argmax at index 0
+        (2.0, 0.0, inf, inf),  # increasing: argmax at index n-1
+        (0.37, 0.0, 0.368, 0.371),  # NaN at a golden-section point only
+        (0.37, 0.0, 0.5, 0.9),  # NaN at scan points
+    ]
+    xs = np.linspace(0.0, 1.0, 41)
+    vals = np.array([_plateau(xs, *row) for row in rows])
+    got_x, got_v = refine_max_array(_plateau, np.tile(xs, (len(rows), 1)), vals, 1e-10,
+                                    *(np.array(col) for col in zip(*rows)))
+    for i, row in enumerate(rows):
+        f = _scalar_plateau(*row)
+        if i < 5:
+            assert (got_x[i], got_v[i]) == refine_max(f, xs.tolist(), vals[i].tolist(), 1e-10)
+        else:
+            with pytest.raises(OutOfRange):
+                refine_max(f, xs.tolist(), [f(x) for x in xs.tolist()], 1e-10)
+            assert np.isnan(got_x[i]) and np.isnan(got_v[i])
+    assert got_x[1] == xs[12] and got_v[1] == 0.0  # first of the tied points, at 0.3
+    assert got_x[2] == 0.0 and got_x[3] == 0.0 and got_x[4] == 1.0
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0),
+            st.floats(0.5, 2.0),
+            st.floats(-0.5, 2.5),
+            st.sampled_from([0.0, 0.05, 2.0]),
+            st.floats(-0.5, 2.5),
+            st.floats(0.0, 1e-3),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_refine_max_array_matches_refine_max_property(rows):
+    los = [row[0] for row in rows]
+    his = [row[0] + row[1] for row in rows]
+    _check_refine_twins(los, his, [(c, w, n, n + dn) for _, _, c, w, n, dn in rows])
 
 
 def test_cdf_at_zero():
