@@ -220,6 +220,7 @@ def _big_l_at(r: float, beta_tilde: float, alpha1: float, alpha2: float) -> floa
 def big_l_array(r, beta_tilde, alpha1, alpha2) -> np.ndarray:
     """The envelope L(r) of ``big_l`` on arrays (broadcast against each
     other), NaN at or beyond the pole, where ``big_l`` raises."""
+    r = np.asarray(r, dtype=float)  # a float r past the pole overflows in float **
     with np.errstate(all="ignore"):
         denominator = 1.0 - (1.0 - beta_tilde) * r**alpha1
         return np.where(denominator > 0.0, beta_tilde * r**alpha2 / denominator, np.nan)
@@ -439,9 +440,9 @@ def rho_positive(p: DriftMinorization) -> RatePart:
 # ---------------------------------------------------------------------------
 # M formulas
 #
-# Each bound exists in two printed arrangements: one in the decay factor
-# gamma and one in the series variable r = 1/gamma. Both are transcribed
-# independently (the r forms feed the identity tests) and agree to rounding.
+# Each bound is printed in two arrangements: in the decay factor gamma, used
+# here, and in the series variable r = 1/gamma. The tests transcribe the r
+# forms independently and check that both agree to rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -451,15 +452,6 @@ def _m_atomic_gamma(lam: float, big_k: float, gamma: float, k_factor: float) -> 
     t2 = big_k * (big_k - lam / g) / (g * (g - lam)) * k_factor
     t3 = (big_k - lam / g) * max(lam, big_k - lam) / ((g - lam) * (1.0 - lam))
     t4 = lam * (big_k - 1.0) / ((g - lam) * (1.0 - lam))
-    return t1 + t2 + t3 + t4
-
-
-def _m_atomic_r(lam: float, big_k: float, r: float, k_factor: float) -> float:
-    q = 1.0 - r * lam
-    t1 = r * max(lam, big_k - r * lam) / q
-    t2 = r * r * big_k * (big_k - r * lam) / q * k_factor
-    t3 = r * (big_k - r * lam) * max(lam, big_k - lam) / (q * (1.0 - lam))
-    t4 = lam * r * (big_k - 1.0) / (q * (1.0 - lam))
     return t1 + t2 + t3 + t4
 
 
@@ -495,83 +487,56 @@ def _m_nonatomic_gamma(
     return t1 + t2 + t3 + t4 + t5 + t6
 
 
-def _m_nonatomic_r(
-    lam: float,
-    big_k: float,
-    bt: float,
-    a1: float,
-    a2: float,
-    r: float,
-    k_factor: float,
-) -> float:
-    q = 1.0 - r * lam
-    d = 1.0 - (1.0 - bt) * r**a1
-    t1 = r * max(lam, big_k - r * lam) / q
-    t2 = r * r * big_k * (big_k - r * lam - bt * q) / (q * d)
-    t3 = bt * r ** (a2 + 2.0) * big_k * (big_k - r * lam) / (q * d * d) * k_factor
-    t4 = (
-        r ** (a2 + 1.0)
-        * (big_k - r * lam)
-        / (q * d * d)
-        * (bt * max(lam, big_k - lam) / (1.0 - lam) + (1.0 - bt) * (r**a1 - 1.0) / (r - 1.0))
-    )
-    t5 = r ** (a2 + 1.0) * lam * (big_k - 1.0) / ((1.0 - lam) * q * d)
-    t6 = (
-        r
-        * (big_k - lam - bt * (1.0 - lam))
-        / ((1.0 - lam) * d)
-        * ((r**a2 - 1.0) / (r - 1.0) + (1.0 - bt) * (r**a1 - 1.0) / (bt * (r - 1.0)))
-    )
-    return t1 + t2 + t3 + t4 + t5 + t6
-
-
 def _check_gamma(rho: float, gamma: float) -> None:
     if not (rho < gamma < 1.0):
         raise GammaOutOfRange(f"gamma must lie in (rho, 1) = ({rho}, 1), got {gamma}")
 
 
-def _m_with_part(p: DriftMinorization, gamma: float, part: RatePart) -> float:
-    _check_gamma(part.rho, gamma)
-    r = 1.0 / gamma
-    if part.symmetry == "general":
-        if p.atomic:
-            k_factor = kendall.k1(r, _atomic_kendall_params(p))
-            return _m_atomic_gamma(p.lam, p.big_k, gamma, k_factor)
-        kp = KendallParams(
-            beta=p.beta,
-            big_r=part.diagnostics["R_tilde"],
-            big_l=part.diagnostics["L_at_R_tilde"],
-        )
-        k_factor = kendall.k1(r, kp)
-        de = derived_exponents(p)
-        return _m_nonatomic_gamma(
-            p.lam, p.big_k, p.beta_tilde, de.alpha1, de.alpha2, gamma, k_factor
-        )
-    # Reversible and reversible-positive regimes share the series bound K2.
-    k_factor = kendall.k2_series_bound(r, 1.0 / part.rho, p.beta_tilde)
+def _k_factor(p: DriftMinorization, part: RatePart, r: float) -> tuple[str, float]:
+    # The series factor of M at r = 1/gamma, with its kind: K1 at the
+    # Kendall constants of the general rate, K2 at the rate's radius otherwise.
+    if part.symmetry != "general":
+        return "K2", kendall.k2_series_bound(r, 1.0 / part.rho, p.beta_tilde)
     if p.atomic:
-        return _m_atomic_gamma(p.lam, p.big_k, gamma, k_factor)
-    de = derived_exponents(p)
-    return _m_nonatomic_gamma(p.lam, p.big_k, p.beta_tilde, de.alpha1, de.alpha2, gamma, k_factor)
+        kp = _atomic_kendall_params(p)
+    else:
+        d = part.diagnostics
+        kp = KendallParams(beta=p.beta, big_r=d["R_tilde"], big_l=d["L_at_R_tilde"])
+    return "K1", kendall.k1(r, kp)
+
+
+def _m_with_part(p: DriftMinorization, gamma: float, part: RatePart) -> tuple[float, str, float]:
+    # M at gamma for a computed rate, with the kind and value of its series
+    # factor. A nonatomic rate carries the exponents alpha_1, alpha_2.
+    _check_gamma(part.rho, gamma)
+    kind, k_factor = _k_factor(p, part, 1.0 / gamma)
+    if p.atomic:
+        big_m = _m_atomic_gamma(p.lam, p.big_k, gamma, k_factor)
+    else:
+        a1, a2 = part.diagnostics["alpha1"], part.diagnostics["alpha2"]
+        big_m = _m_nonatomic_gamma(p.lam, p.big_k, p.beta_tilde, a1, a2, gamma, k_factor)
+    return big_m, kind, k_factor
 
 
 def m_general(p: DriftMinorization, gamma: float) -> float:
     """Constant M for the general certificate at decay factor gamma."""
-    return _m_with_part(p, gamma, rho_general(p))
+    return _m_with_part(p, gamma, rho_general(p))[0]
 
 
 def m_reversible(p: DriftMinorization, gamma: float) -> float:
     """Constant M for the reversible certificate (K2 in place of K1)."""
-    return _m_with_part(p, gamma, rho_reversible(p))
+    return _m_with_part(p, gamma, rho_reversible(p))[0]
 
 
 def m_positive(p: DriftMinorization, gamma: float) -> float:
     """Constant M for the reversible-positive certificate."""
-    return _m_with_part(p, gamma, rho_positive(p))
+    return _m_with_part(p, gamma, rho_positive(p))[0]
 
 
 # ---------------------------------------------------------------------------
-# regeneration-time moment bounds (used by the Monte Carlo oracle and in M)
+# regeneration-time moment bounds: the closed forms of Propositions 4.1 and
+# 4.4 that the terms of M are built from. The M formulas above inline them,
+# and the Monte Carlo oracle deliberately uses none of them.
 # ---------------------------------------------------------------------------
 
 
@@ -678,23 +643,8 @@ def certificate(
     part = rate_part(p, symmetry)
     if gamma is None:
         gamma = 0.5 * (1.0 + part.rho)
-    big_m = _m_with_part(p, gamma, part)
-    diagnostics = dict(part.diagnostics)
-    r = 1.0 / gamma
-    if symmetry == "general":
-        diagnostics["k_factor_kind"] = "K1"
-        if p.atomic:
-            kp = _atomic_kendall_params(p)
-        else:
-            kp = KendallParams(
-                beta=p.beta,
-                big_r=diagnostics["R_tilde"],
-                big_l=diagnostics["L_at_R_tilde"],
-            )
-        diagnostics["k_factor"] = kendall.k1(r, kp)
-    else:
-        diagnostics["k_factor_kind"] = "K2"
-        diagnostics["k_factor"] = kendall.k2_series_bound(r, 1.0 / part.rho, p.beta_tilde)
+    big_m, kind, k_factor = _m_with_part(p, gamma, part)
+    diagnostics = {**part.diagnostics, "k_factor_kind": kind, "k_factor": k_factor}
     return Certificate(
         rho=part.rho,
         gamma=gamma,

@@ -44,6 +44,13 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
+def _emit_payload(args, payload: dict, text: str) -> int:
+    # The model subcommand's plain results: the payload as JSON, else the
+    # text line. Returns the exit code 0.
+    _emit(json.dumps(payload, indent=2) if args.format == "json" else text, args.output)
+    return 0
+
+
 def _render_certificate(cert: bounds.Certificate, fmt: str, precision: int) -> str:
     data = cert.to_dict()
     if fmt == "json":
@@ -176,22 +183,15 @@ def _cmd_model(args) -> int:
         _require(args, ["p", "epsilon"])
         rho_v = models.reflecting_walk_rho_exact(args.p, args.epsilon)
         payload = {"model": args.model, "p": args.p, "epsilon": args.epsilon, "rho_V": rho_v}
-        if args.format == "json":
-            _emit(json.dumps(payload, indent=2), args.output)
-        else:
-            _emit(f"rho_V = {_fmt(rho_v, precision)}", args.output)
-        return 0
+        return _emit_payload(args, payload, f"rho_V = {_fmt(rho_v, precision)}")
 
     if args.method == "coupling":
         if args.model == "reflecting-walk":
             raise ErgoCertError("coupling is available for mh-normal and contracting-normal")
         rho = models.method_rho("coupling", _chain(args))
         payload = {"model": args.model, "method": "coupling", "rho": rho, "one_minus_rho": 1 - rho}
-        if args.format == "json":
-            _emit(json.dumps(payload, indent=2), args.output)
-        else:
-            _emit(f"rho = {_fmt(rho, precision)}  (1-rho = {_fmt(1 - rho, precision)})", args.output)
-        return 0
+        text = f"rho = {_fmt(rho, precision)}  (1-rho = {_fmt(1 - rho, precision)})"
+        return _emit_payload(args, payload, text)
 
     if args.method == "binomial":
         if args.model == "mh-normal":
@@ -203,14 +203,8 @@ def _cmd_model(args) -> int:
             "rho_lazy": rho,
             "rho_lazy_squared": rho * rho,
         }
-        if args.format == "json":
-            _emit(json.dumps(payload, indent=2), args.output)
-        else:
-            _emit(
-                f"rho_lazy = {_fmt(rho, precision)}  rho_lazy^2 = {_fmt(rho * rho, precision)}",
-                args.output,
-            )
-        return 0
+        text = f"rho_lazy = {_fmt(rho, precision)}  rho_lazy^2 = {_fmt(rho * rho, precision)}"
+        return _emit_payload(args, payload, text)
 
     params = _chain(args).params()
     cert = bounds.certificate(params, models.THEOREM_SYMMETRY[args.method], args.gamma)
@@ -234,16 +228,12 @@ def _cmd_model_optimize(args) -> int:
         "rho": result["rho"],
         "one_minus_rho": result["one_minus_rho"],
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        knobs = ", ".join(f"{k}={_fmt(v, args.precision)}" for k, v in tuned.items())
-        _emit(
-            f"tuned {knobs}: rho = {_fmt(result['rho'], args.precision)} "
-            f"(1-rho = {_fmt(result['one_minus_rho'], args.precision)})",
-            args.output,
-        )
-    return 0
+    knobs = ", ".join(f"{k}={_fmt(v, args.precision)}" for k, v in tuned.items())
+    text = (
+        f"tuned {knobs}: rho = {_fmt(result['rho'], args.precision)} "
+        f"(1-rho = {_fmt(result['one_minus_rho'], args.precision)})"
+    )
+    return _emit_payload(args, payload, text)
 
 
 def _cmd_table(args) -> int:

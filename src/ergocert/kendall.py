@@ -31,7 +31,6 @@ __all__ = [
     "solve_r1",
     "solve_r1_array",
     "k1",
-    "k1_single_fraction",
     "solve_r2_reversible",
     "k2_series_bound",
     "rho_tilde_reversible_atomic",
@@ -157,12 +156,6 @@ def k1(r: float, p: KendallParams) -> float:
     """
     a_term, denominator, log_n_term = _k1_parts(r, p)
     return (1.0 / (r - 1.0)) * (1.0 + (p.beta + log_n_term) / denominator)
-
-
-def k1_single_fraction(r: float, p: KendallParams) -> float:
-    """Algebraically equal single-fraction arrangement of ``k1``."""
-    a_term, denominator, log_n_term = _k1_parts(r, p)
-    return (2.0 * p.beta + log_n_term - a_term) / ((r - 1.0) * denominator)
 
 
 def solve_r2_reversible(p: KendallParams) -> float:

@@ -22,11 +22,12 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
+    _RADIUS_LO,
     NU_CONCENTRATED,
     NU_NONE,
     NU_V_INTEGRAL,
     DriftMinorization,
-    big_l_array,
+    _r1_at_radius,
     derived_exponents,
     general_radius_array,
     rate_part,
@@ -36,8 +37,7 @@ from .bounds import (
 )
 from .competitors import CouplingInput, coupling_rho
 from .errors import InvalidParams, MonotoneViolation, TruncationTooSmall
-from .kendall import solve_r1_array
-from .numerics import elementary, std_normal_cdf
+from .numerics import elementary, log_grid_array, std_normal_cdf
 
 __all__ = [
     "ReflectingWalk",
@@ -480,29 +480,30 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 #
 # The Metropolis search evaluates its objectives on numpy arrays of (d, s),
 # through the same formulas as the scalar path: the Metropolis constants
-# above, and split_exponents, big_l_array, reversible_radius_array and
-# solve_r1_array behind the rates. Its thm1.1 objective scans 96 radii per
-# tuning, where rho_general scans 512 and refines. It returns the array rho
-# of the winning (d, s) as it is. The contracting search takes each c's
-# constants from the scalar map. For thm1.1 it finds every c's radius in one
-# call of general_radius_array, which equals rho_general bit for bit where it
-# is finite, and calls method_rho for the rest and at the winner; the other
-# methods call method_rho at every c.
+# above, and split_exponents, the radius scan of rho_general (log_grid_array,
+# then R1 at each radius), reversible_radius_array and big_l_array behind the
+# rates. Its thm1.1 objective scans 97 radii per tuning, where rho_general
+# scans 512 and refines. It returns the array rho of the winning (d, s) as it
+# is. The contracting search takes each c's constants from the scalar map.
+# For thm1.1 it finds every c's rate in one call of general_radius_array,
+# which equals rho_general bit for bit where it is finite, and calls
+# method_rho where it is NaN; the other methods call method_rho at every c.
 # ---------------------------------------------------------------------------
 
 
-def _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde, n_radii=96):
+def _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
     a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
-    t = np.exp(np.log(1e-9) * (1.0 - np.linspace(0.0, 1.0, n_radii)))
-    big_r = 1.0 + 1e-9 + (r0 - 2e-9 - 1.0)[..., None] * t  # (..., n_radii)
-    big_l = big_l_array(big_r, beta_tilde[..., None], a1[..., None], np.asarray(a2)[..., None])
-    big_l = np.maximum(big_l, big_r)  # guard rounding at r -> 1
-    r1 = solve_r1_array(beta[..., None], big_r, big_l)
+    # Where R0 leaves no radius window (rho_general raises) a placeholder
+    # window is scanned and its rate dropped.
+    hi = r0 - 1e-9
+    usable = hi > _RADIUS_LO
+    radii = log_grid_array(_RADIUS_LO, np.where(usable, hi, 2.0), 97)
+    r1 = _r1_at_radius(radii, *(np.asarray(c)[..., None] for c in (beta, beta_tilde, a1, a2)))
     # A radius beyond the pole or whose R1 equation has no root (NaN) gives
     # no rate; a tuning with no rate at any radius gets rho = inf, which
     # never wins the argmin.
     best = np.fmax.reduce(r1, axis=-1)
-    return np.where(np.isnan(best), np.inf, 1.0 / best)
+    return np.where(usable & ~np.isnan(best), 1.0 / best, np.inf)
 
 
 def _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
@@ -634,6 +635,4 @@ def optimize_contracting_tuning(
     for c, rho in zip(cs, rhos):
         if rho < best_rho:
             best_c, best_rho = c, rho
-    if method == "thm1.1" and best_c is not None:
-        best_rho = method_rho(method, ContractingNormal(theta=theta, c=best_c))
     return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}

@@ -11,7 +11,6 @@ reported as skipped instead of silently dropped).
 from __future__ import annotations
 
 from . import paper_values as pv
-from .bounds import rho_general, rho_positive, rho_reversible
 from .competitors import mt_zeta, mtb_zeta
 from .errors import InvalidParams
 from .models import (
@@ -19,7 +18,6 @@ from .models import (
     MetropolisNormal,
     ReflectingWalk,
     method_rho,
-    reflecting_walk_params,
     reflecting_walk_rho_exact,
     INFIMUM_MEASURE,
     MT_MEASURE,
@@ -51,16 +49,13 @@ def _table1() -> list[dict]:
         if not computable:
             records.append(_record(1, row, case, quantity, published, None, f"skipped: {note}"))
             continue
-        p = reflecting_walk_params(ReflectingWalk(p=cases[case]))
+        walk = ReflectingWalk(p=cases[case])
         if quantity == "zeta_C":
+            p = walk.params()
             fn = mt_zeta if row == "MT" else mtb_zeta
             computed = fn(p.lam, p.big_k, p.beta)
-        elif row == "1.1":
-            computed = rho_general(p).rho
-        elif row == "1.2":
-            computed = rho_reversible(p).rho
-        else:  # LT: stochastically monotone walk, rate lambda
-            computed = rho_positive(p).rho
+        else:  # LT: stochastically monotone walk, rate lambda (thm1.3 on an atom)
+            computed = method_rho({"1.1": "thm1.1", "1.2": "thm1.2", "LT": "thm1.3"}[row], walk)
         records.append(_record(1, row, case, quantity, published, computed, note))
     return records
 
@@ -99,10 +94,8 @@ def _table5() -> list[dict]:
                 "skipped: external multi-step estimates",
             )
         )
-        params = reflecting_walk_params(ReflectingWalk(p=p, epsilon=eps))
-        records.append(
-            _record(5, "rho", case, "rho", pv.TABLE5_RHO[i], rho_reversible(params).rho)
-        )
+        rho = method_rho("thm1.2", ReflectingWalk(p=p, epsilon=eps))
+        records.append(_record(5, "rho", case, "rho", pv.TABLE5_RHO[i], rho))
         records.append(
             _record(5, "rho_V", case, "rho", pv.TABLE5_RHO_V[i], reflecting_walk_rho_exact(p, eps))
         )

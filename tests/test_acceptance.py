@@ -20,11 +20,9 @@ from ergocert.bounds import (
     Certificate,
     certificate,
     _m_atomic_gamma,
-    _m_atomic_r,
     _m_nonatomic_gamma,
-    _m_nonatomic_r,
 )
-from ergocert.kendall import KendallParams, k1, k1_single_fraction, solve_r1
+from ergocert.kendall import KendallParams, k1, solve_r1
 from ergocert.models import (
     INFIMUM_MEASURE,
     MT_MEASURE,
@@ -40,6 +38,7 @@ from ergocert.verify import (
     walk_empirical_rate,
 )
 from ergocert import verify as verify_mod
+from reference_forms import _m_atomic_r, _m_nonatomic_r, k1_single_fraction
 
 SEED = 2026
 

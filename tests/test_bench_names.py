@@ -11,7 +11,10 @@ import ast
 import importlib
 import inspect
 import json
+import pkgutil
 from pathlib import Path
+
+import ergocert
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +49,15 @@ def test_per_layer_names_are_public_functions():
         ):
             missing.append(name)
     assert not missing, f"per-layer metrics naming no public function: {missing}"
+
+
+def test_every_all_name_resolves():
+    # The tracer looks up every name of each module's __all__, so a stale
+    # entry fails only a traced run. __main__ runs the CLI when imported.
+    stale = []
+    for info in pkgutil.iter_modules(ergocert.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ergocert.{info.name}")
+        stale += [f"{info.name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not stale, f"__all__ names that do not resolve: {stale}"

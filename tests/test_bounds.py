@@ -28,9 +28,7 @@ from ergocert.bounds import (
     rho_reversible,
     split_exponents,
     _m_atomic_gamma,
-    _m_atomic_r,
     _m_nonatomic_gamma,
-    _m_nonatomic_r,
 )
 from ergocert.errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
 from ergocert.kendall import k2_series_bound
@@ -42,6 +40,7 @@ from ergocert.models import (
     reflecting_walk_params,
 )
 from ergocert.numerics import maximize_scalar
+from reference_forms import _m_atomic_r, _m_nonatomic_r
 
 WALK_09 = reflecting_walk_params(ReflectingWalk(p=0.9))
 WALK_23 = reflecting_walk_params(ReflectingWalk(p=2.0 / 3.0))
@@ -160,6 +159,7 @@ def test_big_l_far_beyond_pole_raises_out_of_range():
     with pytest.raises(OutOfRange):
         big_l(2.0 * de.r0, p)
     assert np.isnan(big_l_array(np.array([2.0 * de.r0]), p.beta_tilde, de.alpha1, de.alpha2)).all()
+    assert np.isnan(big_l_array(2.0 * de.r0, p.beta_tilde, de.alpha1, de.alpha2))
 
 
 def test_big_l_limits_and_pole():
@@ -277,6 +277,20 @@ def test_m_reversible_uses_series_bound():
     expected_k2 = k2_series_bound(1.0 / gamma, 1.0 / rho, 1.0)
     direct = _m_atomic_gamma(WALK_09.lam, WALK_09.big_k, gamma, expected_k2)
     assert abs(m_reversible(WALK_09, gamma) - direct) <= 1e-12 * direct
+
+
+def test_nonatomic_certificate_m_uses_chain_exponents_and_its_k_factor():
+    # Every regime's M is the series-variable form at the chain's alpha_1,
+    # alpha_2 (here alpha_1 > alpha_2 = 1) and the certificate's own factor.
+    de = derived_exponents(CONTRACT)
+    lam, big_k, bt = CONTRACT.lam, CONTRACT.big_k, CONTRACT.beta_tilde
+    for symmetry in ("general", "reversible", "reversible-positive"):
+        cert = certificate(CONTRACT, symmetry)
+        k_factor = cert.diagnostics["k_factor"]
+        if symmetry != "general":
+            assert k_factor == k2_series_bound(1.0 / cert.gamma, 1.0 / cert.rho, bt)
+        want = _m_nonatomic_r(lam, big_k, bt, de.alpha1, de.alpha2, 1.0 / cert.gamma, k_factor)
+        assert abs(cert.big_m - want) <= 1e-12 * want, symmetry
 
 
 def test_m_reversible_below_general_when_k2_smaller():

@@ -9,13 +9,13 @@ from ergocert.errors import InvalidParams, OutOfRange
 from ergocert.kendall import (
     KendallParams,
     k1,
-    k1_single_fraction,
     k2_series_bound,
     rho_tilde_reversible_atomic,
     solve_r1,
     solve_r1_array,
     solve_r2_reversible,
 )
+from reference_forms import k1_single_fraction
 
 # Constants of the standard-boundary walk benchmarks (atomic small set).
 WALK_09 = KendallParams(beta=0.9, big_r=1.0 / 0.6, big_l=2.0)

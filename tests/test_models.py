@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ergocert import models
-from ergocert.bounds import rho_positive, rho_reversible
+from ergocert import kendall, models
+from ergocert.bounds import rho_general, rho_positive, rho_reversible
 from ergocert.errors import (
     ErgoCertError,
     InvalidParams,
@@ -356,9 +356,7 @@ def test_optimize_contracting_general_takes_scalar_rate_where_array_has_none(mon
 
 def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
     # The per-c scalar certificates made 11,215 scalar R1 solves here; the
-    # array pass leaves those of the certificate at the winner.
-    from ergocert import kendall
-
+    # array pass makes none, as every c has an array rate at theta = 0.5.
     calls = []
     real = kendall.solve_r1
 
@@ -368,7 +366,9 @@ def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
 
     monkeypatch.setattr(kendall, "solve_r1", counting)
     optimize_contracting_tuning("thm1.1", theta=0.5)
-    assert 0 < len(calls) <= 100
+    assert calls == []
+    models.method_rho("thm1.1", ContractingNormal(theta=0.5, c=1.5))
+    assert calls  # the counter sees the scalar path
 
 
 def test_optimize_contracting_matches_published_choice():
@@ -384,7 +384,7 @@ def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
     lam = mh_normal_lambda(d, s)
     consts = (lam, np.exp(s * d) * lam, *models._mh_minorization(d, s, MT_MEASURE))
     want = models._rho_general_np(*consts)
-    real = models.solve_r1_array
+    real = kendall.solve_r1_array
 
     def with_nan(beta, big_r, big_l):
         r1 = real(beta, big_r, big_l)
@@ -392,7 +392,20 @@ def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
         r1[1, np.arange(r1.shape[1]) != np.argmax(r1[1])] = np.nan
         return r1
 
-    monkeypatch.setattr(models, "solve_r1_array", with_nan)
+    monkeypatch.setattr(kendall, "solve_r1_array", with_nan)
     got = models._rho_general_np(*consts)
     assert got[0] == math.inf
     assert got[1] == want[1]
+
+
+def test_mh_general_objective_gives_no_rate_where_r0_leaves_no_window():
+    # At s = 1e-12, R0 - 1 ~ 1.5e-13 leaves no radius window, where
+    # rho_general raises: that tuning gets rho = inf, not an error.
+    with pytest.raises(InvalidParams):
+        rho_general(mh_normal_params(1.0, 1e-12))
+    d, s = np.array([1.0, 1.0]), np.array([1e-12, 0.1])
+    lam = mh_normal_lambda(d, s)
+    consts = (lam, np.exp(s * d) * lam, *models._mh_minorization(d, s, MT_MEASURE))
+    got = models._rho_general_np(*consts)
+    assert got[0] == math.inf
+    assert rho_general(mh_normal_params(1.0, 0.1)).rho <= got[1] < 1.0

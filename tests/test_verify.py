@@ -19,6 +19,7 @@ from ergocert.verify import (
     mc_regeneration,
     renewal_from_increments,
     run_kendall_suite,
+    run_matrix_suite,
     run_mc_suite,
     walk_empirical_rate,
 )
@@ -170,6 +171,13 @@ def test_domination_pass_and_control(walk09_chain):
         diagnostics=cert.diagnostics,
     )
     assert not certificate_domination(walk09_chain, weak, x_max=20, n_max=120).passed
+
+
+def test_matrix_suite_passes_and_its_shrunk_m_control_fails_domination():
+    report = run_matrix_suite()
+    assert report.passed
+    control = next(c for c in report.checks if c.name == "control-shrunk-M")
+    assert control.measured > control.bound
 
 
 def test_choose_truncation_stability():
