@@ -48,7 +48,6 @@ from .verify import (
     RenewalSequence,
     certificate_domination,
     kendall_check,
-    matrix_vnorm_distance,
     mc_regeneration,
     renewal_from_increments,
     run_all_suites,

@@ -44,29 +44,46 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
+def _csv(columns: list, rows: list[dict], precision: int, quoted=()) -> str:
+    # A header line, then one line per row; the quoted columns hold free
+    # text that may contain commas.
+    lines = [",".join(columns)]
+    lines += [
+        ",".join(f'"{row[c]}"' if c in quoted else _fmt(row[c], precision) for c in columns)
+        for row in rows
+    ]
+    return "\n".join(lines)
+
+
+def _flatten(data: dict) -> dict:
+    # One CSV row of a result: each entry of a nested dict becomes a column
+    # <key>_<name>, with diagnostics shortened to diag_<name>.
+    row = {}
+    for key, value in data.items():
+        if isinstance(value, dict):
+            prefix = "diag" if key == "diagnostics" else key
+            row.update({f"{prefix}_{k}": v for k, v in value.items()})
+        else:
+            row[key] = value
+    return row
+
+
 def _emit_payload(args, payload: dict, text: str) -> int:
-    # The model subcommand's plain results: the payload as JSON, else the
-    # text line. Returns the exit code 0.
+    # One result (a certificate or a model payload) as JSON, one CSV row or
+    # the given text. Returns the exit code 0.
+    if args.format == "csv":
+        row = _flatten(payload)
+        text = _csv(list(row), [row], args.precision)
     _emit(json.dumps(payload, indent=2) if args.format == "json" else text, args.output)
     return 0
 
 
-def _render_certificate(cert: bounds.Certificate, fmt: str, precision: int) -> str:
+def _emit_certificate(args, cert: bounds.Certificate) -> int:
     data = cert.to_dict()
-    if fmt == "json":
-        return json.dumps(data, indent=2)
-    if fmt == "csv":
-        keys = [k for k in data if k != "diagnostics"]
-        keys += [f"diag_{k}" for k in data["diagnostics"]]
-        values = [data[k] for k in data if k != "diagnostics"]
-        values += list(data["diagnostics"].values())
-        head = ",".join(keys)
-        body = ",".join(_fmt(v, precision) for v in values)
-        return head + "\n" + body
-    lines = [f"{k:<12}{_fmt(v, precision)}" for k, v in data.items() if k != "diagnostics"]
+    lines = [f"{k:<12}{_fmt(v, args.precision)}" for k, v in data.items() if k != "diagnostics"]
     lines.append("diagnostics:")
-    lines += [f"  {k:<16}{_fmt(v, precision)}" for k, v in data["diagnostics"].items()]
-    return "\n".join(lines)
+    lines += [f"  {k:<16}{_fmt(v, args.precision)}" for k, v in data["diagnostics"].items()]
+    return _emit_payload(args, data, "\n".join(lines))
 
 
 def _render_records(records: list[dict], fmt: str, precision: int) -> str:
@@ -74,22 +91,9 @@ def _render_records(records: list[dict], fmt: str, precision: int) -> str:
         return json.dumps(records, indent=2)
     columns = ["table", "row", "case", "quantity", "published", "computed", "abs_diff", "note"]
     if fmt == "csv":
-        out = [",".join(columns)]
-        for rec in records:
-            out.append(
-                ",".join(
-                    f'"{rec[c]}"' if c in ("case", "note") else _fmt(rec[c], precision)
-                    for c in columns
-                )
-            )
-        return "\n".join(out)
-    widths = {c: len(c) for c in columns}
-    rows = []
-    for rec in records:
-        row = {c: _fmt(rec[c], precision) for c in columns}
-        rows.append(row)
-        for c in columns:
-            widths[c] = max(widths[c], len(row[c]))
+        return _csv(columns, records, precision, quoted=("case", "note"))
+    rows = [{c: _fmt(rec[c], precision) for c in columns} for rec in records]
+    widths = {c: max([len(c)] + [len(row[c]) for row in rows]) for c in columns}
     header = "  ".join(c.ljust(widths[c]) for c in columns)
     lines = [header, "-" * len(header)]
     lines += ["  ".join(row[c].ljust(widths[c]) for c in columns) for row in rows]
@@ -99,6 +103,10 @@ def _render_records(records: list[dict], fmt: str, precision: int) -> str:
 def _render_suites(reports: list, fmt: str, precision: int) -> str:
     if fmt == "json":
         return json.dumps([r.to_dict() for r in reports], indent=2)
+    if fmt == "csv":
+        columns = ["suite", "name", "measured", "bound", "margin", "pass", "detail"]
+        rows = [{"suite": rep.name, **c.to_dict()} for rep in reports for c in rep.checks]
+        return _csv(columns, rows, precision, quoted=("detail",))
     lines = []
     for rep in reports:
         good, total = rep.counts
@@ -140,8 +148,7 @@ def _cmd_bound(args) -> int:
     if not args.atomic and args.beta_tilde is None:
         raise ErgoCertError("nonatomic input requires --beta-tilde")
     cert = bounds.certificate(_drift_from_args(args), args.symmetry, args.gamma)
-    _emit(_render_certificate(cert, args.format, args.precision), args.output)
-    return 0
+    return _emit_certificate(args, cert)
 
 
 def _chain(args) -> models.ModelSpec:
@@ -177,9 +184,9 @@ def _cmd_model(args) -> int:
     if args.optimize:
         return _cmd_model_optimize(args)
 
-    if args.exact or args.method == "exact":
+    if args.method == "exact":
         if args.model != "reflecting-walk":
-            raise ErgoCertError("--exact applies to reflecting-walk only")
+            raise ErgoCertError("--method exact applies to reflecting-walk only")
         _require(args, ["p", "epsilon"])
         rho_v = models.reflecting_walk_rho_exact(args.p, args.epsilon)
         payload = {"model": args.model, "p": args.p, "epsilon": args.epsilon, "rho_V": rho_v}
@@ -208,8 +215,7 @@ def _cmd_model(args) -> int:
 
     params = _chain(args).params()
     cert = bounds.certificate(params, models.THEOREM_SYMMETRY[args.method], args.gamma)
-    _emit(_render_certificate(cert, args.format, args.precision), args.output)
-    return 0
+    return _emit_certificate(args, cert)
 
 
 def _cmd_model_optimize(args) -> int:
@@ -264,7 +270,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
     parser.add_argument("--precision", type=int, default=6, help="significant digits")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("thm1.1", "thm1.2", "thm1.3", "coupling", "binomial", "exact"),
         default="thm1.2",
     )
-    p_model.add_argument("--exact", action="store_true", help="exact walk rate rho_V")
     p_model.add_argument("--optimize", action="store_true", help="tune (d,s) or c to minimise rho")
     p_model.add_argument("--gamma", type=float, default=None)
     _add_common(p_model)
@@ -321,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run oracle suites")
     p_verify.add_argument("suite", choices=("kendall", "matrix", "mc", "all"))
+    p_verify.add_argument("--seed", type=int, default=0)
     _add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

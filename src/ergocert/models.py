@@ -555,17 +555,18 @@ def optimize_mh_tuning(
 ) -> dict:
     """Grid-search (d, s) to minimise rho for the given certificate method.
 
-    Coarse scan at step 0.05, then local refinements at 0.01 and 0.002
-    around the running best (same final resolution as a flat 0.01 grid with
-    refinement, at a fraction of the work for the radius-search objective).
+    Coarse scan at step 0.05 closed at the upper end of each range, then
+    local refinements at 0.01 and 0.002 around the running best (same final
+    resolution as a flat 0.01 grid with refinement, at a fraction of the
+    work for the radius-search objective).
     Returns the winning tuning with its rate.
     """
     if method not in _MH_METHODS:
         raise InvalidParams(f"method must be one of {sorted(_MH_METHODS)}")
     d_lo, d_hi = d_range
     s_lo, s_hi = s_range
-    d_grid = np.arange(d_lo, d_hi + 1e-12, 0.05)
-    s_grid = np.arange(s_lo, s_hi + 1e-12, 0.05)
+    d_grid = np.append(np.arange(d_lo, d_hi, 0.05), d_hi)
+    s_grid = np.append(np.arange(s_lo, s_hi, 0.05), s_hi)
     best_d = best_s = None
     for step in (0.05, 0.01, 0.002):
         if best_d is not None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -47,7 +46,6 @@ __all__ = [
     "increment_radius",
     "kendall_family_radius",
     "kendall_check",
-    "matrix_vnorm_distance",
     "matrix_vnorm_distances",
     "certificate_domination",
     "walk_empirical_rate",
@@ -326,33 +324,30 @@ def run_kendall_suite(seed: int = 0, cases: int = 200, asymptotic_ks=(40, 80)) -
 # ---------------------------------------------------------------------------
 
 
-def matrix_vnorm_distances(tc: TruncatedChain, x: int, n_max: int) -> np.ndarray:
+def matrix_vnorm_distances(tc: TruncatedChain, x: int | np.ndarray, n_max: int) -> np.ndarray:
     """V-weighted distances sum_y V(y) |P^n(x,y) - pi(y)| for n = 0..n_max.
 
-    Iterates the deviation vector e_n = (delta_x - pi) P^n directly, so
-    accuracy is relative to the decaying deviation rather than to the full
-    probability scale. The stationary component that rounding injects is
-    projected out each step (rows of P sum to one, so exact arithmetic
-    would preserve sum(e) = 0).
+    x is one start state or an array of them; the result has x's shape plus
+    a last axis for n. The deviation vectors e_n = (delta_x - pi) P^n of all
+    start states step together as one block, so accuracy is relative to the
+    decaying deviation rather than to the full probability scale. Each
+    step projects out the stationary component that rounding injects into
+    each row (rows of P sum to one, so exact arithmetic would preserve
+    sum(e) = 0).
     """
-    if not (0 <= x < tc.n_states):
+    states = np.asarray(x)
+    if ((states < 0) | (states >= tc.n_states)).any():
         raise InvalidParams(f"state {x} outside truncation of size {tc.n_states}")
     if n_max < 0:
         raise InvalidParams("n_max must be >= 0")
-    e = -tc.pi.copy()
-    e[x] += 1.0
-    out = np.empty(n_max + 1)
-    out[0] = float(np.abs(e) @ tc.v)
+    e = np.eye(tc.n_states)[states] - tc.pi
+    out = np.empty(states.shape + (n_max + 1,))
+    out[..., 0] = np.abs(e) @ tc.v
     for n in range(1, n_max + 1):
         e = e @ tc.matrix
-        e -= e.sum() * tc.pi
-        out[n] = float(np.abs(e) @ tc.v)
+        e -= e.sum(axis=-1, keepdims=True) * tc.pi
+        out[..., n] = np.abs(e) @ tc.v
     return out
-
-
-def matrix_vnorm_distance(tc: TruncatedChain, x: int, n: int) -> float:
-    """Single-time V-weighted distance (see ``matrix_vnorm_distances``)."""
-    return float(matrix_vnorm_distances(tc, x, n)[n])
 
 
 def certificate_domination(
@@ -364,25 +359,22 @@ def certificate_domination(
 ) -> CheckReport:
     """Check distance(x, n) <= M V(x) gamma^n for all x <= x_max, n <= n_max.
 
-    The reported measured/bound pair belongs to the worst (x, n); a ratio
-    above one anywhere fails the check.
+    The reported measured/bound pair belongs to the worst (x, n), the first
+    in x-major order where several tie; a ratio above one anywhere fails
+    the check.
     """
-    worst_ratio = -math.inf
-    worst = (0, 0, 0.0, math.inf)
-    powers = np.power(cert.gamma, np.arange(n_max + 1))
-    for x in range(min(x_max, tc.n_states - 1) + 1):
-        dist = matrix_vnorm_distances(tc, x, n_max)
-        envelope = cert.big_m * tc.v[x] * powers
-        ratios = dist / envelope
-        i = int(np.argmax(ratios))
-        if ratios[i] > worst_ratio:
-            worst_ratio = float(ratios[i])
-            worst = (x, i, float(dist[i]), float(envelope[i]))
-    x, n, measured, bound = worst
+    if x_max < 0:
+        raise InvalidParams("x_max must be >= 0")
+    xs = np.arange(min(x_max, tc.n_states - 1) + 1)
+    dist = matrix_vnorm_distances(tc, xs, n_max)
+    envelope = (cert.big_m * tc.v[xs])[:, None] * np.power(cert.gamma, np.arange(n_max + 1))
+    ratios = dist / envelope
+    x, n = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    worst_ratio = float(ratios[x, n])
     return CheckReport(
         name=name,
-        measured=measured,
-        bound=bound,
+        measured=float(dist[x, n]),
+        bound=float(envelope[x, n]),
         passed=worst_ratio <= 1.0,
         detail=f"worst at x={x}, n={n}, ratio {worst_ratio:.3e}",
     )
@@ -405,24 +397,24 @@ def choose_truncation(
 ) -> TruncatedChain:
     """Smallest power-of-two truncation whose tail and top-row influence are
     negligible: stationary tail below 1e-12 and doubling the state count
-    moves the probed distances by less than one part in 1e-9."""
-    n = max(start, x_max + 2)
+    moves the probed distances by less than one part in 1e-9. Each size is
+    built once and compared with the size below it."""
+    size = max(start, x_max + 2)
     probes = [k for k in (25, 50, 100, n_max) if k <= n_max]
-    while n <= max_states:
+    coarse = None
+    while size <= 2 * max_states:
         try:
-            tc = walk_truncated_chain(spec, n)
-            tc2 = walk_truncated_chain(spec, 2 * n)
+            tc = walk_truncated_chain(spec, size)
         except TruncationTooSmall:
-            n *= 2
+            size *= 2
             continue
-        d1 = matrix_vnorm_distances(tc, x_max, n_max)
-        d2 = matrix_vnorm_distances(tc2, x_max, n_max)
-        stable = all(
-            abs(d1[k] - d2[k]) <= 1e-9 * max(d1[k], d2[k], 1e-290) for k in probes
-        )
-        if stable:
-            return tc2
-        n *= 2
+        fine = matrix_vnorm_distances(tc, x_max, n_max)
+        if coarse is not None and all(
+            abs(coarse[k] - fine[k]) <= 1e-9 * max(coarse[k], fine[k], 1e-290) for k in probes
+        ):
+            return tc
+        coarse = fine
+        size *= 2
     raise TruncationTooSmall(f"no stable truncation below {max_states} states")
 
 
@@ -500,53 +492,51 @@ def mc_regeneration(
 # ---------------------------------------------------------------------------
 
 
-def _walk_certificates(spec: ReflectingWalk, symmetries: Iterable[str]):
-    params = reflecting_walk_params(spec)
-    return [certificate(params, symmetry) for symmetry in symmetries]
-
-
 def run_matrix_suite(x_max: int = 30, n_max: int = 200) -> SuiteReport:
     """Domination and exact-rate checks on the walk benchmarks.
 
     The standard-boundary walks are stochastically monotone, so all three
     regimes apply. The modified-boundary walk is reversible but its exact
     rate exceeds lambda (it is nearly periodic), so only the general and
-    reversible certificates are meaningful there.
+    reversible certificates are meaningful there. Each walk's truncation is
+    chosen once and serves all of its checks.
     """
     suite = SuiteReport(name="matrix")
     cases = [
         (ReflectingWalk(p=2.0 / 3.0), ("general", "reversible", "reversible-positive")),
         (ReflectingWalk(p=0.9), ("general", "reversible", "reversible-positive")),
         (ReflectingWalk(p=0.8, epsilon=0.25), ("general", "reversible")),
+        (ReflectingWalk(p=0.9, epsilon=0.25), ()),
     ]
+    truncations, certs = {}, {}
     for spec, symmetries in cases:
-        tc = choose_truncation(spec, x_max, n_max)
+        tc = truncations[spec] = choose_truncation(spec, x_max, n_max)
         label = f"p{spec.p:.4g}" + ("" if spec.epsilon is None else f"-eps{spec.epsilon}")
-        for cert in _walk_certificates(spec, symmetries):
+        params = reflecting_walk_params(spec)
+        for symmetry in symmetries:
+            cert = certs[spec, symmetry] = certificate(params, symmetry)
             suite.checks.append(
                 certificate_domination(
-                    tc, cert, x_max, n_max, name=f"domination-{label}-{cert.symmetry}"
+                    tc, cert, x_max, n_max, name=f"domination-{label}-{symmetry}"
                 )
             )
     # Falsification control: shrinking M by 1e3 must break domination.
     spec = ReflectingWalk(p=0.9)
-    tc = choose_truncation(spec, x_max, n_max)
-    cert = _walk_certificates(spec, ("reversible",))[0]
+    cert = certs[spec, "reversible"]
     crippled = replace(cert, big_m=cert.big_m * 1e-3)
-    control = certificate_domination(tc, crippled, x_max, n_max, name="control-shrunk-M")
+    control = certificate_domination(
+        truncations[spec], crippled, x_max, n_max, name="control-shrunk-M"
+    )
     suite.checks.append(
-        CheckReport(
-            name=control.name,
-            measured=control.measured,
-            bound=control.bound,
+        replace(
+            control,
             passed=not control.passed,
             detail="harness sanity: weakened certificate must fail; " + control.detail,
         )
     )
     # Exact-rate agreement for the modified-boundary walks.
     for p, eps in ((0.8, 0.25), (0.9, 0.25)):
-        spec = ReflectingWalk(p=p, epsilon=eps)
-        tc = choose_truncation(spec, x_max, n_max)
+        tc = truncations[ReflectingWalk(p=p, epsilon=eps)]
         expected = reflecting_walk_rho_exact(p, eps)
         measured = walk_empirical_rate(tc, x=0, n_lo=80, n_hi=160)
         suite.checks.append(

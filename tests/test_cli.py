@@ -91,7 +91,8 @@ def test_model_mh_anchor(capsys):
 
 def test_model_exact_rate(capsys):
     code, out, _ = run_cli(
-        capsys, "model", "reflecting-walk", "--p", "0.9", "--epsilon", "0.25", "--exact"
+        capsys, "model", "reflecting-walk", "--p", "0.9", "--epsilon", "0.25",
+        "--method", "exact",
     )
     assert code == 0
     assert "0.788462" in out
@@ -136,6 +137,54 @@ def test_bound_csv_format(capsys):
     head, body = out.strip().splitlines()
     assert head.split(",")[:4] == ["method", "lambda", "K", "beta"]
     assert len(head.split(",")) == len(body.split(","))
+
+
+def test_model_exact_csv_format(capsys):
+    code, out, _ = run_cli(
+        capsys, "model", "reflecting-walk", "--p", "0.9", "--epsilon", "0.3",
+        "--method", "exact", "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == ["model,p,epsilon,rho_V", "reflecting-walk,0.9,0.3,0.75"]
+
+
+def test_model_optimize_csv_flattens_tuned(capsys):
+    code, out, _ = run_cli(
+        capsys, "model", "contracting-normal", "--theta", "0.5",
+        "--method", "thm1.3", "--optimize", "--format", "csv",
+    )
+    assert code == 0
+    head, body = out.splitlines()
+    assert head == "model,method,tuned_c,rho,one_minus_rho"
+    row = dict(zip(head.split(","), body.split(",")))
+    assert row["model"] == "contracting-normal"
+    assert float(row["rho"]) <= 0.897 + 0.002
+
+
+def test_verify_mc_csv_one_row_per_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "mc", "--seed", "1", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "suite,name,measured,bound,margin,pass,detail"
+    assert len(lines) == 5
+    for line in lines[1:]:
+        fields, detail = line.split(',"')
+        assert fields.split(",")[0] == "mc" and fields.endswith(",true")
+        assert detail.endswith('"') and "drift bound" in detail
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--lambda", "0.6", "--K", "1.2", "--beta", "0.9", "--atomic", "--seed", "5"],
+        ["model", "reflecting-walk", "--p", "0.9", "--epsilon", "0.25", "--exact"],
+        ["table", "2", "--seed", "5"],
+    ],
+)
+def test_removed_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
 
 
 def test_table_out_of_range_exits_2():

@@ -29,6 +29,7 @@ from ergocert.models import (
     mh_normal_lambda,
     mh_normal_params,
     optimize_contracting_tuning,
+    optimize_mh_tuning,
     reflecting_walk_params,
     reflecting_walk_rho_exact,
     walk_truncated_chain,
@@ -409,3 +410,11 @@ def test_mh_general_objective_gives_no_rate_where_r0_leaves_no_window():
     got = models._rho_general_np(*consts)
     assert got[0] == math.inf
     assert rho_general(mh_normal_params(1.0, 0.1)).rho <= got[1] < 1.0
+
+
+def test_mh_tuning_coarse_grid_reaches_the_top_of_a_short_range():
+    # The s range is shorter than one coarse step: the scan must still try
+    # s = 0.01, where tunings have rates, and not stop at s = 1e-9 alone.
+    result = optimize_mh_tuning("thm1.1", s_range=(1e-9, 0.01))
+    assert result["s"] == 0.01
+    assert 1.0 - 1e-7 < result["rho"] < 1.0

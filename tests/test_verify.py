@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from ergocert import verify
 from ergocert.bounds import Certificate, certificate
 from ergocert.errors import HypothesisViolated, InvalidParams, PeriodicSupport
-from ergocert.models import ReflectingWalk, reflecting_walk_params, walk_truncated_chain
+from ergocert.models import (
+    ReflectingWalk,
+    TruncatedChain,
+    reflecting_walk_params,
+    walk_truncated_chain,
+)
 from ergocert.verify import (
     IncrementDistribution,
     certificate_domination,
@@ -14,7 +20,6 @@ from ergocert.verify import (
     increment_radius,
     kendall_check,
     kendall_family_radius,
-    matrix_vnorm_distance,
     matrix_vnorm_distances,
     mc_regeneration,
     renewal_from_increments,
@@ -138,7 +143,27 @@ def test_distance_at_time_zero(walk09_chain):
     tc = walk09_chain
     x = 4
     direct = float(np.abs(np.eye(tc.n_states)[x] - tc.pi) @ tc.v)
-    assert matrix_vnorm_distance(tc, x, 0) == pytest.approx(direct, rel=1e-12)
+    assert matrix_vnorm_distances(tc, x, 0)[0] == pytest.approx(direct, rel=1e-12)
+
+
+def test_block_distances_match_single_states(walk09_chain):
+    tc = walk09_chain
+    xs = np.array([0, 1, 4, 9, 30, 127])
+    block = matrix_vnorm_distances(tc, xs, 60)
+    singles = [matrix_vnorm_distances(tc, int(x), 60) for x in xs]
+    assert all(d.shape == (61,) for d in singles)
+    stacked = np.stack(singles)
+    assert block.shape == (6, 61)
+    assert (np.abs(block - stacked) <= 1e-13 * np.abs(stacked)).all()
+    grid = matrix_vnorm_distances(tc, xs.reshape(2, 3), 60)
+    assert grid.shape == (2, 3, 61)
+    assert (np.abs(grid.reshape(6, 61) - stacked) <= 1e-13 * np.abs(stacked)).all()
+
+
+@pytest.mark.parametrize("xs", [[0, 3, 128], [-1, 2], 128])
+def test_out_of_range_state_raises(walk09_chain, xs):
+    with pytest.raises(InvalidParams):
+        matrix_vnorm_distances(walk09_chain, np.array(xs), 10)
 
 
 def test_distances_nonincreasing_for_standard_walk(walk09_chain):
@@ -171,6 +196,70 @@ def test_domination_pass_and_control(walk09_chain):
         diagnostics=cert.diagnostics,
     )
     assert not certificate_domination(walk09_chain, weak, x_max=20, n_max=120).passed
+
+
+def _per_state_domination(tc, cert, x_max, n_max):
+    # The per-state loop certificate_domination once ran: one distance call
+    # per start state, the running worst kept by a strict ">".
+    worst_ratio = -math.inf
+    worst = (0, 0, 0.0, math.inf)
+    powers = np.power(cert.gamma, np.arange(n_max + 1))
+    for x in range(min(x_max, tc.n_states - 1) + 1):
+        dist = matrix_vnorm_distances(tc, x, n_max)
+        envelope = cert.big_m * tc.v[x] * powers
+        ratios = dist / envelope
+        i = int(np.argmax(ratios))
+        if ratios[i] > worst_ratio:
+            worst_ratio = float(ratios[i])
+            worst = (x, i, float(dist[i]), float(envelope[i]))
+    return worst, worst_ratio
+
+
+@pytest.mark.parametrize("symmetry", ["general", "reversible", "reversible-positive"])
+def test_domination_matches_per_state_loop(walk09_chain, monkeypatch, symmetry):
+    cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), symmetry)
+    (x, n, measured, bound), ratio = _per_state_domination(walk09_chain, cert, 20, 120)
+    calls = []
+    block = verify.matrix_vnorm_distances
+    monkeypatch.setattr(
+        verify, "matrix_vnorm_distances", lambda *a: calls.append(a) or block(*a)
+    )
+    report = certificate_domination(walk09_chain, cert, x_max=20, n_max=120)
+    assert len(calls) == 1
+    assert report.detail == f"worst at x={x}, n={n}, ratio {ratio:.3e}"
+    assert report.bound == bound
+    assert report.measured == pytest.approx(measured, rel=1e-13)
+    assert report.passed == (ratio <= 1.0)
+
+
+def test_domination_needs_a_start_state(walk09_chain):
+    cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), "reversible")
+    with pytest.raises(InvalidParams):
+        certificate_domination(walk09_chain, cert, x_max=-1, n_max=10)
+
+
+def test_domination_tie_goes_to_the_first_state():
+    # P = 1 pi^T with uniform pi and V = 1: every start state has the same
+    # distance at n = 0 and none after, so all (x, 0) tie for the worst.
+    n = 4
+    tc = TruncatedChain(
+        matrix=np.full((n, n), 1.0 / n), v=np.ones(n), c_set=frozenset({0}),
+        pi=np.full(n, 1.0 / n), tail_mass=0.0,
+    )
+    cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), "reversible")
+    report = certificate_domination(tc, cert, x_max=n, n_max=5)
+    assert report.detail.startswith("worst at x=0, n=0,")
+    assert report.measured == 2.0 * (1.0 - 1.0 / n)
+
+
+def test_matrix_suite_chooses_each_walk_truncation_once(monkeypatch):
+    calls = []
+    choose = verify.choose_truncation
+    monkeypatch.setattr(
+        verify, "choose_truncation", lambda *a: calls.append(a[0]) or choose(*a)
+    )
+    run_matrix_suite()
+    assert len(calls) == len(set(calls)) == 4
 
 
 def test_matrix_suite_passes_and_its_shrunk_m_control_fails_domination():
@@ -217,3 +306,14 @@ def test_mc_suite_serialisable():
     data = json.loads(json.dumps(suite.to_dict()))
     assert data["suite"] == "mc"
     assert all(set(c) >= {"name", "measured", "bound", "margin", "pass"} for c in data["checks"])
+
+
+def test_choose_truncation_builds_each_size_once(monkeypatch):
+    sizes = []
+    build = verify.walk_truncated_chain
+    monkeypatch.setattr(
+        verify, "walk_truncated_chain", lambda spec, n: sizes.append(n) or build(spec, n)
+    )
+    tc = choose_truncation(ReflectingWalk(p=2.0 / 3.0), x_max=30, n_max=200)
+    assert sizes == [64, 128, 256]
+    assert tc.n_states == 256
