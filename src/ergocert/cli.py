@@ -7,14 +7,16 @@ Subcommands:
   table    recompute one of the benchmark tables 1-6 and diff it
   verify   run the oracle suites (kendall | matrix | mc | all)
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage or
-validation error.
+Exit codes: 0 success, 1 a verification check failed or the reader
+closed standard output early (as in ``| head -1``), 2 usage or validation
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -336,7 +338,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone: stop quietly. Python flushes stdout again at
+        # exit, so point it at devnull first (the recipe of the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ErgoCertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

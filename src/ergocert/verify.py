@@ -15,6 +15,7 @@ JSON-serialisable, so suites can be consumed by the CLI or by tests alike.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,10 +89,14 @@ class IncrementDistribution:
 
 @dataclass(frozen=True)
 class RenewalSequence:
-    """u_0..u_N by convolution plus the elementary-renewal limit."""
+    """u_0..u_N by convolution plus the elementary-renewal limit.
+
+    For one law u is 1-D and u_inf a float; for a sequence of laws u has one
+    row per law and u_inf is an array.
+    """
 
     u: np.ndarray
-    u_inf: float
+    u_inf: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,18 +154,33 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def renewal_from_increments(b: IncrementDistribution, n_max: int) -> RenewalSequence:
-    """u_n = sum_{k<=n} b_k u_{n-k} with u_0 = 1; u_inf = 1 / mean increment."""
+def renewal_from_increments(
+    b: IncrementDistribution | Sequence[IncrementDistribution], n_max: int
+) -> RenewalSequence:
+    """u_n = sum_{k<=n} b_k u_{n-k} with u_0 = 1; u_inf = 1 / mean increment.
+
+    b is one IncrementDistribution or a sequence of them. The laws are
+    zero-padded to the longest support and convolved together, one step of
+    n for all of them at once.
+    """
     if n_max < 1:
         raise InvalidParams("n_max must be >= 1")
-    probs = b.array
-    m = probs.size
-    u = np.zeros(n_max + 1)
-    u[0] = 1.0
+    single = isinstance(b, IncrementDistribution)
+    laws = [b] if single else list(b)
+    width = max(d.array.size for d in laws)
+    # Reversed so that the last k columns meet u_{n-k}..u_{n-1} term by term.
+    reversed_probs = np.zeros((len(laws), width))
+    for row, d in zip(reversed_probs, laws):
+        row[width - d.array.size :] = d.array[::-1]
+    u = np.zeros((len(laws), n_max + 1))
+    u[:, 0] = 1.0
     for n in range(1, n_max + 1):
-        k = min(n, m)
-        u[n] = np.dot(probs[:k], u[n - 1 :: -1][:k])
-    return RenewalSequence(u=u, u_inf=1.0 / b.mean)
+        k = min(n, width)
+        u[:, n] = np.einsum("ij,ij->i", reversed_probs[:, width - k :], u[:, n - k : n])
+    u_inf = np.array([1.0 / d.mean for d in laws])
+    if single:
+        return RenewalSequence(u=u[0], u_inf=float(u_inf[0]))
+    return RenewalSequence(u=u, u_inf=u_inf)
 
 
 def increment_radius(b: IncrementDistribution) -> float:
@@ -189,15 +209,92 @@ def kendall_family_radius(beta: float, k: int) -> float:
     return increment_radius(IncrementDistribution(probs=tuple(probs)))
 
 
-def _series_sup_on_circle(deviations: np.ndarray, r: float, n_angles: int = 64) -> float:
-    """max over sampled |z| = r of |sum_n deviations[n] z^n| (plus z = +-r)."""
-    n = np.arange(deviations.size)
-    radial = deviations * np.power(r, n)
+# Renewal terms u_0..u_N that kendall_check and the suite convolve.
+_RENEWAL_TERMS = 1200
+
+
+def _series_sup_on_circle(
+    deviations: np.ndarray, r: np.ndarray, cutoff: np.ndarray, n_angles: int = 64, rows: int = 32
+) -> np.ndarray:
+    """Per row i, max over sampled |z| = r_i of |sum_{n<=cutoff_i} deviations[i, n] z^n|
+    (plus z = +-r_i).
+
+    The phase matrix is built once; the rows are summed in slices of `rows`,
+    each only as far as its longest cutoff.
+    """
+    n = np.arange(int(cutoff.max()) + 1)
     angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     phases = np.exp(1j * np.outer(n, angles))
-    values = radial @ phases
-    on_axis = [abs(radial.sum()), abs(np.dot(radial, np.power(-1.0, n)))]
-    return float(max(np.abs(values).max(), *on_axis))
+    signs = np.power(-1.0, n)
+    sup = np.empty(r.size)
+    for lo in range(0, r.size, rows):
+        part = slice(lo, lo + rows)
+        width = int(cutoff[part].max()) + 1
+        # Terms past a row's cutoff are selected away, not multiplied by
+        # zero: r**n may overflow there, and 0 * inf would be NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            radial = np.where(
+                n[:width] <= cutoff[part, None],
+                deviations[part, :width] * np.power(r[part, None], n[:width]),
+                0.0,
+            )
+        values = np.abs(radial @ phases[:width]).max(axis=1)
+        on_axis = np.maximum(np.abs(radial.sum(axis=1)), np.abs(radial @ signs[:width]))
+        sup[part] = np.maximum(values, on_axis)
+    return sup
+
+
+def _kendall_checks(laws, params, r, r1, radius, n_max: int) -> list[dict]:
+    """kendall_check's result for each case. The arguments are parallel
+    sequences, one entry per case, whose hypotheses are already checked and
+    whose R1 and increment radius are already computed.
+
+    All laws are convolved as one block; see kendall_check for the measure.
+    """
+    r = np.asarray(r, dtype=float)
+    rate = 1.0 / np.asarray(radius, dtype=float)
+    seq = renewal_from_increments(laws, n_max)
+    deviations = seq.u - seq.u_inf[:, None]
+    # The convolution resolves u_n - u_inf only down to a few ulp; beyond
+    # that the values are rounding noise, and noise * r^n would grow without
+    # meaning. Cut each series where its true deviations sink below float
+    # visibility and majorise the remainder geometrically.
+    resolved = np.abs(deviations) > 64.0 * np.finfo(float).eps
+    cutoff = np.where(resolved.any(axis=1), n_max - np.argmax(resolved[:, ::-1], axis=1), 0)
+    truncated = _series_sup_on_circle(deviations, r, cutoff)
+    # Envelope |u_n - u_inf| <= c * rate^n fitted on the last resolved
+    # window of max(2m, 16) terms; rate * r < 1 is automatic because
+    # r < R1 <= radius.
+    widths = np.array([max(d.array.size * 2, 16) for d in laws])
+    back = np.arange(widths.max())
+    n_window = cutoff[:, None] - back
+    in_window = (back < widths[:, None]) & (n_window >= 0)
+    n_window = np.maximum(n_window, 0)
+    window = np.abs(np.take_along_axis(deviations, n_window, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = window / np.power(rate[:, None], n_window)
+        c_env = np.where(in_window, ratios, -np.inf).max(axis=1)
+        q = rate * r
+        tail = np.where(
+            (rate > 0.0) & np.isfinite(c_env) & (q < 1.0),
+            c_env * q ** (cutoff + 1) / (1.0 - q),
+            0.0,
+        )
+    measured_sup = truncated + tail
+    reports = []
+    for i, kp in enumerate(params):
+        bound = kendall_mod.k1(float(r[i]), kp)
+        rate_bound = 1.0 / r1[i] + 1e-6
+        reports.append(
+            {
+                "measured_sup": float(measured_sup[i]),
+                "bound": bound,
+                "decay_rate": float(rate[i]),
+                "decay_bound": rate_bound,
+                "pass": bool(measured_sup[i] <= bound and rate[i] <= rate_bound),
+            }
+        )
+    return reports
 
 
 def kendall_check(
@@ -206,7 +303,7 @@ def kendall_check(
     big_r: float,
     big_l: float,
     r: float,
-    n_max: int = 1200,
+    n_max: int = _RENEWAL_TERMS,
 ) -> dict:
     """Check the certified radius and series bound against this increment law.
 
@@ -228,44 +325,13 @@ def kendall_check(
     r1 = kendall_mod.solve_r1(kp)
     if not (1.0 < r < r1):
         raise OutOfRange(f"need 1 < r < R1 = {r1}, got r={r}")
-
-    rate = 1.0 / increment_radius(b)
-    seq = renewal_from_increments(b, n_max)
-    deviations = seq.u - seq.u_inf
-    # The convolution resolves u_n - u_inf only down to a few ulp; beyond
-    # that the values are rounding noise, and noise * r^n would grow without
-    # meaning. Cut the series where the true deviations sink below float
-    # visibility and majorise the remainder geometrically.
-    floor = 64.0 * np.finfo(float).eps
-    significant = np.flatnonzero(np.abs(deviations) > floor)
-    cutoff = int(significant[-1]) if significant.size else 0
-    kept = deviations[: cutoff + 1]
-    truncated = _series_sup_on_circle(kept, r)
-    # Envelope |u_n - u_inf| <= c * rate^n fitted on the last resolved
-    # window; rate * r < 1 is automatic because r < R1 <= radius.
-    window = np.abs(kept[-max(probs.size * 2, 16) :])
-    n_window = np.arange(kept.size - window.size, kept.size)
-    tail = 0.0
-    if rate > 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_env = float(np.max(window / np.power(rate, n_window)))
-        if math.isfinite(c_env) and rate * r < 1.0:
-            tail = c_env * (rate * r) ** (cutoff + 1) / (1.0 - rate * r)
-    measured_sup = truncated + tail
-    bound = kendall_mod.k1(r, kp)
-    rate_bound = 1.0 / r1 + 1e-6
-    passed = (measured_sup <= bound) and (rate <= rate_bound)
-    return {
-        "measured_sup": measured_sup,
-        "bound": bound,
-        "decay_rate": rate,
-        "decay_bound": rate_bound,
-        "pass": passed,
-    }
+    return _kendall_checks([b], [kp], [r], [r1], [increment_radius(b)], n_max)[0]
 
 
 def _sample_admissible(rng: np.random.Generator) -> tuple:
-    """One random increment law together with admissible (beta, R, L, r)."""
+    """One random increment law with admissible Kendall parameters and r,
+    plus the R1 and increment radius computed on the way:
+    (law, KendallParams, r, R1, radius)."""
     while True:
         m = int(rng.integers(2, 9))
         raw = rng.dirichlet(np.ones(m))
@@ -275,24 +341,28 @@ def _sample_admissible(rng: np.random.Generator) -> tuple:
         rest = raw[1:].sum()
         probs[1:] = raw[1:] * ((1.0 - b1) / rest) if rest > 0 else (1.0 - b1) / (m - 1)
         dist = IncrementDistribution(probs=tuple(probs))
-        if 1.0 / increment_radius(dist) > 0.96:
+        radius = increment_radius(dist)
+        if 1.0 / radius > 0.96:
             continue  # keep tails resolvable at the fixed truncation length
         beta = probs[0] * (0.6 + 0.4 * rng.random())
         big_r = 1.0 + 0.05 + 0.4 * rng.random()
         exact = float(np.dot(probs, np.power(big_r, np.arange(1, m + 1))))
         big_l = exact * (1.0 + 0.3 * rng.random())
-        r1 = kendall_mod.solve_r1(KendallParams(beta=beta, big_r=big_r, big_l=big_l))
-        r = 1.0 + 0.9 * (r1 - 1.0)
-        return dist, beta, big_r, big_l, r
+        kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
+        r1 = kendall_mod.solve_r1(kp)
+        return dist, kp, 1.0 + 0.9 * (r1 - 1.0), r1, radius
 
 
 def run_kendall_suite(seed: int = 0, cases: int = 200, asymptotic_ks=(40, 80)) -> SuiteReport:
-    """Randomised soundness checks plus the cubic-law radius asymptotics."""
+    """Randomised soundness checks plus the cubic-law radius asymptotics.
+
+    All cases are drawn first, then checked together as one renewal block.
+    """
     rng = np.random.Generator(np.random.Philox(seed))
     suite = SuiteReport(name="kendall")
-    for i in range(cases):
-        dist, beta, big_r, big_l, r = _sample_admissible(rng)
-        rep = kendall_check(dist, beta, big_r, big_l, r)
+    drawn = [_sample_admissible(rng) for _ in range(cases)]
+    reports = _kendall_checks(*zip(*drawn), n_max=_RENEWAL_TERMS) if drawn else []
+    for i, rep in enumerate(reports):
         suite.checks.append(
             CheckReport(
                 name=f"random-increments-{i:03d}",
@@ -363,11 +433,20 @@ def certificate_domination(
     in x-major order where several tie; a ratio above one anywhere fails
     the check.
     """
+    return _dominate(tc, _distance_table(tc, x_max, n_max), cert, name)
+
+
+def _distance_table(tc: TruncatedChain, x_max: int, n_max: int) -> np.ndarray:
+    """Distances from the start states x = 0..min(x_max, N-1), n = 0..n_max."""
     if x_max < 0:
         raise InvalidParams("x_max must be >= 0")
-    xs = np.arange(min(x_max, tc.n_states - 1) + 1)
-    dist = matrix_vnorm_distances(tc, xs, n_max)
-    envelope = (cert.big_m * tc.v[xs])[:, None] * np.power(cert.gamma, np.arange(n_max + 1))
+    return matrix_vnorm_distances(tc, np.arange(min(x_max, tc.n_states - 1) + 1), n_max)
+
+
+def _dominate(tc: TruncatedChain, dist: np.ndarray, cert: Certificate, name: str) -> CheckReport:
+    """certificate_domination against a distance table already computed."""
+    x_count, n_count = dist.shape
+    envelope = (cert.big_m * tc.v[:x_count])[:, None] * np.power(cert.gamma, np.arange(n_count))
     ratios = dist / envelope
     x, n = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     worst_ratio = float(ratios[x, n])
@@ -499,7 +578,8 @@ def run_matrix_suite(x_max: int = 30, n_max: int = 200) -> SuiteReport:
     regimes apply. The modified-boundary walk is reversible but its exact
     rate exceeds lambda (it is nearly periodic), so only the general and
     reversible certificates are meaningful there. Each walk's truncation is
-    chosen once and serves all of its checks.
+    chosen once and serves all of its checks, and each walk's distance table
+    is computed once and serves all of its certificates.
     """
     suite = SuiteReport(name="matrix")
     cases = [
@@ -508,25 +588,22 @@ def run_matrix_suite(x_max: int = 30, n_max: int = 200) -> SuiteReport:
         (ReflectingWalk(p=0.8, epsilon=0.25), ("general", "reversible")),
         (ReflectingWalk(p=0.9, epsilon=0.25), ()),
     ]
-    truncations, certs = {}, {}
+    truncations, tables, certs = {}, {}, {}
     for spec, symmetries in cases:
         tc = truncations[spec] = choose_truncation(spec, x_max, n_max)
+        if not symmetries:
+            continue
+        dist = tables[spec] = _distance_table(tc, x_max, n_max)
         label = f"p{spec.p:.4g}" + ("" if spec.epsilon is None else f"-eps{spec.epsilon}")
         params = reflecting_walk_params(spec)
         for symmetry in symmetries:
             cert = certs[spec, symmetry] = certificate(params, symmetry)
-            suite.checks.append(
-                certificate_domination(
-                    tc, cert, x_max, n_max, name=f"domination-{label}-{symmetry}"
-                )
-            )
+            suite.checks.append(_dominate(tc, dist, cert, f"domination-{label}-{symmetry}"))
     # Falsification control: shrinking M by 1e3 must break domination.
     spec = ReflectingWalk(p=0.9)
     cert = certs[spec, "reversible"]
     crippled = replace(cert, big_m=cert.big_m * 1e-3)
-    control = certificate_domination(
-        truncations[spec], crippled, x_max, n_max, name="control-shrunk-M"
-    )
+    control = _dominate(truncations[spec], tables[spec], crippled, "control-shrunk-M")
     suite.checks.append(
         replace(
             control,

@@ -1,13 +1,31 @@
-"""Second arrangements of the M and K1 formulas, the references of the
-identity tests.
+"""Second forms of package computations, the references of the identity
+and equivalence tests.
 
 The paper prints each constant in two algebraically equal forms. The
-package computes M in the decay factor gamma and K1 in nested form; these
-are the other forms, transcribed independently: M in the series variable
-r = 1/gamma, and K1 as a single fraction.
+package computes M in the decay factor gamma and K1 in nested form; the
+first functions here are the other forms, transcribed independently: M in
+the series variable r = 1/gamma, and K1 as a single fraction.
+
+The renewal oracle convolves all laws of a suite as one block. The
+per-law and per-case forms below (convolution loop, series sup, single
+check, suite loop) are the ones it replaced, kept as its references.
 """
 
+import math
+
+import numpy as np
+
+from ergocert import kendall as kendall_mod
+from ergocert.errors import HypothesisViolated, OutOfRange
 from ergocert.kendall import KendallParams, _k1_parts
+from ergocert.verify import (
+    CheckReport,
+    IncrementDistribution,
+    RenewalSequence,
+    SuiteReport,
+    increment_radius,
+    kendall_family_radius,
+)
 
 
 def _m_atomic_r(lam: float, big_k: float, r: float, k_factor: float) -> float:
@@ -53,3 +71,129 @@ def k1_single_fraction(r: float, p: KendallParams) -> float:
     """The single-fraction arrangement of ``kendall.k1``."""
     a_term, denominator, log_n_term = _k1_parts(r, p)
     return (2.0 * p.beta + log_n_term - a_term) / ((r - 1.0) * denominator)
+
+
+def renewal_per_law(b: IncrementDistribution, n_max: int) -> RenewalSequence:
+    """The renewal convolution one law at a time, one np.dot per step."""
+    probs = b.array
+    m = probs.size
+    u = np.zeros(n_max + 1)
+    u[0] = 1.0
+    for n in range(1, n_max + 1):
+        k = min(n, m)
+        u[n] = np.dot(probs[:k], u[n - 1 :: -1][:k])
+    return RenewalSequence(u=u, u_inf=1.0 / b.mean)
+
+
+def _series_sup_on_circle(deviations: np.ndarray, r: float, n_angles: int = 64) -> float:
+    n = np.arange(deviations.size)
+    radial = deviations * np.power(r, n)
+    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    phases = np.exp(1j * np.outer(n, angles))
+    values = radial @ phases
+    on_axis = [abs(radial.sum()), abs(np.dot(radial, np.power(-1.0, n)))]
+    return float(max(np.abs(values).max(), *on_axis))
+
+
+def kendall_check_per_case(
+    b: IncrementDistribution,
+    beta: float,
+    big_r: float,
+    big_l: float,
+    r: float,
+    n_max: int = 1200,
+) -> dict:
+    """kendall_check as one case on its own: R1 and the increment radius
+    computed here, the series cut at its own cutoff."""
+    probs = b.array
+    if probs[0] < beta:
+        raise HypothesisViolated(f"b_1 = {probs[0]} < beta = {beta}")
+    powers = np.power(big_r, np.arange(1, probs.size + 1))
+    if np.dot(probs, powers) > big_l * (1.0 + 1e-12):
+        raise HypothesisViolated(f"sum b_k R^k = {np.dot(probs, powers)} exceeds L = {big_l}")
+    kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
+    r1 = kendall_mod.solve_r1(kp)
+    if not (1.0 < r < r1):
+        raise OutOfRange(f"need 1 < r < R1 = {r1}, got r={r}")
+
+    rate = 1.0 / increment_radius(b)
+    seq = renewal_per_law(b, n_max)
+    deviations = seq.u - seq.u_inf
+    floor = 64.0 * np.finfo(float).eps
+    significant = np.flatnonzero(np.abs(deviations) > floor)
+    cutoff = int(significant[-1]) if significant.size else 0
+    kept = deviations[: cutoff + 1]
+    truncated = _series_sup_on_circle(kept, r)
+    window = np.abs(kept[-max(probs.size * 2, 16) :])
+    n_window = np.arange(kept.size - window.size, kept.size)
+    tail = 0.0
+    if rate > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_env = float(np.max(window / np.power(rate, n_window)))
+        if math.isfinite(c_env) and rate * r < 1.0:
+            tail = c_env * (rate * r) ** (cutoff + 1) / (1.0 - rate * r)
+    measured_sup = truncated + tail
+    bound = kendall_mod.k1(r, kp)
+    rate_bound = 1.0 / r1 + 1e-6
+    passed = (measured_sup <= bound) and (rate <= rate_bound)
+    return {
+        "measured_sup": measured_sup,
+        "bound": bound,
+        "decay_rate": rate,
+        "decay_bound": rate_bound,
+        "pass": passed,
+    }
+
+
+def _sample_admissible(rng: np.random.Generator) -> tuple:
+    while True:
+        m = int(rng.integers(2, 9))
+        raw = rng.dirichlet(np.ones(m))
+        b1 = 0.15 + 0.7 * rng.random()
+        probs = np.empty(m)
+        probs[0] = b1
+        rest = raw[1:].sum()
+        probs[1:] = raw[1:] * ((1.0 - b1) / rest) if rest > 0 else (1.0 - b1) / (m - 1)
+        dist = IncrementDistribution(probs=tuple(probs))
+        if 1.0 / increment_radius(dist) > 0.96:
+            continue
+        beta = probs[0] * (0.6 + 0.4 * rng.random())
+        big_r = 1.0 + 0.05 + 0.4 * rng.random()
+        exact = float(np.dot(probs, np.power(big_r, np.arange(1, m + 1))))
+        big_l = exact * (1.0 + 0.3 * rng.random())
+        r1 = kendall_mod.solve_r1(KendallParams(beta=beta, big_r=big_r, big_l=big_l))
+        r = 1.0 + 0.9 * (r1 - 1.0)
+        return dist, beta, big_r, big_l, r
+
+
+def kendall_suite_per_case(seed: int = 0, cases: int = 200, asymptotic_ks=(40, 80)) -> SuiteReport:
+    """run_kendall_suite drawing and checking one case at a time."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    suite = SuiteReport(name="kendall")
+    for i in range(cases):
+        dist, beta, big_r, big_l, r = _sample_admissible(rng)
+        rep = kendall_check_per_case(dist, beta, big_r, big_l, r)
+        suite.checks.append(
+            CheckReport(
+                name=f"random-increments-{i:03d}",
+                measured=rep["measured_sup"],
+                bound=rep["bound"],
+                passed=rep["pass"],
+                detail=f"decay {rep['decay_rate']:.6f} vs {rep['decay_bound']:.6f}",
+            )
+        )
+    family_beta = 0.25
+    for k in asymptotic_ks:
+        measured = kendall_family_radius(family_beta, k) - 1.0
+        predicted = 2.0 * math.pi**2 * family_beta / (1.0 - family_beta) ** 2 / k**3
+        rel_err = abs(measured / predicted - 1.0)
+        suite.checks.append(
+            CheckReport(
+                name=f"radius-asymptotics-k{k}",
+                measured=rel_err,
+                bound=0.10,
+                passed=rel_err <= 0.10,
+                detail=f"radius-1 = {measured:.3e}, cubic-law prediction {predicted:.3e}",
+            )
+        )
+    return suite

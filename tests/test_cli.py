@@ -254,3 +254,17 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["rho"] - 0.897) <= 1e-3
+
+
+def test_closed_stdout_pipe_stops_quietly():
+    # The reader closes its end before the process writes (as `| head -1`
+    # does once it has its line): no traceback, no "Exception ignored".
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ergocert", "table", "2", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

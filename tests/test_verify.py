@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergocert import verify
 from ergocert.bounds import Certificate, certificate
@@ -28,6 +31,7 @@ from ergocert.verify import (
     run_mc_suite,
     walk_empirical_rate,
 )
+from reference_forms import kendall_check_per_case, kendall_suite_per_case, renewal_per_law
 
 
 # --- renewal oracle ----------------------------------------------------------
@@ -120,6 +124,88 @@ def test_kendall_check_passes_and_gates():
         kendall_check(dist, beta=0.95, big_r=big_r, big_l=big_l, r=1.05)
     with pytest.raises(HypothesisViolated):
         kendall_check(dist, beta=0.9, big_r=big_r, big_l=1.5, r=1.05)
+
+
+def _law(weights):
+    probs = np.asarray(weights) / np.sum(weights)
+    return IncrementDistribution(probs=tuple(probs))
+
+
+# A law: support length 1..8, b_1 > 0 so the support is aperiodic.
+laws_strategy = st.lists(st.floats(0.0, 1.0), min_size=0, max_size=7).flatmap(
+    lambda rest: st.floats(0.01, 1.0).map(lambda first: _law([first, *rest]))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    laws=st.lists(laws_strategy, min_size=0, max_size=12),
+    at=st.integers(0, 12),
+    n_max=st.integers(1, 300),
+)
+def test_renewal_block_matches_per_law_loop(laws, at, n_max):
+    laws.insert(min(at, len(laws)), IncrementDistribution(probs=(1.0,)))
+    block = renewal_from_increments(laws, n_max)
+    assert block.u.shape == (len(laws), n_max + 1)
+    for row, u_inf, law in zip(block.u, block.u_inf, laws):
+        ref = renewal_per_law(law, n_max)
+        assert np.abs(row - ref.u).max() <= 1e-12
+        assert u_inf == ref.u_inf
+    one = renewal_from_increments(laws[0], n_max)
+    assert one.u.shape == (n_max + 1,) and isinstance(one.u_inf, float)
+    assert (one.u == renewal_from_increments(laws[:1], n_max).u[0]).all()
+
+
+def test_kendall_suite_draws_once_and_convolves_once(monkeypatch):
+    calls = []
+    convolve = verify.renewal_from_increments
+    monkeypatch.setattr(
+        verify, "renewal_from_increments", lambda *a: calls.append(a) or convolve(*a)
+    )
+    run_kendall_suite(seed=5, cases=30)
+    assert len(calls) == 1 and len(calls[0][0]) == 30
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2024])
+def test_kendall_suite_matches_per_case_loop(seed):
+    ref = kendall_suite_per_case(seed=seed)
+    new = run_kendall_suite(seed=seed)
+    assert [(c.name, c.passed, c.detail) for c in new.checks] == [
+        (c.name, c.passed, c.detail) for c in ref.checks
+    ]
+    assert [c.bound for c in new.checks] == [c.bound for c in ref.checks]
+    for a, b in zip(new.checks, ref.checks):
+        assert abs(a.measured - b.measured) <= 1e-9 * abs(b.measured)
+
+
+def test_kendall_check_survives_overflowing_powers():
+    # 1.05 ** 15000 overflows a double; the series must still stop at its
+    # resolved cutoff and give the per-case result.
+    dist = IncrementDistribution(probs=(0.9, 0.1))
+    args = (dist, 0.9, 1.5, 0.9 * 1.5 + 0.1 * 1.5**2, 1.05)
+    with np.errstate(over="ignore"):
+        assert np.power(1.05, 15_000) == math.inf
+    rep = kendall_check(*args, n_max=15_000)
+    ref = kendall_check_per_case(*args, n_max=15_000)
+    assert math.isfinite(rep["measured_sup"])
+    assert rep["measured_sup"] == pytest.approx(ref["measured_sup"], rel=1e-12, abs=0.0)
+    assert {k: v for k, v in rep.items() if k != "measured_sup"} == {
+        k: v for k, v in ref.items() if k != "measured_sup"
+    }
+
+
+def test_series_sup_masks_terms_past_each_cutoff():
+    # Row 0 stops at n = 5 with r = 1e3, so r**n overflows in the columns
+    # that row 1 (cutoff 500) still needs; the overflow must not reach row 0.
+    rng = np.random.default_rng(7)
+    deviations = rng.uniform(-1e-3, 1e-3, size=(2, 501))
+    r = np.array([1e3, 1.0])
+    cutoff = np.array([5, 500])
+    with np.errstate(all="raise"):
+        block = verify._series_sup_on_circle(deviations, r, cutoff)
+    alone = verify._series_sup_on_circle(deviations[:1, :6], r[:1], cutoff[:1])
+    assert np.isfinite(block).all()
+    assert block[0] == pytest.approx(alone[0], rel=1e-14)
 
 
 def test_kendall_suite_small_run():
@@ -253,13 +339,47 @@ def test_domination_tie_goes_to_the_first_state():
 
 
 def test_matrix_suite_chooses_each_walk_truncation_once(monkeypatch):
-    calls = []
+    calls, distance_calls = [], []
     choose = verify.choose_truncation
+    distances = verify.matrix_vnorm_distances
     monkeypatch.setattr(
         verify, "choose_truncation", lambda *a: calls.append(a[0]) or choose(*a)
     )
+    monkeypatch.setattr(
+        verify, "matrix_vnorm_distances", lambda *a: distance_calls.append(a) or distances(*a)
+    )
     run_matrix_suite()
     assert len(calls) == len(set(calls)) == 4
+    # 3 sizes per walk in choose_truncation, one table for each of the
+    # three walks with certificates, two exact-rate walks.
+    assert len(distance_calls) == 4 * 3 + 3 + 2
+
+
+def test_matrix_suite_domination_equals_per_certificate_calls():
+    suite = {c.name: c for c in run_matrix_suite().checks}
+    walks = [
+        ("p0.6667", ReflectingWalk(p=2.0 / 3.0), ("general", "reversible", "reversible-positive")),
+        ("p0.9", ReflectingWalk(p=0.9), ("general", "reversible", "reversible-positive")),
+        ("p0.8-eps0.25", ReflectingWalk(p=0.8, epsilon=0.25), ("general", "reversible")),
+    ]
+    for label, spec, symmetries in walks:
+        tc = choose_truncation(spec, 30, 200)
+        params = reflecting_walk_params(spec)
+        for symmetry in symmetries:
+            name = f"domination-{label}-{symmetry}"
+            report = certificate_domination(tc, certificate(params, symmetry), 30, 200, name=name)
+            assert suite[name] == report
+    spec = ReflectingWalk(p=0.9)
+    cert = certificate(reflecting_walk_params(spec), "reversible")
+    control = certificate_domination(
+        choose_truncation(spec, 30, 200), replace(cert, big_m=cert.big_m * 1e-3), 30, 200,
+        name="control-shrunk-M",
+    )
+    assert suite["control-shrunk-M"] == replace(
+        control,
+        passed=not control.passed,
+        detail="harness sanity: weakened certificate must fail; " + control.detail,
+    )
 
 
 def test_matrix_suite_passes_and_its_shrunk_m_control_fails_domination():
