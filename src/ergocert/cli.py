@@ -344,7 +344,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:
         # The reader has gone: stop quietly. Python flushes stdout again at
         # exit, so point it at devnull first (the recipe of the signal docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except ErgoCertError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergocert import kendall as kendall_mod
 from ergocert import verify
 from ergocert.bounds import Certificate, certificate
 from ergocert.errors import HypothesisViolated, InvalidParams, PeriodicSupport
+from ergocert.kendall import KendallParams
 from ergocert.models import (
     ReflectingWalk,
     TruncatedChain,
@@ -156,6 +158,13 @@ def test_renewal_block_matches_per_law_loop(laws, at, n_max):
     assert (one.u == renewal_from_increments(laws[:1], n_max).u[0]).all()
 
 
+def test_renewal_needs_at_least_one_law():
+    with pytest.raises(InvalidParams):
+        renewal_from_increments([], 10)
+    with pytest.raises(InvalidParams):
+        run_kendall_suite(cases=0)
+
+
 def test_kendall_suite_draws_once_and_convolves_once(monkeypatch):
     calls = []
     convolve = verify.renewal_from_increments
@@ -179,8 +188,9 @@ def test_kendall_suite_matches_per_case_loop(seed):
 
 
 def test_kendall_check_survives_overflowing_powers():
-    # 1.05 ** 15000 overflows a double; the series must still stop at its
-    # resolved cutoff and give the per-case result.
+    # 1.05 ** 15000 overflows a double. One law is summed only to its own
+    # resolved cutoff (about n = 16 here), never to n_max, so the check stays
+    # finite and equals the per-case result.
     dist = IncrementDistribution(probs=(0.9, 0.1))
     args = (dist, 0.9, 1.5, 0.9 * 1.5 + 0.1 * 1.5**2, 1.05)
     with np.errstate(over="ignore"):
@@ -192,6 +202,33 @@ def test_kendall_check_survives_overflowing_powers():
     assert {k: v for k, v in rep.items() if k != "measured_sup"} == {
         k: v for k, v in ref.items() if k != "measured_sup"
     }
+
+
+def test_kendall_checks_mask_overflowing_powers_of_a_shorter_row():
+    # The (0.9, 0.1) law is resolved to about n = 16; the k = 40 family law
+    # stays resolved to n_max = 15000. In their shared slice 1.05 ** n
+    # overflows past the first row's cutoff, and must be masked away there.
+    slow_probs = np.zeros(40)
+    slow_probs[[0, -1]] = 0.25, 0.75
+    drawn = [
+        (IncrementDistribution(probs=(0.9, 0.1)), 0.9, 1.5, 0.9 * 1.5 + 0.1 * 1.5**2),
+        (IncrementDistribution(probs=tuple(slow_probs)), 0.25, 1.01, 0.25 * 1.01 + 0.75 * 1.01**40),
+    ]
+    cases, refs = [], []
+    for law, beta, big_r, big_l in drawn:
+        kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
+        r1 = kendall_mod.solve_r1(kp)
+        r = 1.05 if law.array.size == 2 else 1.0 + 0.9 * (r1 - 1.0)
+        cases.append((law, kp, r, r1, increment_radius(law)))
+        refs.append(kendall_check_per_case(law, beta, big_r, big_l, r, n_max=15_000))
+    with np.errstate(over="ignore"):
+        assert np.power(1.05, 15_000) == math.inf
+    for rep, ref in zip(verify._kendall_checks(cases, 15_000), refs):
+        assert math.isfinite(rep["measured_sup"])
+        assert rep["measured_sup"] == pytest.approx(ref["measured_sup"], rel=1e-12, abs=0.0)
+        assert {k: v for k, v in rep.items() if k != "measured_sup"} == {
+            k: v for k, v in ref.items() if k != "measured_sup"
+        }
 
 
 def test_series_sup_masks_terms_past_each_cutoff():
