@@ -139,7 +139,7 @@ def _drift_from_args(args) -> bounds.DriftMinorization:
         lam=args.lam,
         big_k=args.big_k,
         beta=args.beta,
-        beta_tilde=1.0 if args.atomic else args.beta_tilde,
+        beta_tilde=1.0 if args.beta_tilde is None else args.beta_tilde,
         atomic=args.atomic,
         nu_info=nu_info,
         k_tilde=args.k_tilde,

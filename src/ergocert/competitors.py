@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .bounds import NU_NONE, split_exponents
 from .errors import CouplingFails, InvalidParams
+from .numerics import elementary
 
 __all__ = ["CouplingInput", "mt_zeta", "mtb_zeta", "coupling_rho"]
 
@@ -53,7 +54,7 @@ class CouplingInput:
     @property
     def lambda1(self) -> float:
         """Bivariate drift rate lambda + b / (1 + min V off C)."""
-        return self.lam + self.b / (1.0 + self.v_min_outside)
+        return _coupling_rate(self.lam, self.b, self.v_min_outside, self.big_k, self.beta_tilde)[0]
 
 
 def _validate_zeta_args(lam: float, big_k: float, beta: float) -> None:
@@ -83,6 +84,20 @@ def mtb_zeta(lam: float, big_k: float, beta: float) -> float:
     return 1.0 + 2.0 * math.log((big_k - lam) / (1.0 - lam)) / (beta * math.log(1.0 / lam))
 
 
+def _coupling_rate(lam, b, v_min_outside, big_k, beta_tilde) -> tuple:
+    """(lambda_1, 1/R0_hat) from floats, or from numpy arrays elementwise.
+
+    lambda_1 = lambda + b / (1 + min V off C), and R0_hat is the radius cap
+    of the split-chain construction with lambda_1 substituted for lambda.
+    The rate exists only where lambda_1 < 1; it is inf elsewhere.
+    """
+    lam1 = lam + b / (1.0 + v_min_outside)
+    xp = elementary(lam1)
+    fails = lam1 >= 1.0
+    rho = 1.0 / split_exponents(xp.where(fails, 0.5, lam1), big_k, beta_tilde, NU_NONE)[2]
+    return lam1, xp.where(fails, math.inf, rho)
+
+
 def coupling_rho(c_in: CouplingInput) -> float:
     """Coupling-method rate 1/R0_hat.
 
@@ -90,9 +105,9 @@ def coupling_rho(c_in: CouplingInput) -> float:
     substituted for lambda. Requires the stronger condition lambda_1 < 1;
     when it fails the small set must be enlarged (CouplingFails).
     """
-    lam1 = c_in.lambda1
+    lam1, rho = _coupling_rate(c_in.lam, c_in.b, c_in.v_min_outside, c_in.big_k, c_in.beta_tilde)
     if lam1 >= 1.0:
         raise CouplingFails(
             f"lambda_1 = {lam1:.6g} >= 1; enlarge C until min V off C is big enough"
         )
-    return 1.0 / split_exponents(lam1, c_in.big_k, c_in.beta_tilde, NU_NONE)[2]
+    return rho

@@ -24,7 +24,6 @@ import numpy as np
 from .bounds import (
     _RADIUS_LO,
     NU_CONCENTRATED,
-    NU_NONE,
     NU_V_INTEGRAL,
     DriftMinorization,
     _r1_at_radius,
@@ -35,7 +34,7 @@ from .bounds import (
     rho_positive,
     split_exponents,
 )
-from .competitors import CouplingInput, coupling_rho
+from .competitors import CouplingInput, _coupling_rate, coupling_rho
 from .errors import InvalidParams, MonotoneViolation, TruncationTooSmall
 from .numerics import elementary, log_grid_array, std_normal_cdf
 
@@ -286,35 +285,36 @@ def mh_normal_lambda(x, s):
     return t1 + t2 + t3 + t4 + t5 + t6
 
 
-def _mh_beta_mt(d):
-    xp = elementary(d)
-    return _SQRT2 * xp.exp(-d * d) * (xp.cdf(_SQRT2 * d) - 0.5)
+def _mh_constants(d, s, nu_variant: str) -> tuple:
+    """(lambda, K, beta, beta_tilde, nu_info, k_tilde, b, min V off C) of the
+    tuning (d, s) under the chosen minorization measure.
 
-
-def _mh_beta_infimum(d):
+    b = PV(0) - lambda V(0) = lambda(0, s) - lambda and min V off C =
+    exp(sd) are the coupling constants. Float arguments are validated;
+    arrays (d on one axis, s on another, say) are evaluated unchecked, each
+    term only on the axes it depends on.
+    """
+    checked = not isinstance(d, np.ndarray)
+    if checked:
+        MetropolisNormal(d=d, s=s, nu_variant=nu_variant)  # validation
+    lam = mh_normal_lambda(d, s)
+    if checked and lam >= 1.0:
+        raise MonotoneViolation(f"lambda(d={d}, s={s}) = {lam:.6g} >= 1: no drift")
     xp = elementary(d)
+    v_min = xp.exp(s * d)
+    # 0.0 * s is a zero of the type and shape of s: lambda(0, s) once per s.
+    b = mh_normal_lambda(0.0 * s, s) - lam
+    if nu_variant == MT_MEASURE:
+        beta = _SQRT2 * xp.exp(-d * d) * (xp.cdf(_SQRT2 * d) - 0.5)
+        return lam, v_min * lam, beta, beta, NU_CONCENTRATED, None, b, v_min
     beta = 2.0 * (xp.cdf(2.0 * d) - xp.cdf(d))
     beta_tilde = beta + _SQRT2 * xp.exp(d * d / 4.0) * (1.0 - xp.cdf(3.0 * d / _SQRT2))
-    return beta, beta_tilde
-
-
-def _mh_k_tilde(d, s, beta, beta_tilde):
-    xp = elementary(d)
-    value = beta / beta_tilde + (_SQRT2 / beta_tilde) * xp.exp((d - s) ** 2 / 4.0) * (
+    k_tilde = beta / beta_tilde + (_SQRT2 / beta_tilde) * xp.exp((d - s) ** 2 / 4.0) * (
         1.0 - xp.cdf((3.0 * d - s) / _SQRT2)
     )
     # nu(C) + integral of V off C is >= 1 since V >= 1; for large d the two
     # terms land exactly on 1 and rounding may dip a few ulp below it.
-    return xp.maximum(value, 1.0)
-
-
-def _mh_minorization(d, s, nu_variant: str) -> tuple:
-    """(beta, beta_tilde, nu_info, k_tilde) of the chosen minorization measure."""
-    if nu_variant == MT_MEASURE:
-        beta = _mh_beta_mt(d)
-        return beta, beta, NU_CONCENTRATED, None
-    beta, beta_tilde = _mh_beta_infimum(d)
-    return beta, beta_tilde, NU_V_INTEGRAL, _mh_k_tilde(d, s, beta, beta_tilde)
+    return lam, v_min * lam, beta, beta_tilde, NU_V_INTEGRAL, xp.maximum(k_tilde, 1.0), b, v_min
 
 
 def mh_normal_params(d: float, s: float, nu_variant: str = MT_MEASURE) -> DriftMinorization:
@@ -326,14 +326,10 @@ def mh_normal_params(d: float, s: float, nu_variant: str = MT_MEASURE) -> DriftM
     alpha_2 = 1 applies) and the infimum of the transition densities over C
     (supported everywhere, with a V-integral bound k_tilde instead).
     """
-    spec = MetropolisNormal(d=d, s=s, nu_variant=nu_variant)  # validation
-    lam = mh_normal_lambda(d, s)
-    if lam >= 1.0:
-        raise MonotoneViolation(f"lambda(d={d}, s={s}) = {lam:.6g} >= 1: no drift")
-    beta, beta_tilde, nu_info, k_tilde = _mh_minorization(d, s, nu_variant)
+    lam, big_k, beta, beta_tilde, nu_info, k_tilde, _, _ = _mh_constants(d, s, nu_variant)
     return DriftMinorization(
         lam=lam,
-        big_k=math.exp(s * d) * lam,
+        big_k=big_k,
         beta=beta,
         beta_tilde=beta_tilde,
         atomic=False,
@@ -349,22 +345,8 @@ def mh_coupling_input(d: float, s: float, nu_variant: str = MT_MEASURE) -> Coupl
     exp(sd); beta_tilde comes from the same measure as the certificate rows
     it is compared against.
     """
-    MetropolisNormal(d=d, s=s, nu_variant=nu_variant)
-    lam = mh_normal_lambda(d, s)
-    if lam >= 1.0:
-        raise MonotoneViolation(f"lambda(d={d}, s={s}) = {lam:.6g} >= 1: no drift")
-    b = mh_normal_lambda(0.0, s) - lam
-    if nu_variant == MT_MEASURE:
-        beta_tilde = _mh_beta_mt(d)
-    else:
-        beta_tilde = _mh_beta_infimum(d)[1]
-    return CouplingInput(
-        lam=lam,
-        b=b,
-        v_min_outside=math.exp(s * d),
-        big_k=math.exp(s * d) * lam,
-        beta_tilde=beta_tilde,
-    )
+    lam, big_k, _, beta_tilde, _, _, b, v_min = _mh_constants(d, s, nu_variant)
+    return CouplingInput(lam=lam, b=b, v_min_outside=v_min, big_k=big_k, beta_tilde=beta_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +460,10 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # ---------------------------------------------------------------------------
 # tuning searches
 #
-# The Metropolis search evaluates its objectives on numpy arrays of (d, s),
-# through the same formulas as the scalar path: the Metropolis constants
-# above, and split_exponents, the radius scan of rho_general (log_grid_array,
-# then R1 at each radius), reversible_radius_array and big_l_array behind the
-# rates. Its thm1.1 objective scans 97 radii per tuning, where rho_general
+# The Metropolis search evaluates its objectives on a d axis and an s axis,
+# through the same formulas as the scalar path: _mh_constants, and
+# split_exponents, the radius scan of rho_general (log_grid_array, then R1 at
+# each radius), reversible_radius_array, big_l_array and the coupling rate. Its thm1.1 objective scans 97 radii per tuning, where rho_general
 # scans 512 and refines. It returns the array rho of the winning (d, s) as it
 # is. The contracting search takes each c's constants from the scalar map.
 # For thm1.1 it finds every c's rate in one call of general_radius_array,
@@ -512,23 +493,15 @@ def _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
     return np.where(np.isnan(r2), np.inf, 1.0 / r2)
 
 
-def _rho_coupling_np(lam, big_k, beta_tilde, b, v_min):
-    lam1 = lam + b / (1.0 + v_min)
-    bad = (lam1 >= 1.0) | (b <= 0.0)
-    lam1 = np.where(bad, 0.5, lam1)  # placeholder; masked below
-    rho = 1.0 / split_exponents(lam1, big_k, beta_tilde, NU_NONE)[2]
-    return np.where(bad, np.inf, rho)
-
-
 _MH_METHODS = ("thm1.1", "thm1.2", "thm1.3", "coupling")
 
 
 def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
-    dd, ss = np.meshgrid(np.asarray(d_grid), np.asarray(s_grid), indexing="ij")
-    lam = mh_normal_lambda(dd, ss)
-    big_k = np.exp(ss * dd) * lam
-    beta, beta_tilde, nu_info, k_tilde = _mh_minorization(dd, ss, nu_variant)
+    d, s = np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :]
+    lam, big_k, beta, beta_tilde, nu_info, k_tilde, b, v_min = _mh_constants(d, s, nu_variant)
     valid = (lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)
+    if method == "coupling":
+        valid &= b > 0.0
     lam = np.where(valid, lam, 0.5)
     big_k = np.where(valid, big_k, 2.0)
     beta = np.where(valid, beta, 0.1)
@@ -542,9 +515,8 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
     elif method == "thm1.3":
         rho = 1.0 / split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)[2]
     else:
-        b = mh_normal_lambda(np.zeros_like(dd), ss) - lam
-        rho = _rho_coupling_np(lam, big_k, beta_tilde, b, np.exp(ss * dd))
-    return np.where(valid, rho, np.inf), dd, ss
+        rho = _coupling_rate(lam, np.where(valid, b, 0.25), v_min, big_k, beta_tilde)[1]
+    return np.where(valid, rho, np.inf), *np.broadcast_arrays(d, s)
 
 
 def optimize_mh_tuning(
@@ -563,6 +535,8 @@ def optimize_mh_tuning(
     """
     if method not in _MH_METHODS:
         raise InvalidParams(f"method must be one of {sorted(_MH_METHODS)}")
+    if nu_variant not in (MT_MEASURE, INFIMUM_MEASURE):
+        raise InvalidParams(f"unknown nu_variant {nu_variant!r}")
     d_lo, d_hi = d_range
     s_lo, s_hi = s_range
     d_grid = np.append(np.arange(d_lo, d_hi, 0.05), d_hi)

@@ -1,6 +1,6 @@
 """Shared numerics: bracketed root finding, 1-D maximization, the standard
 normal distribution function, and the elementary functions that let one
-formula serve floats and numpy arrays.
+formula serve floats and numpy arrays. numpy is the only dependency.
 
 Everything is a pure function of its arguments. The solvers favour
 robustness over speed: every equation in this package is cheap, but some
@@ -19,7 +19,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import EmptyDomain, InvalidParams, NoConvergence, NoSignChange
 
@@ -321,20 +320,31 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+def _std_normal_cdf_array(x) -> np.ndarray:
+    # std_normal_cdf elementwise through math.erfc, so every element equals
+    # std_normal_cdf(float(x)) bit for bit; a 0-d x gives a numpy scalar.
+    y = -np.asarray(x, dtype=float) / _SQRT2
+    return 0.5 * np.fromiter(map(math.erfc, y.ravel().tolist()), float, y.size).reshape(y.shape)
+
+
 _FLOAT_FUNCTIONS = SimpleNamespace(
-    exp=math.exp, log=math.log, cdf=std_normal_cdf, minimum=min, maximum=max
+    exp=math.exp, log=math.log, cdf=std_normal_cdf, minimum=min, maximum=max,
+    where=lambda condition, x, y: x if condition else y,
 )
 _ARRAY_FUNCTIONS = SimpleNamespace(
-    exp=np.exp, log=np.log, cdf=ndtr, minimum=np.minimum, maximum=np.maximum
+    exp=np.exp, log=np.log, cdf=_std_normal_cdf_array, minimum=np.minimum, maximum=np.maximum,
+    where=np.where,
 )
 
 
 def elementary(x) -> SimpleNamespace:
-    """exp, log, cdf (Phi), minimum and maximum for arguments like x.
+    """exp, log, cdf (Phi), minimum, maximum and where for arguments like x.
 
-    numpy's functions and ``scipy.special.ndtr`` when x is a numpy array,
-    ``math``'s, ``std_normal_cdf`` and the builtins otherwise. A formula
-    that takes floats or arrays calls this once, on its first argument, so
-    float arguments go through exactly the float operations.
+    numpy's functions when x is a numpy array, ``math``'s, the builtins and
+    a conditional expression otherwise. cdf is ``std_normal_cdf`` for
+    floats and the same erfc formula elementwise for arrays, so both give
+    the same bits. A formula that takes floats or arrays calls this once,
+    on its first argument, so float arguments go through exactly the float
+    operations.
     """
     return _ARRAY_FUNCTIONS if isinstance(x, np.ndarray) else _FLOAT_FUNCTIONS

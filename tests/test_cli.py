@@ -48,6 +48,16 @@ def test_bound_validation_error_exits_2(capsys):
     assert "error" in err
 
 
+def test_bound_atomic_rejects_beta_tilde_below_one(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--lambda", "0.6", "--K", "2.5", "--beta", "0.25",
+        "--atomic", "--beta-tilde", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "beta_tilde = 1" in err
+
+
 def test_json_round_trip_bitwise(capsys):
     args = [
         "bound", "--lambda", "0.71153846153846154", "--K", "2.3125",
@@ -254,6 +264,17 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["rho"] - 0.897) <= 1e-3
+
+
+def test_cli_import_needs_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only package.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ergocert.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_closed_stdout_pipe_stops_quietly():

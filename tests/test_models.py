@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from ergocert import kendall, models
 from ergocert.bounds import rho_general, rho_positive, rho_reversible
+from ergocert.competitors import coupling_rho
 from ergocert.errors import (
     ErgoCertError,
     InvalidParams,
@@ -137,18 +138,23 @@ def test_mh_lambda_vectorised_matches_scalar():
 )
 @settings(max_examples=60, deadline=None)
 def test_mh_constants_agree_on_floats_and_arrays(points, nu_variant):
-    # The search domain of optimize_mh_tuning; math's erfc and scipy's ndtr
-    # differ by an ulp, which the 1 - Phi(3d/sqrt 2) tail of the infimum
-    # measure magnifies to ~1e-13 relative at d = 3.
+    # The search domain of optimize_mh_tuning. Both forms take the same Phi
+    # bits; np.exp and math.exp may still differ by an ulp. b = lambda(0, s)
+    # - lambda cancels, so it is held to the scale of lambda(0, s).
     d, s = (np.array(col) for col in zip(*points))
-    arrays = (mh_normal_lambda(d, s), *models._mh_minorization(d, s, nu_variant))
+    arrays = models._mh_constants(d, s, nu_variant)
     for i, (di, si) in enumerate(points):
-        floats = (mh_normal_lambda(di, si), *models._mh_minorization(di, si, nu_variant))
-        for got, want in zip(arrays, floats):
+        assert abs(arrays[0][i] - mh_normal_lambda(di, si)) <= 2e-15 * arrays[0][i]
+        try:  # the float form rejects s = 0 and lambda >= 1
+            floats = models._mh_constants(di, si, nu_variant)
+        except (InvalidParams, MonotoneViolation):
+            continue
+        for k, (got, want) in enumerate(zip(arrays, floats)):
             if want is None or isinstance(want, str):
                 assert got == want
             else:
-                assert abs(got[i] - want) <= 1e-13 * abs(want)
+                scale = floats[0] + want if k == 6 else abs(want)
+                assert abs(np.broadcast_to(got, d.shape)[i] - want) <= 2e-15 * scale
 
 
 def test_mh_params_mt_measure():
@@ -276,16 +282,26 @@ def test_truncation_too_small():
 def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
     d_grid = np.arange(0.5, 3.0 + 1e-12, 0.05)
     s_grid = np.arange(0.01, 1.5 + 1e-12, 0.05)
-    for method, rate in (("thm1.2", rho_reversible), ("thm1.3", rho_positive)):
+    rates = {
+        "thm1.2": lambda d, s: rho_reversible(mh_normal_params(d, s, nu_variant)).rho,
+        "thm1.3": lambda d, s: rho_positive(mh_normal_params(d, s, nu_variant)).rho,
+        "coupling": lambda d, s: coupling_rho(mh_coupling_input(d, s, nu_variant)),
+    }
+    for method, rate in rates.items():
         got, dd, ss = models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
         for (i, j), rho in np.ndenumerate(got):
             try:
-                want = rate(mh_normal_params(float(dd[i, j]), float(ss[i, j]), nu_variant)).rho
+                want = rate(float(dd[i, j]), float(ss[i, j]))
             except ErgoCertError:
                 want = math.inf
             assert math.isinf(rho) == math.isinf(want), (method, dd[i, j], ss[i, j])
             if math.isfinite(want):
                 assert abs(rho - want) <= 1e-12, (method, dd[i, j], ss[i, j])
+
+
+def test_optimize_mh_rejects_unknown_nu_variant():
+    with pytest.raises(InvalidParams, match="nu_variant"):
+        optimize_mh_tuning("thm1.3", nu_variant="bogus")
 
 
 def test_optimize_contracting_rejects_unknown_method():
@@ -382,8 +398,7 @@ def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
     # A radius whose R1 equation has no root (NaN) must not decide the rate;
     # a tuning with no root at any radius gets rho = inf, never the argmin.
     d, s = np.array([1.0, 1.2]), np.array([0.1, 0.1])
-    lam = mh_normal_lambda(d, s)
-    consts = (lam, np.exp(s * d) * lam, *models._mh_minorization(d, s, MT_MEASURE))
+    consts = models._mh_constants(d, s, MT_MEASURE)[:6]
     want = models._rho_general_np(*consts)
     real = kendall.solve_r1_array
 
@@ -405,8 +420,7 @@ def test_mh_general_objective_gives_no_rate_where_r0_leaves_no_window():
     with pytest.raises(InvalidParams):
         rho_general(mh_normal_params(1.0, 1e-12))
     d, s = np.array([1.0, 1.0]), np.array([1e-12, 0.1])
-    lam = mh_normal_lambda(d, s)
-    consts = (lam, np.exp(s * d) * lam, *models._mh_minorization(d, s, MT_MEASURE))
+    consts = models._mh_constants(d, s, MT_MEASURE)[:6]
     got = models._rho_general_np(*consts)
     assert got[0] == math.inf
     assert rho_general(mh_normal_params(1.0, 0.1)).rho <= got[1] < 1.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ergocert.errors import EmptyDomain, NoConvergence, NoSignChange, OutOfRange
 from ergocert.numerics import (
     Bracket,
+    elementary,
     log_grid,
     log_grid_array,
     maximize_scalar,
@@ -172,6 +173,24 @@ def test_cdf_at_zero():
 def test_cdf_against_high_precision_value():
     # mpmath.ncdf(1) to 30 digits: 0.841344746068542948585232545632
     assert abs(std_normal_cdf(1.0) - 0.8413447460685429) <= 1e-12
+
+
+def test_array_cdf_equals_float_cdf_bit_for_bit():
+    # Both tails (down to underflow and up to saturation), signed zeros and
+    # the centre, as 0-d, 1-d and 2-d arrays.
+    grid = np.concatenate(
+        [np.linspace(-40.0, 40.0, 4001), [-0.0, 0.0, -1e-300, 1e-300, -38.5, 8.3]]
+    )
+    cdf = elementary(grid).cdf
+    for x in (grid, grid.reshape(-1, 1), grid.reshape(1, -1)):
+        got = cdf(x)
+        assert got.shape == x.shape
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            std_normal_cdf(v).hex() for v in x.ravel().tolist()
+        ]
+    for v in (0.0, -0.0, -12.0, 3.5):
+        assert cdf(np.asarray(v)).hex() == std_normal_cdf(v).hex()
+        assert cdf(v).hex() == std_normal_cdf(v).hex()
 
 
 def test_cdf_symmetry():
