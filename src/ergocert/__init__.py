@@ -42,7 +42,7 @@ from .models import (
     reflecting_walk_rho_exact,
     walk_truncated_chain,
 )
-from .numerics import Bracket, maximize_scalar, solve_monotone, std_normal_cdf
+from .numerics import maximize_scalar, solve_monotone, std_normal_cdf
 from .verify import (
     IncrementDistribution,
     RenewalSequence,

@@ -30,7 +30,6 @@ from . import kendall
 from .errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
 from .kendall import KendallParams
 from .numerics import (
-    Bracket,
     elementary,
     log_grid_array,
     refine_max,
@@ -249,12 +248,17 @@ def _atomic_kendall_params(p: DriftMinorization) -> KendallParams:
 
 
 # The radius search of the nonatomic general rate: R1(beta, R, L(R)) at 512
-# log-spaced radii on [1 + 1e-9, R0 - 1e-9], then golden section between the
-# best point's neighbours. Arrays of constants are scanned this many rows at
-# a time, which bounds the solver's temporaries.
-_RADIUS_LO = 1.0 + 1e-9
+# log-spaced radii on the scan window, then golden section between the best
+# point's neighbours. Arrays of constants are scanned this many rows at a
+# time, which bounds the solver's temporaries.
 _SCAN_POINTS = 512
 _SCAN_BLOCK_ROWS = 32
+
+
+def _scan_window(r0) -> tuple:
+    # The radius window [1 + 1e-9, R0 - 1e-9] of every R1 scan over the
+    # envelope radius, on floats or arrays; it holds no radius where hi <= lo.
+    return 1.0 + 1e-9, r0 - 1e-9
 
 
 def _r1_at_radius(big_r, beta, beta_tilde, alpha1, alpha2) -> np.ndarray:
@@ -266,18 +270,18 @@ def _r1_at_radius(big_r, beta, beta_tilde, alpha1, alpha2) -> np.ndarray:
     return kendall.solve_r1_array(beta, big_r, ls)
 
 
-def _radius_scan(hi, beta, beta_tilde, alpha1, alpha2) -> tuple:
-    # The scan points on [_RADIUS_LO, hi] and their R1: one 1-d scan for
-    # floats, one row per element for 1-d hi with column constants.
-    grid = log_grid_array(_RADIUS_LO, hi, _SCAN_POINTS)
+def _radius_scan(lo, hi, beta, beta_tilde, alpha1, alpha2) -> tuple:
+    # The scan points on [lo, hi] and their R1: one 1-d scan for floats, one
+    # row per element for 1-d hi with column constants.
+    grid = log_grid_array(lo, hi, _SCAN_POINTS)
     return grid, _r1_at_radius(grid, beta, beta_tilde, alpha1, alpha2)
 
 
 def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents):
     # The array scan of one chain (floats give a 1-d scan), then the
     # golden-section refine on the scalar path.
-    hi = de.r0 - 1e-9
-    if hi <= _RADIUS_LO:
+    lo, hi = _scan_window(de.r0)
+    if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
     bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
 
@@ -285,13 +289,13 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents):
         big_l_val = _big_l_at(big_r, bt, a1, a2)
         return kendall.solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
 
-    grid, r1s = _radius_scan(hi, p.beta, bt, a1, a2)
+    grid, r1s = _radius_scan(lo, hi, p.beta, bt, a1, a2)
     xs = grid.tolist()
     # Where the array gives no root, the scalar path decides: it raises its
     # own error at the first point that really fails, in grid order.
     for i in np.flatnonzero(np.isnan(r1s)):
         r1s[i] = objective(xs[i])
-    return refine_max(objective, xs, r1s.tolist(), refine_tol=1e-10)
+    return refine_max(objective, xs, r1s.tolist())
 
 
 def general_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
@@ -307,8 +311,8 @@ def general_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
     beta, beta_tilde, alpha1, alpha2, r0 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (beta, beta_tilde, alpha1, alpha2, r0))
     )
-    hi = r0 - 1e-9
-    rows = np.flatnonzero(hi > _RADIUS_LO)
+    lo, hi = _scan_window(r0)
+    rows = np.flatnonzero(hi > lo)
     hi, consts = hi[rows], [c[rows] for c in (beta, beta_tilde, alpha1, alpha2)]
     # The refine reads only a row's first best point and its neighbours, so
     # each block keeps the three scan points from one before it (clipped to
@@ -319,13 +323,13 @@ def general_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
     vals = np.empty_like(xs)
     for start in range(0, rows.size, _SCAN_BLOCK_ROWS):
         block = slice(start, start + _SCAN_BLOCK_ROWS)
-        grid, r1s = _radius_scan(hi[block], *(c[block, None] for c in consts))
+        grid, r1s = _radius_scan(lo, hi[block], *(c[block, None] for c in consts))
         window = np.clip(np.argmax(r1s, axis=1) - 1, 0, _SCAN_POINTS - 3)[:, None] + np.arange(3)
         xs[block] = np.take_along_axis(grid, window, axis=1)
         vals[block] = np.take_along_axis(r1s, window, axis=1)
     r_tilde = np.full(r0.shape, np.nan)
     r1 = np.full(r0.shape, np.nan)
-    r_tilde[rows], r1[rows] = refine_max_array(_r1_at_radius, xs, vals, 1e-10, *consts)
+    r_tilde[rows], r1[rows] = refine_max_array(_r1_at_radius, xs, vals, *consts)
     return r_tilde, r1
 
 
@@ -385,22 +389,27 @@ def rho_reversible(p: DriftMinorization) -> RatePart:
     )
 
 
+def _r2_bracket(beta_tilde, alpha1, r0) -> tuple:
+    # (pole_limited, lo, hi) of the nonatomic R2 crossing, on floats or
+    # arrays: the pole limits R0 when (1 - beta_tilde) R0**alpha1 >=
+    # 1 - 1e-14, and hi is then R0 (1 - 1e-13), inside the pole, else R0;
+    # lo is the lower end of the Kendall radius bracket.
+    pole_limited = (1.0 - beta_tilde) * r0**alpha1 >= 1.0 - 1e-14
+    hi = elementary(pole_limited).where(pole_limited, r0 * (1.0 - 1e-13), r0)
+    return pole_limited, kendall._radius_bracket(r0)[0], hi
+
+
 def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> float:
     bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
-    pole_limited = (1.0 - bt) * de.r0**a1 >= 1.0 - 1e-14
-    if not pole_limited:
-        l_at_r0 = _big_l_at(de.r0, bt, a1, a2)
-        if l_at_r0 <= 1.0 + 2.0 * p.beta * de.r0:
-            return de.r0
-        hi = de.r0
-    else:
-        hi = de.r0 * (1.0 - 1e-13)
+    pole_limited, lo, hi = _r2_bracket(bt, a1, de.r0)
+    if not pole_limited and _big_l_at(de.r0, bt, a1, a2) <= 1.0 + 2.0 * p.beta * de.r0:
+        return de.r0
 
     def gap(r: float) -> float:
         return _big_l_at(r, bt, a1, a2) - 1.0 - 2.0 * p.beta * r
 
     # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0).
-    return solve_monotone(gap, 0.0, Bracket(1.0 + 1e-14, hi))
+    return solve_monotone(gap, 0.0, lo, hi)
 
 
 def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
@@ -408,20 +417,18 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
 
     Takes the branches of the scalar radius element by element: R0 when R0
     lies below the pole and L(R0) <= 1 + 2*beta*R0, otherwise the crossing
-    on [1 + 1e-14, hi] with hi = R0, or R0 * (1 - 1e-13) when the pole
-    limits R0. NaN where the crossing has no sign change on that bracket,
-    where the scalar radius raises.
+    on the same bracket. NaN where the crossing has no sign change on that
+    bracket, where the scalar radius raises.
     """
     with np.errstate(all="ignore"):
-        pole_limited = (1.0 - beta_tilde) * r0**alpha1 >= 1.0 - 1e-14
+        pole_limited, lo, hi = _r2_bracket(beta_tilde, alpha1, r0)
         l_at_r0 = big_l_array(r0, beta_tilde, alpha1, alpha2)
         at_r0 = ~pole_limited & (l_at_r0 <= 1.0 + 2.0 * beta * r0)
-        hi = np.where(pole_limited, r0 * (1.0 - 1e-13), r0)
 
     def gap(r, b, bt, a1, a2):
         return big_l_array(r, bt, a1, a2) - 1.0 - 2.0 * b * r
 
-    r2 = solve_increasing_array(gap, 1.0 + 1e-14, hi, beta, beta_tilde, alpha1, alpha2)
+    r2 = solve_increasing_array(gap, lo, hi, beta, beta_tilde, alpha1, alpha2)
     return np.where(at_r0, r0, r2)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, OutOfRange
-from .numerics import Bracket, solve_increasing_array, solve_monotone
+from .numerics import elementary, solve_increasing_array, solve_monotone
 
 __all__ = [
     "KendallParams",
@@ -74,6 +74,14 @@ class KendallParams:
         return (self.big_l - 1.0) / (self.big_r - 1.0)
 
 
+def _radius_bracket(big_r):
+    # The bracket (lo, hi) of every radius solve in (1, R), on floats or
+    # arrays: lo = 1 + 1e-14 and hi = R - max(1e-14, (R-1)*1e-13), both
+    # strictly inside the open interval. The nonatomic R2 solves of
+    # ``bounds`` take lo from here too.
+    return 1.0 + 1e-14, big_r - elementary(big_r).maximum(1e-14, (big_r - 1.0) * 1e-13)
+
+
 def _log_ratio(big_r: float, r: float) -> float:
     # log(R / r) computed as log1p((R - r) / r) to keep accuracy when both
     # sit within 1e-6 of each other (routine in the radius search).
@@ -92,31 +100,30 @@ def solve_r1(p: KendallParams) -> float:
         (r - 1) / (r * log(R/r)^2) = e^2 * beta / (8 N),   N = (L-1)/(R-1).
 
     The left side increases monotonically from 0 to infinity on (1, R), so
-    bisection is safe. If the root falls below the working bracket endpoint
-    1 + 1e-14 (possible for grid probes with R - 1 near 1e-9, where the root
-    is not representable in double precision) the endpoint is returned; such
-    values are never competitive in the radius searches that consume them.
+    bisection is safe. If the root falls below the lower end 1 + 1e-14 of
+    the radius bracket (possible for grid probes with R - 1 near 1e-9, where
+    the root is not representable in double precision) that end is returned;
+    such values are never competitive in the radius searches that consume
+    them.
     """
     target = _E2 * p.beta / (8.0 * p.n_ratio)
-    lo = 1.0 + 1e-14
-    hi = p.big_r - max(1e-14, (p.big_r - 1.0) * 1e-13)
+    lo, hi = _radius_bracket(p.big_r)
     if _r1_lhs(lo, p.big_r) >= target:
         return lo
-    return solve_monotone(lambda r: _r1_lhs(r, p.big_r), target, Bracket(lo, hi))
+    return solve_monotone(lambda r: _r1_lhs(r, p.big_r), target, lo, hi)
 
 
 def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     """``solve_r1`` for arrays of (beta, R, L), broadcast against each other.
 
-    Each element follows ``solve_r1`` step for step: the same bracket
-    [1 + 1e-14, R - max(1e-14, (R-1)*1e-13)], the same clamp to its lower
-    end, and ``solve_increasing_array``, the array twin of the bisection.
-    The inputs are not validated as ``KendallParams`` are: an element whose
-    equation has no sign change on its bracket, or that has no bracket,
-    comes back NaN (NaN inputs included), where ``solve_r1`` would raise.
-    Raises NoConvergence as ``solve_monotone`` does.
+    Each element follows ``solve_r1`` step for step: the same radius
+    bracket, the same clamp to its lower end, and ``solve_increasing_array``,
+    the array twin of the bisection. The inputs are not validated as
+    ``KendallParams`` are: an element whose equation has no sign change on
+    its bracket, or that has no bracket, comes back NaN (NaN inputs
+    included), where ``solve_r1`` would raise. Raises NoConvergence as
+    ``solve_monotone`` does.
     """
-    lo = 1.0 + 1e-14
 
     def gap(r, rr, target):
         return (r - 1.0) / (r * np.log1p((rr - r) / r) ** 2) - target
@@ -124,7 +131,7 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     with np.errstate(all="ignore"):
         target = _E2 * beta / (8.0 * ((big_l - 1.0) / (big_r - 1.0)))
         big_r, target = np.broadcast_arrays(np.asarray(big_r, dtype=float), target)
-        hi = big_r - np.maximum(1e-14, (big_r - 1.0) * 1e-13)
+        lo, hi = _radius_bracket(big_r)
         r1 = np.where(gap(lo, big_r, target) >= 0.0, lo, np.nan)
     # Only the elements not clamped go on to the bisection.
     rest = np.isnan(r1)
@@ -172,14 +179,14 @@ def solve_r2_reversible(p: KendallParams) -> float:
     def gap(r: float) -> float:
         return math.exp(exponent * math.log1p(r - 1.0)) - 1.0 - 2.0 * p.beta * r
 
-    hi = p.big_r - max(1e-14, (p.big_r - 1.0) * 1e-13)
+    lo, hi = _radius_bracket(p.big_r)
     if gap(hi) < 0.0:
         # L exceeds 1 + 2*beta*R only by rounding, so the crossing lies in
         # (hi, R]; hi is its lower, safe end.
         return hi
     # gap(1+) = -2*beta < 0 and gap(R) = L - (1 + 2*beta*R) > 0; the crossing
     # is unique by convexity, so bisection lands on it.
-    return solve_monotone(gap, 0.0, Bracket(1.0 + 1e-14, hi))
+    return solve_monotone(gap, 0.0, lo, hi)
 
 
 def k2_series_bound(r: float, r2: float, beta_tilde: float) -> float:

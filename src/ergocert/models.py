@@ -22,11 +22,11 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
-    _RADIUS_LO,
     NU_CONCENTRATED,
     NU_V_INTEGRAL,
     DriftMinorization,
     _r1_at_radius,
+    _scan_window,
     derived_exponents,
     general_radius_array,
     rate_part,
@@ -462,10 +462,11 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 #
 # The Metropolis search evaluates its objectives on a d axis and an s axis,
 # through the same formulas as the scalar path: _mh_constants, and
-# split_exponents, the radius scan of rho_general (log_grid_array, then R1 at
-# each radius), reversible_radius_array, big_l_array and the coupling rate. Its thm1.1 objective scans 97 radii per tuning, where rho_general
-# scans 512 and refines. It returns the array rho of the winning (d, s) as it
-# is. The contracting search takes each c's constants from the scalar map.
+# split_exponents, the radius scan of rho_general (log_grid_array on its scan
+# window, then R1 at each radius), reversible_radius_array, big_l_array and
+# the coupling rate. Its thm1.1 objective scans 97 radii per tuning, where
+# rho_general scans 512 and refines. It returns the array rho of the winning
+# (d, s) as it is. The contracting search takes each c's constants from the scalar map.
 # For thm1.1 it finds every c's rate in one call of general_radius_array,
 # which equals rho_general bit for bit where it is finite, and calls
 # method_rho where it is NaN; the other methods call method_rho at every c.
@@ -476,9 +477,9 @@ def _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
     a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
     # Where R0 leaves no radius window (rho_general raises) a placeholder
     # window is scanned and its rate dropped.
-    hi = r0 - 1e-9
-    usable = hi > _RADIUS_LO
-    radii = log_grid_array(_RADIUS_LO, np.where(usable, hi, 2.0), 97)
+    lo, hi = _scan_window(r0)
+    usable = hi > lo
+    radii = log_grid_array(lo, np.where(usable, hi, 2.0), 97)
     r1 = _r1_at_radius(radii, *(np.asarray(c)[..., None] for c in (beta, beta_tilde, a1, a2)))
     # A radius beyond the pole or whose R1 equation has no root (NaN) gives
     # no rate; a tuning with no rate at any radius gets rho = inf, which
@@ -544,8 +545,12 @@ def optimize_mh_tuning(
     best_d = best_s = None
     for step in (0.05, 0.01, 0.002):
         if best_d is not None:
-            d_grid = np.clip(np.arange(best_d - 6 * step, best_d + 6 * step + 1e-12, step), d_lo, d_hi)
-            s_grid = np.clip(np.arange(best_s - 6 * step, best_s + 6 * step + 1e-12, step), s_lo, s_hi)
+            # Clipping repeats a range end; np.unique keeps one copy, in
+            # ascending order, so the argmin picks the same (d, s).
+            d_grid, s_grid = (
+                np.unique(np.clip(np.arange(b - 6 * step, b + 6 * step + 1e-12, step), lo, hi))
+                for b, lo, hi in ((best_d, d_lo, d_hi), (best_s, s_lo, s_hi))
+            )
         rho, dd, ss = _mh_rho_grid(d_grid, s_grid, method, nu_variant)
         flat = int(np.argmin(rho))
         best_d = float(dd.ravel()[flat])

@@ -5,16 +5,20 @@ formula serve floats and numpy arrays. numpy is the only dependency.
 Everything is a pure function of its arguments. The solvers favour
 robustness over speed: every equation in this package is cheap, but some
 are badly scaled (roots within 1e-7 of a bracket endpoint), which is where
-plain bisection with explicit tolerances is hard to beat. ``solve_monotone``
-solves one scalar equation; ``solve_increasing_array`` solves a whole array
-of them with the same steps and stopping rule. Likewise ``refine_max``
-refines one scan by golden section and ``refine_max_array`` a scan per row.
+plain bisection is hard to beat. ``solve_monotone`` solves one scalar
+equation; ``solve_increasing_array`` solves a whole array of them with the
+same steps. Likewise ``refine_max`` refines one scan by golden section and
+``refine_max_array`` a scan per row.
+
+Every solver stops on one fixed rule, the module constants below: a
+bisection at bracket width ``_TOL_ABS`` and residual ``_TOL_RESIDUAL``
+within ``_MAX_ITER`` steps, a golden section at width ``_REFINE_TOL``. No
+caller sets them, so a change to the rule is made here, once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -23,10 +27,8 @@ import numpy as np
 from .errors import EmptyDomain, InvalidParams, NoConvergence, NoSignChange
 
 __all__ = [
-    "Bracket",
     "solve_monotone",
     "solve_increasing_array",
-    "log_grid",
     "log_grid_array",
     "refine_max",
     "refine_max_array",
@@ -42,42 +44,22 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TOL_ABS = 1e-12
 _TOL_RESIDUAL = 1e-10
 _MAX_ITER = 256
+# Stopping width of every golden-section refine.
+_REFINE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Search interval [lo, hi] with an absolute width tolerance."""
-
-    lo: float
-    hi: float
-    tol_abs: float = _TOL_ABS
-    max_iter: int = _MAX_ITER
-
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise InvalidParams(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
-        if not (self.tol_abs > 0.0):
-            raise InvalidParams("tol_abs must be positive")
-        if self.max_iter < 1:
-            raise InvalidParams("max_iter must be >= 1")
-
-
-def solve_monotone(
-    f: Callable[[float], float],
-    target: float,
-    bracket: Bracket,
-    tol_residual: float = _TOL_RESIDUAL,
-) -> float:
+def solve_monotone(f: Callable[[float], float], target: float, lo: float, hi: float) -> float:
     """Solve f(x) = target for continuous, strictly monotone f on [lo, hi].
 
     Bisection, so each step is unconditionally safe. Stops once the bracket
-    is narrower than ``tol_abs`` and the residual |f(x) - target| is below
-    ``tol_residual``, or once the bracket collapses to adjacent floats
+    is narrower than ``_TOL_ABS`` and the residual |f(x) - target| is below
+    ``_TOL_RESIDUAL``, or once the bracket collapses to adjacent floats
     (the midpoint then is the root to working precision). Raises
-    NoConvergence when the iteration budget runs out first. Deterministic
-    for fixed inputs.
+    InvalidParams unless lo < hi, and NoConvergence when the budget of
+    ``_MAX_ITER`` steps runs out first. Deterministic for fixed inputs.
     """
-    lo, hi = bracket.lo, bracket.hi
+    if not (lo < hi):
+        raise InvalidParams(f"bracket needs lo < hi, got [{lo}, {hi}]")
     flo = f(lo) - target
     if flo == 0.0:
         return lo
@@ -90,23 +72,23 @@ def solve_monotone(
             f"f(lo)-t={flo:.3g}, f(hi)-t={fhi:.3g}"
         )
     increasing = flo < 0.0
-    for _ in range(bracket.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
-            # Bracket collapsed to adjacent floats: mid is the root to
+            # The bracket collapsed to adjacent floats: mid is the root to
             # working precision, whatever the residual looks like there
             # (badly scaled equations can have slopes near 1/eps).
             return mid
         fm = f(mid) - target
         if fm == 0.0:
             return mid
-        if hi - lo <= bracket.tol_abs and abs(fm) <= tol_residual:
+        if hi - lo <= _TOL_ABS and abs(fm) <= _TOL_RESIDUAL:
             return mid
         if (fm < 0.0) == increasing:
             lo = mid
         else:
             hi = mid
-    raise NoConvergence(f"no convergence after {bracket.max_iter} bisection steps")
+    raise NoConvergence(f"no convergence after {_MAX_ITER} bisection steps")
 
 
 def solve_increasing_array(f: Callable, lo, hi, *args) -> np.ndarray:
@@ -114,13 +96,13 @@ def solve_increasing_array(f: Callable, lo, hi, *args) -> np.ndarray:
     solves f(x, args[0][i], args[1][i], ...) = 0 on [lo[i], hi[i]].
 
     lo, hi and args broadcast against each other; f takes and returns 1-d
-    arrays. Each element takes the steps of ``solve_monotone`` with the
-    default bracket and residual tolerances: an exact root at either end is
-    returned as it is, and bisection stops on the same rule. All elements
-    bisect together and finished ones drop out. Where f(lo) < 0 < f(hi)
-    does not hold (no sign change, NaN values, or lo >= hi) the element
-    comes back NaN, where ``solve_monotone`` would raise. Raises
-    NoConvergence if an element is still open after the step budget.
+    arrays. Each element takes the steps of ``solve_monotone``: an exact
+    root at either end is returned as it is, and bisection stops on the
+    same rule. All elements bisect together and finished ones drop out.
+    Where f(lo) < 0 < f(hi) does not hold (no sign change, NaN values, or
+    lo >= hi) the element comes back NaN, where ``solve_monotone`` would
+    raise. Raises NoConvergence if an element is still open after the step
+    budget.
     """
     lo, hi, *args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *args)))
     shape = lo.shape
@@ -175,21 +157,15 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def log_grid(lo: float, hi: float, grid_points: int = 512) -> list[float]:
+def log_grid_array(lo, hi, grid_points: int = 512) -> np.ndarray:
     """The scan points of ``maximize_scalar`` on [lo, hi], in increasing order.
 
     The first point is ``lo`` and the last ``hi``; the offsets in between are
     geometric, down to 1e-9 of the interval width, so the points crowd
-    towards ``lo``.
-    """
-    return log_grid_array(lo, hi, grid_points).tolist()
-
-
-def log_grid_array(lo, hi, grid_points: int = 512) -> np.ndarray:
-    """``log_grid`` for arrays of intervals: lo and hi broadcast against each
-    other, and the result has their shape plus a last axis of
-    ``grid_points`` scan points, so row i of 1-d inputs is the grid on
-    [lo[i], hi[i]]. Each point is lo + (hi - lo) * offset, the last one hi.
+    towards ``lo``. lo and hi broadcast against each other, and the result
+    has their shape plus a last axis of ``grid_points`` scan points, so row
+    i of 1-d inputs is the grid on [lo[i], hi[i]]. Each point is
+    lo + (hi - lo) * offset, the last one hi.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if not (hi > lo).all():
@@ -207,10 +183,7 @@ def log_grid_array(lo, hi, grid_points: int = 512) -> np.ndarray:
 
 
 def refine_max(
-    f: Callable[[float], float],
-    xs: list[float],
-    vals: list[float],
-    refine_tol: float = 1e-10,
+    f: Callable[[float], float], xs: list[float], vals: list[float]
 ) -> tuple[float, float]:
     """Best of the scan values ``vals = [f(x) for x in xs]``, refined by
     golden-section search on f between the winning point's neighbours.
@@ -223,13 +196,13 @@ def refine_max(
     b = xs[min(i_best + 1, len(xs) - 1)]
     x_best, v_best = xs[i_best], vals[i_best]
     if b > a:
-        x_ref, v_ref = _golden_max(f, a, b, refine_tol)
+        x_ref, v_ref = _golden_max(f, a, b, _REFINE_TOL)
         if v_ref > v_best:
             x_best, v_best = x_ref, v_ref
     return x_best, v_best
 
 
-def refine_max_array(f: Callable, xs, vals, refine_tol: float, *args) -> tuple:
+def refine_max_array(f: Callable, xs, vals, *args) -> tuple:
     """``refine_max`` for rows: row i refines the scan ``vals[i]`` of
     f(x, args[0][i], args[1][i], ...) at the points ``xs[i]``.
 
@@ -258,7 +231,7 @@ def refine_max_array(f: Callable, xs, vals, refine_tol: float, *args) -> tuple:
     f1, f2 = f(x1, *args), f(x2, *args)
     while idx.size:
         bad = np.isnan(f1) | np.isnan(f2)
-        done = bad | ~(b - a > refine_tol)
+        done = bad | ~(b - a > _REFINE_TOL)
         if done.any():
             failed[idx[bad]] = True
             fin = done & ~bad
@@ -289,16 +262,10 @@ def refine_max_array(f: Callable, xs, vals, refine_tol: float, *args) -> tuple:
     return x_best, v_best
 
 
-def maximize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid_points: int = 512,
-    refine_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Maximize f on [lo, hi]: log-spaced grid scan, then golden-section.
+def maximize_scalar(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Maximize f on [lo, hi]: 512-point log-spaced scan, then golden-section.
 
-    The grid (``log_grid``) concentrates points near ``lo`` because the
+    The grid (``log_grid_array``) concentrates points near ``lo`` because the
     objectives fed to this routine typically live on intervals whose left
     end sits against a pole at 1. Unimodality is not assumed; the scan
     guards against local maxima and the golden-section pass (``refine_max``)
@@ -306,8 +273,8 @@ def maximize_scalar(
 
     Returns (argmax, value) with value >= every grid evaluation.
     """
-    xs = log_grid(lo, hi, grid_points)
-    return refine_max(f, xs, [f(x) for x in xs], refine_tol)
+    xs = log_grid_array(lo, hi).tolist()
+    return refine_max(f, xs, [f(x) for x in xs])
 
 
 def std_normal_cdf(x: float) -> float:

@@ -216,11 +216,11 @@ _RENEWAL_TERMS = 1200
 # Rows per slice of the series sup. The 200-case suite in one slice raises
 # peak RSS by about 4.2 MB; in 32-row slices by about 0.4 MB.
 _SUP_ROWS = 32
+# Equally spaced angles at which the series sup samples each circle.
+_SUP_ANGLES = 64
 
 
-def _series_sup_on_circle(
-    deviations: np.ndarray, r: np.ndarray, cutoff: np.ndarray, n_angles: int = 64
-) -> np.ndarray:
+def _series_sup_on_circle(deviations: np.ndarray, r: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
     """Per row i, max over sampled |z| = r_i of |sum_{n<=cutoff_i} deviations[i, n] z^n|
     (plus z = +-r_i).
 
@@ -228,7 +228,7 @@ def _series_sup_on_circle(
     _SUP_ROWS, each only as far as its longest cutoff.
     """
     n = np.arange(int(cutoff.max()) + 1)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, _SUP_ANGLES, endpoint=False)
     phases = np.exp(1j * np.outer(n, angles))
     signs = np.power(-1.0, n)
     sup = np.empty(r.size)
@@ -474,21 +474,21 @@ def walk_empirical_rate(tc: TruncatedChain, x: int, n_lo: int, n_hi: int) -> flo
     return float((dist[n_hi] / dist[n_lo]) ** (1.0 / (n_hi - n_lo)))
 
 
-def choose_truncation(
-    spec: ReflectingWalk,
-    x_max: int,
-    n_max: int,
-    start: int = 64,
-    max_states: int = 4096,
-) -> TruncatedChain:
+# choose_truncation starts at this many states (or x_max + 2, if more) and
+# gives up past twice _TRUNCATION_MAX_STATES.
+_TRUNCATION_START = 64
+_TRUNCATION_MAX_STATES = 4096
+
+
+def choose_truncation(spec: ReflectingWalk, x_max: int, n_max: int) -> TruncatedChain:
     """Smallest power-of-two truncation whose tail and top-row influence are
     negligible: stationary tail below 1e-12 and doubling the state count
     moves the probed distances by less than one part in 1e-9. Each size is
     built once and compared with the size below it."""
-    size = max(start, x_max + 2)
+    size = max(_TRUNCATION_START, x_max + 2)
     probes = [k for k in (25, 50, 100, n_max) if k <= n_max]
     coarse = None
-    while size <= 2 * max_states:
+    while size <= 2 * _TRUNCATION_MAX_STATES:
         try:
             tc = walk_truncated_chain(spec, size)
         except TruncationTooSmall:
@@ -501,7 +501,7 @@ def choose_truncation(
             return tc
         coarse = fine
         size *= 2
-    raise TruncationTooSmall(f"no stable truncation below {max_states} states")
+    raise TruncationTooSmall(f"no stable truncation below {_TRUNCATION_MAX_STATES} states")
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +578,12 @@ def mc_regeneration(
 # ---------------------------------------------------------------------------
 
 
-def run_matrix_suite(x_max: int = 30, n_max: int = 200) -> SuiteReport:
+# Start states x <= _MATRIX_X_MAX and steps n <= _MATRIX_N_MAX of the matrix suite.
+_MATRIX_X_MAX = 30
+_MATRIX_N_MAX = 200
+
+
+def run_matrix_suite() -> SuiteReport:
     """Domination and exact-rate checks on the walk benchmarks.
 
     The standard-boundary walks are stochastically monotone, so all three
@@ -597,10 +602,10 @@ def run_matrix_suite(x_max: int = 30, n_max: int = 200) -> SuiteReport:
     ]
     truncations, tables, certs = {}, {}, {}
     for spec, symmetries in cases:
-        tc = truncations[spec] = choose_truncation(spec, x_max, n_max)
+        tc = truncations[spec] = choose_truncation(spec, _MATRIX_X_MAX, _MATRIX_N_MAX)
         if not symmetries:
             continue
-        dist = tables[spec] = _distance_table(tc, x_max, n_max)
+        dist = tables[spec] = _distance_table(tc, _MATRIX_X_MAX, _MATRIX_N_MAX)
         label = f"p{spec.p:.4g}" + ("" if spec.epsilon is None else f"-eps{spec.epsilon}")
         params = reflecting_walk_params(spec)
         for symmetry in symmetries:

@@ -11,6 +11,7 @@ from ergocert.bounds import (
     NU_V_INTEGRAL,
     DriftMinorization,
     _big_l_at,
+    _r2_bracket,
     big_l,
     big_l_array,
     certificate,
@@ -23,6 +24,7 @@ from ergocert.bounds import (
     m_reversible,
     prop41_bounds,
     prop44_bounds,
+    reversible_radius_array,
     rho_general,
     rho_positive,
     rho_reversible,
@@ -30,7 +32,13 @@ from ergocert.bounds import (
     _m_atomic_gamma,
     _m_nonatomic_gamma,
 )
-from ergocert.errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
+from ergocert.errors import (
+    GammaOutOfRange,
+    InvalidParams,
+    NoSignChange,
+    NotReversible,
+    OutOfRange,
+)
 from ergocert.kendall import k2_series_bound
 from ergocert.models import (
     ContractingNormal,
@@ -374,7 +382,7 @@ def _old_general_search(p):
         big_l_val = bounds._big_l_at(big_r, p.beta_tilde, de.alpha1, de.alpha2)
         return solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
 
-    return maximize_scalar(objective, 1.0 + 1e-9, de.r0 - 1e-9, grid_points=512, refine_tol=1e-10)
+    return maximize_scalar(objective, 1.0 + 1e-9, de.r0 - 1e-9)
 
 
 def _nonatomic_inputs(n_each, seed):
@@ -462,6 +470,44 @@ def test_radius_array_matches_scalar_search_property(rows, nu_info):
             continue
     if ps:
         _assert_radius_array_matches_scalar(ps)
+
+
+def _reversible_radius_array_of(ps):
+    des = [derived_exponents(p) for p in ps]
+    return reversible_radius_array(
+        np.array([p.beta for p in ps]), np.array([p.beta_tilde for p in ps]),
+        np.array([de.alpha1 for de in des]), np.array([de.alpha2 for de in des]),
+        np.array([de.r0 for de in des]),
+    )
+
+
+def test_reversible_radius_array_matches_scalar_r2():
+    # Both bracket ends (the envelope pole limits R0 or it does not); where
+    # the scalar raises NoSignChange the array must give NaN.
+    ps = _nonatomic_inputs(400, seed=22)
+    r2 = _reversible_radius_array_of(ps)
+    pole_limited = 0
+    for p, got in zip(ps, r2.tolist()):
+        de = derived_exponents(p)
+        pole_limited += bool(_r2_bracket(p.beta_tilde, de.alpha1, de.r0)[0])
+        try:
+            want = rho_reversible(p).diagnostics["R2"]
+        except NoSignChange:
+            assert math.isnan(got), p
+            continue
+        assert got == want, p
+    assert 0 < pole_limited < len(ps)
+    assert np.isfinite(r2).sum() >= len(ps) // 2
+
+
+def test_reversible_radius_array_takes_r0_below_the_pole():
+    # R0 = 1/lambda = 2 lies below the pole and L(R0) <= 1 + 2 beta R0, so
+    # both forms give R2 = R0 without a solve.
+    p = DriftMinorization(lam=0.5, big_k=1.0, beta=0.98, beta_tilde=0.98, atomic=False,
+                          nu_info=NU_CONCENTRATED)
+    want = rho_reversible(p).diagnostics["R2"]
+    assert want == derived_exponents(p).r0 == 2.0
+    assert _reversible_radius_array_of([p]).tolist() == [want]
 
 
 def test_radius_array_is_nan_where_scalar_search_decides(monkeypatch):

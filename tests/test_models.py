@@ -432,3 +432,21 @@ def test_mh_tuning_coarse_grid_reaches_the_top_of_a_short_range():
     result = optimize_mh_tuning("thm1.1", s_range=(1e-9, 0.01))
     assert result["s"] == 0.01
     assert 1.0 - 1e-7 < result["rho"] < 1.0
+
+
+def test_mh_tuning_grids_hold_each_value_once(monkeypatch):
+    # Near a range end the 13-point refinement grids clip to the end; each
+    # clipped value is evaluated once, and the grids stay ascending.
+    grids = []
+    rho_grid = models._mh_rho_grid
+
+    def spy(d_grid, s_grid, method, nu_variant):
+        grids.append((np.asarray(d_grid), np.asarray(s_grid)))
+        return rho_grid(d_grid, s_grid, method, nu_variant)
+
+    monkeypatch.setattr(models, "_mh_rho_grid", spy)
+    optimize_mh_tuning("thm1.1", s_range=(1e-9, 0.01))
+    assert len(grids) == 3
+    for grid in (g for pair in grids for g in pair):
+        assert (np.diff(grid) > 0.0).all(), grid
+    assert len(grids[1][1]) < 13
