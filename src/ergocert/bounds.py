@@ -29,14 +29,7 @@ import numpy as np
 from . import kendall
 from .errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
 from .kendall import KendallParams
-from .numerics import (
-    elementary,
-    log_grid_array,
-    refine_max,
-    refine_max_array,
-    solve_increasing_array,
-    solve_monotone,
-)
+from .numerics import elementary, maximize_scalar, solve_increasing_array, solve_monotone
 
 __all__ = [
     "DriftMinorization",
@@ -48,7 +41,6 @@ __all__ = [
     "big_l",
     "big_l_array",
     "reversible_radius_array",
-    "general_radius_array",
     "rate_part",
     "rho_general",
     "m_general",
@@ -247,16 +239,15 @@ def _atomic_kendall_params(p: DriftMinorization) -> KendallParams:
     return KendallParams(beta=p.beta, big_r=p.lam_inv, big_l=p.lam_inv * p.big_k)
 
 
-# The radius search of the nonatomic general rate: R1(beta, R, L(R)) at 512
-# log-spaced radii on the scan window, then golden section between the best
-# point's neighbours. Arrays of constants are scanned this many rows at a
-# time, which bounds the solver's temporaries.
-_SCAN_POINTS = 512
-_SCAN_BLOCK_ROWS = 32
+def _rate(lam, radius):
+    # The rate rho = 1/radius of a certified radius, on floats or arrays.
+    # Every radius here is at most 1/lambda, so rho >= lambda holds exactly;
+    # taking the larger of the two keeps it through the rounding of 1/radius.
+    return elementary(radius).maximum(lam, 1.0 / radius)
 
 
 def _scan_window(r0) -> tuple:
-    # The radius window [1 + 1e-9, R0 - 1e-9] of every R1 scan over the
+    # The radius window [1 + 1e-9, R0 - 1e-9] of every R1 search over the
     # envelope radius, on floats or arrays; it holds no radius where hi <= lo.
     return 1.0 + 1e-9, r0 - 1e-9
 
@@ -270,67 +261,28 @@ def _r1_at_radius(big_r, beta, beta_tilde, alpha1, alpha2) -> np.ndarray:
     return kendall.solve_r1_array(beta, big_r, ls)
 
 
-def _radius_scan(lo, hi, beta, beta_tilde, alpha1, alpha2) -> tuple:
-    # The scan points on [lo, hi] and their R1: one 1-d scan for floats, one
-    # row per element for 1-d hi with column constants.
-    grid = log_grid_array(lo, hi, _SCAN_POINTS)
-    return grid, _r1_at_radius(grid, beta, beta_tilde, alpha1, alpha2)
-
-
-def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents):
-    # The array scan of one chain (floats give a 1-d scan), then the
-    # golden-section refine on the scalar path.
+def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tuple:
+    # (R_tilde, R1): R1(beta, R, L(R)) maximized over the scan window, as
+    # log(R1 - 1) in u = log(R - 1), where R1 keeps the relative accuracy
+    # that a float next to 1 loses and the radii near 1 are spread out. The
+    # window ends map to their radii exactly, so a maximum at the right edge
+    # gives R_tilde = R0 - 1e-9. R1 = 1 + e^t is solve_r1 at R_tilde.
     lo, hi = _scan_window(de.r0)
     if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
+    u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
     bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
 
-    def objective(big_r: float) -> float:
+    def radius(u: float) -> float:
+        return hi if u == u_hi else lo if u == u_lo else 1.0 + math.exp(u)
+
+    def objective(u: float) -> float:
+        big_r = radius(u)
         big_l_val = _big_l_at(big_r, bt, a1, a2)
-        return kendall.solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
+        return kendall._r1_log_eps(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
 
-    grid, r1s = _radius_scan(lo, hi, p.beta, bt, a1, a2)
-    xs = grid.tolist()
-    # Where the array gives no root, the scalar path decides: it raises its
-    # own error at the first point that really fails, in grid order.
-    for i in np.flatnonzero(np.isnan(r1s)):
-        r1s[i] = objective(xs[i])
-    return refine_max(objective, xs, r1s.tolist())
-
-
-def general_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
-    """The nonatomic (R_tilde, R1) of ``rho_general`` on arrays of constants.
-
-    Inputs are 1-d arrays (or floats), broadcast against each other. Each
-    element scans the 512 radii of the scalar search and refines the best
-    with ``refine_max_array``, through the same points, steps and picks, so a
-    finite element equals ``rho_general``'s R_tilde and R1 bit for bit. NaN
-    wherever the scalar search would have to decide: R0 too close to 1, a
-    scan point or a golden-section point without an R1.
-    """
-    beta, beta_tilde, alpha1, alpha2, r0 = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (beta, beta_tilde, alpha1, alpha2, r0))
-    )
-    lo, hi = _scan_window(r0)
-    rows = np.flatnonzero(hi > lo)
-    hi, consts = hi[rows], [c[rows] for c in (beta, beta_tilde, alpha1, alpha2)]
-    # The refine reads only a row's first best point and its neighbours, so
-    # each block keeps the three scan points from one before it (clipped to
-    # the grid): the first best of those is the same point, with the same
-    # bracket. np.argmax takes a row's first NaN as its best, so a scan
-    # with a NaN keeps one.
-    xs = np.empty((rows.size, 3))
-    vals = np.empty_like(xs)
-    for start in range(0, rows.size, _SCAN_BLOCK_ROWS):
-        block = slice(start, start + _SCAN_BLOCK_ROWS)
-        grid, r1s = _radius_scan(lo, hi[block], *(c[block, None] for c in consts))
-        window = np.clip(np.argmax(r1s, axis=1) - 1, 0, _SCAN_POINTS - 3)[:, None] + np.arange(3)
-        xs[block] = np.take_along_axis(grid, window, axis=1)
-        vals[block] = np.take_along_axis(r1s, window, axis=1)
-    r_tilde = np.full(r0.shape, np.nan)
-    r1 = np.full(r0.shape, np.nan)
-    r_tilde[rows], r1[rows] = refine_max_array(_r1_at_radius, xs, vals, *consts)
-    return r_tilde, r1
+    u, t = maximize_scalar(objective, u_lo, u_hi)
+    return radius(u), 1.0 + math.exp(t)
 
 
 def rho_general(p: DriftMinorization) -> RatePart:
@@ -338,20 +290,21 @@ def rho_general(p: DriftMinorization) -> RatePart:
 
     Atomic: rho = 1/R1(beta, 1/lambda, K/lambda). Nonatomic: the envelope
     radius R is tuned over (1, R0) to maximize R1(beta, R, L(R)), and
-    rho = 1/R1 at the winner. Always rho > lambda because R1 < R <= 1/lambda.
+    rho = 1/R1 at the winner. Always rho >= lambda because R1 < R <= 1/lambda
+    (``_rate`` keeps it so through rounding).
     """
     if p.atomic:
         kp = _atomic_kendall_params(p)
         r1 = kendall.solve_r1(kp)
         return RatePart(
-            rho=1.0 / r1,
+            rho=_rate(p.lam, r1),
             symmetry="general",
             diagnostics={"R": kp.big_r, "L": kp.big_l, "R1": r1},
         )
     de = derived_exponents(p)
     r_tilde, r1 = _general_nonatomic_search(p, de)
     return RatePart(
-        rho=1.0 / r1,
+        rho=_rate(p.lam, r1),
         symmetry="general",
         diagnostics={
             "alpha1": de.alpha1,
@@ -376,14 +329,14 @@ def rho_reversible(p: DriftMinorization) -> RatePart:
         kp = _atomic_kendall_params(p)
         r2 = kendall.solve_r2_reversible(kp)
         return RatePart(
-            rho=1.0 / r2,
+            rho=_rate(p.lam, r2),
             symmetry="reversible",
             diagnostics={"R": kp.big_r, "L": kp.big_l, "R2": r2},
         )
     de = derived_exponents(p)
     r2 = _reversible_nonatomic_radius(p, de)
     return RatePart(
-        rho=1.0 / r2,
+        rho=_rate(p.lam, r2),
         symmetry="reversible",
         diagnostics={"alpha1": de.alpha1, "alpha2": de.alpha2, "R0": de.r0, "R2": r2},
     )
@@ -405,8 +358,11 @@ def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> 
     if not pole_limited and _big_l_at(de.r0, bt, a1, a2) <= 1.0 + 2.0 * p.beta * de.r0:
         return de.r0
 
+    # The crossing in log form, log L(r) = log(1 + 2*beta*r): near the pole
+    # L(r) grows like 1/(hi - r), which stalls regula falsi steps, and its
+    # log only like log(1/(hi - r)).
     def gap(r: float) -> float:
-        return _big_l_at(r, bt, a1, a2) - 1.0 - 2.0 * p.beta * r
+        return math.log(_big_l_at(r, bt, a1, a2)) - math.log1p(2.0 * p.beta * r)
 
     # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0).
     return solve_monotone(gap, 0.0, lo, hi)
@@ -417,8 +373,8 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
 
     Takes the branches of the scalar radius element by element: R0 when R0
     lies below the pole and L(R0) <= 1 + 2*beta*R0, otherwise the crossing
-    on the same bracket. NaN where the crossing has no sign change on that
-    bracket, where the scalar radius raises.
+    on the same bracket, in the same log form. NaN where the crossing has no
+    sign change on that bracket, where the scalar radius raises.
     """
     with np.errstate(all="ignore"):
         pole_limited, lo, hi = _r2_bracket(beta_tilde, alpha1, r0)
@@ -426,7 +382,7 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
         at_r0 = ~pole_limited & (l_at_r0 <= 1.0 + 2.0 * beta * r0)
 
     def gap(r, b, bt, a1, a2):
-        return big_l_array(r, bt, a1, a2) - 1.0 - 2.0 * b * r
+        return np.log(big_l_array(r, bt, a1, a2)) - np.log1p(2.0 * b * r)
 
     r2 = solve_increasing_array(gap, lo, hi, beta, beta_tilde, alpha1, alpha2)
     return np.where(at_r0, r0, r2)
@@ -438,7 +394,7 @@ def rho_positive(p: DriftMinorization) -> RatePart:
         return RatePart(rho=p.lam, symmetry="reversible-positive", diagnostics={})
     de = derived_exponents(p)
     return RatePart(
-        rho=1.0 / de.r0,
+        rho=_rate(p.lam, de.r0),
         symmetry="reversible-positive",
         diagnostics={"alpha1": de.alpha1, "alpha2": de.alpha2, "R0": de.r0},
     )

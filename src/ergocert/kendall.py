@@ -7,7 +7,7 @@ converges on a disc whose radius these routines certify:
   * ``solve_r1``            general chains, radius R1 from a transcendental
                             equation in (1, R);
   * ``solve_r1_array``      the same radius for whole arrays of (beta, R, L)
-                            at once, element by element equal to ``solve_r1``;
+                            at once, by the same steps as ``solve_r1``;
   * ``solve_r2_reversible`` reversible chains, radius R2 from the crossing
                             of 1 + 2*beta*r with r**(log L / log R).
 
@@ -75,21 +75,48 @@ class KendallParams:
 
 
 def _radius_bracket(big_r):
-    # The bracket (lo, hi) of every radius solve in (1, R), on floats or
-    # arrays: lo = 1 + 1e-14 and hi = R - max(1e-14, (R-1)*1e-13), both
-    # strictly inside the open interval. The nonatomic R2 solves of
-    # ``bounds`` take lo from here too.
+    # The bracket (lo, hi) of every R2 solve in (1, R), on floats or arrays:
+    # lo = 1 + 1e-14 and hi = R - max(1e-14, (R-1)*1e-13), both strictly
+    # inside the open interval. The nonatomic R2 solves of ``bounds`` take
+    # lo from here too.
     return 1.0 + 1e-14, big_r - elementary(big_r).maximum(1e-14, (big_r - 1.0) * 1e-13)
+
+
+_LOG_EPS_LO = math.log(1e-14)
+
+
+def _r1_bracket(delta):
+    # The bracket (lo, hi) of every R1 solve in t = log(r - 1), from
+    # delta = R - 1, on floats or arrays: [log 1e-14, log((R-1)(1 - 1e-13))].
+    # A root below lo is clamped to it, R1 = 1 + 1e-14.
+    return _LOG_EPS_LO, elementary(delta).log(delta * (1.0 - 1e-13))
 
 
 def _log_ratio(big_r: float, r: float) -> float:
     # log(R / r) computed as log1p((R - r) / r) to keep accuracy when both
-    # sit within 1e-6 of each other (routine in the radius search).
+    # sit within 1e-6 of each other.
     return math.log1p((big_r - r) / r)
 
 
-def _r1_lhs(r: float, big_r: float) -> float:
-    return (r - 1.0) / (r * _log_ratio(big_r, r) ** 2)
+def _r1_log_target(beta, big_r, big_l):
+    # log(e^2 beta / (8 N)), N = (L-1)/(R-1), on floats or arrays.
+    return elementary(big_r).log(_E2 * beta / (8.0 * ((big_l - 1.0) / (big_r - 1.0))))
+
+
+def _r1_log_eps(p: KendallParams) -> float:
+    # log(R1 - 1) of ``solve_r1``: the lower end of the final bracket in
+    # t = log(r - 1), or the bracket's lower end where the root lies below.
+    delta = p.big_r - 1.0
+    log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
+
+    def gap(t: float) -> float:
+        eps = math.exp(t)
+        return t - math.log1p(eps) - 2.0 * math.log(math.log1p((delta - eps) / (1.0 + eps)))
+
+    lo, hi = _r1_bracket(delta)
+    if lo < hi and gap(lo) >= log_target:
+        return lo
+    return solve_monotone(gap, log_target, lo, hi)
 
 
 def solve_r1(p: KendallParams) -> float:
@@ -99,44 +126,46 @@ def solve_r1(p: KendallParams) -> float:
 
         (r - 1) / (r * log(R/r)^2) = e^2 * beta / (8 N),   N = (L-1)/(R-1).
 
-    The left side increases monotonically from 0 to infinity on (1, R), so
-    bisection is safe. If the root falls below the lower end 1 + 1e-14 of
-    the radius bracket (possible for grid probes with R - 1 near 1e-9, where
-    the root is not representable in double precision) that end is returned;
-    such values are never competitive in the radius searches that consume
-    them.
+    The left side increases monotonically from 0 to infinity on (1, R). It
+    is solved in t = log(r - 1), in the log form
+
+        t - log1p(e^t) - 2 log(log1p((R-1 - e^t) / (1 + e^t))) = log(target),
+
+    with R - 1 taken exactly from R, so a root just above 1 keeps its
+    relative accuracy, and R1 = 1 + e^t at the lower end of the final
+    bracket, the certified side. If the root falls below 1 + 1e-14 (R - 1
+    near 1e-9, where the root is not representable next to 1 in double
+    precision) R1 = 1 + 1e-14 is returned; such values are never
+    competitive in the radius searches that consume them.
     """
-    target = _E2 * p.beta / (8.0 * p.n_ratio)
-    lo, hi = _radius_bracket(p.big_r)
-    if _r1_lhs(lo, p.big_r) >= target:
-        return lo
-    return solve_monotone(lambda r: _r1_lhs(r, p.big_r), target, lo, hi)
+    return 1.0 + math.exp(_r1_log_eps(p))
 
 
 def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     """``solve_r1`` for arrays of (beta, R, L), broadcast against each other.
 
-    Each element follows ``solve_r1`` step for step: the same radius
-    bracket, the same clamp to its lower end, and ``solve_increasing_array``,
-    the array twin of the bisection. The inputs are not validated as
-    ``KendallParams`` are: an element whose equation has no sign change on
-    its bracket, or that has no bracket, comes back NaN (NaN inputs
-    included), where ``solve_r1`` would raise. Raises NoConvergence as
-    ``solve_monotone`` does.
+    Each element follows ``solve_r1``: the same log form and bracket, the
+    same clamp, and ``solve_increasing_array``, the array twin of its root
+    finder. The inputs are not validated as ``KendallParams`` are: an
+    element whose equation has no sign change on its bracket, or that has
+    no bracket, comes back NaN (NaN inputs included), where ``solve_r1``
+    would raise. Raises NoConvergence as ``solve_monotone`` does.
     """
 
-    def gap(r, rr, target):
-        return (r - 1.0) / (r * np.log1p((rr - r) / r) ** 2) - target
+    def gap(t, delta, log_target):
+        eps = np.exp(t)
+        return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
 
     with np.errstate(all="ignore"):
-        target = _E2 * beta / (8.0 * ((big_l - 1.0) / (big_r - 1.0)))
-        big_r, target = np.broadcast_arrays(np.asarray(big_r, dtype=float), target)
-        lo, hi = _radius_bracket(big_r)
-        r1 = np.where(gap(lo, big_r, target) >= 0.0, lo, np.nan)
-    # Only the elements not clamped go on to the bisection.
-    rest = np.isnan(r1)
-    r1[rest] = solve_increasing_array(gap, lo, hi[rest], big_r[rest], target[rest])
-    return r1
+        big_r = np.asarray(big_r, dtype=float)
+        delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
+        lo, hi = _r1_bracket(delta)
+        rest = ~((lo < hi) & (gap(lo, delta, log_target) >= 0.0))
+        # Only the elements not clamped go on to the root finder.
+        t_rest = solve_increasing_array(gap, lo, hi[rest], delta[rest], log_target[rest])
+        t = np.full(hi.shape, lo)
+        t[rest] = t_rest
+        return 1.0 + np.exp(t)
 
 
 def _k1_parts(r: float, p: KendallParams) -> tuple[float, float, float]:
@@ -185,7 +214,7 @@ def solve_r2_reversible(p: KendallParams) -> float:
         # (hi, R]; hi is its lower, safe end.
         return hi
     # gap(1+) = -2*beta < 0 and gap(R) = L - (1 + 2*beta*R) > 0; the crossing
-    # is unique by convexity, so bisection lands on it.
+    # is unique by convexity, so the root finder lands on it.
     return solve_monotone(gap, 0.0, lo, hi)
 
 

@@ -26,9 +26,8 @@ from .bounds import (
     NU_V_INTEGRAL,
     DriftMinorization,
     _r1_at_radius,
+    _rate,
     _scan_window,
-    derived_exponents,
-    general_radius_array,
     rate_part,
     reversible_radius_array,
     rho_positive,
@@ -462,14 +461,12 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 #
 # The Metropolis search evaluates its objectives on a d axis and an s axis,
 # through the same formulas as the scalar path: _mh_constants, and
-# split_exponents, the radius scan of rho_general (log_grid_array on its scan
-# window, then R1 at each radius), reversible_radius_array, big_l_array and
-# the coupling rate. Its thm1.1 objective scans 97 radii per tuning, where
-# rho_general scans 512 and refines. It returns the array rho of the winning
-# (d, s) as it is. The contracting search takes each c's constants from the scalar map.
-# For thm1.1 it finds every c's rate in one call of general_radius_array,
-# which equals rho_general bit for bit where it is finite, and calls
-# method_rho where it is NaN; the other methods call method_rho at every c.
+# split_exponents, R1 on the scan window of rho_general,
+# reversible_radius_array, big_l_array, the coupling rate and the rate of a
+# radius (_rate). Its thm1.1 objective scans 97 log-spaced radii per tuning,
+# where rho_general runs one maximize_scalar search. It returns the array rho
+# of the winning (d, s) as it is. The contracting search calls method_rho at
+# every c, for every method.
 # ---------------------------------------------------------------------------
 
 
@@ -485,13 +482,13 @@ def _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
     # no rate; a tuning with no rate at any radius gets rho = inf, which
     # never wins the argmin.
     best = np.fmax.reduce(r1, axis=-1)
-    return np.where(usable & ~np.isnan(best), 1.0 / best, np.inf)
+    return np.where(usable & ~np.isnan(best), _rate(lam, best), np.inf)
 
 
 def _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
     a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
     r2 = reversible_radius_array(beta, beta_tilde, a1, a2, r0)
-    return np.where(np.isnan(r2), np.inf, 1.0 / r2)
+    return np.where(np.isnan(r2), np.inf, _rate(lam, r2))
 
 
 _MH_METHODS = ("thm1.1", "thm1.2", "thm1.3", "coupling")
@@ -514,7 +511,7 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
     elif method == "thm1.2":
         rho = _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde)
     elif method == "thm1.3":
-        rho = 1.0 / split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)[2]
+        rho = _rate(lam, split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)[2])
     else:
         rho = _coupling_rate(lam, np.where(valid, b, 0.25), v_min, big_k, beta_tilde)[1]
     return np.where(valid, rho, np.inf), *np.broadcast_arrays(d, s)
@@ -568,26 +565,6 @@ def _contracting_rho_or_inf(method: str, theta: float, c: float) -> float:
         return math.inf
 
 
-def _contracting_general_rhos(theta: float, cs: list[float]) -> list[float]:
-    # rho_general at every c: one general_radius_array call over the chains
-    # that have constants, and method_rho, in c order, where it gives NaN.
-    rhos = [math.inf] * len(cs)
-    rows = []
-    for i, c in enumerate(cs):
-        try:
-            p = ContractingNormal(theta=theta, c=c).params()
-        except (InvalidParams, MonotoneViolation):
-            continue
-        de = derived_exponents(p)
-        rows.append((i, (p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)))
-    if not rows:
-        return rhos
-    _, r1 = general_radius_array(*np.array([consts for _, consts in rows]).T)
-    for (i, _), r in zip(rows, r1.tolist()):
-        rhos[i] = _contracting_rho_or_inf("thm1.1", theta, cs[i]) if math.isnan(r) else 1.0 / r
-    return rhos
-
-
 def optimize_contracting_tuning(
     method: str,
     theta: float,
@@ -606,13 +583,9 @@ def optimize_contracting_tuning(
     lo, hi = c_range
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
-    cs = [float(c) for c in np.arange(lo, hi + 1e-12, 0.01)]
-    if method == "thm1.1":
-        rhos = _contracting_general_rhos(theta, cs)
-    else:
-        rhos = [_contracting_rho_or_inf(method, theta, c) for c in cs]
     best_c, best_rho = None, math.inf
-    for c, rho in zip(cs, rhos):
+    for c in np.arange(lo, hi + 1e-12, 0.01).tolist():
+        rho = _contracting_rho_or_inf(method, theta, c)
         if rho < best_rho:
             best_c, best_rho = c, rho
     return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}

@@ -470,7 +470,11 @@ def walk_empirical_rate(tc: TruncatedChain, x: int, n_lo: int, n_hi: int) -> flo
     """Geometric-mean decay ratio of the distances over [n_lo, n_hi]."""
     if not (0 <= n_lo < n_hi):
         raise InvalidParams("need 0 <= n_lo < n_hi")
-    dist = matrix_vnorm_distances(tc, x, n_hi)
+    return _decay_rate(matrix_vnorm_distances(tc, x, n_hi), n_lo, n_hi)
+
+
+def _decay_rate(dist: np.ndarray, n_lo: int, n_hi: int) -> float:
+    # walk_empirical_rate from distances already computed up to n >= n_hi.
     return float((dist[n_hi] / dist[n_lo]) ** (1.0 / (n_hi - n_lo)))
 
 
@@ -485,6 +489,12 @@ def choose_truncation(spec: ReflectingWalk, x_max: int, n_max: int) -> Truncated
     negligible: stationary tail below 1e-12 and doubling the state count
     moves the probed distances by less than one part in 1e-9. Each size is
     built once and compared with the size below it."""
+    return _choose_truncation(spec, x_max, n_max)[0]
+
+
+def _choose_truncation(spec: ReflectingWalk, x_max: int, n_max: int) -> tuple:
+    # choose_truncation, with the distances from x_max (n = 0..n_max) that
+    # it probed at the chosen size.
     size = max(_TRUNCATION_START, x_max + 2)
     probes = [k for k in (25, 50, 100, n_max) if k <= n_max]
     coarse = None
@@ -498,7 +508,7 @@ def choose_truncation(spec: ReflectingWalk, x_max: int, n_max: int) -> Truncated
         if coarse is not None and all(
             abs(coarse[k] - fine[k]) <= 1e-9 * max(coarse[k], fine[k], 1e-290) for k in probes
         ):
-            return tc
+            return tc, fine
         coarse = fine
         size *= 2
     raise TruncationTooSmall(f"no stable truncation below {_TRUNCATION_MAX_STATES} states")
@@ -591,7 +601,9 @@ def run_matrix_suite() -> SuiteReport:
     rate exceeds lambda (it is nearly periodic), so only the general and
     reversible certificates are meaningful there. Each walk's truncation is
     chosen once and serves all of its checks, and each walk's distance table
-    is computed once and serves all of its certificates.
+    is computed once and serves all of its certificates. No start state is
+    stepped twice: the table takes its top row x_max from the truncation
+    probe, and the exact-rate check its row x = 0 from the table.
     """
     suite = SuiteReport(name="matrix")
     cases = [
@@ -602,10 +614,13 @@ def run_matrix_suite() -> SuiteReport:
     ]
     truncations, tables, certs = {}, {}, {}
     for spec, symmetries in cases:
-        tc = truncations[spec] = choose_truncation(spec, _MATRIX_X_MAX, _MATRIX_N_MAX)
+        tc, top_row = _choose_truncation(spec, _MATRIX_X_MAX, _MATRIX_N_MAX)
+        truncations[spec] = tc
         if not symmetries:
             continue
-        dist = tables[spec] = _distance_table(tc, _MATRIX_X_MAX, _MATRIX_N_MAX)
+        # The truncation probe has already stepped the top start state.
+        rows = matrix_vnorm_distances(tc, np.arange(_MATRIX_X_MAX), _MATRIX_N_MAX)
+        dist = tables[spec] = np.vstack([rows, top_row])
         label = f"p{spec.p:.4g}" + ("" if spec.epsilon is None else f"-eps{spec.epsilon}")
         params = reflecting_walk_params(spec)
         for symmetry in symmetries:
@@ -624,10 +639,14 @@ def run_matrix_suite() -> SuiteReport:
         )
     )
     # Exact-rate agreement for the modified-boundary walks.
+    # A walk with a distance table has its distances from x = 0 there.
     for p, eps in ((0.8, 0.25), (0.9, 0.25)):
-        tc = truncations[ReflectingWalk(p=p, epsilon=eps)]
+        spec = ReflectingWalk(p=p, epsilon=eps)
         expected = reflecting_walk_rho_exact(p, eps)
-        measured = walk_empirical_rate(tc, x=0, n_lo=80, n_hi=160)
+        if spec in tables:
+            measured = _decay_rate(tables[spec][0], 80, 160)
+        else:
+            measured = walk_empirical_rate(truncations[spec], x=0, n_lo=80, n_hi=160)
         suite.checks.append(
             CheckReport(
                 name=f"exact-rate-p{p}-eps{eps}",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergocert import kendall
 from ergocert.errors import InvalidParams, OutOfRange
 from ergocert.kendall import (
     KendallParams,
@@ -42,6 +43,31 @@ def test_r1_walk_23():
     r1 = solve_r1(WALK_23)
     assert abs(1.0 / r1 - 0.9994) <= 1e-4
     assert abs(_rate_equation_residual(r1, WALK_23)) <= 1e-10
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-2, 0.5, 4.0])
+def test_r1_keeps_relative_accuracy_next_to_one(delta):
+    # The root in t = log(R1 - 1) against a 50-digit bisection of the same
+    # equation: the solve returns the lower end of its final bracket, at
+    # most the bracket width below the root, however small R1 - 1 is.
+    import mpmath
+
+    p = KendallParams(beta=0.5, big_r=1.0 + delta, big_l=1.0 + 2.0 * delta)
+    with mpmath.workdps(50):
+        big_r = mpmath.mpf(p.big_r)
+        target = mpmath.e**2 * p.beta * (big_r - 1) / (8 * (mpmath.mpf(p.big_l) - 1))
+        lo, hi = mpmath.log(mpmath.mpf(1e-14)), mpmath.log(big_r - 1)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            r = 1 + mpmath.exp(mid)
+            if (r - 1) / (r * mpmath.log(big_r / r) ** 2) < target:
+                lo = mid
+            else:
+                hi = mid
+        t_true = float(lo)
+    t = kendall._r1_log_eps(p)
+    assert t_true - 2e-12 <= t <= t_true + 1e-13
+    assert solve_r1(p) == 1.0 + math.exp(t)
 
 
 def test_r1_monotone_in_beta_and_l():

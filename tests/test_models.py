@@ -316,9 +316,8 @@ def test_optimize_contracting_rejects_theta_outside_unit_interval(theta):
 
 
 def _reference_contracting_search(method, theta, c_range=(1.05, 4.0)):
-    # The search as a loop of scalar rates over c, as it was before the
-    # thm1.1 rates went through one array pass; also returns each c's rate
-    # (inf where the c is skipped).
+    # The search as a loop of method_rho rates over c; also returns each c's
+    # rate (inf where the c is skipped).
     lo, hi = c_range
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
@@ -345,47 +344,52 @@ def test_optimize_contracting_matches_scalar_loop(theta):
             with pytest.raises(NoSignChange):
                 optimize_contracting_tuning(method, theta)
             continue
-        want, rates = _reference_contracting_search(method, theta)
+        want, _ = _reference_contracting_search(method, theta)
         assert optimize_contracting_tuning(method, theta) == want, method
-        if method == "thm1.1":
-            cs = [float(c) for c in np.arange(1.05, 4.0 + 1e-12, 0.01)]
-            assert models._contracting_general_rhos(theta, cs) == rates
 
 
 def test_optimize_contracting_general_takes_scalar_rate_where_array_has_none(monkeypatch):
-    # A c whose array radius is NaN gets its rate from method_rho, the
-    # winner included, so the result is the scalar loop's.
+    # No c has an array rate: the thm1.1 search is the method_rho loop over
+    # c, as the other methods are: one call per c, in c order, giving the
+    # reference loop's rates and result. At theta = 0.9 some c's are skipped.
     theta = 0.9
     want, rates = _reference_contracting_search("thm1.1", theta)
-    real = models.general_radius_array
+    assert math.inf in rates
+    seen = []
+    real = models.method_rho
 
-    def with_nan(*consts):
-        r_tilde, r1 = real(*consts)
-        r1[r1 == np.nanmax(r1)] = np.nan
-        r1[::5] = np.nan
-        return r_tilde, r1
+    def spy(method, chain):
+        try:
+            rho = real(method, chain)
+        except (InvalidParams, MonotoneViolation):
+            seen.append(math.inf)
+            raise
+        seen.append(rho)
+        return rho
 
-    monkeypatch.setattr(models, "general_radius_array", with_nan)
+    monkeypatch.setattr(models, "method_rho", spy)
     assert optimize_contracting_tuning("thm1.1", theta) == want
-    cs = [float(c) for c in np.arange(1.05, 4.0 + 1e-12, 0.01)]
-    assert models._contracting_general_rhos(theta, cs) == rates
+    assert seen == rates
 
 
 def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
-    # The per-c scalar certificates made 11,215 scalar R1 solves here; the
-    # array pass makes none, as every c has an array rate at theta = 0.5.
+    # Every c runs one maximize_scalar search of scalar R1 solves: at least
+    # its 16-point pre-scan each, and fewer in all than the 11,215 scalar R1
+    # solves that the per-c scan-and-refine certificates made here.
     calls = []
-    real = kendall.solve_r1
+    real = kendall._r1_log_eps
 
     def counting(p):
         calls.append(p)
         return real(p)
 
-    monkeypatch.setattr(kendall, "solve_r1", counting)
+    monkeypatch.setattr(kendall, "_r1_log_eps", counting)
     optimize_contracting_tuning("thm1.1", theta=0.5)
-    assert calls == []
+    n_c = len(np.arange(1.05, 4.0 + 1e-12, 0.01))
+    assert 16 * n_c <= len(calls) < 11_215
+    before = len(calls)
     models.method_rho("thm1.1", ContractingNormal(theta=0.5, c=1.5))
-    assert calls  # the counter sees the scalar path
+    assert len(calls) > before  # the counter sees the scalar path
 
 
 def test_optimize_contracting_matches_published_choice():

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert.errors import EmptyDomain, InvalidParams, NoConvergence, NoSignChange, OutOfRange
+from ergocert.errors import EmptyDomain, InvalidParams, NoConvergence, NoSignChange
 from ergocert.numerics import (
     elementary,
-    log_grid_array,
     maximize_scalar,
-    refine_max,
-    refine_max_array,
+    solve_increasing_array,
     solve_monotone,
     std_normal_cdf,
 )
@@ -44,10 +42,45 @@ def test_empty_bracket():
 
 
 def test_iteration_budget():
-    # From a bracket 1e300 wide, 256 halvings leave it ~1e223 wide, far
-    # from the width tolerance, so the fixed step budget runs out.
+    # A step from -1e300 to 1 at x = 1/3: each regula falsi point lands next
+    # to the upper end, and halving the kept value -1e300 takes ~1000 steps
+    # to balance the two, so the fixed budget of 256 steps runs out long
+    # before the 1e300-wide bracket closes.
     with pytest.raises(NoConvergence):
-        solve_monotone(lambda x: x, 1.0 / 3.0, 0.0, 1e300)
+        solve_monotone(lambda x: -1e300 if x < 1.0 / 3.0 else 1.0, 0.0, 0.0, 1e300)
+
+
+def test_solve_returns_the_lower_end_of_its_bracket():
+    # The lower end of the final bracket: below the root of an increasing
+    # and of a decreasing function alike, and within the width tolerance.
+    root = math.sqrt(2.0)
+    for f, target in ((lambda x: x * x, 2.0), (lambda x: -x * x, -2.0)):
+        x = solve_monotone(f, target, 1.0, 2.0)
+        assert x <= root and root - x <= 1e-12
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.05, 0.95)),
+        min_size=1,
+        max_size=16,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_solve_increasing_array_matches_solve_monotone_property(rows):
+    # The float and array root finders write the same Illinois steps: on a
+    # cubic, where numpy and Python arithmetic agree bit for bit, every
+    # element of the array solve equals the scalar solve.
+    a, b, frac = (np.array(col) for col in zip(*rows))
+    lo, hi = -2.0, 3.0
+
+    def f(x, a, b):
+        return a * (x * x * x) + b * x
+
+    target = f(lo, a, b) + frac * (f(hi, a, b) - f(lo, a, b))
+    got = solve_increasing_array(lambda x, a, b, t: f(x, a, b) - t, lo, hi, a, b, target)
+    for i, (ai, bi, _) in enumerate(rows):
+        assert got[i] == solve_monotone(lambda x: f(x, ai, bi), float(target[i]), lo, hi)
 
 
 @given(
@@ -90,85 +123,20 @@ def test_maximize_empty_domain():
         maximize_scalar(lambda x: x, 1.0, 1.0)
 
 
-def _plateau(x, centre, half_width, nan_lo, nan_hi):
-    # -(distance beyond the plateau [centre -+ half_width])**2 on arrays,
-    # NaN on (nan_lo, nan_hi).
-    d = np.maximum(np.abs(x - centre) - half_width, 0.0)
-    return np.where((nan_lo < x) & (x < nan_hi), np.nan, -(d * d))
+def test_maximize_ties_go_right():
+    # On a plateau the rightmost of equal values wins, in the pre-scan and
+    # in Brent's search alike.
+    argmax, value = maximize_scalar(lambda x: min(x, 0.5), 0.0, 1.0)
+    assert (argmax, value) == (1.0, 0.5)
 
 
-def _scalar_plateau(centre, half_width, nan_lo, nan_hi):
-    # The same arithmetic on one point; raises where the array form is NaN.
-    def f(x):
-        value = float(_plateau(np.array([x]), centre, half_width, nan_lo, nan_hi)[0])
-        if math.isnan(value):
-            raise OutOfRange(f"no value at {x}")
-        return value
-
-    return f
-
-
-def _check_refine_twins(los, his, rows, grid_points=41):
-    xs = log_grid_array(np.array(los), np.array(his), grid_points)
-    args = [np.array(col) for col in zip(*rows)]
-    vals = np.array([_plateau(xs[i], *row) for i, row in enumerate(rows)])
-    got_x, got_v = refine_max_array(_plateau, xs, vals, *args)
-    for i, row in enumerate(rows):
-        f = _scalar_plateau(*row)
-        try:
-            want = refine_max(f, xs[i].tolist(), [f(x) for x in xs[i].tolist()])
-        except OutOfRange:
-            assert math.isnan(got_x[i]) and math.isnan(got_v[i]), row
-            continue
-        assert (got_x[i], got_v[i]) == want, row
-
-
-def test_refine_max_array_matches_refine_max_row_by_row():
-    inf = math.inf
-    rows = [
-        (0.37, 0.0, inf, inf),  # smooth unimodal, interior maximum
-        (0.5, 0.2, inf, inf),  # plateau: tied maxima, the first one wins
-        (0.5, 1.0, inf, inf),  # constant row: argmax at index 0
-        (-1.0, 0.0, inf, inf),  # decreasing: argmax at index 0
-        (2.0, 0.0, inf, inf),  # increasing: argmax at index n-1
-        (0.37, 0.0, 0.368, 0.371),  # NaN at a golden-section point only
-        (0.37, 0.0, 0.5, 0.9),  # NaN at scan points
-    ]
-    xs = np.linspace(0.0, 1.0, 41)
-    vals = np.array([_plateau(xs, *row) for row in rows])
-    got_x, got_v = refine_max_array(_plateau, np.tile(xs, (len(rows), 1)), vals,
-                                    *(np.array(col) for col in zip(*rows)))
-    for i, row in enumerate(rows):
-        f = _scalar_plateau(*row)
-        if i < 5:
-            assert (got_x[i], got_v[i]) == refine_max(f, xs.tolist(), vals[i].tolist())
-        else:
-            with pytest.raises(OutOfRange):
-                refine_max(f, xs.tolist(), [f(x) for x in xs.tolist()])
-            assert np.isnan(got_x[i]) and np.isnan(got_v[i])
-    assert got_x[1] == xs[12] and got_v[1] == 0.0  # first of the tied points, at 0.3
-    assert got_x[2] == 0.0 and got_x[3] == 0.0 and got_x[4] == 1.0
-
-
-@given(
-    rows=st.lists(
-        st.tuples(
-            st.floats(0.0, 1.0),
-            st.floats(0.5, 2.0),
-            st.floats(-0.5, 2.5),
-            st.sampled_from([0.0, 0.05, 2.0]),
-            st.floats(-0.5, 2.5),
-            st.floats(0.0, 1e-3),
-        ),
-        min_size=1,
-        max_size=12,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_refine_max_array_matches_refine_max_property(rows):
-    los = [row[0] for row in rows]
-    his = [row[0] + row[1] for row in rows]
-    _check_refine_twins(los, his, [(c, w, n, n + dn) for _, _, c, w, n, dn in rows])
+def test_maximize_beats_every_prescan_value():
+    # A narrow peak between two pre-scan points, on a falling slope: the
+    # returned value is at least the best of the 16 scan values.
+    f = lambda x: -x + 2.0 * math.exp(-(((x - 0.52) / 0.01) ** 2))
+    argmax, value = maximize_scalar(f, 0.0, 1.0)
+    scan = [f(i / 15.0) for i in range(16)]
+    assert value >= max(scan) and value == f(argmax)
 
 
 def test_cdf_at_zero():

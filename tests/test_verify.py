@@ -377,19 +377,23 @@ def test_domination_tie_goes_to_the_first_state():
 
 def test_matrix_suite_chooses_each_walk_truncation_once(monkeypatch):
     calls, distance_calls = [], []
-    choose = verify.choose_truncation
+    choose = verify._choose_truncation
     distances = verify.matrix_vnorm_distances
     monkeypatch.setattr(
-        verify, "choose_truncation", lambda *a: calls.append(a[0]) or choose(*a)
+        verify, "_choose_truncation", lambda *a: calls.append(a[0]) or choose(*a)
     )
     monkeypatch.setattr(
         verify, "matrix_vnorm_distances", lambda *a: distance_calls.append(a) or distances(*a)
     )
     run_matrix_suite()
     assert len(calls) == len(set(calls)) == 4
-    # 3 sizes per walk in choose_truncation, one table for each of the
-    # three walks with certificates, two exact-rate walks.
-    assert len(distance_calls) == 4 * 3 + 3 + 2
+    # 3 sizes per walk in choose_truncation; for each of the three walks
+    # with certificates a table of the start states below x_max (the probe
+    # stepped x_max); one exact-rate walk without a table (the other reads
+    # x = 0 from its table).
+    assert len(distance_calls) == 4 * 3 + 3 + 1
+    tables = [a for a in distance_calls if np.ndim(a[1])]
+    assert [a[1].tolist() for a in tables] == [list(range(30))] * 3
 
 
 def test_matrix_suite_domination_equals_per_certificate_calls():
