@@ -6,6 +6,8 @@ gamma^n, plus independent oracles that check the certificates on exactly
 solvable benchmark chains.
 """
 
+import importlib
+
 from .bounds import (
     Certificate,
     DriftMinorization,
@@ -43,17 +45,34 @@ from .models import (
     walk_truncated_chain,
 )
 from .numerics import maximize_scalar, solve_monotone, std_normal_cdf
-from .verify import (
-    IncrementDistribution,
-    RenewalSequence,
-    certificate_domination,
-    kendall_check,
-    mc_regeneration,
-    renewal_from_increments,
-    run_all_suites,
-    run_kendall_suite,
-    run_matrix_suite,
-    run_mc_suite,
-)
+
+# The oracles of ``verify`` need numpy, which the certificates never load:
+# ``verify`` and its names below are imported on first access (PEP 562).
+_VERIFY_NAMES = frozenset({
+    "IncrementDistribution",
+    "RenewalSequence",
+    "certificate_domination",
+    "kendall_check",
+    "mc_regeneration",
+    "renewal_from_increments",
+    "run_all_suites",
+    "run_kendall_suite",
+    "run_matrix_suite",
+    "run_mc_suite",
+})
+
+
+def __getattr__(name: str):
+    if name == "verify" or name in _VERIFY_NAMES:
+        # import_module, not ``from . import verify``: that form looks the
+        # name up on this package first and would land here again.
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "verify", *_VERIFY_NAMES})
+
 
 __version__ = "0.1.0"

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import kendall
 from .errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
 from .kendall import KendallParams
 from .numerics import elementary, maximize_scalar, solve_increasing_array, solve_monotone
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DriftMinorization",
@@ -211,6 +212,8 @@ def _big_l_at(r: float, beta_tilde: float, alpha1: float, alpha2: float) -> floa
 def big_l_array(r, beta_tilde, alpha1, alpha2) -> np.ndarray:
     """The envelope L(r) of ``big_l`` on arrays (broadcast against each
     other), NaN at or beyond the pole, where ``big_l`` raises."""
+    import numpy as np
+
     r = np.asarray(r, dtype=float)  # a float r past the pole overflows in float **
     with np.errstate(all="ignore"):
         denominator = 1.0 - (1.0 - beta_tilde) * r**alpha1
@@ -376,6 +379,8 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
     on the same bracket, in the same log form. NaN where the crossing has no
     sign change on that bracket, where the scalar radius raises.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):
         pole_limited, lo, hi = _r2_bracket(beta_tilde, alpha1, r0)
         l_at_r0 = big_l_array(r0, beta_tilde, alpha1, alpha2)

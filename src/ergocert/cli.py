@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Optional
 
-from . import bounds, models, tables, verify
+from . import bounds, models, tables
 from .errors import ErgoCertError
 
 __all__ = ["main"]
@@ -251,6 +251,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # The oracles need numpy; imported here, the other commands never load it.
+    from . import verify
+
     if args.suite == "kendall":
         reports = [verify.run_kendall_suite(seed=args.seed)]
     elif args.suite == "matrix":

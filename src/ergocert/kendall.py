@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParams, OutOfRange
 from .numerics import elementary, solve_increasing_array, solve_monotone
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "KendallParams",
@@ -106,16 +108,23 @@ def _r1_log_target(beta, big_r, big_l):
 def _r1_log_eps(p: KendallParams) -> float:
     # log(R1 - 1) of ``solve_r1``: the lower end of the final bracket in
     # t = log(r - 1), or the bracket's lower end where the root lies below.
+    # gap(lo) is evaluated once: the clamp test's value is also the root
+    # finder's first one.
     delta = p.big_r - 1.0
     log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
+    lo, hi = _r1_bracket(delta)
+    gap_lo = None
 
     def gap(t: float) -> float:
+        if t == lo and gap_lo is not None:
+            return gap_lo
         eps = math.exp(t)
         return t - math.log1p(eps) - 2.0 * math.log(math.log1p((delta - eps) / (1.0 + eps)))
 
-    lo, hi = _r1_bracket(delta)
-    if lo < hi and gap(lo) >= log_target:
-        return lo
+    if lo < hi:
+        gap_lo = gap(lo)
+        if gap_lo >= log_target:
+            return lo
     return solve_monotone(gap, log_target, lo, hi)
 
 
@@ -151,8 +160,12 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     no bracket, comes back NaN (NaN inputs included), where ``solve_r1``
     would raise. Raises NoConvergence as ``solve_monotone`` does.
     """
+    import numpy as np
 
-    def gap(t, delta, log_target):
+    def gap(t, delta, log_target, gap_lo=None):
+        # gap_lo, the clamp test's values, is the root finder's at lo.
+        if gap_lo is not None and (t == lo).all():
+            return gap_lo
         eps = np.exp(t)
         return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
 
@@ -160,9 +173,11 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
         big_r = np.asarray(big_r, dtype=float)
         delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
         lo, hi = _r1_bracket(delta)
-        rest = ~((lo < hi) & (gap(lo, delta, log_target) >= 0.0))
+        gap_lo = gap(lo, delta, log_target)
+        rest = ~((lo < hi) & (gap_lo >= 0.0))
         # Only the elements not clamped go on to the root finder.
-        t_rest = solve_increasing_array(gap, lo, hi[rest], delta[rest], log_target[rest])
+        gap_lo = gap_lo[rest]
+        t_rest = solve_increasing_array(gap, lo, hi[rest], delta[rest], log_target[rest], gap_lo)
         t = np.full(hi.shape, lo)
         t[rest] = t_rest
         return 1.0 + np.exp(t)

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .bounds import (
     NU_CONCENTRATED,
@@ -35,7 +33,10 @@ from .bounds import (
 )
 from .competitors import CouplingInput, _coupling_rate, coupling_rho
 from .errors import InvalidParams, MonotoneViolation, TruncationTooSmall
-from .numerics import elementary, log_grid_array, std_normal_cdf
+from .numerics import _is_array, elementary, log_grid_array, std_normal_cdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ReflectingWalk",
@@ -161,6 +162,8 @@ class TruncatedChain:
     tail_mass: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if np.abs(self.matrix.sum(axis=1) - 1.0).max() > 1e-12:
             raise InvalidParams("rows must sum to 1 within 1e-12")
         if (self.v < 1.0).any():
@@ -215,6 +218,8 @@ def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
     reported tail_mass is the stationary mass the infinite chain puts
     beyond the truncation, which must be below 1e-12.
     """
+    import numpy as np
+
     p, q = spec.p, 1.0 - spec.p
     eps = spec.boundary_hold
     if n_states < 3:
@@ -269,7 +274,7 @@ def mh_normal_lambda(x, s):
     s = 0 (V constant). Float arguments are validated; with x a numpy array
     the ratio is evaluated elementwise, unchecked.
     """
-    if not isinstance(x, np.ndarray) and (
+    if not _is_array(x) and (
         not (x >= 0.0 and s >= 0.0) or not (math.isfinite(x) and math.isfinite(s))
     ):
         raise InvalidParams(f"x and s must be finite and nonnegative, got x={x}, s={s}")
@@ -293,7 +298,7 @@ def _mh_constants(d, s, nu_variant: str) -> tuple:
     arrays (d on one axis, s on another, say) are evaluated unchecked, each
     term only on the axes it depends on.
     """
-    checked = not isinstance(d, np.ndarray)
+    checked = not _is_array(d)
     if checked:
         MetropolisNormal(d=d, s=s, nu_variant=nu_variant)  # validation
     lam = mh_normal_lambda(d, s)
@@ -471,6 +476,8 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 
 
 def _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
+    import numpy as np
+
     a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
     # Where R0 leaves no radius window (rho_general raises) a placeholder
     # window is scanned and its rate dropped.
@@ -486,6 +493,8 @@ def _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
 
 
 def _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
+    import numpy as np
+
     a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
     r2 = reversible_radius_array(beta, beta_tilde, a1, a2, r0)
     return np.where(np.isnan(r2), np.inf, _rate(lam, r2))
@@ -495,6 +504,8 @@ _MH_METHODS = ("thm1.1", "thm1.2", "thm1.3", "coupling")
 
 
 def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
+    import numpy as np
+
     d, s = np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :]
     lam, big_k, beta, beta_tilde, nu_info, k_tilde, b, v_min = _mh_constants(d, s, nu_variant)
     valid = (lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)
@@ -531,6 +542,8 @@ def optimize_mh_tuning(
     work for the radius-search objective).
     Returns the winning tuning with its rate.
     """
+    import numpy as np
+
     if method not in _MH_METHODS:
         raise InvalidParams(f"method must be one of {sorted(_MH_METHODS)}")
     if nu_variant not in (MT_MEASURE, INFIMUM_MEASURE):
@@ -576,6 +589,8 @@ def optimize_contracting_tuning(
     skipped; an unknown method or a theta outside (-1, 1) raises
     InvalidParams. The first c with the lowest rate wins.
     """
+    import numpy as np
+
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
     if not (-1.0 < theta < 1.0):

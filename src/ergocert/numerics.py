@@ -1,6 +1,8 @@
 """Shared numerics: bracketed root finding, 1-D maximization, the standard
 normal distribution function, and the elementary functions that let one
-formula serve floats and numpy arrays. numpy is the only dependency.
+formula serve floats and numpy arrays. numpy is the only dependency, and
+only the array functions import it, on entry: a scalar computation never
+loads it.
 
 Everything is a pure function of its arguments. ``solve_monotone`` solves
 one scalar equation and ``solve_increasing_array`` a whole array of them,
@@ -26,13 +28,16 @@ change to the rule is made here, once.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from types import SimpleNamespace
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import EmptyDomain, InvalidParams, NoConvergence, NoSignChange
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "solve_monotone",
@@ -112,6 +117,8 @@ def _array_brackets(f: Callable, lo, hi, args) -> tuple:
     # exact root at either end filled in and NaN elsewhere, the indices of
     # the elements with f(lo) < 0 < f(hi), and their ends, values and
     # arguments. The full-size values die here, before any step.
+    import numpy as np
+
     out = np.full(lo.shape, np.nan)
     bracketed = lo < hi
     flo = f(lo, *args)
@@ -138,6 +145,8 @@ def solve_increasing_array(f: Callable, lo, hi, *args) -> np.ndarray:
     raise. Raises NoConvergence if an element is still open after the step
     budget.
     """
+    import numpy as np
+
     lo, hi, *args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *args)))
     shape = lo.shape
     with np.errstate(all="ignore"):
@@ -173,6 +182,8 @@ def log_grid_array(lo, hi, grid_points: int) -> np.ndarray:
     ``grid_points`` scan points, so row i of 1-d inputs is the grid on
     [lo[i], hi[i]]. Each point is lo + (hi - lo) * offset, the last one hi.
     """
+    import numpy as np
+
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if not (hi > lo).all():
         raise EmptyDomain(f"need lo < hi, got [{lo}, {hi}]")
@@ -270,6 +281,8 @@ def std_normal_cdf(x: float) -> float:
 def _std_normal_cdf_array(x) -> np.ndarray:
     # std_normal_cdf elementwise through math.erfc, so every element equals
     # std_normal_cdf(float(x)) bit for bit; a 0-d x gives a numpy scalar.
+    import numpy as np
+
     y = -np.asarray(x, dtype=float) / _SQRT2
     return 0.5 * np.fromiter(map(math.erfc, y.ravel().tolist()), float, y.size).reshape(y.shape)
 
@@ -278,20 +291,35 @@ _FLOAT_FUNCTIONS = SimpleNamespace(
     exp=math.exp, log=math.log, cdf=std_normal_cdf, minimum=min, maximum=max,
     where=lambda condition, x, y: x if condition else y,
 )
-_ARRAY_FUNCTIONS = SimpleNamespace(
-    exp=np.exp, log=np.log, cdf=_std_normal_cdf_array, minimum=np.minimum, maximum=np.maximum,
-    where=np.where,
-)
+
+
+@functools.cache
+def _array_functions() -> SimpleNamespace:
+    import numpy as np
+
+    return SimpleNamespace(
+        exp=np.exp, log=np.log, cdf=_std_normal_cdf_array, minimum=np.minimum,
+        maximum=np.maximum, where=np.where,
+    )
+
+
+def _is_array(x) -> bool:
+    # Whether x is a numpy array, without importing numpy: an array exists
+    # only once numpy is loaded, so an unloaded numpy answers no.
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 
 def elementary(x) -> SimpleNamespace:
     """exp, log, cdf (Phi), minimum, maximum and where for arguments like x.
 
     numpy's functions when x is a numpy array, ``math``'s, the builtins and
-    a conditional expression otherwise. cdf is ``std_normal_cdf`` for
-    floats and the same erfc formula elementwise for arrays, so both give
-    the same bits. A formula that takes floats or arrays calls this once,
-    on its first argument, so float arguments go through exactly the float
-    operations.
+    a conditional expression otherwise; the test does not import numpy. cdf
+    is ``std_normal_cdf`` for floats and the same erfc formula elementwise
+    for arrays, so both give the same bits. A formula that takes floats or
+    arrays calls this once, on its first argument, so float arguments go
+    through exactly the float operations.
     """
-    return _ARRAY_FUNCTIONS if isinstance(x, np.ndarray) else _FLOAT_FUNCTIONS
+    if isinstance(x, float) or not _is_array(x):  # floats, the common case, first
+        return _FLOAT_FUNCTIONS
+    return _array_functions()

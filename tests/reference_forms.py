@@ -6,6 +6,10 @@ package computes M in the decay factor gamma and K1 in nested form; the
 first functions here are the other forms, transcribed independently: M in
 the series variable r = 1/gamma, and K1 as a single fraction.
 
+The R1 solves reuse their clamp test's value at the lower bracket end;
+the forms below that evaluate the lower end twice, once for the clamp test
+and once in the root finder, are the ones they replaced.
+
 The renewal oracle convolves all laws of a suite as one block. The
 per-law and per-case forms below (convolution loop, series sup, single
 check, suite loop) are the ones it replaced, kept as its references.
@@ -17,7 +21,8 @@ import numpy as np
 
 from ergocert import kendall as kendall_mod
 from ergocert.errors import HypothesisViolated, OutOfRange
-from ergocert.kendall import KendallParams, _k1_parts
+from ergocert.kendall import KendallParams, _k1_parts, _r1_bracket, _r1_log_target
+from ergocert.numerics import solve_increasing_array, solve_monotone
 from ergocert.verify import (
     CheckReport,
     IncrementDistribution,
@@ -71,6 +76,43 @@ def k1_single_fraction(r: float, p: KendallParams) -> float:
     """The single-fraction arrangement of ``kendall.k1``."""
     a_term, denominator, log_n_term = _k1_parts(r, p)
     return (2.0 * p.beta + log_n_term - a_term) / ((r - 1.0) * denominator)
+
+
+def r1_log_eps_clamp_then_solve(p: KendallParams, gap_calls: list | None = None) -> float:
+    """``kendall._r1_log_eps`` with the clamp test and the root finder each
+    evaluating the lower end; gap_calls, if given, records every t."""
+    delta = p.big_r - 1.0
+    log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
+
+    def gap(t: float) -> float:
+        if gap_calls is not None:
+            gap_calls.append(t)
+        eps = math.exp(t)
+        return t - math.log1p(eps) - 2.0 * math.log(math.log1p((delta - eps) / (1.0 + eps)))
+
+    lo, hi = _r1_bracket(delta)
+    if lo < hi and gap(lo) >= log_target:
+        return lo
+    return solve_monotone(gap, log_target, lo, hi)
+
+
+def r1_array_clamp_then_solve(beta, big_r, big_l) -> np.ndarray:
+    """``kendall.solve_r1_array`` with the clamp test and the root finder
+    each evaluating the lower end."""
+
+    def gap(t, delta, log_target):
+        eps = np.exp(t)
+        return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
+
+    with np.errstate(all="ignore"):
+        big_r = np.asarray(big_r, dtype=float)
+        delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
+        lo, hi = _r1_bracket(delta)
+        rest = ~((lo < hi) & (gap(lo, delta, log_target) >= 0.0))
+        t_rest = solve_increasing_array(gap, lo, hi[rest], delta[rest], log_target[rest])
+        t = np.full(hi.shape, lo)
+        t[rest] = t_rest
+        return 1.0 + np.exp(t)
 
 
 def renewal_per_law(b: IncrementDistribution, n_max: int) -> RenewalSequence:

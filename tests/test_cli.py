@@ -1,11 +1,15 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ergocert import bounds
 from ergocert.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +279,43 @@ def test_cli_import_needs_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _cli_rotation() -> dict:
+    # The benchmark's CLI commands, read from perfbench/workloads.py's source
+    # rather than imported, so the test executes no benchmark code.
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "CLI_ROTATION" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no CLI_ROTATION")
+
+
+def test_scalar_commands_never_load_numpy():
+    # Certificates, model constants and tables are scalar formulas: the
+    # package, the CLI and these commands run without importing numpy.
+    rotation = _cli_rotation()
+    assert set(rotation) == {
+        "bound-atomic", "bound-general", "model-mh", "model-contracting", "table-2"
+    }
+    script = (
+        "import sys, io, contextlib\n"
+        "import ergocert\n"
+        "print('numpy' in sys.modules)\n"
+        "from ergocert import cli\n"
+        "codes = []\n"
+        f"for argv in {[list(argv) for argv in rotation.values()]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["False", "[0, 0, 0, 0, 0] False"]
 
 
 def test_closed_stdout_pipe_stops_quietly():

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from ergocert.kendall import (
     solve_r1_array,
     solve_r2_reversible,
 )
-from reference_forms import k1_single_fraction
+from ergocert.numerics import solve_increasing_array, solve_monotone
+from reference_forms import (
+    k1_single_fraction,
+    r1_array_clamp_then_solve,
+    r1_log_eps_clamp_then_solve,
+)
 
 # Constants of the standard-boundary walk benchmarks (atomic small set).
 WALK_09 = KendallParams(beta=0.9, big_r=1.0 / 0.6, big_l=2.0)
@@ -68,6 +74,76 @@ def test_r1_keeps_relative_accuracy_next_to_one(delta):
     t = kendall._r1_log_eps(p)
     assert t_true - 2e-12 <= t <= t_true + 1e-13
     assert solve_r1(p) == 1.0 + math.exp(t)
+
+
+_R1_CASES = [
+    WALK_09,
+    WALK_23,
+    KendallParams(beta=0.5, big_r=1.0 + 1e-6, big_l=1.0 + 2e-6),
+    KendallParams(beta=1e-4, big_r=1.3, big_l=40.0),
+    KendallParams(beta=0.3, big_r=5.0, big_l=5.0),
+]
+
+
+@pytest.mark.parametrize("p", _R1_CASES)
+def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
+    # The R1 gap calls exp once per evaluation. The clamp test's value at
+    # the lower end is the root finder's first one, so a solve that is not
+    # clamped evaluates gap once per root-finder call, one evaluation fewer
+    # than the clamp-then-solve form, and returns the same bits.
+    exps, finder_calls, reference_calls = [], [], []
+    counted_math = types.SimpleNamespace(**vars(math))
+    counted_math.exp = lambda x: exps.append(x) or math.exp(x)
+    monkeypatch.setattr(kendall, "math", counted_math)
+
+    def solve_counted(f, target, lo, hi):
+        return solve_monotone(lambda t: finder_calls.append(t) or f(t), target, lo, hi)
+
+    monkeypatch.setattr(kendall, "solve_monotone", solve_counted)
+    t = kendall._r1_log_eps(p)
+    assert t > kendall._LOG_EPS_LO  # not clamped
+    assert t == r1_log_eps_clamp_then_solve(p, reference_calls)
+    assert finder_calls[0] == kendall._LOG_EPS_LO
+    assert len(exps) == len(finder_calls) == len(reference_calls) - 1
+
+
+def test_r1_clamp_evaluates_the_lower_end_once(monkeypatch):
+    # R - 1 = 1e-9 puts the root below the bracket: one evaluation, no solve.
+    exps = []
+    counted_math = types.SimpleNamespace(**vars(math))
+    counted_math.exp = lambda x: exps.append(x) or math.exp(x)
+    monkeypatch.setattr(kendall, "math", counted_math)
+    monkeypatch.setattr(kendall, "solve_monotone", None)
+    p = KendallParams(0.5, 1.0 + 1e-9, 1e3)
+    assert kendall._r1_log_eps(p) == kendall._LOG_EPS_LO == r1_log_eps_clamp_then_solve(p)
+    assert exps == [kendall._LOG_EPS_LO]
+
+
+def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
+    # The root finder's values at the lower end are the clamp test's array
+    # itself, not a second evaluation; the radii are the clamp-then-solve
+    # form's bit for bit, clamped, NaN and 2-d elements included.
+    firsts = []
+
+    def solve_spied(f, lo, hi, *args):
+        def spied(t, *a):
+            value = f(t, *a)
+            firsts.append(value is a[-1])
+            return value
+
+        return solve_increasing_array(spied, lo, hi, *args)
+
+    monkeypatch.setattr(kendall, "solve_increasing_array", solve_spied)
+    rng = np.random.default_rng(3)
+    beta = rng.uniform(1e-4, 1.0, (40, 1))
+    big_r = 1.0 + 10.0 ** rng.uniform(-10.0, 0.5, 30)
+    big_l = big_r * 10.0 ** rng.uniform(0.0, 3.0, 30)
+    big_l[0] = math.nan
+    got = solve_r1_array(beta, big_r, big_l)
+    want = r1_array_clamp_then_solve(beta, big_r, big_l)
+    assert got.tobytes() == want.tobytes()
+    assert (got == 1.0 + 1e-14).any() and np.isnan(got).any()
+    assert firsts[:2] == [True, False] and not any(firsts[2:])
 
 
 def test_r1_monotone_in_beta_and_l():

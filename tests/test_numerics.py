@@ -166,6 +166,20 @@ def test_array_cdf_equals_float_cdf_bit_for_bit():
         assert cdf(v).hex() == std_normal_cdf(v).hex()
 
 
+def test_elementary_picks_float_functions_for_floats_and_ints():
+    for x in (0.5, 3, -2, True, np.float64(0.5)):
+        xp = elementary(x)
+        assert (xp.exp, xp.log, xp.cdf) == (math.exp, math.log, std_normal_cdf)
+        assert (xp.minimum, xp.maximum) == (min, max)
+        assert xp.where(True, 1, 2) == 1 and xp.where(False, 1, 2) == 2
+    for x in (np.array(0.5), np.array([1.0, 2.0]), np.zeros((2, 3), dtype=int)):
+        xp = elementary(x)
+        assert (xp.exp, xp.log, xp.minimum, xp.maximum, xp.where) == (
+            np.exp, np.log, np.minimum, np.maximum, np.where
+        )
+        assert xp is elementary(np.array(1.0))
+
+
 def test_cdf_symmetry():
     for x in (0.3, 1.0, 3.0, 7.5):
         assert abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0) <= 1e-15
