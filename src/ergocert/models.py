@@ -578,6 +578,14 @@ def _contracting_rho_or_inf(method: str, theta: float, c: float) -> float:
         return math.inf
 
 
+def _c_grid(lo: float, hi: float) -> list[float]:
+    # numpy.arange(lo, hi + 1e-12, 0.01) without numpy, bit for bit: arange
+    # fills lo + i * d with the step d = (lo + 0.01) - lo as rounded, not
+    # 0.01, and takes ceil((stop - lo) / 0.01) points.
+    d = (lo + 0.01) - lo
+    return [lo + i * d for i in range(math.ceil((hi + 1e-12 - lo) / 0.01))]
+
+
 def optimize_contracting_tuning(
     method: str,
     theta: float,
@@ -589,8 +597,6 @@ def optimize_contracting_tuning(
     skipped; an unknown method or a theta outside (-1, 1) raises
     InvalidParams. The first c with the lowest rate wins.
     """
-    import numpy as np
-
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
     if not (-1.0 < theta < 1.0):
@@ -599,7 +605,7 @@ def optimize_contracting_tuning(
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
     best_c, best_rho = None, math.inf
-    for c in np.arange(lo, hi + 1e-12, 0.01).tolist():
+    for c in _c_grid(lo, hi):
         rho = _contracting_rho_or_inf(method, theta, c)
         if rho < best_rho:
             best_c, best_rho = c, rho

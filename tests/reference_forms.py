@@ -6,9 +6,11 @@ package computes M in the decay factor gamma and K1 in nested form; the
 first functions here are the other forms, transcribed independently: M in
 the series variable r = 1/gamma, and K1 as a single fraction.
 
-The R1 solves reuse their clamp test's value at the lower bracket end;
-the forms below that evaluate the lower end twice, once for the clamp test
-and once in the root finder, are the ones they replaced.
+The R1 solves reuse their clamp test's value at the lower bracket end,
+and the scalar solve its check's value at the near upper end; the forms
+below that evaluate each end twice, once for the test and once in the
+root finder, are the ones they replaced. Both take their ends from
+``kendall._r1_bracket`` and ``kendall._r1_upper_end``.
 
 The renewal oracle convolves all laws of a suite as one block. The
 per-law and per-case forms below (convolution loop, series sup, single
@@ -21,7 +23,13 @@ import numpy as np
 
 from ergocert import kendall as kendall_mod
 from ergocert.errors import HypothesisViolated, OutOfRange
-from ergocert.kendall import KendallParams, _k1_parts, _r1_bracket, _r1_log_target
+from ergocert.kendall import (
+    KendallParams,
+    _k1_parts,
+    _r1_bracket,
+    _r1_log_target,
+    _r1_upper_end,
+)
 from ergocert.numerics import solve_increasing_array, solve_monotone
 from ergocert.verify import (
     CheckReport,
@@ -78,9 +86,14 @@ def k1_single_fraction(r: float, p: KendallParams) -> float:
     return (2.0 * p.beta + log_n_term - a_term) / ((r - 1.0) * denominator)
 
 
-def r1_log_eps_clamp_then_solve(p: KendallParams, gap_calls: list | None = None) -> float:
-    """``kendall._r1_log_eps`` with the clamp test and the root finder each
-    evaluating the lower end; gap_calls, if given, records every t."""
+def r1_log_eps_clamp_then_solve(
+    p: KendallParams, gap_calls: list | None = None, wide: bool = False
+) -> float:
+    """``kendall._r1_log_eps`` with each bracket end evaluated twice: the
+    clamp test and the root finder at the lower end, the check of the near
+    upper end and the root finder at the upper end. wide=True solves on the
+    wide bracket [lo, hi], as before the near end. gap_calls, if given,
+    records every t."""
     delta = p.big_r - 1.0
     log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
 
@@ -93,6 +106,10 @@ def r1_log_eps_clamp_then_solve(p: KendallParams, gap_calls: list | None = None)
     lo, hi = _r1_bracket(delta)
     if lo < hi and gap(lo) >= log_target:
         return lo
+    if lo < hi and not wide:
+        up = _r1_upper_end(delta, log_target, hi)
+        if gap(up) >= log_target:
+            hi = up
     return solve_monotone(gap, log_target, lo, hi)
 
 

@@ -294,12 +294,16 @@ def _cli_rotation() -> dict:
 
 
 def test_scalar_commands_never_load_numpy():
-    # Certificates, model constants and tables are scalar formulas: the
-    # package, the CLI and these commands run without importing numpy.
+    # Certificates, model constants, tables and the contracting-normal c
+    # search are scalar formulas: the package, the CLI and these commands
+    # run without importing numpy.
     rotation = _cli_rotation()
     assert set(rotation) == {
         "bound-atomic", "bound-general", "model-mh", "model-contracting", "table-2"
     }
+    rotation["contracting-optimize"] = [
+        "model", "contracting-normal", "--theta", "0.5", "--method", "thm1.1", "--optimize"
+    ]
     script = (
         "import sys, io, contextlib\n"
         "import ergocert\n"
@@ -315,7 +319,7 @@ def test_scalar_commands_never_load_numpy():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["False", "[0, 0, 0, 0, 0] False"]
+    assert proc.stdout.split("\n")[:2] == ["False", "[0, 0, 0, 0, 0, 0] False"]
 
 
 def test_closed_stdout_pipe_stops_quietly():

@@ -1,4 +1,5 @@
 import math
+import random
 import types
 
 import numpy as np
@@ -85,16 +86,24 @@ _R1_CASES = [
 ]
 
 
-@pytest.mark.parametrize("p", _R1_CASES)
-def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
-    # The R1 gap calls exp once per evaluation. The clamp test's value at
-    # the lower end is the root finder's first one, so a solve that is not
-    # clamped evaluates gap once per root-finder call, one evaluation fewer
-    # than the clamp-then-solve form, and returns the same bits.
-    exps, finder_calls, reference_calls = [], [], []
+def _count_r1_evaluations(monkeypatch) -> list:
+    # The R1 gap calls exp once per evaluation (the upper end uses expm1).
+    exps = []
     counted_math = types.SimpleNamespace(**vars(math))
     counted_math.exp = lambda x: exps.append(x) or math.exp(x)
     monkeypatch.setattr(kendall, "math", counted_math)
+    return exps
+
+
+@pytest.mark.parametrize("p", _R1_CASES)
+def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
+    # The clamp test's value at the lower end is the root finder's first
+    # one, and the check's value at the near upper end its second, so a
+    # solve that is not clamped evaluates gap once per root-finder call, two
+    # evaluations fewer than the form that evaluates each end twice, and
+    # returns the same bits.
+    finder_calls, reference_calls = [], []
+    exps = _count_r1_evaluations(monkeypatch)
 
     def solve_counted(f, target, lo, hi):
         return solve_monotone(lambda t: finder_calls.append(t) or f(t), target, lo, hi)
@@ -103,20 +112,82 @@ def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
     t = kendall._r1_log_eps(p)
     assert t > kendall._LOG_EPS_LO  # not clamped
     assert t == r1_log_eps_clamp_then_solve(p, reference_calls)
-    assert finder_calls[0] == kendall._LOG_EPS_LO
-    assert len(exps) == len(finder_calls) == len(reference_calls) - 1
+    delta, log_target = p.big_r - 1.0, kendall._r1_log_target(p.beta, p.big_r, p.big_l)
+    lo, hi = kendall._r1_bracket(delta)
+    assert finder_calls[:2] == [lo, kendall._r1_upper_end(delta, log_target, hi)]
+    assert len(exps) == len(finder_calls) == len(reference_calls) - 2
 
 
 def test_r1_clamp_evaluates_the_lower_end_once(monkeypatch):
     # R - 1 = 1e-9 puts the root below the bracket: one evaluation, no solve.
-    exps = []
-    counted_math = types.SimpleNamespace(**vars(math))
-    counted_math.exp = lambda x: exps.append(x) or math.exp(x)
-    monkeypatch.setattr(kendall, "math", counted_math)
+    exps = _count_r1_evaluations(monkeypatch)
     monkeypatch.setattr(kendall, "solve_monotone", None)
     p = KendallParams(0.5, 1.0 + 1e-9, 1e3)
     assert kendall._r1_log_eps(p) == kendall._LOG_EPS_LO == r1_log_eps_clamp_then_solve(p)
     assert exps == [kendall._LOG_EPS_LO]
+
+
+def _r1_gap(p: KendallParams, t: float) -> float:
+    # The left side of the R1 equation in t = log(r - 1), as kendall has it.
+    eps = math.exp(t)
+    return t - math.log1p(eps) - 2.0 * math.log(math.log1p((p.big_r - 1.0 - eps) / (1.0 + eps)))
+
+
+# KendallParams over its domain: beta down to 1e-6; R - 1 up to 4, or near
+# 1e-9, where the root is clamped to the bracket's lower end; L from R to
+# 1e6 R (L >= R >= beta R, so every draw is valid).
+_KENDALL_PARAMS = st.builds(
+    lambda beta, delta, log_ratio: KendallParams(beta, 1.0 + delta, (1.0 + delta) * 10.0**log_ratio),
+    st.floats(1e-6, 1.0),
+    st.one_of(st.floats(1e-6, 4.0), st.floats(5e-10, 2e-9)),
+    st.floats(0.0, 6.0),
+)
+
+
+@given(p=_KENDALL_PARAMS)
+@settings(max_examples=300, deadline=None)
+def test_r1_near_end_bounds_the_root(p):
+    # The closed-form upper end lies above the root that the wide bracket
+    # [lo, hi] gives; the solve from it lands within the stop tolerance of
+    # that root, on the certified side. Where the value at the near end falls
+    # below target (planted here by moving the end under the root), the
+    # solve falls back to the wide bracket and gives its bits.
+    delta, log_target = p.big_r - 1.0, kendall._r1_log_target(p.beta, p.big_r, p.big_l)
+    lo, hi = kendall._r1_bracket(delta)
+    up = kendall._r1_upper_end(delta, log_target, hi)
+    wide = r1_log_eps_clamp_then_solve(p, wide=True)
+    assert lo <= wide <= up <= hi
+    t = kendall._r1_log_eps(p)
+    assert abs(t - wide) <= 1e-12
+    if wide == lo:  # clamped
+        assert t == lo
+        return
+    assert _r1_gap(p, t) <= log_target
+    below = lo + 0.5 * (wide - lo)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kendall, "_r1_upper_end", lambda delta, log_target, hi: below)
+        assert kendall._r1_log_eps(p) == wide
+
+
+def test_r1_near_end_saves_evaluations(monkeypatch):
+    # Over seeded draws from the certificate domain, the solves that are not
+    # clamped make at most 0.6 times the R1 evaluations of the wide bracket
+    # (0.41 times when this was written: 750 against 1,813); the ends are
+    # evaluated once each.
+    rng = random.Random(5)
+    exps = _count_r1_evaluations(monkeypatch)
+    near = wide = 0
+    for _ in range(300):
+        big_r = 1.0 + 10.0 ** rng.uniform(-6.0, 0.6)
+        p = KendallParams(10.0 ** rng.uniform(-6.0, 0.0), big_r, big_r * 10.0 ** rng.uniform(0.0, 3.0))
+        wide_calls = []
+        if r1_log_eps_clamp_then_solve(p, wide_calls, wide=True) == kendall._LOG_EPS_LO:
+            continue
+        wide += len(wide_calls) - 1  # the reference evaluates lo twice
+        exps.clear()
+        kendall._r1_log_eps(p)
+        near += len(exps)
+    assert near <= 0.6 * wide
 
 
 def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
@@ -317,7 +388,10 @@ def test_r1_array_matches_scalar(elements, shared_beta):
     for i in range(len(elements)):
         b = float(betas[0]) if shared_beta else float(betas[i])
         want = solve_r1(KendallParams(beta=b, big_r=float(big_r[i]), big_l=float(big_l[i])))
-        # 2 * tol_abs: numpy's log1p may differ from math.log1p by an ulp.
+        # 2 * tol_abs: each solve returns a point at most tol_abs below the
+        # root, the scalar one from the near upper end and the array one
+        # from the wide bracket, and numpy's log1p may differ from
+        # math.log1p by an ulp.
         assert abs(float(got[i]) - want) <= 2e-12
 
 
@@ -330,5 +404,8 @@ def test_r1_array_clamp_nan_and_shape():
     got = solve_r1_array(beta, big_r, big_l)
     assert got.shape == (2, 2)
     assert got[0, 0] == 1.0 + 1e-14 == solve_r1(KendallParams(0.5, 1.0 + 1e-9, 1e3))
-    assert got[1, 0] == solve_r1(WALK_09)
+    # The array solve keeps the wide bracket: WALK_09 gives the bits of the
+    # scalar solve on that bracket, and the near-end solve to 1e-12.
+    assert got[1, 0] == 1.0 + math.exp(r1_log_eps_clamp_then_solve(WALK_09, wide=True))
+    assert abs(got[1, 0] - solve_r1(WALK_09)) <= 1e-12
     assert math.isnan(got[0, 1]) and math.isnan(got[1, 1])

@@ -315,6 +315,15 @@ def test_optimize_contracting_rejects_theta_outside_unit_interval(theta):
         optimize_contracting_tuning("thm1.3", theta=theta)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1.05, 4.0), (math.sqrt(2.0) + 1e-6, 4.0), (1.2, 1.5), (1.05, 1.06), (2.0, 2.0)],
+)
+def test_c_grid_is_numpys_arange(lo, hi):
+    # The search's c grid is numpy's arange fill without numpy, bit for bit.
+    assert models._c_grid(lo, hi) == np.arange(lo, hi + 1e-12, 0.01).tolist()
+
+
 def _reference_contracting_search(method, theta, c_range=(1.05, 4.0)):
     # The search as a loop of method_rho rates over c; also returns each c's
     # rate (inf where the c is skipped).
