@@ -27,7 +27,13 @@ from typing import TYPE_CHECKING, Optional
 from . import kendall
 from .errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
 from .kendall import KendallParams
-from .numerics import elementary, maximize_scalar, solve_increasing_array, solve_monotone
+from .numerics import (
+    elementary,
+    log_grid_array,
+    maximize_scalar,
+    solve_increasing_array,
+    solve_monotone,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -391,6 +397,29 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
 
     r2 = solve_increasing_array(gap, lo, hi, beta, beta_tilde, alpha1, alpha2)
     return np.where(at_r0, r0, r2)
+
+
+def _general_radius_array(beta, beta_tilde, a1, a2, r0) -> np.ndarray:
+    # The nonatomic R1 of rho_general on arrays, as the largest R1 at 97
+    # log-spaced radii of the scan window (rho_general runs one Brent
+    # search). NaN where R0 leaves no window (a placeholder window is
+    # scanned there) or no radius has an R1, where rho_general raises.
+    import numpy as np
+
+    lo, hi = _scan_window(r0)
+    usable = hi > lo
+    radii = log_grid_array(lo, np.where(usable, hi, 2.0), 97)
+    r1 = _r1_at_radius(radii, *(np.asarray(c)[..., None] for c in (beta, beta_tilde, a1, a2)))
+    return np.where(usable, np.fmax.reduce(r1, axis=-1), np.nan)
+
+
+# The nonatomic radius of each regime's rate from arrays of (beta,
+# beta_tilde, alpha_1, alpha_2, R0), NaN where the scalar rate raises.
+_RADIUS_ARRAY = {
+    "general": _general_radius_array,
+    "reversible": reversible_radius_array,
+    "reversible-positive": lambda beta, beta_tilde, alpha1, alpha2, r0: r0,
+}
 
 
 def rho_positive(p: DriftMinorization) -> RatePart:

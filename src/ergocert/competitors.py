@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .bounds import NU_NONE, split_exponents
 from .errors import CouplingFails, InvalidParams
-from .numerics import elementary
 
 __all__ = ["CouplingInput", "mt_zeta", "mtb_zeta", "coupling_rho"]
 
@@ -54,7 +53,7 @@ class CouplingInput:
     @property
     def lambda1(self) -> float:
         """Bivariate drift rate lambda + b / (1 + min V off C)."""
-        return _coupling_rate(self.lam, self.b, self.v_min_outside, self.big_k, self.beta_tilde)[0]
+        return _lambda1(self.lam, self.b, self.v_min_outside)
 
 
 def _validate_zeta_args(lam: float, big_k: float, beta: float) -> None:
@@ -84,18 +83,14 @@ def mtb_zeta(lam: float, big_k: float, beta: float) -> float:
     return 1.0 + 2.0 * math.log((big_k - lam) / (1.0 - lam)) / (beta * math.log(1.0 / lam))
 
 
-def _coupling_rate(lam, b, v_min_outside, big_k, beta_tilde) -> tuple:
-    """(lambda_1, 1/R0_hat) from floats, or from numpy arrays elementwise.
+def _lambda1(lam, b, v_min_outside):
+    # CouplingInput.lambda1 on floats or arrays.
+    return lam + b / (1.0 + v_min_outside)
 
-    lambda_1 = lambda + b / (1 + min V off C), and R0_hat is the radius cap
-    of the split-chain construction with lambda_1 substituted for lambda.
-    The rate exists only where lambda_1 < 1; it is inf elsewhere.
-    """
-    lam1 = lam + b / (1.0 + v_min_outside)
-    xp = elementary(lam1)
-    fails = lam1 >= 1.0
-    rho = 1.0 / split_exponents(xp.where(fails, 0.5, lam1), big_k, beta_tilde, NU_NONE)[2]
-    return lam1, xp.where(fails, math.inf, rho)
+
+def _coupling_rate(lam1, big_k, beta_tilde):
+    # The rate of coupling_rho on floats or arrays with lambda_1 < 1.
+    return 1.0 / split_exponents(lam1, big_k, beta_tilde, NU_NONE)[2]
 
 
 def coupling_rho(c_in: CouplingInput) -> float:
@@ -105,9 +100,9 @@ def coupling_rho(c_in: CouplingInput) -> float:
     substituted for lambda. Requires the stronger condition lambda_1 < 1;
     when it fails the small set must be enlarged (CouplingFails).
     """
-    lam1, rho = _coupling_rate(c_in.lam, c_in.b, c_in.v_min_outside, c_in.big_k, c_in.beta_tilde)
+    lam1 = c_in.lambda1
     if lam1 >= 1.0:
         raise CouplingFails(
             f"lambda_1 = {lam1:.6g} >= 1; enlarge C until min V off C is big enough"
         )
-    return rho
+    return _coupling_rate(lam1, c_in.big_k, c_in.beta_tilde)

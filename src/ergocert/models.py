@@ -22,18 +22,16 @@ from typing import TYPE_CHECKING, Optional
 from .bounds import (
     NU_CONCENTRATED,
     NU_V_INTEGRAL,
+    _RADIUS_ARRAY,
     DriftMinorization,
-    _r1_at_radius,
     _rate,
-    _scan_window,
     rate_part,
-    reversible_radius_array,
     rho_positive,
     split_exponents,
 )
-from .competitors import CouplingInput, _coupling_rate, coupling_rho
+from .competitors import CouplingInput, _coupling_rate, _lambda1, coupling_rho
 from .errors import InvalidParams, MonotoneViolation, TruncationTooSmall
-from .numerics import _is_array, elementary, log_grid_array, std_normal_cdf
+from .numerics import _is_array, elementary, std_normal_cdf
 
 if TYPE_CHECKING:
     import numpy as np
@@ -464,43 +462,17 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # ---------------------------------------------------------------------------
 # tuning searches
 #
-# The Metropolis search evaluates its objectives on a d axis and an s axis,
-# through the same formulas as the scalar path: _mh_constants, and
-# split_exponents, R1 on the scan window of rho_general,
-# reversible_radius_array, big_l_array, the coupling rate and the rate of a
-# radius (_rate). Its thm1.1 objective scans 97 log-spaced radii per tuning,
-# where rho_general runs one maximize_scalar search. It returns the array rho
-# of the winning (d, s) as it is. The contracting search calls method_rho at
-# every c, for every method.
+# The Metropolis search rates a d axis against an s axis as method_rho
+# rates one tuning, through the same formulas: _mh_constants on the axes;
+# then, on the tunings with valid constants only, the coupling rate of
+# lambda_1 < 1, or split_exponents, the array radius of the theorem's regime
+# (bounds._RADIUS_ARRAY, which scans 97 radii for thm1.1) and _rate. A
+# tuning with no rate, where the scalar path raises, gets rho = inf, which
+# never wins the argmin; the winner's array rho is returned as it is. The
+# contracting search calls method_rho at every c, for every method.
 # ---------------------------------------------------------------------------
 
-
-def _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
-    import numpy as np
-
-    a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
-    # Where R0 leaves no radius window (rho_general raises) a placeholder
-    # window is scanned and its rate dropped.
-    lo, hi = _scan_window(r0)
-    usable = hi > lo
-    radii = log_grid_array(lo, np.where(usable, hi, 2.0), 97)
-    r1 = _r1_at_radius(radii, *(np.asarray(c)[..., None] for c in (beta, beta_tilde, a1, a2)))
-    # A radius beyond the pole or whose R1 equation has no root (NaN) gives
-    # no rate; a tuning with no rate at any radius gets rho = inf, which
-    # never wins the argmin.
-    best = np.fmax.reduce(r1, axis=-1)
-    return np.where(usable & ~np.isnan(best), _rate(lam, best), np.inf)
-
-
-def _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde):
-    import numpy as np
-
-    a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
-    r2 = reversible_radius_array(beta, beta_tilde, a1, a2, r0)
-    return np.where(np.isnan(r2), np.inf, _rate(lam, r2))
-
-
-_MH_METHODS = ("thm1.1", "thm1.2", "thm1.3", "coupling")
+_MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
 
 
 def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
@@ -510,22 +482,22 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
     lam, big_k, beta, beta_tilde, nu_info, k_tilde, b, v_min = _mh_constants(d, s, nu_variant)
     valid = (lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)
     if method == "coupling":
-        valid &= b > 0.0
-    lam = np.where(valid, lam, 0.5)
-    big_k = np.where(valid, big_k, 2.0)
-    beta = np.where(valid, beta, 0.1)
-    beta_tilde = np.where(valid, beta_tilde, 0.1)
-    if k_tilde is not None:
-        k_tilde = np.where(valid, k_tilde, 1.0)
-    if method == "thm1.1":
-        rho = _rho_general_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde)
-    elif method == "thm1.2":
-        rho = _rho_reversible_np(lam, big_k, beta, beta_tilde, nu_info, k_tilde)
-    elif method == "thm1.3":
-        rho = _rate(lam, split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)[2])
+        lam = _lambda1(lam, b, v_min)  # the coupling rate's drift rate
+        valid &= (b > 0.0) & (lam < 1.0)
+    # k_tilde, None under the concentrated measure, is NaN there, never read.
+    lam, big_k, beta, beta_tilde, k_tilde = (
+        np.broadcast_to(np.asarray(c, dtype=float), valid.shape)[valid]
+        for c in (lam, big_k, beta, beta_tilde, k_tilde)
+    )
+    if method == "coupling":
+        rho = _coupling_rate(lam, big_k, beta_tilde)
     else:
-        rho = _coupling_rate(lam, np.where(valid, b, 0.25), v_min, big_k, beta_tilde)[1]
-    return np.where(valid, rho, np.inf), *np.broadcast_arrays(d, s)
+        a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
+        radius = _RADIUS_ARRAY[THEOREM_SYMMETRY[method]](beta, beta_tilde, a1, a2, r0)
+        rho = np.where(np.isnan(radius), np.inf, _rate(lam, radius))
+    grid = np.full(valid.shape, np.inf)
+    grid[valid] = rho
+    return grid, *np.broadcast_arrays(d, s)
 
 
 def optimize_mh_tuning(
@@ -566,6 +538,8 @@ def optimize_mh_tuning(
         best_d = float(dd.ravel()[flat])
         best_s = float(ss.ravel()[flat])
         best_rho = float(rho.ravel()[flat])
+    if best_rho == math.inf:
+        best_d = best_s = None
     return {"d": best_d, "s": best_s, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}
 
 

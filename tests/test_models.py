@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ergocert import kendall, models
+from ergocert import competitors, kendall, models
 from ergocert.bounds import rho_general, rho_positive, rho_reversible
 from ergocert.competitors import coupling_rho
 from ergocert.errors import (
@@ -283,6 +283,7 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
     d_grid = np.arange(0.5, 3.0 + 1e-12, 0.05)
     s_grid = np.arange(0.01, 1.5 + 1e-12, 0.05)
     rates = {
+        "thm1.1": lambda d, s: rho_general(mh_normal_params(d, s, nu_variant)).rho,
         "thm1.2": lambda d, s: rho_reversible(mh_normal_params(d, s, nu_variant)).rho,
         "thm1.3": lambda d, s: rho_positive(mh_normal_params(d, s, nu_variant)).rho,
         "coupling": lambda d, s: coupling_rho(mh_coupling_input(d, s, nu_variant)),
@@ -295,8 +296,76 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
             except ErgoCertError:
                 want = math.inf
             assert math.isinf(rho) == math.isinf(want), (method, dd[i, j], ss[i, j])
-            if math.isfinite(want):
+            # The thm1.1 grid scans 97 radii where rho_general runs a Brent
+            # search; its finite rates differ by up to 3.4 % of 1 - rho.
+            if math.isfinite(want) and method != "thm1.1":
                 assert abs(rho - want) <= 1e-12, (method, dd[i, j], ss[i, j])
+
+
+@pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
+def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
+    # The R1 scan and split_exponents see the tunings with valid constants
+    # only, 97 radii each for the scan, and never a placeholder in place of
+    # an invalid one: every lambda (lambda_1 for coupling) and beta_tilde
+    # they get lies below 1.
+    # The d and s axes of the coarse step of optimize_mh_tuning.
+    d_grid = np.append(np.arange(0.5, 3.0, 0.05), 3.0)
+    s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
+    consts = models._mh_constants(d_grid[:, None], s_grid[None, :], nu_variant)
+    lam, big_k, beta, beta_tilde = np.broadcast_arrays(*consts[:4])
+    n_valid = int(((lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)).sum())
+    assert lam.shape == (51, 31) and 0 < n_valid < lam.size
+    r1_sizes, split_args = [], []
+    real_r1, real_split = kendall.solve_r1_array, models.split_exponents
+
+    def r1_spy(beta, big_r, big_l):
+        r1_sizes.append(np.broadcast(beta, big_r, big_l).size)
+        return real_r1(beta, big_r, big_l)
+
+    def split_spy(lam, big_k, beta_tilde, *rest):
+        split_args.append((lam, beta_tilde))
+        return real_split(lam, big_k, beta_tilde, *rest)
+
+    monkeypatch.setattr(kendall, "solve_r1_array", r1_spy)
+    monkeypatch.setattr(models, "split_exponents", split_spy)
+    monkeypatch.setattr(competitors, "split_exponents", split_spy)
+    for method in ("thm1.1", "thm1.2", "thm1.3", "coupling"):
+        models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
+    assert r1_sizes == [97 * n_valid]
+    assert [np.size(lam) for lam, _ in split_args[:3]] == [n_valid] * 3
+    for lam, beta_tilde in split_args:
+        assert (lam < 1.0).all() and (beta_tilde < 1.0).all()
+
+
+# The winners of the eight Metropolis searches: (d, s) by method and measure.
+MH_WINNERS = {
+    (MT_MEASURE, "thm1.1"): (0.994, 0.13),
+    (MT_MEASURE, "thm1.2"): (0.958, 0.076),
+    (MT_MEASURE, "thm1.3"): (1.054, 0.178),
+    (MT_MEASURE, "coupling"): (1.794, 1.14),
+    (INFIMUM_MEASURE, "thm1.1"): (1.038, 0.156),
+    (INFIMUM_MEASURE, "thm1.2"): (1.004, 0.1),
+    (INFIMUM_MEASURE, "thm1.3"): (1.106, 0.216),
+    (INFIMUM_MEASURE, "coupling"): (1.882, 1.15),
+}
+
+
+@pytest.mark.parametrize("nu_variant, method", list(MH_WINNERS))
+def test_mh_tuning_winners_are_pinned_and_reproducible(nu_variant, method):
+    # Each search keeps its winner, and the rate it reports is method_rho's
+    # at that tuning, so the winner's --d and --s give the same rate.
+    result = optimize_mh_tuning(method, nu_variant)
+    want_d, want_s = MH_WINNERS[nu_variant, method]
+    assert abs(result["d"] - want_d) <= 1e-9 and abs(result["s"] - want_s) <= 1e-9
+    rho = models.method_rho(method, MetropolisNormal(result["d"], result["s"], nu_variant))
+    assert abs(result["rho"] - rho) <= 1e-12 * (1.0 - rho)
+
+
+def test_mh_tuning_without_a_rate_names_no_tuning():
+    # No tuning in the range has a coupling rate: as the contracting search
+    # does, the result names no tuning.
+    result = optimize_mh_tuning("coupling", s_range=(1e-9, 1e-8))
+    assert result == {"d": None, "s": None, "rho": math.inf, "one_minus_rho": -math.inf}
 
 
 def test_optimize_mh_rejects_unknown_nu_variant():
@@ -410,9 +479,8 @@ def test_optimize_contracting_matches_published_choice():
 def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
     # A radius whose R1 equation has no root (NaN) must not decide the rate;
     # a tuning with no root at any radius gets rho = inf, never the argmin.
-    d, s = np.array([1.0, 1.2]), np.array([0.1, 0.1])
-    consts = models._mh_constants(d, s, MT_MEASURE)[:6]
-    want = models._rho_general_np(*consts)
+    d, s = np.array([1.0, 1.2]), np.array([0.1])
+    want = models._mh_rho_grid(d, s, "thm1.1", MT_MEASURE)[0]
     real = kendall.solve_r1_array
 
     def with_nan(beta, big_r, big_l):
@@ -422,21 +490,21 @@ def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
         return r1
 
     monkeypatch.setattr(kendall, "solve_r1_array", with_nan)
-    got = models._rho_general_np(*consts)
-    assert got[0] == math.inf
-    assert got[1] == want[1]
+    got = models._mh_rho_grid(d, s, "thm1.1", MT_MEASURE)[0]
+    assert got[0, 0] == math.inf
+    assert got[1, 0] == want[1, 0]
 
 
 def test_mh_general_objective_gives_no_rate_where_r0_leaves_no_window():
     # At s = 1e-12, R0 - 1 ~ 1.5e-13 leaves no radius window, where
     # rho_general raises: that tuning gets rho = inf, not an error.
-    with pytest.raises(InvalidParams):
-        rho_general(mh_normal_params(1.0, 1e-12))
-    d, s = np.array([1.0, 1.0]), np.array([1e-12, 0.1])
-    consts = models._mh_constants(d, s, MT_MEASURE)[:6]
-    got = models._rho_general_np(*consts)
-    assert got[0] == math.inf
-    assert rho_general(mh_normal_params(1.0, 0.1)).rho <= got[1] < 1.0
+    params = mh_normal_params(1.0, 1e-12)
+    with pytest.raises(InvalidParams, match="R0"):
+        rho_general(params)
+    d, s = np.array([1.0]), np.array([1e-12, 0.1])
+    got = models._mh_rho_grid(d, s, "thm1.1", MT_MEASURE)[0]
+    assert got[0, 0] == math.inf
+    assert rho_general(mh_normal_params(1.0, 0.1)).rho <= got[0, 1] < 1.0
 
 
 def test_mh_tuning_coarse_grid_reaches_the_top_of_a_short_range():
