@@ -12,10 +12,6 @@ from .bounds import (
     Certificate,
     DriftMinorization,
     certificate,
-    l2_contraction,
-    m_general,
-    m_positive,
-    m_reversible,
     rho_general,
     rho_positive,
     rho_reversible,
@@ -25,7 +21,6 @@ from .kendall import (
     KendallParams,
     k1,
     k2_series_bound,
-    rho_tilde_reversible_atomic,
     solve_r1,
     solve_r2_reversible,
 )

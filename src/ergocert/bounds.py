@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from . import kendall
-from .errors import GammaOutOfRange, InvalidParams, NotReversible, OutOfRange
+from .errors import GammaOutOfRange, InvalidParams, OutOfRange
 from .kendall import KendallParams
 from .numerics import (
     elementary,
@@ -45,21 +45,13 @@ __all__ = [
     "RatePart",
     "split_exponents",
     "derived_exponents",
-    "big_l",
     "big_l_array",
     "reversible_radius_array",
     "rate_part",
     "rho_general",
-    "m_general",
     "rho_reversible",
-    "m_reversible",
     "rho_positive",
-    "m_positive",
-    "prop41_bounds",
-    "prop44_bounds",
-    "g_tilde_bound",
     "certificate",
-    "l2_contraction",
 ]
 
 NU_NONE = "none"
@@ -216,27 +208,14 @@ def _big_l_at(r: float, beta_tilde: float, alpha1: float, alpha2: float) -> floa
 
 
 def big_l_array(r, beta_tilde, alpha1, alpha2) -> np.ndarray:
-    """The envelope L(r) of ``big_l`` on arrays (broadcast against each
-    other), NaN at or beyond the pole, where ``big_l`` raises."""
+    """The envelope L(r) of ``_big_l_at`` on arrays (broadcast against each
+    other), NaN at or beyond the pole, where ``_big_l_at`` raises."""
     import numpy as np
 
     r = np.asarray(r, dtype=float)  # a float r past the pole overflows in float **
     with np.errstate(all="ignore"):
         denominator = 1.0 - (1.0 - beta_tilde) * r**alpha1
         return np.where(denominator > 0.0, beta_tilde * r**alpha2 / denominator, np.nan)
-
-
-def big_l(r: float, p: DriftMinorization) -> float:
-    """Envelope L(r) = beta_tilde r^alpha2 / (1 - (1-beta_tilde) r^alpha1).
-
-    Bounds the generating function of the split-chain regeneration time at
-    argument r; finite for 1 < r < (1 - beta_tilde)**(-1/alpha_1) and equal
-    to 1 in the limit r -> 1.
-    """
-    if r <= 1.0:
-        raise OutOfRange(f"need r > 1, got {r}")
-    de = derived_exponents(p)
-    return _big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +418,8 @@ def rho_positive(p: DriftMinorization) -> RatePart:
 #
 # Each bound is printed in two arrangements: in the decay factor gamma, used
 # here, and in the series variable r = 1/gamma. The tests transcribe the r
-# forms independently and check that both agree to rounding.
+# forms independently and check that both agree to rounding. The terms
+# inline the regeneration-time bounds of Propositions 4.1 and 4.4.
 # ---------------------------------------------------------------------------
 
 
@@ -515,102 +495,6 @@ def _m_with_part(p: DriftMinorization, gamma: float, part: RatePart) -> tuple[fl
     return big_m, kind, k_factor
 
 
-def m_general(p: DriftMinorization, gamma: float) -> float:
-    """Constant M for the general certificate at decay factor gamma."""
-    return _m_with_part(p, gamma, rho_general(p))[0]
-
-
-def m_reversible(p: DriftMinorization, gamma: float) -> float:
-    """Constant M for the reversible certificate (K2 in place of K1)."""
-    return _m_with_part(p, gamma, rho_reversible(p))[0]
-
-
-def m_positive(p: DriftMinorization, gamma: float) -> float:
-    """Constant M for the reversible-positive certificate."""
-    return _m_with_part(p, gamma, rho_positive(p))[0]
-
-
-# ---------------------------------------------------------------------------
-# regeneration-time moment bounds: the closed forms of Propositions 4.1 and
-# 4.4 that the terms of M are built from. The M formulas above inline them,
-# and the Monte Carlo oracle deliberately uses none of them.
-# ---------------------------------------------------------------------------
-
-
-def prop41_bounds(r: float, p: DriftMinorization, v_x: float, x_in_c: bool) -> dict:
-    """Closed-form bounds on E^x[r^tau] and the weighted sums along the way.
-
-    g_bound       E^x[r^tau]          (valid for 1 <= r <= 1/lambda),
-    h_bound       E^x[sum r^n V(X_n), n <= tau],
-    h_diff_bound  (H(r,x) - r H(1,x)) / (r - 1).
-
-    Inside C the bounds use K only; outside they scale with V(x) = v_x. The
-    h_diff bound outside C follows from the same telescoping argument as the
-    on-C case with the return-position terms dropped.
-    """
-    if not (1.0 < r < p.lam_inv):
-        raise OutOfRange(f"need 1 < r < 1/lambda = {p.lam_inv}, got r={r}")
-    if v_x < 1.0:
-        raise InvalidParams(f"V(x) >= 1 required, got {v_x}")
-    q = 1.0 - r * p.lam
-    if x_in_c:
-        g = r * p.big_k
-        h = r * (p.big_k - r * p.lam) / q
-        h_diff = p.lam * r * (p.big_k - 1.0) / ((1.0 - p.lam) * q)
-    else:
-        g = v_x
-        h = r * p.lam * v_x / q
-        h_diff = p.lam * v_x / ((1.0 - p.lam) * q)
-    return {"g_bound": g, "h_bound": h, "h_diff_bound": h_diff}
-
-
-def g_tilde_bound(r: float, p: DriftMinorization) -> float:
-    """Bound r**alpha_1 on the failed-regeneration generating function.
-
-    Valid on 1 <= r <= 1/lambda, in particular at the endpoint r = 1/lambda.
-    """
-    if p.atomic:
-        raise InvalidParams("split-chain bounds apply to nonatomic chains only")
-    if not (1.0 <= r <= p.lam_inv * (1.0 + 1e-12)):
-        raise OutOfRange(f"need 1 <= r <= 1/lambda = {p.lam_inv}, got r={r}")
-    return r ** derived_exponents(p).alpha1
-
-
-def prop44_bounds(r: float, p: DriftMinorization) -> dict:
-    """Split-chain analogues of the regeneration bounds, for 1 < r < R0.
-
-    g_tilde    r**alpha_1,
-    gbar_a1    the envelope L(r) (bounds the regeneration generating
-               function started from a fresh renewal),
-    hbar_a1    r**(alpha_2+1) (K - r lambda) / ((1 - r lambda) D(r)),
-    hbar_diff  the matching difference-quotient bound,
-
-    where D(r) = 1 - (1 - beta_tilde) r**alpha_1.
-    """
-    if p.atomic:
-        raise InvalidParams("split-chain bounds apply to nonatomic chains only")
-    de = derived_exponents(p)
-    if not (1.0 < r < de.r0):
-        raise OutOfRange(f"need 1 < r < R0 = {de.r0}, got r={r}")
-    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
-    q = 1.0 - r * p.lam
-    d = 1.0 - (1.0 - bt) * r**a1
-    gbar = _big_l_at(r, bt, a1, a2)
-    hbar = r ** (a2 + 1.0) * (p.big_k - r * p.lam) / (q * d)
-    hbar_diff = r ** (a2 + 1.0) * p.lam * (p.big_k - 1.0) / ((1.0 - p.lam) * q * d) + (
-        r
-        * (p.big_k - p.lam - bt * (1.0 - p.lam))
-        / ((1.0 - p.lam) * d)
-        * ((r**a2 - 1.0) / (r - 1.0) + (1.0 - bt) * (r**a1 - 1.0) / (bt * (r - 1.0)))
-    )
-    return {
-        "g_tilde": r**a1,
-        "gbar_a1": gbar,
-        "hbar_a1": hbar,
-        "hbar_diff": hbar_diff,
-    }
-
-
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------
@@ -651,14 +535,3 @@ def certificate(
         params=p,
         diagnostics=diagnostics,
     )
-
-
-def l2_contraction(p: DriftMinorization, symmetry: str) -> float:
-    """L2(pi) contraction factor for reversible chains.
-
-    For reversible chains the operator norm of P - 1 (x) pi on L2(pi) is at
-    most the certified rho, so ||P^n f - pi(f)|| <= rho^n ||f - pi(f)||.
-    """
-    if symmetry not in ("reversible", "reversible-positive"):
-        raise NotReversible("L2 contraction requires a reversible chain")
-    return rate_part(p, symmetry).rho

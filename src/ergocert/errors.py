@@ -33,10 +33,6 @@ class GammaOutOfRange(OutOfRange):
     """Decay factor gamma must lie strictly between rho and 1."""
 
 
-class NotReversible(ErgoCertError):
-    """Operation requires a reversible (or reversible positive) chain."""
-
-
 class CouplingFails(ErgoCertError):
     """Bivariate drift rate lambda_1 >= 1; the small set must be enlarged."""
 

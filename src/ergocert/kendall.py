@@ -36,7 +36,6 @@ __all__ = [
     "k1",
     "solve_r2_reversible",
     "k2_series_bound",
-    "rho_tilde_reversible_atomic",
 ]
 
 _E2 = math.exp(2.0)
@@ -286,23 +285,3 @@ def k2_series_bound(r: float, r2: float, beta_tilde: float) -> float:
     if not (1.0 < r < r2):
         raise OutOfRange(f"need 1 < r < R2, got r={r}, R2={r2}")
     return 1.0 + math.sqrt(beta_tilde) * r / (1.0 - r / r2)
-
-
-def rho_tilde_reversible_atomic(lam: float, big_k: float, beta: float) -> float:
-    """Convexity shortcut for the atomic reversible rate.
-
-    Larger than (or equal to) the exact 1/R2 but computable without any
-    root-finding: 1 - 2*beta*(1-lambda)/(K-lambda) when K > lambda + 2*beta,
-    else lambda.
-    """
-    if not (0.0 < lam < 1.0):
-        raise InvalidParams(f"lambda must lie in (0, 1), got {lam}")
-    if big_k <= lam:
-        raise InvalidParams(f"K must exceed lambda, got K={big_k}, lambda={lam}")
-    if big_k < 1.0:
-        raise InvalidParams(f"K must be >= 1, got {big_k}")
-    if not (0.0 < beta <= 1.0):
-        raise InvalidParams(f"beta must lie in (0, 1], got {beta}")
-    if big_k > lam + 2.0 * beta:
-        return 1.0 - 2.0 * beta * (1.0 - lam) / (big_k - lam)
-    return lam

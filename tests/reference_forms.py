@@ -15,6 +15,14 @@ root finder, are the ones they replaced. Both take their ends from
 The renewal oracle convolves all laws of a suite as one block. The
 per-law and per-case forms below (convolution loop, series sup, single
 check, suite loop) are the ones it replaced, kept as its references.
+
+The M formulas inline the regeneration-time bounds of Propositions 4.1
+(atomic) and 4.4 (split chain) without naming them. ``prop41_bounds`` and
+``prop44_bounds`` print them on their own, with their ranges, so that the
+series-factor term of M can be checked against the propositions it comes
+from. ``rho_tilde_reversible_atomic`` is the convexity shortcut for the
+atomic reversible rate: a closed form with no root to find, kept to check
+that the solved rate never exceeds it.
 """
 
 import math
@@ -22,7 +30,8 @@ import math
 import numpy as np
 
 from ergocert import kendall as kendall_mod
-from ergocert.errors import HypothesisViolated, OutOfRange
+from ergocert.bounds import DriftMinorization, _big_l_at, derived_exponents
+from ergocert.errors import HypothesisViolated, InvalidParams, OutOfRange
 from ergocert.kendall import (
     KendallParams,
     _k1_parts,
@@ -78,6 +87,88 @@ def _m_nonatomic_r(
         * ((r**a2 - 1.0) / (r - 1.0) + (1.0 - bt) * (r**a1 - 1.0) / (bt * (r - 1.0)))
     )
     return t1 + t2 + t3 + t4 + t5 + t6
+
+
+def prop41_bounds(r: float, p: DriftMinorization, v_x: float, x_in_c: bool) -> dict:
+    """Closed-form bounds on E^x[r^tau] and the weighted sums along the way.
+
+    g_bound       E^x[r^tau]          (valid for 1 <= r <= 1/lambda),
+    h_bound       E^x[sum r^n V(X_n), n <= tau],
+    h_diff_bound  (H(r,x) - r H(1,x)) / (r - 1).
+
+    Inside C the bounds use K only; outside they scale with V(x) = v_x. The
+    h_diff bound outside C follows from the same telescoping argument as the
+    on-C case with the return-position terms dropped.
+    """
+    if not (1.0 < r < p.lam_inv):
+        raise OutOfRange(f"need 1 < r < 1/lambda = {p.lam_inv}, got r={r}")
+    if v_x < 1.0:
+        raise InvalidParams(f"V(x) >= 1 required, got {v_x}")
+    q = 1.0 - r * p.lam
+    if x_in_c:
+        g = r * p.big_k
+        h = r * (p.big_k - r * p.lam) / q
+        h_diff = p.lam * r * (p.big_k - 1.0) / ((1.0 - p.lam) * q)
+    else:
+        g = v_x
+        h = r * p.lam * v_x / q
+        h_diff = p.lam * v_x / ((1.0 - p.lam) * q)
+    return {"g_bound": g, "h_bound": h, "h_diff_bound": h_diff}
+
+
+def prop44_bounds(r: float, p: DriftMinorization) -> dict:
+    """Split-chain analogues of the regeneration bounds, for 1 < r < R0.
+
+    g_tilde    r**alpha_1,
+    gbar_a1    the envelope L(r) (bounds the regeneration generating
+               function started from a fresh renewal),
+    hbar_a1    r**(alpha_2+1) (K - r lambda) / ((1 - r lambda) D(r)),
+    hbar_diff  the matching difference-quotient bound,
+
+    where D(r) = 1 - (1 - beta_tilde) r**alpha_1.
+    """
+    if p.atomic:
+        raise InvalidParams("split-chain bounds apply to nonatomic chains only")
+    de = derived_exponents(p)
+    if not (1.0 < r < de.r0):
+        raise OutOfRange(f"need 1 < r < R0 = {de.r0}, got r={r}")
+    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
+    q = 1.0 - r * p.lam
+    d = 1.0 - (1.0 - bt) * r**a1
+    gbar = _big_l_at(r, bt, a1, a2)
+    hbar = r ** (a2 + 1.0) * (p.big_k - r * p.lam) / (q * d)
+    hbar_diff = r ** (a2 + 1.0) * p.lam * (p.big_k - 1.0) / ((1.0 - p.lam) * q * d) + (
+        r
+        * (p.big_k - p.lam - bt * (1.0 - p.lam))
+        / ((1.0 - p.lam) * d)
+        * ((r**a2 - 1.0) / (r - 1.0) + (1.0 - bt) * (r**a1 - 1.0) / (bt * (r - 1.0)))
+    )
+    return {
+        "g_tilde": r**a1,
+        "gbar_a1": gbar,
+        "hbar_a1": hbar,
+        "hbar_diff": hbar_diff,
+    }
+
+
+def rho_tilde_reversible_atomic(lam: float, big_k: float, beta: float) -> float:
+    """Convexity shortcut for the atomic reversible rate.
+
+    Larger than (or equal to) the exact 1/R2 but computable without any
+    root-finding: 1 - 2*beta*(1-lambda)/(K-lambda) when K > lambda + 2*beta,
+    else lambda.
+    """
+    if not (0.0 < lam < 1.0):
+        raise InvalidParams(f"lambda must lie in (0, 1), got {lam}")
+    if big_k <= lam:
+        raise InvalidParams(f"K must exceed lambda, got K={big_k}, lambda={lam}")
+    if big_k < 1.0:
+        raise InvalidParams(f"K must be >= 1, got {big_k}")
+    if not (0.0 < beta <= 1.0):
+        raise InvalidParams(f"beta must lie in (0, 1], got {beta}")
+    if big_k > lam + 2.0 * beta:
+        return 1.0 - 2.0 * beta * (1.0 - lam) / (big_k - lam)
+    return lam
 
 
 def k1_single_fraction(r: float, p: KendallParams) -> float:

@@ -12,17 +12,10 @@ from ergocert.bounds import (
     DriftMinorization,
     _big_l_at,
     _r2_bracket,
-    big_l,
     big_l_array,
     certificate,
     derived_exponents,
-    g_tilde_bound,
-    l2_contraction,
-    m_general,
-    m_positive,
-    m_reversible,
-    prop41_bounds,
-    prop44_bounds,
+    rate_part,
     reversible_radius_array,
     rho_general,
     rho_positive,
@@ -35,7 +28,6 @@ from ergocert.errors import (
     GammaOutOfRange,
     InvalidParams,
     NoSignChange,
-    NotReversible,
     OutOfRange,
 )
 from ergocert.kendall import k2_series_bound
@@ -47,7 +39,7 @@ from ergocert.models import (
     reflecting_walk_params,
 )
 from ergocert.numerics import maximize_scalar
-from reference_forms import _m_atomic_r, _m_nonatomic_r
+from reference_forms import _m_atomic_r, _m_nonatomic_r, prop41_bounds, prop44_bounds
 
 WALK_09 = reflecting_walk_params(ReflectingWalk(p=0.9))
 WALK_23 = reflecting_walk_params(ReflectingWalk(p=2.0 / 3.0))
@@ -164,19 +156,23 @@ def test_big_l_far_beyond_pole_raises_out_of_range():
     de = derived_exponents(p)
     assert de.alpha1 > 6e4
     with pytest.raises(OutOfRange):
-        big_l(2.0 * de.r0, p)
+        _big_l_at(2.0 * de.r0, p.beta_tilde, de.alpha1, de.alpha2)
     assert np.isnan(big_l_array(np.array([2.0 * de.r0]), p.beta_tilde, de.alpha1, de.alpha2)).all()
     assert np.isnan(big_l_array(2.0 * de.r0, p.beta_tilde, de.alpha1, de.alpha2))
 
 
 def test_big_l_limits_and_pole():
-    assert abs(big_l(1.0 + 1e-12, CONTRACT) - 1.0) <= 1e-9
     de = derived_exponents(CONTRACT)
+
+    def big_l(r):
+        return _big_l_at(r, CONTRACT.beta_tilde, de.alpha1, de.alpha2)
+
+    assert abs(big_l(1.0 + 1e-12) - 1.0) <= 1e-9
     pole = (1.0 - CONTRACT.beta_tilde) ** (-1.0 / de.alpha1)
-    assert big_l(pole - 1e-9, CONTRACT) > 1e6
+    assert big_l(pole - 1e-9) > 1e6
     with pytest.raises(OutOfRange):
-        big_l(pole * (1.0 + 1e-12), CONTRACT)
-    assert big_l(de.r0 * 0.999, CONTRACT) > 0.0
+        big_l(pole * (1.0 + 1e-12))
+    assert big_l(de.r0 * 0.999) > 0.0
 
 
 def test_rho_general_benchmarks():
@@ -247,10 +243,38 @@ def test_m_nonatomic_two_forms_agree():
         assert abs(a - b) <= 1e-12 * max(a, b)
 
 
+def test_m_series_factor_term_is_the_regeneration_bound():
+    # M is linear in the series factor k, and at r = 1/gamma its k-term is
+    # the Proposition 4.1 bound K r h(r) on C (atomic), or the Proposition
+    # 4.4 bound beta_tilde K r hbar(r) / D(r) (split chain), with D(r) =
+    # 1 - (1 - beta_tilde) r**alpha_1. The difference of two M values
+    # cancels, so it is held to M's own rounding.
+    fractions = (0.1, 0.25, 0.5, 0.75, 0.95)
+    for p in (WALK_09, WALK_23, WALK_09_EPS):
+        for f in fractions:
+            r = 1.0 + f * (p.lam_inv - 1.0)
+            m_at = [_m_atomic_gamma(p.lam, p.big_k, 1.0 / r, k) for k in (0.0, 1.0)]
+            term = p.big_k * r * prop41_bounds(r, p, v_x=1.0, x_in_c=True)["h_bound"]
+            assert abs((m_at[1] - m_at[0]) - term) <= 1e-12 * m_at[1], (p, r)
+    for theta, c in ((0.75, 1.2), (0.5, 1.5), (0.9, 2.0)):
+        p = contracting_params(theta, c)
+        de = derived_exponents(p)
+        bt = p.beta_tilde
+        for f in fractions:
+            r = 1.0 + f * (de.r0 - 1.0)
+            m_at = [
+                _m_nonatomic_gamma(p.lam, p.big_k, bt, de.alpha1, de.alpha2, 1.0 / r, k)
+                for k in (0.0, 1.0)
+            ]
+            d = 1.0 - (1.0 - bt) * r**de.alpha1
+            term = bt * p.big_k * r * prop44_bounds(r, p)["hbar_a1"] / d
+            assert abs((m_at[1] - m_at[0]) - term) <= 1e-12 * m_at[1], (theta, c, r)
+
+
 def test_m_general_finite_and_diverges_at_rho():
     rho = rho_general(WALK_09).rho
     gammas = [rho + 1e-6, rho + 1e-4, rho + 1e-2, 0.99]
-    values = [m_general(WALK_09, g) for g in gammas]
+    values = [certificate(WALK_09, "general", g).big_m for g in gammas]
     assert all(math.isfinite(v) and v > 0.0 for v in values)
     assert values[0] > values[1] > values[2]  # blows up toward rho
 
@@ -259,23 +283,23 @@ def test_m_decreasing_on_lower_gamma_range():
     # M has poles at both gamma = rho and gamma = 1 (the series factor
     # behaves like 1/(1/gamma - 1) there), so monotonicity holds only on
     # the rho side of the trough; test the first third of the interval.
-    for p, rho_fn, m_fn in (
-        (WALK_09, rho_general, m_general),
-        (WALK_09_EPS, rho_reversible, m_reversible),
-        (CONTRACT, rho_positive, m_positive),
+    for p, symmetry in (
+        (WALK_09, "general"),
+        (WALK_09_EPS, "reversible"),
+        (CONTRACT, "reversible-positive"),
     ):
-        rho = rho_fn(p).rho
+        rho = rate_part(p, symmetry).rho
         grid = np.linspace(rho + 0.02 * (1.0 - rho), rho + 0.35 * (1.0 - rho), 12)
-        values = [m_fn(p, g) for g in grid]
+        values = [certificate(p, symmetry, g).big_m for g in grid]
         assert all(math.isfinite(v) for v in values)
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
 def test_m_gamma_validation():
     with pytest.raises(GammaOutOfRange):
-        m_general(WALK_09, 0.5)
+        certificate(WALK_09, "general", 0.5)
     with pytest.raises(GammaOutOfRange):
-        m_reversible(WALK_09, 1.0)
+        certificate(WALK_09, "reversible", 1.0)
 
 
 def test_m_reversible_uses_series_bound():
@@ -283,7 +307,7 @@ def test_m_reversible_uses_series_bound():
     gamma = 0.8
     expected_k2 = k2_series_bound(1.0 / gamma, 1.0 / rho, 1.0)
     direct = _m_atomic_gamma(WALK_09.lam, WALK_09.big_k, gamma, expected_k2)
-    assert abs(m_reversible(WALK_09, gamma) - direct) <= 1e-12 * direct
+    assert abs(certificate(WALK_09, "reversible", gamma).big_m - direct) <= 1e-12 * direct
 
 
 def test_nonatomic_certificate_m_uses_chain_exponents_and_its_k_factor():
@@ -335,14 +359,14 @@ def test_prop44_bounds_structure():
     de = derived_exponents(p)
     r = 1.0 + 0.5 * (de.r0 - 1.0)
     vals = prop44_bounds(r, p)
-    assert vals["gbar_a1"] == pytest.approx(big_l(r, p), rel=1e-12)
+    big_l = _big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
+    assert vals["gbar_a1"] == pytest.approx(big_l, rel=1e-12)
     assert vals["g_tilde"] == pytest.approx(r**de.alpha1, rel=1e-12)
     # r -> 1 limits: gbar -> 1 and hbar -> (K - lambda)/((1-lambda) beta_tilde).
     near = prop44_bounds(1.0 + 1e-8, p)
     assert abs(near["gbar_a1"] - 1.0) <= 1e-6
     limit = (p.big_k - p.lam) / ((1.0 - p.lam) * p.beta_tilde)
     assert abs(near["hbar_a1"] - limit) <= 1e-5 * limit
-    assert g_tilde_bound(p.lam_inv, p) == pytest.approx(p.lam_inv**de.alpha1, rel=1e-12)
     with pytest.raises(OutOfRange):
         prop44_bounds(de.r0 * 1.01, p)
 
@@ -402,10 +426,11 @@ def test_radius_search_beats_dense_log_grid_scan():
         (p.beta, p.beta_tilde, de.alpha1, de.alpha2) for p, de in zip(ps, des)))]
     lo, hi = bounds._scan_window(np.array([de.r0 for de in des]))
     scans = bounds._r1_at_radius(log_grid_array(lo, hi, 512), *cols)
-    for p, scan in zip(ps, scans):
+    for p, de, scan in zip(ps, des, scans):
         diag = rho_general(p).diagnostics
         assert diag["R1"] >= (1.0 - 1e-12) * np.nanmax(scan), p
-        assert diag["L_at_R_tilde"] == big_l(diag["R_tilde"], p)
+        big_l = _big_l_at(diag["R_tilde"], p.beta_tilde, de.alpha1, de.alpha2)
+        assert diag["L_at_R_tilde"] == big_l
 
 
 def test_radius_search_ends_exactly_on_the_right_edge():
@@ -518,7 +543,7 @@ def test_certificate_dict_schema():
 
 
 def test_l2_contraction():
-    assert l2_contraction(WALK_09, "reversible-positive") == 0.6
-    assert abs(l2_contraction(contracting_params(0.75, 1.2), "reversible") - 0.9958) <= 5e-4
-    with pytest.raises(NotReversible):
-        l2_contraction(WALK_09, "general")
+    # For a reversible chain the L2(pi) contraction factor of P - 1 (x) pi
+    # is at most the certified rate.
+    assert rate_part(WALK_09, "reversible-positive").rho == 0.6
+    assert abs(rate_part(contracting_params(0.75, 1.2), "reversible").rho - 0.9958) <= 5e-4

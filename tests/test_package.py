@@ -1,5 +1,10 @@
 """The package namespace: ``verify`` and its re-exported names resolve on
-first access, to the objects of ``ergocert.verify``."""
+first access, to the objects of ``ergocert.verify``; and every exported
+function and class has a caller outside the tests."""
+
+import ast
+import json
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +42,69 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(ImportError):
         from ergocert import no_such_name  # noqa: F401
     assert not hasattr(ergocert, "run_all_suite")
+
+
+def _package_sources() -> dict:
+    # {module name: syntax tree} of every module of the package.
+    root = Path(ergocert.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+
+
+def _public_definitions(module: str, tree: ast.Module) -> set:
+    # The functions and classes a module lists in __all__; ``errors``, which
+    # has no __all__, exports every class it defines.
+    defined = {
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return defined & {elt.value for elt in node.value.elts}
+    return defined if module == "errors" else set()
+
+
+def _uses(sources: dict) -> set:
+    # (module, name) pairs that the package's own code uses: a name inside
+    # its module, an import from its module, or an attribute of the module
+    # imported. Definitions, __all__ strings, docstrings and the re-exports
+    # of the package namespace are not uses.
+    used = set()
+    for module, tree in sources.items():
+        module_aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        module_aliases[alias.asname or alias.name] = alias.name
+                    elif module != "__init__":
+                        used.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in module_aliases:
+                    used.add((module_aliases[node.value.id], node.attr))
+    return used
+
+
+def _benchmark_layer_functions() -> set:
+    # (module, function) pairs that BENCHMARK.json's per-layer metrics name:
+    # the benchmark's tracer wraps them by name, so they stay public.
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    return {tuple(m["name"].split(".")[:2]) for m in spec["per_layer"]}
+
+
+def test_every_exported_function_and_class_has_a_caller():
+    # Library surface that only the tests call is dead weight: each public
+    # function and class must be used by other code of the package or be
+    # traced by the benchmark.
+    sources = _package_sources()
+    used = _uses(sources) | _benchmark_layer_functions()
+    unused = sorted(
+        f"{module}.{name}"
+        for module, tree in sources.items()
+        for name in _public_definitions(module, tree)
+        if (module, name) not in used
+    )
+    assert unused == []
