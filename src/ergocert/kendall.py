@@ -104,7 +104,8 @@ def _r1_upper_end(delta: float, log_target: float, hi: float) -> float:
     # log_target at t_up = s - log1p(-e^s) = s - log(-expm1(s)), and the root
     # is at most t_up. hi sits on the log singularity of h at r -> R
     # (h(hi) ~ 60-75), so regula falsi from hi creeps up from the lower end
-    # for ~5 of its ~9 steps; from min(hi, t_up) most solves close in 1-4.
+    # for most of its 6-11 steps; from min(hi, t_up) most solves close in
+    # 1-4, none in more than 5 (300 seeded draws over the certificate domain).
     # Where s >= 0 the end is hi. Rounding can put t_up a few ulps below the
     # root, so a solve takes this end only where h there is >= log_target.
     s = log_target + 2.0 * math.log(math.log1p(delta))
@@ -175,11 +176,11 @@ def solve_r1(p: KendallParams) -> float:
     s = log(target) + 2 log log R < 0 the root is at most
     t_up = s - log1p(-e^s). The solve runs on [log 1e-14, t_up], or on the
     wide [log 1e-14, log((R-1)(1 - 1e-13))] where s >= 0 or where rounding
-    puts t_up under the root; most solves then close in 1-4 Illinois steps
-    instead of ~9. If the root falls below 1 + 1e-14 (R - 1 near 1e-9,
-    where the root is not representable next to 1 in double precision)
-    R1 = 1 + 1e-14 is returned; such values are never competitive in the
-    radius searches that consume them.
+    puts t_up under the root; most solves then close in 1-4 Illinois steps,
+    none in more than 5, instead of 6-11. If the root falls below
+    1 + 1e-14 (R - 1 near 1e-9, where the root is not representable next to
+    1 in double precision) R1 = 1 + 1e-14 is returned; such values are
+    never competitive in the radius searches that consume them.
     """
     return 1.0 + math.exp(_r1_log_eps(p))
 
@@ -190,15 +191,16 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     Each element follows ``solve_r1``: the same log form, lower end and
     clamp, and ``solve_increasing_array``, the array twin of its root
     finder. The upper end is the wide one, log((R-1)(1 - 1e-13)), not the
-    closed-form t_up: all elements step together until the slowest
-    closes, so t_up saved under 2 % of the gap calls of the eight
-    Metropolis searches (283 against 288) and needs full-size temporaries
-    for its terms. An element therefore agrees with ``solve_r1`` to the
-    stop tolerance, not bit for bit. The inputs are not validated as
-    ``KendallParams`` are: an element whose equation has no sign change on
-    its bracket, or that has
-    no bracket, comes back NaN (NaN inputs included), where ``solve_r1``
-    would raise. Raises NoConvergence as ``solve_monotone`` does.
+    closed-form t_up, so an element agrees with ``solve_r1`` to the stop
+    tolerance, not bit for bit. All elements step together until the
+    slowest closes: 12 root-finder calls of ``gap`` per Metropolis thm1.1
+    grid, 72 gap evaluations (1.18 million elements) in the eight
+    Metropolis searches; t_up, at the cost of full-size temporaries for its
+    terms, would cut them to 30 (0.63 million). The inputs are not
+    validated as ``KendallParams`` are: an element whose equation has no
+    sign change on its bracket, or that has no bracket, comes back NaN (NaN
+    inputs included), where ``solve_r1`` would raise. Raises NoConvergence
+    as ``solve_monotone`` does.
     """
     import numpy as np
 

@@ -8,8 +8,15 @@ Everything is a pure function of its arguments. ``solve_monotone`` solves
 one scalar equation and ``solve_increasing_array`` a whole array of them,
 both by the Illinois method (Dowell & Jarratt 1971), with one step rule:
 from the latest point x1 and the end x0 kept from before, whose values
-differ in sign, the next point x is their regula falsi point (their
-midpoint where that point is not strictly between them). Where f(x) and
+differ in sign, the next point x is their regula falsi point; where that
+point lies less than ``_TOL_ABS`` / 2 from x1, x is x1 moved ``_TOL_ABS`` / 2
+towards x0 instead (Brent's minimum step, Brent 1973, ch. 4), and where x
+is then not strictly between them, their midpoint. The minimum step is
+for a point that lands within an ulp of the root: the next regula falsi
+point rounds onto it, and midpoint steps alone would bisect the rest of the
+bracket. From |x1| = 2^13 = 8192 on, ``_TOL_ABS`` / 2 is under half an ulp
+of x1 and the minimum step rounds back onto it, so the midpoint takes over
+there. Where f(x) and
 f(x1) differ in sign, x1 becomes the kept end; otherwise x0 is kept once
 more and its value halved, which pulls the next point towards it, so both
 ends close in on the root. Both return the lower end of the final bracket,
@@ -70,14 +77,15 @@ def _closed(x0, x1):
 def solve_monotone(f: Callable[[float], float], target: float, lo: float, hi: float) -> float:
     """Solve f(x) = target for continuous, strictly monotone f on [lo, hi].
 
-    Illinois steps (the module's step rule) keep a sign change of
-    f - target in the bracket. Returns the lower end of the final bracket once it is
-    at most ``_TOL_ABS`` wide or holds no float strictly inside, an exact
-    root as soon as a step lands on one, and lo or hi where f already
-    equals target there. Raises InvalidParams unless lo < hi, NoSignChange
-    when f - target has one sign at both ends, and NoConvergence when the
-    budget of ``_MAX_ITER`` steps runs out first. Deterministic for fixed
-    inputs.
+    Illinois steps (the module's step rule: the regula falsi point, at
+    least ``_TOL_ABS`` / 2 from the latest point, else the midpoint) keep a
+    sign change of f - target in the bracket. Returns the lower end of the
+    final bracket once it is at most ``_TOL_ABS`` wide or holds no float
+    strictly inside, an exact root as soon as a step lands on one, and lo
+    or hi where f already equals target there. Raises InvalidParams unless
+    lo < hi, NoSignChange when f - target has one sign at both ends, and
+    NoConvergence when the budget of ``_MAX_ITER`` steps runs out first.
+    Deterministic for fixed inputs.
     """
     if not (lo < hi):
         raise InvalidParams(f"bracket needs lo < hi, got [{lo}, {hi}]")
@@ -97,6 +105,8 @@ def solve_monotone(f: Callable[[float], float], target: float, lo: float, hi: fl
     x0, g0, x1, g1 = lo, flo, hi, fhi
     for _ in range(_MAX_ITER):
         x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        if abs(x - x1) < 0.5 * _TOL_ABS:
+            x = x1 + math.copysign(0.5 * _TOL_ABS, x0 - x1)
         if not (x - x0) * (x - x1) < 0.0:
             x = 0.5 * (x0 + x1)
         gx = f(x) - target
@@ -157,6 +167,7 @@ def solve_increasing_array(f: Callable, lo, hi, *args) -> np.ndarray:
             if idx.size == 0:
                 break
             x = x1 - g1 * (x1 - x0) / (g1 - g0)
+            x = np.where(abs(x - x1) < 0.5 * _TOL_ABS, x1 + np.copysign(0.5 * _TOL_ABS, x0 - x1), x)
             x = np.where((x - x0) * (x - x1) < 0.0, x, 0.5 * (x0 + x1))
             gx = f(x, *args)
             flip = (gx < 0.0) != (g1 < 0.0)

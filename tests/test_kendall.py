@@ -127,6 +127,17 @@ def test_r1_clamp_evaluates_the_lower_end_once(monkeypatch):
     assert exps == [kendall._LOG_EPS_LO]
 
 
+def test_r1_walk_23_solve_does_not_stall(monkeypatch):
+    # From the near end WALK_23 lands within an ulp of the root while the
+    # kept end is 8.8e-8 away, so the next regula falsi point rounds onto the
+    # latest one. Brent's minimum step closes the bracket from there: 7 R1
+    # evaluations when this was written, against 23 that bisected the rest.
+    exps = _count_r1_evaluations(monkeypatch)
+    t = kendall._r1_log_eps(WALK_23)
+    assert len(exps) <= 10
+    assert _r1_gap(WALK_23, t) <= kendall._r1_log_target(WALK_23.beta, WALK_23.big_r, WALK_23.big_l)
+
+
 def _r1_gap(p: KendallParams, t: float) -> float:
     # The left side of the R1 equation in t = log(r - 1), as kendall has it.
     eps = math.exp(t)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ergocert import competitors, kendall, models
+from ergocert import bounds, competitors, kendall, models
 from ergocert.bounds import rho_general, rho_positive, rho_reversible
 from ergocert.competitors import coupling_rho
 from ergocert.errors import (
@@ -361,6 +361,28 @@ def test_mh_tuning_winners_are_pinned_and_reproducible(nu_variant, method):
     assert abs(result["rho"] - rho) <= 1e-12 * (1.0 - rho)
 
 
+@pytest.mark.parametrize("method", ["thm1.1", "thm1.2"])
+def test_mh_array_solves_close_in_few_lockstep_steps(method, monkeypatch):
+    # The elements of an array solve step together until the slowest one
+    # closes, so one stalled element makes the whole grid pay. With Brent's
+    # minimum step every solve of the search makes at most 16 calls of f (12
+    # for thm1.1 and 10-15 for thm1.2 when this was written, against 47 and
+    # 25-30 without it).
+    calls = []
+    real = kendall.solve_increasing_array
+
+    def counted(f, lo, hi, *args):
+        n = []
+        result = real(lambda x, *a: n.append(1) or f(x, *a), lo, hi, *args)
+        calls.append(len(n))
+        return result
+
+    monkeypatch.setattr(kendall, "solve_increasing_array", counted)
+    monkeypatch.setattr(bounds, "solve_increasing_array", counted)
+    optimize_mh_tuning(method)
+    assert calls and max(calls) <= 16
+
+
 def test_mh_tuning_without_a_rate_names_no_tuning():
     # No tuning in the range has a coupling rate: as the contracting search
     # does, the result names no tuning.
@@ -424,6 +446,42 @@ def test_optimize_contracting_matches_scalar_loop(theta):
             continue
         want, _ = _reference_contracting_search(method, theta)
         assert optimize_contracting_tuning(method, theta) == want, method
+
+
+_COUPLING_C_LO = math.sqrt(2.0) + 1e-6  # the coupling search's lowest c
+
+CONTRACTING_WINNERS = {
+    ("thm1.1", 0.5): 1.51,
+    ("thm1.2", 0.5): 1.47,
+    ("thm1.3", 0.5): 1.60,
+    ("coupling", 0.5): _COUPLING_C_LO + 0.59,
+    ("binomial", 0.5): 1.54,
+    ("thm1.1", 0.75): 1.24,
+    ("thm1.2", 0.75): 1.20,
+    ("thm1.3", 0.75): 1.29,
+    ("coupling", 0.75): _COUPLING_C_LO + 0.28,
+    ("binomial", 0.75): 1.28,
+    ("thm1.1", 0.9): 1.11,
+    ("thm1.2", 0.9): NoSignChange,
+    ("thm1.3", 0.9): 1.14,
+    ("coupling", 0.9): _COUPLING_C_LO + 0.12,
+    ("binomial", 0.9): 1.14,
+}
+
+
+@pytest.mark.parametrize("method, theta", list(CONTRACTING_WINNERS))
+def test_contracting_tuning_winners_are_pinned(method, theta):
+    # The 15 table-4 searches keep their winning c, and the rate each reports
+    # is method_rho's at that c. thm1.2 at theta = 0.9 still raises: from
+    # c = 2.50 on, its R2 crossing lies below the bracket's 1 + 1e-14.
+    want = CONTRACTING_WINNERS[method, theta]
+    if want is NoSignChange:
+        with pytest.raises(NoSignChange):
+            optimize_contracting_tuning(method, theta)
+        return
+    result = optimize_contracting_tuning(method, theta)
+    assert abs(result["c"] - want) <= 1e-9
+    assert result["rho"] == models.method_rho(method, ContractingNormal(theta=theta, c=result["c"]))
 
 
 def test_optimize_contracting_general_takes_scalar_rate_where_array_has_none(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergocert import numerics
 from ergocert.errors import EmptyDomain, InvalidParams, NoConvergence, NoSignChange
 from ergocert.numerics import (
     elementary,
@@ -57,6 +58,30 @@ def test_solve_returns_the_lower_end_of_its_bracket():
     for f, target in ((lambda x: x * x, 2.0), (lambda x: -x * x, -2.0)):
         x = solve_monotone(f, target, 1.0, 2.0)
         assert x <= root and root - x <= 1e-12
+
+
+def test_solve_takes_the_minimum_step_where_regula_falsi_rounds_onto_the_latest_point():
+    # x^3 + x = 3 on [0, 4]: a step lands at x1 with f - 3 = -4.4e-16, and
+    # the regula falsi point of x1 and the kept end x0 (the point before it,
+    # on the other side of the root) rounds exactly onto x1. Brent's minimum
+    # step moves _TOL_ABS / 2 past x1 towards x0 instead and closes the
+    # bracket; the midpoint steps took 24 evaluations in all. Both twins.
+    def f(x):
+        return x * x * x + x
+
+    calls = []
+    x = solve_monotone(lambda x: calls.append(x) or f(x), 3.0, 0.0, 4.0)
+    x0, x1 = calls[-3], calls[-2]
+    g0, g1 = f(x0) - 3.0, f(x1) - 3.0
+    assert g0 > 0.0 > g1 and x1 - g1 * (x1 - x0) / (g1 - g0) == x1
+    assert calls[-1] == x1 + 0.5 * numerics._TOL_ABS  # one step, then closed
+    assert x == x1 and f(x) <= 3.0
+    assert len(calls) <= 16
+    array_calls = []
+    got = solve_increasing_array(
+        lambda x, t: array_calls.append(x) or f(x) - t, 0.0, 4.0, np.array([3.0])
+    )
+    assert got[0] == x and len(array_calls) == len(calls)
 
 
 @given(
