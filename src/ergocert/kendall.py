@@ -7,7 +7,7 @@ converges on a disc whose radius these routines certify:
   * ``solve_r1``            general chains, radius R1 from a transcendental
                             equation in (1, R);
   * ``solve_r1_array``      the same radius for whole arrays of (beta, R, L)
-                            at once, by the same root finder on the wide
+                            at once, by the same root finder on the same
                             bracket;
   * ``solve_r2_reversible`` reversible chains, radius R2 from the crossing
                             of 1 + 2*beta*r with r**(log L / log R).
@@ -90,28 +90,31 @@ _LOG_EPS_LO = math.log(1e-14)
 def _r1_bracket(delta):
     # The bracket (lo, hi) of every R1 solve in t = log(r - 1), from
     # delta = R - 1, on floats or arrays: [log 1e-14, log((R-1)(1 - 1e-13))].
-    # A root below lo is clamped to it, R1 = 1 + 1e-14. A scalar solve that
-    # is not clamped narrows hi to _r1_upper_end.
+    # A root below lo is clamped to it, R1 = 1 + 1e-14. A solve that is not
+    # clamped, scalar or array, narrows hi to _r1_upper_end.
     return _LOG_EPS_LO, elementary(delta).log(delta * (1.0 - 1e-13))
 
 
-def _r1_upper_end(delta: float, log_target: float, hi: float) -> float:
+def _r1_upper_end(delta, log_target, hi):
     # A closed-form upper end for the R1 root in t = log(r - 1), in
-    # [log 1e-14, hi]. The left side h(t) = t - log1p(e^t) - 2 log l(t),
-    # l(t) = log(R/r), has l(t) <= log R = log1p(delta), so
-    # h(t) >= t - log1p(e^t) - 2 log log R. That bound increases from -inf to
-    # -2 log log R, so where s = log_target + 2 log log R < 0 it meets
-    # log_target at t_up = s - log1p(-e^s) = s - log(-expm1(s)), and the root
-    # is at most t_up. hi sits on the log singularity of h at r -> R
-    # (h(hi) ~ 60-75), so regula falsi from hi creeps up from the lower end
-    # for most of its 6-11 steps; from min(hi, t_up) most solves close in
-    # 1-4, none in more than 5 (300 seeded draws over the certificate domain).
-    # Where s >= 0 the end is hi. Rounding can put t_up a few ulps below the
-    # root, so a solve takes this end only where h there is >= log_target.
-    s = log_target + 2.0 * math.log(math.log1p(delta))
-    if s >= 0.0:
-        return hi
-    return max(_LOG_EPS_LO, min(hi, s - math.log(-math.expm1(s))))
+    # [log 1e-14, hi], on floats or arrays. The left side
+    # h(t) = t - log1p(e^t) - 2 log l(t), l(t) = log(R/r), has
+    # l(t) <= log R = log1p(delta), so h(t) >= t - log1p(e^t) - 2 log log R.
+    # That bound increases from -inf to -2 log log R, so where
+    # s = log_target + 2 log log R < 0 it meets log_target at
+    # t_up = s - log1p(-e^s) = s - log(-expm1(s)), and the root is at most
+    # t_up. hi sits on the log singularity of h at r -> R (h(hi) ~ 60-75), so
+    # regula falsi from hi creeps up from the lower end for most of its 6-11
+    # steps; from min(hi, t_up) most solves close in 1-4, none in more than 5
+    # (300 seeded draws over the certificate domain). Where s >= 0 the end is
+    # hi: s is capped at -5e-324, the negative float nearest 0, whose
+    # t_up = 744.4 lies above every hi (the log of a float is below 709.8),
+    # so floats and arrays take one path and log(-expm1(s)) stays finite.
+    # Rounding can put t_up a few ulps below the root, so a solve takes this
+    # end only where h there is >= log_target.
+    fn = elementary(delta)
+    s = fn.minimum(log_target + 2.0 * fn.log(fn.log1p(delta)), -5e-324)
+    return fn.maximum(_LOG_EPS_LO, fn.minimum(hi, s - fn.log(-fn.expm1(s))))
 
 
 def _log_ratio(big_r: float, r: float) -> float:
@@ -128,10 +131,10 @@ def _r1_log_target(beta, big_r, big_l):
 def _r1_log_eps(p: KendallParams) -> float:
     # log(R1 - 1) of ``solve_r1``: the lower end of the final bracket in
     # t = log(r - 1), or the bracket's lower end where the root lies below.
-    # The solve runs on [lo, up], up = _r1_upper_end, where
-    # gap(up) >= log_target, else on the wide [lo, hi]. gap is evaluated
-    # once at each end: the clamp test's value at lo and the check's value
-    # at up (hi from then on) are the root finder's.
+    # As in ``solve_r1_array``, the solve runs on [lo, up],
+    # up = _r1_upper_end, where gap(up) >= log_target, else on the wide
+    # [lo, hi]. gap is evaluated once at each end: the clamp test's value at
+    # lo and the check's value at up (hi from then on) are the root finder's.
     delta = p.big_r - 1.0
     log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
     lo, hi = _r1_bracket(delta)
@@ -177,7 +180,8 @@ def solve_r1(p: KendallParams) -> float:
     t_up = s - log1p(-e^s). The solve runs on [log 1e-14, t_up], or on the
     wide [log 1e-14, log((R-1)(1 - 1e-13))] where s >= 0 or where rounding
     puts t_up under the root; most solves then close in 1-4 Illinois steps,
-    none in more than 5, instead of 6-11. If the root falls below
+    none in more than 5, instead of 6-11. ``solve_r1_array`` takes the same
+    ends elementwise. If the root falls below
     1 + 1e-14 (R - 1 near 1e-9, where the root is not representable next to
     1 in double precision) R1 = 1 + 1e-14 is returned; such values are
     never competitive in the radius searches that consume them.
@@ -188,26 +192,26 @@ def solve_r1(p: KendallParams) -> float:
 def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     """``solve_r1`` for arrays of (beta, R, L), broadcast against each other.
 
-    Each element follows ``solve_r1``: the same log form, lower end and
-    clamp, and ``solve_increasing_array``, the array twin of its root
-    finder. The upper end is the wide one, log((R-1)(1 - 1e-13)), not the
-    closed-form t_up, so an element agrees with ``solve_r1`` to the stop
-    tolerance, not bit for bit. All elements step together until the
-    slowest closes: 12 root-finder calls of ``gap`` per Metropolis thm1.1
-    grid, 72 gap evaluations (1.18 million elements) in the eight
-    Metropolis searches; t_up, at the cost of full-size temporaries for its
-    terms, would cut them to 30 (0.63 million). The inputs are not
-    validated as ``KendallParams`` are: an element whose equation has no
-    sign change on its bracket, or that has no bracket, comes back NaN (NaN
-    inputs included), where ``solve_r1`` would raise. Raises NoConvergence
-    as ``solve_monotone`` does.
+    Each element follows ``solve_r1``: the same log form, bracket, clamp and
+    closed-form upper end t_up, and ``solve_increasing_array``, the array
+    twin of its root finder; only numpy's log1p and exp may differ from
+    ``math``'s by an ulp, so an element agrees with ``solve_r1`` to the stop
+    tolerance, most of them bit for bit. All elements step together until
+    the slowest closes: 5 root-finder calls of ``gap`` per Metropolis
+    thm1.1 grid. The inputs are not validated as ``KendallParams`` are: an
+    element whose equation has no sign change on its bracket, or that has
+    no bracket, comes back NaN (NaN inputs included), where ``solve_r1``
+    would raise. Raises NoConvergence as ``solve_monotone`` does.
     """
     import numpy as np
 
-    def gap(t, delta, log_target, gap_lo=None):
-        # gap_lo, the clamp test's values, is the root finder's at lo.
+    def gap(t, delta, log_target, gap_hi=None, gap_lo=None):
+        # gap_lo, the clamp test's values, and gap_hi, the check's values at
+        # the upper ends, are the root finder's at lo and hi.
         if gap_lo is not None and (t == lo).all():
             return gap_lo
+        if gap_hi is not None and np.array_equal(t, hi, equal_nan=True):
+            return gap_hi
         eps = np.exp(t)
         return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
 
@@ -217,11 +221,17 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
         lo, hi = _r1_bracket(delta)
         gap_lo = gap(lo, delta, log_target)
         rest = ~((lo < hi) & (gap_lo >= 0.0))
-        # Only the elements not clamped go on to the root finder.
-        gap_lo = gap_lo[rest]
-        t_rest = solve_increasing_array(gap, lo, hi[rest], delta[rest], log_target[rest], gap_lo)
         t = np.full(hi.shape, lo)
-        t[rest] = t_rest
+        # Only the elements not clamped go on to the upper end and the root
+        # finder; those where gap(t_up) < 0 keep the wide end.
+        delta, log_target, gap_lo, wide = delta[rest], log_target[rest], gap_lo[rest], hi[rest]
+        hi = _r1_upper_end(delta, log_target, wide)
+        gap_hi = gap(hi, delta, log_target)
+        under = ~(gap_hi >= 0.0)
+        hi[under] = wide[under]
+        gap_hi[under] = gap(hi[under], delta[under], log_target[under])
+        del wide, under
+        t[rest] = solve_increasing_array(gap, lo, hi, delta, log_target, gap_hi, gap_lo)
         return 1.0 + np.exp(t)
 
 

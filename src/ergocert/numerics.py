@@ -299,7 +299,8 @@ def _std_normal_cdf_array(x) -> np.ndarray:
 
 
 _FLOAT_FUNCTIONS = SimpleNamespace(
-    exp=math.exp, log=math.log, cdf=std_normal_cdf, minimum=min, maximum=max,
+    exp=math.exp, expm1=math.expm1, log=math.log, log1p=math.log1p, cdf=std_normal_cdf,
+    minimum=min, maximum=max,
     where=lambda condition, x, y: x if condition else y,
 )
 
@@ -309,8 +310,8 @@ def _array_functions() -> SimpleNamespace:
     import numpy as np
 
     return SimpleNamespace(
-        exp=np.exp, log=np.log, cdf=_std_normal_cdf_array, minimum=np.minimum,
-        maximum=np.maximum, where=np.where,
+        exp=np.exp, expm1=np.expm1, log=np.log, log1p=np.log1p, cdf=_std_normal_cdf_array,
+        minimum=np.minimum, maximum=np.maximum, where=np.where,
     )
 
 
@@ -322,7 +323,8 @@ def _is_array(x) -> bool:
 
 
 def elementary(x) -> SimpleNamespace:
-    """exp, log, cdf (Phi), minimum, maximum and where for arguments like x.
+    """exp, expm1, log, log1p, cdf (Phi), minimum, maximum and where for
+    arguments like x.
 
     numpy's functions when x is a numpy array, ``math``'s, the builtins and
     a conditional expression otherwise; the test does not import numpy. cdf

@@ -6,10 +6,10 @@ package computes M in the decay factor gamma and K1 in nested form; the
 first functions here are the other forms, transcribed independently: M in
 the series variable r = 1/gamma, and K1 as a single fraction.
 
-The R1 solves reuse their clamp test's value at the lower bracket end,
-and the scalar solve its check's value at the near upper end; the forms
-below that evaluate each end twice, once for the test and once in the
-root finder, are the ones they replaced. Both take their ends from
+The R1 solves reuse their clamp test's value at the lower bracket end
+and their check's value at the near upper end; the forms below that
+evaluate each end twice, once for the test and once in the root finder,
+are the ones they replaced. Both take their ends from
 ``kendall._r1_bracket`` and ``kendall._r1_upper_end``.
 
 The renewal oracle convolves all laws of a suite as one block. The
@@ -204,23 +204,32 @@ def r1_log_eps_clamp_then_solve(
     return solve_monotone(gap, log_target, lo, hi)
 
 
-def r1_array_clamp_then_solve(beta, big_r, big_l) -> np.ndarray:
-    """``kendall.solve_r1_array`` with the clamp test and the root finder
-    each evaluating the lower end."""
+def r1_gap_array(t, delta, log_target):
+    """The R1 equation of ``kendall.solve_r1_array`` in t = log(r - 1),
+    less its target, elementwise."""
+    eps = np.exp(t)
+    return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
 
-    def gap(t, delta, log_target):
-        eps = np.exp(t)
-        return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
 
+def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) -> np.ndarray:
+    """The t = log(R1 - 1) of ``kendall.solve_r1_array`` with each bracket
+    end evaluated twice, as in ``r1_log_eps_clamp_then_solve``: the clamp
+    test and the root finder at the lower end, the check of the near upper
+    end and the root finder at the upper end. wide=True solves on the wide
+    bracket [lo, hi], as before the near end. NaN where an element has no
+    sign change on its bracket."""
     with np.errstate(all="ignore"):
         big_r = np.asarray(big_r, dtype=float)
         delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
         lo, hi = _r1_bracket(delta)
-        rest = ~((lo < hi) & (gap(lo, delta, log_target) >= 0.0))
-        t_rest = solve_increasing_array(gap, lo, hi[rest], delta[rest], log_target[rest])
+        rest = ~((lo < hi) & (r1_gap_array(lo, delta, log_target) >= 0.0))
+        delta, log_target, hi_rest = delta[rest], log_target[rest], hi[rest]
+        if not wide:
+            up = _r1_upper_end(delta, log_target, hi_rest)
+            hi_rest = np.where(r1_gap_array(up, delta, log_target) >= 0.0, up, hi_rest)
         t = np.full(hi.shape, lo)
-        t[rest] = t_rest
-        return 1.0 + np.exp(t)
+        t[rest] = solve_increasing_array(r1_gap_array, lo, hi_rest, delta, log_target)
+        return t
 
 
 def renewal_per_law(b: IncrementDistribution, n_max: int) -> RenewalSequence:

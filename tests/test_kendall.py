@@ -20,7 +20,8 @@ from ergocert.kendall import (
 from ergocert.numerics import solve_increasing_array, solve_monotone
 from reference_forms import (
     k1_single_fraction,
-    r1_array_clamp_then_solve,
+    r1_array_log_eps_clamp_then_solve,
+    r1_gap_array,
     r1_log_eps_clamp_then_solve,
     rho_tilde_reversible_atomic,
 )
@@ -203,14 +204,16 @@ def test_r1_near_end_saves_evaluations(monkeypatch):
 
 def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
     # The root finder's values at the lower end are the clamp test's array
-    # itself, not a second evaluation; the radii are the clamp-then-solve
-    # form's bit for bit, clamped, NaN and 2-d elements included.
-    firsts = []
+    # itself, and at the upper end the near-end check's, not second
+    # evaluations; the radii are those of the form that evaluates each end
+    # twice, bit for bit, clamped, NaN and 2-d elements included.
+    firsts, seconds = [], []
 
     def solve_spied(f, lo, hi, *args):
         def spied(t, *a):
             value = f(t, *a)
             firsts.append(value is a[-1])
+            seconds.append(value is a[-2])
             return value
 
         return solve_increasing_array(spied, lo, hi, *args)
@@ -222,10 +225,11 @@ def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
     big_l = big_r * 10.0 ** rng.uniform(0.0, 3.0, 30)
     big_l[0] = math.nan
     got = solve_r1_array(beta, big_r, big_l)
-    want = r1_array_clamp_then_solve(beta, big_r, big_l)
+    want = 1.0 + np.exp(r1_array_log_eps_clamp_then_solve(beta, big_r, big_l))
     assert got.tobytes() == want.tobytes()
     assert (got == 1.0 + 1e-14).any() and np.isnan(got).any()
     assert firsts[:2] == [True, False] and not any(firsts[2:])
+    assert seconds[:2] == [False, True] and not any(seconds[2:])
 
 
 def test_r1_monotone_in_beta_and_l():
@@ -397,11 +401,43 @@ def test_r1_array_matches_scalar(elements, shared_beta):
     for i in range(len(elements)):
         b = float(betas[0]) if shared_beta else float(betas[i])
         want = solve_r1(KendallParams(beta=b, big_r=float(big_r[i]), big_l=float(big_l[i])))
-        # 2 * tol_abs: each solve returns a point at most tol_abs below the
-        # root, the scalar one from the near upper end and the array one
-        # from the wide bracket, and numpy's log1p may differ from
-        # math.log1p by an ulp.
+        # 2 * tol_abs: both solves start from the same ends, but numpy's
+        # log1p and exp may differ from math's by an ulp, so the steps can
+        # part and each solve returns its own point at most tol_abs below
+        # the root.
         assert abs(float(got[i]) - want) <= 2e-12
+
+
+@given(
+    elements=st.lists(_R1_ELEMENT, min_size=1, max_size=24),
+    nan_at=st.sets(st.integers(0, 23), max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_r1_array_near_end_bounds_the_root(elements, nan_at):
+    # The array form of test_r1_near_end_bounds_the_root. Per element, the
+    # closed-form upper end, wherever the solve takes it, lies above the
+    # root that the wide bracket gives, and the solve from it lands within
+    # the stop tolerance of that root; clamped elements give lo and those
+    # with a NaN input NaN, as on the wide bracket.
+    beta = np.array([e[0] for e in elements])
+    big_r = 1.0 + np.array([e[1] for e in elements])
+    big_l = big_r * 10.0 ** np.array([e[2] for e in elements])
+    big_l[[i for i in nan_at if i < len(elements)]] = math.nan
+    near = r1_array_log_eps_clamp_then_solve(beta, big_r, big_l)
+    wide = r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide=True)
+    assert solve_r1_array(beta, big_r, big_l).tobytes() == (1.0 + np.exp(near)).tobytes()
+    assert (np.isnan(near) == np.isnan(big_l)).all() and (np.isnan(wide) == np.isnan(big_l)).all()
+    delta, log_target = big_r - 1.0, kendall._r1_log_target(beta, big_r, big_l)
+    lo, hi = kendall._r1_bracket(delta)
+    clamped = wide == lo
+    assert (near[clamped] == lo).all()
+    solved = ~clamped & ~np.isnan(wide)
+    assert (abs(near[solved] - wide[solved]) <= 1e-12).all()
+    delta, log_target, hi, root = delta[solved], log_target[solved], hi[solved], wide[solved]
+    up = kendall._r1_upper_end(delta, log_target, hi)
+    taken = r1_gap_array(up, delta, log_target) >= 0.0
+    assert (lo <= root[taken]).all() and (root[taken] <= up[taken]).all()
+    assert (up[taken] <= hi[taken]).all()
 
 
 def test_r1_array_clamp_nan_and_shape():
@@ -413,8 +449,7 @@ def test_r1_array_clamp_nan_and_shape():
     got = solve_r1_array(beta, big_r, big_l)
     assert got.shape == (2, 2)
     assert got[0, 0] == 1.0 + 1e-14 == solve_r1(KendallParams(0.5, 1.0 + 1e-9, 1e3))
-    # The array solve keeps the wide bracket: WALK_09 gives the bits of the
-    # scalar solve on that bracket, and the near-end solve to 1e-12.
-    assert got[1, 0] == 1.0 + math.exp(r1_log_eps_clamp_then_solve(WALK_09, wide=True))
-    assert abs(got[1, 0] - solve_r1(WALK_09)) <= 1e-12
+    # Both solves start from the same near end: WALK_09 gives the bits of
+    # the scalar solve.
+    assert got[1, 0] == solve_r1(WALK_09)
     assert math.isnan(got[0, 1]) and math.isnan(got[1, 1])
