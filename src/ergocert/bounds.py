@@ -87,8 +87,8 @@ class DriftMinorization:
     def __post_init__(self) -> None:
         if not (0.0 < self.lam < 1.0):
             raise InvalidParams(f"lambda must lie in (0, 1), got {self.lam}")
-        if not (self.big_k >= 1.0):
-            raise InvalidParams(f"K must be >= 1, got {self.big_k}")
+        if not (1.0 <= self.big_k < math.inf):
+            raise InvalidParams(f"K must be finite and >= 1, got {self.big_k}")
         if not (self.big_k > self.lam):
             raise InvalidParams(f"K must exceed lambda, got K={self.big_k}")
         if not (0.0 < self.beta <= self.beta_tilde <= 1.0):
@@ -106,8 +106,8 @@ class DriftMinorization:
         if self.nu_info not in (NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL):
             raise InvalidParams(f"unknown nu_info {self.nu_info!r}")
         if self.nu_info == NU_V_INTEGRAL:
-            if self.k_tilde is None or self.k_tilde < 1.0:
-                raise InvalidParams("v_integral_bound requires k_tilde >= 1")
+            if self.k_tilde is None or not (1.0 <= self.k_tilde < math.inf):
+                raise InvalidParams(f"k_tilde must be finite and >= 1, got {self.k_tilde}")
         elif self.k_tilde is not None:
             raise InvalidParams("k_tilde is only meaningful with nu_info='v_integral_bound'")
 
@@ -352,8 +352,10 @@ def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> 
     def gap(r: float) -> float:
         return math.log(_big_l_at(r, bt, a1, a2)) - math.log1p(2.0 * p.beta * r)
 
-    # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0).
-    return solve_monotone(gap, 0.0, lo, hi)
+    # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0). An
+    # empty bracket is not evaluated: the root finder raises.
+    ends = (gap(lo), gap(hi)) if lo < hi else (math.nan, math.nan)
+    return solve_monotone(gap, lo, hi, *ends)
 
 
 def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
@@ -366,15 +368,16 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
     """
     import numpy as np
 
+    def gap(r, b, bt, a1, a2):
+        return np.log(big_l_array(r, bt, a1, a2)) - np.log1p(2.0 * b * r)
+
+    constants = beta, beta_tilde, alpha1, alpha2
     with np.errstate(all="ignore"):
         pole_limited, lo, hi = _r2_bracket(beta_tilde, alpha1, r0)
         l_at_r0 = big_l_array(r0, beta_tilde, alpha1, alpha2)
         at_r0 = ~pole_limited & (l_at_r0 <= 1.0 + 2.0 * beta * r0)
-
-    def gap(r, b, bt, a1, a2):
-        return np.log(big_l_array(r, bt, a1, a2)) - np.log1p(2.0 * b * r)
-
-    r2 = solve_increasing_array(gap, lo, hi, beta, beta_tilde, alpha1, alpha2)
+        ends = gap(lo, *constants), gap(hi, *constants)
+    r2 = solve_increasing_array(gap, lo, hi, *ends, *constants)
     return np.where(at_r0, r0, r2)
 
 

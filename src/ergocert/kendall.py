@@ -132,31 +132,27 @@ def _r1_log_eps(p: KendallParams) -> float:
     # log(R1 - 1) of ``solve_r1``: the lower end of the final bracket in
     # t = log(r - 1), or the bracket's lower end where the root lies below.
     # As in ``solve_r1_array``, the solve runs on [lo, up],
-    # up = _r1_upper_end, where gap(up) >= log_target, else on the wide
-    # [lo, hi]. gap is evaluated once at each end: the clamp test's value at
-    # lo and the check's value at up (hi from then on) are the root finder's.
+    # up = _r1_upper_end, where gap(up) >= 0, else on the wide [lo, hi], and
+    # takes the clamp test's and the check's values as its end values. An
+    # empty bracket is not evaluated: the root finder raises.
     delta = p.big_r - 1.0
     log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
     lo, hi = _r1_bracket(delta)
-    gap_lo = gap_hi = None
 
     def gap(t: float) -> float:
-        if t == lo and gap_lo is not None:
-            return gap_lo
-        if t == hi and gap_hi is not None:
-            return gap_hi
         eps = math.exp(t)
-        return t - math.log1p(eps) - 2.0 * math.log(math.log1p((delta - eps) / (1.0 + eps)))
+        lg = math.log1p((delta - eps) / (1.0 + eps))
+        return t - math.log1p(eps) - 2.0 * math.log(lg) - log_target
 
+    gap_lo = gap_hi = math.nan
     if lo < hi:
         gap_lo = gap(lo)
-        if gap_lo >= log_target:
+        if gap_lo >= 0.0:
             return lo
         up = _r1_upper_end(delta, log_target, hi)
         gap_up = gap(up)
-        if gap_up >= log_target:
-            hi, gap_hi = up, gap_up
-    return solve_monotone(gap, log_target, lo, hi)
+        hi, gap_hi = (up, gap_up) if gap_up >= 0.0 else (hi, gap(hi))
+    return solve_monotone(gap, lo, hi, gap_lo, gap_hi)
 
 
 def solve_r1(p: KendallParams) -> float:
@@ -197,21 +193,17 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     twin of its root finder; only numpy's log1p and exp may differ from
     ``math``'s by an ulp, so an element agrees with ``solve_r1`` to the stop
     tolerance, most of them bit for bit. All elements step together until
-    the slowest closes: 5 root-finder calls of ``gap`` per Metropolis
-    thm1.1 grid. The inputs are not validated as ``KendallParams`` are: an
-    element whose equation has no sign change on its bracket, or that has
-    no bracket, comes back NaN (NaN inputs included), where ``solve_r1``
-    would raise. Raises NoConvergence as ``solve_monotone`` does.
+    the slowest closes: 5 evaluations of ``gap`` per Metropolis thm1.1
+    grid, with the clamp test and the near-end check, whose values are the
+    root finder's end values. The inputs are not validated as
+    ``KendallParams`` are: an element whose equation has no sign change on
+    its bracket, or that has no bracket, comes back NaN (NaN inputs
+    included), where ``solve_r1`` would raise. Raises NoConvergence as
+    ``solve_monotone`` does.
     """
     import numpy as np
 
-    def gap(t, delta, log_target, gap_hi=None, gap_lo=None):
-        # gap_lo, the clamp test's values, and gap_hi, the check's values at
-        # the upper ends, are the root finder's at lo and hi.
-        if gap_lo is not None and (t == lo).all():
-            return gap_lo
-        if gap_hi is not None and np.array_equal(t, hi, equal_nan=True):
-            return gap_hi
+    def gap(t, delta, log_target):
         eps = np.exp(t)
         return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
 
@@ -231,7 +223,7 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
         hi[under] = wide[under]
         gap_hi[under] = gap(hi[under], delta[under], log_target[under])
         del wide, under
-        t[rest] = solve_increasing_array(gap, lo, hi, delta, log_target, gap_hi, gap_lo)
+        t[rest] = solve_increasing_array(gap, lo, hi, gap_lo, gap_hi, delta, log_target)
         return 1.0 + np.exp(t)
 
 
@@ -276,13 +268,14 @@ def solve_r2_reversible(p: KendallParams) -> float:
         return math.exp(exponent * math.log1p(r - 1.0)) - 1.0 - 2.0 * p.beta * r
 
     lo, hi = _radius_bracket(p.big_r)
-    if gap(hi) < 0.0:
+    gap_hi = gap(hi)
+    if gap_hi < 0.0:
         # L exceeds 1 + 2*beta*R only by rounding, so the crossing lies in
         # (hi, R]; hi is its lower, safe end.
         return hi
     # gap(1+) = -2*beta < 0 and gap(R) = L - (1 + 2*beta*R) > 0; the crossing
     # is unique by convexity, so the root finder lands on it.
-    return solve_monotone(gap, 0.0, lo, hi)
+    return solve_monotone(gap, lo, hi, gap(lo), gap_hi)
 
 
 def k2_series_bound(r: float, r2: float, beta_tilde: float) -> float:

@@ -5,8 +5,9 @@ only the array functions import it, on entry: a scalar computation never
 loads it.
 
 Everything is a pure function of its arguments. ``solve_monotone`` solves
-one scalar equation and ``solve_increasing_array`` a whole array of them,
-both by the Illinois method (Dowell & Jarratt 1971), with one step rule:
+one scalar equation f(x) = 0 and ``solve_increasing_array`` a whole array of
+them, both from f's values at the bracket ends, which the caller hands over,
+and both by the Illinois method (Dowell & Jarratt 1971), with one step rule:
 from the latest point x1 and the end x0 kept from before, whose values
 differ in sign, the next point x is their regula falsi point; where that
 point lies less than ``_TOL_ABS`` / 2 from x1, x is x1 moved ``_TOL_ABS`` / 2
@@ -74,42 +75,39 @@ def _closed(x0, x1):
     return (abs(x1 - x0) <= _TOL_ABS) | ((mid - x0) * (mid - x1) >= 0.0)
 
 
-def solve_monotone(f: Callable[[float], float], target: float, lo: float, hi: float) -> float:
-    """Solve f(x) = target for continuous, strictly monotone f on [lo, hi].
+def solve_monotone(f: Callable, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Solve f(x) = 0 for continuous, strictly monotone f on [lo, hi], given
+    f_lo = f(lo) and f_hi = f(hi); f is called strictly inside the bracket only.
 
     Illinois steps (the module's step rule: the regula falsi point, at
     least ``_TOL_ABS`` / 2 from the latest point, else the midpoint) keep a
-    sign change of f - target in the bracket. Returns the lower end of the
-    final bracket once it is at most ``_TOL_ABS`` wide or holds no float
-    strictly inside, an exact root as soon as a step lands on one, and lo
-    or hi where f already equals target there. Raises InvalidParams unless
-    lo < hi, NoSignChange when f - target has one sign at both ends, and
-    NoConvergence when the budget of ``_MAX_ITER`` steps runs out first.
-    Deterministic for fixed inputs.
+    sign change of f in the bracket. Returns the lower end of the final
+    bracket once it is at most ``_TOL_ABS`` wide or holds no float strictly
+    inside, an exact root as soon as a step lands on one, and lo or hi where
+    f_lo or f_hi is 0. Raises InvalidParams unless lo < hi, NoSignChange
+    when f_lo and f_hi have one sign, and NoConvergence when the budget of
+    ``_MAX_ITER`` steps runs out first. Deterministic for fixed inputs.
     """
     if not (lo < hi):
         raise InvalidParams(f"bracket needs lo < hi, got [{lo}, {hi}]")
-    flo = f(lo) - target
-    if flo == 0.0:
+    if f_lo == 0.0:
         return lo
-    fhi = f(hi) - target
-    if fhi == 0.0:
+    if f_hi == 0.0:
         return hi
-    if (flo > 0.0) == (fhi > 0.0):
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoSignChange(
-            f"f - target has the same sign at both endpoints: "
-            f"f(lo)-t={flo:.3g}, f(hi)-t={fhi:.3g}"
+            f"f has the same sign at both endpoints: f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g}"
         )
 
     # x1 is the latest point and x0 the end kept from before.
-    x0, g0, x1, g1 = lo, flo, hi, fhi
+    x0, g0, x1, g1 = lo, f_lo, hi, f_hi
     for _ in range(_MAX_ITER):
         x = x1 - g1 * (x1 - x0) / (g1 - g0)
         if abs(x - x1) < 0.5 * _TOL_ABS:
             x = x1 + math.copysign(0.5 * _TOL_ABS, x0 - x1)
         if not (x - x0) * (x - x1) < 0.0:
             x = 0.5 * (x0 + x1)
-        gx = f(x) - target
+        gx = f(x)
         if (gx < 0.0) != (g1 < 0.0):
             x0, g0 = x1, g1
         else:
@@ -122,46 +120,46 @@ def solve_monotone(f: Callable[[float], float], target: float, lo: float, hi: fl
     raise NoConvergence(f"no convergence after {_MAX_ITER} Illinois steps")
 
 
-def _array_brackets(f: Callable, lo, hi, args) -> tuple:
+def _array_brackets(lo, hi, f_lo, f_hi, args) -> tuple:
     # The ends of solve_increasing_array on 1-d inputs: the result with an
     # exact root at either end filled in and NaN elsewhere, the indices of
-    # the elements with f(lo) < 0 < f(hi), and their ends, values and
-    # arguments. The full-size values die here, before any step.
+    # the elements with f_lo < 0 < f_hi, and their ends, values and
+    # arguments. The full-size copies die here, before any step.
     import numpy as np
 
     out = np.full(lo.shape, np.nan)
     bracketed = lo < hi
-    flo = f(lo, *args)
-    fhi = f(hi, *args)
-    at_lo = bracketed & (flo == 0.0)
-    at_hi = bracketed & ~at_lo & (fhi == 0.0)
+    at_lo = bracketed & (f_lo == 0.0)
+    at_hi = bracketed & ~at_lo & (f_hi == 0.0)
     out[at_lo] = lo[at_lo]
     out[at_hi] = hi[at_hi]
-    idx = np.flatnonzero(bracketed & (flo < 0.0) & (fhi > 0.0))
-    return out, idx, lo[idx], flo[idx], hi[idx], fhi[idx], [arg[idx] for arg in args]
+    idx = np.flatnonzero(bracketed & (f_lo < 0.0) & (f_hi > 0.0))
+    return out, idx, lo[idx], f_lo[idx], hi[idx], f_hi[idx], [arg[idx] for arg in args]
 
 
-def solve_increasing_array(f: Callable, lo, hi, *args) -> np.ndarray:
+def solve_increasing_array(f: Callable, lo, hi, f_lo, f_hi, *args) -> np.ndarray:
     """``solve_monotone`` for arrays of increasing functions: element i
-    solves f(x, args[0][i], args[1][i], ...) = 0 on [lo[i], hi[i]].
+    solves f(x, args[0][i], args[1][i], ...) = 0 on [lo[i], hi[i]], given
+    its end values f_lo[i] and f_hi[i].
 
-    lo, hi and args broadcast against each other; f takes and returns 1-d
-    arrays. Each element takes the steps of ``solve_monotone``: an exact
-    root at either end is returned as it is, and the Illinois steps stop on
-    the same rule with the same end returned. All elements step together
-    and finished ones drop out; each bracket end is evaluated once. Where
-    f(lo) < 0 < f(hi) does not hold (no sign change, NaN values, or
-    lo >= hi) the element comes back NaN, where ``solve_monotone`` would
-    raise. Raises NoConvergence if an element is still open after the step
-    budget.
+    All inputs broadcast against each other; f takes and returns 1-d arrays.
+    Each element takes the steps of ``solve_monotone``: an exact root at
+    either end is returned as it is, and the Illinois steps stop on the same
+    rule with the same end returned. All elements step together and
+    finished ones drop out. Where f_lo < 0 < f_hi does not hold (no sign
+    change, NaN values, or lo >= hi) the element comes back NaN, where
+    ``solve_monotone`` would raise. Raises NoConvergence if an element is
+    still open after the step budget.
     """
     import numpy as np
 
-    lo, hi, *args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *args)))
+    lo, hi, f_lo, f_hi, *args = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (lo, hi, f_lo, f_hi, *args))
+    )
     shape = lo.shape
     with np.errstate(all="ignore"):
         out, idx, x0, g0, x1, g1, args = _array_brackets(
-            f, lo.ravel(), hi.ravel(), [a.ravel() for a in args]
+            *(a.ravel() for a in (lo, hi, f_lo, f_hi)), [a.ravel() for a in args]
         )
         for _ in range(_MAX_ITER):
             if idx.size == 0:

@@ -538,6 +538,8 @@ def mc_regeneration(
         raise OutOfRange(f"need 1 <= r <= 1/lambda = {params.lam_inv}, got r={r}")
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
+    if x0 < 0:  # off the walk, drifting away from C = {0}
+        raise InvalidParams(f"x0 must be a state of the walk, >= 0, got {x0}")
     p = spec.p
     eps = spec.boundary_hold
     rng = np.random.Generator(np.random.Philox(seed))

@@ -180,11 +180,11 @@ def k1_single_fraction(r: float, p: KendallParams) -> float:
 def r1_log_eps_clamp_then_solve(
     p: KendallParams, gap_calls: list | None = None, wide: bool = False
 ) -> float:
-    """``kendall._r1_log_eps`` with each bracket end evaluated twice: the
-    clamp test and the root finder at the lower end, the check of the near
-    upper end and the root finder at the upper end. wide=True solves on the
-    wide bracket [lo, hi], as before the near end. gap_calls, if given,
-    records every t."""
+    """``kendall._r1_log_eps`` with each bracket end evaluated twice: for
+    the clamp test and again for the root finder's value at the lower end,
+    for the check of the near upper end and again for the root finder's
+    value at the upper end. wide=True solves on the wide bracket [lo, hi],
+    as before the near end. gap_calls, if given, records every t."""
     delta = p.big_r - 1.0
     log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
 
@@ -201,7 +201,9 @@ def r1_log_eps_clamp_then_solve(
         up = _r1_upper_end(delta, log_target, hi)
         if gap(up) >= log_target:
             hi = up
-    return solve_monotone(gap, log_target, lo, hi)
+    return solve_monotone(
+        lambda t: gap(t) - log_target, lo, hi, gap(lo) - log_target, gap(hi) - log_target
+    )
 
 
 def r1_gap_array(t, delta, log_target):
@@ -213,11 +215,11 @@ def r1_gap_array(t, delta, log_target):
 
 def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) -> np.ndarray:
     """The t = log(R1 - 1) of ``kendall.solve_r1_array`` with each bracket
-    end evaluated twice, as in ``r1_log_eps_clamp_then_solve``: the clamp
-    test and the root finder at the lower end, the check of the near upper
-    end and the root finder at the upper end. wide=True solves on the wide
-    bracket [lo, hi], as before the near end. NaN where an element has no
-    sign change on its bracket."""
+    end evaluated twice, as in ``r1_log_eps_clamp_then_solve``: for the
+    clamp test and again for the root finder's values at the lower end, for
+    the check of the near upper end and again at the upper end. wide=True
+    solves on the wide bracket [lo, hi], as before the near end. NaN where
+    an element has no sign change on its bracket."""
     with np.errstate(all="ignore"):
         big_r = np.asarray(big_r, dtype=float)
         delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
@@ -228,7 +230,8 @@ def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) ->
             up = _r1_upper_end(delta, log_target, hi_rest)
             hi_rest = np.where(r1_gap_array(up, delta, log_target) >= 0.0, up, hi_rest)
         t = np.full(hi.shape, lo)
-        t[rest] = solve_increasing_array(r1_gap_array, lo, hi_rest, delta, log_target)
+        ends = r1_gap_array(lo, delta, log_target), r1_gap_array(hi_rest, delta, log_target)
+        t[rest] = solve_increasing_array(r1_gap_array, lo, hi_rest, *ends, delta, log_target)
         return t
 
 

@@ -63,6 +63,20 @@ def test_validation_rejects_bad_constants():
         )
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_validation_rejects_non_finite_k_and_k_tilde(value):
+    # Each names its field, where the certificate would fail later with an
+    # untyped or solver-internal error (log(0) in the R1 target, or the R2
+    # solver's NoSignChange).
+    with pytest.raises(InvalidParams, match="K must be finite"):
+        DriftMinorization(lam=0.5, big_k=value, beta=0.5)
+    with pytest.raises(InvalidParams, match="k_tilde"):
+        DriftMinorization(
+            lam=0.5, big_k=2.0, beta=0.2, beta_tilde=0.4, atomic=False,
+            nu_info=NU_V_INTEGRAL, k_tilde=value,
+        )
+
+
 def test_derived_exponents_contracting_anchor():
     de = derived_exponents(CONTRACT)
     assert abs(de.alpha1 - 4.3312) <= 2e-3

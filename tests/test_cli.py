@@ -52,6 +52,28 @@ def test_bound_validation_error_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("--K", "inf", "--beta", "0.5", "--atomic"), "K must be finite"),
+        (
+            ("--K", "2", "--beta", "0.2", "--beta-tilde", "0.4", "--nu", "v-integral",
+             "--K-tilde", "inf", "--symmetry", "reversible"),
+            "k_tilde",
+        ),
+        (
+            ("--K", "2", "--beta", "0.2", "--beta-tilde", "0.4", "--nu", "v-integral",
+             "--K-tilde", "nan"),
+            "k_tilde",
+        ),
+    ],
+)
+def test_bound_non_finite_k_exits_2_naming_the_field(capsys, argv, field):
+    code, out, err = run_cli(capsys, "bound", "--lambda", "0.5", *argv)
+    assert code == 2 and out == ""
+    assert field in err
+
+
 def test_bound_atomic_rejects_beta_tilde_below_one(capsys):
     code, out, err = run_cli(
         capsys, "bound", "--lambda", "0.6", "--K", "2.5", "--beta", "0.25",

@@ -87,8 +87,9 @@ _R1_CASES = [
 ]
 
 
-def _count_r1_evaluations(monkeypatch) -> list:
-    # The R1 gap calls exp once per evaluation (the upper end uses expm1).
+def _count_gap_evaluations(monkeypatch) -> list:
+    # The R1 and R2 gaps call exp once per evaluation (the R1 upper end uses
+    # expm1); the list holds exp's arguments.
     exps = []
     counted_math = types.SimpleNamespace(**vars(math))
     counted_math.exp = lambda x: exps.append(x) or math.exp(x)
@@ -98,16 +99,17 @@ def _count_r1_evaluations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("p", _R1_CASES)
 def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
-    # The clamp test's value at the lower end is the root finder's first
-    # one, and the check's value at the near upper end its second, so a
-    # solve that is not clamped evaluates gap once per root-finder call, two
+    # The clamp test's value at the lower end and the check's value at the
+    # near upper end are handed to the root finder, which evaluates gap only
+    # inside the bracket, so a solve that is not clamped makes two
     # evaluations fewer than the form that evaluates each end twice, and
     # returns the same bits.
-    finder_calls, reference_calls = [], []
-    exps = _count_r1_evaluations(monkeypatch)
+    finder_calls, reference_calls, handed = [], [], []
+    exps = _count_gap_evaluations(monkeypatch)
 
-    def solve_counted(f, target, lo, hi):
-        return solve_monotone(lambda t: finder_calls.append(t) or f(t), target, lo, hi)
+    def solve_counted(f, lo, hi, f_lo, f_hi):
+        handed.append((lo, hi, f_lo, f_hi))
+        return solve_monotone(lambda t: finder_calls.append(t) or f(t), lo, hi, f_lo, f_hi)
 
     monkeypatch.setattr(kendall, "solve_monotone", solve_counted)
     t = kendall._r1_log_eps(p)
@@ -115,13 +117,15 @@ def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
     assert t == r1_log_eps_clamp_then_solve(p, reference_calls)
     delta, log_target = p.big_r - 1.0, kendall._r1_log_target(p.beta, p.big_r, p.big_l)
     lo, hi = kendall._r1_bracket(delta)
-    assert finder_calls[:2] == [lo, kendall._r1_upper_end(delta, log_target, hi)]
-    assert len(exps) == len(finder_calls) == len(reference_calls) - 2
+    up = kendall._r1_upper_end(delta, log_target, hi)
+    assert handed == [(lo, up, _r1_gap(p, lo) - log_target, _r1_gap(p, up) - log_target)]
+    assert exps[:2] == [lo, up]
+    assert len(exps) == len(finder_calls) + 2 == len(reference_calls) - 2
 
 
 def test_r1_clamp_evaluates_the_lower_end_once(monkeypatch):
     # R - 1 = 1e-9 puts the root below the bracket: one evaluation, no solve.
-    exps = _count_r1_evaluations(monkeypatch)
+    exps = _count_gap_evaluations(monkeypatch)
     monkeypatch.setattr(kendall, "solve_monotone", None)
     p = KendallParams(0.5, 1.0 + 1e-9, 1e3)
     assert kendall._r1_log_eps(p) == kendall._LOG_EPS_LO == r1_log_eps_clamp_then_solve(p)
@@ -133,7 +137,7 @@ def test_r1_walk_23_solve_does_not_stall(monkeypatch):
     # kept end is 8.8e-8 away, so the next regula falsi point rounds onto the
     # latest one. Brent's minimum step closes the bracket from there: 7 R1
     # evaluations when this was written, against 23 that bisected the rest.
-    exps = _count_r1_evaluations(monkeypatch)
+    exps = _count_gap_evaluations(monkeypatch)
     t = kendall._r1_log_eps(WALK_23)
     assert len(exps) <= 10
     assert _r1_gap(WALK_23, t) <= kendall._r1_log_target(WALK_23.beta, WALK_23.big_r, WALK_23.big_l)
@@ -187,7 +191,7 @@ def test_r1_near_end_saves_evaluations(monkeypatch):
     # (0.41 times when this was written: 750 against 1,813); the ends are
     # evaluated once each.
     rng = random.Random(5)
-    exps = _count_r1_evaluations(monkeypatch)
+    exps = _count_gap_evaluations(monkeypatch)
     near = wide = 0
     for _ in range(300):
         big_r = 1.0 + 10.0 ** rng.uniform(-6.0, 0.6)
@@ -203,20 +207,15 @@ def test_r1_near_end_saves_evaluations(monkeypatch):
 
 
 def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
-    # The root finder's values at the lower end are the clamp test's array
-    # itself, and at the upper end the near-end check's, not second
-    # evaluations; the radii are those of the form that evaluates each end
-    # twice, bit for bit, clamped, NaN and 2-d elements included.
-    firsts, seconds = [], []
+    # The root finder's values at the lower end are the clamp test's array,
+    # and at the upper end the near-end check's, handed over once, not
+    # second evaluations; the radii are those of the form that evaluates
+    # each end twice, bit for bit, clamped, NaN and 2-d elements included.
+    handed = []
 
-    def solve_spied(f, lo, hi, *args):
-        def spied(t, *a):
-            value = f(t, *a)
-            firsts.append(value is a[-1])
-            seconds.append(value is a[-2])
-            return value
-
-        return solve_increasing_array(spied, lo, hi, *args)
+    def solve_spied(f, lo, hi, f_lo, f_hi, *args):
+        handed.append((lo, hi, f_lo, f_hi, args))
+        return solve_increasing_array(f, lo, hi, f_lo, f_hi, *args)
 
     monkeypatch.setattr(kendall, "solve_increasing_array", solve_spied)
     rng = np.random.default_rng(3)
@@ -228,8 +227,10 @@ def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
     want = 1.0 + np.exp(r1_array_log_eps_clamp_then_solve(beta, big_r, big_l))
     assert got.tobytes() == want.tobytes()
     assert (got == 1.0 + 1e-14).any() and np.isnan(got).any()
-    assert firsts[:2] == [True, False] and not any(firsts[2:])
-    assert seconds[:2] == [False, True] and not any(seconds[2:])
+    [(lo, hi, f_lo, f_hi, args)] = handed
+    with np.errstate(all="ignore"):
+        assert np.array_equal(f_lo, r1_gap_array(lo, *args), equal_nan=True)
+        assert np.array_equal(f_hi, r1_gap_array(hi, *args), equal_nan=True)
 
 
 def test_r1_monotone_in_beta_and_l():
@@ -294,6 +295,23 @@ def test_r2_crossing_case():
     assert abs(1.0 / r2 - 0.8470) <= 1e-4
     exponent = math.log(p.big_l) / math.log(p.big_r)
     assert abs(1.0 + 2.0 * p.beta * r2 - r2**exponent) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "p",
+    [KendallParams(beta=0.25, big_r=1.0 / 0.6, big_l=2.5 / 0.6), KendallParams(1e-3, 1.01, 40.0)],
+)
+def test_r2_evaluates_each_bracket_end_once(p, monkeypatch):
+    # The rounding check's value at hi is handed to the root finder, not
+    # evaluated again: exp takes exponent * log1p(r - 1) once per
+    # evaluation, and its value at hi and at lo appears once each.
+    exps = _count_gap_evaluations(monkeypatch)
+    r2 = solve_r2_reversible(p)
+    lo, hi = kendall._radius_bracket(p.big_r)
+    exponent = math.log(p.big_l) / math.log(p.big_r)
+    assert lo < r2 < hi
+    assert exps.count(exponent * math.log1p(hi - 1.0)) == 1
+    assert exps.count(exponent * math.log1p(lo - 1.0)) == 1
 
 
 def test_r2_no_crossing_returns_r():

@@ -370,9 +370,10 @@ def test_mh_array_solves_close_in_few_lockstep_steps(method, monkeypatch):
     # The elements of an array solve step together until the slowest one
     # closes, so one stalled element makes the whole grid pay. With Brent's
     # minimum step, and for thm1.1 the closed-form R1 upper end, no solve of
-    # the search makes more calls of f than its bound (5 for thm1.1 and
-    # 10-15 for thm1.2 when this was written; 12 for thm1.1 from the wide
-    # upper end).
+    # the search makes more calls of f than its bound. The root finder calls
+    # f inside the bracket only: 3 for thm1.1 and 8-13 for thm1.2 when this
+    # was written, two more each with the end values (12 for thm1.1 from
+    # the wide upper end, ends included).
     calls = []
     real = kendall.solve_increasing_array
 

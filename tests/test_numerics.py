@@ -17,29 +17,29 @@ from ergocert.numerics import (
 
 
 def test_solve_sqrt2():
-    root = solve_monotone(lambda x: x * x, 2.0, 1.0, 2.0)
+    root = solve_monotone(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 2.0)
     assert abs(root - math.sqrt(2.0)) <= 1e-9
 
 
 def test_solve_endpoint_root():
-    assert solve_monotone(lambda x: x, 3.0, 3.0, 5.0) == 3.0
-    assert solve_monotone(lambda x: x, 5.0, 3.0, 5.0) == 5.0
+    assert solve_monotone(lambda x: x - 3.0, 3.0, 5.0, 0.0, 2.0) == 3.0
+    assert solve_monotone(lambda x: x - 5.0, 3.0, 5.0, -2.0, 0.0) == 5.0
 
 
 def test_solve_decreasing_function():
-    root = solve_monotone(lambda x: -x**3, -8.0, 1.0, 3.0)
+    root = solve_monotone(lambda x: -x**3 + 8.0, 1.0, 3.0, 7.0, -19.0)
     assert abs(root - 2.0) <= 1e-9
 
 
 def test_no_sign_change():
     with pytest.raises(NoSignChange):
-        solve_monotone(lambda x: x, 10.0, 0.0, 1.0)
+        solve_monotone(lambda x: x - 10.0, 0.0, 1.0, -10.0, -9.0)
 
 
 def test_empty_bracket():
     for lo, hi in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(InvalidParams):
-            solve_monotone(lambda x: x, 0.5, lo, hi)
+            solve_monotone(lambda x: x - 0.5, lo, hi, lo - 0.5, hi - 0.5)
 
 
 def test_iteration_budget():
@@ -48,7 +48,7 @@ def test_iteration_budget():
     # to balance the two, so the fixed budget of 256 steps runs out long
     # before the 1e300-wide bracket closes.
     with pytest.raises(NoConvergence):
-        solve_monotone(lambda x: -1e300 if x < 1.0 / 3.0 else 1.0, 0.0, 0.0, 1e300)
+        solve_monotone(lambda x: -1e300 if x < 1.0 / 3.0 else 1.0, 0.0, 1e300, -1e300, 1.0)
 
 
 def test_solve_returns_the_lower_end_of_its_bracket():
@@ -56,7 +56,7 @@ def test_solve_returns_the_lower_end_of_its_bracket():
     # and of a decreasing function alike, and within the width tolerance.
     root = math.sqrt(2.0)
     for f, target in ((lambda x: x * x, 2.0), (lambda x: -x * x, -2.0)):
-        x = solve_monotone(f, target, 1.0, 2.0)
+        x = solve_monotone(lambda x: f(x) - target, 1.0, 2.0, f(1.0) - target, f(2.0) - target)
         assert x <= root and root - x <= 1e-12
 
 
@@ -70,7 +70,8 @@ def test_solve_takes_the_minimum_step_where_regula_falsi_rounds_onto_the_latest_
         return x * x * x + x
 
     calls = []
-    x = solve_monotone(lambda x: calls.append(x) or f(x), 3.0, 0.0, 4.0)
+    ends = f(0.0) - 3.0, f(4.0) - 3.0
+    x = solve_monotone(lambda x: calls.append(x) or f(x) - 3.0, 0.0, 4.0, *ends)
     x0, x1 = calls[-3], calls[-2]
     g0, g1 = f(x0) - 3.0, f(x1) - 3.0
     assert g0 > 0.0 > g1 and x1 - g1 * (x1 - x0) / (g1 - g0) == x1
@@ -79,7 +80,7 @@ def test_solve_takes_the_minimum_step_where_regula_falsi_rounds_onto_the_latest_
     assert len(calls) <= 16
     array_calls = []
     got = solve_increasing_array(
-        lambda x, t: array_calls.append(x) or f(x) - t, 0.0, 4.0, np.array([3.0])
+        lambda x, t: array_calls.append(x) or f(x) - t, 0.0, 4.0, *ends, np.array([3.0])
     )
     assert got[0] == x and len(array_calls) == len(calls)
 
@@ -103,9 +104,45 @@ def test_solve_increasing_array_matches_solve_monotone_property(rows):
         return a * (x * x * x) + b * x
 
     target = f(lo, a, b) + frac * (f(hi, a, b) - f(lo, a, b))
-    got = solve_increasing_array(lambda x, a, b, t: f(x, a, b) - t, lo, hi, a, b, target)
+    ends = f(lo, a, b) - target, f(hi, a, b) - target
+    got = solve_increasing_array(lambda x, a, b, t: f(x, a, b) - t, lo, hi, *ends, a, b, target)
     for i, (ai, bi, _) in enumerate(rows):
-        assert got[i] == solve_monotone(lambda x: f(x, ai, bi), float(target[i]), lo, hi)
+        ti = float(target[i])
+        gap = lambda x: f(x, ai, bi) - ti
+        assert got[i] == solve_monotone(gap, lo, hi, gap(lo), gap(hi))
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.05, 0.95)),
+        min_size=1,
+        max_size=16,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_root_finders_take_the_end_values_from_the_caller(rows):
+    # Both twins call f strictly inside the bracket only: an f that raises
+    # at lo or hi gives the bits of the same f without the guard, for the
+    # scalar and the array finder alike, in every element.
+    a, b, frac = (np.array(col) for col in zip(*rows))
+    lo, hi = -2.0, 3.0
+
+    def f(x, a, b, t):
+        return a * (x * x * x) + b * x - t
+
+    def guarded(x, *args):
+        if np.any((x == lo) | (x == hi)):
+            raise AssertionError(f"f evaluated at a bracket end, x={x}")
+        return f(x, *args)
+
+    target = f(lo, a, b, 0.0) + frac * (f(hi, a, b, 0.0) - f(lo, a, b, 0.0))
+    ends = f(lo, a, b, target), f(hi, a, b, target)
+    got = solve_increasing_array(guarded, lo, hi, *ends, a, b, target)
+    assert got.tobytes() == solve_increasing_array(f, lo, hi, *ends, a, b, target).tobytes()
+    for i, row in enumerate(zip(a.tolist(), b.tolist(), target.tolist())):
+        scalar_ends = f(lo, *row), f(hi, *row)
+        x = solve_monotone(lambda x: guarded(x, *row), lo, hi, *scalar_ends)
+        assert x == got[i] == solve_monotone(lambda x: f(x, *row), lo, hi, *scalar_ends)
 
 
 @given(
@@ -119,7 +156,7 @@ def test_solve_bracketing_property(a, b, frac):
     f = lambda x: a * x**3 + b * x
     lo, hi = -2.0, 3.0
     target = f(lo) + frac * (f(hi) - f(lo))
-    x = solve_monotone(f, target, lo, hi)
+    x = solve_monotone(lambda x: f(x) - target, lo, hi, f(lo) - target, f(hi) - target)
     tol = 1e-9
     assert f(x - tol) - target <= 0.0 <= f(x + tol) - target
 

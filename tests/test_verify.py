@@ -444,6 +444,13 @@ def test_mc_unit_radius_gives_unit_mean():
     assert rep.measured == 1.0
 
 
+def test_mc_rejects_a_start_below_zero():
+    # Below 0 the walk drifts away from C = {0}: rejected before any step,
+    # where it ran to the step cap.
+    with pytest.raises(InvalidParams, match="x0"):
+        mc_regeneration(ReflectingWalk(p=0.9), x0=-1, r=1.0, samples=50)
+
+
 def test_mc_deterministic_for_fixed_seed():
     a = mc_regeneration(ReflectingWalk(p=0.9), x0=3, r=1.2, samples=5000, seed=9)
     b = mc_regeneration(ReflectingWalk(p=0.9), x0=3, r=1.2, samples=5000, seed=9)
