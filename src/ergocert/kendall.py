@@ -258,7 +258,8 @@ def solve_r2_reversible(p: KendallParams) -> float:
 
     When L > 1 + 2*beta*R the radius is the unique r in (1, R) where
     1 + 2*beta*r meets the convex curve r**(log L / log R); otherwise the
-    full radius R is already certified.
+    full radius R is already certified. Raises OutOfRange when R - 1 is too
+    small for the solve's bracket inside (1, R).
     """
     if p.big_l <= 1.0 + 2.0 * p.beta * p.big_r:
         return p.big_r
@@ -268,6 +269,10 @@ def solve_r2_reversible(p: KendallParams) -> float:
         return math.exp(exponent * math.log1p(r - 1.0)) - 1.0 - 2.0 * p.beta * r
 
     lo, hi = _radius_bracket(p.big_r)
+    if hi <= lo:
+        # R - 1 below ~2e-14 leaves no bracket inside (1, R); its hi may
+        # even lie below 1.
+        raise OutOfRange(f"rate gap R - 1 = {p.big_r - 1.0:.3g} is below double resolution")
     gap_hi = gap(hi)
     if gap_hi < 0.0:
         # L exceeds 1 + 2*beta*R only by rounding, so the crossing lies in

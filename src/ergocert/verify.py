@@ -407,7 +407,9 @@ def matrix_vnorm_distances(tc: TruncatedChain, x: int | np.ndarray, n_max: int) 
     x is one start state or an array of them; the result has x's shape plus
     a last axis for n. The deviation vectors e_n = (delta_x - pi) P^n of all
     start states step together as one block, so accuracy is relative to the
-    decaying deviation rather than to the full probability scale. Each
+    decaying deviation rather than to the full probability scale. A step
+    runs along the diagonals of P that hold a nonzero, found once per call:
+    three for a reflecting walk, all 2N - 1 for a dense chain. Each
     step projects out the stationary component that rounding injects into
     each row (rows of P sum to one, so exact arithmetic would preserve
     sum(e) = 0).
@@ -417,11 +419,28 @@ def matrix_vnorm_distances(tc: TruncatedChain, x: int | np.ndarray, n_max: int) 
         raise InvalidParams(f"state {x} outside truncation of size {tc.n_states}")
     if n_max < 0:
         raise InvalidParams("n_max must be >= 0")
-    e = np.eye(tc.n_states)[states] - tc.pi
+    matrix, size = tc.matrix, tc.n_states
+    rows, cols = np.nonzero(matrix)
+    # (e P)[j] = sum_i e[i] P[i, j]; along diagonal k the sources
+    # i = max(-k, 0) .. size - 1 - max(k, 0) feed the destinations j = i + k.
+    off_diagonals = [
+        (
+            slice(max(k, 0), size + min(k, 0)),
+            slice(max(-k, 0), size - max(k, 0)),
+            np.diagonal(matrix, k),
+        )
+        for k in np.unique(cols - rows).tolist()
+        if k != 0
+    ]
+    main = np.diagonal(matrix)
+    e = np.eye(size)[states] - tc.pi
     out = np.empty(states.shape + (n_max + 1,))
     out[..., 0] = np.abs(e) @ tc.v
     for n in range(1, n_max + 1):
-        e = e @ tc.matrix
+        f = e * main
+        for dst, src, diagonal in off_diagonals:
+            f[..., dst] += e[..., src] * diagonal
+        e = f
         e -= e.sum(axis=-1, keepdims=True) * tc.pi
         out[..., n] = np.abs(e) @ tc.v
     return out
@@ -544,27 +563,25 @@ def mc_regeneration(
     eps = spec.boundary_hold
     rng = np.random.Generator(np.random.Philox(seed))
 
-    pos = np.full(samples, x0, dtype=np.int64)
+    # The walkers still out, in index order, and their positions.
+    idx = np.arange(samples)
+    cur = np.full(samples, x0, dtype=np.int64)
     tau = np.zeros(samples, dtype=np.int64)
-    alive = np.ones(samples, dtype=bool)
     step = 0
-    while alive.any():
+    while idx.size:
         step += 1
         if step > 10_000_000:
             raise RuntimeError("walk failed to return; parameters out of range?")
-        idx = np.flatnonzero(alive)
         u = rng.random(idx.size)
-        cur = pos[idx]
-        at_zero = cur == 0
         nxt = np.where(
-            at_zero,
+            cur == 0,
             np.where(u < eps, 0, 1),
             np.where(u < p, cur - 1, cur + 1),
         )
-        pos[idx] = nxt
         returned = nxt == 0
         tau[idx[returned]] = step
-        alive[idx[returned]] = False
+        away = ~returned
+        idx, cur = idx[away], nxt[away]
 
     values = np.power(r, tau.astype(float))
     mean = float(values.mean())

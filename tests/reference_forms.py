@@ -16,6 +16,10 @@ The renewal oracle convolves all laws of a suite as one block. The
 per-law and per-case forms below (convolution loop, series sup, single
 check, suite loop) are the ones it replaced, kept as its references.
 
+The matrix oracle steps along the nonzero diagonals of P and the Monte
+Carlo oracle steps only the walkers still out. The dense product and the
+full-size alive-mask loop below are the forms they replaced.
+
 The M formulas inline the regeneration-time bounds of Propositions 4.1
 (atomic) and 4.4 (split chain) without naming them. ``prop41_bounds`` and
 ``prop44_bounds`` print them on their own, with their ranges, so that the
@@ -39,6 +43,7 @@ from ergocert.kendall import (
     _r1_log_target,
     _r1_upper_end,
 )
+from ergocert.models import ReflectingWalk, TruncatedChain, reflecting_walk_params
 from ergocert.numerics import solve_increasing_array, solve_monotone
 from ergocert.verify import (
     CheckReport,
@@ -359,3 +364,57 @@ def kendall_suite_per_case(seed: int = 0, cases: int = 200, asymptotic_ks=(40, 8
             )
         )
     return suite
+
+
+def matrix_vnorm_distances_dense(tc: TruncatedChain, x, n_max: int) -> np.ndarray:
+    """``verify.matrix_vnorm_distances`` by the dense product e @ P."""
+    states = np.asarray(x)
+    e = np.eye(tc.n_states)[states] - tc.pi
+    out = np.empty(states.shape + (n_max + 1,))
+    out[..., 0] = np.abs(e) @ tc.v
+    for n in range(1, n_max + 1):
+        e = e @ tc.matrix
+        e -= e.sum(axis=-1, keepdims=True) * tc.pi
+        out[..., n] = np.abs(e) @ tc.v
+    return out
+
+
+def mc_regeneration_alive_mask(
+    spec: ReflectingWalk, x0: int, r: float, samples: int = 100_000, seed: int = 0
+) -> CheckReport:
+    """``verify.mc_regeneration`` stepping full-size position and alive
+    arrays, the live walkers gathered and scattered by flatnonzero."""
+    params = reflecting_walk_params(spec)
+    p = spec.p
+    eps = spec.boundary_hold
+    rng = np.random.Generator(np.random.Philox(seed))
+    pos = np.full(samples, x0, dtype=np.int64)
+    tau = np.zeros(samples, dtype=np.int64)
+    alive = np.ones(samples, dtype=bool)
+    step = 0
+    while alive.any():
+        step += 1
+        idx = np.flatnonzero(alive)
+        u = rng.random(idx.size)
+        cur = pos[idx]
+        nxt = np.where(cur == 0, np.where(u < eps, 0, 1), np.where(u < p, cur - 1, cur + 1))
+        pos[idx] = nxt
+        returned = nxt == 0
+        tau[idx[returned]] = step
+        alive[idx[returned]] = False
+    values = np.power(r, tau.astype(float))
+    mean = float(values.mean())
+    std_err = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    if x0 == 0:
+        bound = r * params.big_k
+        where = "x0 in C"
+    else:
+        bound = (p / (1.0 - p)) ** (x0 / 2.0)
+        where = "x0 outside C"
+    return CheckReport(
+        name=f"regeneration-p{p}-x{x0}",
+        measured=mean,
+        bound=bound + 3.0 * std_err,
+        passed=mean <= bound + 3.0 * std_err,
+        detail=f"{where}; mean r^tau = {mean:.6f}, drift bound {bound:.6f}, SE {std_err:.2e}",
+    )

@@ -206,6 +206,18 @@ def test_rho_reversible_benchmarks():
     assert abs(rho_reversible(CONTRACT).rho - 0.950) <= 5e-4
 
 
+@pytest.mark.parametrize("gap", [1e-15, 2e-14])
+def test_reversible_rate_gap_below_double_resolution_raises_out_of_range(gap):
+    # R - 1 = 1/lambda - 1 leaves no R2 bracket inside (1, R): at 1e-15 the
+    # solve returned R2 < 1 (rho > 1), at 2e-14 the root finder raised on
+    # an empty bracket.
+    p = DriftMinorization(1.0 - gap, 2.0, 0.2)
+    with pytest.raises(OutOfRange, match="rate gap R - 1 = .* is below double resolution"):
+        rho_reversible(p)
+    with pytest.raises(OutOfRange, match="rate gap R - 1 = .* is below double resolution"):
+        certificate(p, "reversible")
+
+
 def test_rho_positive_benchmarks():
     assert rho_positive(WALK_09).rho == 0.6
     assert abs(rho_positive(CONTRACT).rho - 0.897) <= 1e-3

@@ -33,7 +33,13 @@ from ergocert.verify import (
     run_mc_suite,
     walk_empirical_rate,
 )
-from reference_forms import kendall_check_per_case, kendall_suite_per_case, renewal_per_law
+from reference_forms import (
+    kendall_check_per_case,
+    kendall_suite_per_case,
+    matrix_vnorm_distances_dense,
+    mc_regeneration_alive_mask,
+    renewal_per_law,
+)
 
 
 # --- renewal oracle ----------------------------------------------------------
@@ -375,6 +381,65 @@ def test_domination_tie_goes_to_the_first_state():
     assert report.measured == 2.0 * (1.0 - 1.0 / n)
 
 
+_SUITE_WALKS = [
+    ReflectingWalk(p=2.0 / 3.0),
+    ReflectingWalk(p=0.9),
+    ReflectingWalk(p=0.8, epsilon=0.25),
+    ReflectingWalk(p=0.9, epsilon=0.25),
+]
+
+
+def _assert_matches_dense(tc, xs, n_max):
+    got = matrix_vnorm_distances(tc, xs, n_max)
+    want = matrix_vnorm_distances_dense(tc, xs, n_max)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("n_states", [64, 128, 256])
+@pytest.mark.parametrize("spec", _SUITE_WALKS)
+def test_diagonal_step_matches_dense_product_on_the_walks(spec, n_states):
+    tc = walk_truncated_chain(spec, n_states)
+    _assert_matches_dense(tc, np.arange(31), 200)
+    _assert_matches_dense(tc, 30, 200)
+
+
+def test_diagonal_step_matches_dense_product_on_dense_chains():
+    # Every diagonal of these chains holds a nonzero. The uniform chain
+    # reaches pi in one step; the random one is made lazy so that its
+    # deviations stay resolved through n = 200.
+    n = 4
+    uniform = TruncatedChain(
+        matrix=np.full((n, n), 1.0 / n), v=np.ones(n), c_set=frozenset({0}),
+        pi=np.full(n, 1.0 / n), tail_mass=0.0,
+    )
+    _assert_matches_dense(uniform, np.arange(n), 200)
+    rng = np.random.default_rng(11)
+    n = 16
+    jump = rng.random((n, n))
+    matrix = 0.97 * np.eye(n) + 0.03 * jump / jump.sum(axis=1, keepdims=True)
+    assert (matrix > 0.0).all()
+    # pi solves pi (P - I) = 0 with sum(pi) = 1.
+    system = np.vstack([(matrix - np.eye(n)).T, np.ones(n)])
+    pi = np.linalg.lstsq(system, np.append(np.zeros(n), 1.0), rcond=None)[0]
+    dense = TruncatedChain(
+        matrix=matrix, v=1.0 + np.arange(n), c_set=frozenset({0}), pi=pi, tail_mass=0.0,
+    )
+    assert matrix_vnorm_distances_dense(dense, 0, 200)[-1] > 1e-6
+    _assert_matches_dense(dense, np.arange(n), 200)
+
+
+def test_matrix_suite_matches_the_dense_product(monkeypatch):
+    suite = run_matrix_suite().checks
+    monkeypatch.setattr(verify, "matrix_vnorm_distances", matrix_vnorm_distances_dense)
+    reference = run_matrix_suite().checks
+    assert [c.name for c in suite] == [c.name for c in reference]
+    for got, want in zip(suite, reference):
+        assert (got.passed, got.detail) == (want.passed, want.detail)
+        assert got.measured == pytest.approx(want.measured, rel=1e-12, abs=0.0)
+        assert got.bound == pytest.approx(want.bound, rel=1e-12, abs=0.0)
+
+
 def test_matrix_suite_chooses_each_walk_truncation_once(monkeypatch):
     calls, distance_calls = [], []
     choose = verify._choose_truncation
@@ -466,6 +531,18 @@ def test_mc_bound_selection():
     outside = mc_regeneration(ReflectingWalk(p=0.9), x0=3, r=lam_inv, samples=20_000, seed=1)
     assert outside.passed
     assert outside.bound > 26.9  # V(3) = 27 plus the standard-error allowance
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("x0", [0, 3])
+@pytest.mark.parametrize(
+    "spec",
+    [ReflectingWalk(p=2.0 / 3.0), ReflectingWalk(p=0.9), ReflectingWalk(p=0.8, epsilon=0.25)],
+)
+def test_mc_live_walkers_match_the_alive_mask_loop(spec, x0, seed):
+    r = reflecting_walk_params(spec).lam_inv
+    got = mc_regeneration(spec, x0=x0, r=r, samples=20_000, seed=seed)
+    assert got == mc_regeneration_alive_mask(spec, x0=x0, r=r, samples=20_000, seed=seed)
 
 
 def test_mc_suite_serialisable():
