@@ -6,8 +6,6 @@ gamma^n, plus independent oracles that check the certificates on exactly
 solvable benchmark chains.
 """
 
-import importlib
-
 from .bounds import (
     Certificate,
     DriftMinorization,
@@ -60,7 +58,10 @@ _VERIFY_NAMES = frozenset({
 def __getattr__(name: str):
     if name == "verify" or name in _VERIFY_NAMES:
         # import_module, not ``from . import verify``: that form looks the
-        # name up on this package first and would land here again.
+        # name up on this package first and would land here again. Imported
+        # here, importlib stays out of dir(ergocert).
+        import importlib
+
         verify = importlib.import_module(".verify", __name__)
         return verify if name == "verify" else getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -214,7 +214,7 @@ def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
     stochasticity and reversibility. The stationary vector is the exact
     birth-death ratio sequence, renormalised over the kept states; the
     reported tail_mass is the stationary mass the infinite chain puts
-    beyond the truncation, which must be below 1e-12.
+    beyond the truncation, which must be below 1e-12, and V must be finite.
     """
     import numpy as np
 
@@ -239,6 +239,11 @@ def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
             f"{n_states} states leave stationary tail mass {tail:.3g} >= 1e-12"
         )
 
+    with np.errstate(over="ignore"):
+        v = np.power(p / q, np.arange(n_states) / 2.0)
+    if not math.isfinite(v[-1]):
+        raise InvalidParams(f"V(i) = (p/q)^(i/2) overflows a double at i = {n_states - 1}")
+
     matrix = np.zeros((n_states, n_states))
     matrix[0, 0] = eps
     matrix[0, 1] = 1.0 - eps
@@ -248,8 +253,6 @@ def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
     matrix[n_states - 1, n_states - 2] = p
     matrix[n_states - 1, n_states - 1] = q
 
-    idx = np.arange(n_states)
-    v = np.power(p / q, idx / 2.0)
     pi = weights / weights.sum()
     return TruncatedChain(
         matrix=matrix, v=v, c_set=frozenset({0}), pi=pi, tail_mass=float(tail)

@@ -497,40 +497,34 @@ def _decay_rate(dist: np.ndarray, n_lo: int, n_hi: int) -> float:
     return float((dist[n_hi] / dist[n_lo]) ** (1.0 / (n_hi - n_lo)))
 
 
-# choose_truncation starts at this many states (or x_max + 2, if more) and
-# gives up past twice _TRUNCATION_MAX_STATES.
-_TRUNCATION_START = 64
-_TRUNCATION_MAX_STATES = 4096
+# Each size is a dense N x N matrix: choose_truncation builds none larger.
+_TRUNCATION_MAX_STATES = 8192
 
 
 def choose_truncation(spec: ReflectingWalk, x_max: int, n_max: int) -> TruncatedChain:
-    """Smallest power-of-two truncation whose tail and top-row influence are
-    negligible: stationary tail below 1e-12 and doubling the state count
-    moves the probed distances by less than one part in 1e-9. Each size is
-    built once and compared with the size below it."""
-    return _choose_truncation(spec, x_max, n_max)[0]
+    """Smallest power of two N >= max(64, x_max + n_max + 2) whose stationary
+    tails beyond N, by mass and V-weighted, are both below 1e-12.
 
-
-def _choose_truncation(spec: ReflectingWalk, x_max: int, n_max: int) -> tuple:
-    # choose_truncation, with the distances from x_max (n = 0..n_max) that
-    # it probed at the chosen size.
-    size = max(_TRUNCATION_START, x_max + 2)
-    probes = [k for k in (25, 50, 100, n_max) if k <= n_max]
-    coarse = None
-    while size <= 2 * _TRUNCATION_MAX_STATES:
+    No path of n <= n_max steps from x <= x_max gets past state x_max + n_max,
+    so the top reflection never acts and P^n(x, .) is the infinite walk's; the
+    distances differ from the infinite walk's only through the stationary law
+    beyond N. No distance is computed to decide the size.
+    """
+    if x_max < 0 or n_max < 0:
+        raise InvalidParams(f"need x_max, n_max >= 0, got {x_max}, {n_max}")
+    size = max(64, 1 << (x_max + n_max + 1).bit_length())
+    # V pi falls by s = sqrt(q/p) per state: the V-weighted tail is s/(1-s) times V pi at the top.
+    s = math.sqrt((1.0 - spec.p) / spec.p)
+    while size <= _TRUNCATION_MAX_STATES:
         try:
             tc = walk_truncated_chain(spec, size)
         except TruncationTooSmall:
-            size *= 2
-            continue
-        fine = matrix_vnorm_distances(tc, x_max, n_max)
-        if coarse is not None and all(
-            abs(coarse[k] - fine[k]) <= 1e-9 * max(coarse[k], fine[k], 1e-290) for k in probes
-        ):
-            return tc, fine
-        coarse = fine
+            pass
+        else:
+            if tc.v[-1] * tc.pi[-1] * s / (1.0 - s) < 1e-12:
+                return tc
         size *= 2
-    raise TruncationTooSmall(f"no stable truncation below {_TRUNCATION_MAX_STATES} states")
+    raise TruncationTooSmall(f"tails >= 1e-12 up to {_TRUNCATION_MAX_STATES} states")
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +613,10 @@ def run_matrix_suite() -> SuiteReport:
     regimes apply. The modified-boundary walk is reversible but its exact
     rate exceeds lambda (it is nearly periodic), so only the general and
     reversible certificates are meaningful there. Each walk's truncation is
-    chosen once and serves all of its checks, and each walk's distance table
-    is computed once and serves all of its certificates. No start state is
-    stepped twice: the table takes its top row x_max from the truncation
-    probe, and the exact-rate check its row x = 0 from the table.
+    sized once by the walk's reach (choose_truncation, no probe row) and
+    serves all of its checks. Each walk's distance table over x = 0..30,
+    n = 0..200 is computed once and serves all of its certificates, and the
+    exact-rate check reads its row x = 0 from the table where there is one.
     """
     suite = SuiteReport(name="matrix")
     cases = [
@@ -633,13 +627,12 @@ def run_matrix_suite() -> SuiteReport:
     ]
     truncations, tables, certs = {}, {}, {}
     for spec, symmetries in cases:
-        tc, top_row = _choose_truncation(spec, _MATRIX_X_MAX, _MATRIX_N_MAX)
-        truncations[spec] = tc
+        tc = truncations[spec] = choose_truncation(spec, _MATRIX_X_MAX, _MATRIX_N_MAX)
         if not symmetries:
             continue
-        # The truncation probe has already stepped the top start state.
-        rows = matrix_vnorm_distances(tc, np.arange(_MATRIX_X_MAX), _MATRIX_N_MAX)
-        dist = tables[spec] = np.vstack([rows, top_row])
+        dist = tables[spec] = matrix_vnorm_distances(
+            tc, np.arange(_MATRIX_X_MAX + 1), _MATRIX_N_MAX
+        )
         label = f"p{spec.p:.4g}" + ("" if spec.epsilon is None else f"-eps{spec.epsilon}")
         params = reflecting_walk_params(spec)
         for symmetry in symmetries:

@@ -275,6 +275,14 @@ def test_truncation_too_small():
         walk_truncated_chain(ReflectingWalk(p=0.6), 16)
 
 
+def test_truncation_with_an_overflowing_v_is_rejected():
+    # V(i) = 3^i for p = 0.9: finite up to i = 646, past the largest double
+    # at i = 647, where every distance would read nan.
+    assert np.isfinite(walk_truncated_chain(ReflectingWalk(p=0.9), 647).v).all()
+    with pytest.raises(InvalidParams, match="overflows"):
+        walk_truncated_chain(ReflectingWalk(p=0.9), 648)
+
+
 # --- tuning searches ---------------------------------------------------------
 
 

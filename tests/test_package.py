@@ -4,6 +4,8 @@ function and class has a caller outside the tests."""
 
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,23 @@ def test_verify_names_are_the_objects_of_verify():
     for name in VERIFY_NAMES:
         assert getattr(ergocert, name) is getattr(verify, name), name
         assert name in dir(ergocert)
+
+
+def test_namespace_lists_no_importlib_and_loads_no_numpy():
+    # A fresh process: importing the package and listing it must load
+    # neither numpy nor verify, and the lazy names stay listed.
+    script = (
+        "import sys, ergocert\n"
+        "names = dir(ergocert)\n"
+        "print('importlib' in names, sorted(ergocert._VERIFY_NAMES - set(names)),"
+        " 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False [] False\n"
+    assert set(VERIFY_NAMES) <= set(dir(ergocert))
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 from ergocert import kendall as kendall_mod
 from ergocert import verify
 from ergocert.bounds import Certificate, certificate
-from ergocert.errors import HypothesisViolated, InvalidParams, PeriodicSupport
+from ergocert.errors import (
+    HypothesisViolated,
+    InvalidParams,
+    PeriodicSupport,
+    TruncationTooSmall,
+)
 from ergocert.kendall import KendallParams
 from ergocert.models import (
     ReflectingWalk,
@@ -442,23 +448,23 @@ def test_matrix_suite_matches_the_dense_product(monkeypatch):
 
 def test_matrix_suite_chooses_each_walk_truncation_once(monkeypatch):
     calls, distance_calls = [], []
-    choose = verify._choose_truncation
+    choose = verify.choose_truncation
     distances = verify.matrix_vnorm_distances
     monkeypatch.setattr(
-        verify, "_choose_truncation", lambda *a: calls.append(a[0]) or choose(*a)
+        verify, "choose_truncation", lambda *a: calls.append(a[0]) or choose(*a)
     )
     monkeypatch.setattr(
         verify, "matrix_vnorm_distances", lambda *a: distance_calls.append(a) or distances(*a)
     )
     run_matrix_suite()
     assert len(calls) == len(set(calls)) == 4
-    # 3 sizes per walk in choose_truncation; for each of the three walks
-    # with certificates a table of the start states below x_max (the probe
-    # stepped x_max); one exact-rate walk without a table (the other reads
-    # x = 0 from its table).
-    assert len(distance_calls) == 4 * 3 + 3 + 1
+    # No probe rows: one table over x = 0..30 for each of the three walks
+    # with certificates, and one row x = 0 for the exact-rate walk without
+    # a table (the other reads x = 0 from its table).
+    assert len(distance_calls) == 4
     tables = [a for a in distance_calls if np.ndim(a[1])]
-    assert [a[1].tolist() for a in tables] == [list(range(30))] * 3
+    assert [a[1].tolist() for a in tables] == [list(range(31))] * 3
+    assert [a[1] for a in distance_calls if not np.ndim(a[1])] == [0]
 
 
 def test_matrix_suite_domination_equals_per_certificate_calls():
@@ -499,6 +505,74 @@ def test_choose_truncation_stability():
     tc = choose_truncation(ReflectingWalk(p=2.0 / 3.0), x_max=30, n_max=200)
     assert tc.tail_mass < 1e-12
     assert tc.n_states >= 64
+
+
+# The four walks of the matrix suite, and two standard walks near p = 1/2
+# whose stationary tails, not their reach, set the size.
+REACH_WALKS = [
+    ReflectingWalk(p=2.0 / 3.0),
+    ReflectingWalk(p=0.9),
+    ReflectingWalk(p=0.8, epsilon=0.25),
+    ReflectingWalk(p=0.9, epsilon=0.25),
+    ReflectingWalk(p=0.52),
+    ReflectingWalk(p=0.55),
+]
+
+
+def _largest_finite_v_size(spec):
+    # States 0..i with V(i) = (p/q)^(i/2) below the largest double.
+    return int(2.0 * math.log(sys.float_info.max) / math.log(spec.p / (1.0 - spec.p))) + 1
+
+
+@pytest.mark.parametrize("x_max, n_max", [(30, 200), (0, 1), (5, 60), (100, 300)])
+@pytest.mark.parametrize("spec", REACH_WALKS, ids=str)
+def test_choose_truncation_is_sized_by_reach_and_tails(spec, x_max, n_max):
+    tc = choose_truncation(spec, x_max, n_max)
+    size = tc.n_states
+    assert size & (size - 1) == 0
+    assert size >= max(64, x_max + n_max + 2)
+    assert tc.tail_mass < 1e-12
+    # A larger truncation gives the same table: twice the size, or where V
+    # overflows a double below that (p = 0.9 past 647 states), the largest
+    # truncation with a finite V.
+    bigger = walk_truncated_chain(spec, min(2 * size, _largest_finite_v_size(spec)))
+    assert bigger.n_states > size
+    xs = np.arange(x_max + 1)
+    np.testing.assert_allclose(
+        matrix_vnorm_distances(tc, xs, n_max),
+        matrix_vnorm_distances(bigger, xs, n_max),
+        rtol=1e-12,
+        atol=0.0,
+    )
+    # Smallest: half the size is below the reach, or one of its stationary
+    # tails, by mass or V-weighted, is 1e-12 or more.
+    half = size // 2
+    if half >= max(64, x_max + n_max + 2):
+        weighted = bigger.v * bigger.pi
+        assert bigger.pi[half:].sum() >= 1e-12 or weighted[half:].sum() >= 1e-12
+
+
+def test_choose_truncation_gives_up_past_its_cap(monkeypatch):
+    sizes = []
+    build = verify.walk_truncated_chain
+    monkeypatch.setattr(
+        verify, "walk_truncated_chain", lambda spec, n: sizes.append(n) or build(spec, n)
+    )
+    # The stationary tail of p = 0.5005 is above 1e-12 up to 8192 states.
+    with pytest.raises(TruncationTooSmall):
+        choose_truncation(ReflectingWalk(p=0.5005), 30, 200)
+    assert sizes == [256, 512, 1024, 2048, 4096, 8192]
+    # A reach past 8192 states builds nothing.
+    sizes.clear()
+    with pytest.raises(TruncationTooSmall):
+        choose_truncation(ReflectingWalk(p=0.9), 8191, 1)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("x_max, n_max", [(-1, 200), (30, -1)])
+def test_choose_truncation_rejects_a_negative_reach(x_max, n_max):
+    with pytest.raises(InvalidParams, match=f"got {x_max}, {n_max}$"):
+        choose_truncation(ReflectingWalk(p=0.9), x_max, n_max)
 
 
 # --- Monte Carlo oracle ------------------------------------------------------
@@ -560,5 +634,5 @@ def test_choose_truncation_builds_each_size_once(monkeypatch):
         verify, "walk_truncated_chain", lambda spec, n: sizes.append(n) or build(spec, n)
     )
     tc = choose_truncation(ReflectingWalk(p=2.0 / 3.0), x_max=30, n_max=200)
-    assert sizes == [64, 128, 256]
+    assert sizes == [256]
     assert tc.n_states == 256
