@@ -111,7 +111,8 @@ def _r1_upper_end(delta, log_target, hi):
     # t_up = 744.4 lies above every hi (the log of a float is below 709.8),
     # so floats and arrays take one path and log(-expm1(s)) stays finite.
     # Rounding can put t_up a few ulps below the root, so a solve takes this
-    # end only where h there is >= log_target.
+    # end only where h there is >= log_target. bounds._general_rho_floor
+    # relies on the end growing with delta and with log_target.
     fn = elementary(delta)
     s = fn.minimum(log_target + 2.0 * fn.log(fn.log1p(delta)), -5e-324)
     return fn.maximum(_LOG_EPS_LO, fn.minimum(hi, s - fn.log(-fn.expm1(s))))

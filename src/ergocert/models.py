@@ -24,6 +24,7 @@ from .bounds import (
     NU_V_INTEGRAL,
     _RADIUS_ARRAY,
     DriftMinorization,
+    _general_rho_floor,
     _rate,
     rate_part,
     rho_positive,
@@ -472,7 +473,7 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # (bounds._RADIUS_ARRAY, which scans 97 radii for thm1.1) and _rate. A
 # tuning with no rate, where the scalar path raises, gets rho = inf, which
 # never wins the argmin; the winner's array rho is returned as it is. The
-# contracting search calls method_rho at every c, for every method.
+# contracting search calls method_rho per c, except where a floor rules c out.
 # ---------------------------------------------------------------------------
 
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
@@ -555,6 +556,14 @@ def _contracting_rho_or_inf(method: str, theta: float, c: float) -> float:
         return math.inf
 
 
+def _contracting_general_floor(theta: float, c: float) -> float:
+    # _general_rho_floor at c: a lower bound on thm1.1's rho there, inf too.
+    try:
+        return _general_rho_floor(contracting_params(theta, c))
+    except InvalidParams:
+        return math.inf
+
+
 def _c_grid(lo: float, hi: float) -> list[float]:
     # numpy.arange(lo, hi + 1e-12, 0.01) without numpy, bit for bit: arange
     # fills lo + i * d with the step d = (lo + 0.01) - lo as rounded, not
@@ -571,19 +580,34 @@ def optimize_contracting_tuning(
     """Grid-search the small-set half-width c to minimise rho for fixed theta.
 
     A c where the method has no rate (invalid constants, no drift) is
-    skipped; an unknown method or a theta outside (-1, 1) raises
-    InvalidParams. The first c with the lowest rate wins.
+    skipped; an unknown method, a theta outside (-1, 1) or a c_range that
+    is not a finite lo <= hi raises InvalidParams. The c values are visited
+    in increasing (floor, index) order up to the first floor above the best
+    rate so far: thm1.1's floor is ``bounds._general_rho_floor`` (inf where c
+    has no constants or no radius window), every other method's 0.0. The
+    first c with the lowest rate wins, as in the full scan, bit for bit; a c
+    left out is never evaluated, so an error it would raise is not raised.
     """
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
     if not (-1.0 < theta < 1.0):
         raise InvalidParams(f"theta must lie in (-1, 1), got {theta}")
     lo, hi = c_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidParams(f"c_range must be finite with lo <= hi, got {c_range}")
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
-    best_c, best_rho = None, math.inf
-    for c in _c_grid(lo, hi):
-        rho = _contracting_rho_or_inf(method, theta, c)
-        if rho < best_rho:
-            best_c, best_rho = c, rho
+    cs = _c_grid(lo, hi)
+    if method == "thm1.1":
+        floors = [_contracting_general_floor(theta, c) for c in cs]
+    else:
+        floors = [0.0] * len(cs)
+    best_rho, best_i = math.inf, -1
+    for i in sorted(range(len(cs)), key=floors.__getitem__):  # stable: ties by index
+        if floors[i] > best_rho:
+            break
+        rho = _contracting_rho_or_inf(method, theta, cs[i])
+        if rho < best_rho or (rho == best_rho and i < best_i):
+            best_rho, best_i = rho, i
+    best_c = cs[best_i] if best_i >= 0 else None
     return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}

@@ -25,6 +25,7 @@ from ergocert.bounds import (
     _m_nonatomic_gamma,
 )
 from ergocert.errors import (
+    ErgoCertError,
     GammaOutOfRange,
     InvalidParams,
     NoSignChange,
@@ -469,6 +470,41 @@ def test_radius_search_ends_exactly_on_the_right_edge():
     )
     diag = rho_general(p).diagnostics
     assert diag["R_tilde"] == diag["R0"] - 1e-9
+
+
+@given(
+    lam=st.one_of(
+        st.floats(1e-6, 0.1), st.floats(0.05, 0.95), st.floats(0.9, 1.0 - 1e-12)
+    ),
+    log_k=st.floats(0.0, 3.0),
+    beta_tilde=st.floats(1e-3, 0.999),
+    log_beta_ratio=st.floats(-6.0, 0.0),
+    nu_info=st.sampled_from([NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL]),
+    log_k_tilde=st.floats(0.0, 3.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_general_rho_floor_is_below_the_searched_rate(
+    lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde
+):
+    # The closed-form floor that prunes the thm1.1 c search never lies
+    # above rho_general over the validated nonatomic domain (lambda near 0
+    # and near 1, K up to 1e3, beta down to 1e-6 beta_tilde), and is inf
+    # where the radius window is empty.
+    from ergocert.bounds import _general_rho_floor
+
+    p = DriftMinorization(
+        lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
+        beta_tilde=beta_tilde, atomic=False, nu_info=nu_info,
+        k_tilde=10.0**log_k_tilde if nu_info == NU_V_INTEGRAL else None,
+    )
+    try:
+        rho = rho_general(p).rho
+    except InvalidParams:
+        assert _general_rho_floor(p) == math.inf
+        return
+    except ErgoCertError:
+        return
+    assert _general_rho_floor(p) <= rho
 
 
 def _reversible_radius_array_of(ps):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ergocert import bounds
+from ergocert import bounds, models
 from ergocert.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -244,6 +244,21 @@ def test_model_optimize_contracting(capsys):
     data = json.loads(out)
     assert data["rho"] <= 0.897 + 0.002
     assert "c" in data["tuned"]
+
+
+@pytest.mark.parametrize("theta, c", [("0.5", 1.51), ("0.75", 1.24), ("0.9", 1.11)])
+def test_model_optimize_contracting_general_reports_the_pinned_c(capsys, theta, c):
+    # The table-4 thm1.1 searches, pruned by their closed-form rate floor,
+    # report the winning c of the full scan and method_rho's rate there.
+    code, out, _ = run_cli(
+        capsys, "model", "contracting-normal", "--theta", theta,
+        "--method", "thm1.1", "--optimize", "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["tuned"]["c"] - c) <= 1e-9
+    chain = models.ContractingNormal(theta=float(theta), c=data["tuned"]["c"])
+    assert data["rho"] == models.method_rho("thm1.1", chain)
 
 
 def test_model_optimize_unknown_method_exits_2(capsys):

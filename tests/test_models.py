@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -449,16 +450,17 @@ def _reference_contracting_search(method, theta, c_range=(1.05, 4.0)):
     return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}, rates
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.75, 0.9, -0.5])
+@pytest.mark.parametrize("theta", [0.5, 0.75, 0.9, -0.5, 0.25, -0.9])
 def test_optimize_contracting_matches_scalar_loop(theta):
+    # Where the reference loop raises (thm1.2 at |theta| = 0.9), the search
+    # raises the same error at the same c.
     for method in models.RATE_METHODS:
-        if (method, theta) == ("thm1.2", 0.9):
-            with pytest.raises(NoSignChange):
-                _reference_contracting_search(method, theta)
-            with pytest.raises(NoSignChange):
+        try:
+            want, _ = _reference_contracting_search(method, theta)
+        except ErgoCertError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
                 optimize_contracting_tuning(method, theta)
             continue
-        want, _ = _reference_contracting_search(method, theta)
         assert optimize_contracting_tuning(method, theta) == want, method
 
 
@@ -498,34 +500,81 @@ def test_contracting_tuning_winners_are_pinned(method, theta):
     assert result["rho"] == models.method_rho(method, ContractingNormal(theta=theta, c=result["c"]))
 
 
-def test_optimize_contracting_general_takes_scalar_rate_where_array_has_none(monkeypatch):
-    # No c has an array rate: the thm1.1 search is the method_rho loop over
-    # c, as the other methods are: one call per c, in c order, giving the
-    # reference loop's rates and result. At theta = 0.9 some c's are skipped.
-    theta = 0.9
-    want, rates = _reference_contracting_search("thm1.1", theta)
-    assert math.inf in rates
+def _spy_evaluated_c(monkeypatch):
+    # The c values at which the search calls method_rho, in call order.
     seen = []
     real = models.method_rho
 
     def spy(method, chain):
-        try:
-            rho = real(method, chain)
-        except (InvalidParams, MonotoneViolation):
-            seen.append(math.inf)
-            raise
-        seen.append(rho)
-        return rho
+        seen.append(chain.c)
+        return real(method, chain)
 
     monkeypatch.setattr(models, "method_rho", spy)
+    return seen
+
+
+@pytest.mark.parametrize("theta, share", [(0.5, 0.45), (0.9, 0.10)])
+def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
+    monkeypatch, theta, share
+):
+    # The thm1.1 search rates each c at most once, as the reference loop
+    # does, and leaves out only c values whose closed-form floor lies above
+    # the rate it returns: at most 45 % of the grid at theta = 0.5, 10 % at
+    # theta = 0.9.
+    want, rates = _reference_contracting_search("thm1.1", theta)
+    grid = np.arange(1.05, 4.0 + 1e-12, 0.01).tolist()
+    seen = _spy_evaluated_c(monkeypatch)
     assert optimize_contracting_tuning("thm1.1", theta) == want
-    assert seen == rates
+    assert len(set(seen)) == len(seen) <= share * len(grid)
+    for c, rho in zip(grid, rates):
+        floor = models._contracting_general_floor(theta, c)
+        assert floor <= rho, c
+        if c not in seen:
+            assert floor > want["rho"], c
+
+
+@given(
+    theta=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    c=st.floats(1.05, 4.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_contracting_general_floor_is_below_the_rate(theta, c):
+    # The floor that prunes the thm1.1 search is at most the rate it stands
+    # for, inf included, wherever that rate is defined.
+    try:
+        rho = models._contracting_rho_or_inf("thm1.1", theta, c)
+    except ErgoCertError:
+        return
+    assert models._contracting_general_floor(theta, c) <= rho
+
+
+def test_contracting_search_differs_when_the_floor_overshoots(monkeypatch):
+    # Falsification control: a floor just above the best rate at the winning
+    # c prunes the winner, so the search no longer matches the reference.
+    want, _ = _reference_contracting_search("thm1.1", 0.5)
+    real = models._contracting_general_floor
+
+    def overshoot(theta, c):
+        return want["rho"] + 1e-6 if c == want["c"] else real(theta, c)
+
+    monkeypatch.setattr(models, "_contracting_general_floor", overshoot)
+    assert optimize_contracting_tuning("thm1.1", 0.5) != want
+
+
+@pytest.mark.parametrize("method", ["thm1.2", "thm1.3", "coupling", "binomial"])
+def test_optimize_contracting_other_methods_rate_every_c_in_order(monkeypatch, method):
+    # Only thm1.1 has a floor: the other methods rate every c of the grid,
+    # in grid order.
+    lo = math.sqrt(2.0) + 1e-6 if method == "coupling" else 1.05
+    seen = _spy_evaluated_c(monkeypatch)
+    optimize_contracting_tuning(method, 0.5)
+    assert seen == models._c_grid(lo, 4.0)
 
 
 def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
-    # Every c runs one maximize_scalar search of scalar R1 solves: at least
-    # its 16-point pre-scan each, and fewer in all than the 11,215 scalar R1
-    # solves that the per-c scan-and-refine certificates made here.
+    # Every evaluated c runs one maximize_scalar search of scalar R1 solves:
+    # at least its 16-point pre-scan each, and fewer in all than the 11,215
+    # scalar R1 solves that the per-c scan-and-refine certificates made here.
     calls = []
     real = kendall._r1_log_eps
 
@@ -533,13 +582,40 @@ def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
         calls.append(p)
         return real(p)
 
+    seen = _spy_evaluated_c(monkeypatch)
     monkeypatch.setattr(kendall, "_r1_log_eps", counting)
     optimize_contracting_tuning("thm1.1", theta=0.5)
-    n_c = len(np.arange(1.05, 4.0 + 1e-12, 0.01))
-    assert 16 * n_c <= len(calls) < 11_215
+    assert 16 * len(seen) <= len(calls) < 11_215
     before = len(calls)
     models.method_rho("thm1.1", ContractingNormal(theta=0.5, c=1.5))
     assert len(calls) > before  # the counter sees the scalar path
+
+
+@pytest.mark.parametrize(
+    "c_range", [(1.05, math.nan), (math.nan, 4.0), (1.05, math.inf), (-math.inf, 4.0)]
+)
+def test_optimize_contracting_rejects_non_finite_c_range(c_range):
+    with pytest.raises(InvalidParams, match="c_range"):
+        optimize_contracting_tuning("thm1.3", 0.5, c_range=c_range)
+
+
+def test_optimize_contracting_rejects_reversed_c_range():
+    with pytest.raises(InvalidParams, match="c_range"):
+        optimize_contracting_tuning("thm1.3", 0.5, c_range=(3.0, 2.0))
+
+
+@pytest.mark.parametrize("method", ["thm1.1", "thm1.3"])
+def test_optimize_contracting_without_a_rate_names_no_c(method):
+    # No c in (0.5, 0.6) has a drift (lambda > 1): every c is rated, none
+    # with a rate, and the result names no c.
+    result = optimize_contracting_tuning(method, 0.5, c_range=(0.5, 0.6))
+    assert result == {"c": None, "rho": math.inf, "one_minus_rho": -math.inf}
+
+
+def test_optimize_contracting_takes_a_one_point_c_range():
+    result = optimize_contracting_tuning("thm1.3", 0.5, c_range=(2.0, 2.0))
+    assert result["c"] == 2.0
+    assert result["rho"] == models.method_rho("thm1.3", ContractingNormal(theta=0.5, c=2.0))
 
 
 def test_optimize_contracting_matches_published_choice():
