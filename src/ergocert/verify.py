@@ -89,14 +89,11 @@ class IncrementDistribution:
 
 @dataclass(frozen=True)
 class RenewalSequence:
-    """u_0..u_N by convolution plus the elementary-renewal limit.
-
-    For one law u is 1-D and u_inf a float; for a sequence of laws u has one
-    row per law and u_inf is an array.
-    """
+    """u_0..u_N by convolution plus the elementary-renewal limit, one row of
+    u and one entry of u_inf per law."""
 
     u: np.ndarray
-    u_inf: float | np.ndarray
+    u_inf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -154,19 +151,16 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def renewal_from_increments(
-    b: IncrementDistribution | Sequence[IncrementDistribution], n_max: int
-) -> RenewalSequence:
+def renewal_from_increments(laws: Sequence[IncrementDistribution], n_max: int) -> RenewalSequence:
     """u_n = sum_{k<=n} b_k u_{n-k} with u_0 = 1; u_inf = 1 / mean increment.
 
-    b is one IncrementDistribution or a sequence of them. The laws are
+    The laws (at least one; InvalidParams otherwise, or for n_max < 1) are
     zero-padded to the longest support and convolved together, one step of
     n for all of them at once.
     """
     if n_max < 1:
         raise InvalidParams("n_max must be >= 1")
-    single = isinstance(b, IncrementDistribution)
-    laws = [b] if single else list(b)
+    laws = list(laws)
     if not laws:
         raise InvalidParams("need at least one law")
     width = max(d.array.size for d in laws)
@@ -179,10 +173,7 @@ def renewal_from_increments(
     for n in range(1, n_max + 1):
         k = min(n, width)
         u[:, n] = np.einsum("ij,ij->i", reversed_probs[:, width - k :], u[:, n - k : n])
-    u_inf = np.array([1.0 / d.mean for d in laws])
-    if single:
-        return RenewalSequence(u=u[0], u_inf=float(u_inf[0]))
-    return RenewalSequence(u=u, u_inf=u_inf)
+    return RenewalSequence(u=u, u_inf=np.array([1.0 / d.mean for d in laws]))
 
 
 def increment_radius(b: IncrementDistribution) -> float:
@@ -211,7 +202,7 @@ def kendall_family_radius(beta: float, k: int) -> float:
     return increment_radius(IncrementDistribution(probs=tuple(probs)))
 
 
-# Renewal terms u_0..u_N that kendall_check and the suite convolve.
+# Renewal terms u_0..u_N that kendall_check convolves.
 _RENEWAL_TERMS = 1200
 # Rows per slice of the series sup. The 200-case suite in one slice raises
 # peak RSS by about 4.2 MB; in 32-row slices by about 0.4 MB.
@@ -249,13 +240,29 @@ def _series_sup_on_circle(deviations: np.ndarray, r: np.ndarray, cutoff: np.ndar
     return sup
 
 
-def _kendall_checks(cases: Sequence[tuple], n_max: int) -> list[dict]:
-    """kendall_check's result for each case (law, KendallParams, r, R1,
-    increment radius). The hypotheses are not checked here: kendall_check
-    checks them, and the suite's draws satisfy them by construction.
+def kendall_check(cases: Sequence[tuple], n_max: int = _RENEWAL_TERMS) -> list[dict]:
+    """Check the certified radius and series bound against increment laws.
 
-    All laws are convolved as one block; see kendall_check for the measure.
+    Each case is (law, KendallParams, r, R1, radius) with R1 =
+    kendall.solve_r1(params) and radius = increment_radius(law); the result
+    is one report per case, in order. Every case must have b_1 >= beta and
+    sum b_k R^k <= L (HypothesisViolated otherwise) and 1 < r < R1
+    (OutOfRange otherwise); an empty batch raises InvalidParams.
+
+    The reported decay rate is exact (from the increment-polynomial roots);
+    the series sup is the truncated sum on 64 sampled angles of |z| = r plus
+    the two real axis points, topped with a geometric tail majorant. All
+    laws are convolved as one block.
     """
+    for law, kp, r, r1, _ in cases:
+        probs = law.array
+        if probs[0] < kp.beta:
+            raise HypothesisViolated(f"b_1 = {probs[0]} < beta = {kp.beta}")
+        moment = np.dot(probs, np.power(kp.big_r, np.arange(1, probs.size + 1)))
+        if moment > kp.big_l * (1.0 + 1e-12):
+            raise HypothesisViolated(f"sum b_k R^k = {moment} exceeds L = {kp.big_l}")
+        if not (1.0 < r < r1):
+            raise OutOfRange(f"need 1 < r < R1 = {r1}, got r={r}")
     laws = [case[0] for case in cases]
     seq = renewal_from_increments(laws, n_max)
     _, params, r, r1, radius = zip(*cases)
@@ -304,37 +311,6 @@ def _kendall_checks(cases: Sequence[tuple], n_max: int) -> list[dict]:
     return reports
 
 
-def kendall_check(
-    b: IncrementDistribution,
-    beta: float,
-    big_r: float,
-    big_l: float,
-    r: float,
-    n_max: int = _RENEWAL_TERMS,
-) -> dict:
-    """Check the certified radius and series bound against this increment law.
-
-    Requires b_1 >= beta and sum b_k R^k <= L (HypothesisViolated otherwise)
-    and r below the certified radius. The reported decay rate is exact (from
-    the increment-polynomial roots); the series sup is the truncated sum on
-    64 sampled angles of |z| = r plus the two real axis points, topped with
-    a geometric tail majorant.
-    """
-    probs = b.array
-    if probs[0] < beta:
-        raise HypothesisViolated(f"b_1 = {probs[0]} < beta = {beta}")
-    powers = np.power(big_r, np.arange(1, probs.size + 1))
-    if np.dot(probs, powers) > big_l * (1.0 + 1e-12):
-        raise HypothesisViolated(
-            f"sum b_k R^k = {np.dot(probs, powers)} exceeds L = {big_l}"
-        )
-    kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
-    r1 = kendall_mod.solve_r1(kp)
-    if not (1.0 < r < r1):
-        raise OutOfRange(f"need 1 < r < R1 = {r1}, got r={r}")
-    return _kendall_checks([(b, kp, r, r1, increment_radius(b))], n_max)[0]
-
-
 def _sample_admissible(rng: np.random.Generator) -> tuple:
     """One random increment law with admissible Kendall parameters and r,
     plus the R1 and increment radius computed on the way:
@@ -360,15 +336,20 @@ def _sample_admissible(rng: np.random.Generator) -> tuple:
         return dist, kp, 1.0 + 0.9 * (r1 - 1.0), r1, radius
 
 
-def run_kendall_suite(seed: int = 0, cases: int = 200, asymptotic_ks=(40, 80)) -> SuiteReport:
+# Support lengths k of the two-point family whose radius the suite holds
+# to the cubic law.
+_ASYMPTOTIC_KS = (40, 80)
+
+
+def run_kendall_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
     """Randomised soundness checks plus the cubic-law radius asymptotics.
 
-    All cases are drawn first, then checked together as one renewal block.
+    All cases are drawn first, then checked together by one kendall_check.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     suite = SuiteReport(name="kendall")
     drawn = [_sample_admissible(rng) for _ in range(cases)]
-    reports = _kendall_checks(drawn, _RENEWAL_TERMS)
+    reports = kendall_check(drawn)
     for i, rep in enumerate(reports):
         suite.checks.append(
             CheckReport(
@@ -380,7 +361,7 @@ def run_kendall_suite(seed: int = 0, cases: int = 200, asymptotic_ks=(40, 80)) -
             )
         )
     family_beta = 0.25
-    for k in asymptotic_ks:
+    for k in _ASYMPTOTIC_KS:
         measured = kendall_family_radius(family_beta, k) - 1.0
         predicted = 2.0 * math.pi**2 * family_beta / (1.0 - family_beta) ** 2 / k**3
         rel_err = abs(measured / predicted - 1.0)
@@ -447,30 +428,22 @@ def matrix_vnorm_distances(tc: TruncatedChain, x: int | np.ndarray, n_max: int) 
 
 
 def certificate_domination(
-    tc: TruncatedChain,
-    cert: Certificate,
-    x_max: int,
-    n_max: int,
-    name: str = "domination",
+    tc: TruncatedChain, dist: np.ndarray, cert: Certificate, name: str = "domination"
 ) -> CheckReport:
-    """Check distance(x, n) <= M V(x) gamma^n for all x <= x_max, n <= n_max.
+    """Check distance(x, n) <= M V(x) gamma^n over a distance table.
 
-    The reported measured/bound pair belongs to the worst (x, n), the first
-    in x-major order where several tie; a ratio above one anywhere fails
-    the check.
+    dist is matrix_vnorm_distances(tc, np.arange(X + 1), n_max): row x holds
+    the distances from start state x for n = 0..n_max. A table that is not
+    2-d, or has no rows, no columns or more rows than tc has states, raises
+    InvalidParams. The reported measured/bound pair belongs to the worst
+    (x, n), the first in x-major order where several tie; a ratio above one
+    anywhere fails the check.
     """
-    return _dominate(tc, _distance_table(tc, x_max, n_max), cert, name)
-
-
-def _distance_table(tc: TruncatedChain, x_max: int, n_max: int) -> np.ndarray:
-    """Distances from the start states x = 0..min(x_max, N-1), n = 0..n_max."""
-    if x_max < 0:
-        raise InvalidParams("x_max must be >= 0")
-    return matrix_vnorm_distances(tc, np.arange(min(x_max, tc.n_states - 1) + 1), n_max)
-
-
-def _dominate(tc: TruncatedChain, dist: np.ndarray, cert: Certificate, name: str) -> CheckReport:
-    """certificate_domination against a distance table already computed."""
+    dist = np.asarray(dist)
+    if dist.ndim != 2 or not 0 < dist.shape[0] <= tc.n_states or dist.shape[1] == 0:
+        raise InvalidParams(
+            f"need a table of 1..{tc.n_states} start states by n >= 0, got shape {dist.shape}"
+        )
     x_count, n_count = dist.shape
     envelope = (cert.big_m * tc.v[:x_count])[:, None] * np.power(cert.gamma, np.arange(n_count))
     ratios = dist / envelope
@@ -485,15 +458,15 @@ def _dominate(tc: TruncatedChain, dist: np.ndarray, cert: Certificate, name: str
     )
 
 
-def walk_empirical_rate(tc: TruncatedChain, x: int, n_lo: int, n_hi: int) -> float:
-    """Geometric-mean decay ratio of the distances over [n_lo, n_hi]."""
+def walk_empirical_rate(dist: np.ndarray, n_lo: int, n_hi: int) -> float:
+    """Geometric-mean decay ratio over [n_lo, n_hi] of one row of distances
+    (matrix_vnorm_distances from one start state). Needs 0 <= n_lo < n_hi
+    and a row that reaches n_hi; InvalidParams otherwise."""
     if not (0 <= n_lo < n_hi):
         raise InvalidParams("need 0 <= n_lo < n_hi")
-    return _decay_rate(matrix_vnorm_distances(tc, x, n_hi), n_lo, n_hi)
-
-
-def _decay_rate(dist: np.ndarray, n_lo: int, n_hi: int) -> float:
-    # walk_empirical_rate from distances already computed up to n >= n_hi.
+    dist = np.asarray(dist)
+    if dist.ndim != 1 or n_hi >= dist.size:
+        raise InvalidParams(f"need one row of distances up to n = {n_hi}, got shape {dist.shape}")
     return float((dist[n_hi] / dist[n_lo]) ** (1.0 / (n_hi - n_lo)))
 
 
@@ -637,12 +610,14 @@ def run_matrix_suite() -> SuiteReport:
         params = reflecting_walk_params(spec)
         for symmetry in symmetries:
             cert = certs[spec, symmetry] = certificate(params, symmetry)
-            suite.checks.append(_dominate(tc, dist, cert, f"domination-{label}-{symmetry}"))
+            suite.checks.append(
+                certificate_domination(tc, dist, cert, f"domination-{label}-{symmetry}")
+            )
     # Falsification control: shrinking M by 1e3 must break domination.
     spec = ReflectingWalk(p=0.9)
     cert = certs[spec, "reversible"]
     crippled = replace(cert, big_m=cert.big_m * 1e-3)
-    control = _dominate(truncations[spec], tables[spec], crippled, "control-shrunk-M")
+    control = certificate_domination(truncations[spec], tables[spec], crippled, "control-shrunk-M")
     suite.checks.append(
         replace(
             control,
@@ -656,9 +631,10 @@ def run_matrix_suite() -> SuiteReport:
         spec = ReflectingWalk(p=p, epsilon=eps)
         expected = reflecting_walk_rho_exact(p, eps)
         if spec in tables:
-            measured = _decay_rate(tables[spec][0], 80, 160)
+            row = tables[spec][0]
         else:
-            measured = walk_empirical_rate(truncations[spec], x=0, n_lo=80, n_hi=160)
+            row = matrix_vnorm_distances(truncations[spec], 0, 160)
+        measured = walk_empirical_rate(row, 80, 160)
         suite.checks.append(
             CheckReport(
                 name=f"exact-rate-p{p}-eps{eps}",

@@ -333,7 +333,7 @@ def _sample_admissible(rng: np.random.Generator) -> tuple:
         return dist, beta, big_r, big_l, r
 
 
-def kendall_suite_per_case(seed: int = 0, cases: int = 200, asymptotic_ks=(40, 80)) -> SuiteReport:
+def kendall_suite_per_case(seed: int = 0, cases: int = 200) -> SuiteReport:
     """run_kendall_suite drawing and checking one case at a time."""
     rng = np.random.Generator(np.random.Philox(seed))
     suite = SuiteReport(name="kendall")
@@ -350,7 +350,7 @@ def kendall_suite_per_case(seed: int = 0, cases: int = 200, asymptotic_ks=(40, 8
             )
         )
     family_beta = 0.25
-    for k in asymptotic_ks:
+    for k in (40, 80):
         measured = kendall_family_radius(family_beta, k) - 1.0
         predicted = 2.0 * math.pi**2 * family_beta / (1.0 - family_beta) ** 2 / k**3
         rel_err = abs(measured / predicted - 1.0)

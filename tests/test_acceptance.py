@@ -34,6 +34,7 @@ from ergocert.tables import build_table
 from ergocert.verify import (
     certificate_domination,
     choose_truncation,
+    matrix_vnorm_distances,
     run_kendall_suite,
     walk_empirical_rate,
 )
@@ -254,7 +255,7 @@ def test_criterion_05_tables_2_3():
 
 
 def test_criterion_06_kendall_oracle():
-    suite = run_kendall_suite(seed=SEED, cases=200, asymptotic_ks=(40, 80))
+    suite = run_kendall_suite(seed=SEED, cases=200)
     failures = [
         f"{c.name}: measured {c.measured:.6g} vs bound {c.bound:.6g} ({c.detail})"
         for c in suite.checks
@@ -287,12 +288,14 @@ def test_criterion_07_certificate_domination(truncations):
         ("p=0.9", ("general", "reversible", "reversible-positive")),
         ("p=0.8,eps=0.25", ("general", "reversible")),
     ]
+    tables = {}
     for name, symmetries in cases:
         spec, tc = truncations[name]
+        table = tables[name] = matrix_vnorm_distances(tc, np.arange(31), 200)
         params = reflecting_walk_params(spec)
         for symmetry in symmetries:
             cert = certificate(params, symmetry)
-            rep = certificate_domination(tc, cert, x_max=30, n_max=200)
+            rep = certificate_domination(tc, table, cert)
             if not rep.passed:
                 failures.append(f"{name} {symmetry}: {rep.detail}")
     # Falsification control: a certificate with M scaled down by 1e3 must fail.
@@ -303,7 +306,7 @@ def test_criterion_07_certificate_domination(truncations):
         symmetry=cert.symmetry, method=cert.method, params=cert.params,
         diagnostics=cert.diagnostics,
     )
-    if certificate_domination(tc, weak, x_max=30, n_max=200).passed:
+    if certificate_domination(tc, tables["p=0.9"], weak).passed:
         failures.append("control: weakened certificate unexpectedly dominated")
     _report(7, "certificate domination vs matrix oracle", failures)
 
@@ -315,7 +318,7 @@ def test_criterion_08_exact_rate_agreement(truncations):
         ("p=0.9,eps=0.25", (0.9 * 0.1 + 0.65**2) / 0.65),
     ):
         _, tc = truncations[name]
-        rate = walk_empirical_rate(tc, x=0, n_lo=80, n_hi=160)
+        rate = walk_empirical_rate(matrix_vnorm_distances(tc, 0, 160), 80, 160)
         if abs(rate - expected) > 0.01:
             failures.append(f"{name}: empirical {rate:.5f} vs exact {expected:.5f}")
     _report(8, "exact-rate agreement", failures)

@@ -3,7 +3,6 @@ first access, to the objects of ``ergocert.verify``; and every exported
 function and class has a caller outside the tests."""
 
 import ast
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -107,19 +106,11 @@ def _uses(sources: dict) -> set:
     return used
 
 
-def _benchmark_layer_functions() -> set:
-    # (module, function) pairs that BENCHMARK.json's per-layer metrics name:
-    # the benchmark's tracer wraps them by name, so they stay public.
-    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
-    return {tuple(m["name"].split(".")[:2]) for m in spec["per_layer"]}
-
-
 def test_every_exported_function_and_class_has_a_caller():
     # Library surface that only the tests call is dead weight: each public
-    # function and class must be used by other code of the package or be
-    # traced by the benchmark.
+    # function and class must be used by other code of the package.
     sources = _package_sources()
-    used = _uses(sources) | _benchmark_layer_functions()
+    used = _uses(sources)
     unused = sorted(
         f"{module}.{name}"
         for module, tree in sources.items()

@@ -14,6 +14,7 @@ from ergocert.bounds import Certificate, certificate
 from ergocert.errors import (
     HypothesisViolated,
     InvalidParams,
+    OutOfRange,
     PeriodicSupport,
     TruncationTooSmall,
 )
@@ -52,15 +53,15 @@ from reference_forms import (
 
 
 def test_point_mass_renewal():
-    seq = renewal_from_increments(IncrementDistribution(probs=(1.0,)), 50)
-    assert (seq.u == 1.0).all()
-    assert seq.u_inf == 1.0
+    seq = renewal_from_increments([IncrementDistribution(probs=(1.0,))], 50)
+    assert (seq.u[0] == 1.0).all()
+    assert seq.u_inf[0] == 1.0
 
 
 def test_hand_convolution():
-    seq = renewal_from_increments(IncrementDistribution(probs=(0.5, 0.5)), 4)
-    assert np.allclose(seq.u, [1.0, 0.5, 0.75, 0.625, 0.6875], atol=1e-15)
-    assert seq.u_inf == pytest.approx(2.0 / 3.0, abs=1e-15)
+    seq = renewal_from_increments([IncrementDistribution(probs=(0.5, 0.5))], 4)
+    assert np.allclose(seq.u[0], [1.0, 0.5, 0.75, 0.625, 0.6875], atol=1e-15)
+    assert seq.u_inf[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_periodic_support_rejected():
@@ -83,22 +84,23 @@ def test_renewal_identity_convolution():
     probs /= probs.sum()
     dist = IncrementDistribution(probs=tuple(probs))
     n_max = 60
-    seq = renewal_from_increments(dist, n_max)
+    u = renewal_from_increments([dist], n_max).u[0]
     b = np.concatenate([[0.0], dist.array])
-    conv = np.convolve(seq.u, b)[: n_max + 1]
-    identity = seq.u - conv
+    conv = np.convolve(u, b)[: n_max + 1]
+    identity = u - conv
     assert abs(identity[0] - 1.0) <= 1e-12
     assert np.abs(identity[1:]).max() <= 1e-12
 
 
 def test_u_tail_approaches_limit():
     dist = IncrementDistribution(probs=(0.6, 0.3, 0.1))
-    seq = renewal_from_increments(dist, 200)
-    assert seq.u[0] == 1.0
-    assert (seq.u >= 0.0).all() and (seq.u <= 1.0).all()
-    assert abs(seq.u_inf - 1.0 / dist.mean) <= 1e-15
-    assert abs(seq.u[200] - seq.u_inf) < abs(seq.u[100] - seq.u_inf) + 1e-18
-    assert abs(seq.u[200] - seq.u_inf) <= 1e-12
+    seq = renewal_from_increments([dist], 200)
+    u, u_inf = seq.u[0], seq.u_inf[0]
+    assert u[0] == 1.0
+    assert (u >= 0.0).all() and (u <= 1.0).all()
+    assert abs(u_inf - 1.0 / dist.mean) <= 1e-15
+    assert abs(u[200] - u_inf) < abs(u[100] - u_inf) + 1e-18
+    assert abs(u[200] - u_inf) <= 1e-12
 
 
 def test_family_decay_matches_root_radius():
@@ -109,8 +111,8 @@ def test_family_decay_matches_root_radius():
     probs[0] = beta
     probs[-1] = 1.0 - beta
     dist = IncrementDistribution(probs=tuple(probs))
-    seq = renewal_from_increments(dist, 26_000)
-    dev = np.abs(seq.u - seq.u_inf)
+    seq = renewal_from_increments([dist], 26_000)
+    dev = np.abs(seq.u[0] - seq.u_inf[0])
     early = dev[14_000 : 14_000 + 3 * k].max()
     late = dev[25_800 - 3 * k : 25_800].max()
     span = (25_800 - 3 * k) - 14_000
@@ -127,17 +129,43 @@ def test_family_radius_asymptotics():
         assert abs(measured / predicted - 1.0) <= 0.10
 
 
+def _case(law, beta, big_r, big_l, r):
+    # One kendall_check case, with the R1 and increment radius it expects.
+    kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
+    return law, kp, r, kendall_mod.solve_r1(kp), increment_radius(law)
+
+
 def test_kendall_check_passes_and_gates():
     dist = IncrementDistribution(probs=(0.9, 0.1))
     big_r = 1.5
     big_l = 0.9 * 1.5 + 0.1 * 1.5**2
-    rep = kendall_check(dist, beta=0.9, big_r=big_r, big_l=big_l, r=1.05)
+    good = _case(dist, 0.9, big_r, big_l, 1.05)
+    (rep,) = kendall_check([good])
     assert rep["pass"]
     assert rep["measured_sup"] <= rep["bound"]
     with pytest.raises(HypothesisViolated):
-        kendall_check(dist, beta=0.95, big_r=big_r, big_l=big_l, r=1.05)
+        kendall_check([_case(dist, 0.95, big_r, big_l, 1.05)])
     with pytest.raises(HypothesisViolated):
-        kendall_check(dist, beta=0.9, big_r=big_r, big_l=1.5, r=1.05)
+        kendall_check([_case(dist, 0.9, big_r, 1.5, 1.05)])
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("bad", ["beta", "big_l", "r=1", "r=R1"])
+def test_kendall_check_gates_every_case_of_a_batch(at, bad):
+    dist = IncrementDistribution(probs=(0.9, 0.1))
+    big_r, big_l = 1.5, 0.9 * 1.5 + 0.1 * 1.5**2
+    good = _case(dist, 0.9, big_r, big_l, 1.05)
+    law, kp, r, r1, radius = good
+    broken, error = {
+        "beta": (_case(dist, 0.95, big_r, big_l, 1.05), HypothesisViolated),
+        "big_l": (_case(dist, 0.9, big_r, 1.5, 1.05), HypothesisViolated),
+        "r=1": ((law, kp, 1.0, r1, radius), OutOfRange),
+        "r=R1": ((law, kp, r1, r1, radius), OutOfRange),
+    }[bad]
+    cases = [good, good]
+    cases.insert(at, broken)
+    with pytest.raises(error):
+        kendall_check(cases)
 
 
 def _law(weights):
@@ -165,9 +193,6 @@ def test_renewal_block_matches_per_law_loop(laws, at, n_max):
         ref = renewal_per_law(law, n_max)
         assert np.abs(row - ref.u).max() <= 1e-12
         assert u_inf == ref.u_inf
-    one = renewal_from_increments(laws[0], n_max)
-    assert one.u.shape == (n_max + 1,) and isinstance(one.u_inf, float)
-    assert (one.u == renewal_from_increments(laws[:1], n_max).u[0]).all()
 
 
 def test_renewal_needs_at_least_one_law():
@@ -183,6 +208,14 @@ def test_kendall_suite_draws_once_and_convolves_once(monkeypatch):
     monkeypatch.setattr(
         verify, "renewal_from_increments", lambda *a: calls.append(a) or convolve(*a)
     )
+    run_kendall_suite(seed=5, cases=30)
+    assert len(calls) == 1 and len(calls[0][0]) == 30
+
+
+def test_kendall_suite_checks_its_cases_in_one_kendall_check(monkeypatch):
+    calls = []
+    check = verify.kendall_check
+    monkeypatch.setattr(verify, "kendall_check", lambda *a: calls.append(a) or check(*a))
     run_kendall_suite(seed=5, cases=30)
     assert len(calls) == 1 and len(calls[0][0]) == 30
 
@@ -207,7 +240,7 @@ def test_kendall_check_survives_overflowing_powers():
     args = (dist, 0.9, 1.5, 0.9 * 1.5 + 0.1 * 1.5**2, 1.05)
     with np.errstate(over="ignore"):
         assert np.power(1.05, 15_000) == math.inf
-    rep = kendall_check(*args, n_max=15_000)
+    (rep,) = kendall_check([_case(*args)], n_max=15_000)
     ref = kendall_check_per_case(*args, n_max=15_000)
     assert math.isfinite(rep["measured_sup"])
     assert rep["measured_sup"] == pytest.approx(ref["measured_sup"], rel=1e-12, abs=0.0)
@@ -228,14 +261,13 @@ def test_kendall_checks_mask_overflowing_powers_of_a_shorter_row():
     ]
     cases, refs = [], []
     for law, beta, big_r, big_l in drawn:
-        kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
-        r1 = kendall_mod.solve_r1(kp)
+        r1 = kendall_mod.solve_r1(KendallParams(beta=beta, big_r=big_r, big_l=big_l))
         r = 1.05 if law.array.size == 2 else 1.0 + 0.9 * (r1 - 1.0)
-        cases.append((law, kp, r, r1, increment_radius(law)))
+        cases.append(_case(law, beta, big_r, big_l, r))
         refs.append(kendall_check_per_case(law, beta, big_r, big_l, r, n_max=15_000))
     with np.errstate(over="ignore"):
         assert np.power(1.05, 15_000) == math.inf
-    for rep, ref in zip(verify._kendall_checks(cases, 15_000), refs):
+    for rep, ref in zip(kendall_check(cases, 15_000), refs):
         assert math.isfinite(rep["measured_sup"])
         assert rep["measured_sup"] == pytest.approx(ref["measured_sup"], rel=1e-12, abs=0.0)
         assert {k: v for k, v in rep.items() if k != "measured_sup"} == {
@@ -316,21 +348,37 @@ def test_row_mass_preserved(walk09_chain):
 
 def test_empirical_rate_modified_walk():
     tc = choose_truncation(ReflectingWalk(p=0.8, epsilon=0.25), x_max=30, n_max=200)
-    rate = walk_empirical_rate(tc, x=0, n_lo=80, n_hi=160)
+    rate = walk_empirical_rate(matrix_vnorm_distances(tc, 0, 160), 80, 160)
     assert abs(rate - 0.8409) <= 0.01
+
+
+@pytest.mark.parametrize(
+    "dist, n_lo, n_hi",
+    [
+        (np.ones(161), -1, 160),
+        (np.ones(161), 80, 80),
+        (np.ones(161), 80, 161),
+        (np.ones((2, 161)), 80, 160),
+    ],
+    ids=["n_lo<0", "n_lo=n_hi", "n_hi-past-the-row", "2-d"],
+)
+def test_empirical_rate_needs_one_row_through_n_hi(dist, n_lo, n_hi):
+    with pytest.raises(InvalidParams):
+        walk_empirical_rate(dist, n_lo, n_hi)
 
 
 def test_domination_pass_and_control(walk09_chain):
     params = reflecting_walk_params(ReflectingWalk(p=0.9))
     cert = certificate(params, "reversible", gamma=0.8)
-    report = certificate_domination(walk09_chain, cert, x_max=20, n_max=120)
+    table = matrix_vnorm_distances(walk09_chain, np.arange(21), 120)
+    report = certificate_domination(walk09_chain, table, cert)
     assert report.passed
     weak = Certificate(
         rho=cert.rho, gamma=cert.gamma, big_m=cert.big_m * 1e-3,
         symmetry=cert.symmetry, method=cert.method, params=cert.params,
         diagnostics=cert.diagnostics,
     )
-    assert not certificate_domination(walk09_chain, weak, x_max=20, n_max=120).passed
+    assert not certificate_domination(walk09_chain, table, weak).passed
 
 
 def _per_state_domination(tc, cert, x_max, n_max):
@@ -351,16 +399,11 @@ def _per_state_domination(tc, cert, x_max, n_max):
 
 
 @pytest.mark.parametrize("symmetry", ["general", "reversible", "reversible-positive"])
-def test_domination_matches_per_state_loop(walk09_chain, monkeypatch, symmetry):
+def test_domination_matches_per_state_loop(walk09_chain, symmetry):
     cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), symmetry)
     (x, n, measured, bound), ratio = _per_state_domination(walk09_chain, cert, 20, 120)
-    calls = []
-    block = verify.matrix_vnorm_distances
-    monkeypatch.setattr(
-        verify, "matrix_vnorm_distances", lambda *a: calls.append(a) or block(*a)
-    )
-    report = certificate_domination(walk09_chain, cert, x_max=20, n_max=120)
-    assert len(calls) == 1
+    table = matrix_vnorm_distances(walk09_chain, np.arange(21), 120)
+    report = certificate_domination(walk09_chain, table, cert)
     assert report.detail == f"worst at x={x}, n={n}, ratio {ratio:.3e}"
     assert report.bound == bound
     assert report.measured == pytest.approx(measured, rel=1e-13)
@@ -370,7 +413,30 @@ def test_domination_matches_per_state_loop(walk09_chain, monkeypatch, symmetry):
 def test_domination_needs_a_start_state(walk09_chain):
     cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), "reversible")
     with pytest.raises(InvalidParams):
-        certificate_domination(walk09_chain, cert, x_max=-1, n_max=10)
+        certificate_domination(walk09_chain, np.empty((0, 11)), cert)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [np.ones(11), np.ones((2, 3, 11)), np.ones((129, 11)), np.ones((4, 0))],
+    ids=["1-d", "3-d", "more-rows-than-states", "no-steps"],
+)
+def test_domination_rejects_a_table_that_is_no_start_state_table(walk09_chain, table):
+    cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), "reversible")
+    with pytest.raises(InvalidParams):
+        certificate_domination(walk09_chain, table, cert)
+
+
+def test_domination_past_the_truncation_is_refused_not_clipped(walk09_chain):
+    # Start states up to 500 on a 128-state truncation: the table cannot be
+    # built, so no check runs on a smaller problem clipped to x <= 127.
+    assert walk09_chain.n_states == 128
+    with pytest.raises(InvalidParams):
+        matrix_vnorm_distances(walk09_chain, np.arange(501), 100)
+    # A table of every state the truncation has is the largest accepted.
+    cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), "reversible")
+    table = matrix_vnorm_distances(walk09_chain, np.arange(128), 10)
+    assert certificate_domination(walk09_chain, table, cert).passed
 
 
 def test_domination_tie_goes_to_the_first_state():
@@ -382,7 +448,7 @@ def test_domination_tie_goes_to_the_first_state():
         pi=np.full(n, 1.0 / n), tail_mass=0.0,
     )
     cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), "reversible")
-    report = certificate_domination(tc, cert, x_max=n, n_max=5)
+    report = certificate_domination(tc, matrix_vnorm_distances(tc, np.arange(n), 5), cert)
     assert report.detail.startswith("worst at x=0, n=0,")
     assert report.measured == 2.0 * (1.0 - 1.0 / n)
 
@@ -476,22 +542,38 @@ def test_matrix_suite_domination_equals_per_certificate_calls():
     ]
     for label, spec, symmetries in walks:
         tc = choose_truncation(spec, 30, 200)
+        table = matrix_vnorm_distances(tc, np.arange(31), 200)
         params = reflecting_walk_params(spec)
         for symmetry in symmetries:
             name = f"domination-{label}-{symmetry}"
-            report = certificate_domination(tc, certificate(params, symmetry), 30, 200, name=name)
+            report = certificate_domination(tc, table, certificate(params, symmetry), name=name)
             assert suite[name] == report
     spec = ReflectingWalk(p=0.9)
     cert = certificate(reflecting_walk_params(spec), "reversible")
+    tc = choose_truncation(spec, 30, 200)
     control = certificate_domination(
-        choose_truncation(spec, 30, 200), replace(cert, big_m=cert.big_m * 1e-3), 30, 200,
-        name="control-shrunk-M",
+        tc, matrix_vnorm_distances(tc, np.arange(31), 200),
+        replace(cert, big_m=cert.big_m * 1e-3), name="control-shrunk-M",
     )
     assert suite["control-shrunk-M"] == replace(
         control,
         passed=not control.passed,
         detail="harness sanity: weakened certificate must fail; " + control.detail,
     )
+
+
+def test_matrix_suite_calls_the_public_checks(monkeypatch):
+    calls = {"certificate_domination": [], "walk_empirical_rate": []}
+    for name, log in calls.items():
+        original = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *a, log=log, original=original: log.append(a) or original(*a)
+        )
+    run_matrix_suite()
+    # Eight certificates (3 + 3 + 2 symmetries) and the shrunk-M control;
+    # two exact-rate walks.
+    assert len(calls["certificate_domination"]) == 9
+    assert len(calls["walk_empirical_rate"]) == 2
 
 
 def test_matrix_suite_passes_and_its_shrunk_m_control_fails_domination():
