@@ -29,7 +29,6 @@ from .errors import GammaOutOfRange, InvalidParams, OutOfRange
 from .kendall import KendallParams
 from .numerics import (
     elementary,
-    log_grid_array,
     maximize_scalar,
     solve_increasing_array,
     solve_monotone,
@@ -400,17 +399,17 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
 
 
 def _general_radius_array(beta, beta_tilde, a1, a2, r0) -> np.ndarray:
-    # The nonatomic R1 of rho_general on arrays, as the largest R1 at 97
-    # log-spaced radii of the scan window (rho_general runs one Brent
-    # search). NaN where R0 leaves no window (a placeholder window is
-    # scanned there) or no radius has an R1, where rho_general raises.
+    # The nonatomic R1 of rho_general on arrays, as the largest R1 at 16
+    # equally spaced radii of the scan window, both ends included
+    # (rho_general runs one Brent search). NaN where R0 leaves no window or
+    # no radius has an R1, where rho_general raises.
     import numpy as np
 
-    lo, hi = _scan_window(r0)
-    usable = hi > lo
-    radii = log_grid_array(lo, np.where(usable, hi, 2.0), 97)
+    lo, hi = _scan_window(np.asarray(r0, dtype=float))
+    radii = lo + (hi - lo)[..., None] * (np.arange(16) / 15)
+    radii[..., -1] = hi
     r1 = _r1_at_radius(radii, *(np.asarray(c)[..., None] for c in (beta, beta_tilde, a1, a2)))
-    return np.where(usable, np.fmax.reduce(r1, axis=-1), np.nan)
+    return np.where(hi > lo, np.fmax.reduce(r1, axis=-1), np.nan)
 
 
 # The nonatomic radius of each regime's rate from arrays of (beta,

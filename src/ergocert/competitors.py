@@ -41,14 +41,14 @@ class CouplingInput:
     def __post_init__(self) -> None:
         if not (0.0 < self.lam < 1.0):
             raise InvalidParams(f"lambda must lie in (0, 1), got {self.lam}")
-        if not (self.b > 0.0):
-            raise InvalidParams(f"b must be positive, got {self.b}")
-        if self.v_min_outside < 1.0:
-            raise InvalidParams(f"min V off C must be >= 1, got {self.v_min_outside}")
+        if not (0.0 < self.b < math.inf):
+            raise InvalidParams(f"b must be positive and finite, got {self.b}")
+        if not (1.0 <= self.v_min_outside < math.inf):
+            raise InvalidParams(f"min V off C must be finite and >= 1, got {self.v_min_outside}")
         if not (0.0 < self.beta_tilde < 1.0):
             raise InvalidParams(f"beta_tilde must lie in (0, 1), got {self.beta_tilde}")
-        if self.big_k <= self.beta_tilde:
-            raise InvalidParams("K must exceed beta_tilde")
+        if not (self.beta_tilde < self.big_k < math.inf):
+            raise InvalidParams(f"K must be finite and exceed beta_tilde, got {self.big_k}")
 
     @property
     def lambda1(self) -> float:

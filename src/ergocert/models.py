@@ -163,10 +163,12 @@ class TruncatedChain:
     def __post_init__(self) -> None:
         import numpy as np
 
-        if np.abs(self.matrix.sum(axis=1) - 1.0).max() > 1e-12:
+        # Written so that NaN fails them; a row with an infinite entry fails
+        # its sum.
+        if not (np.abs(self.matrix.sum(axis=1) - 1.0).max() <= 1e-12):
             raise InvalidParams("rows must sum to 1 within 1e-12")
-        if (self.v < 1.0).any():
-            raise InvalidParams("V must be >= 1 entrywise")
+        if not ((self.v >= 1.0) & (self.v < np.inf)).all():
+            raise InvalidParams("V must be finite and >= 1 entrywise")
 
     @property
     def n_states(self) -> int:
@@ -470,7 +472,7 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # rates one tuning, through the same formulas: _mh_constants on the axes;
 # then, on the tunings with valid constants only, the coupling rate of
 # lambda_1 < 1, or split_exponents, the array radius of the theorem's regime
-# (bounds._RADIUS_ARRAY, which scans 97 radii for thm1.1) and _rate. A
+# (bounds._RADIUS_ARRAY, which scans 16 radii for thm1.1) and _rate. A
 # tuning with no rate, where the scalar path raises, gets rho = inf, which
 # never wins the argmin; the winner's array rho is returned as it is. The
 # contracting search calls method_rho per c, except where a floor rules c out.

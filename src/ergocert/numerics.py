@@ -50,7 +50,6 @@ if TYPE_CHECKING:
 __all__ = [
     "solve_monotone",
     "solve_increasing_array",
-    "log_grid_array",
     "maximize_scalar",
     "std_normal_cdf",
     "elementary",
@@ -180,32 +179,6 @@ def solve_increasing_array(f: Callable, lo, hi, f_lo, f_hi, *args) -> np.ndarray
     if idx.size:
         raise NoConvergence(f"no convergence after {_MAX_ITER} Illinois steps")
     return out.reshape(shape)
-
-
-def log_grid_array(lo, hi, grid_points: int) -> np.ndarray:
-    """Scan points on [lo, hi], in increasing order, that crowd towards lo.
-
-    The first point is ``lo`` and the last ``hi``; the offsets in between are
-    geometric, down to 1e-9 of the interval width. lo and hi broadcast
-    against each other, and the result has their shape plus a last axis of
-    ``grid_points`` scan points, so row i of 1-d inputs is the grid on
-    [lo[i], hi[i]]. Each point is lo + (hi - lo) * offset, the last one hi.
-    """
-    import numpy as np
-
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if not (hi > lo).all():
-        raise EmptyDomain(f"need lo < hi, got [{lo}, {hi}]")
-    if grid_points < 2:
-        raise InvalidParams("grid_points must be >= 2")
-    log_eps = math.log(1e-9)
-    offsets = [0.0] + [
-        math.exp(log_eps * (1.0 - i / (grid_points - 2))) if grid_points > 2 else 1.0
-        for i in range(grid_points - 1)
-    ]
-    grid = lo[..., None] + (hi - lo)[..., None] * np.array(offsets)
-    grid[..., -1] = hi
-    return grid
 
 
 def maximize_scalar(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:

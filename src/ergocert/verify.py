@@ -69,9 +69,10 @@ class IncrementDistribution:
         b = np.asarray(self.probs, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise InvalidParams("probs must be a nonempty 1-D sequence")
-        if (b < 0.0).any():
+        # Written so that NaN fails them; an infinite entry fails the sum.
+        if not (b >= 0.0).all():
             raise InvalidParams("probabilities must be nonnegative")
-        if abs(b.sum() - 1.0) > 1e-12:
+        if not (abs(b.sum() - 1.0) <= 1e-12):
             raise InvalidParams(f"probabilities must sum to 1, got {b.sum()!r}")
         support = [k + 1 for k, w in enumerate(b) if w > 0.0]
         if math.gcd(*support) != 1:

@@ -445,14 +445,18 @@ def test_radius_search_beats_dense_log_grid_scan():
     # at least (1 - 1e-12) times the best of the 512-point log-grid scan of
     # the same objective on the same window, the scan it replaced.
     from ergocert import bounds
-    from ergocert.numerics import log_grid_array
 
     ps = _nonatomic_inputs(340, seed=23)
     des = [derived_exponents(p) for p in ps]
     cols = [np.array(c)[:, None] for c in zip(*(
         (p.beta, p.beta_tilde, de.alpha1, de.alpha2) for p, de in zip(ps, des)))]
     lo, hi = bounds._scan_window(np.array([de.r0 for de in des]))
-    scans = bounds._r1_at_radius(log_grid_array(lo, hi, 512), *cols)
+    assert (hi > lo).all()
+    # Row i is lo[i], then offsets geometric from 1e-9 of the window up to hi[i].
+    offsets = [0.0] + [math.exp(math.log(1e-9) * (1.0 - i / 510)) for i in range(511)]
+    grid = lo + (hi - lo)[:, None] * np.array(offsets)
+    grid[:, -1] = hi
+    scans = bounds._r1_at_radius(grid, *cols)
     for p, de, scan in zip(ps, des, scans):
         diag = rho_general(p).diagnostics
         assert diag["R1"] >= (1.0 - 1e-12) * np.nanmax(scan), p

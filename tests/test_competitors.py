@@ -78,3 +78,14 @@ def test_coupling_input_validation():
         CouplingInput(lam=0.5, b=0.1, v_min_outside=0.5, big_k=2.0, beta_tilde=0.3)
     with pytest.raises(InvalidParams):
         CouplingInput(lam=0.5, b=0.1, v_min_outside=2.0, big_k=0.2, beta_tilde=0.3)
+
+
+@pytest.mark.parametrize("field", ["b", "v_min_outside", "big_k"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_coupling_input_rejects_nonfinite_constants(field, value):
+    # Unchecked, v_min_outside = nan gave rho = nan, big_k = nan gave
+    # lambda_1 itself and big_k = inf gave rho = 1.
+    fields = dict(lam=0.5, b=1.0, v_min_outside=2.0, big_k=2.0, beta_tilde=0.5)
+    assert 0.0 < coupling_rho(CouplingInput(**fields)) < 1.0
+    with pytest.raises(InvalidParams):
+        CouplingInput(**{**fields, field: value})

@@ -305,16 +305,23 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
             except ErgoCertError:
                 want = math.inf
             assert math.isinf(rho) == math.isinf(want), (method, dd[i, j], ss[i, j])
-            # The thm1.1 grid scans 97 radii where rho_general runs a Brent
-            # search; its finite rates differ by up to 3.4 % of 1 - rho.
-            if math.isfinite(want) and method != "thm1.1":
+            if math.isinf(want):
+                continue
+            if method == "thm1.1":
+                # The grid takes the best of 16 radii where rho_general runs
+                # a Brent search: never below its rate, at most 1 % of
+                # 1 - rho above. The 4e-16 covers the R1 clamp at 1 + 1e-14,
+                # where numpy's exp may differ from math's by an ulp.
+                assert want <= rho + 4e-16, (dd[i, j], ss[i, j])
+                assert rho - want <= 0.01 * (1.0 - want) + 4e-16, (dd[i, j], ss[i, j], rho, want)
+            else:
                 assert abs(rho - want) <= 1e-12, (method, dd[i, j], ss[i, j])
 
 
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
 def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
     # The R1 scan and split_exponents see the tunings with valid constants
-    # only, 97 radii each for the scan, and never a placeholder in place of
+    # only, 16 radii each for the scan, and never a placeholder in place of
     # an invalid one: every lambda (lambda_1 for coupling) and beta_tilde
     # they get lies below 1.
     # The d and s axes of the coarse step of optimize_mh_tuning.
@@ -340,7 +347,7 @@ def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
     monkeypatch.setattr(competitors, "split_exponents", split_spy)
     for method in ("thm1.1", "thm1.2", "thm1.3", "coupling"):
         models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
-    assert r1_sizes == [97 * n_valid]
+    assert r1_sizes == [16 * n_valid]
     assert [np.size(lam) for lam, _ in split_args[:3]] == [n_valid] * 3
     for lam, beta_tilde in split_args:
         assert (lam < 1.0).all() and (beta_tilde < 1.0).all()

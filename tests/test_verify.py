@@ -76,6 +76,27 @@ def test_distribution_validation():
         IncrementDistribution(probs=(1.2, -0.2))
 
 
+@pytest.mark.parametrize("probs", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 0.0), (1.0, math.inf)])
+def test_distribution_rejects_nonfinite_probabilities(probs):
+    with pytest.raises(InvalidParams):
+        IncrementDistribution(probs=probs)
+
+
+@pytest.mark.parametrize("field", ["matrix", "v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_truncated_chain_rejects_nonfinite_entries(field, value):
+    n = 4
+    fields = dict(
+        matrix=np.full((n, n), 1.0 / n), v=np.ones(n), c_set=frozenset({0}),
+        pi=np.full(n, 1.0 / n), tail_mass=0.0,
+    )
+    TruncatedChain(**fields)
+    fields[field] = fields[field].copy()
+    fields[field][..., 1] = value
+    with pytest.raises(InvalidParams):
+        TruncatedChain(**fields)
+
+
 def test_renewal_identity_convolution():
     # Coefficients of u(z) (1 - b(z)) must be (1, 0, 0, ...).
     rng = np.random.default_rng(3)
