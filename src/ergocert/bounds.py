@@ -145,10 +145,6 @@ class Certificate:
     params: DriftMinorization
     diagnostics: dict = field(default_factory=dict)
 
-    def bound_at(self, v_x: float, n: int) -> float:
-        """The certified envelope M * V(x) * gamma^n."""
-        return self.big_m * v_x * self.gamma**n
-
     def to_dict(self) -> dict:
         return {
             "method": self.method,
@@ -278,15 +274,16 @@ _FLOOR_MARGIN = 1e-6  # slack in log(R1 - 1) for the rounding of an R1 solve
 def _general_rho_floor(p: DriftMinorization) -> float:
     # A floor on rho_general(p).rho with no search, inf where it has no window.
     # alpha1, alpha2 >= 1 make L convex with L(1) = 1, so N(R) >= L'(1) and
-    # _r1_upper_end at the top radius and target e^2 beta / (8 L'(1)) bounds
-    # every log(R1 - 1) the search can return, its clamp at log 1e-14 too.
+    # the closed-form R1 end of kendall._r1_bracket at the top radius and
+    # target e^2 beta / (8 L'(1)) bounds every log(R1 - 1) the search can
+    # return, its clamp at log 1e-14 too.
     de = derived_exponents(p)
     lo, hi = _scan_window(de.r0)
     if hi <= lo:
         return math.inf
     bt = p.beta_tilde
     log_target = math.log(kendall._E2 * p.beta / (8.0 * (de.alpha2 + de.alpha1 * (1.0 - bt) / bt)))
-    t = kendall._r1_upper_end(hi - 1.0, log_target, kendall._r1_bracket(hi - 1.0)[1])
+    t = kendall._r1_bracket(hi - 1.0, log_target)[2]
     return _rate(p.lam, 1.0 + math.exp(t + _FLOOR_MARGIN))
 
 

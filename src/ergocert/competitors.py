@@ -59,8 +59,8 @@ class CouplingInput:
 def _validate_zeta_args(lam: float, big_k: float, beta: float) -> None:
     if not (0.0 < lam < 1.0):
         raise InvalidParams(f"lambda must lie in (0, 1), got {lam}")
-    if big_k <= lam:
-        raise InvalidParams(f"K must exceed lambda, got K={big_k}, lambda={lam}")
+    if not (lam < big_k < math.inf):
+        raise InvalidParams(f"K must be finite and exceed lambda, got K={big_k}, lambda={lam}")
     if not (0.0 < beta <= 1.0):
         raise InvalidParams(f"beta must lie in (0, 1], got {beta}")
 

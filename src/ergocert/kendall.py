@@ -87,17 +87,12 @@ def _radius_bracket(big_r):
 _LOG_EPS_LO = math.log(1e-14)
 
 
-def _r1_bracket(delta):
+def _r1_bracket(delta, log_target):
     # The bracket (lo, hi) of every R1 solve in t = log(r - 1), from
     # delta = R - 1, on floats or arrays: [log 1e-14, log((R-1)(1 - 1e-13))].
     # A root below lo is clamped to it, R1 = 1 + 1e-14. A solve that is not
-    # clamped, scalar or array, narrows hi to _r1_upper_end.
-    return _LOG_EPS_LO, elementary(delta).log(delta * (1.0 - 1e-13))
-
-
-def _r1_upper_end(delta, log_target, hi):
-    # A closed-form upper end for the R1 root in t = log(r - 1), in
-    # [log 1e-14, hi], on floats or arrays. The left side
+    # clamped, scalar or array, narrows hi to up, the third value returned:
+    # a closed-form upper end for the root, in [lo, hi]. The left side
     # h(t) = t - log1p(e^t) - 2 log l(t), l(t) = log(R/r), has
     # l(t) <= log R = log1p(delta), so h(t) >= t - log1p(e^t) - 2 log log R.
     # That bound increases from -inf to -2 log log R, so where
@@ -114,8 +109,9 @@ def _r1_upper_end(delta, log_target, hi):
     # end only where h there is >= log_target. bounds._general_rho_floor
     # relies on the end growing with delta and with log_target.
     fn = elementary(delta)
+    hi = fn.log(delta * (1.0 - 1e-13))
     s = fn.minimum(log_target + 2.0 * fn.log(fn.log1p(delta)), -5e-324)
-    return fn.maximum(_LOG_EPS_LO, fn.minimum(hi, s - fn.log(-fn.expm1(s))))
+    return _LOG_EPS_LO, hi, fn.maximum(_LOG_EPS_LO, fn.minimum(hi, s - fn.log(-fn.expm1(s))))
 
 
 def _log_ratio(big_r: float, r: float) -> float:
@@ -132,13 +128,13 @@ def _r1_log_target(beta, big_r, big_l):
 def _r1_log_eps(p: KendallParams) -> float:
     # log(R1 - 1) of ``solve_r1``: the lower end of the final bracket in
     # t = log(r - 1), or the bracket's lower end where the root lies below.
-    # As in ``solve_r1_array``, the solve runs on [lo, up],
-    # up = _r1_upper_end, where gap(up) >= 0, else on the wide [lo, hi], and
-    # takes the clamp test's and the check's values as its end values. An
-    # empty bracket is not evaluated: the root finder raises.
+    # As in ``solve_r1_array``, the solve runs on [lo, up] of _r1_bracket
+    # where gap(up) >= 0, else on the wide [lo, hi], and takes the clamp
+    # test's and the check's values as its end values. An empty bracket is
+    # not evaluated: the root finder raises.
     delta = p.big_r - 1.0
     log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
-    lo, hi = _r1_bracket(delta)
+    lo, hi, up = _r1_bracket(delta, log_target)
 
     def gap(t: float) -> float:
         eps = math.exp(t)
@@ -150,7 +146,6 @@ def _r1_log_eps(p: KendallParams) -> float:
         gap_lo = gap(lo)
         if gap_lo >= 0.0:
             return lo
-        up = _r1_upper_end(delta, log_target, hi)
         gap_up = gap(up)
         hi, gap_hi = (up, gap_up) if gap_up >= 0.0 else (hi, gap(hi))
     return solve_monotone(gap, lo, hi, gap_lo, gap_hi)
@@ -211,14 +206,15 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     with np.errstate(all="ignore"):
         big_r = np.asarray(big_r, dtype=float)
         delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
-        lo, hi = _r1_bracket(delta)
+        lo, wide, up = _r1_bracket(delta, log_target)
         gap_lo = gap(lo, delta, log_target)
-        rest = ~((lo < hi) & (gap_lo >= 0.0))
-        t = np.full(hi.shape, lo)
+        rest = ~((lo < wide) & (gap_lo >= 0.0))
+        t = np.full(wide.shape, lo)
         # Only the elements not clamped go on to the upper end and the root
         # finder; those where gap(t_up) < 0 keep the wide end.
-        delta, log_target, gap_lo, wide = delta[rest], log_target[rest], gap_lo[rest], hi[rest]
-        hi = _r1_upper_end(delta, log_target, wide)
+        delta, log_target, gap_lo, wide, hi = (
+            a[rest] for a in (delta, log_target, gap_lo, wide, up)
+        )
         gap_hi = gap(hi, delta, log_target)
         under = ~(gap_hi >= 0.0)
         hi[under] = wide[under]

@@ -152,11 +152,10 @@ ModelSpec = ReflectingWalk | MetropolisNormal | ContractingNormal
 
 @dataclass(frozen=True)
 class TruncatedChain:
-    """Finite row-stochastic truncation with V, C and the stationary law."""
+    """Finite row-stochastic truncation with V and the stationary law."""
 
     matrix: np.ndarray
     v: np.ndarray
-    c_set: frozenset
     pi: np.ndarray
     tail_mass: float
 
@@ -231,10 +230,9 @@ def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
     ratio = q / p
     weights = np.empty(n_states)
     weights[0] = 1.0
-    if n_states > 1:
-        weights[1] = (1.0 - eps) / p
-        for i in range(2, n_states):
-            weights[i] = weights[i - 1] * ratio
+    weights[1] = (1.0 - eps) / p
+    for i in range(2, n_states):
+        weights[i] = weights[i - 1] * ratio
     total_inf = 1.0 + (1.0 - eps) / p / (1.0 - ratio)
     tail = (1.0 - eps) / p * ratio ** (n_states - 1) / (1.0 - ratio) / total_inf
     if tail >= 1e-12:
@@ -257,9 +255,7 @@ def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
     matrix[n_states - 1, n_states - 1] = q
 
     pi = weights / weights.sum()
-    return TruncatedChain(
-        matrix=matrix, v=v, c_set=frozenset({0}), pi=pi, tail_mass=float(tail)
-    )
+    return TruncatedChain(matrix=matrix, v=v, pi=pi, tail_mass=float(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +502,20 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
     return grid, *np.broadcast_arrays(d, s)
 
 
-def optimize_mh_tuning(
-    method: str,
-    nu_variant: str = MT_MEASURE,
-    d_range: tuple[float, float] = (0.5, 3.0),
-    s_range: tuple[float, float] = (0.01, 1.5),
-) -> dict:
+# The (d, s) ranges of the Metropolis search and the c range of the
+# contracting search: the ranges of tables 2-4.
+_D_RANGE = (0.5, 3.0)
+_S_RANGE = (0.01, 1.5)
+_C_RANGE = (1.05, 4.0)
+
+
+def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
     """Grid-search (d, s) to minimise rho for the given certificate method.
 
-    Coarse scan at step 0.05 closed at the upper end of each range, then
-    local refinements at 0.01 and 0.002 around the running best (same final
-    resolution as a flat 0.01 grid with refinement, at a fraction of the
-    work for the radius-search objective).
+    Coarse scan at step 0.05 of d in _D_RANGE and s in _S_RANGE, closed at
+    the upper end of each range, then local refinements at 0.01 and 0.002
+    around the running best (same final resolution as a flat 0.01 grid with
+    refinement, at a fraction of the work for the radius-search objective).
     Returns the winning tuning with its rate.
     """
     import numpy as np
@@ -526,10 +524,7 @@ def optimize_mh_tuning(
         raise InvalidParams(f"method must be one of {sorted(_MH_METHODS)}")
     if nu_variant not in (MT_MEASURE, INFIMUM_MEASURE):
         raise InvalidParams(f"unknown nu_variant {nu_variant!r}")
-    d_lo, d_hi = d_range
-    s_lo, s_hi = s_range
-    d_grid = np.append(np.arange(d_lo, d_hi, 0.05), d_hi)
-    s_grid = np.append(np.arange(s_lo, s_hi, 0.05), s_hi)
+    d_grid, s_grid = (np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (_D_RANGE, _S_RANGE))
     best_d = best_s = None
     for step in (0.05, 0.01, 0.002):
         if best_d is not None:
@@ -537,7 +532,7 @@ def optimize_mh_tuning(
             # ascending order, so the argmin picks the same (d, s).
             d_grid, s_grid = (
                 np.unique(np.clip(np.arange(b - 6 * step, b + 6 * step + 1e-12, step), lo, hi))
-                for b, lo, hi in ((best_d, d_lo, d_hi), (best_s, s_lo, s_hi))
+                for b, (lo, hi) in ((best_d, _D_RANGE), (best_s, _S_RANGE))
             )
         rho, dd, ss = _mh_rho_grid(d_grid, s_grid, method, nu_variant)
         flat = int(np.argmin(rho))
@@ -574,29 +569,24 @@ def _c_grid(lo: float, hi: float) -> list[float]:
     return [lo + i * d for i in range(math.ceil((hi + 1e-12 - lo) / 0.01))]
 
 
-def optimize_contracting_tuning(
-    method: str,
-    theta: float,
-    c_range: tuple[float, float] = (1.05, 4.0),
-) -> dict:
-    """Grid-search the small-set half-width c to minimise rho for fixed theta.
+def optimize_contracting_tuning(method: str, theta: float) -> dict:
+    """Grid-search the small-set half-width c in _C_RANGE, at step 0.01, to
+    minimise rho for fixed theta.
 
     A c where the method has no rate (invalid constants, no drift) is
-    skipped; an unknown method, a theta outside (-1, 1) or a c_range that
-    is not a finite lo <= hi raises InvalidParams. The c values are visited
-    in increasing (floor, index) order up to the first floor above the best
-    rate so far: thm1.1's floor is ``bounds._general_rho_floor`` (inf where c
-    has no constants or no radius window), every other method's 0.0. The
-    first c with the lowest rate wins, as in the full scan, bit for bit; a c
-    left out is never evaluated, so an error it would raise is not raised.
+    skipped; an unknown method or a theta outside (-1, 1) raises
+    InvalidParams. The c values are visited in increasing (floor, index)
+    order up to the first floor above the best rate so far: thm1.1's floor
+    is ``bounds._general_rho_floor`` (inf where c has no constants or no
+    radius window), every other method's 0.0. The first c with the lowest
+    rate wins, as in the full scan, bit for bit; a c left out is never
+    evaluated, so an error it would raise is not raised.
     """
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
     if not (-1.0 < theta < 1.0):
         raise InvalidParams(f"theta must lie in (-1, 1), got {theta}")
-    lo, hi = c_range
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise InvalidParams(f"c_range must be finite with lo <= hi, got {c_range}")
+    lo, hi = _C_RANGE
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
     cs = _c_grid(lo, hi)

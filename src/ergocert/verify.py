@@ -241,7 +241,7 @@ def _series_sup_on_circle(deviations: np.ndarray, r: np.ndarray, cutoff: np.ndar
     return sup
 
 
-def kendall_check(cases: Sequence[tuple], n_max: int = _RENEWAL_TERMS) -> list[dict]:
+def kendall_check(cases: Sequence[tuple]) -> list[dict]:
     """Check the certified radius and series bound against increment laws.
 
     Each case is (law, KendallParams, r, R1, radius) with R1 =
@@ -253,7 +253,7 @@ def kendall_check(cases: Sequence[tuple], n_max: int = _RENEWAL_TERMS) -> list[d
     The reported decay rate is exact (from the increment-polynomial roots);
     the series sup is the truncated sum on 64 sampled angles of |z| = r plus
     the two real axis points, topped with a geometric tail majorant. All
-    laws are convolved as one block.
+    laws are convolved as one block, to u_N with N = _RENEWAL_TERMS.
     """
     for law, kp, r, r1, _ in cases:
         probs = law.array
@@ -265,7 +265,7 @@ def kendall_check(cases: Sequence[tuple], n_max: int = _RENEWAL_TERMS) -> list[d
         if not (1.0 < r < r1):
             raise OutOfRange(f"need 1 < r < R1 = {r1}, got r={r}")
     laws = [case[0] for case in cases]
-    seq = renewal_from_increments(laws, n_max)
+    seq = renewal_from_increments(laws, _RENEWAL_TERMS)
     _, params, r, r1, radius = zip(*cases)
     r = np.asarray(r, dtype=float)
     rate = 1.0 / np.asarray(radius, dtype=float)
@@ -275,7 +275,9 @@ def kendall_check(cases: Sequence[tuple], n_max: int = _RENEWAL_TERMS) -> list[d
     # meaning. Cut each series where its true deviations sink below float
     # visibility and majorise the remainder geometrically.
     resolved = np.abs(deviations) > 64.0 * np.finfo(float).eps
-    cutoff = np.where(resolved.any(axis=1), n_max - np.argmax(resolved[:, ::-1], axis=1), 0)
+    cutoff = np.where(
+        resolved.any(axis=1), _RENEWAL_TERMS - np.argmax(resolved[:, ::-1], axis=1), 0
+    )
     truncated = _series_sup_on_circle(deviations, r, cutoff)
     # Envelope |u_n - u_inf| <= c * rate^n fitted on the last resolved
     # window of max(2m, 16) terms; rate * r < 1 is automatic because
@@ -337,19 +339,22 @@ def _sample_admissible(rng: np.random.Generator) -> tuple:
         return dist, kp, 1.0 + 0.9 * (r1 - 1.0), r1, radius
 
 
+# Random increment laws the suite checks.
+_KENDALL_CASES = 200
 # Support lengths k of the two-point family whose radius the suite holds
 # to the cubic law.
 _ASYMPTOTIC_KS = (40, 80)
 
 
-def run_kendall_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
+def run_kendall_suite(seed: int = 0) -> SuiteReport:
     """Randomised soundness checks plus the cubic-law radius asymptotics.
 
-    All cases are drawn first, then checked together by one kendall_check.
+    All _KENDALL_CASES cases are drawn first, then checked together by one
+    kendall_check.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     suite = SuiteReport(name="kendall")
-    drawn = [_sample_admissible(rng) for _ in range(cases)]
+    drawn = [_sample_admissible(rng) for _ in range(_KENDALL_CASES)]
     reports = kendall_check(drawn)
     for i, rep in enumerate(reports):
         suite.checks.append(
@@ -653,7 +658,7 @@ def run_mc_suite(seed: int = 0, samples: int = 100_000) -> SuiteReport:
     suite = SuiteReport(name="mc")
     for p in (2.0 / 3.0, 0.9):
         spec = ReflectingWalk(p=p)
-        lam_inv = 1.0 / (2.0 * math.sqrt(p * (1.0 - p)))
+        lam_inv = reflecting_walk_params(spec).lam_inv
         for x0 in (0, 3):
             suite.checks.append(
                 mc_regeneration(spec, x0=x0, r=lam_inv, samples=samples, seed=seed + x0)

@@ -10,7 +10,7 @@ The R1 solves reuse their clamp test's value at the lower bracket end
 and their check's value at the near upper end; the forms below that
 evaluate each end twice, once for the test and once in the root finder,
 are the ones they replaced. Both take their ends from
-``kendall._r1_bracket`` and ``kendall._r1_upper_end``.
+``kendall._r1_bracket``.
 
 The renewal oracle convolves all laws of a suite as one block. The
 per-law and per-case forms below (convolution loop, series sup, single
@@ -41,7 +41,6 @@ from ergocert.kendall import (
     _k1_parts,
     _r1_bracket,
     _r1_log_target,
-    _r1_upper_end,
 )
 from ergocert.models import ReflectingWalk, TruncatedChain, reflecting_walk_params
 from ergocert.numerics import solve_increasing_array, solve_monotone
@@ -199,13 +198,11 @@ def r1_log_eps_clamp_then_solve(
         eps = math.exp(t)
         return t - math.log1p(eps) - 2.0 * math.log(math.log1p((delta - eps) / (1.0 + eps)))
 
-    lo, hi = _r1_bracket(delta)
+    lo, hi, up = _r1_bracket(delta, log_target)
     if lo < hi and gap(lo) >= log_target:
         return lo
-    if lo < hi and not wide:
-        up = _r1_upper_end(delta, log_target, hi)
-        if gap(up) >= log_target:
-            hi = up
+    if lo < hi and not wide and gap(up) >= log_target:
+        hi = up
     return solve_monotone(
         lambda t: gap(t) - log_target, lo, hi, gap(lo) - log_target, gap(hi) - log_target
     )
@@ -228,11 +225,10 @@ def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) ->
     with np.errstate(all="ignore"):
         big_r = np.asarray(big_r, dtype=float)
         delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
-        lo, hi = _r1_bracket(delta)
+        lo, hi, up = _r1_bracket(delta, log_target)
         rest = ~((lo < hi) & (r1_gap_array(lo, delta, log_target) >= 0.0))
-        delta, log_target, hi_rest = delta[rest], log_target[rest], hi[rest]
+        delta, log_target, hi_rest, up = delta[rest], log_target[rest], hi[rest], up[rest]
         if not wide:
-            up = _r1_upper_end(delta, log_target, hi_rest)
             hi_rest = np.where(r1_gap_array(up, delta, log_target) >= 0.0, up, hi_rest)
         t = np.full(hi.shape, lo)
         ends = r1_gap_array(lo, delta, log_target), r1_gap_array(hi_rest, delta, log_target)

@@ -255,7 +255,7 @@ def test_criterion_05_tables_2_3():
 
 
 def test_criterion_06_kendall_oracle():
-    suite = run_kendall_suite(seed=SEED, cases=200)
+    suite = run_kendall_suite(seed=SEED)
     failures = [
         f"{c.name}: measured {c.measured:.6g} vs bound {c.bound:.6g} ({c.detail})"
         for c in suite.checks

@@ -45,6 +45,13 @@ def test_zeta_validation():
         mtb_zeta(0.5, 0.4, 0.5)
 
 
+@pytest.mark.parametrize("zeta", [mt_zeta, mtb_zeta])
+@pytest.mark.parametrize("big_k", [math.nan, math.inf])
+def test_zeta_rejects_nonfinite_k(zeta, big_k):
+    with pytest.raises(InvalidParams, match="K must be finite"):
+        zeta(0.5, big_k, 0.5)
+
+
 def test_coupling_contracting_anchor():
     rho = coupling_rho(contracting_coupling_input(0.5, 2.1))
     assert abs(rho - 0.946) <= 0.002

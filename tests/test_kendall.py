@@ -116,8 +116,7 @@ def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
     assert t > kendall._LOG_EPS_LO  # not clamped
     assert t == r1_log_eps_clamp_then_solve(p, reference_calls)
     delta, log_target = p.big_r - 1.0, kendall._r1_log_target(p.beta, p.big_r, p.big_l)
-    lo, hi = kendall._r1_bracket(delta)
-    up = kendall._r1_upper_end(delta, log_target, hi)
+    lo, _, up = kendall._r1_bracket(delta, log_target)
     assert handed == [(lo, up, _r1_gap(p, lo) - log_target, _r1_gap(p, up) - log_target)]
     assert exps[:2] == [lo, up]
     assert len(exps) == len(finder_calls) + 2 == len(reference_calls) - 2
@@ -169,8 +168,7 @@ def test_r1_near_end_bounds_the_root(p):
     # below target (planted here by moving the end under the root), the
     # solve falls back to the wide bracket and gives its bits.
     delta, log_target = p.big_r - 1.0, kendall._r1_log_target(p.beta, p.big_r, p.big_l)
-    lo, hi = kendall._r1_bracket(delta)
-    up = kendall._r1_upper_end(delta, log_target, hi)
+    lo, hi, up = kendall._r1_bracket(delta, log_target)
     wide = r1_log_eps_clamp_then_solve(p, wide=True)
     assert lo <= wide <= up <= hi
     t = kendall._r1_log_eps(p)
@@ -181,7 +179,7 @@ def test_r1_near_end_bounds_the_root(p):
     assert _r1_gap(p, t) <= log_target
     below = lo + 0.5 * (wide - lo)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kendall, "_r1_upper_end", lambda delta, log_target, hi: below)
+        mp.setattr(kendall, "_r1_bracket", lambda delta, log_target: (lo, hi, below))
         assert kendall._r1_log_eps(p) == wide
 
 
@@ -446,13 +444,12 @@ def test_r1_array_near_end_bounds_the_root(elements, nan_at):
     assert solve_r1_array(beta, big_r, big_l).tobytes() == (1.0 + np.exp(near)).tobytes()
     assert (np.isnan(near) == np.isnan(big_l)).all() and (np.isnan(wide) == np.isnan(big_l)).all()
     delta, log_target = big_r - 1.0, kendall._r1_log_target(beta, big_r, big_l)
-    lo, hi = kendall._r1_bracket(delta)
+    lo, hi, up = kendall._r1_bracket(delta, log_target)
     clamped = wide == lo
     assert (near[clamped] == lo).all()
     solved = ~clamped & ~np.isnan(wide)
     assert (abs(near[solved] - wide[solved]) <= 1e-12).all()
-    delta, log_target, hi, root = delta[solved], log_target[solved], hi[solved], wide[solved]
-    up = kendall._r1_upper_end(delta, log_target, hi)
+    delta, log_target, hi, up, root = (a[solved] for a in (delta, log_target, hi, up, wide))
     taken = r1_gap_array(up, delta, log_target) >= 0.0
     assert (lo <= root[taken]).all() and (root[taken] <= up[taken]).all()
     assert (up[taken] <= hi[taken]).all()

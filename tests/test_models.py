@@ -405,10 +405,15 @@ def test_mh_array_solves_close_in_few_lockstep_steps(method, monkeypatch):
     assert calls and max(calls) <= MH_MAX_SOLVE_CALLS[method]
 
 
-def test_mh_tuning_without_a_rate_names_no_tuning():
-    # No tuning in the range has a coupling rate: as the contracting search
-    # does, the result names no tuning.
-    result = optimize_mh_tuning("coupling", s_range=(1e-9, 1e-8))
+def test_mh_tuning_without_a_rate_names_no_tuning(monkeypatch):
+    # No tuning of any grid has a rate: as the contracting search does, the
+    # result names no tuning.
+    def no_rate(d_grid, s_grid, method, nu_variant):
+        dd, ss = np.broadcast_arrays(np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :])
+        return np.full(dd.shape, math.inf), dd, ss
+
+    monkeypatch.setattr(models, "_mh_rho_grid", no_rate)
+    result = optimize_mh_tuning("coupling")
     assert result == {"d": None, "s": None, "rho": math.inf, "one_minus_rho": -math.inf}
 
 
@@ -437,10 +442,10 @@ def test_c_grid_is_numpys_arange(lo, hi):
     assert models._c_grid(lo, hi) == np.arange(lo, hi + 1e-12, 0.01).tolist()
 
 
-def _reference_contracting_search(method, theta, c_range=(1.05, 4.0)):
+def _reference_contracting_search(method, theta):
     # The search as a loop of method_rho rates over c; also returns each c's
     # rate (inf where the c is skipped).
-    lo, hi = c_range
+    lo, hi = 1.05, 4.0
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
     best_c, best_rho = None, math.inf
@@ -598,35 +603,16 @@ def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
     assert len(calls) > before  # the counter sees the scalar path
 
 
-@pytest.mark.parametrize(
-    "c_range", [(1.05, math.nan), (math.nan, 4.0), (1.05, math.inf), (-math.inf, 4.0)]
-)
-def test_optimize_contracting_rejects_non_finite_c_range(c_range):
-    with pytest.raises(InvalidParams, match="c_range"):
-        optimize_contracting_tuning("thm1.3", 0.5, c_range=c_range)
-
-
-def test_optimize_contracting_rejects_reversed_c_range():
-    with pytest.raises(InvalidParams, match="c_range"):
-        optimize_contracting_tuning("thm1.3", 0.5, c_range=(3.0, 2.0))
-
-
 @pytest.mark.parametrize("method", ["thm1.1", "thm1.3"])
 def test_optimize_contracting_without_a_rate_names_no_c(method):
-    # No c in (0.5, 0.6) has a drift (lambda > 1): every c is rated, none
-    # with a rate, and the result names no c.
-    result = optimize_contracting_tuning(method, 0.5, c_range=(0.5, 0.6))
+    # At theta = 0.9999999 no c in the range has a rate: every c is rated,
+    # none with a rate, and the result names no c.
+    result = optimize_contracting_tuning(method, 0.9999999)
     assert result == {"c": None, "rho": math.inf, "one_minus_rho": -math.inf}
 
 
-def test_optimize_contracting_takes_a_one_point_c_range():
-    result = optimize_contracting_tuning("thm1.3", 0.5, c_range=(2.0, 2.0))
-    assert result["c"] == 2.0
-    assert result["rho"] == models.method_rho("thm1.3", ContractingNormal(theta=0.5, c=2.0))
-
-
 def test_optimize_contracting_matches_published_choice():
-    res = optimize_contracting_tuning("thm1.3", theta=0.5, c_range=(1.05, 3.0))
+    res = optimize_contracting_tuning("thm1.3", theta=0.5)
     assert res["rho"] <= 0.897 + 0.002
     assert abs(res["c"] - 1.5) <= 0.25  # published tuning sits in this well
 
@@ -662,27 +648,37 @@ def test_mh_general_objective_gives_no_rate_where_r0_leaves_no_window():
     assert rho_general(mh_normal_params(1.0, 0.1)).rho <= got[0, 1] < 1.0
 
 
-def test_mh_tuning_coarse_grid_reaches_the_top_of_a_short_range():
-    # The s range is shorter than one coarse step: the scan must still try
-    # s = 0.01, where tunings have rates, and not stop at s = 1e-9 alone.
-    result = optimize_mh_tuning("thm1.1", s_range=(1e-9, 0.01))
-    assert result["s"] == 0.01
-    assert 1.0 - 1e-7 < result["rho"] < 1.0
+def test_mh_tuning_coarse_grid_reaches_the_top_of_the_range(monkeypatch):
+    # The coarse steps from the bottom of the s range stop short of its top
+    # end: the scan must still try s = 1.5, here the only s with rates.
+    rho_grid = models._mh_rho_grid
+
+    def rates_at_top(d_grid, s_grid, method, nu_variant):
+        rho, dd, ss = rho_grid(d_grid, s_grid, method, nu_variant)
+        return np.where(ss == 1.5, rho, math.inf), dd, ss
+
+    monkeypatch.setattr(models, "_mh_rho_grid", rates_at_top)
+    result = optimize_mh_tuning("thm1.1")
+    assert result["s"] == 1.5
+    assert result["rho"] < 1.0
 
 
 def test_mh_tuning_grids_hold_each_value_once(monkeypatch):
     # Near a range end the 13-point refinement grids clip to the end; each
-    # clipped value is evaluated once, and the grids stay ascending.
+    # clipped value is evaluated once, and the grids stay ascending. Rates
+    # growing in d and s put the coarse argmin at the bottom corner
+    # (0.5, 0.01).
     grids = []
-    rho_grid = models._mh_rho_grid
 
     def spy(d_grid, s_grid, method, nu_variant):
         grids.append((np.asarray(d_grid), np.asarray(s_grid)))
-        return rho_grid(d_grid, s_grid, method, nu_variant)
+        dd, ss = np.broadcast_arrays(grids[-1][0][:, None], grids[-1][1][None, :])
+        return 0.5 + 0.01 * (dd + ss), dd, ss
 
     monkeypatch.setattr(models, "_mh_rho_grid", spy)
-    optimize_mh_tuning("thm1.1", s_range=(1e-9, 0.01))
+    result = optimize_mh_tuning("thm1.1")
+    assert (result["d"], result["s"]) == (0.5, 0.01)
     assert len(grids) == 3
     for grid in (g for pair in grids for g in pair):
         assert (np.diff(grid) > 0.0).all(), grid
-    assert len(grids[1][1]) < 13
+    assert len(grids[1][0]) < 13 and len(grids[1][1]) < 13

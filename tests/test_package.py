@@ -1,8 +1,11 @@
 """The package namespace: ``verify`` and its re-exported names resolve on
-first access, to the objects of ``ergocert.verify``; and every exported
-function and class has a caller outside the tests."""
+first access, to the objects of ``ergocert.verify``; every exported
+function and class has a caller outside the tests, every public method and
+property of an exported class a use, and every defaulted parameter of an
+exported function a call that passes it."""
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +71,12 @@ def _package_sources() -> dict:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
 
 
+def _benchmark_sources() -> list:
+    # The syntax trees of the benchmark harness next to the tests.
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    return [ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))]
+
+
 def _public_definitions(module: str, tree: ast.Module) -> set:
     # The functions and classes a module lists in __all__; ``errors``, which
     # has no __all__, exports every class it defines.
@@ -118,3 +127,74 @@ def test_every_exported_function_and_class_has_a_caller():
         if (module, name) not in used
     )
     assert unused == []
+
+
+def _exported_nodes(sources: dict, kind) -> list:
+    # (module, definition) of every exported function or class.
+    return [
+        (module, node)
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, kind) and node.name in _public_definitions(module, tree)
+    ]
+
+
+def test_every_public_member_of_an_exported_class_is_used():
+    # A method or property that nothing reads is dead weight too: its name
+    # must be read as an attribute somewhere in the package.
+    sources = _package_sources()
+    read = {
+        node.attr
+        for tree in sources.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unused = sorted(
+        f"{module}.{cls.name}.{member.name}"
+        for module, cls in _exported_nodes(sources, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in read
+    )
+    assert unused == []
+
+
+def _passes(call: ast.Call, index: int, name: str) -> bool:
+    # Whether a call passes the parameter at this position or of this name;
+    # a starred argument or a ** mapping may pass any of them.
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return any(isinstance(arg, ast.Starred) for arg in call.args) or len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # A default that no caller overrides is a setting only the tests make:
+    # some call in the package or the benchmark harness must pass each one.
+    sources = _package_sources()
+    calls = {}
+    for tree in [*sources.values(), *_benchmark_sources()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never = []
+    for module, fn in _exported_nodes(sources, ast.FunctionDef):
+        positional = [*fn.args.posonlyargs, *fn.args.args]
+        defaulted = [
+            (i, arg.arg)
+            for i, arg in enumerate(positional)
+            if i >= len(positional) - len(fn.args.defaults)
+        ]
+        defaulted += [
+            (math.inf, arg.arg)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None
+        ]
+        never += [
+            f"{module}.{fn.name}({name})"
+            for i, name in defaulted
+            if not any(_passes(call, i, name) for call in calls.get(fn.name, []))
+        ]
+    assert never == []

@@ -87,7 +87,7 @@ def test_distribution_rejects_nonfinite_probabilities(probs):
 def test_truncated_chain_rejects_nonfinite_entries(field, value):
     n = 4
     fields = dict(
-        matrix=np.full((n, n), 1.0 / n), v=np.ones(n), c_set=frozenset({0}),
+        matrix=np.full((n, n), 1.0 / n), v=np.ones(n),
         pi=np.full(n, 1.0 / n), tail_mass=0.0,
     )
     TruncatedChain(**fields)
@@ -220,7 +220,7 @@ def test_renewal_needs_at_least_one_law():
     with pytest.raises(InvalidParams):
         renewal_from_increments([], 10)
     with pytest.raises(InvalidParams):
-        run_kendall_suite(cases=0)
+        kendall_check([])
 
 
 def test_kendall_suite_draws_once_and_convolves_once(monkeypatch):
@@ -229,16 +229,16 @@ def test_kendall_suite_draws_once_and_convolves_once(monkeypatch):
     monkeypatch.setattr(
         verify, "renewal_from_increments", lambda *a: calls.append(a) or convolve(*a)
     )
-    run_kendall_suite(seed=5, cases=30)
-    assert len(calls) == 1 and len(calls[0][0]) == 30
+    run_kendall_suite(seed=5)
+    assert len(calls) == 1 and len(calls[0][0]) == 200
 
 
 def test_kendall_suite_checks_its_cases_in_one_kendall_check(monkeypatch):
     calls = []
     check = verify.kendall_check
     monkeypatch.setattr(verify, "kendall_check", lambda *a: calls.append(a) or check(*a))
-    run_kendall_suite(seed=5, cases=30)
-    assert len(calls) == 1 and len(calls[0][0]) == 30
+    run_kendall_suite(seed=5)
+    assert len(calls) == 1 and len(calls[0][0]) == 200
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2024])
@@ -253,16 +253,21 @@ def test_kendall_suite_matches_per_case_loop(seed):
         assert abs(a.measured - b.measured) <= 1e-9 * abs(b.measured)
 
 
+# The (0.99, 0.01) law with beta = 0.99, R = 10, L = 10.9 has R1 ~ 3.886 and
+# is checked at r ~ 3.597, whose 1200th power overflows a double.
+_STEEP = (IncrementDistribution(probs=(0.99, 0.01)), 0.99, 10.0, 10.9)
+
+
 def test_kendall_check_survives_overflowing_powers():
-    # 1.05 ** 15000 overflows a double. One law is summed only to its own
-    # resolved cutoff (about n = 16 here), never to n_max, so the check stays
-    # finite and equals the per-case result.
-    dist = IncrementDistribution(probs=(0.9, 0.1))
-    args = (dist, 0.9, 1.5, 0.9 * 1.5 + 0.1 * 1.5**2, 1.05)
+    # r ** 1200 overflows a double. One law is summed only to its own
+    # resolved cutoff (about n = 5 here), never to the last renewal term,
+    # so the check stays finite and equals the per-case result.
+    r1 = kendall_mod.solve_r1(KendallParams(*_STEEP[1:]))
+    args = (*_STEEP, 1.0 + 0.9 * (r1 - 1.0))
     with np.errstate(over="ignore"):
-        assert np.power(1.05, 15_000) == math.inf
-    (rep,) = kendall_check([_case(*args)], n_max=15_000)
-    ref = kendall_check_per_case(*args, n_max=15_000)
+        assert np.power(args[-1], 1200) == math.inf
+    (rep,) = kendall_check([_case(*args)])
+    ref = kendall_check_per_case(*args)
     assert math.isfinite(rep["measured_sup"])
     assert rep["measured_sup"] == pytest.approx(ref["measured_sup"], rel=1e-12, abs=0.0)
     assert {k: v for k, v in rep.items() if k != "measured_sup"} == {
@@ -271,24 +276,25 @@ def test_kendall_check_survives_overflowing_powers():
 
 
 def test_kendall_checks_mask_overflowing_powers_of_a_shorter_row():
-    # The (0.9, 0.1) law is resolved to about n = 16; the k = 40 family law
-    # stays resolved to n_max = 15000. In their shared slice 1.05 ** n
-    # overflows past the first row's cutoff, and must be masked away there.
+    # The steep law is resolved to about n = 5; the k = 40 family law stays
+    # resolved to the last renewal term, n = 1200. In their shared slice
+    # r ** n of the steep law overflows past its cutoff, and must be masked
+    # away there.
     slow_probs = np.zeros(40)
     slow_probs[[0, -1]] = 0.25, 0.75
     drawn = [
-        (IncrementDistribution(probs=(0.9, 0.1)), 0.9, 1.5, 0.9 * 1.5 + 0.1 * 1.5**2),
+        _STEEP,
         (IncrementDistribution(probs=tuple(slow_probs)), 0.25, 1.01, 0.25 * 1.01 + 0.75 * 1.01**40),
     ]
     cases, refs = [], []
     for law, beta, big_r, big_l in drawn:
         r1 = kendall_mod.solve_r1(KendallParams(beta=beta, big_r=big_r, big_l=big_l))
-        r = 1.05 if law.array.size == 2 else 1.0 + 0.9 * (r1 - 1.0)
+        r = 1.0 + 0.9 * (r1 - 1.0)
         cases.append(_case(law, beta, big_r, big_l, r))
-        refs.append(kendall_check_per_case(law, beta, big_r, big_l, r, n_max=15_000))
+        refs.append(kendall_check_per_case(law, beta, big_r, big_l, r))
     with np.errstate(over="ignore"):
-        assert np.power(1.05, 15_000) == math.inf
-    for rep, ref in zip(kendall_check(cases, 15_000), refs):
+        assert np.power(cases[0][2], 1200) == math.inf
+    for rep, ref in zip(kendall_check(cases), refs):
         assert math.isfinite(rep["measured_sup"])
         assert rep["measured_sup"] == pytest.approx(ref["measured_sup"], rel=1e-12, abs=0.0)
         assert {k: v for k, v in rep.items() if k != "measured_sup"} == {
@@ -311,10 +317,10 @@ def test_series_sup_masks_terms_past_each_cutoff():
 
 
 def test_kendall_suite_small_run():
-    suite = run_kendall_suite(seed=11, cases=40)
+    suite = run_kendall_suite(seed=11)
     assert suite.passed
     good, total = suite.counts
-    assert total == 42  # 40 random cases plus two asymptotics checks
+    assert total == 202  # 200 random cases plus two asymptotics checks
     payload = json.dumps(suite.to_dict())
     assert '"margin"' in payload
 
@@ -465,7 +471,7 @@ def test_domination_tie_goes_to_the_first_state():
     # distance at n = 0 and none after, so all (x, 0) tie for the worst.
     n = 4
     tc = TruncatedChain(
-        matrix=np.full((n, n), 1.0 / n), v=np.ones(n), c_set=frozenset({0}),
+        matrix=np.full((n, n), 1.0 / n), v=np.ones(n),
         pi=np.full(n, 1.0 / n), tail_mass=0.0,
     )
     cert = certificate(reflecting_walk_params(ReflectingWalk(p=0.9)), "reversible")
@@ -503,7 +509,7 @@ def test_diagonal_step_matches_dense_product_on_dense_chains():
     # deviations stay resolved through n = 200.
     n = 4
     uniform = TruncatedChain(
-        matrix=np.full((n, n), 1.0 / n), v=np.ones(n), c_set=frozenset({0}),
+        matrix=np.full((n, n), 1.0 / n), v=np.ones(n),
         pi=np.full(n, 1.0 / n), tail_mass=0.0,
     )
     _assert_matches_dense(uniform, np.arange(n), 200)
@@ -516,7 +522,7 @@ def test_diagonal_step_matches_dense_product_on_dense_chains():
     system = np.vstack([(matrix - np.eye(n)).T, np.ones(n)])
     pi = np.linalg.lstsq(system, np.append(np.zeros(n), 1.0), rcond=None)[0]
     dense = TruncatedChain(
-        matrix=matrix, v=1.0 + np.arange(n), c_set=frozenset({0}), pi=pi, tail_mass=0.0,
+        matrix=matrix, v=1.0 + np.arange(n), pi=pi, tail_mass=0.0,
     )
     assert matrix_vnorm_distances_dense(dense, 0, 200)[-1] > 1e-6
     _assert_matches_dense(dense, np.arange(n), 200)
