@@ -271,20 +271,54 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tup
 _FLOOR_MARGIN = 1e-6  # slack in log(R1 - 1) for the rounding of an R1 solve
 
 
+def _pieces_rho_floor(p: DriftMinorization, pieces) -> float:
+    # A floor on rho_general(p).rho from pieces (N, b) that cover the scan
+    # window: b is a piece's top radius and N is at most the secant
+    # N(R) = (L(R) - 1)/(R - 1) at every radius R of the piece. There
+    # log log R <= log log b and the target e^2 beta / (8 N(R)) is at most
+    # e^2 beta / (8 N), and kendall._r1_bracket's closed-form R1 end grows
+    # with both, so its end at (b - 1, that target) bounds every
+    # log(R1 - 1) the search can return on the piece, its clamp at
+    # log 1e-14 too.
+    t = max(
+        kendall._r1_bracket(b - 1.0, math.log(kendall._E2 * p.beta / (8.0 * n)))[2]
+        for n, b in pieces
+    )
+    return _rate(p.lam, 1.0 + math.exp(t + _FLOOR_MARGIN))
+
+
+def _envelope_slope_at_1(p: DriftMinorization, de: DerivedExponents) -> float:
+    # L'(1). alpha1, alpha2 >= 1 make L convex on [1, pole) with L(1) = 1,
+    # so the secant N(R) does not decrease and is at least L'(1).
+    bt = p.beta_tilde
+    return de.alpha2 + de.alpha1 * (1.0 - bt) / bt
+
+
 def _general_rho_floor(p: DriftMinorization) -> float:
-    # A floor on rho_general(p).rho with no search, inf where it has no window.
-    # alpha1, alpha2 >= 1 make L convex with L(1) = 1, so N(R) >= L'(1) and
-    # the closed-form R1 end of kendall._r1_bracket at the top radius and
-    # target e^2 beta / (8 L'(1)) bounds every log(R1 - 1) the search can
-    # return, its clamp at log 1e-14 too.
+    # A floor on rho_general(p).rho with no search, inf where it has no
+    # window: the whole window as one piece (L'(1), top radius).
     de = derived_exponents(p)
     lo, hi = _scan_window(de.r0)
     if hi <= lo:
         return math.inf
-    bt = p.beta_tilde
-    log_target = math.log(kendall._E2 * p.beta / (8.0 * (de.alpha2 + de.alpha1 * (1.0 - bt) / bt)))
-    t = kendall._r1_bracket(hi - 1.0, log_target)[2]
-    return _rate(p.lam, 1.0 + math.exp(t + _FLOOR_MARGIN))
+    return _pieces_rho_floor(p, [(_envelope_slope_at_1(p, de), hi)])
+
+
+def _general_rho_floor_16(p: DriftMinorization) -> float:
+    # The floor of _general_rho_floor on 16 equal pieces [a, b] of the
+    # window, each with N = N(a), and L'(1) on the first, where a = 1 + 1e-9
+    # leaves L(a) - 1 to rounding. Each piece's N is at least L'(1) and its
+    # top radius at most the window's, so the floor is the tighter one; it
+    # costs 16 closed-form ends against the ~0.3 ms of the search.
+    de = derived_exponents(p)
+    lo, hi = _scan_window(de.r0)
+    if hi <= lo:
+        return math.inf
+    ends = [lo + (hi - lo) * (j / 16) for j in range(16)] + [hi]
+    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
+    slopes = [_envelope_slope_at_1(p, de)]
+    slopes += [(_big_l_at(a, bt, a1, a2) - 1.0) / (a - 1.0) for a in ends[1:16]]
+    return _pieces_rho_floor(p, zip(slopes, ends[1:]))
 
 
 def rho_general(p: DriftMinorization) -> RatePart:

@@ -204,7 +204,7 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
         return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
 
     with np.errstate(all="ignore"):
-        big_r = np.asarray(big_r, dtype=float)
+        beta, big_r, big_l = (np.asarray(a, dtype=float) for a in (beta, big_r, big_l))
         delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
         lo, wide, up = _r1_bracket(delta, log_target)
         gap_lo = gap(lo, delta, log_target)

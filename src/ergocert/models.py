@@ -25,8 +25,10 @@ from .bounds import (
     _RADIUS_ARRAY,
     DriftMinorization,
     _general_rho_floor,
+    _general_rho_floor_16,
     _rate,
     rate_part,
+    rho_general,
     rho_positive,
     split_exponents,
 )
@@ -471,7 +473,8 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # (bounds._RADIUS_ARRAY, which scans 16 radii for thm1.1) and _rate. A
 # tuning with no rate, where the scalar path raises, gets rho = inf, which
 # never wins the argmin; the winner's array rho is returned as it is. The
-# contracting search calls method_rho per c, except where a floor rules c out.
+# contracting search calls method_rho per c, except where a floor rules c out;
+# thm1.1 calls rho_general on the constants it built for its floors.
 # ---------------------------------------------------------------------------
 
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
@@ -544,20 +547,26 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
     return {"d": best_d, "s": best_s, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}
 
 
-def _contracting_rho_or_inf(method: str, theta: float, c: float) -> float:
-    # A c where the method has no rate (invalid constants, no drift) gets
-    # rho = inf, which never wins the argmin.
+def _contracting_params_or_none(theta: float, c: float) -> Optional[DriftMinorization]:
+    # contracting_params at c, None where c has no valid constants.
     try:
+        return contracting_params(theta, c)
+    except InvalidParams:
+        return None
+
+
+def _contracting_rho_or_inf(
+    method: str, theta: float, c: float, p: Optional[DriftMinorization]
+) -> float:
+    # The method's rate at c, or inf where it has none there (invalid
+    # constants, no drift), which never wins the argmin. thm1.1 rates the
+    # constants p = _contracting_params_or_none(theta, c) that its search
+    # builds once per c; the other methods go through method_rho.
+    try:
+        if method == "thm1.1":
+            return math.inf if p is None else rho_general(p).rho
         return method_rho(method, ContractingNormal(theta=theta, c=c))
     except (InvalidParams, MonotoneViolation):
-        return math.inf
-
-
-def _contracting_general_floor(theta: float, c: float) -> float:
-    # _general_rho_floor at c: a lower bound on thm1.1's rho there, inf too.
-    try:
-        return _general_rho_floor(contracting_params(theta, c))
-    except InvalidParams:
         return math.inf
 
 
@@ -578,9 +587,12 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
     InvalidParams. The c values are visited in increasing (floor, index)
     order up to the first floor above the best rate so far: thm1.1's floor
     is ``bounds._general_rho_floor`` (inf where c has no constants or no
-    radius window), every other method's 0.0. The first c with the lowest
-    rate wins, as in the full scan, bit for bit; a c left out is never
-    evaluated, so an error it would raise is not raised.
+    radius window), every other method's 0.0. thm1.1 also skips a visited
+    c whose 16-piece floor ``bounds._general_rho_floor_16`` lies above the
+    best rate so far, and builds each c's constants once for both floors
+    and the rate. The first c with the lowest rate wins, as in the full
+    scan, bit for bit; a c left out is never evaluated, so an error it
+    would raise is not raised.
     """
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
@@ -590,15 +602,18 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
     cs = _c_grid(lo, hi)
+    ps = [None] * len(cs)
+    floors = [0.0] * len(cs)
     if method == "thm1.1":
-        floors = [_contracting_general_floor(theta, c) for c in cs]
-    else:
-        floors = [0.0] * len(cs)
+        ps = [_contracting_params_or_none(theta, c) for c in cs]
+        floors = [math.inf if p is None else _general_rho_floor(p) for p in ps]
     best_rho, best_i = math.inf, -1
     for i in sorted(range(len(cs)), key=floors.__getitem__):  # stable: ties by index
         if floors[i] > best_rho:
             break
-        rho = _contracting_rho_or_inf(method, theta, cs[i])
+        if ps[i] is not None and _general_rho_floor_16(ps[i]) > best_rho:
+            continue
+        rho = _contracting_rho_or_inf(method, theta, cs[i], ps[i])
         if rho < best_rho or (rho == best_rho and i < best_i):
             best_rho, best_i = rho, i
     best_c = cs[best_i] if best_i >= 0 else None

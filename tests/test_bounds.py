@@ -490,11 +490,12 @@ def test_radius_search_ends_exactly_on_the_right_edge():
 def test_general_rho_floor_is_below_the_searched_rate(
     lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde
 ):
-    # The closed-form floor that prunes the thm1.1 c search never lies
-    # above rho_general over the validated nonatomic domain (lambda near 0
-    # and near 1, K up to 1e3, beta down to 1e-6 beta_tilde), and is inf
-    # where the radius window is empty.
-    from ergocert.bounds import _general_rho_floor
+    # The closed-form floors that prune the thm1.1 c search, on the whole
+    # window and on 16 pieces of it, never lie above rho_general over the
+    # validated nonatomic domain (lambda near 0 and near 1, K up to 1e3,
+    # beta down to 1e-6 beta_tilde), and are inf where the radius window is
+    # empty.
+    from ergocert.bounds import _general_rho_floor, _general_rho_floor_16
 
     p = DriftMinorization(
         lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
@@ -504,11 +505,12 @@ def test_general_rho_floor_is_below_the_searched_rate(
     try:
         rho = rho_general(p).rho
     except InvalidParams:
-        assert _general_rho_floor(p) == math.inf
+        assert _general_rho_floor(p) == _general_rho_floor_16(p) == math.inf
         return
     except ErgoCertError:
         return
     assert _general_rho_floor(p) <= rho
+    assert _general_rho_floor_16(p) <= rho
 
 
 def _reversible_radius_array_of(ps):

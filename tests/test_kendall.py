@@ -231,6 +231,17 @@ def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
         assert np.array_equal(f_hi, r1_gap_array(hi, *args), equal_nan=True)
 
 
+def test_r1_array_takes_lists_as_arrays():
+    # Each of beta, R and L may be a list: the radii are those of arrays,
+    # bit for bit, and each is solve_r1's to the stop tolerance.
+    got = solve_r1_array([0.5, 0.5], [1.4, 1.5], [2.0, 2.0])
+    want = solve_r1_array(np.array([0.5, 0.5]), np.array([1.4, 1.5]), np.array([2.0, 2.0]))
+    assert got.tobytes() == want.tobytes()
+    for r1, big_r in zip(got, (1.4, 1.5)):
+        assert r1 == pytest.approx(solve_r1(KendallParams(beta=0.5, big_r=big_r, big_l=2.0)), abs=1e-12)
+    assert got == pytest.approx([1.019, 1.033], abs=5e-4)
+
+
 def test_r1_monotone_in_beta_and_l():
     base = dict(big_r=1.4, big_l=2.0)
     r1s = [solve_r1(KendallParams(beta=b, **base)) for b in (0.1, 0.3, 0.5, 0.8, 1.0)]

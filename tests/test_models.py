@@ -513,36 +513,46 @@ def test_contracting_tuning_winners_are_pinned(method, theta):
 
 
 def _spy_evaluated_c(monkeypatch):
-    # The c values at which the search calls method_rho, in call order.
+    # The c values that the search rates, in call order.
     seen = []
-    real = models.method_rho
+    real = models._contracting_rho_or_inf
 
-    def spy(method, chain):
-        seen.append(chain.c)
-        return real(method, chain)
+    def spy(method, theta, c, p):
+        seen.append(c)
+        return real(method, theta, c, p)
 
-    monkeypatch.setattr(models, "method_rho", spy)
+    monkeypatch.setattr(models, "_contracting_rho_or_inf", spy)
     return seen
 
 
-@pytest.mark.parametrize("theta, share", [(0.5, 0.45), (0.9, 0.10)])
+def _contracting_general_floors(theta, c):
+    # The one-piece and the 16-piece thm1.1 floors at c, as the search takes
+    # them: inf where c has no constants.
+    p = models._contracting_params_or_none(theta, c)
+    if p is None:
+        return math.inf, math.inf
+    return bounds._general_rho_floor(p), bounds._general_rho_floor_16(p)
+
+
+@pytest.mark.parametrize("theta, rated", [(0.25, 73), (0.5, 34), (0.9, 8)])
 def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
-    monkeypatch, theta, share
+    monkeypatch, theta, rated
 ):
     # The thm1.1 search rates each c at most once, as the reference loop
-    # does, and leaves out only c values whose closed-form floor lies above
-    # the rate it returns: at most 45 % of the grid at theta = 0.5, 10 % at
-    # theta = 0.9.
+    # does, and leaves out only c values whose floor lies above the rate it
+    # returns: it rates 73 of the 296 c values at theta = 0.25, 34 at 0.5
+    # and 8 at 0.9 (241, 113 and 23 with the one-piece floor alone). The
+    # 16-piece floor is at least the one-piece floor and at most the rate.
     want, rates = _reference_contracting_search("thm1.1", theta)
     grid = np.arange(1.05, 4.0 + 1e-12, 0.01).tolist()
     seen = _spy_evaluated_c(monkeypatch)
     assert optimize_contracting_tuning("thm1.1", theta) == want
-    assert len(set(seen)) == len(seen) <= share * len(grid)
+    assert len(set(seen)) == len(seen) == rated
     for c, rho in zip(grid, rates):
-        floor = models._contracting_general_floor(theta, c)
-        assert floor <= rho, c
+        floor, floor_16 = _contracting_general_floors(theta, c)
+        assert floor <= floor_16 <= rho, c
         if c not in seen:
-            assert floor > want["rho"], c
+            assert floor_16 > want["rho"], c
 
 
 @given(
@@ -551,25 +561,50 @@ def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
 )
 @settings(max_examples=200, deadline=None)
 def test_contracting_general_floor_is_below_the_rate(theta, c):
-    # The floor that prunes the thm1.1 search is at most the rate it stands
-    # for, inf included, wherever that rate is defined.
+    # Both floors that prune the thm1.1 search are at most the rate they
+    # stand for, inf included, wherever that rate is defined.
+    p = models._contracting_params_or_none(theta, c)
     try:
-        rho = models._contracting_rho_or_inf("thm1.1", theta, c)
+        rho = models._contracting_rho_or_inf("thm1.1", theta, c, p)
     except ErgoCertError:
         return
-    assert models._contracting_general_floor(theta, c) <= rho
+    floor, floor_16 = _contracting_general_floors(theta, c)
+    assert floor <= rho and floor_16 <= rho
+
+
+def test_16_piece_floor_overshoots_with_each_secant_at_the_top_radius():
+    # Falsification control: with N taken at each piece's top radius b, the
+    # unsafe side of the nondecreasing secant, the floor lies above
+    # rho_general at some c of the theta = 0.5 grid, so the pieces' N at
+    # their bottom radius is what keeps the floor below the rate.
+    def floor_16_at_top(p):
+        de = bounds.derived_exponents(p)
+        lo, hi = bounds._scan_window(de.r0)
+        tops = [lo + (hi - lo) * (j / 16) for j in range(1, 16)] + [hi]
+        slopes = [
+            (bounds._big_l_at(b, p.beta_tilde, de.alpha1, de.alpha2) - 1.0) / (b - 1.0)
+            for b in tops
+        ]
+        return bounds._pieces_rho_floor(p, zip(slopes, tops))
+
+    over = 0
+    for c in models._c_grid(1.05, 4.0):
+        p = contracting_params(0.5, c)
+        over += floor_16_at_top(p) > rho_general(p).rho
+    assert over > 0
 
 
 def test_contracting_search_differs_when_the_floor_overshoots(monkeypatch):
     # Falsification control: a floor just above the best rate at the winning
     # c prunes the winner, so the search no longer matches the reference.
     want, _ = _reference_contracting_search("thm1.1", 0.5)
-    real = models._contracting_general_floor
+    winner = contracting_params(0.5, want["c"])
+    real = models._general_rho_floor
 
-    def overshoot(theta, c):
-        return want["rho"] + 1e-6 if c == want["c"] else real(theta, c)
+    def overshoot(p):
+        return want["rho"] + 1e-6 if p == winner else real(p)
 
-    monkeypatch.setattr(models, "_contracting_general_floor", overshoot)
+    monkeypatch.setattr(models, "_general_rho_floor", overshoot)
     assert optimize_contracting_tuning("thm1.1", 0.5) != want
 
 
