@@ -224,11 +224,17 @@ def _cmd_model_optimize(args) -> int:
     if args.model == "mh-normal":
         result = models.optimize_mh_tuning(args.method, _nu_variant(args))
         tuned = {"d": result["d"], "s": result["s"]}
+        scanned = {"d": models._D_RANGE, "s": models._S_RANGE}
     elif args.model == "contracting-normal":
         result = models.optimize_contracting_tuning(args.method, args.theta)
         tuned = {"c": result["c"]}
+        scanned = {"c": models._C_RANGE}
     else:
         raise ErgoCertError("--optimize applies to mh-normal and contracting-normal")
+    if None in tuned.values():
+        # rho = inf: the payload would print Infinity, which is not JSON.
+        ranges = ", ".join(f"{k} in [{lo}, {hi}]" for k, (lo, hi) in scanned.items())
+        raise ErgoCertError(f"no tuning with {ranges} has a {args.method} rate")
     payload = {
         "model": args.model,
         "method": args.method,

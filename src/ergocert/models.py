@@ -27,6 +27,7 @@ from .bounds import (
     _general_rho_floor,
     _general_rho_floor_16,
     _rate,
+    _rho_floor,
     rate_part,
     rho_general,
     rho_positive,
@@ -472,12 +473,25 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # lambda_1 < 1, or split_exponents, the array radius of the theorem's regime
 # (bounds._RADIUS_ARRAY, which scans 16 radii for thm1.1) and _rate. A
 # tuning with no rate, where the scalar path raises, gets rho = inf, which
-# never wins the argmin; the winner's array rho is returned as it is. The
-# contracting search calls method_rho per c, except where a floor rules c out;
-# thm1.1 calls rho_general on the constants it built for its floors.
+# never wins the argmin; the winner's array rho is returned as it is. thm1.1
+# rates the tuning with the lowest closed-form floor (bounds._rho_floor)
+# first, then only the tunings whose floor is not above that rate. Every
+# grid rate is at least its floor, so a tuning left at inf never was the
+# argmin, and the rated ones get the same bits as in a scan of all of them:
+# each step of the scan is elementwise. The contracting search calls
+# method_rho per c, except where a floor rules c out; thm1.1 calls
+# rho_general on the constants it built for its floors.
 # ---------------------------------------------------------------------------
 
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
+
+
+def _theorem_rate_array(method, lam, beta, beta_tilde, alpha1, alpha2, r0):
+    # The theorem's rate on arrays of valid constants, inf where it has none.
+    import numpy as np
+
+    radius = _RADIUS_ARRAY[THEOREM_SYMMETRY[method]](beta, beta_tilde, alpha1, alpha2, r0)
+    return np.where(np.isnan(radius), np.inf, _rate(lam, radius))
 
 
 def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
@@ -497,9 +511,19 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
     if method == "coupling":
         rho = _coupling_rate(lam, big_k, beta_tilde)
     else:
-        a1, a2, r0 = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
-        radius = _RADIUS_ARRAY[THEOREM_SYMMETRY[method]](beta, beta_tilde, a1, a2, r0)
-        rho = np.where(np.isnan(radius), np.inf, _rate(lam, radius))
+        exponents = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
+        constants = np.broadcast_arrays(lam, beta, beta_tilde, *exponents)  # alpha_2 may be 1.0
+        rho = np.full(lam.shape, np.inf)
+        rated = np.ones(lam.shape, bool)
+        if method == "thm1.1" and lam.size:
+            # The lowest floor's tuning first; then only the tunings whose
+            # floor is not above its rate (a NaN floor is rated).
+            floor = _rho_floor(*constants)
+            first = np.argmin(floor)
+            rated[first] = False
+            rho[first] = _theorem_rate_array(method, *(c[[first]] for c in constants))[0]
+            rated &= ~(floor > rho[first])
+        rho[rated] = _theorem_rate_array(method, *(c[rated] for c in constants))
     grid = np.full(valid.shape, np.inf)
     grid[valid] = rho
     return grid, *np.broadcast_arrays(d, s)
@@ -519,7 +543,9 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
     the upper end of each range, then local refinements at 0.01 and 0.002
     around the running best (same final resolution as a flat 0.01 grid with
     refinement, at a fraction of the work for the radius-search objective).
-    Returns the winning tuning with its rate.
+    thm1.1 rates only the tunings of each grid that its closed-form rate
+    floor does not rule out, with the same winner. Returns the winning
+    tuning with its rate.
     """
     import numpy as np
 

@@ -15,6 +15,7 @@ JSON-serialisable, so suites can be consumed by the CLI or by tests alike.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -194,9 +195,10 @@ def increment_radius(b: IncrementDistribution) -> float:
 
 
 def kendall_family_radius(beta: float, k: int) -> float:
-    """Radius for the two-point family b(z) = beta z + (1-beta) z^k."""
-    if not (0.0 < beta < 1.0) or k < 2:
-        raise InvalidParams("need 0 < beta < 1 and k >= 2")
+    """Radius for the two-point family b(z) = beta z + (1-beta) z^k, k an
+    integer >= 2."""
+    if not (0.0 < beta < 1.0 and isinstance(k, numbers.Integral) and k >= 2):
+        raise InvalidParams(f"need 0 < beta < 1 and an integer k >= 2, got beta={beta}, k={k}")
     probs = np.zeros(k)
     probs[0] = beta
     probs[-1] = 1.0 - beta

@@ -513,6 +513,39 @@ def test_general_rho_floor_is_below_the_searched_rate(
     assert _general_rho_floor_16(p) <= rho
 
 
+def test_rho_floor_gives_the_float_floor_on_arrays():
+    # The one-piece floor is written once, for floats and arrays: on arrays
+    # of constants each element is the float floor of _general_rho_floor
+    # (numpy's log and exp may differ from math's by an ulp), inf where R0
+    # leaves no radius window. 400 seeded draws over the validated nonatomic
+    # domain, and lambda = 1 - 1e-12, whose R0 leaves no window.
+    from ergocert.bounds import _general_rho_floor, _rho_floor
+
+    rng = np.random.default_rng(0)
+    ps = [DriftMinorization(lam=1.0 - 1e-12, big_k=2.0, beta=0.1, beta_tilde=0.5, atomic=False)]
+    for _ in range(400):
+        lams = rng.uniform(1e-6, 0.1), rng.uniform(0.05, 0.95), 1.0 - 10.0 ** -rng.uniform(1, 12)
+        beta_tilde = rng.uniform(1e-3, 0.999)
+        nu_info = str(rng.choice([NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL]))
+        ps.append(DriftMinorization(
+            lam=float(rng.choice(lams)), big_k=10.0 ** rng.uniform(0.0, 3.0),
+            beta=beta_tilde * 10.0 ** rng.uniform(-6.0, 0.0), beta_tilde=beta_tilde,
+            atomic=False, nu_info=nu_info,
+            k_tilde=10.0 ** rng.uniform(0.0, 3.0) if nu_info == NU_V_INTEGRAL else None,
+        ))
+    des = [derived_exponents(p) for p in ps]
+    got = _rho_floor(
+        *(np.array([getattr(p, name) for p in ps]) for name in ("lam", "beta", "beta_tilde")),
+        *(np.array([getattr(de, name) for de in des]) for name in ("alpha1", "alpha2", "r0")),
+    )
+    want = np.array([_general_rho_floor(p) for p in ps])
+    assert want[0] == got[0] == math.inf
+    assert (np.isinf(got) == np.isinf(want)).all()
+    finite = np.isfinite(want)
+    assert finite.sum() > 300
+    assert np.abs(got[finite] - want[finite]).max() <= 4e-16
+
+
 def _reversible_radius_array_of(ps):
     des = [derived_exponents(p) for p in ps]
     return reversible_radius_array(

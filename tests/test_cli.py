@@ -279,6 +279,28 @@ def test_model_optimize_invalid_theta_exits_2(capsys):
     assert err.startswith("error:") and "theta must lie in (-1, 1)" in err
 
 
+def test_model_optimize_without_a_rate_exits_2(capsys):
+    # At theta = 0.9999999 no c has a thm1.1 rate; the payload would print
+    # "rho": Infinity, which is not JSON.
+    code, out, err = run_cli(
+        capsys, "model", "contracting-normal", "--theta", "0.9999999",
+        "--method", "thm1.1", "--optimize", "--format", "json",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: no tuning with c in [1.05, 4.0] has a thm1.1 rate\n"
+
+
+def test_model_optimize_mh_without_a_rate_exits_2(capsys, monkeypatch):
+    # The search's result when no tuning has a rate.
+    def no_rate(method, nu_variant):
+        return {"d": None, "s": None, "rho": float("inf"), "one_minus_rho": float("-inf")}
+
+    monkeypatch.setattr(models, "optimize_mh_tuning", no_rate)
+    code, out, err = run_cli(capsys, "model", "mh-normal", "--method", "coupling", "--optimize")
+    assert code == 2 and out == ""
+    assert "d in [0.5, 3.0], s in [0.01, 1.5] has a coupling rate" in err
+
+
 def test_verify_mc_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "mc", "--seed", "1", "--format", "json")
     assert code == 0

@@ -287,6 +287,32 @@ def test_truncation_with_an_overflowing_v_is_rejected():
 # --- tuning searches ---------------------------------------------------------
 
 
+def _mh_valid_constants(d_grid, s_grid, nu_variant):
+    # The mask of the (d, s) tunings with valid constants, as the Metropolis
+    # grid takes it, and their (lambda, beta, beta_tilde, alpha_1, alpha_2,
+    # R0), the inputs of the thm1.1 floor and of its rate.
+    consts = models._mh_constants(d_grid[:, None], s_grid[None, :], nu_variant)
+    lam, big_k, beta, beta_tilde, k_tilde = np.broadcast_arrays(
+        *(np.asarray(c, dtype=float) for c in (*consts[:4], consts[5]))
+    )
+    valid = (lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)
+    lam, big_k, beta, beta_tilde, k_tilde = (
+        c[valid] for c in (lam, big_k, beta, beta_tilde, k_tilde)
+    )
+    exponents = bounds.split_exponents(lam, big_k, beta_tilde, consts[4], k_tilde)
+    return valid, (lam, beta, beta_tilde, *np.broadcast_arrays(*exponents))
+
+
+def _mh_full_general_grid(d_grid, s_grid, nu_variant):
+    # The thm1.1 grid rate of every tuning with valid constants, with no
+    # floor: bounds._general_radius_array on all of them. The mask of those
+    # tunings, their rates and their constants.
+    valid, constants = _mh_valid_constants(d_grid, s_grid, nu_variant)
+    radius = bounds._general_radius_array(*constants[1:])
+    rho = np.where(np.isnan(radius), np.inf, bounds._rate(constants[0], radius))
+    return valid, rho, constants
+
+
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
 def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
     d_grid = np.arange(0.5, 3.0 + 1e-12, 0.05)
@@ -299,6 +325,18 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
     }
     for method, rate in rates.items():
         got, dd, ss = models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
+        if method == "thm1.1":
+            # The grid rates only the tunings its floor admits. Each one it
+            # rates has the full rating's rho bit for bit, and each one it
+            # leaves at inf has a full rating above the grid's minimum; the
+            # full rating is what is held to rho_general below.
+            valid, rho, _ = _mh_full_general_grid(d_grid, s_grid, nu_variant)
+            full = np.full(valid.shape, math.inf)
+            full[valid] = rho
+            rated = np.isfinite(got)
+            assert (got[rated] == full[rated]).all()
+            assert (full[~rated] > got.min()).all()
+            got = full
         for (i, j), rho in np.ndenumerate(got):
             try:
                 want = rate(float(dd[i, j]), float(ss[i, j]))
@@ -318,19 +356,26 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
                 assert abs(rho - want) <= 1e-12, (method, dd[i, j], ss[i, j])
 
 
+# The tunings that the thm1.1 search rates after the one with the lowest
+# floor, at its coarse step and at its two refinements: of the 1,355 valid
+# coarse tunings and of the 169 of each refinement.
+MH_GENERAL_RATED = {MT_MEASURE: (120, 138, 168), INFIMUM_MEASURE: (157, 168, 168)}
+
+
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
 def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
     # The R1 scan and split_exponents see the tunings with valid constants
     # only, 16 radii each for the scan, and never a placeholder in place of
     # an invalid one: every lambda (lambda_1 for coupling) and beta_tilde
-    # they get lies below 1.
+    # they get lies below 1. split_exponents sees all of them; the R1 scan
+    # of each thm1.1 stage sees the tuning with the lowest floor, then the
+    # tunings whose floor is not above its rate.
     # The d and s axes of the coarse step of optimize_mh_tuning.
     d_grid = np.append(np.arange(0.5, 3.0, 0.05), 3.0)
     s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
-    consts = models._mh_constants(d_grid[:, None], s_grid[None, :], nu_variant)
-    lam, big_k, beta, beta_tilde = np.broadcast_arrays(*consts[:4])
-    n_valid = int(((lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)).sum())
-    assert lam.shape == (51, 31) and 0 < n_valid < lam.size
+    valid, _ = _mh_valid_constants(d_grid, s_grid, nu_variant)
+    n_valid = int(valid.sum())
+    assert valid.shape == (51, 31) and n_valid == 1355
     r1_sizes, split_args = [], []
     real_r1, real_split = kendall.solve_r1_array, models.split_exponents
 
@@ -347,10 +392,58 @@ def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
     monkeypatch.setattr(competitors, "split_exponents", split_spy)
     for method in ("thm1.1", "thm1.2", "thm1.3", "coupling"):
         models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
-    assert r1_sizes == [16 * n_valid]
+    assert r1_sizes == [16, 16 * MH_GENERAL_RATED[nu_variant][0]]
     assert [np.size(lam) for lam, _ in split_args[:3]] == [n_valid] * 3
+    r1_sizes.clear()
+    optimize_mh_tuning("thm1.1", nu_variant)
+    assert r1_sizes == [16 * n for rated in MH_GENERAL_RATED[nu_variant] for n in (1, rated)]
     for lam, beta_tilde in split_args:
         assert (lam < 1.0).all() and (beta_tilde < 1.0).all()
+
+
+@pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
+def test_mh_array_floor_matches_the_scalar_floor_on_coarse_grid(nu_variant):
+    # The floor that prunes the thm1.1 grid, on arrays, is the scalar floor
+    # of the contracting search at every valid coarse tuning.
+    d_grid = np.append(np.arange(0.5, 3.0, 0.05), 3.0)
+    s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
+    valid, constants = _mh_valid_constants(d_grid, s_grid, nu_variant)
+    got = bounds._rho_floor(*constants)
+    dd, ss = np.broadcast_arrays(d_grid[:, None], s_grid[None, :])
+    for floor, d, s in zip(got, dd[valid], ss[valid]):
+        want = bounds._general_rho_floor(mh_normal_params(float(d), float(s), nu_variant))
+        assert abs(floor - want) <= 4e-16, (d, s)
+
+
+def _mh_floor_violations(floor_of, nu_variant):
+    # The valid tunings of the 0.01-step grid (32,537 per measure) where
+    # floor_of(constants) lies above the full thm1.1 grid rate.
+    d_grid = np.arange(0.5, 3.0 + 1e-12, 0.01)
+    s_grid = np.arange(0.01, 1.5 + 1e-12, 0.01)
+    _, rho, constants = _mh_full_general_grid(d_grid, s_grid, nu_variant)
+    assert rho.size == 32_537
+    return int((floor_of(*constants) > rho).sum())
+
+
+@pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
+def test_mh_floor_is_below_the_grid_rate_on_fine_grid(nu_variant):
+    # Every grid rate is at least its floor, so a tuning the floor rules out
+    # can never be the grid's argmin.
+    assert _mh_floor_violations(bounds._rho_floor, nu_variant) == 0
+
+
+@pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
+def test_mh_floor_overshoots_with_the_secant_at_the_top_radius(nu_variant):
+    # Falsification control: with N taken at the top radius, the unsafe
+    # side of the nondecreasing secant, the floor lies above the grid rate
+    # at some tuning, so L'(1) is what keeps it below.
+    def floor_at_top(lam, beta, beta_tilde, alpha1, alpha2, r0):
+        lo, hi = bounds._scan_window(r0)
+        n_top = (bounds.big_l_array(hi, beta_tilde, alpha1, alpha2) - 1.0) / (hi - 1.0)
+        floor = bounds._pieces_rho_floor(lam, beta, [(n_top, np.maximum(hi, lo))])
+        return np.where(hi > lo, floor, math.inf)
+
+    assert _mh_floor_violations(floor_at_top, nu_variant) > 0
 
 
 # The winners of the eight Metropolis searches: (d, s) by method and measure.
@@ -585,7 +678,7 @@ def test_16_piece_floor_overshoots_with_each_secant_at_the_top_radius():
             (bounds._big_l_at(b, p.beta_tilde, de.alpha1, de.alpha2) - 1.0) / (b - 1.0)
             for b in tops
         ]
-        return bounds._pieces_rho_floor(p, zip(slopes, tops))
+        return bounds._pieces_rho_floor(p.lam, p.beta, zip(slopes, tops))
 
     over = 0
     for c in models._c_grid(1.05, 4.0):
@@ -655,14 +748,21 @@ def test_optimize_contracting_matches_published_choice():
 def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
     # A radius whose R1 equation has no root (NaN) must not decide the rate;
     # a tuning with no root at any radius gets rho = inf, never the argmin.
+    # The grid rates its tunings in more than one scan, so the tuning at
+    # d = 1.0 is told by its beta.
     d, s = np.array([1.0, 1.2]), np.array([0.1])
     want = models._mh_rho_grid(d, s, "thm1.1", MT_MEASURE)[0]
+    assert np.isfinite(want).all()
+    beta_at_1 = mh_normal_params(1.0, 0.1).beta
     real = kendall.solve_r1_array
 
     def with_nan(beta, big_r, big_l):
         r1 = real(beta, big_r, big_l)
-        r1[0, :] = np.nan
-        r1[1, np.arange(r1.shape[1]) != np.argmax(r1[1])] = np.nan
+        for row, b in zip(r1, np.broadcast_to(beta, r1.shape)[:, 0]):
+            if math.isclose(b, beta_at_1):
+                row[:] = np.nan
+            else:
+                row[np.arange(row.size) != np.argmax(row)] = np.nan
         return r1
 
     monkeypatch.setattr(kendall, "solve_r1_array", with_nan)
@@ -685,12 +785,16 @@ def test_mh_general_objective_gives_no_rate_where_r0_leaves_no_window():
 
 def test_mh_tuning_coarse_grid_reaches_the_top_of_the_range(monkeypatch):
     # The coarse steps from the bottom of the s range stop short of its top
-    # end: the scan must still try s = 1.5, here the only s with rates.
+    # end: the scan must still try s = 1.5, here the only s with rates. The
+    # grid rates its s = 1.5 column alone, so no other s prunes it.
     rho_grid = models._mh_rho_grid
 
     def rates_at_top(d_grid, s_grid, method, nu_variant):
-        rho, dd, ss = rho_grid(d_grid, s_grid, method, nu_variant)
-        return np.where(ss == 1.5, rho, math.inf), dd, ss
+        dd, ss = np.broadcast_arrays(np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :])
+        rho = np.full(dd.shape, math.inf)
+        top = ss[0] == 1.5
+        rho[:, top] = rho_grid(d_grid, ss[0, top], method, nu_variant)[0]
+        return rho, dd, ss
 
     monkeypatch.setattr(models, "_mh_rho_grid", rates_at_top)
     result = optimize_mh_tuning("thm1.1")

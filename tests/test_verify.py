@@ -150,6 +150,19 @@ def test_family_radius_asymptotics():
         assert abs(measured / predicted - 1.0) <= 0.10
 
 
+@pytest.mark.parametrize(
+    "beta, k", [(0.25, 2.5), (0.25, math.nan), (0.25, math.inf), (0.25, 1), (1.0, 3)]
+)
+def test_family_radius_rejects_a_k_that_is_no_integer_from_2(beta, k):
+    # A fractional or non-finite k raised numpy's TypeError from np.zeros.
+    with pytest.raises(InvalidParams, match="integer k >= 2"):
+        kendall_family_radius(beta, k)
+
+
+def test_family_radius_takes_numpy_integers():
+    assert kendall_family_radius(0.25, np.int64(20)) == kendall_family_radius(0.25, 20)
+
+
 def _case(law, beta, big_r, big_l, r):
     # One kendall_check case, with the R1 and increment radius it expects.
     kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
