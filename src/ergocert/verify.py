@@ -178,20 +178,38 @@ def renewal_from_increments(laws: Sequence[IncrementDistribution], n_max: int) -
     return RenewalSequence(u=u, u_inf=np.array([1.0 / d.mean for d in laws]))
 
 
-def increment_radius(b: IncrementDistribution) -> float:
-    """Exact radius of convergence of sum (u_n - u_inf) z^n.
+def _increment_radii(laws: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact radius of convergence of sum (u_n - u_inf) z^n, one per law
+    (probs[k] = b_{k+1}).
 
     For a finite-support aperiodic increment law, u(z) = 1/(1 - b(z)) is
     rational; after removing the simple root at z = 1 the nearest remaining
-    root of b(z) = 1 determines the radius.
+    root of b(z) = 1 determines the radius (inf for the point mass at 1,
+    whose u_n is constant). The roots are the eigenvalues of the companion
+    matrix np.roots builds for b(z) - 1, with trailing zero probabilities
+    stripped as np.roots strips leading zero coefficients, so the radii are
+    np.roots' bit for bit; the laws of one stripped length share one stacked
+    eigvals call.
     """
-    probs = b.array
-    coeffs = np.concatenate([probs[::-1], [-1.0]])  # b(z) - 1, highest power first
-    roots = np.roots(coeffs)
-    others = roots[np.abs(roots - 1.0) > 1e-7]
-    if others.size == 0:
-        return math.inf  # point mass at 1: u_n is constant
-    return float(np.abs(others).min())
+    lengths = np.array([np.flatnonzero(b)[-1] + 1 for b in laws])
+    radii = np.empty(lengths.size)
+    for m in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == m)
+        # b(z) - 1, highest power first: b_m, ..., b_1, -1.
+        coeffs = np.empty((rows.size, m + 1))
+        coeffs[:, :m] = [laws[i][m - 1 :: -1] for i in rows.tolist()]
+        coeffs[:, m] = -1.0
+        companion = np.zeros((rows.size, m, m))
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        roots = np.linalg.eigvals(companion)
+        radii[rows] = np.where(np.abs(roots - 1.0) > 1e-7, np.abs(roots), np.inf).min(axis=1)
+    return radii
+
+
+def increment_radius(b: IncrementDistribution) -> float:
+    """Exact radius of convergence of sum (u_n - u_inf) z^n (see _increment_radii)."""
+    return float(_increment_radii([b.array])[0])
 
 
 def kendall_family_radius(beta: float, k: int) -> float:
@@ -316,29 +334,51 @@ def kendall_check(cases: Sequence[tuple]) -> list[dict]:
     return reports
 
 
-def _sample_admissible(rng: np.random.Generator) -> tuple:
-    """One random increment law with admissible Kendall parameters and r,
-    plus the R1 and increment radius computed on the way:
-    (law, KendallParams, r, R1, radius)."""
-    while True:
-        m = int(rng.integers(2, 9))
-        raw = rng.dirichlet(np.ones(m))
-        b1 = 0.15 + 0.7 * rng.random()
-        probs = np.empty(m)
-        probs[0] = b1
-        rest = raw[1:].sum()
-        probs[1:] = raw[1:] * ((1.0 - b1) / rest) if rest > 0 else (1.0 - b1) / (m - 1)
-        dist = IncrementDistribution(probs=tuple(probs))
-        radius = increment_radius(dist)
-        if 1.0 / radius > 0.96:
-            continue  # keep tails resolvable at the fixed truncation length
-        beta = probs[0] * (0.6 + 0.4 * rng.random())
-        big_r = 1.0 + 0.05 + 0.4 * rng.random()
-        exact = float(np.dot(probs, np.power(big_r, np.arange(1, m + 1))))
-        big_l = exact * (1.0 + 0.3 * rng.random())
-        kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
-        r1 = kendall_mod.solve_r1(kp)
-        return dist, kp, 1.0 + 0.9 * (r1 - 1.0), r1, radius
+# Candidate laws drawn, and their radii computed together, per block of
+# _draw_admissible.
+_DRAW_BLOCK = 200
+
+
+def _draw_admissible(rng: np.random.Generator, count: int) -> list[tuple]:
+    """count random increment laws with admissible Kendall parameters and r,
+    plus the R1 and increment radius computed on the way: (law,
+    KendallParams, r, R1, radius) each.
+
+    A candidate draws its support length m, a Dirichlet law and b_1, then
+    the uniforms of beta, R and L; one whose decay rate 1/radius exceeds
+    0.96 is dropped before its uniforms, which keeps tails resolvable at the
+    fixed truncation length. Candidates are drawn in blocks of up to
+    _DRAW_BLOCK with their radii computed together. At a block's first
+    rejection the generator goes back to just after that candidate's b_1
+    and the rest of the block is dropped, so every draw and case is the one
+    that drawing a candidate at a time gives.
+    """
+    cases = []
+    while len(cases) < count:
+        block = []
+        for _ in range(min(_DRAW_BLOCK, count - len(cases))):
+            m = int(rng.integers(2, 9))
+            raw = rng.dirichlet(np.ones(m))
+            b1 = 0.15 + 0.7 * rng.random()
+            probs = np.empty(m)
+            probs[0] = b1
+            rest = raw[1:].sum()
+            probs[1:] = raw[1:] * ((1.0 - b1) / rest) if rest > 0 else (1.0 - b1) / (m - 1)
+            block.append((probs, rng.bit_generator.state, rng.random(3).tolist()))
+        radii = _increment_radii([probs for probs, _, _ in block]).tolist()
+        for (probs, state, (u_beta, u_big_r, u_big_l)), radius in zip(block, radii):
+            if 1.0 / radius > 0.96:
+                rng.bit_generator.state = state
+                break
+            beta = probs[0] * (0.6 + 0.4 * u_beta)
+            big_r = 1.0 + 0.05 + 0.4 * u_big_r
+            exact = float(np.dot(probs, np.power(big_r, np.arange(1, probs.size + 1))))
+            big_l = exact * (1.0 + 0.3 * u_big_l)
+            kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
+            r1 = kendall_mod.solve_r1(kp)
+            law = IncrementDistribution(probs=tuple(probs))
+            cases.append((law, kp, 1.0 + 0.9 * (r1 - 1.0), r1, radius))
+    return cases
 
 
 # Random increment laws the suite checks.
@@ -351,13 +391,12 @@ _ASYMPTOTIC_KS = (40, 80)
 def run_kendall_suite(seed: int = 0) -> SuiteReport:
     """Randomised soundness checks plus the cubic-law radius asymptotics.
 
-    All _KENDALL_CASES cases are drawn first, then checked together by one
-    kendall_check.
+    All _KENDALL_CASES cases are drawn first (_draw_admissible), then
+    checked together by one kendall_check.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     suite = SuiteReport(name="kendall")
-    drawn = [_sample_admissible(rng) for _ in range(_KENDALL_CASES)]
-    reports = kendall_check(drawn)
+    reports = kendall_check(_draw_admissible(rng, _KENDALL_CASES))
     for i, rep in enumerate(reports):
         suite.checks.append(
             CheckReport(
@@ -524,39 +563,53 @@ def mc_regeneration(
 
     tau is the first return time to C = {0}. The bound is r*K for x0 in C
     and V(x0) otherwise, valid for 1 <= r <= 1/lambda; the check passes when
-    the sample mean stays within three standard errors of it. Philox keeps
-    runs reproducible for a fixed seed.
+    the sample mean stays within three standard errors of it. x0 and
+    samples must be integers (not bool), x0 >= 0 and samples >= 1;
+    InvalidParams otherwise. Philox keeps runs reproducible for a fixed
+    seed: step n draws one uniform per walker still out, in index order.
     """
     params = reflecting_walk_params(spec)
     if not (1.0 <= r <= params.lam_inv * (1.0 + 1e-12)):
         raise OutOfRange(f"need 1 <= r <= 1/lambda = {params.lam_inv}, got r={r}")
-    if samples < 1:
-        raise InvalidParams("samples must be >= 1")
-    if x0 < 0:  # off the walk, drifting away from C = {0}
-        raise InvalidParams(f"x0 must be a state of the walk, >= 0, got {x0}")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise InvalidParams(f"samples must be an integer >= 1, got {samples!r}")
+    # Below 0 the walk drifts away from C = {0}.
+    if isinstance(x0, bool) or not isinstance(x0, numbers.Integral) or x0 < 0:
+        raise InvalidParams(f"x0 must be a state of the walk, an integer >= 0, got {x0!r}")
     p = spec.p
     eps = spec.boundary_hold
     rng = np.random.Generator(np.random.Philox(seed))
 
+    # Step 1 is the only one that can start in C: from 0 the walker holds
+    # with probability eps, elsewhere it steps down with probability p.
+    u = rng.random(samples)
+    if x0 == 0:
+        cur = (u >= eps).astype(np.int64)
+    else:
+        up = u >= p
+        cur = np.full(samples, x0 - 1, dtype=np.int64)
+        cur += up
+        cur += up
     # The walkers still out, in index order, and their positions.
     idx = np.arange(samples)
-    cur = np.full(samples, x0, dtype=np.int64)
     tau = np.zeros(samples, dtype=np.int64)
-    step = 0
-    while idx.size:
+    step = 1
+    while True:
+        out = cur != 0
+        returned = np.flatnonzero(~out)
+        if returned.size:
+            tau[idx[returned]] = step
+            # np.compress gathers faster than boolean indexing here.
+            idx, cur = np.compress(out, idx), np.compress(out, cur)
+            if not idx.size:
+                break
         step += 1
         if step > 10_000_000:
             raise RuntimeError("walk failed to return; parameters out of range?")
-        u = rng.random(idx.size)
-        nxt = np.where(
-            cur == 0,
-            np.where(u < eps, 0, 1),
-            np.where(u < p, cur - 1, cur + 1),
-        )
-        returned = nxt == 0
-        tau[idx[returned]] = step
-        away = ~returned
-        idx, cur = idx[away], nxt[away]
+        up = rng.random(idx.size) >= p
+        cur += up
+        cur += up
+        cur -= 1
 
     values = np.power(r, tau.astype(float))
     mean = float(values.mean())

@@ -14,7 +14,10 @@ are the ones they replaced. Both take their ends from
 
 The renewal oracle convolves all laws of a suite as one block. The
 per-law and per-case forms below (convolution loop, series sup, single
-check, suite loop) are the ones it replaced, kept as its references.
+check, suite loop) are the ones it replaced, kept as its references. The
+suite's sampler takes the radii of a block of laws from stacked companion
+eigenvalues; ``increment_radius_roots`` is the np.roots form per law, and
+``_sample_admissible`` draws one candidate at a time.
 
 The matrix oracle steps along the nonzero diagonals of P and the Monte
 Carlo oracle steps only the walkers still out. The dense product and the
@@ -234,6 +237,13 @@ def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) ->
         ends = r1_gap_array(lo, delta, log_target), r1_gap_array(hi_rest, delta, log_target)
         t[rest] = solve_increasing_array(r1_gap_array, lo, hi_rest, *ends, delta, log_target)
         return t
+
+
+def increment_radius_roots(probs) -> float:
+    """``verify.increment_radius`` of one law (probs[k] = b_{k+1}) by np.roots."""
+    roots = np.roots(np.concatenate([np.asarray(probs, dtype=float)[::-1], [-1.0]]))
+    others = roots[np.abs(roots - 1.0) > 1e-7]
+    return math.inf if others.size == 0 else float(np.abs(others).min())
 
 
 def renewal_per_law(b: IncrementDistribution, n_max: int) -> RenewalSequence:

@@ -41,6 +41,8 @@ from ergocert.verify import (
     walk_empirical_rate,
 )
 from reference_forms import (
+    _sample_admissible,
+    increment_radius_roots,
     kendall_check_per_case,
     kendall_suite_per_case,
     matrix_vnorm_distances_dense,
@@ -163,6 +165,27 @@ def test_family_radius_takes_numpy_integers():
     assert kendall_family_radius(0.25, np.int64(20)) == kendall_family_radius(0.25, 20)
 
 
+# Laws of every support length 1-8, a trailing zero probability, and the
+# point mass, whose radius is inf.
+_RADIUS_LAWS = [
+    np.random.default_rng(length).dirichlet(np.ones(length)) for length in range(1, 9)
+] + [np.array([0.5, 0.5, 0.0]), np.array([1.0])]
+
+
+@pytest.mark.parametrize("law", _RADIUS_LAWS, ids=lambda law: f"m{law.size}")
+def test_stacked_radius_matches_np_roots_bit_for_bit(law):
+    want = increment_radius_roots(law)
+    assert math.isinf(want) == (np.count_nonzero(law) == 1)  # only the point mass
+    assert verify._increment_radii([law]).tobytes() == np.array([want]).tobytes()
+    assert increment_radius(IncrementDistribution(probs=tuple(law))) == want
+
+
+def test_stacked_radius_of_a_mixed_length_batch_matches_np_roots_bit_for_bit():
+    laws = _RADIUS_LAWS + [np.random.default_rng(9).dirichlet(np.ones(m)) for m in (3, 7, 3, 8)]
+    want = np.array([increment_radius_roots(law) for law in laws])
+    assert verify._increment_radii(laws).tobytes() == want.tobytes()
+
+
 def _case(law, beta, big_r, big_l, r):
     # One kendall_check case, with the R1 and increment radius it expects.
     kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
@@ -264,6 +287,34 @@ def test_kendall_suite_matches_per_case_loop(seed):
     assert [c.bound for c in new.checks] == [c.bound for c in ref.checks]
     for a, b in zip(new.checks, ref.checks):
         assert abs(a.measured - b.measured) <= 1e-9 * abs(b.measured)
+
+
+# Seeds whose first `count` cases need one more candidate: the 0.96 rate
+# filter drops the 17th candidate at seed 295 and the 24th at seed 1018.
+@pytest.mark.parametrize("seed, count", [(295, 60), (1018, 40)])
+@pytest.mark.parametrize("block", [1, 200])
+def test_block_draw_matches_one_candidate_at_a_time(monkeypatch, seed, count, block):
+    monkeypatch.setattr(verify, "_DRAW_BLOCK", block)
+    radiused = []
+    radii = verify._increment_radii
+    monkeypatch.setattr(
+        verify, "_increment_radii", lambda laws: radiused.extend(laws) or radii(laws)
+    )
+    rng = np.random.Generator(np.random.Philox(seed))
+    got = verify._draw_admissible(rng, count)
+    assert len(got) == count
+    assert len(radiused) > count  # a candidate was rejected and redrawn
+    ref_rng = np.random.Generator(np.random.Philox(seed))
+    for law, kp, r, r1, radius in got:
+        ref_law, beta, big_r, big_l, ref_r = _sample_admissible(ref_rng)
+        ref_kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
+        assert np.array(law.probs).tobytes() == np.array(ref_law.probs).tobytes()
+        assert kp == ref_kp
+        assert np.array([r, r1, radius]).tobytes() == (
+            np.array([ref_r, kendall_mod.solve_r1(ref_kp), increment_radius(ref_law)]).tobytes()
+        )
+    # No draw past the last case: the generators go on alike.
+    assert rng.random(8).tobytes() == ref_rng.random(8).tobytes()
 
 
 # The (0.99, 0.01) law with beta = 0.99, R = 10, L = 10.9 has R1 ~ 3.886 and
@@ -710,6 +761,27 @@ def test_mc_rejects_a_start_below_zero():
     # where it ran to the step cap.
     with pytest.raises(InvalidParams, match="x0"):
         mc_regeneration(ReflectingWalk(p=0.9), x0=-1, r=1.0, samples=50)
+
+
+@pytest.mark.parametrize("x0", [2.5, 3.0, True, math.nan])
+def test_mc_rejects_a_start_that_is_no_integer(x0):
+    # x0 = 2.5 walked from state 2 but was checked against V(2.5); True
+    # named its check "regeneration-p0.9-xTrue".
+    with pytest.raises(InvalidParams, match="x0"):
+        mc_regeneration(ReflectingWalk(p=0.9), x0=x0, r=1.0, samples=50)
+
+
+@pytest.mark.parametrize("samples", [2000.0, 50.5, True])
+def test_mc_rejects_a_sample_count_that_is_no_integer(samples):
+    # 2000.0 raised numpy's bare TypeError from np.full.
+    with pytest.raises(InvalidParams, match="samples"):
+        mc_regeneration(ReflectingWalk(p=0.9), x0=3, r=1.0, samples=samples)
+
+
+def test_mc_takes_numpy_integers():
+    spec = ReflectingWalk(p=0.9)
+    got = mc_regeneration(spec, x0=np.int64(3), r=1.2, samples=np.int64(500), seed=4)
+    assert got == mc_regeneration(spec, x0=3, r=1.2, samples=500, seed=4)
 
 
 def test_mc_deterministic_for_fixed_seed():
