@@ -271,62 +271,38 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tup
 _FLOOR_MARGIN = 1e-6  # slack in log(R1 - 1) for the rounding of an R1 solve
 
 
-def _pieces_rho_floor(lam, beta, pieces):
-    # A floor on the general rate 1/R1 from pieces (N, b) that cover the
-    # scan window: b is a piece's top radius and N is at most the secant
-    # N(R) = (L(R) - 1)/(R - 1) at every radius R of the piece. There
+def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0, pieces):
+    # A floor on the general rate 1/R1 with no search, on floats or arrays
+    # (one piece) of nonatomic constants, inf where R0 leaves no window.
+    # alpha1, alpha2 >= 1 make L convex on [1, pole) with L(1) = 1, so the
+    # secant N(R) = (L(R) - 1)/(R - 1) does not decrease: on each of the
+    # window's equal pieces [a, b] it is at least N(a), and L'(1) on the
+    # first, where a = 1 + 1e-9 leaves L(a) - 1 to rounding. There
     # log log R <= log log b and the target e^2 beta / (8 N(R)) is at most
     # e^2 beta / (8 N), and kendall._r1_bracket's closed-form R1 end grows
     # with both, so its end at (b - 1, that target) bounds every
     # log(R1 - 1) on the piece, its clamp at log 1e-14 too: the one the
-    # search of rho_general returns and each one the grid scan takes. On
-    # floats, or on arrays with one piece.
-    fn = elementary(lam)
-    t = max(
-        kendall._r1_bracket(b - 1.0, fn.log(kendall._E2 * beta / (8.0 * n)))[2]
-        for n, b in pieces
-    )
-    return _rate(lam, 1.0 + fn.exp(t + _FLOOR_MARGIN))
-
-
-def _envelope_slope_at_1(beta_tilde, alpha1, alpha2):
-    # L'(1). alpha1, alpha2 >= 1 make L convex on [1, pole) with L(1) = 1,
-    # so the secant N(R) does not decrease and is at least L'(1).
-    return alpha2 + alpha1 * (1.0 - beta_tilde) / beta_tilde
-
-
-def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0):
-    # A floor on the general rate with no search, on floats or arrays of
-    # nonatomic constants, inf where R0 leaves no window: the whole window
-    # as one piece (L'(1), top radius). Where hi <= lo the piece takes lo
-    # as its top, so its end stays finite before inf replaces it.
+    # search of rho_general returns and each one the grid scan takes. Where
+    # hi <= lo one piece takes lo as its top, so its end stays finite before
+    # inf replaces it; more pieces return first, as L raises past the pole.
     fn = elementary(lam)
     lo, hi = _scan_window(r0)
-    piece = _envelope_slope_at_1(beta_tilde, alpha1, alpha2), fn.maximum(hi, lo)
-    return fn.where(hi > lo, _pieces_rho_floor(lam, beta, [piece]), math.inf)
+    if pieces > 1 and hi <= lo:
+        return math.inf
+    tops = [lo + (hi - lo) * (j / pieces) for j in range(1, pieces)] + [fn.maximum(hi, lo)]
+    slopes = [alpha2 + alpha1 * (1.0 - beta_tilde) / beta_tilde]
+    slopes += [(_big_l_at(a, beta_tilde, alpha1, alpha2) - 1.0) / (a - 1.0) for a in tops[:-1]]
+    t = max(
+        kendall._r1_bracket(b - 1.0, fn.log(kendall._E2 * beta / (8.0 * n)))[2]
+        for n, b in zip(slopes, tops)
+    )
+    return fn.where(hi > lo, _rate(lam, 1.0 + fn.exp(t + _FLOOR_MARGIN)), math.inf)
 
 
-def _general_rho_floor(p: DriftMinorization) -> float:
+def _general_rho_floor(p: DriftMinorization, pieces: int) -> float:
     # _rho_floor of p's constants: at most rho_general(p).rho.
     de = derived_exponents(p)
-    return _rho_floor(p.lam, p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)
-
-
-def _general_rho_floor_16(p: DriftMinorization) -> float:
-    # The floor of _general_rho_floor on 16 equal pieces [a, b] of the
-    # window, each with N = N(a), and L'(1) on the first, where a = 1 + 1e-9
-    # leaves L(a) - 1 to rounding. Each piece's N is at least L'(1) and its
-    # top radius at most the window's, so the floor is the tighter one; it
-    # costs 16 closed-form ends against the ~0.3 ms of the search.
-    de = derived_exponents(p)
-    lo, hi = _scan_window(de.r0)
-    if hi <= lo:
-        return math.inf
-    ends = [lo + (hi - lo) * (j / 16) for j in range(16)] + [hi]
-    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
-    slopes = [_envelope_slope_at_1(bt, a1, a2)]
-    slopes += [(_big_l_at(a, bt, a1, a2) - 1.0) / (a - 1.0) for a in ends[1:16]]
-    return _pieces_rho_floor(p.lam, p.beta, zip(slopes, ends[1:]))
+    return _rho_floor(p.lam, p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0, pieces)
 
 
 def rho_general(p: DriftMinorization) -> RatePart:

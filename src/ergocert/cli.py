@@ -277,10 +277,21 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    # argparse names the flag in front of this message.
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
-    parser.add_argument("--precision", type=int, default=6, help="significant digits")
+    parser.add_argument("--precision", type=_non_negative_int, default=6, help="significant digits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run oracle suites")
     p_verify.add_argument("suite", choices=("kendall", "matrix", "mc", "all"))
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_non_negative_int, default=0)
     _add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -56,15 +56,14 @@ class KendallParams:
     big_l: float
 
     def __post_init__(self) -> None:
-        if not (self.big_r > 1.0):
-            raise InvalidParams(f"R must exceed 1, got {self.big_r}")
+        # Each test is written so that NaN fails it.
+        if not (1.0 < self.big_r < math.inf):
+            raise InvalidParams(f"R must be finite and exceed 1, got {self.big_r}")
         if not (0.0 < self.beta <= 1.0):
             raise InvalidParams(f"beta must lie in (0, 1], got {self.beta}")
-        if not (self.big_l >= self.big_r):
-            # Equivalent to N = (L-1)/(R-1) >= 1; also forces L > 1.
-            raise InvalidParams(
-                f"L must be >= R (so that (L-1)/(R-1) >= 1), got L={self.big_l}, R={self.big_r}"
-            )
+        if not (self.big_r <= self.big_l < math.inf):
+            # L >= R is N = (L-1)/(R-1) >= 1; it also forces L > 1.
+            raise InvalidParams(f"L must be finite and >= R, got L={self.big_l}, R={self.big_r}")
         if self.beta * self.big_r > self.big_l:
             raise InvalidParams(
                 "beta * R > L is contradictory: sum b_n R^n >= beta*R would exceed L"
@@ -106,8 +105,8 @@ def _r1_bracket(delta, log_target):
     # t_up = 744.4 lies above every hi (the log of a float is below 709.8),
     # so floats and arrays take one path and log(-expm1(s)) stays finite.
     # Rounding can put t_up a few ulps below the root, so a solve takes this
-    # end only where h there is >= log_target. bounds._general_rho_floor
-    # relies on the end growing with delta and with log_target.
+    # end only where h there is >= log_target. bounds._rho_floor, on one
+    # piece or many, relies on the end growing with delta and log_target.
     fn = elementary(delta)
     hi = fn.log(delta * (1.0 - 1e-13))
     s = fn.minimum(log_target + 2.0 * fn.log(fn.log1p(delta)), -5e-324)
@@ -225,7 +224,7 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
 
 
 def _k1_parts(r: float, p: KendallParams) -> tuple[float, float, float]:
-    if r <= 1.0 or r >= p.big_r:
+    if not (1.0 < r < p.big_r):
         raise OutOfRange(f"need 1 < r < R, got r={r}, R={p.big_r}")
     lg = _log_ratio(p.big_r, r)
     big_n = p.n_ratio

@@ -25,7 +25,6 @@ from .bounds import (
     _RADIUS_ARRAY,
     DriftMinorization,
     _general_rho_floor,
-    _general_rho_floor_16,
     _rate,
     _rho_floor,
     rate_part,
@@ -474,13 +473,13 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # (bounds._RADIUS_ARRAY, which scans 16 radii for thm1.1) and _rate. A
 # tuning with no rate, where the scalar path raises, gets rho = inf, which
 # never wins the argmin; the winner's array rho is returned as it is. thm1.1
-# rates the tuning with the lowest closed-form floor (bounds._rho_floor)
-# first, then only the tunings whose floor is not above that rate. Every
-# grid rate is at least its floor, so a tuning left at inf never was the
-# argmin, and the rated ones get the same bits as in a scan of all of them:
-# each step of the scan is elementwise. The contracting search calls
-# method_rho per c, except where a floor rules c out; thm1.1 calls
-# rho_general on the constants it built for its floors.
+# rates the tuning with the lowest closed-form floor (bounds._rho_floor on
+# one piece) first, then only the tunings whose floor is not above that
+# rate. Every grid rate is at least its floor, so a tuning left at inf never
+# was the argmin, and the rated ones get the same bits as in a scan of all
+# of them: each step of the scan is elementwise. The contracting search
+# calls method_rho per c, except where a floor on 1 or 16 pieces rules c
+# out; thm1.1 calls rho_general on the constants it built for its floors.
 # ---------------------------------------------------------------------------
 
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
@@ -518,7 +517,7 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
         if method == "thm1.1" and lam.size:
             # The lowest floor's tuning first; then only the tunings whose
             # floor is not above its rate (a NaN floor is rated).
-            floor = _rho_floor(*constants)
+            floor = _rho_floor(*constants, 1)
             first = np.argmin(floor)
             rated[first] = False
             rho[first] = _theorem_rate_array(method, *(c[[first]] for c in constants))[0]
@@ -612,11 +611,11 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
     skipped; an unknown method or a theta outside (-1, 1) raises
     InvalidParams. The c values are visited in increasing (floor, index)
     order up to the first floor above the best rate so far: thm1.1's floor
-    is ``bounds._general_rho_floor`` (inf where c has no constants or no
-    radius window), every other method's 0.0. thm1.1 also skips a visited
-    c whose 16-piece floor ``bounds._general_rho_floor_16`` lies above the
-    best rate so far, and builds each c's constants once for both floors
-    and the rate. The first c with the lowest rate wins, as in the full
+    is ``bounds._general_rho_floor(p, 1)`` (inf where c has no constants or
+    no radius window), every other method's 0.0. thm1.1 also skips a
+    visited c whose floor on 16 pieces, ``_general_rho_floor(p, 16)``, lies
+    above the best rate so far, and builds each c's constants once for both
+    floors and the rate. The first c with the lowest rate wins, as in the full
     scan, bit for bit; a c left out is never evaluated, so an error it
     would raise is not raised.
     """
@@ -632,12 +631,12 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
     floors = [0.0] * len(cs)
     if method == "thm1.1":
         ps = [_contracting_params_or_none(theta, c) for c in cs]
-        floors = [math.inf if p is None else _general_rho_floor(p) for p in ps]
+        floors = [math.inf if p is None else _general_rho_floor(p, 1) for p in ps]
     best_rho, best_i = math.inf, -1
     for i in sorted(range(len(cs)), key=floors.__getitem__):  # stable: ties by index
         if floors[i] > best_rho:
             break
-        if ps[i] is not None and _general_rho_floor_16(ps[i]) > best_rho:
+        if ps[i] is not None and _general_rho_floor(ps[i], 16) > best_rho:
             continue
         rho = _contracting_rho_or_inf(method, theta, cs[i], ps[i])
         if rho < best_rho or (rho == best_rho and i < best_i):

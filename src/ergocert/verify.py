@@ -334,11 +334,6 @@ def kendall_check(cases: Sequence[tuple]) -> list[dict]:
     return reports
 
 
-# Candidate laws drawn, and their radii computed together, per block of
-# _draw_admissible.
-_DRAW_BLOCK = 200
-
-
 def _draw_admissible(rng: np.random.Generator, count: int) -> list[tuple]:
     """count random increment laws with admissible Kendall parameters and r,
     plus the R1 and increment radius computed on the way: (law,
@@ -346,17 +341,15 @@ def _draw_admissible(rng: np.random.Generator, count: int) -> list[tuple]:
 
     A candidate draws its support length m, a Dirichlet law and b_1, then
     the uniforms of beta, R and L; one whose decay rate 1/radius exceeds
-    0.96 is dropped before its uniforms, which keeps tails resolvable at the
-    fixed truncation length. Candidates are drawn in blocks of up to
-    _DRAW_BLOCK with their radii computed together. At a block's first
-    rejection the generator goes back to just after that candidate's b_1
-    and the rest of the block is dropped, so every draw and case is the one
+    0.96 is dropped whole, which keeps tails resolvable at the fixed
+    truncation length. The candidates still needed are drawn as one block
+    with their radii computed together, so every draw and case is the one
     that drawing a candidate at a time gives.
     """
     cases = []
     while len(cases) < count:
         block = []
-        for _ in range(min(_DRAW_BLOCK, count - len(cases))):
+        for _ in range(count - len(cases)):
             m = int(rng.integers(2, 9))
             raw = rng.dirichlet(np.ones(m))
             b1 = 0.15 + 0.7 * rng.random()
@@ -364,12 +357,11 @@ def _draw_admissible(rng: np.random.Generator, count: int) -> list[tuple]:
             probs[0] = b1
             rest = raw[1:].sum()
             probs[1:] = raw[1:] * ((1.0 - b1) / rest) if rest > 0 else (1.0 - b1) / (m - 1)
-            block.append((probs, rng.bit_generator.state, rng.random(3).tolist()))
-        radii = _increment_radii([probs for probs, _, _ in block]).tolist()
-        for (probs, state, (u_beta, u_big_r, u_big_l)), radius in zip(block, radii):
+            block.append((probs, rng.random(3).tolist()))
+        radii = _increment_radii([probs for probs, _ in block]).tolist()
+        for (probs, (u_beta, u_big_r, u_big_l)), radius in zip(block, radii):
             if 1.0 / radius > 0.96:
-                rng.bit_generator.state = state
-                break
+                continue
             beta = probs[0] * (0.6 + 0.4 * u_beta)
             big_r = 1.0 + 0.05 + 0.4 * u_big_r
             exact = float(np.dot(probs, np.power(big_r, np.arange(1, probs.size + 1))))
@@ -532,7 +524,10 @@ def choose_truncation(spec: ReflectingWalk, x_max: int, n_max: int) -> Truncated
     """
     if x_max < 0 or n_max < 0:
         raise InvalidParams(f"need x_max, n_max >= 0, got {x_max}, {n_max}")
-    size = max(64, 1 << (x_max + n_max + 1).bit_length())
+    reach = x_max + n_max + 2
+    if reach > _TRUNCATION_MAX_STATES:
+        raise TruncationTooSmall(f"reach x_max + n_max + 2 = {reach} > {_TRUNCATION_MAX_STATES}")
+    size = max(64, 1 << (reach - 1).bit_length())
     # V pi falls by s = sqrt(q/p) per state: the V-weighted tail is s/(1-s) times V pi at the top.
     s = math.sqrt((1.0 - spec.p) / spec.p)
     while size <= _TRUNCATION_MAX_STATES:

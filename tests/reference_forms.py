@@ -327,13 +327,14 @@ def _sample_admissible(rng: np.random.Generator) -> tuple:
         probs[0] = b1
         rest = raw[1:].sum()
         probs[1:] = raw[1:] * ((1.0 - b1) / rest) if rest > 0 else (1.0 - b1) / (m - 1)
+        u_beta, u_big_r, u_big_l = rng.random(3).tolist()
         dist = IncrementDistribution(probs=tuple(probs))
         if 1.0 / increment_radius(dist) > 0.96:
             continue
-        beta = probs[0] * (0.6 + 0.4 * rng.random())
-        big_r = 1.0 + 0.05 + 0.4 * rng.random()
+        beta = probs[0] * (0.6 + 0.4 * u_beta)
+        big_r = 1.0 + 0.05 + 0.4 * u_big_r
         exact = float(np.dot(probs, np.power(big_r, np.arange(1, m + 1))))
-        big_l = exact * (1.0 + 0.3 * rng.random())
+        big_l = exact * (1.0 + 0.3 * u_big_l)
         r1 = kendall_mod.solve_r1(KendallParams(beta=beta, big_r=big_r, big_l=big_l))
         r = 1.0 + 0.9 * (r1 - 1.0)
         return dist, beta, big_r, big_l, r

@@ -495,7 +495,7 @@ def test_general_rho_floor_is_below_the_searched_rate(
     # validated nonatomic domain (lambda near 0 and near 1, K up to 1e3,
     # beta down to 1e-6 beta_tilde), and are inf where the radius window is
     # empty.
-    from ergocert.bounds import _general_rho_floor, _general_rho_floor_16
+    from ergocert.bounds import _general_rho_floor
 
     p = DriftMinorization(
         lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
@@ -505,12 +505,12 @@ def test_general_rho_floor_is_below_the_searched_rate(
     try:
         rho = rho_general(p).rho
     except InvalidParams:
-        assert _general_rho_floor(p) == _general_rho_floor_16(p) == math.inf
+        assert _general_rho_floor(p, 1) == _general_rho_floor(p, 16) == math.inf
         return
     except ErgoCertError:
         return
-    assert _general_rho_floor(p) <= rho
-    assert _general_rho_floor_16(p) <= rho
+    assert _general_rho_floor(p, 1) <= rho
+    assert _general_rho_floor(p, 16) <= rho
 
 
 def test_rho_floor_gives_the_float_floor_on_arrays():
@@ -537,8 +537,9 @@ def test_rho_floor_gives_the_float_floor_on_arrays():
     got = _rho_floor(
         *(np.array([getattr(p, name) for p in ps]) for name in ("lam", "beta", "beta_tilde")),
         *(np.array([getattr(de, name) for de in des]) for name in ("alpha1", "alpha2", "r0")),
+        1,
     )
-    want = np.array([_general_rho_floor(p) for p in ps])
+    want = np.array([_general_rho_floor(p, 1) for p in ps])
     assert want[0] == got[0] == math.inf
     assert (np.isinf(got) == np.isinf(want)).all()
     finite = np.isfinite(want)

@@ -235,6 +235,24 @@ def test_unknown_flag_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["table", "1", "--precision", "-1"], "--precision"),
+        (["verify", "kendall", "--seed", "-1"], "--seed"),
+        (["verify", "kendall", "--seed", "x"], "--seed"),
+    ],
+)
+def test_negative_count_flag_exits_2_naming_the_flag(capsys, argv, flag):
+    # Rejected at parse time, before a format string or numpy sees the value.
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: must be a non-negative integer" in err_text
+
+
 def test_model_optimize_contracting(capsys):
     code, out, _ = run_cli(
         capsys, "model", "contracting-normal", "--theta", "0.5",

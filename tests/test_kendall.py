@@ -261,6 +261,25 @@ def test_params_validation():
         KendallParams(beta=1.0, big_r=2.0, big_l=1.99 * 1.0)  # beta R > L
 
 
+@pytest.mark.parametrize("big_l", [math.inf, math.nan])
+def test_params_reject_a_non_finite_l(big_l):
+    # An infinite L made solve_r1 raise a bare "math domain error".
+    with pytest.raises(InvalidParams, match="L must be finite"):
+        KendallParams(beta=0.5, big_r=2.0, big_l=big_l)
+
+
+@pytest.mark.parametrize("big_r, big_l", [(math.inf, math.inf), (math.nan, 3.0)])
+def test_params_reject_a_non_finite_r(big_r, big_l):
+    # R = L = inf made solve_r2_reversible return inf and k1 return nan.
+    with pytest.raises(InvalidParams, match="R must be finite"):
+        KendallParams(beta=0.5, big_r=big_r, big_l=big_l)
+
+
+def test_k1_rejects_a_nan_radius():
+    with pytest.raises(OutOfRange):
+        k1(math.nan, WALK_09)
+
+
 def test_k1_frozen_value():
     # Independent 40-digit transcription gives 118.7515786017...
     assert abs(k1(1.05, WALK_09) - 118.7515786017) <= 1e-8

@@ -36,6 +36,7 @@ from ergocert.models import (
     reflecting_walk_rho_exact,
     walk_truncated_chain,
 )
+from ergocert.numerics import elementary
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -408,11 +409,22 @@ def test_mh_array_floor_matches_the_scalar_floor_on_coarse_grid(nu_variant):
     d_grid = np.append(np.arange(0.5, 3.0, 0.05), 3.0)
     s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
     valid, constants = _mh_valid_constants(d_grid, s_grid, nu_variant)
-    got = bounds._rho_floor(*constants)
+    got = bounds._rho_floor(*constants, 1)
     dd, ss = np.broadcast_arrays(d_grid[:, None], s_grid[None, :])
     for floor, d, s in zip(got, dd[valid], ss[valid]):
-        want = bounds._general_rho_floor(mh_normal_params(float(d), float(s), nu_variant))
+        want = bounds._general_rho_floor(mh_normal_params(float(d), float(s), nu_variant), 1)
         assert abs(floor - want) <= 4e-16, (d, s)
+
+
+def _floor_of_pieces(lam, beta, slopes, tops):
+    # bounds._rho_floor's floor written out from pieces (slope N, top
+    # radius b), on floats or on arrays with one piece.
+    fn = elementary(lam)
+    t = max(
+        kendall._r1_bracket(b - 1.0, fn.log(kendall._E2 * beta / (8.0 * n)))[2]
+        for n, b in zip(slopes, tops)
+    )
+    return bounds._rate(lam, 1.0 + fn.exp(t + bounds._FLOOR_MARGIN))
 
 
 def _mh_floor_violations(floor_of, nu_variant):
@@ -429,7 +441,7 @@ def _mh_floor_violations(floor_of, nu_variant):
 def test_mh_floor_is_below_the_grid_rate_on_fine_grid(nu_variant):
     # Every grid rate is at least its floor, so a tuning the floor rules out
     # can never be the grid's argmin.
-    assert _mh_floor_violations(bounds._rho_floor, nu_variant) == 0
+    assert _mh_floor_violations(lambda *c: bounds._rho_floor(*c, 1), nu_variant) == 0
 
 
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
@@ -440,7 +452,7 @@ def test_mh_floor_overshoots_with_the_secant_at_the_top_radius(nu_variant):
     def floor_at_top(lam, beta, beta_tilde, alpha1, alpha2, r0):
         lo, hi = bounds._scan_window(r0)
         n_top = (bounds.big_l_array(hi, beta_tilde, alpha1, alpha2) - 1.0) / (hi - 1.0)
-        floor = bounds._pieces_rho_floor(lam, beta, [(n_top, np.maximum(hi, lo))])
+        floor = _floor_of_pieces(lam, beta, [n_top], [np.maximum(hi, lo)])
         return np.where(hi > lo, floor, math.inf)
 
     assert _mh_floor_violations(floor_at_top, nu_variant) > 0
@@ -624,7 +636,7 @@ def _contracting_general_floors(theta, c):
     p = models._contracting_params_or_none(theta, c)
     if p is None:
         return math.inf, math.inf
-    return bounds._general_rho_floor(p), bounds._general_rho_floor_16(p)
+    return bounds._general_rho_floor(p, 1), bounds._general_rho_floor(p, 16)
 
 
 @pytest.mark.parametrize("theta, rated", [(0.25, 73), (0.5, 34), (0.9, 8)])
@@ -678,7 +690,7 @@ def test_16_piece_floor_overshoots_with_each_secant_at_the_top_radius():
             (bounds._big_l_at(b, p.beta_tilde, de.alpha1, de.alpha2) - 1.0) / (b - 1.0)
             for b in tops
         ]
-        return bounds._pieces_rho_floor(p.lam, p.beta, zip(slopes, tops))
+        return _floor_of_pieces(p.lam, p.beta, slopes, tops)
 
     over = 0
     for c in models._c_grid(1.05, 4.0):
@@ -694,8 +706,8 @@ def test_contracting_search_differs_when_the_floor_overshoots(monkeypatch):
     winner = contracting_params(0.5, want["c"])
     real = models._general_rho_floor
 
-    def overshoot(p):
-        return want["rho"] + 1e-6 if p == winner else real(p)
+    def overshoot(p, pieces):
+        return want["rho"] + 1e-6 if p == winner else real(p, pieces)
 
     monkeypatch.setattr(models, "_general_rho_floor", overshoot)
     assert optimize_contracting_tuning("thm1.1", 0.5) != want

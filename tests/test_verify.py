@@ -292,9 +292,7 @@ def test_kendall_suite_matches_per_case_loop(seed):
 # Seeds whose first `count` cases need one more candidate: the 0.96 rate
 # filter drops the 17th candidate at seed 295 and the 24th at seed 1018.
 @pytest.mark.parametrize("seed, count", [(295, 60), (1018, 40)])
-@pytest.mark.parametrize("block", [1, 200])
-def test_block_draw_matches_one_candidate_at_a_time(monkeypatch, seed, count, block):
-    monkeypatch.setattr(verify, "_DRAW_BLOCK", block)
+def test_block_draw_matches_one_candidate_at_a_time(monkeypatch, seed, count):
     radiused = []
     radii = verify._increment_radii
     monkeypatch.setattr(
@@ -740,6 +738,13 @@ def test_choose_truncation_gives_up_past_its_cap(monkeypatch):
     with pytest.raises(TruncationTooSmall):
         choose_truncation(ReflectingWalk(p=0.9), 8191, 1)
     assert sizes == []
+
+
+def test_choose_truncation_names_a_reach_past_its_cap():
+    # x_max + n_max + 2 = 10002 states is past the cap before any size is
+    # tried, so the error names the reach, not the tails.
+    with pytest.raises(TruncationTooSmall, match="reach x_max [+] n_max [+] 2 = 10002 > 8192"):
+        choose_truncation(ReflectingWalk(p=0.9), 10000, 0)
 
 
 @pytest.mark.parametrize("x_max, n_max", [(-1, 200), (30, -1)])
