@@ -244,31 +244,48 @@ def _r1_at_radius(big_r, beta, beta_tilde, alpha1, alpha2) -> np.ndarray:
     return kendall.solve_r1_array(beta, big_r, ls)
 
 
+_FLOOR_MARGIN = 1e-6  # slack in log(R1 - 1) for the rounding of an R1 solve
+
+
 def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tuple:
     # (R_tilde, R1): R1(beta, R, L(R)) maximized over the scan window, as
     # log(R1 - 1) in u = log(R - 1), where R1 keeps the relative accuracy
     # that a float next to 1 loses and the radii near 1 are spread out. The
     # window ends map to their radii exactly, so a maximum at the right edge
     # gives R_tilde = R0 - 1e-9. R1 = 1 + e^t is solve_r1 at R_tilde.
+    # maximize_scalar bounds each pre-scan radius by the closed-form end up
+    # of its solve, plus _FLOOR_MARGIN for the solve's rounding. The bound
+    # takes R, L(R), the KendallParams checks and the solve's ends at all
+    # 16 radii, in increasing order, so an error comes from the radius
+    # where a full scan would raise it; only the radii whose bound can
+    # still win are then solved, each from the ends its bound kept: one on
+    # most inputs, all 16 where every radius clamps to log 1e-14, which no
+    # bound lies below. Brent's steps take ends and solve in one go.
     lo, hi = _scan_window(de.r0)
     if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
     u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
-    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
+    beta, bt, a1, a2 = p.beta, p.beta_tilde, de.alpha1, de.alpha2
+    scanned = {}
 
     def radius(u: float) -> float:
         return hi if u == u_hi else lo if u == u_lo else 1.0 + math.exp(u)
 
-    def objective(u: float) -> float:
+    def ends(u: float) -> tuple:
         big_r = radius(u)
-        big_l_val = _big_l_at(big_r, bt, a1, a2)
-        return kendall._r1_log_eps(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l_val))
+        big_l = _big_l_at(big_r, bt, a1, a2)
+        kendall._check_params(beta, big_r, big_l)
+        return kendall._r1_ends(beta, big_r, big_l)
 
-    u, t = maximize_scalar(objective, u_lo, u_hi)
+    def bound(u: float) -> float:
+        e = scanned[u] = ends(u)
+        return e[-1] + _FLOOR_MARGIN
+
+    def objective(u: float) -> float:
+        return kendall._r1_solve(*(scanned.get(u) or ends(u)))
+
+    u, t = maximize_scalar(objective, u_lo, u_hi, bound)
     return radius(u), 1.0 + math.exp(t)
-
-
-_FLOOR_MARGIN = 1e-6  # slack in log(R1 - 1) for the rounding of an R1 solve
 
 
 def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0, pieces):

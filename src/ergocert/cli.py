@@ -171,6 +171,10 @@ def _require(args, names: list[str]) -> None:
         raise ErgoCertError(f"{args.model} requires --" + ", --".join(missing))
 
 
+# The model methods whose output is a rate alone, with no gamma or M.
+_RATE_ONLY_METHODS = ("coupling", "binomial", "exact")
+
+
 def _cmd_model(args) -> int:
     precision = args.precision
     if args.model == "reflecting-walk":
@@ -182,6 +186,10 @@ def _cmd_model(args) -> int:
         _require(args, ["theta"])
         if not args.optimize:
             _require(args, ["c"])
+
+    if args.gamma is not None and (args.optimize or args.method in _RATE_ONLY_METHODS):
+        used = "--optimize" if args.optimize else f"--method {args.method}"
+        raise ErgoCertError(f"--gamma applies to certificates only; {used} prints no gamma")
 
     if args.optimize:
         return _cmd_model_optimize(args)

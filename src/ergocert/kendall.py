@@ -56,23 +56,26 @@ class KendallParams:
     big_l: float
 
     def __post_init__(self) -> None:
-        # Each test is written so that NaN fails it.
-        if not (1.0 < self.big_r < math.inf):
-            raise InvalidParams(f"R must be finite and exceed 1, got {self.big_r}")
-        if not (0.0 < self.beta <= 1.0):
-            raise InvalidParams(f"beta must lie in (0, 1], got {self.beta}")
-        if not (self.big_r <= self.big_l < math.inf):
-            # L >= R is N = (L-1)/(R-1) >= 1; it also forces L > 1.
-            raise InvalidParams(f"L must be finite and >= R, got L={self.big_l}, R={self.big_r}")
-        if self.beta * self.big_r > self.big_l:
-            raise InvalidParams(
-                "beta * R > L is contradictory: sum b_n R^n >= beta*R would exceed L"
-            )
+        _check_params(self.beta, self.big_r, self.big_l)
 
     @property
     def n_ratio(self) -> float:
         """N = (L - 1) / (R - 1)."""
         return (self.big_l - 1.0) / (self.big_r - 1.0)
+
+
+def _check_params(beta: float, big_r: float, big_l: float) -> None:
+    # The validation of KendallParams, for callers that solve at (beta, R,
+    # L) without building one. Each test is written so that NaN fails it.
+    if not (1.0 < big_r < math.inf):
+        raise InvalidParams(f"R must be finite and exceed 1, got {big_r}")
+    if not (0.0 < beta <= 1.0):
+        raise InvalidParams(f"beta must lie in (0, 1], got {beta}")
+    if not (big_r <= big_l < math.inf):
+        # L >= R is N = (L-1)/(R-1) >= 1; it also forces L > 1.
+        raise InvalidParams(f"L must be finite and >= R, got L={big_l}, R={big_r}")
+    if beta * big_r > big_l:
+        raise InvalidParams("beta * R > L is contradictory: sum b_n R^n >= beta*R would exceed L")
 
 
 def _radius_bracket(big_r):
@@ -124,17 +127,23 @@ def _r1_log_target(beta, big_r, big_l):
     return elementary(big_r).log(_E2 * beta / (8.0 * ((big_l - 1.0) / (big_r - 1.0))))
 
 
-def _r1_log_eps(p: KendallParams) -> float:
-    # log(R1 - 1) of ``solve_r1``: the lower end of the final bracket in
-    # t = log(r - 1), or the bracket's lower end where the root lies below.
-    # As in ``solve_r1_array``, the solve runs on [lo, up] of _r1_bracket
+def _r1_ends(beta: float, big_r: float, big_l: float) -> tuple:
+    # (delta, log_target, lo, hi, up) of the R1 solve at validated (beta,
+    # R, L): delta = R - 1, the log target and the three ends of
+    # _r1_bracket. No equation is evaluated; up is a closed-form upper end
+    # of log(R1 - 1), up to the rounding of the solve.
+    delta = big_r - 1.0
+    log_target = _r1_log_target(beta, big_r, big_l)
+    return (delta, log_target, *_r1_bracket(delta, log_target))
+
+
+def _r1_solve(delta: float, log_target: float, lo: float, hi: float, up: float) -> float:
+    # log(R1 - 1) from the ends of _r1_ends: the lower end of the final
+    # bracket in t = log(r - 1), or the bracket's lower end where the root
+    # lies below. As in ``solve_r1_array``, the solve runs on [lo, up]
     # where gap(up) >= 0, else on the wide [lo, hi], and takes the clamp
     # test's and the check's values as its end values. An empty bracket is
     # not evaluated: the root finder raises.
-    delta = p.big_r - 1.0
-    log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
-    lo, hi, up = _r1_bracket(delta, log_target)
-
     def gap(t: float) -> float:
         eps = math.exp(t)
         lg = math.log1p((delta - eps) / (1.0 + eps))
@@ -148,6 +157,11 @@ def _r1_log_eps(p: KendallParams) -> float:
         gap_up = gap(up)
         hi, gap_hi = (up, gap_up) if gap_up >= 0.0 else (hi, gap(hi))
     return solve_monotone(gap, lo, hi, gap_lo, gap_hi)
+
+
+def _r1_log_eps(p: KendallParams) -> float:
+    # log(R1 - 1) of ``solve_r1``.
+    return _r1_solve(*_r1_ends(p.beta, p.big_r, p.big_l))
 
 
 def solve_r1(p: KendallParams) -> float:

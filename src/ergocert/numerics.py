@@ -25,8 +25,10 @@ which for every radius this package solves is the certified side. The
 scalar finder writes the rule with conditionals and the array finder with
 ``np.where``: routing floats through ``np.where``-style selection made
 every scalar solve ~30 % slower.
-``maximize_scalar`` pre-scans 16 uniform points and finishes with Brent's
-bounded minimizer (Brent 1973, ch. 5) between the best point's neighbours.
+``maximize_scalar`` pre-scans 16 uniform points, evaluating f only at those
+whose caller-given upper bound can still beat the best value so far
+(branch and bound), and finishes with Brent's bounded minimizer (Brent 1973,
+ch. 5) between the best point's neighbours.
 
 Every root finder stops on one fixed rule (``_closed``) on the module
 constants below: a bracket at most ``_TOL_ABS`` wide, or with no float
@@ -181,29 +183,50 @@ def solve_increasing_array(f: Callable, lo, hi, f_lo, f_hi, *args) -> np.ndarray
     return out.reshape(shape)
 
 
-def maximize_scalar(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Maximize f on [lo, hi]: a 16-point uniform pre-scan, then Brent's
-    bounded minimizer of -f between the best scan point's neighbours.
+def maximize_scalar(
+    f: Callable[[float], float], lo: float, hi: float, bound: Callable[[float], float]
+) -> tuple[float, float]:
+    """Maximize f on [lo, hi]: a 16-point uniform pre-scan, pruned by
+    bound, then Brent's bounded minimizer of -f between the best scan
+    point's neighbours.
 
-    The scan points are lo + (hi - lo) * i / 15, the last one hi itself. Of
-    equal best values the rightmost wins, in the scan and in Brent's search
-    alike. Brent's search (Brent 1973, ch. 5: parabolic steps with a
-    golden-section fallback) starts from the best scan point and moves only
-    to a larger value, or to an equal one on its right, so the returned
-    value is >= every scan value. It stops once the best point lies within
-    sqrt(eps) |x| + ``_TOL_ABS`` / 3 of the shrinking bracket's centre, by
-    Brent's rule. Unimodality is not assumed: the pre-scan picks the hill
-    and Brent climbs it. Returns (argmax, value); raises EmptyDomain unless
-    lo < hi.
+    The scan points are lo + (hi - lo) * i / 15, the last one hi itself.
+    bound(x) must be at least f(x); it is called at every scan point, in
+    increasing order, before f is called at any, so an error it raises
+    comes from the first scan point that raises it. f is then evaluated at
+    the scan points in decreasing (bound, index) order, up to the first
+    point whose (bound, index) lies below the best (value, index) so far:
+    no point from there on can win (branch and bound, Land & Doig 1960).
+    A bound of inf everywhere evaluates f at every scan point. Of equal
+    best values the rightmost wins, in the scan and in Brent's search
+    alike, so the scan picks the point a scan of every value would pick.
+    Brent's search (``_brent_climb``) starts from it. Unimodality is not
+    assumed: the pre-scan picks the hill and Brent climbs it. Returns
+    (argmax, value); raises EmptyDomain unless lo < hi.
     """
     if not (lo < hi):
         raise EmptyDomain(f"need lo < hi, got [{lo}, {hi}]")
     n = _PRESCAN_POINTS - 1
     xs = [lo + (hi - lo) * (i / n) for i in range(n)] + [hi]
-    vals = [f(x) for x in xs]
-    i = max(range(n + 1), key=lambda j: (vals[j], j))
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, n)]
-    x, fx = xs[i], vals[i]
+    ups = [bound(x) for x in xs]
+    best = None
+    for up, j in sorted(zip(ups, range(n + 1)), reverse=True):
+        if best is not None and (up, j) < best:
+            break
+        value = f(xs[j])
+        if best is None or (value, j) > best:
+            best = value, j
+    fx, i = best
+    return _brent_climb(f, xs[max(i - 1, 0)], xs[min(i + 1, n)], xs[i], fx)
+
+
+def _brent_climb(f: Callable[[float], float], a: float, b: float, x: float, fx: float) -> tuple:
+    # Brent's bounded minimizer of -f on [a, b] (Brent 1973, ch. 5:
+    # parabolic steps with a golden-section fallback) from x, with
+    # fx = f(x). It moves only to a larger value, or to an equal one on its
+    # right, so the returned value is >= fx, and stops once the best point
+    # lies within sqrt(eps) |x| + _TOL_ABS / 3 of the shrinking bracket's
+    # centre, by Brent's rule. Returns (argmax, value).
     v, fv, w, fw = x, fx, x, fx
     d = e = 0.0
     while True:

@@ -10,7 +10,10 @@ The R1 solves reuse their clamp test's value at the lower bracket end
 and their check's value at the near upper end; the forms below that
 evaluate each end twice, once for the test and once in the root finder,
 are the ones they replaced. Both take their ends from
-``kendall._r1_bracket``.
+``kendall._r1_bracket``. The nonatomic general radius search solves only
+the pre-scan radii whose closed-form end can still win;
+``general_nonatomic_search_full_scan`` is the full scan it replaced, which
+solves all 16 through ``KendallParams``.
 
 The renewal oracle convolves all laws of a suite as one block. The
 per-law and per-case forms below (convolution loop, series sup, single
@@ -37,7 +40,13 @@ import math
 import numpy as np
 
 from ergocert import kendall as kendall_mod
-from ergocert.bounds import DriftMinorization, _big_l_at, derived_exponents
+from ergocert.bounds import (
+    DerivedExponents,
+    DriftMinorization,
+    _big_l_at,
+    _scan_window,
+    derived_exponents,
+)
 from ergocert.errors import HypothesisViolated, InvalidParams, OutOfRange
 from ergocert.kendall import (
     KendallParams,
@@ -46,7 +55,7 @@ from ergocert.kendall import (
     _r1_log_target,
 )
 from ergocert.models import ReflectingWalk, TruncatedChain, reflecting_walk_params
-from ergocert.numerics import solve_increasing_array, solve_monotone
+from ergocert.numerics import _brent_climb, solve_increasing_array, solve_monotone
 from ergocert.verify import (
     CheckReport,
     IncrementDistribution,
@@ -237,6 +246,32 @@ def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) ->
         ends = r1_gap_array(lo, delta, log_target), r1_gap_array(hi_rest, delta, log_target)
         t[rest] = solve_increasing_array(r1_gap_array, lo, hi_rest, *ends, delta, log_target)
         return t
+
+
+def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponents) -> tuple:
+    """``bounds._general_nonatomic_search`` with every pre-scan radius
+    solved: (R_tilde, R1) from R1 at all 16 radii, each through
+    ``KendallParams`` and ``kendall._r1_log_eps`` in increasing order, so
+    the first radius that raises raises; the rightmost best radius, then
+    the same Brent search from it."""
+    lo, hi = _scan_window(de.r0)
+    if hi <= lo:
+        raise InvalidParams("R0 is too close to 1 for a usable radius search")
+    u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
+
+    def radius(u: float) -> float:
+        return hi if u == u_hi else lo if u == u_lo else 1.0 + math.exp(u)
+
+    def objective(u: float) -> float:
+        big_r = radius(u)
+        big_l = _big_l_at(big_r, p.beta_tilde, de.alpha1, de.alpha2)
+        return kendall_mod._r1_log_eps(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l))
+
+    us = [u_lo + (u_hi - u_lo) * (i / 15) for i in range(15)] + [u_hi]
+    vals = [objective(u) for u in us]
+    i = max(range(16), key=lambda j: (vals[j], j))
+    u, t = _brent_climb(objective, us[max(i - 1, 0)], us[min(i + 1, 15)], us[i], vals[i])
+    return radius(u), 1.0 + math.exp(t)
 
 
 def increment_radius_roots(probs) -> float:

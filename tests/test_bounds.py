@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergocert.bounds import (
@@ -40,7 +40,13 @@ from ergocert.models import (
     reflecting_walk_params,
 )
 from ergocert.numerics import maximize_scalar
-from reference_forms import _m_atomic_r, _m_nonatomic_r, prop41_bounds, prop44_bounds
+from reference_forms import (
+    _m_atomic_r,
+    _m_nonatomic_r,
+    general_nonatomic_search_full_scan,
+    prop41_bounds,
+    prop44_bounds,
+)
 
 WALK_09 = reflecting_walk_params(ReflectingWalk(p=0.9))
 WALK_23 = reflecting_walk_params(ReflectingWalk(p=2.0 / 3.0))
@@ -413,7 +419,7 @@ def test_radius_search_matches_dense_rescan():
         return solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=max(big_l_val, big_r)))
 
     lo, hi = 1.0 + 1e-9, de.r0 - 1e-9
-    argmax, value = maximize_scalar(objective, lo, hi)
+    argmax, value = maximize_scalar(objective, lo, hi, lambda big_r: math.inf)
     assert lo + 1e-6 < argmax < hi - 1e-6  # interior
     dense = max(objective(x) for x in np.linspace(lo, hi, 10_000))
     assert value >= dense - 1e-9
@@ -608,6 +614,114 @@ def test_radius_search_raises_scalar_error_at_first_failing_point(monkeypatch):
         rho_general(CONTRACT)
     assert seen[-1] > cut and max(seen[:-1]) <= cut
     assert seen == sorted(seen)
+
+
+def _search_outcome(search, p):
+    # (R_tilde, R1) of a radius search, or the type and text of its error.
+    try:
+        return search(p, derived_exponents(p))
+    except ErgoCertError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    lam=st.one_of(
+        st.floats(1e-6, 0.1), st.floats(0.05, 0.95), st.floats(0.9, 1.0 - 1e-12)
+    ),
+    log_k=st.floats(0.0, 3.0),
+    beta_tilde=st.floats(1e-3, 0.999),
+    log_beta_ratio=st.floats(-6.0, 0.0),
+    nu_info=st.sampled_from([NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL]),
+    log_k_tilde=st.floats(0.0, 3.0),
+)
+@example(lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=1.0 - 1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=1.0 - 1e-12, log_k=1.0, beta_tilde=0.5, log_beta_ratio=-1.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=0.6, log_k=3.0, beta_tilde=0.999, log_beta_ratio=0.0,
+         nu_info=NU_V_INTEGRAL, log_k_tilde=3.0)
+@settings(max_examples=400, deadline=None)
+def test_pruned_radius_search_equals_the_full_scan(
+    lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde
+):
+    # Over the validated nonatomic domain (lambda near 0 and near 1, K up
+    # to 1e3, beta down to 1e-6 beta_tilde) the search that solves only the
+    # pre-scan radii whose bound can still win returns the full scan's
+    # (R_tilde, R1) bit for bit, or raises its error type and text.
+    from ergocert import bounds
+
+    p = DriftMinorization(
+        lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
+        beta_tilde=beta_tilde, atomic=False, nu_info=nu_info,
+        k_tilde=10.0**log_k_tilde if nu_info == NU_V_INTEGRAL else None,
+    )
+    got = _search_outcome(bounds._general_nonatomic_search, p)
+    assert got == _search_outcome(general_nonatomic_search_full_scan, p)
+
+
+def test_pruned_radius_search_differs_when_the_bound_undershoots(monkeypatch):
+    # Falsification control: the bound 1 below the closed-form end at the
+    # scan radius whose bound is largest, the radius solved first, is no
+    # bound, and pruning by it changes some of the seeded draws' outcomes,
+    # which the true bound leaves equal to the full scan's. (The end less 1
+    # at every radius keeps their order, and on these draws the radius with
+    # the largest end is always the scan's winner, so it changes none.)
+    from ergocert import bounds
+
+    ps = _nonatomic_inputs(100, seed=30)
+    want = [_search_outcome(general_nonatomic_search_full_scan, p) for p in ps]
+    assert [_search_outcome(bounds._general_nonatomic_search, p) for p in ps] == want
+    real = bounds.maximize_scalar
+
+    def undershoot(f, lo, hi, bound):
+        xs = [lo + (hi - lo) * (i / 15) for i in range(15)] + [hi]
+        top = max(reversed(xs), key=bound)
+        return real(f, lo, hi, lambda u: bound(u) - (1.0 if u == top else 0.0))
+
+    monkeypatch.setattr(bounds, "maximize_scalar", undershoot)
+    assert [_search_outcome(bounds._general_nonatomic_search, p) for p in ps] != want
+
+
+def test_pruned_radius_search_solves_few_prescan_radii(monkeypatch):
+    # Of the 16 pre-scan radii the search solves at most a few per
+    # certificate on the seeded draws, each one once, and takes the ends of
+    # every radius before its first solve.
+    from ergocert import bounds, kendall, numerics
+
+    events = []
+    real_ends, real_solve, real_climb = kendall._r1_ends, kendall._r1_solve, numerics._brent_climb
+
+    def ends(*args):
+        events.append("ends")
+        return real_ends(*args)
+
+    def solve(*args):
+        events.append(("solve", args))
+        return real_solve(*args)
+
+    def climb(*args):
+        events.append("brent")
+        return real_climb(*args)
+
+    monkeypatch.setattr(kendall, "_r1_ends", ends)
+    monkeypatch.setattr(kendall, "_r1_solve", solve)
+    monkeypatch.setattr(numerics, "_brent_climb", climb)
+    scan_solves = []
+    for p in _nonatomic_inputs(40, seed=31):
+        events.clear()
+        try:
+            rho_general(p)
+        except ErgoCertError:
+            continue
+        scan = events[: events.index("brent")]
+        assert scan[:16] == ["ends"] * 16
+        solves = [e[1] for e in scan[16:]]
+        assert len(solves) == len(set(solves)) == len(scan) - 16
+        scan_solves.append(len(solves))
+    assert len(scan_solves) > 100
+    assert 1 <= min(scan_solves) and sum(scan_solves) <= 4 * len(scan_solves)
 
 
 def test_rho_is_never_below_lambda():

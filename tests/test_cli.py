@@ -140,6 +140,34 @@ def test_model_missing_tuning_exits_2(capsys):
     assert "requires" in err
 
 
+@pytest.mark.parametrize(
+    "argv, used",
+    [
+        (["contracting-normal", "--theta", "0.5", "--c", "1.5", "--method", "coupling"],
+         "--method coupling"),
+        (["reflecting-walk", "--p", "0.6", "--method", "binomial"], "--method binomial"),
+        (["reflecting-walk", "--p", "0.9", "--epsilon", "0.25", "--method", "exact"],
+         "--method exact"),
+        (["contracting-normal", "--theta", "0.5", "--method", "thm1.1", "--optimize"],
+         "--optimize"),
+    ],
+)
+def test_model_gamma_without_a_certificate_exits_2(capsys, argv, used):
+    # These print a rate with no gamma: a --gamma would be dropped unread.
+    code, out, err = run_cli(capsys, "model", *argv, "--gamma", "0.99")
+    assert code == 2 and out == ""
+    assert err == f"error: --gamma applies to certificates only; {used} prints no gamma\n"
+    assert run_cli(capsys, "model", *argv)[0] == 0
+
+
+def test_model_gamma_sets_the_certificate_gamma(capsys):
+    code, out, _ = run_cli(
+        capsys, "model", "contracting-normal", "--theta", "0.5", "--c", "1.5",
+        "--method", "thm1.3", "--gamma", "0.99", "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["gamma"] == 0.99
+
+
 def test_model_binomial_walk(capsys):
     code, out, _ = run_cli(
         capsys, "model", "reflecting-walk", "--p", "0.6", "--method", "binomial",

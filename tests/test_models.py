@@ -724,20 +724,23 @@ def test_optimize_contracting_other_methods_rate_every_c_in_order(monkeypatch, m
 
 
 def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
-    # Every evaluated c runs one maximize_scalar search of scalar R1 solves:
-    # at least its 16-point pre-scan each, and fewer in all than the 11,215
-    # scalar R1 solves that the per-c scan-and-refine certificates made here.
+    # Every evaluated c runs one maximize_scalar search of scalar R1 solves,
+    # which solves only the pre-scan radii whose closed-form end can still
+    # win, then Brent's steps: 606 solves for the 34 c values rated here,
+    # against 1,116 with all 16 pre-scan radii solved per c and 11,215 with
+    # the per-c scan-and-refine certificates.
     calls = []
-    real = kendall._r1_log_eps
+    real = kendall._r1_solve
 
-    def counting(p):
-        calls.append(p)
-        return real(p)
+    def counting(*ends):
+        calls.append(ends)
+        return real(*ends)
 
     seen = _spy_evaluated_c(monkeypatch)
-    monkeypatch.setattr(kendall, "_r1_log_eps", counting)
+    monkeypatch.setattr(kendall, "_r1_solve", counting)
     optimize_contracting_tuning("thm1.1", theta=0.5)
-    assert 16 * len(seen) <= len(calls) < 11_215
+    assert len(seen) == 34
+    assert len(calls) == 606 < 11_215
     before = len(calls)
     models.method_rho("thm1.1", ContractingNormal(theta=0.5, c=1.5))
     assert len(calls) > before  # the counter sees the scalar path

@@ -161,34 +161,39 @@ def test_solve_bracketing_property(a, b, frac):
     assert f(x - tol) - target <= 0.0 <= f(x + tol) - target
 
 
+def _no_bound(x):
+    # A bound of inf everywhere: the pre-scan evaluates f at every point.
+    return math.inf
+
+
 def test_maximize_quadratic_vertex():
-    argmax, value = maximize_scalar(lambda x: -((x - 2.0) ** 2), 0.0, 5.0)
+    argmax, value = maximize_scalar(lambda x: -((x - 2.0) ** 2), 0.0, 5.0, _no_bound)
     assert abs(argmax - 2.0) <= 1e-8
     assert abs(value) <= 1e-15
 
 
 def test_maximize_constant():
-    argmax, value = maximize_scalar(lambda x: 1.25, 0.0, 1.0)
+    argmax, value = maximize_scalar(lambda x: 1.25, 0.0, 1.0, _no_bound)
     assert value == 1.25
     assert 0.0 <= argmax <= 1.0
 
 
 def test_maximize_dominates_grid():
     f = lambda x: math.sin(5.0 * x) / (1.0 + x)
-    _, value = maximize_scalar(f, 0.0, 4.0)
+    _, value = maximize_scalar(f, 0.0, 4.0, _no_bound)
     grid = np.linspace(0.0, 4.0, 2000)
     assert value >= max(f(x) for x in grid) - 1e-9
 
 
 def test_maximize_empty_domain():
     with pytest.raises(EmptyDomain):
-        maximize_scalar(lambda x: x, 1.0, 1.0)
+        maximize_scalar(lambda x: x, 1.0, 1.0, _no_bound)
 
 
 def test_maximize_ties_go_right():
     # On a plateau the rightmost of equal values wins, in the pre-scan and
     # in Brent's search alike.
-    argmax, value = maximize_scalar(lambda x: min(x, 0.5), 0.0, 1.0)
+    argmax, value = maximize_scalar(lambda x: min(x, 0.5), 0.0, 1.0, _no_bound)
     assert (argmax, value) == (1.0, 0.5)
 
 
@@ -196,9 +201,62 @@ def test_maximize_beats_every_prescan_value():
     # A narrow peak between two pre-scan points, on a falling slope: the
     # returned value is at least the best of the 16 scan values.
     f = lambda x: -x + 2.0 * math.exp(-(((x - 0.52) / 0.01) ** 2))
-    argmax, value = maximize_scalar(f, 0.0, 1.0)
+    argmax, value = maximize_scalar(f, 0.0, 1.0, _no_bound)
     scan = [f(i / 15.0) for i in range(16)]
     assert value >= max(scan) and value == f(argmax)
+
+
+def test_maximize_takes_every_bound_before_any_value():
+    # bound runs at the 16 scan points in increasing order, then f at the
+    # points in decreasing (bound, index) order until the rest cannot win.
+    calls = []
+
+    def f(x):
+        calls.append(("f", x))
+        return -abs(x - 0.3)
+
+    def bound(x):
+        calls.append(("bound", x))
+        return -abs(x - 0.3) + 0.01
+
+    maximize_scalar(f, 0.0, 1.0, bound)
+    xs = [i / 15.0 for i in range(16)]
+    assert calls[:16] == [("bound", x) for x in xs]
+    # The two scan points nearest 0.3 (0.2667 and 0.3333) are the only ones
+    # whose bound lies within 0.01 of the best value; Brent's steps follow.
+    assert calls[16:18] == [("f", xs[5]), ("f", xs[4])]
+    assert calls[18][1] not in xs
+    assert {kind for kind, _ in calls[18:]} == {"f"}
+
+
+def test_maximize_with_a_tight_bound_keeps_the_rightmost_tie():
+    # bound = f: on the plateau f(x) = 0.5 for x >= 0.5 the rightmost scan
+    # point is solved first and prunes every other one.
+    f = lambda x: min(x, 0.5)
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return f(x)
+
+    assert maximize_scalar(counted, 0.0, 1.0, f) == (1.0, 0.5)
+    assert seen[0] == 1.0 and all(x > 14.0 / 15.0 for x in seen)
+
+
+@given(
+    a=st.floats(0.5, 12.0),
+    phase=st.floats(0.0, 6.0),
+    slope=st.floats(-1.0, 1.0),
+    slack=st.lists(st.floats(0.0, 2.0), min_size=16, max_size=16),
+)
+@settings(max_examples=200, deadline=None)
+def test_maximize_pruned_equals_full_prescan(a, phase, slope, slack):
+    # Any bound at least f at each scan point gives the result of the
+    # unpruned pre-scan (bound inf), bit for bit, on multimodal f.
+    f = lambda x: math.sin(a * x + phase) + slope * x
+    xs = [i / 15.0 for i in range(16)]
+    bound = lambda x: f(x) + slack[xs.index(x)] if x in xs else math.inf
+    assert maximize_scalar(f, 0.0, 1.0, bound) == maximize_scalar(f, 0.0, 1.0, _no_bound)
 
 
 def test_cdf_at_zero():
