@@ -379,19 +379,34 @@ def rho_reversible(p: DriftMinorization) -> RatePart:
     )
 
 
-def _r2_bracket(beta_tilde, alpha1, r0) -> tuple:
-    # (pole_limited, lo, hi) of the nonatomic R2 crossing, on floats or
+def _r2_bracket(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
+    # (pole_limited, lo, hi, up) of the nonatomic R2 crossing, on floats or
     # arrays: the pole limits R0 when (1 - beta_tilde) R0**alpha1 >=
     # 1 - 1e-14, and hi is then R0 (1 - 1e-13), inside the pole, else R0;
-    # lo is the lower end of the Kendall radius bracket.
+    # lo is the lower end of the Kendall radius bracket. up, in [lo, hi], is
+    # a closed-form upper end of the crossing. L is convex with L(1) = 1, so
+    # L(r) < 1 + 2 beta r from 1 up to the crossing and not past it: each r
+    # in (1, hi] where L(r) >= 1 + 2 beta r lies at or above the crossing.
+    # Two such r: the tangent end N1 / (N1 - 2 beta) of L's slope
+    # N1 = L'(1) = alpha2 + alpha1 (1 - beta_tilde) / beta_tilde, where
+    # N1 > 2 beta (kendall._r2_tangent_end); and, as r**alpha2 >= 1 makes
+    # L(r) >= beta_tilde / (1 - (1 - beta_tilde) r**alpha1), the pole end
+    # ((1 - beta_tilde / (1 + 2 beta hi)) / (1 - beta_tilde))**(1/alpha1),
+    # where that bound reaches 1 + 2 beta hi. Rounding can put up a few ulps
+    # under the crossing, so a solve takes it only where gap(up) >= 0.
+    fn = elementary(r0)
     pole_limited = (1.0 - beta_tilde) * r0**alpha1 >= 1.0 - 1e-14
-    hi = elementary(pole_limited).where(pole_limited, r0 * (1.0 - 1e-13), r0)
-    return pole_limited, kendall._radius_bracket(r0)[0], hi
+    hi = fn.where(pole_limited, r0 * (1.0 - 1e-13), r0)
+    lo = kendall._radius_bracket(r0)[0]
+    n1 = alpha2 + alpha1 * (1.0 - beta_tilde) / beta_tilde
+    pole_end = ((1.0 - beta_tilde / (1.0 + 2.0 * beta * hi)) / (1.0 - beta_tilde)) ** (1.0 / alpha1)
+    up = fn.maximum(lo, fn.minimum(pole_end, kendall._r2_tangent_end(n1, beta, hi)))
+    return pole_limited, lo, hi, up
 
 
 def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> float:
     bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
-    pole_limited, lo, hi = _r2_bracket(bt, a1, de.r0)
+    pole_limited, lo, hi, up = _r2_bracket(p.beta, bt, a1, a2, de.r0)
     if not pole_limited and _big_l_at(de.r0, bt, a1, a2) <= 1.0 + 2.0 * p.beta * de.r0:
         return de.r0
 
@@ -401,10 +416,17 @@ def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> 
     def gap(r: float) -> float:
         return math.log(_big_l_at(r, bt, a1, a2)) - math.log1p(2.0 * p.beta * r)
 
-    # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0). An
-    # empty bracket is not evaluated: the root finder raises.
-    ends = (gap(lo), gap(hi)) if lo < hi else (math.nan, math.nan)
-    return solve_monotone(gap, lo, hi, *ends)
+    # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0). The
+    # solve runs on [lo, up] where gap(lo) < 0 <= gap(up), else on the wide
+    # [lo, hi], and takes the values at its ends as the root finder's: each
+    # end is evaluated once. An empty bracket is not evaluated: the root
+    # finder raises.
+    gap_lo = gap_hi = math.nan
+    if lo < hi:
+        gap_lo = gap(lo)
+        gap_up = gap(up) if gap_lo < 0.0 else math.nan
+        hi, gap_hi = (up, gap_up) if gap_up >= 0.0 else (hi, gap(hi))
+    return solve_monotone(gap, lo, hi, gap_lo, gap_hi)
 
 
 def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
@@ -412,21 +434,34 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
 
     Takes the branches of the scalar radius element by element: R0 when R0
     lies below the pole and L(R0) <= 1 + 2*beta*R0, otherwise the crossing
-    on the same bracket, in the same log form. NaN where the crossing has no
-    sign change on that bracket, where the scalar radius raises.
+    on the same bracket, in the same log form, from the same closed-form
+    upper end where the gap is negative at the lower end and not negative
+    there. NaN where the crossing has no sign change on that bracket, where
+    the scalar radius raises.
     """
     import numpy as np
 
     def gap(r, b, bt, a1, a2):
         return np.log(big_l_array(r, bt, a1, a2)) - np.log1p(2.0 * b * r)
 
+    beta, beta_tilde, alpha1, alpha2, r0 = np.broadcast_arrays(
+        *(np.asarray(c, dtype=float) for c in (beta, beta_tilde, alpha1, alpha2, r0))
+    )
     constants = beta, beta_tilde, alpha1, alpha2
     with np.errstate(all="ignore"):
-        pole_limited, lo, hi = _r2_bracket(beta_tilde, alpha1, r0)
+        pole_limited, lo, hi, up = _r2_bracket(*constants, r0)
         l_at_r0 = big_l_array(r0, beta_tilde, alpha1, alpha2)
         at_r0 = ~pole_limited & (l_at_r0 <= 1.0 + 2.0 * beta * r0)
-        ends = gap(lo, *constants), gap(hi, *constants)
-    r2 = solve_increasing_array(gap, lo, hi, *ends, *constants)
+        gap_lo, gap_hi = gap(lo, *constants), gap(up, *constants)
+        # Only the elements that do not take the near end go on to the wide
+        # one, and of those only the ones not at R0, which have no crossing
+        # to solve: the root finder gets each end's value from one
+        # evaluation.
+        wide = ~at_r0 & ~((gap_lo < 0.0) & (gap_hi >= 0.0))
+        hi = np.where(wide, hi, up)
+        if wide.any():
+            gap_hi[wide] = gap(hi[wide], *(c[wide] for c in constants))
+    r2 = solve_increasing_array(gap, lo, hi, gap_lo, gap_hi, *constants)
     return np.where(at_r0, r0, r2)
 
 

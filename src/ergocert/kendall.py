@@ -10,7 +10,9 @@ converges on a disc whose radius these routines certify:
                             at once, by the same root finder on the same
                             bracket;
   * ``solve_r2_reversible`` reversible chains, radius R2 from the crossing
-                            of 1 + 2*beta*r with r**(log L / log R).
+                            of 1 + 2*beta*r with r**(log L / log R), solved
+                            up to the closed-form end where the tangent of
+                            that curve at 1 meets the line.
 
 For reversible chains with nonnegative spectrum the full radius R is
 certified, with no equation to solve. ``k1`` and ``k2_series_bound`` give
@@ -84,6 +86,18 @@ def _radius_bracket(big_r):
     # inside the open interval. The nonatomic R2 solves of ``bounds`` take
     # lo from here too.
     return 1.0 + 1e-14, big_r - elementary(big_r).maximum(1e-14, (big_r - 1.0) * 1e-13)
+
+
+def _r2_tangent_end(slope, beta, hi):
+    # The tangent end of an R2 crossing below hi, on floats or arrays. A
+    # convex curve through (1, 1) with slope `slope` there lies on or above
+    # its tangent 1 + slope (r - 1), which meets the line 1 + 2 beta r at
+    # slope / (slope - 2 beta) where slope > 2 beta; the curve meets the line
+    # there or before. slope / max(slope - 2 beta, slope / hi) divides by no
+    # zero and is hi, to rounding, where the tangent meets the line at or
+    # past hi or not at all; the minimum caps that rounding at hi.
+    fn = elementary(slope)
+    return fn.minimum(hi, slope / fn.maximum(slope - 2.0 * beta, slope / hi))
 
 
 _LOG_EPS_LO = math.log(1e-14)
@@ -267,9 +281,13 @@ def solve_r2_reversible(p: KendallParams) -> float:
     """Certified radius R2 for reversible chains.
 
     When L > 1 + 2*beta*R the radius is the unique r in (1, R) where
-    1 + 2*beta*r meets the convex curve r**(log L / log R); otherwise the
-    full radius R is already certified. Raises OutOfRange when R - 1 is too
-    small for the solve's bracket inside (1, R).
+    1 + 2*beta*r meets the convex curve r**e, e = log L / log R; otherwise
+    the full radius R is already certified. The crossing is solved on
+    [1 + 1e-14, up] with the closed-form upper end up = e / (e - 2 beta),
+    where the tangent of r**e at 1 meets the line (where e > 2 beta, and
+    capped at the wide end R - max(1e-14, (R-1)*1e-13)); the wide end is
+    kept where rounding puts up under the crossing. Raises OutOfRange when
+    R - 1 is too small for the solve's bracket inside (1, R).
     """
     if p.big_l <= 1.0 + 2.0 * p.beta * p.big_r:
         return p.big_r
@@ -283,14 +301,19 @@ def solve_r2_reversible(p: KendallParams) -> float:
         # R - 1 below ~2e-14 leaves no bracket inside (1, R); its hi may
         # even lie below 1.
         raise OutOfRange(f"rate gap R - 1 = {p.big_r - 1.0:.3g} is below double resolution")
-    gap_hi = gap(hi)
-    if gap_hi < 0.0:
-        # L exceeds 1 + 2*beta*R only by rounding, so the crossing lies in
-        # (hi, R]; hi is its lower, safe end.
-        return hi
     # gap(1+) = -2*beta < 0 and gap(R) = L - (1 + 2*beta*R) > 0; the crossing
-    # is unique by convexity, so the root finder lands on it.
-    return solve_monotone(gap, lo, hi, gap(lo), gap_hi)
+    # is unique by convexity, so gap(up) >= 0 puts up at or above it, and
+    # the root finder lands on it. Each end is evaluated once.
+    up = max(lo, _r2_tangent_end(exponent, p.beta, hi))
+    gap_lo = gap(lo)
+    gap_up = gap(up) if gap_lo < 0.0 else math.nan
+    if not gap_up >= 0.0:
+        up, gap_up = hi, gap(hi)
+        if gap_up < 0.0:
+            # L exceeds 1 + 2*beta*R only by rounding, so the crossing lies
+            # in (hi, R]; hi is its lower, safe end.
+            return hi
+    return solve_monotone(gap, lo, up, gap_lo, gap_up)
 
 
 def k2_series_bound(r: float, r2: float, beta_tilde: float) -> float:

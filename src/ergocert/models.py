@@ -292,13 +292,16 @@ def mh_normal_lambda(x, s):
 
 
 def _mh_constants(d, s, nu_variant: str) -> tuple:
-    """(lambda, K, beta, beta_tilde, nu_info, k_tilde, b, min V off C) of the
+    """(lambda, K, beta, beta_tilde, nu_info, k_tilde, min V off C) of the
     tuning (d, s) under the chosen minorization measure.
 
-    b = PV(0) - lambda V(0) = lambda(0, s) - lambda and min V off C =
-    exp(sd) are the coupling constants. Float arguments are validated;
-    arrays (d on one axis, s on another, say) are evaluated unchecked, each
-    term only on the axes it depends on.
+    min V off C = exp(sd) gives K = exp(sd) lambda and is a coupling
+    constant. The other coupling constant, b = PV(0) - lambda V(0) =
+    lambda(0, s) - lambda, is left to the coupling callers
+    (``mh_coupling_input`` and the coupling grid), so the theorem rates
+    never evaluate lambda(0, s). Float arguments are validated; arrays (d
+    on one axis, s on another, say) are evaluated unchecked, each term only
+    on the axes it depends on.
     """
     checked = not _is_array(d)
     if checked:
@@ -308,11 +311,9 @@ def _mh_constants(d, s, nu_variant: str) -> tuple:
         raise MonotoneViolation(f"lambda(d={d}, s={s}) = {lam:.6g} >= 1: no drift")
     xp = elementary(d)
     v_min = xp.exp(s * d)
-    # 0.0 * s is a zero of the type and shape of s: lambda(0, s) once per s.
-    b = mh_normal_lambda(0.0 * s, s) - lam
     if nu_variant == MT_MEASURE:
         beta = _SQRT2 * xp.exp(-d * d) * (xp.cdf(_SQRT2 * d) - 0.5)
-        return lam, v_min * lam, beta, beta, NU_CONCENTRATED, None, b, v_min
+        return lam, v_min * lam, beta, beta, NU_CONCENTRATED, None, v_min
     beta = 2.0 * (xp.cdf(2.0 * d) - xp.cdf(d))
     beta_tilde = beta + _SQRT2 * xp.exp(d * d / 4.0) * (1.0 - xp.cdf(3.0 * d / _SQRT2))
     k_tilde = beta / beta_tilde + (_SQRT2 / beta_tilde) * xp.exp((d - s) ** 2 / 4.0) * (
@@ -320,7 +321,13 @@ def _mh_constants(d, s, nu_variant: str) -> tuple:
     )
     # nu(C) + integral of V off C is >= 1 since V >= 1; for large d the two
     # terms land exactly on 1 and rounding may dip a few ulp below it.
-    return lam, v_min * lam, beta, beta_tilde, NU_V_INTEGRAL, xp.maximum(k_tilde, 1.0), b, v_min
+    return lam, v_min * lam, beta, beta_tilde, NU_V_INTEGRAL, xp.maximum(k_tilde, 1.0), v_min
+
+
+def _mh_coupling_offset(s, lam):
+    # b = PV(0) - lambda V(0) = lambda(0, s) - lambda on floats or arrays;
+    # 0.0 * s is a zero of the type and shape of s: lambda(0, s) once per s.
+    return mh_normal_lambda(0.0 * s, s) - lam
 
 
 def mh_normal_params(d: float, s: float, nu_variant: str = MT_MEASURE) -> DriftMinorization:
@@ -332,7 +339,7 @@ def mh_normal_params(d: float, s: float, nu_variant: str = MT_MEASURE) -> DriftM
     alpha_2 = 1 applies) and the infimum of the transition densities over C
     (supported everywhere, with a V-integral bound k_tilde instead).
     """
-    lam, big_k, beta, beta_tilde, nu_info, k_tilde, _, _ = _mh_constants(d, s, nu_variant)
+    lam, big_k, beta, beta_tilde, nu_info, k_tilde, _ = _mh_constants(d, s, nu_variant)
     return DriftMinorization(
         lam=lam,
         big_k=big_k,
@@ -351,7 +358,8 @@ def mh_coupling_input(d: float, s: float, nu_variant: str = MT_MEASURE) -> Coupl
     exp(sd); beta_tilde comes from the same measure as the certificate rows
     it is compared against.
     """
-    lam, big_k, _, beta_tilde, _, _, b, v_min = _mh_constants(d, s, nu_variant)
+    lam, big_k, _, beta_tilde, _, _, v_min = _mh_constants(d, s, nu_variant)
+    b = _mh_coupling_offset(s, lam)
     return CouplingInput(lam=lam, b=b, v_min_outside=v_min, big_k=big_k, beta_tilde=beta_tilde)
 
 
@@ -470,7 +478,11 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # rates one tuning, through the same formulas: _mh_constants on the axes;
 # then, on the tunings with valid constants only, the coupling rate of
 # lambda_1 < 1, or split_exponents, the array radius of the theorem's regime
-# (bounds._RADIUS_ARRAY, which scans 16 radii for thm1.1) and _rate. A
+# (bounds._RADIUS_ARRAY, which scans 16 radii for thm1.1 and solves the
+# thm1.2 crossing from the closed-form upper end of bounds._r2_bracket, as
+# rho_reversible does) and _rate. Only the coupling grid evaluates its
+# offset b = lambda(0, s) - lambda (_mh_coupling_offset, once per s, the
+# expression mh_coupling_input takes). A
 # tuning with no rate, where the scalar path raises, gets rho = inf, which
 # never wins the argmin; the winner's array rho is returned as it is. thm1.1
 # rates the tuning with the lowest closed-form floor (bounds._rho_floor on
@@ -497,9 +509,10 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
     import numpy as np
 
     d, s = np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :]
-    lam, big_k, beta, beta_tilde, nu_info, k_tilde, b, v_min = _mh_constants(d, s, nu_variant)
+    lam, big_k, beta, beta_tilde, nu_info, k_tilde, v_min = _mh_constants(d, s, nu_variant)
     valid = (lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)
     if method == "coupling":
+        b = _mh_coupling_offset(s, lam)
         lam = _lambda1(lam, b, v_min)  # the coupling rate's drift rate
         valid &= (b > 0.0) & (lam < 1.0)
     # k_tilde, None under the concentrated measure, is NaN there, never read.

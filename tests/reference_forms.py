@@ -13,7 +13,10 @@ are the ones they replaced. Both take their ends from
 ``kendall._r1_bracket``. The nonatomic general radius search solves only
 the pre-scan radii whose closed-form end can still win;
 ``general_nonatomic_search_full_scan`` is the full scan it replaced, which
-solves all 16 through ``KendallParams``.
+solves all 16 through ``KendallParams``. The R2 solves, atomic and
+nonatomic, run up to a closed-form upper end of the crossing;
+``r2_reversible_wide`` and ``reversible_nonatomic_radius_wide`` solve on
+the wide bracket they replaced.
 
 The renewal oracle convolves all laws of a suite as one block. The
 per-law and per-case forms below (convolution loop, series sup, single
@@ -44,6 +47,7 @@ from ergocert.bounds import (
     DerivedExponents,
     DriftMinorization,
     _big_l_at,
+    _r2_bracket,
     _scan_window,
     derived_exponents,
 )
@@ -53,6 +57,7 @@ from ergocert.kendall import (
     _k1_parts,
     _r1_bracket,
     _r1_log_target,
+    _radius_bracket,
 )
 from ergocert.models import ReflectingWalk, TruncatedChain, reflecting_walk_params
 from ergocert.numerics import _brent_climb, solve_increasing_array, solve_monotone
@@ -246,6 +251,53 @@ def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) ->
         ends = r1_gap_array(lo, delta, log_target), r1_gap_array(hi_rest, delta, log_target)
         t[rest] = solve_increasing_array(r1_gap_array, lo, hi_rest, *ends, delta, log_target)
         return t
+
+
+def r2_gap(p: KendallParams, r: float) -> float:
+    """The gap r**e - 1 - 2 beta r, e = log L / log R, of
+    ``kendall.solve_r2_reversible``, as it computes it."""
+    exponent = math.log(p.big_l) / math.log(p.big_r)
+    return math.exp(exponent * math.log1p(r - 1.0)) - 1.0 - 2.0 * p.beta * r
+
+
+def reversible_nonatomic_gap(p: DriftMinorization, de: DerivedExponents, r: float) -> float:
+    """The gap log L(r) - log(1 + 2 beta r) of
+    ``bounds._reversible_nonatomic_radius``, as it computes it."""
+    big_l = _big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
+    return math.log(big_l) - math.log1p(2.0 * p.beta * r)
+
+
+def r2_reversible_wide(p: KendallParams) -> float:
+    """``kendall.solve_r2_reversible`` on the wide bracket
+    ``kendall._radius_bracket``, as before the closed-form upper end: R
+    where L <= 1 + 2 beta R, hi where the gap is still negative there, else
+    the root on [lo, hi]."""
+    if p.big_l <= 1.0 + 2.0 * p.beta * p.big_r:
+        return p.big_r
+    lo, hi = _radius_bracket(p.big_r)
+    if hi <= lo:
+        raise OutOfRange(f"rate gap R - 1 = {p.big_r - 1.0:.3g} is below double resolution")
+    gap_hi = r2_gap(p, hi)
+    if gap_hi < 0.0:
+        return hi
+    return solve_monotone(lambda r: r2_gap(p, r), lo, hi, r2_gap(p, lo), gap_hi)
+
+
+def reversible_nonatomic_radius_wide(p: DriftMinorization, de: DerivedExponents) -> float:
+    """``bounds._reversible_nonatomic_radius`` on the wide bracket [lo, hi]
+    of ``bounds._r2_bracket``, as before the closed-form upper end: R0
+    where R0 lies below the pole and L(R0) <= 1 + 2 beta R0, else the root
+    of log L(r) - log(1 + 2 beta r) on [lo, hi]."""
+    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
+    pole_limited, lo, hi, _ = _r2_bracket(p.beta, bt, a1, a2, de.r0)
+    if not pole_limited and _big_l_at(de.r0, bt, a1, a2) <= 1.0 + 2.0 * p.beta * de.r0:
+        return de.r0
+
+    def gap(r: float) -> float:
+        return reversible_nonatomic_gap(p, de, r)
+
+    ends = (gap(lo), gap(hi)) if lo < hi else (math.nan, math.nan)
+    return solve_monotone(gap, lo, hi, *ends)
 
 
 def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponents) -> tuple:

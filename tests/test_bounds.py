@@ -31,21 +31,27 @@ from ergocert.errors import (
     NoSignChange,
     OutOfRange,
 )
-from ergocert.kendall import k2_series_bound
+from ergocert.kendall import k2_series_bound, solve_r2_reversible
 from ergocert.models import (
+    INFIMUM_MEASURE,
+    MT_MEASURE,
     ContractingNormal,
     ReflectingWalk,
     contracting_params,
     mh_normal_params,
     reflecting_walk_params,
 )
-from ergocert.numerics import maximize_scalar
+from ergocert.numerics import _TOL_ABS, maximize_scalar, solve_monotone
 from reference_forms import (
     _m_atomic_r,
     _m_nonatomic_r,
     general_nonatomic_search_full_scan,
     prop41_bounds,
     prop44_bounds,
+    r2_gap,
+    r2_reversible_wide,
+    reversible_nonatomic_gap,
+    reversible_nonatomic_radius_wide,
 )
 
 WALK_09 = reflecting_walk_params(ReflectingWalk(p=0.9))
@@ -570,7 +576,7 @@ def test_reversible_radius_array_matches_scalar_r2():
     pole_limited = 0
     for p, got in zip(ps, r2.tolist()):
         de = derived_exponents(p)
-        pole_limited += bool(_r2_bracket(p.beta_tilde, de.alpha1, de.r0)[0])
+        pole_limited += bool(_r2_bracket(p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)[0])
         try:
             want = rho_reversible(p).diagnostics["R2"]
         except NoSignChange:
@@ -591,6 +597,230 @@ def test_reversible_radius_array_takes_r0_below_the_pole():
     want = rho_reversible(p).diagnostics["R2"]
     assert want == derived_exponents(p).r0 == 2.0
     assert _reversible_radius_array_of([p]).tolist() == [want]
+
+
+def _chain(atomic, lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde):
+    # A chain of the validated domain: beta = beta_tilde 10**log_beta_ratio,
+    # beta_tilde = 1 and nu_info "none" where atomic.
+    if atomic:
+        return DriftMinorization(lam=lam, big_k=10.0**log_k, beta=10.0**log_beta_ratio)
+    return DriftMinorization(
+        lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
+        beta_tilde=beta_tilde, atomic=False, nu_info=nu_info,
+        k_tilde=10.0**log_k_tilde if nu_info == NU_V_INTEGRAL else None,
+    )
+
+
+def _r2_outcome(solve):
+    # R2 of a solve, or the type and text of its error.
+    try:
+        return solve()
+    except ErgoCertError as exc:
+        return type(exc), str(exc)
+
+
+def _r2_solves(p: DriftMinorization) -> tuple:
+    # (module, ends, solve, wide, gap) of p's R2 solve: the module whose
+    # solve_monotone it calls, its (lo, hi, up), the solve and its
+    # wide-bracket reference, each a function of no arguments, and its gap
+    # as a function of r.
+    from ergocert import bounds, kendall
+
+    if p.atomic:
+        kp = bounds._atomic_kendall_params(p)
+        lo, hi = kendall._radius_bracket(kp.big_r)
+        exponent = math.log(kp.big_l) / math.log(kp.big_r)
+        up = max(lo, kendall._r2_tangent_end(exponent, kp.beta, hi))
+        return (
+            kendall, (lo, hi, up),
+            lambda: solve_r2_reversible(kp), lambda: r2_reversible_wide(kp),
+            lambda r: r2_gap(kp, r),
+        )
+    de = derived_exponents(p)
+    ends = _r2_bracket(p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)[1:]
+    return (
+        bounds, ends,
+        lambda: bounds._reversible_nonatomic_radius(p, de),
+        lambda: reversible_nonatomic_radius_wide(p, de),
+        lambda r: reversible_nonatomic_gap(p, de, r),
+    )
+
+
+def _gap_noise(gap, r: float) -> float:
+    # A bound on the rounding error of gap(r): its spread over r (1 +- 16
+    # eps), which covers the conditioning of its powers in r (near the
+    # envelope pole, say), plus 64 eps of 1 + 2 r, the scale of its terms.
+    eps = 2.0**-52
+    return abs(gap(r * (1.0 + 16.0 * eps)) - gap(r * (1.0 - 16.0 * eps))) + 64.0 * eps * (1.0 + 2.0 * r)
+
+
+def _check_r2_near_end(p: DriftMinorization) -> None:
+    # The closed-form upper end of p's R2 solve lies in [lo, hi], where that
+    # bracket is not empty, and at or above the crossing, whether the solve
+    # takes it or not: 8 ulps above the lower bracket end that the wide
+    # solve returns, or where the gap is not negative to its rounding
+    # error. The solve returns the wide solve's radius to within _TOL_ABS,
+    # or raises its error with its text. Where rounding
+    # blurs the crossing over more than _TOL_ABS (R2 in the thousands at
+    # lambda = 1e-6, say), both radii are roots to working precision
+    # instead. With up planted under the crossing the solve gives the wide
+    # solve's bits, and still no NoSignChange. A nonatomic chain gets the
+    # same (pole_limited, lo, hi) on arrays as on floats, bit for bit, and
+    # the same up to 2 ulps: numpy's power may differ from libm's pow by an
+    # ulp.
+    from ergocert import bounds, kendall
+
+    module, (lo, hi, up), solve, wide_solve, gap = _r2_solves(p)
+    assert lo <= up <= hi or hi <= lo
+    if not p.atomic:
+        de = derived_exponents(p)
+        floats = _r2_bracket(p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)
+        arrays = _r2_bracket(*(np.array([c]) for c in (
+            p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)))
+        assert [float(np.ravel(a)[0]) for a in arrays[:3]] == [float(f) for f in floats[:3]]
+        assert abs(float(arrays[3][0]) - up) <= 2.0 * math.ulp(up)
+    taken = []
+
+    def solve_spied(f, lo, hi, f_lo, f_hi):
+        taken.append(hi)
+        return solve_monotone(f, lo, hi, f_lo, f_hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "solve_monotone", solve_spied)
+        got = _r2_outcome(solve)
+    wide = _r2_outcome(wide_solve)
+    if not isinstance(wide, float):
+        assert got == wide
+        return
+    if not taken:  # R or R0, or hi where rounding leaves the crossing above it
+        assert got == wide
+        return
+    if abs(got - wide) > _TOL_ABS:
+        assert abs(gap(got)) <= _gap_noise(gap, got) and abs(gap(wide)) <= _gap_noise(gap, wide)
+    assert up >= wide - 8.0 * math.ulp(up) or gap(up) >= -_gap_noise(gap, up)
+    below = lo + 0.5 * (wide - lo)
+    with pytest.MonkeyPatch.context() as mp:
+        if p.atomic:
+            mp.setattr(kendall, "_r2_tangent_end", lambda slope, beta, hi: below)
+        else:
+            real = bounds._r2_bracket
+            mp.setattr(bounds, "_r2_bracket", lambda *c: (*real(*c)[:3], below))
+        assert _r2_outcome(solve) == wide
+
+
+_CHAIN_DOMAIN = dict(
+    atomic=st.booleans(),
+    lam=st.one_of(st.floats(1e-6, 0.1), st.floats(0.05, 0.95), st.floats(0.9, 1.0 - 1e-12)),
+    log_k=st.floats(0.0, 3.0),
+    beta_tilde=st.floats(1e-3, 0.999),
+    log_beta_ratio=st.floats(-6.0, 0.0),
+    nu_info=st.sampled_from([NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL]),
+    log_k_tilde=st.floats(0.0, 3.0),
+)
+
+
+@given(**_CHAIN_DOMAIN)
+@example(atomic=False, lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0,
+         nu_info=NU_NONE, log_k_tilde=0.0)
+@example(atomic=False, lam=1.0 - 1e-12, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0,
+         nu_info=NU_NONE, log_k_tilde=0.0)
+@example(atomic=False, lam=0.6, log_k=3.0, beta_tilde=0.999, log_beta_ratio=0.0,
+         nu_info=NU_V_INTEGRAL, log_k_tilde=3.0)
+@example(atomic=False, lam=0.5, log_k=0.5, beta_tilde=0.3, log_beta_ratio=0.0,
+         nu_info=NU_CONCENTRATED, log_k_tilde=0.0)
+@example(atomic=True, lam=1.0 - 1e-12, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0,
+         nu_info=NU_NONE, log_k_tilde=0.0)
+@example(atomic=True, lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=0.0,
+         nu_info=NU_NONE, log_k_tilde=0.0)
+@example(atomic=True, lam=1e-6, log_k=0.578125, beta_tilde=0.5, log_beta_ratio=0.0,
+         nu_info=NU_NONE, log_k_tilde=0.0)
+@example(atomic=True, lam=1e-6, log_k=0.0, beta_tilde=0.5, log_beta_ratio=-0.32768501525132654,
+         nu_info=NU_NONE, log_k_tilde=0.0)
+@settings(max_examples=400, deadline=None)
+def test_r2_near_end_bounds_the_crossing(
+    atomic, lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde
+):
+    # Over the validated domain, atomic and nonatomic: lambda near 0 and
+    # near 1, K up to 1e3, beta down to 1e-6 beta_tilde.
+    _check_r2_near_end(_chain(atomic, lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde))
+
+
+def test_r2_near_end_check_fails_for_a_doubled_tangent_slope(monkeypatch):
+    # Falsification control: a tangent end from twice the slope at 1 lies
+    # under the crossing on seeded draws, atomic and nonatomic, which the
+    # check of test_r2_near_end_bounds_the_crossing catches; the true slope
+    # passes on the same draws.
+    from ergocert import kendall
+
+    rng = np.random.default_rng(32)
+    ps = _nonatomic_inputs(20, seed=32) + [
+        DriftMinorization(lam=rng.uniform(0.05, 0.95), big_k=10.0 ** rng.uniform(0.0, 3.0),
+                          beta=10.0 ** rng.uniform(-6.0, 0.0))
+        for _ in range(60)
+    ]
+    for p in ps:
+        _check_r2_near_end(p)
+    real = kendall._r2_tangent_end
+    monkeypatch.setattr(kendall, "_r2_tangent_end", lambda slope, beta, hi: real(2.0 * slope, beta, hi))
+    for atomic in (True, False):
+        failed = 0
+        for p in (p for p in ps if p.atomic == atomic):
+            try:
+                _check_r2_near_end(p)
+            except AssertionError:
+                failed += 1
+        assert failed > 0, atomic
+
+
+def test_r2_near_end_saves_evaluations(monkeypatch):
+    # Over seeded draws from the certificate domain, the atomic and the
+    # nonatomic solves that reach the root finder make at most 0.5 times the
+    # evaluations inside the bracket of their wide-bracket references (0.37
+    # and 0.32 times when this was written); the coarse Metropolis thm1.2
+    # grids close in at most 7 array evaluations inside their brackets, 13
+    # from the wide end.
+    import reference_forms
+    from ergocert import bounds, kendall, models
+
+    counts = {}
+
+    def counting(finder, name):
+        def solve(f, *args):
+            def counted(*x):
+                counts[name] += 1
+                return f(*x)
+
+            return finder(counted, *args)
+
+        return solve
+
+    counts.update(near=0, wide=0, grid=0)
+    monkeypatch.setattr(kendall, "solve_monotone", counting(solve_monotone, "near"))
+    monkeypatch.setattr(bounds, "solve_monotone", counting(solve_monotone, "near"))
+    monkeypatch.setattr(reference_forms, "solve_monotone", counting(solve_monotone, "wide"))
+    monkeypatch.setattr(
+        bounds, "solve_increasing_array", counting(bounds.solve_increasing_array, "grid")
+    )
+    rng = np.random.default_rng(33)
+    atomic = [
+        DriftMinorization(lam=lam, big_k=10.0 ** rng.uniform(0.0, 3.0),
+                          beta=10.0 ** rng.uniform(-6.0, 0.0))
+        for lam in (*rng.uniform(1e-6, 0.1, 100), *rng.uniform(0.05, 0.95, 100),
+                    *(1.0 - 10.0 ** -rng.uniform(1.0, 12.0, 100)))
+    ]
+    for ps in (atomic, _nonatomic_inputs(100, seed=33)):
+        counts.update(near=0, wide=0)
+        for p in ps:
+            _, _, solve, wide_solve, _ = _r2_solves(p)
+            _r2_outcome(solve)
+            _r2_outcome(wide_solve)
+        assert counts["near"] <= 0.5 * counts["wide"], counts
+    d_grid = np.append(np.arange(0.5, 3.0, 0.05), 3.0)
+    s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
+    for nu_variant in (MT_MEASURE, INFIMUM_MEASURE):
+        counts["grid"] = 0
+        models._mh_rho_grid(d_grid, s_grid, "thm1.2", nu_variant)
+        assert counts["grid"] <= 7, nu_variant
 
 
 def test_radius_search_raises_scalar_error_at_first_failing_point(monkeypatch):

@@ -330,16 +330,22 @@ def test_r2_crossing_case():
     [KendallParams(beta=0.25, big_r=1.0 / 0.6, big_l=2.5 / 0.6), KendallParams(1e-3, 1.01, 40.0)],
 )
 def test_r2_evaluates_each_bracket_end_once(p, monkeypatch):
-    # The rounding check's value at hi is handed to the root finder, not
-    # evaluated again: exp takes exponent * log1p(r - 1) once per
-    # evaluation, and its value at hi and at lo appears once each.
+    # The values at the ends the solve takes, the lower end and the
+    # closed-form upper end (the near-end check's value there), are handed
+    # to the root finder, not evaluated again: exp takes
+    # exponent * log1p(r - 1) once per evaluation, its values at lo and up
+    # come first and appear once each, and the wide end hi is never
+    # evaluated.
     exps = _count_gap_evaluations(monkeypatch)
     r2 = solve_r2_reversible(p)
     lo, hi = kendall._radius_bracket(p.big_r)
     exponent = math.log(p.big_l) / math.log(p.big_r)
-    assert lo < r2 < hi
-    assert exps.count(exponent * math.log1p(hi - 1.0)) == 1
-    assert exps.count(exponent * math.log1p(lo - 1.0)) == 1
+    up = kendall._r2_tangent_end(exponent, p.beta, hi)
+    assert lo < r2 < up < hi
+    at_lo, at_up = (exponent * math.log1p(r - 1.0) for r in (lo, up))
+    assert exps[:2] == [at_lo, at_up]
+    assert exps.count(at_lo) == exps.count(at_up) == 1
+    assert exponent * math.log1p(hi - 1.0) not in exps
 
 
 def test_r2_no_crossing_returns_r():

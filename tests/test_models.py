@@ -141,22 +141,46 @@ def test_mh_lambda_vectorised_matches_scalar():
 @settings(max_examples=60, deadline=None)
 def test_mh_constants_agree_on_floats_and_arrays(points, nu_variant):
     # The search domain of optimize_mh_tuning. Both forms take the same Phi
-    # bits; np.exp and math.exp may still differ by an ulp. b = lambda(0, s)
-    # - lambda cancels, so it is held to the scale of lambda(0, s).
+    # bits; np.exp and math.exp may still differ by an ulp. The coupling
+    # offset b = lambda(0, s) - lambda, which the coupling grid takes on
+    # arrays and mh_coupling_input on floats, cancels, so it is held to the
+    # scale of lambda(0, s).
     d, s = (np.array(col) for col in zip(*points))
     arrays = models._mh_constants(d, s, nu_variant)
+    b = models._mh_coupling_offset(s, arrays[0])
     for i, (di, si) in enumerate(points):
         assert abs(arrays[0][i] - mh_normal_lambda(di, si)) <= 2e-15 * arrays[0][i]
         try:  # the float form rejects s = 0 and lambda >= 1
             floats = models._mh_constants(di, si, nu_variant)
         except (InvalidParams, MonotoneViolation):
             continue
-        for k, (got, want) in enumerate(zip(arrays, floats)):
+        for got, want in zip(arrays, floats):
             if want is None or isinstance(want, str):
                 assert got == want
             else:
-                scale = floats[0] + want if k == 6 else abs(want)
-                assert abs(np.broadcast_to(got, d.shape)[i] - want) <= 2e-15 * scale
+                assert abs(np.broadcast_to(got, d.shape)[i] - want) <= 2e-15 * abs(want)
+        want = mh_coupling_input(di, si, nu_variant).b
+        assert abs(b[i] - want) <= 2e-15 * (floats[0] + want)
+
+
+def test_mh_theorem_grids_never_evaluate_the_coupling_offset(monkeypatch):
+    # Only coupling reads b = lambda(0, s) - lambda: the thm1.1, thm1.2 and
+    # thm1.3 grids never call mh_normal_lambda at x = 0, and the coupling
+    # grid does, once, on the s axis.
+    calls = []
+    real = models.mh_normal_lambda
+
+    def spied(x, s):
+        calls.append(bool(np.all(np.asarray(x) == 0.0)))
+        return real(x, s)
+
+    monkeypatch.setattr(models, "mh_normal_lambda", spied)
+    d_grid, s_grid = np.linspace(0.5, 3.0, 11), np.linspace(0.01, 1.5, 7)
+    for method in ("thm1.1", "thm1.2", "thm1.3", "coupling"):
+        for nu_variant in (MT_MEASURE, INFIMUM_MEASURE):
+            calls.clear()
+            models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
+            assert calls == ([False, True] if method == "coupling" else [False]), method
 
 
 def test_mh_params_mt_measure():
