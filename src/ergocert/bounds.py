@@ -393,7 +393,7 @@ def _r2_bracket(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
     # L(r) >= beta_tilde / (1 - (1 - beta_tilde) r**alpha1), the pole end
     # ((1 - beta_tilde / (1 + 2 beta hi)) / (1 - beta_tilde))**(1/alpha1),
     # where that bound reaches 1 + 2 beta hi. Rounding can put up a few ulps
-    # under the crossing, so a solve takes it only where gap(up) >= 0.
+    # under the crossing, where the root finder takes the wide end instead.
     fn = elementary(r0)
     pole_limited = (1.0 - beta_tilde) * r0**alpha1 >= 1.0 - 1e-14
     hi = fn.where(pole_limited, r0 * (1.0 - 1e-13), r0)
@@ -416,17 +416,10 @@ def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> 
     def gap(r: float) -> float:
         return math.log(_big_l_at(r, bt, a1, a2)) - math.log1p(2.0 * p.beta * r)
 
-    # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0). The
-    # solve runs on [lo, up] where gap(lo) < 0 <= gap(up), else on the wide
-    # [lo, hi], and takes the values at its ends as the root finder's: each
-    # end is evaluated once. An empty bracket is not evaluated: the root
-    # finder raises.
-    gap_lo = gap_hi = math.nan
-    if lo < hi:
-        gap_lo = gap(lo)
-        gap_up = gap(up) if gap_lo < 0.0 else math.nan
-        hi, gap_hi = (up, gap_up) if gap_up >= 0.0 else (hi, gap(hi))
-    return solve_monotone(gap, lo, hi, gap_lo, gap_hi)
+    # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0),
+    # solved from the near end up. An empty bracket is not evaluated: the
+    # root finder raises.
+    return solve_monotone(gap, lo, up, hi, gap(lo) if lo < hi else math.nan)
 
 
 def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
@@ -434,10 +427,10 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
 
     Takes the branches of the scalar radius element by element: R0 when R0
     lies below the pole and L(R0) <= 1 + 2*beta*R0, otherwise the crossing
-    on the same bracket, in the same log form, from the same closed-form
-    upper end where the gap is negative at the lower end and not negative
-    there. NaN where the crossing has no sign change on that bracket, where
-    the scalar radius raises.
+    on the same bracket, in the same log form, with the same closed-form
+    near end, which the array root finder takes where the scalar one does.
+    NaN where the crossing has no sign change on that bracket, where the
+    scalar radius raises.
     """
     import numpy as np
 
@@ -452,16 +445,10 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
         pole_limited, lo, hi, up = _r2_bracket(*constants, r0)
         l_at_r0 = big_l_array(r0, beta_tilde, alpha1, alpha2)
         at_r0 = ~pole_limited & (l_at_r0 <= 1.0 + 2.0 * beta * r0)
-        gap_lo, gap_hi = gap(lo, *constants), gap(up, *constants)
-        # Only the elements that do not take the near end go on to the wide
-        # one, and of those only the ones not at R0, which have no crossing
-        # to solve: the root finder gets each end's value from one
-        # evaluation.
-        wide = ~at_r0 & ~((gap_lo < 0.0) & (gap_hi >= 0.0))
-        hi = np.where(wide, hi, up)
-        if wide.any():
-            gap_hi[wide] = gap(hi[wide], *(c[wide] for c in constants))
-    r2 = solve_increasing_array(gap, lo, hi, gap_lo, gap_hi, *constants)
+        # NaN at R0, which has no crossing to solve: the root finder
+        # evaluates nothing there.
+        gap_lo = np.where(at_r0, np.nan, gap(lo, *constants))
+    r2 = solve_increasing_array(gap, lo, up, hi, gap_lo, *constants)
     return np.where(at_r0, r0, r2)
 
 

@@ -162,30 +162,33 @@ def _chain(args) -> models.ModelSpec:
 
 
 def _nu_variant(args) -> str:
-    return models.MT_MEASURE if args.nu == "mt" else models.INFIMUM_MEASURE
+    # --nu defaults to mt; its default is None so that a given --nu shows.
+    return models.INFIMUM_MEASURE if args.nu == "infimum" else models.MT_MEASURE
 
 
 def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise ErgoCertError(f"{args.model} requires --" + ", --".join(missing))
 
 
 # The model methods whose output is a rate alone, with no gamma or M.
 _RATE_ONLY_METHODS = ("coupling", "binomial", "exact")
+# The flags each model reads, all required but epsilon and nu; --optimize
+# tunes d, s and c instead of reading them.
+_MODEL_FLAGS = {"reflecting-walk": ("p", "epsilon"), "mh-normal": ("d", "s", "nu"),
+                "contracting-normal": ("theta", "c")}
 
 
 def _cmd_model(args) -> int:
     precision = args.precision
-    if args.model == "reflecting-walk":
-        _require(args, ["p"])
-    elif args.model == "mh-normal":
-        if not args.optimize:
-            _require(args, ["d", "s"])
-    else:
-        _require(args, ["theta"])
-        if not args.optimize:
-            _require(args, ["c"])
+    read = [f for f in _MODEL_FLAGS[args.model] if not (args.optimize and f in ("d", "s", "c"))]
+    unread = [f"--{f}" for fs in _MODEL_FLAGS.values() for f in fs
+              if f not in read and getattr(args, f) is not None]
+    if unread:
+        used = f"{args.model} --optimize" if args.optimize else args.model
+        raise ErgoCertError(f"{used} does not read {', '.join(unread)}")
+    _require(args, [f for f in read if f not in ("epsilon", "nu")])
 
     if args.gamma is not None and (args.optimize or args.method in _RATE_ONLY_METHODS):
         used = "--optimize" if args.optimize else f"--method {args.method}"
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--epsilon", type=float, default=None)
     p_model.add_argument("--d", type=float, default=None)
     p_model.add_argument("--s", type=float, default=None)
-    p_model.add_argument("--nu", choices=("mt", "infimum"), default="mt")
+    p_model.add_argument("--nu", choices=("mt", "infimum"), default=None, help="default mt")
     p_model.add_argument("--theta", type=float, default=None)
     p_model.add_argument("--c", type=float, default=None)
     p_model.add_argument(

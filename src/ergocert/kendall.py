@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParams, OutOfRange
+from .errors import InvalidParams, NoSignChange, OutOfRange
 from .numerics import elementary, solve_increasing_array, solve_monotone
 
 if TYPE_CHECKING:
@@ -107,7 +107,7 @@ def _r1_bracket(delta, log_target):
     # The bracket (lo, hi) of every R1 solve in t = log(r - 1), from
     # delta = R - 1, on floats or arrays: [log 1e-14, log((R-1)(1 - 1e-13))].
     # A root below lo is clamped to it, R1 = 1 + 1e-14. A solve that is not
-    # clamped, scalar or array, narrows hi to up, the third value returned:
+    # clamped, scalar or array, tries up, the third value returned first:
     # a closed-form upper end for the root, in [lo, hi]. The left side
     # h(t) = t - log1p(e^t) - 2 log l(t), l(t) = log(R/r), has
     # l(t) <= log R = log1p(delta), so h(t) >= t - log1p(e^t) - 2 log log R.
@@ -121,9 +121,9 @@ def _r1_bracket(delta, log_target):
     # hi: s is capped at -5e-324, the negative float nearest 0, whose
     # t_up = 744.4 lies above every hi (the log of a float is below 709.8),
     # so floats and arrays take one path and log(-expm1(s)) stays finite.
-    # Rounding can put t_up a few ulps below the root, so a solve takes this
-    # end only where h there is >= log_target. bounds._rho_floor, on one
-    # piece or many, relies on the end growing with delta and log_target.
+    # Rounding can put t_up a few ulps below the root, where the root finder
+    # takes hi instead. bounds._rho_floor, on one piece or many, relies on
+    # the end growing with delta and log_target.
     fn = elementary(delta)
     hi = fn.log(delta * (1.0 - 1e-13))
     s = fn.minimum(log_target + 2.0 * fn.log(fn.log1p(delta)), -5e-324)
@@ -154,23 +154,16 @@ def _r1_ends(beta: float, big_r: float, big_l: float) -> tuple:
 def _r1_solve(delta: float, log_target: float, lo: float, hi: float, up: float) -> float:
     # log(R1 - 1) from the ends of _r1_ends: the lower end of the final
     # bracket in t = log(r - 1), or the bracket's lower end where the root
-    # lies below. As in ``solve_r1_array``, the solve runs on [lo, up]
-    # where gap(up) >= 0, else on the wide [lo, hi], and takes the clamp
-    # test's and the check's values as its end values. An empty bracket is
-    # not evaluated: the root finder raises.
+    # lies below. The clamp test's value is the root finder's value at lo,
+    # and the root finder tries the near end up. An empty bracket is not
+    # evaluated: the root finder raises.
     def gap(t: float) -> float:
         eps = math.exp(t)
         lg = math.log1p((delta - eps) / (1.0 + eps))
         return t - math.log1p(eps) - 2.0 * math.log(lg) - log_target
 
-    gap_lo = gap_hi = math.nan
-    if lo < hi:
-        gap_lo = gap(lo)
-        if gap_lo >= 0.0:
-            return lo
-        gap_up = gap(up)
-        hi, gap_hi = (up, gap_up) if gap_up >= 0.0 else (hi, gap(hi))
-    return solve_monotone(gap, lo, hi, gap_lo, gap_hi)
+    gap_lo = gap(lo) if lo < hi else math.nan
+    return lo if gap_lo >= 0.0 else solve_monotone(gap, lo, up, hi, gap_lo)
 
 
 def _r1_log_eps(p: KendallParams) -> float:
@@ -217,8 +210,8 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     ``math``'s by an ulp, so an element agrees with ``solve_r1`` to the stop
     tolerance, most of them bit for bit. All elements step together until
     the slowest closes: 5 evaluations of ``gap`` per Metropolis thm1.1
-    grid, with the clamp test and the near-end check, whose values are the
-    root finder's end values. The inputs are not validated as
+    grid, the clamp test's included, whose values are the root finder's
+    values at lo. The inputs are not validated as
     ``KendallParams`` are: an element whose equation has no sign change on
     its bracket, or that has no bracket, comes back NaN (NaN inputs
     included), where ``solve_r1`` would raise. Raises NoConvergence as
@@ -233,22 +226,12 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     with np.errstate(all="ignore"):
         beta, big_r, big_l = (np.asarray(a, dtype=float) for a in (beta, big_r, big_l))
         delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
-        lo, wide, up = _r1_bracket(delta, log_target)
+        lo, hi, up = _r1_bracket(delta, log_target)
         gap_lo = gap(lo, delta, log_target)
-        rest = ~((lo < wide) & (gap_lo >= 0.0))
-        t = np.full(wide.shape, lo)
-        # Only the elements not clamped go on to the upper end and the root
-        # finder; those where gap(t_up) < 0 keep the wide end.
-        delta, log_target, gap_lo, wide, hi = (
-            a[rest] for a in (delta, log_target, gap_lo, wide, up)
-        )
-        gap_hi = gap(hi, delta, log_target)
-        under = ~(gap_hi >= 0.0)
-        hi[under] = wide[under]
-        gap_hi[under] = gap(hi[under], delta[under], log_target[under])
-        del wide, under
-        t[rest] = solve_increasing_array(gap, lo, hi, gap_lo, gap_hi, delta, log_target)
-        return 1.0 + np.exp(t)
+        # A clamped element has gap_lo >= 0, which the root finder evaluates
+        # no further.
+        t = solve_increasing_array(gap, lo, up, hi, gap_lo, delta, log_target)
+        return 1.0 + np.exp(np.where((lo < hi) & (gap_lo >= 0.0), lo, t))
 
 
 def _k1_parts(r: float, p: KendallParams) -> tuple[float, float, float]:
@@ -285,9 +268,10 @@ def solve_r2_reversible(p: KendallParams) -> float:
     the full radius R is already certified. The crossing is solved on
     [1 + 1e-14, up] with the closed-form upper end up = e / (e - 2 beta),
     where the tangent of r**e at 1 meets the line (where e > 2 beta, and
-    capped at the wide end R - max(1e-14, (R-1)*1e-13)); the wide end is
-    kept where rounding puts up under the crossing. Raises OutOfRange when
-    R - 1 is too small for the solve's bracket inside (1, R).
+    capped at the wide end R - max(1e-14, (R-1)*1e-13)); the root finder
+    keeps the wide end where rounding puts up under the crossing, and hi is
+    returned where rounding leaves the gap negative there. Raises OutOfRange
+    when R - 1 is too small for the solve's bracket inside (1, R).
     """
     if p.big_l <= 1.0 + 2.0 * p.beta * p.big_r:
         return p.big_r
@@ -303,17 +287,16 @@ def solve_r2_reversible(p: KendallParams) -> float:
         raise OutOfRange(f"rate gap R - 1 = {p.big_r - 1.0:.3g} is below double resolution")
     # gap(1+) = -2*beta < 0 and gap(R) = L - (1 + 2*beta*R) > 0; the crossing
     # is unique by convexity, so gap(up) >= 0 puts up at or above it, and
-    # the root finder lands on it. Each end is evaluated once.
-    up = max(lo, _r2_tangent_end(exponent, p.beta, hi))
+    # the root finder takes it.
     gap_lo = gap(lo)
-    gap_up = gap(up) if gap_lo < 0.0 else math.nan
-    if not gap_up >= 0.0:
-        up, gap_up = hi, gap(hi)
-        if gap_up < 0.0:
+    try:
+        return solve_monotone(gap, lo, max(lo, _r2_tangent_end(exponent, p.beta, hi)), hi, gap_lo)
+    except NoSignChange:
+        if gap_lo < 0.0:
             # L exceeds 1 + 2*beta*R only by rounding, so the crossing lies
             # in (hi, R]; hi is its lower, safe end.
             return hi
-    return solve_monotone(gap, lo, up, gap_lo, gap_up)
+        raise
 
 
 def k2_series_bound(r: float, r2: float, beta_tilde: float) -> float:

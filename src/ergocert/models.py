@@ -16,6 +16,7 @@ validated against published table values rather than exact distances.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -202,13 +203,20 @@ def reflecting_walk_rho_exact(p: float, epsilon: float) -> float:
     """Exact V-norm rate of the modified-boundary walk.
 
     (pq + (p-eps)^2)/(p-eps) below the branch point eps = (p-q)/(1+sqrt(q/p)),
-    and 2 sqrt(pq) at or above it.
+    and 2 sqrt(pq) at or above it. epsilon None raises InvalidParams.
     """
-    spec = ReflectingWalk(p=p, epsilon=epsilon)  # validation
+    ReflectingWalk(p=p, epsilon=epsilon)  # validation
+    if epsilon is None:
+        raise InvalidParams("the exact rate needs the modified boundary epsilon, got None")
     q = 1.0 - p
     if epsilon < (p - q) / (1.0 + math.sqrt(q / p)):
         return (p * q + (p - epsilon) ** 2) / (p - epsilon)
     return 2.0 * math.sqrt(p * q)
+
+
+def _is_int(value) -> bool:
+    # A Python or numpy integer, not a bool: the oracles' counts and states.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
@@ -224,8 +232,8 @@ def walk_truncated_chain(spec: ReflectingWalk, n_states: int) -> TruncatedChain:
 
     p, q = spec.p, 1.0 - spec.p
     eps = spec.boundary_hold
-    if n_states < 3:
-        raise InvalidParams("need at least 3 states")
+    if not (_is_int(n_states) and n_states >= 3):
+        raise InvalidParams(f"n_states must be an integer >= 3, got {n_states!r}")
 
     # Untruncated stationary ratios: pi(i+1)/pi(i) = q/p for i >= 1 and
     # pi(1)/pi(0) = (1-eps)/p, hence a geometric tail with ratio q/p.

@@ -6,7 +6,8 @@ loads it.
 
 Everything is a pure function of its arguments. ``solve_monotone`` solves
 one scalar equation f(x) = 0 and ``solve_increasing_array`` a whole array of
-them, both from f's values at the bracket ends, which the caller hands over,
+them, both from f's value at lo, which the caller hands over, and a near
+end up in [lo, hi] that they try first (one near step, written in each),
 and both by the Illinois method (Dowell & Jarratt 1971), with one step rule:
 from the latest point x1 and the end x0 kept from before, whose values
 differ in sign, the next point x is their regula falsi point; where that
@@ -76,23 +77,27 @@ def _closed(x0, x1):
     return (abs(x1 - x0) <= _TOL_ABS) | ((mid - x0) * (mid - x1) >= 0.0)
 
 
-def solve_monotone(f: Callable, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+def solve_monotone(f: Callable, lo: float, up: float, hi: float, f_lo: float) -> float:
     """Solve f(x) = 0 for continuous, strictly monotone f on [lo, hi], given
-    f_lo = f(lo) and f_hi = f(hi); f is called strictly inside the bracket only.
+    f_lo = f(lo) and a near end up in [lo, hi]; f is never called at lo.
 
-    Illinois steps (the module's step rule: the regula falsi point, at
-    least ``_TOL_ABS`` / 2 from the latest point, else the midpoint) keep a
-    sign change of f in the bracket. Returns the lower end of the final
-    bracket once it is at most ``_TOL_ABS`` wide or holds no float strictly
-    inside, an exact root as soon as a step lands on one, and lo or hi where
-    f_lo or f_hi is 0. Raises InvalidParams unless lo < hi, NoSignChange
-    when f_lo and f_hi have one sign, and NoConvergence when the budget of
-    ``_MAX_ITER`` steps runs out first. Deterministic for fixed inputs.
+    The near step: where f_lo < 0 and lo < up, the solve runs on [lo, up]
+    if f(up) >= 0; otherwise on [lo, hi], with f(hi) evaluated unless up is
+    hi. Illinois steps (the module's step rule) keep a sign change of f in
+    the bracket. Returns the lower end of the final bracket once it is at
+    most ``_TOL_ABS`` wide or holds no float strictly inside, an exact root
+    as soon as a step lands on one, and lo or the upper end where f is 0
+    there. Raises InvalidParams unless lo < hi, NoSignChange when f has one
+    sign at both ends, and NoConvergence when the budget of ``_MAX_ITER``
+    steps runs out first. Deterministic for fixed inputs.
     """
     if not (lo < hi):
         raise InvalidParams(f"bracket needs lo < hi, got [{lo}, {hi}]")
     if f_lo == 0.0:
         return lo
+    f_up = f(up) if f_lo < 0.0 and lo < up else math.nan
+    near = f_up >= 0.0 or (up == hi and f_lo < 0.0)
+    hi, f_hi = (up, f_up) if near else (hi, f(hi))
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
@@ -121,46 +126,56 @@ def solve_monotone(f: Callable, lo: float, hi: float, f_lo: float, f_hi: float) 
     raise NoConvergence(f"no convergence after {_MAX_ITER} Illinois steps")
 
 
-def _array_brackets(lo, hi, f_lo, f_hi, args) -> tuple:
-    # The ends of solve_increasing_array on 1-d inputs: the result with an
-    # exact root at either end filled in and NaN elsewhere, the indices of
-    # the elements with f_lo < 0 < f_hi, and their ends, values and
-    # arguments. The full-size copies die here, before any step.
+def _array_brackets(f, lo, up, hi, f_lo, args) -> tuple:
+    # The ends of solve_increasing_array on 1-d inputs, by solve_monotone's
+    # near step where f_lo < 0: the result with an exact root at either end
+    # filled in and NaN elsewhere, the indices of the elements with f < 0 at
+    # lo and > 0 at the end taken, and their ends, values and arguments.
+    # The full-size copies die here, before any step.
     import numpy as np
 
-    out = np.full(lo.shape, np.nan)
-    bracketed = lo < hi
-    at_lo = bracketed & (f_lo == 0.0)
-    at_hi = bracketed & ~at_lo & (f_hi == 0.0)
-    out[at_lo] = lo[at_lo]
-    out[at_hi] = hi[at_hi]
-    idx = np.flatnonzero(bracketed & (f_lo < 0.0) & (f_hi > 0.0))
-    return out, idx, lo[idx], f_lo[idx], hi[idx], f_hi[idx], [arg[idx] for arg in args]
+    def f_at(x, where):
+        return f(x[where], *(arg[where] for arg in args)) if where.any() else x[where]
+
+    out = np.where((lo < hi) & (f_lo == 0.0), lo, np.nan)
+    idx = np.flatnonzero((lo < hi) & (f_lo < 0.0))
+    lo, up, hi, f_lo, args = lo[idx], up[idx], hi[idx], f_lo[idx], [arg[idx] for arg in args]
+    f_hi = np.full(idx.shape, np.nan)
+    tried = lo < up
+    f_hi[tried] = f_at(up, tried)
+    near = (f_hi >= 0.0) | (up == hi)
+    hi = np.where(near, up, hi)
+    f_hi[~near] = f_at(hi, ~near)
+    out[idx[f_hi == 0.0]] = hi[f_hi == 0.0]
+    keep = f_hi > 0.0
+    return out, idx[keep], lo[keep], f_lo[keep], hi[keep], f_hi[keep], [arg[keep] for arg in args]
 
 
-def solve_increasing_array(f: Callable, lo, hi, f_lo, f_hi, *args) -> np.ndarray:
+def solve_increasing_array(f: Callable, lo, up, hi, f_lo, *args) -> np.ndarray:
     """``solve_monotone`` for arrays of increasing functions: element i
     solves f(x, args[0][i], args[1][i], ...) = 0 on [lo[i], hi[i]], given
-    its end values f_lo[i] and f_hi[i].
+    its value f_lo[i] at lo[i] and its near end up[i].
 
     All inputs broadcast against each other; f takes and returns 1-d arrays.
-    Each element takes the steps of ``solve_monotone``: an exact root at
-    either end is returned as it is, and the Illinois steps stop on the same
-    rule with the same end returned. All elements step together and
-    finished ones drop out. Where f_lo < 0 < f_hi does not hold (no sign
-    change, NaN values, or lo >= hi) the element comes back NaN, where
-    ``solve_monotone`` would raise. Raises NoConvergence if an element is
+    Each element takes the steps of ``solve_monotone``: the near step, an
+    exact root at either end returned as it is, and the Illinois steps,
+    which stop on the same rule with the same end returned. All elements
+    step together and finished ones drop out. f is called only where
+    f_lo < 0, so an element with f_lo NaN costs no evaluation. Where f is
+    not < 0 at lo and > 0 at the end taken (no sign change, NaN values, or
+    lo >= hi) the element comes back NaN, where ``solve_monotone`` would
+    raise or solve a decreasing f. Raises NoConvergence if an element is
     still open after the step budget.
     """
     import numpy as np
 
-    lo, hi, f_lo, f_hi, *args = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (lo, hi, f_lo, f_hi, *args))
+    lo, up, hi, f_lo, *args = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (lo, up, hi, f_lo, *args))
     )
     shape = lo.shape
     with np.errstate(all="ignore"):
         out, idx, x0, g0, x1, g1, args = _array_brackets(
-            *(a.ravel() for a in (lo, hi, f_lo, f_hi)), [a.ravel() for a in args]
+            f, *(a.ravel() for a in (lo, up, hi, f_lo)), [a.ravel() for a in args]
         )
         for _ in range(_MAX_ITER):
             if idx.size == 0:

@@ -15,7 +15,6 @@ JSON-serialisable, so suites can be consumed by the CLI or by tests alike.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -34,6 +33,7 @@ from .kendall import KendallParams
 from .models import (
     ReflectingWalk,
     TruncatedChain,
+    _is_int,
     reflecting_walk_params,
     reflecting_walk_rho_exact,
     walk_truncated_chain,
@@ -215,7 +215,7 @@ def increment_radius(b: IncrementDistribution) -> float:
 def kendall_family_radius(beta: float, k: int) -> float:
     """Radius for the two-point family b(z) = beta z + (1-beta) z^k, k an
     integer >= 2."""
-    if not (0.0 < beta < 1.0 and isinstance(k, numbers.Integral) and k >= 2):
+    if not (0.0 < beta < 1.0 and _is_int(k) and k >= 2):
         raise InvalidParams(f"need 0 < beta < 1 and an integer k >= 2, got beta={beta}, k={k}")
     probs = np.zeros(k)
     probs[0] = beta
@@ -424,8 +424,10 @@ def run_kendall_suite(seed: int = 0) -> SuiteReport:
 def matrix_vnorm_distances(tc: TruncatedChain, x: int | np.ndarray, n_max: int) -> np.ndarray:
     """V-weighted distances sum_y V(y) |P^n(x,y) - pi(y)| for n = 0..n_max.
 
-    x is one start state or an array of them; the result has x's shape plus
-    a last axis for n. The deviation vectors e_n = (delta_x - pi) P^n of all
+    x is one start state or an integer array of them, and the result has
+    x's shape plus a last axis for n; a float, bool or out-of-range state,
+    or an n_max that is not an integer >= 0, raises InvalidParams. The
+    deviation vectors e_n = (delta_x - pi) P^n of all
     start states step together as one block, so accuracy is relative to the
     decaying deviation rather than to the full probability scale. A step
     runs along the diagonals of P that hold a nonzero, found once per call:
@@ -435,10 +437,10 @@ def matrix_vnorm_distances(tc: TruncatedChain, x: int | np.ndarray, n_max: int) 
     sum(e) = 0).
     """
     states = np.asarray(x)
-    if ((states < 0) | (states >= tc.n_states)).any():
-        raise InvalidParams(f"state {x} outside truncation of size {tc.n_states}")
-    if n_max < 0:
-        raise InvalidParams("n_max must be >= 0")
+    if states.dtype.kind not in "iu" or ((states < 0) | (states >= tc.n_states)).any():
+        raise InvalidParams(f"start states must be integers in [0, {tc.n_states}), got {x!r}")
+    if not (_is_int(n_max) and n_max >= 0):
+        raise InvalidParams(f"n_max must be an integer >= 0, got {n_max!r}")
     matrix, size = tc.matrix, tc.n_states
     rows, cols = np.nonzero(matrix)
     # (e P)[j] = sum_i e[i] P[i, j]; along diagonal k the sources
@@ -454,9 +456,9 @@ def matrix_vnorm_distances(tc: TruncatedChain, x: int | np.ndarray, n_max: int) 
     ]
     main = np.diagonal(matrix)
     e = np.eye(size)[states] - tc.pi
-    out = np.empty(states.shape + (n_max + 1,))
+    out = np.empty(states.shape + (int(n_max) + 1,))
     out[..., 0] = np.abs(e) @ tc.v
-    for n in range(1, n_max + 1):
+    for n in range(1, int(n_max) + 1):
         f = e * main
         for dst, src, diagonal in off_diagonals:
             f[..., dst] += e[..., src] * diagonal
@@ -522,9 +524,9 @@ def choose_truncation(spec: ReflectingWalk, x_max: int, n_max: int) -> Truncated
     distances differ from the infinite walk's only through the stationary law
     beyond N. No distance is computed to decide the size.
     """
-    if x_max < 0 or n_max < 0:
-        raise InvalidParams(f"need x_max, n_max >= 0, got {x_max}, {n_max}")
-    reach = x_max + n_max + 2
+    if not (_is_int(x_max) and _is_int(n_max) and x_max >= 0 and n_max >= 0):
+        raise InvalidParams(f"need integers x_max, n_max >= 0, got {x_max}, {n_max}")
+    reach = int(x_max) + int(n_max) + 2
     if reach > _TRUNCATION_MAX_STATES:
         raise TruncationTooSmall(f"reach x_max + n_max + 2 = {reach} > {_TRUNCATION_MAX_STATES}")
     size = max(64, 1 << (reach - 1).bit_length())
@@ -566,10 +568,10 @@ def mc_regeneration(
     params = reflecting_walk_params(spec)
     if not (1.0 <= r <= params.lam_inv * (1.0 + 1e-12)):
         raise OutOfRange(f"need 1 <= r <= 1/lambda = {params.lam_inv}, got r={r}")
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+    if not (_is_int(samples) and samples >= 1):
         raise InvalidParams(f"samples must be an integer >= 1, got {samples!r}")
     # Below 0 the walk drifts away from C = {0}.
-    if isinstance(x0, bool) or not isinstance(x0, numbers.Integral) or x0 < 0:
+    if not (_is_int(x0) and x0 >= 0):
         raise InvalidParams(f"x0 must be a state of the walk, an integer >= 0, got {x0!r}")
     p = spec.p
     eps = spec.boundary_hold

@@ -203,9 +203,10 @@ def r1_log_eps_clamp_then_solve(
 ) -> float:
     """``kendall._r1_log_eps`` with each bracket end evaluated twice: for
     the clamp test and again for the root finder's value at the lower end,
-    for the check of the near upper end and again for the root finder's
-    value at the upper end. wide=True solves on the wide bracket [lo, hi],
-    as before the near end. gap_calls, if given, records every t."""
+    for the check of the near upper end and again in the root finder, which
+    is handed that end as its near and its wide end. wide=True solves on
+    the wide bracket [lo, hi], as before the near end. gap_calls, if given,
+    records every t."""
     delta = p.big_r - 1.0
     log_target = _r1_log_target(p.beta, p.big_r, p.big_l)
 
@@ -220,9 +221,7 @@ def r1_log_eps_clamp_then_solve(
         return lo
     if lo < hi and not wide and gap(up) >= log_target:
         hi = up
-    return solve_monotone(
-        lambda t: gap(t) - log_target, lo, hi, gap(lo) - log_target, gap(hi) - log_target
-    )
+    return solve_monotone(lambda t: gap(t) - log_target, lo, hi, hi, gap(lo) - log_target)
 
 
 def r1_gap_array(t, delta, log_target):
@@ -236,7 +235,7 @@ def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) ->
     """The t = log(R1 - 1) of ``kendall.solve_r1_array`` with each bracket
     end evaluated twice, as in ``r1_log_eps_clamp_then_solve``: for the
     clamp test and again for the root finder's values at the lower end, for
-    the check of the near upper end and again at the upper end. wide=True
+    the check of the near upper end and again in the root finder. wide=True
     solves on the wide bracket [lo, hi], as before the near end. NaN where
     an element has no sign change on its bracket."""
     with np.errstate(all="ignore"):
@@ -248,8 +247,10 @@ def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) ->
         if not wide:
             hi_rest = np.where(r1_gap_array(up, delta, log_target) >= 0.0, up, hi_rest)
         t = np.full(hi.shape, lo)
-        ends = r1_gap_array(lo, delta, log_target), r1_gap_array(hi_rest, delta, log_target)
-        t[rest] = solve_increasing_array(r1_gap_array, lo, hi_rest, *ends, delta, log_target)
+        gap_lo = r1_gap_array(lo, delta, log_target)
+        t[rest] = solve_increasing_array(
+            r1_gap_array, lo, hi_rest, hi_rest, gap_lo, delta, log_target
+        )
         return t
 
 
@@ -277,10 +278,9 @@ def r2_reversible_wide(p: KendallParams) -> float:
     lo, hi = _radius_bracket(p.big_r)
     if hi <= lo:
         raise OutOfRange(f"rate gap R - 1 = {p.big_r - 1.0:.3g} is below double resolution")
-    gap_hi = r2_gap(p, hi)
-    if gap_hi < 0.0:
+    if r2_gap(p, hi) < 0.0:
         return hi
-    return solve_monotone(lambda r: r2_gap(p, r), lo, hi, r2_gap(p, lo), gap_hi)
+    return solve_monotone(lambda r: r2_gap(p, r), lo, hi, hi, r2_gap(p, lo))
 
 
 def reversible_nonatomic_radius_wide(p: DriftMinorization, de: DerivedExponents) -> float:
@@ -296,8 +296,7 @@ def reversible_nonatomic_radius_wide(p: DriftMinorization, de: DerivedExponents)
     def gap(r: float) -> float:
         return reversible_nonatomic_gap(p, de, r)
 
-    ends = (gap(lo), gap(hi)) if lo < hi else (math.nan, math.nan)
-    return solve_monotone(gap, lo, hi, *ends)
+    return solve_monotone(gap, lo, hi, hi, gap(lo) if lo < hi else math.nan)
 
 
 def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponents) -> tuple:

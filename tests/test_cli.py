@@ -160,6 +160,45 @@ def test_model_gamma_without_a_certificate_exits_2(capsys, argv, used):
     assert run_cli(capsys, "model", *argv)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["contracting-normal", "--theta", "0.5", "--c", "1.5", "--d", "9", "--p", "0.7"],
+         "contracting-normal does not read --p, --d"),
+        (["mh-normal", "--optimize", "--d", "2", "--s", "0.3"],
+         "mh-normal --optimize does not read --d, --s"),
+        (["reflecting-walk", "--p", "0.9", "--epsilon", "0.25", "--nu", "mt"],
+         "reflecting-walk does not read --nu"),
+        (["mh-normal", "--d", "1", "--s", "0.07", "--epsilon", "0.2", "--theta", "0.5"],
+         "mh-normal does not read --epsilon, --theta"),
+        (["reflecting-walk", "--p", "0.9", "--c", "1.5"], "reflecting-walk does not read --c"),
+        (["contracting-normal", "--theta", "0.5", "--c", "1.5", "--method", "thm1.3",
+          "--optimize"], "contracting-normal --optimize does not read --c"),
+    ],
+)
+def test_model_flag_the_model_does_not_read_exits_2(capsys, argv, message):
+    # Each of these exited 0 with the flag dropped unread.
+    code, out, err = run_cli(capsys, "model", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mh-normal", "--optimize", "--nu", "infimum", "--method", "coupling"],
+        ["mh-normal", "--d", "1", "--s", "0.07", "--method", "thm1.2"],
+        ["reflecting-walk", "--p", "0.9", "--epsilon", "0.25", "--method", "exact"],
+    ],
+)
+def test_model_flags_the_model_reads_are_taken(capsys, argv):
+    # --nu stays optional with mt as its default, and --optimize reads it.
+    code, out, _ = run_cli(capsys, "model", *argv)
+    assert code == 0
+    if "--nu" not in argv and argv[0] == "mh-normal":
+        assert run_cli(capsys, "model", *argv, "--nu", "mt")[1] == out
+
+
 def test_model_gamma_sets_the_certificate_gamma(capsys):
     code, out, _ = run_cli(
         capsys, "model", "contracting-normal", "--theta", "0.5", "--c", "1.5",

@@ -99,27 +99,26 @@ def _count_gap_evaluations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("p", _R1_CASES)
 def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
-    # The clamp test's value at the lower end and the check's value at the
-    # near upper end are handed to the root finder, which evaluates gap only
-    # inside the bracket, so a solve that is not clamped makes two
-    # evaluations fewer than the form that evaluates each end twice, and
-    # returns the same bits.
+    # The clamp test's value at the lower end is handed to the root finder
+    # with the bracket and the near end, and the root finder evaluates the
+    # rest, so a solve that is not clamped makes two evaluations fewer than
+    # the form that evaluates each end twice, and returns the same bits.
     finder_calls, reference_calls, handed = [], [], []
     exps = _count_gap_evaluations(monkeypatch)
 
-    def solve_counted(f, lo, hi, f_lo, f_hi):
-        handed.append((lo, hi, f_lo, f_hi))
-        return solve_monotone(lambda t: finder_calls.append(t) or f(t), lo, hi, f_lo, f_hi)
+    def solve_counted(f, lo, up, hi, f_lo):
+        handed.append((lo, up, hi, f_lo))
+        return solve_monotone(lambda t: finder_calls.append(t) or f(t), lo, up, hi, f_lo)
 
     monkeypatch.setattr(kendall, "solve_monotone", solve_counted)
     t = kendall._r1_log_eps(p)
     assert t > kendall._LOG_EPS_LO  # not clamped
     assert t == r1_log_eps_clamp_then_solve(p, reference_calls)
     delta, log_target = p.big_r - 1.0, kendall._r1_log_target(p.beta, p.big_r, p.big_l)
-    lo, _, up = kendall._r1_bracket(delta, log_target)
-    assert handed == [(lo, up, _r1_gap(p, lo) - log_target, _r1_gap(p, up) - log_target)]
-    assert exps[:2] == [lo, up]
-    assert len(exps) == len(finder_calls) + 2 == len(reference_calls) - 2
+    lo, hi, up = kendall._r1_bracket(delta, log_target)
+    assert handed == [(lo, up, hi, _r1_gap(p, lo) - log_target)]
+    assert exps[:2] == [lo, up] and finder_calls[0] == up
+    assert len(exps) == len(finder_calls) + 1 == len(reference_calls) - 2
 
 
 def test_r1_clamp_evaluates_the_lower_end_once(monkeypatch):
@@ -206,14 +205,15 @@ def test_r1_near_end_saves_evaluations(monkeypatch):
 
 def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
     # The root finder's values at the lower end are the clamp test's array,
-    # and at the upper end the near-end check's, handed over once, not
-    # second evaluations; the radii are those of the form that evaluates
-    # each end twice, bit for bit, clamped, NaN and 2-d elements included.
+    # handed over once, not second evaluations, with the bracket and the
+    # near ends of _r1_bracket; the radii are those of the form that
+    # evaluates each end twice, bit for bit, clamped, NaN and 2-d elements
+    # included.
     handed = []
 
-    def solve_spied(f, lo, hi, f_lo, f_hi, *args):
-        handed.append((lo, hi, f_lo, f_hi, args))
-        return solve_increasing_array(f, lo, hi, f_lo, f_hi, *args)
+    def solve_spied(f, lo, up, hi, f_lo, *args):
+        handed.append((lo, up, hi, f_lo, args))
+        return solve_increasing_array(f, lo, up, hi, f_lo, *args)
 
     monkeypatch.setattr(kendall, "solve_increasing_array", solve_spied)
     rng = np.random.default_rng(3)
@@ -225,10 +225,12 @@ def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
     want = 1.0 + np.exp(r1_array_log_eps_clamp_then_solve(beta, big_r, big_l))
     assert got.tobytes() == want.tobytes()
     assert (got == 1.0 + 1e-14).any() and np.isnan(got).any()
-    [(lo, hi, f_lo, f_hi, args)] = handed
+    [(lo, up, hi, f_lo, args)] = handed
     with np.errstate(all="ignore"):
+        ends = kendall._r1_bracket(*args)
+        assert lo == ends[0] and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(
+            (hi, up), ends[1:]))
         assert np.array_equal(f_lo, r1_gap_array(lo, *args), equal_nan=True)
-        assert np.array_equal(f_hi, r1_gap_array(hi, *args), equal_nan=True)
 
 
 def test_r1_array_takes_lists_as_arrays():

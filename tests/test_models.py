@@ -77,6 +77,13 @@ def test_exact_rate_branches():
     assert reflecting_walk_rho_exact(0.8, 0.5) == pytest.approx(0.8, abs=1e-12)
 
 
+def test_exact_rate_needs_the_modified_boundary():
+    # epsilon None, the standard boundary, raised a bare TypeError from the
+    # comparison with the branch point.
+    with pytest.raises(InvalidParams, match="needs the modified boundary epsilon"):
+        reflecting_walk_rho_exact(0.9, None)
+
+
 # --- Metropolis chain --------------------------------------------------------
 
 
@@ -309,6 +316,20 @@ def test_truncation_with_an_overflowing_v_is_rejected():
         walk_truncated_chain(ReflectingWalk(p=0.9), 648)
 
 
+@pytest.mark.parametrize("n_states", [64.0, True, np.float64(64.0), 2])
+def test_truncation_rejects_a_state_count_that_is_no_integer_from_3(n_states):
+    # 64.0 raised a bare TypeError from np.arange's shape.
+    with pytest.raises(InvalidParams, match="n_states must be an integer >= 3"):
+        walk_truncated_chain(ReflectingWalk(p=0.9), n_states)
+
+
+def test_truncation_takes_numpy_integers():
+    spec = ReflectingWalk(p=0.9)
+    for n_states in (np.int64(64), np.uint16(64)):
+        got = walk_truncated_chain(spec, n_states)
+        assert got.matrix.tobytes() == walk_truncated_chain(spec, 64).matrix.tobytes()
+
+
 # --- tuning searches ---------------------------------------------------------
 
 
@@ -516,15 +537,16 @@ def test_mh_array_solves_close_in_few_lockstep_steps(method, monkeypatch):
     # closes, so one stalled element makes the whole grid pay. With Brent's
     # minimum step, and for thm1.1 the closed-form R1 upper end, no solve of
     # the search makes more calls of f than its bound. The root finder calls
-    # f inside the bracket only: 3 for thm1.1 and 8-13 for thm1.2 when this
-    # was written, two more each with the end values (12 for thm1.1 from
-    # the wide upper end, ends included).
+    # f at the near end, at the wide end where an element needs it, and
+    # inside the bracket: 4 calls for thm1.1 and 7 for thm1.2 when this was
+    # written, one of them at the near end each (12 for thm1.1 from the
+    # wide upper end, ends included).
     calls = []
     real = kendall.solve_increasing_array
 
-    def counted(f, lo, hi, *args):
+    def counted(f, *args):
         n = []
-        result = real(lambda x, *a: n.append(1) or f(x, *a), lo, hi, *args)
+        result = real(lambda x, *a: n.append(1) or f(x, *a), *args)
         calls.append(len(n))
         return result
 

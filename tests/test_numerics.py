@@ -17,29 +17,30 @@ from ergocert.numerics import (
 
 
 def test_solve_sqrt2():
-    root = solve_monotone(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, 2.0)
+    root = solve_monotone(lambda x: x * x - 2.0, 1.0, 2.0, 2.0, -1.0)
     assert abs(root - math.sqrt(2.0)) <= 1e-9
 
 
 def test_solve_endpoint_root():
-    assert solve_monotone(lambda x: x - 3.0, 3.0, 5.0, 0.0, 2.0) == 3.0
-    assert solve_monotone(lambda x: x - 5.0, 3.0, 5.0, -2.0, 0.0) == 5.0
+    assert solve_monotone(lambda x: x - 3.0, 3.0, 5.0, 5.0, 0.0) == 3.0
+    assert solve_monotone(lambda x: x - 5.0, 3.0, 5.0, 5.0, -2.0) == 5.0
+    assert solve_monotone(lambda x: x - 4.0, 3.0, 4.0, 5.0, -1.0) == 4.0  # at the near end
 
 
 def test_solve_decreasing_function():
-    root = solve_monotone(lambda x: -x**3 + 8.0, 1.0, 3.0, 7.0, -19.0)
+    root = solve_monotone(lambda x: -x**3 + 8.0, 1.0, 3.0, 3.0, 7.0)
     assert abs(root - 2.0) <= 1e-9
 
 
 def test_no_sign_change():
     with pytest.raises(NoSignChange):
-        solve_monotone(lambda x: x - 10.0, 0.0, 1.0, -10.0, -9.0)
+        solve_monotone(lambda x: x - 10.0, 0.0, 1.0, 1.0, -10.0)
 
 
 def test_empty_bracket():
     for lo, hi in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(InvalidParams):
-            solve_monotone(lambda x: x - 0.5, lo, hi, lo - 0.5, hi - 0.5)
+            solve_monotone(lambda x: x - 0.5, lo, hi, hi, lo - 0.5)
 
 
 def test_iteration_budget():
@@ -48,7 +49,7 @@ def test_iteration_budget():
     # to balance the two, so the fixed budget of 256 steps runs out long
     # before the 1e300-wide bracket closes.
     with pytest.raises(NoConvergence):
-        solve_monotone(lambda x: -1e300 if x < 1.0 / 3.0 else 1.0, 0.0, 1e300, -1e300, 1.0)
+        solve_monotone(lambda x: -1e300 if x < 1.0 / 3.0 else 1.0, 0.0, 1e300, 1e300, -1e300)
 
 
 def test_solve_returns_the_lower_end_of_its_bracket():
@@ -56,7 +57,7 @@ def test_solve_returns_the_lower_end_of_its_bracket():
     # and of a decreasing function alike, and within the width tolerance.
     root = math.sqrt(2.0)
     for f, target in ((lambda x: x * x, 2.0), (lambda x: -x * x, -2.0)):
-        x = solve_monotone(lambda x: f(x) - target, 1.0, 2.0, f(1.0) - target, f(2.0) - target)
+        x = solve_monotone(lambda x: f(x) - target, 1.0, 2.0, 2.0, f(1.0) - target)
         assert x <= root and root - x <= 1e-12
 
 
@@ -70,79 +71,120 @@ def test_solve_takes_the_minimum_step_where_regula_falsi_rounds_onto_the_latest_
         return x * x * x + x
 
     calls = []
-    ends = f(0.0) - 3.0, f(4.0) - 3.0
-    x = solve_monotone(lambda x: calls.append(x) or f(x) - 3.0, 0.0, 4.0, *ends)
+    x = solve_monotone(lambda x: calls.append(x) or f(x) - 3.0, 0.0, 4.0, 4.0, f(0.0) - 3.0)
     x0, x1 = calls[-3], calls[-2]
     g0, g1 = f(x0) - 3.0, f(x1) - 3.0
     assert g0 > 0.0 > g1 and x1 - g1 * (x1 - x0) / (g1 - g0) == x1
     assert calls[-1] == x1 + 0.5 * numerics._TOL_ABS  # one step, then closed
     assert x == x1 and f(x) <= 3.0
-    assert len(calls) <= 16
+    assert calls[0] == 4.0 and len(calls) - 1 <= 16  # the end, then the steps
     array_calls = []
     got = solve_increasing_array(
-        lambda x, t: array_calls.append(x) or f(x) - t, 0.0, 4.0, *ends, np.array([3.0])
+        lambda x, t: array_calls.append(x) or f(x) - t, 0.0, 4.0, 4.0, f(0.0) - 3.0, np.array([3.0])
     )
     assert got[0] == x and len(array_calls) == len(calls)
 
 
-@given(
-    rows=st.lists(
-        st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.05, 0.95)),
-        min_size=1,
-        max_size=16,
-    )
+# One element of the twin test: the cubic a x^3 + b x - t on [-2, 3], its
+# target t at fraction frac of the way from its value at -2 to its value at
+# 3 (frac 0 puts the root at -2, a frac below 0 or above 1 outside the
+# bracket), and where the near end lies: at fraction u of the way from the
+# wide solve's root up to hi ("above"), from lo up to that root ("under",
+# planted under it), at hi or at lo.
+_TWIN_ELEMENT = st.tuples(
+    st.floats(0.1, 4.0),
+    st.floats(0.1, 4.0),
+    st.one_of(
+        st.floats(0.05, 0.95), st.just(0.0), st.floats(-0.5, -0.05), st.floats(1.05, 1.5)
+    ),
+    st.sampled_from(("above", "under", "hi", "lo")),
+    st.floats(0.05, 0.95),
 )
-@settings(max_examples=60, deadline=None)
+
+
+@given(rows=st.lists(_TWIN_ELEMENT, min_size=1, max_size=16))
+@settings(max_examples=80, deadline=None)
 def test_solve_increasing_array_matches_solve_monotone_property(rows):
-    # The float and array root finders write the same Illinois steps: on a
-    # cubic, where numpy and Python arithmetic agree bit for bit, every
-    # element of the array solve equals the scalar solve.
-    a, b, frac = (np.array(col) for col in zip(*rows))
-    lo, hi = -2.0, 3.0
-
-    def f(x, a, b):
-        return a * (x * x * x) + b * x
-
-    target = f(lo, a, b) + frac * (f(hi, a, b) - f(lo, a, b))
-    ends = f(lo, a, b) - target, f(hi, a, b) - target
-    got = solve_increasing_array(lambda x, a, b, t: f(x, a, b) - t, lo, hi, *ends, a, b, target)
-    for i, (ai, bi, _) in enumerate(rows):
-        ti = float(target[i])
-        gap = lambda x: f(x, ai, bi) - ti
-        assert got[i] == solve_monotone(gap, lo, hi, gap(lo), gap(hi))
-
-
-@given(
-    rows=st.lists(
-        st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.05, 0.95)),
-        min_size=1,
-        max_size=16,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_root_finders_take_the_end_values_from_the_caller(rows):
-    # Both twins call f strictly inside the bracket only: an f that raises
-    # at lo or hi gives the bits of the same f without the guard, for the
-    # scalar and the array finder alike, in every element.
-    a, b, frac = (np.array(col) for col in zip(*rows))
+    # The float and array root finders write the same near step and the
+    # same Illinois steps: on a cubic, where numpy and Python arithmetic
+    # agree bit for bit, every element of the array solve evaluates f at the
+    # points the scalar solve does, in the same order, and returns its bits
+    # (NaN where the scalar solve raises NoSignChange). The near step tries
+    # up only where f(lo) < 0 and lo < up, takes [lo, up] where f(up) >= 0,
+    # and else evaluates hi, unless up is hi; each end is evaluated at most
+    # once, lo never, and every later point lies strictly inside the bracket
+    # taken. From up under the root, at hi or at lo the solve gives the
+    # wide solve's bits, from up above the root a root within the stop
+    # tolerance, on the lower side. The array finder evaluates nothing where
+    # f(lo) >= 0 and returns lo or NaN there. A decreasing f (the cubic
+    # negated) never tries up and gives the bits of the wide solve: the
+    # Illinois steps depend on the signs of f only through their comparison.
     lo, hi = -2.0, 3.0
 
     def f(x, a, b, t):
         return a * (x * x * x) + b * x - t
 
-    def guarded(x, *args):
-        if np.any((x == lo) | (x == hi)):
-            raise AssertionError(f"f evaluated at a bracket end, x={x}")
-        return f(x, *args)
+    elements = []
+    for a, b, frac, kind, u in rows:
+        t = f(lo, a, b, 0.0) + frac * (f(hi, a, b, 0.0) - f(lo, a, b, 0.0))
+        f_lo, solvable = f(lo, a, b, t), f(lo, a, b, t) < 0.0 <= f(hi, a, b, t)
+        wide = solve_monotone(lambda x: f(x, a, b, t), lo, hi, hi, f_lo) if solvable else (
+            lo if f_lo >= 0.0 else hi)
+        up = {
+            "above": wide + u * (hi - wide), "under": lo + u * (wide - lo), "hi": hi, "lo": lo
+        }[kind]
+        elements.append((a, b, t, f_lo, solvable, wide, kind, up))
+    a, b, t, f_lo, _, _, _, up = (np.array(col) for col in zip(*elements))
+    array_calls = [[] for _ in elements]
 
-    target = f(lo, a, b, 0.0) + frac * (f(hi, a, b, 0.0) - f(lo, a, b, 0.0))
-    ends = f(lo, a, b, target), f(hi, a, b, target)
-    got = solve_increasing_array(guarded, lo, hi, *ends, a, b, target)
-    assert got.tobytes() == solve_increasing_array(f, lo, hi, *ends, a, b, target).tobytes()
-    for i, row in enumerate(zip(a.tolist(), b.tolist(), target.tolist())):
-        scalar_ends = f(lo, *row), f(hi, *row)
-        x = solve_monotone(lambda x: guarded(x, *row), lo, hi, *scalar_ends)
-        assert x == got[i] == solve_monotone(lambda x: f(x, *row), lo, hi, *scalar_ends)
+    def f_array(x, a, b, t, i):
+        for xi, ii in zip(x.tolist(), i.tolist()):
+            array_calls[int(ii)].append(xi)
+        return f(x, a, b, t)
+
+    got = solve_increasing_array(f_array, lo, up, hi, f_lo, a, b, t, np.arange(len(rows)))
+    for i, (a, b, t, f_lo, solvable, wide, kind, up) in enumerate(elements):
+        calls = []
+        try:
+            x = solve_monotone(lambda x: calls.append(x) or f(x, a, b, t), lo, up, hi, f_lo)
+        except NoSignChange:
+            x = math.nan
+        ends = [up] if f_lo < 0.0 and lo < up else []
+        near = bool(ends) and (f(up, a, b, t) >= 0.0 or up == hi)
+        if f_lo != 0.0 and not near:
+            ends.append(hi)
+        assert calls[: len(ends)] == ends and lo not in calls
+        top = up if near else hi
+        assert all(lo < c < top for c in calls[len(ends):])
+        if f_lo >= 0.0:
+            assert array_calls[i] == [] and calls == ([] if f_lo == 0.0 else [hi])
+            assert (x == got[i] == lo) if f_lo == 0.0 else (math.isnan(x) and math.isnan(got[i]))
+            continue
+        assert array_calls[i] == calls and got[i].hex() == x.hex()
+        if not solvable:
+            assert math.isnan(x)
+            continue
+        if kind == "above":
+            assert near and wide - 1e-12 <= x <= wide + 1e-12 and f(x, a, b, t) <= 0.0
+        else:
+            assert x == wide
+        decreasing = []
+        negated = lambda x: decreasing.append(x) or -f(x, a, b, t)
+        assert solve_monotone(negated, lo, up, hi, -f_lo) == wide and decreasing[0] == hi
+        assert up not in decreasing or up == hi
+
+
+def test_array_finder_evaluates_nothing_at_a_nan_lower_value():
+    # An element whose value at lo is NaN costs no evaluation and comes
+    # back NaN; the others solve as they would alone.
+    seen = []
+
+    def f(x, t):
+        seen.append(x.size)
+        return x - t
+
+    got = solve_increasing_array(f, 0.0, 2.0, 4.0, np.array([np.nan, -1.0]), np.array([5.0, 1.0]))
+    assert math.isnan(got[0]) and got[1] == 1.0 and set(seen) == {1}
 
 
 @given(
@@ -156,7 +198,7 @@ def test_solve_bracketing_property(a, b, frac):
     f = lambda x: a * x**3 + b * x
     lo, hi = -2.0, 3.0
     target = f(lo) + frac * (f(hi) - f(lo))
-    x = solve_monotone(lambda x: f(x) - target, lo, hi, f(lo) - target, f(hi) - target)
+    x = solve_monotone(lambda x: f(x) - target, lo, hi, hi, f(lo) - target)
     tol = 1e-9
     assert f(x - tol) - target <= 0.0 <= f(x + tol) - target
 

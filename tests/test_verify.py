@@ -395,6 +395,26 @@ def walk09_chain():
     return walk_truncated_chain(ReflectingWalk(p=0.9), 128)
 
 
+@pytest.mark.parametrize(
+    "x, n_max",
+    [(4.0, 10), (True, 10), (np.array([1.0, 2.0]), 10), (np.array([True]), 10),
+     (4, 10.0), (4, True), (4, -1), (-1, 10), (128, 10)],
+)
+def test_distances_reject_a_state_or_step_count_that_is_no_integer(walk09_chain, x, n_max):
+    # A float state raised IndexError, a bool state ValueError and a float
+    # n_max TypeError; the state range and n_max >= 0 checks were there.
+    with pytest.raises(InvalidParams):
+        matrix_vnorm_distances(walk09_chain, x, n_max)
+
+
+def test_distances_take_numpy_integers(walk09_chain):
+    want = matrix_vnorm_distances(walk09_chain, np.array([1, 4]), 10)
+    for x, n_max in ((np.array([1, 4], dtype=np.uint8), np.int32(10)), ([1, 4], np.uint8(10))):
+        assert matrix_vnorm_distances(walk09_chain, x, n_max).tobytes() == want.tobytes()
+    one = matrix_vnorm_distances(walk09_chain, 4, 10)
+    assert matrix_vnorm_distances(walk09_chain, np.int64(4), 10).tobytes() == one.tobytes()
+
+
 def test_distance_at_time_zero(walk09_chain):
     tc = walk09_chain
     x = 4
@@ -751,6 +771,19 @@ def test_choose_truncation_names_a_reach_past_its_cap():
 def test_choose_truncation_rejects_a_negative_reach(x_max, n_max):
     with pytest.raises(InvalidParams, match=f"got {x_max}, {n_max}$"):
         choose_truncation(ReflectingWalk(p=0.9), x_max, n_max)
+
+
+@pytest.mark.parametrize("x_max, n_max", [(30.0, 200), (30, 200.0), (True, 200)])
+def test_choose_truncation_rejects_a_reach_that_is_no_integer(x_max, n_max):
+    # A float x_max raised AttributeError from int.bit_length.
+    with pytest.raises(InvalidParams, match=f"integers x_max, n_max >= 0, got {x_max}, {n_max}$"):
+        choose_truncation(ReflectingWalk(p=0.9), x_max, n_max)
+
+
+def test_choose_truncation_takes_numpy_integers():
+    spec = ReflectingWalk(p=0.9)
+    got = choose_truncation(spec, np.int64(30), np.uint8(200))
+    assert got.matrix.tobytes() == choose_truncation(spec, 30, 200).matrix.tobytes()
 
 
 # --- Monte Carlo oracle ------------------------------------------------------
