@@ -20,6 +20,7 @@ alpha_1, alpha_2 and the envelope L(r).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -316,12 +317,6 @@ def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0, pieces):
     return fn.where(hi > lo, _rate(lam, 1.0 + fn.exp(t + _FLOOR_MARGIN)), math.inf)
 
 
-def _general_rho_floor(p: DriftMinorization, pieces: int) -> float:
-    # _rho_floor of p's constants: at most rho_general(p).rho.
-    de = derived_exponents(p)
-    return _rho_floor(p.lam, p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0, pieces)
-
-
 def rho_general(p: DriftMinorization) -> RatePart:
     """Rate for the general regime.
 
@@ -404,22 +399,54 @@ def _r2_bracket(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
     return pole_limited, lo, hi, up
 
 
+def _r2_gap(beta, beta_tilde, alpha1, alpha2, r: float) -> float:
+    # The R2 crossing in log form, log L(r) - log(1 + 2*beta*r): near the
+    # pole L(r) grows like 1/(hi - r), which stalls regula falsi steps, and
+    # its log only like log(1/(hi - r)).
+    return math.log(_big_l_at(r, beta_tilde, alpha1, alpha2)) - math.log1p(2.0 * beta * r)
+
+
+def _r2_crossing(beta, beta_tilde, alpha1, alpha2, r0) -> Optional[tuple]:
+    # None where the nonatomic R2 is R0, else the (lo, up, hi, gap(lo)) of
+    # its crossing solve, gap(lo) NaN where lo >= hi. gap(1+) ~ -2*beta < 0
+    # and gap(hi) > 0; single crossing on (1, R0), solved from the near end
+    # up.
+    pole_limited, lo, hi, up = _r2_bracket(beta, beta_tilde, alpha1, alpha2, r0)
+    if not pole_limited and _big_l_at(r0, beta_tilde, alpha1, alpha2) <= 1.0 + 2.0 * beta * r0:
+        return None
+    gap_lo = _r2_gap(beta, beta_tilde, alpha1, alpha2, lo) if lo < hi else math.nan
+    return lo, up, hi, gap_lo
+
+
 def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> float:
-    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
-    pole_limited, lo, hi, up = _r2_bracket(p.beta, bt, a1, a2, de.r0)
-    if not pole_limited and _big_l_at(de.r0, bt, a1, a2) <= 1.0 + 2.0 * p.beta * de.r0:
+    constants = p.beta, p.beta_tilde, de.alpha1, de.alpha2
+    crossing = _r2_crossing(*constants, de.r0)
+    if crossing is None:
         return de.r0
+    # An empty bracket is not evaluated: the root finder raises.
+    return solve_monotone(functools.partial(_r2_gap, *constants), *crossing)
 
-    # The crossing in log form, log L(r) = log(1 + 2*beta*r): near the pole
-    # L(r) grows like 1/(hi - r), which stalls regula falsi steps, and its
-    # log only like log(1/(hi - r)).
-    def gap(r: float) -> float:
-        return math.log(_big_l_at(r, bt, a1, a2)) - math.log1p(2.0 * p.beta * r)
 
-    # gap(1+) ~ -2*beta < 0 and gap(hi) > 0; single crossing on (1, R0),
-    # solved from the near end up. An empty bracket is not evaluated: the
-    # root finder raises.
-    return solve_monotone(gap, lo, up, hi, gap(lo) if lo < hi else math.nan)
+# Slack in the reversible floor: a thousand times the few ulps (2.2e-16 each
+# near 1) by which rounding can put up under the crossing, where the solve
+# takes the wide end and returns a radius that far above up.
+_R2_FLOOR_MARGIN = 1e-12
+
+
+def _reversible_rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0) -> float:
+    # A floor on the nonatomic reversible rate with no solve, from floats:
+    # the rate itself where R2 = R0, else _rate at the closed-form upper end
+    # up of the crossing less _R2_FLOOR_MARGIN, as the solved R2 is at most
+    # up. -inf where the solve may raise: unless gap(lo) < 0 < gap(hi), with
+    # lo < hi, which gives a sign change on either bracket the solve takes.
+    constants = beta, beta_tilde, alpha1, alpha2
+    crossing = _r2_crossing(*constants, r0)
+    if crossing is None:
+        return _rate(lam, r0)
+    lo, up, hi, gap_lo = crossing
+    if not gap_lo < 0.0 < _r2_gap(*constants, hi):
+        return -math.inf
+    return _rate(lam, up) - _R2_FLOOR_MARGIN
 
 
 def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:

@@ -147,7 +147,13 @@ def _drift_from_args(args) -> bounds.DriftMinorization:
 
 
 def _cmd_bound(args) -> int:
-    if not args.atomic and args.beta_tilde is None:
+    if args.atomic:
+        # An atom's certificate reads no side information about nu.
+        given = {"--nu": args.nu != "none", "--K-tilde": args.k_tilde is not None}
+        unread = [flag for flag, is_given in given.items() if is_given]
+        if unread:
+            raise ErgoCertError(f"bound --atomic does not read {', '.join(unread)}")
+    elif args.beta_tilde is None:
         raise ErgoCertError("nonatomic input requires --beta-tilde")
     cert = bounds.certificate(_drift_from_args(args), args.symmetry, args.gamma)
     return _emit_certificate(args, cert)

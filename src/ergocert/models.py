@@ -25,16 +25,15 @@ from .bounds import (
     NU_V_INTEGRAL,
     _RADIUS_ARRAY,
     DriftMinorization,
-    _general_rho_floor,
     _rate,
+    _reversible_rho_floor,
     _rho_floor,
     rate_part,
-    rho_general,
     rho_positive,
     split_exponents,
 )
 from .competitors import CouplingInput, _coupling_rate, _lambda1, coupling_rho
-from .errors import InvalidParams, MonotoneViolation, TruncationTooSmall
+from .errors import InvalidParams, MonotoneViolation, OutOfRange, TruncationTooSmall
 from .numerics import _is_array, elementary, std_normal_cdf
 
 if TYPE_CHECKING:
@@ -144,7 +143,8 @@ class ContractingNormal:
         return contracting_coupling_input(self.theta, self.c)
 
     def lazy_params(self) -> DriftMinorization:
-        return binomial_modification(self.params(), sup_v_on_c=1.0 + self.c * self.c)
+        v_c = _contracting_constants(self.theta, self.c)[3]
+        return binomial_modification(self.params(), sup_v_on_c=v_c)
 
 
 # Any benchmark chain accepted by the constant maps below. Each gives its
@@ -380,6 +380,26 @@ def _contracting_lambda(theta: float, c: float) -> float:
     return theta * theta + 2.0 * (1.0 - theta * theta) / (1.0 + c * c)
 
 
+def _contracting_constants(theta: float, c: float) -> tuple:
+    # (lambda, K, beta_tilde, V(c), b, coupling beta_tilde) of the tuning
+    # (theta, c) as unchecked floats: the one copy of each formula, which
+    # contracting_params, contracting_coupling_input, the lazy chain and the
+    # floors of the c search all take. V(c) = 1 + c^2 is sup V over C and
+    # min V off C.
+    at = abs(theta)
+    sd = math.sqrt(1.0 - theta * theta)
+    phi = std_normal_cdf(at * c / sd)
+    v_c = 1.0 + c * c
+    return (
+        _contracting_lambda(theta, c),
+        2.0 + theta * theta * (c * c - 1.0),
+        2.0 * (std_normal_cdf((1.0 + at) * c / sd) - phi),
+        v_c,
+        2.0 * (1.0 - theta * theta) * c * c / v_c,
+        2.0 * (1.0 - phi),
+    )
+
+
 def contracting_params(theta: float, c: float) -> DriftMinorization:
     """Constants for V(x) = 1 + x^2 and C = [-c, c].
 
@@ -387,12 +407,8 @@ def contracting_params(theta: float, c: float) -> DriftMinorization:
     the minorization measure is the infimum of the transition densities
     restricted to C, so beta = beta_tilde and nu(C) = 1.
     """
-    spec = ContractingNormal(theta=theta, c=c)  # validation
-    at = abs(theta)
-    sd = math.sqrt(1.0 - theta * theta)
-    lam = _contracting_lambda(theta, c)
-    big_k = 2.0 + theta * theta * (c * c - 1.0)
-    beta_tilde = 2.0 * (std_normal_cdf((1.0 + at) * c / sd) - std_normal_cdf(at * c / sd))
+    ContractingNormal(theta=theta, c=c)  # validation
+    lam, big_k, beta_tilde, *_ = _contracting_constants(theta, c)
     return DriftMinorization(
         lam=lam,
         big_k=big_k,
@@ -413,17 +429,8 @@ def contracting_coupling_input(theta: float, c: float) -> CouplingInput:
     ContractingNormal(theta=theta, c=c)
     if c <= math.sqrt(2.0):
         raise InvalidParams(f"coupling needs c > sqrt(2), got c={c}")
-    at = abs(theta)
-    sd = math.sqrt(1.0 - theta * theta)
-    lam = _contracting_lambda(theta, c)
-    b = 2.0 * (1.0 - theta * theta) * c * c / (1.0 + c * c)
-    return CouplingInput(
-        lam=lam,
-        b=b,
-        v_min_outside=1.0 + c * c,
-        big_k=2.0 + theta * theta * (c * c - 1.0),
-        beta_tilde=2.0 * (1.0 - std_normal_cdf(at * c / sd)),
-    )
+    lam, big_k, _, v_c, b, beta_tilde = _contracting_constants(theta, c)
+    return CouplingInput(lam=lam, b=b, v_min_outside=v_c, big_k=big_k, beta_tilde=beta_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +450,25 @@ def binomial_modification(p: DriftMinorization, sup_v_on_c: float) -> DriftMinor
     """
     if sup_v_on_c < 1.0:
         raise InvalidParams(f"sup of V over C must be >= 1, got {sup_v_on_c}")
+    lam, big_k, beta, beta_tilde = _lazy_constants(
+        p.lam, p.big_k, p.beta, p.beta_tilde, p.atomic, sup_v_on_c
+    )
     return DriftMinorization(
-        lam=(1.0 + p.lam) / 2.0,
-        big_k=(sup_v_on_c + p.big_k) / 2.0,
-        beta=p.beta / 2.0,
-        beta_tilde=1.0 if p.atomic else p.beta_tilde / 2.0,
+        lam=lam,
+        big_k=big_k,
+        beta=beta,
+        beta_tilde=beta_tilde,
         atomic=p.atomic,
         nu_info=p.nu_info,
         k_tilde=p.k_tilde,
     )
+
+
+def _lazy_constants(lam, big_k, beta, beta_tilde, atomic: bool, sup_v_on_c) -> tuple:
+    # (lambda, K, beta, beta_tilde) of the lazy kernel as unchecked floats,
+    # which binomial_modification and the binomial floor of the c search take.
+    beta_tilde = 1.0 if atomic else beta_tilde / 2.0
+    return (1.0 + lam) / 2.0, (sup_v_on_c + big_k) / 2.0, beta / 2.0, beta_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +515,11 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # rate. Every grid rate is at least its floor, so a tuning left at inf never
 # was the argmin, and the rated ones get the same bits as in a scan of all
 # of them: each step of the scan is elementwise. The contracting search
-# calls method_rho per c, except where a floor on 1 or 16 pieces rules c
-# out; thm1.1 calls rho_general on the constants it built for its floors.
+# gives every method a closed-form floor per c from the floats of
+# _contracting_constants (_contracting_floor), visits c in floor order and
+# calls method_rho only for the c values that its floor, and for thm1.1 its
+# 16-piece floor, does not rule out; a floor of -inf, where the rate may
+# raise, makes that c rated first.
 # ---------------------------------------------------------------------------
 
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
@@ -593,27 +613,53 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
     return {"d": best_d, "s": best_s, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}
 
 
-def _contracting_params_or_none(theta: float, c: float) -> Optional[DriftMinorization]:
-    # contracting_params at c, None where c has no valid constants.
+def _contracting_rho_or_inf(method: str, theta: float, c: float) -> float:
+    # method_rho at c, or inf where the method has no rate there (invalid
+    # constants, no drift), which never wins the argmin.
     try:
-        return contracting_params(theta, c)
-    except InvalidParams:
-        return None
-
-
-def _contracting_rho_or_inf(
-    method: str, theta: float, c: float, p: Optional[DriftMinorization]
-) -> float:
-    # The method's rate at c, or inf where it has none there (invalid
-    # constants, no drift), which never wins the argmin. thm1.1 rates the
-    # constants p = _contracting_params_or_none(theta, c) that its search
-    # builds once per c; the other methods go through method_rho.
-    try:
-        if method == "thm1.1":
-            return math.inf if p is None else rho_general(p).rho
         return method_rho(method, ContractingNormal(theta=theta, c=c))
     except (InvalidParams, MonotoneViolation):
         return math.inf
+
+
+def _floor_constants(method: str, theta: float, c: float) -> tuple:
+    # (lambda, K, beta, beta_tilde) of the chain whose rate the method takes
+    # at c, unchecked floats of _contracting_constants: the lazy chain's for
+    # binomial, and lambda_1 with the coupling beta_tilde for coupling.
+    lam, big_k, beta_tilde, v_c, b, coupling_beta_tilde = _contracting_constants(theta, c)
+    if method == "coupling":
+        return _lambda1(lam, b, v_c), big_k, coupling_beta_tilde, coupling_beta_tilde
+    if method == "binomial":
+        return _lazy_constants(lam, big_k, beta_tilde, beta_tilde, False, v_c)
+    return lam, big_k, beta_tilde, beta_tilde
+
+
+def _contracting_floor(method: str, constants: tuple, pieces: int = 1) -> float:
+    # A closed-form floor on the method's rate at c from its _floor_constants,
+    # with no DriftMinorization built. thm1.3, binomial and coupling take
+    # their rate's own formula, the rate itself where the constants are
+    # valid; thm1.2 takes bounds._reversible_rho_floor and thm1.1
+    # bounds._rho_floor on `pieces` pieces. Invalid constants rate inf, above
+    # any floor. -inf where the rate may raise (coupling with lambda_1 >= 1,
+    # thm1.2 where its solve may) or the floats give no number, so the
+    # search rates that c before any other, as a scan in grid order would.
+    lam, big_k, beta, beta_tilde = constants
+    try:
+        if method == "coupling":
+            floor = _coupling_rate(lam, big_k, beta_tilde) if lam < 1.0 else -math.inf
+        else:
+            *exponents, r0 = split_exponents(lam, big_k, beta_tilde, NU_CONCENTRATED)
+            if method == "thm1.1":
+                floor = _rho_floor(lam, beta, beta_tilde, *exponents, r0, pieces)
+            elif method == "thm1.2":
+                floor = _reversible_rho_floor(lam, beta, beta_tilde, *exponents, r0)
+            else:
+                floor = _rate(lam, r0)  # rho_positive's rate
+                if method == "binomial":
+                    floor = floor**2
+    except (ArithmeticError, ValueError, OutOfRange):
+        return -math.inf
+    return -math.inf if math.isnan(floor) else floor
 
 
 def _c_grid(lo: float, hi: float) -> list[float]:
@@ -630,15 +676,17 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
 
     A c where the method has no rate (invalid constants, no drift) is
     skipped; an unknown method or a theta outside (-1, 1) raises
-    InvalidParams. The c values are visited in increasing (floor, index)
-    order up to the first floor above the best rate so far: thm1.1's floor
-    is ``bounds._general_rho_floor(p, 1)`` (inf where c has no constants or
-    no radius window), every other method's 0.0. thm1.1 also skips a
-    visited c whose floor on 16 pieces, ``_general_rho_floor(p, 16)``, lies
-    above the best rate so far, and builds each c's constants once for both
-    floors and the rate. The first c with the lowest rate wins, as in the full
-    scan, bit for bit; a c left out is never evaluated, so an error it
-    would raise is not raised.
+    InvalidParams. Each c gets a closed-form floor on the method's rate from
+    floats (``_contracting_floor``): the rate itself for thm1.3, binomial
+    and coupling, the rate at the closed-form upper end of the R2 crossing
+    for thm1.2 and ``bounds._rho_floor`` on one piece for thm1.1; -inf where
+    the rate may raise. The c values are visited in increasing (floor, index)
+    order up to the first floor above the best rate so far, and each visited
+    c is rated by method_rho; thm1.1 first skips a c whose floor on 16
+    pieces lies above the best rate so far. The first c with the lowest rate
+    wins, as in the full scan, bit for bit, and a c that may raise is rated
+    before all others, in grid order, so an error comes from the c where the
+    full scan raises it.
     """
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
@@ -648,18 +696,15 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
     cs = _c_grid(lo, hi)
-    ps = [None] * len(cs)
-    floors = [0.0] * len(cs)
-    if method == "thm1.1":
-        ps = [_contracting_params_or_none(theta, c) for c in cs]
-        floors = [math.inf if p is None else _general_rho_floor(p, 1) for p in ps]
+    constants = [_floor_constants(method, theta, c) for c in cs]
+    floors = [_contracting_floor(method, k) for k in constants]
     best_rho, best_i = math.inf, -1
     for i in sorted(range(len(cs)), key=floors.__getitem__):  # stable: ties by index
         if floors[i] > best_rho:
             break
-        if ps[i] is not None and _general_rho_floor(ps[i], 16) > best_rho:
+        if method == "thm1.1" and _contracting_floor(method, constants[i], 16) > best_rho:
             continue
-        rho = _contracting_rho_or_inf(method, theta, cs[i], ps[i])
+        rho = _contracting_rho_or_inf(method, theta, cs[i])
         if rho < best_rho or (rho == best_rho and i < best_i):
             best_rho, best_i = rho, i
     best_c = cs[best_i] if best_i >= 0 else None

@@ -434,7 +434,11 @@ def matrix_vnorm_distances(tc: TruncatedChain, x: int | np.ndarray, n_max: int) 
     three for a reflecting walk, all 2N - 1 for a dense chain. Each
     step projects out the stationary component that rounding injects into
     each row (rows of P sum to one, so exact arithmetic would preserve
-    sum(e) = 0).
+    sum(e) = 0). A start state's distances depend, in the last bits, on
+    which other start states share its call: numpy may order the sums of
+    a block differently from those of one row, so alone and inside a
+    block they can differ by a few ulps. The suites repeat byte for byte
+    only because each always builds the same blocks.
     """
     states = np.asarray(x)
     if states.dtype.kind not in "iu" or ((states < 0) | (states >= tc.n_states)).any():

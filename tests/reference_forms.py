@@ -48,6 +48,7 @@ from ergocert.bounds import (
     DriftMinorization,
     _big_l_at,
     _r2_bracket,
+    _rho_floor,
     _scan_window,
     derived_exponents,
 )
@@ -323,6 +324,13 @@ def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponent
     i = max(range(16), key=lambda j: (vals[j], j))
     u, t = _brent_climb(objective, us[max(i - 1, 0)], us[min(i + 1, 15)], us[i], vals[i])
     return radius(u), 1.0 + math.exp(t)
+
+
+def general_rho_floor(p: DriftMinorization, pieces: int) -> float:
+    """``bounds._rho_floor`` at one nonatomic chain's constants: at most
+    ``rho_general(p).rho``."""
+    de = derived_exponents(p)
+    return _rho_floor(p.lam, p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0, pieces)
 
 
 def increment_radius_roots(probs) -> float:

@@ -46,6 +46,7 @@ from reference_forms import (
     _m_atomic_r,
     _m_nonatomic_r,
     general_nonatomic_search_full_scan,
+    general_rho_floor,
     prop41_bounds,
     prop44_bounds,
     r2_gap,
@@ -507,8 +508,6 @@ def test_general_rho_floor_is_below_the_searched_rate(
     # validated nonatomic domain (lambda near 0 and near 1, K up to 1e3,
     # beta down to 1e-6 beta_tilde), and are inf where the radius window is
     # empty.
-    from ergocert.bounds import _general_rho_floor
-
     p = DriftMinorization(
         lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
         beta_tilde=beta_tilde, atomic=False, nu_info=nu_info,
@@ -517,21 +516,21 @@ def test_general_rho_floor_is_below_the_searched_rate(
     try:
         rho = rho_general(p).rho
     except InvalidParams:
-        assert _general_rho_floor(p, 1) == _general_rho_floor(p, 16) == math.inf
+        assert general_rho_floor(p, 1) == general_rho_floor(p, 16) == math.inf
         return
     except ErgoCertError:
         return
-    assert _general_rho_floor(p, 1) <= rho
-    assert _general_rho_floor(p, 16) <= rho
+    assert general_rho_floor(p, 1) <= rho
+    assert general_rho_floor(p, 16) <= rho
 
 
 def test_rho_floor_gives_the_float_floor_on_arrays():
     # The one-piece floor is written once, for floats and arrays: on arrays
-    # of constants each element is the float floor of _general_rho_floor
+    # of constants each element is the float floor of general_rho_floor
     # (numpy's log and exp may differ from math's by an ulp), inf where R0
     # leaves no radius window. 400 seeded draws over the validated nonatomic
     # domain, and lambda = 1 - 1e-12, whose R0 leaves no window.
-    from ergocert.bounds import _general_rho_floor, _rho_floor
+    from ergocert.bounds import _rho_floor
 
     rng = np.random.default_rng(0)
     ps = [DriftMinorization(lam=1.0 - 1e-12, big_k=2.0, beta=0.1, beta_tilde=0.5, atomic=False)]
@@ -551,7 +550,7 @@ def test_rho_floor_gives_the_float_floor_on_arrays():
         *(np.array([getattr(de, name) for de in des]) for name in ("alpha1", "alpha2", "r0")),
         1,
     )
-    want = np.array([_general_rho_floor(p, 1) for p in ps])
+    want = np.array([general_rho_floor(p, 1) for p in ps])
     assert want[0] == got[0] == math.inf
     assert (np.isinf(got) == np.isinf(want)).all()
     finite = np.isfinite(want)

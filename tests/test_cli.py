@@ -84,6 +84,37 @@ def test_bound_atomic_rejects_beta_tilde_below_one(capsys):
     assert "beta_tilde = 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--nu", "concentrated"], "--nu"),
+        (["--nu", "v-integral"], "--nu"),
+        (["--K-tilde", "1.5"], "--K-tilde"),
+        (["--nu", "v-integral", "--K-tilde", "1.5"], "--nu, --K-tilde"),
+    ],
+)
+def test_bound_atomic_flag_it_does_not_read_exits_2(capsys, argv, message):
+    # Each of these exited 0 with the flag dropped unread: the atomic
+    # regime takes no side information about nu.
+    code, out, err = run_cli(
+        capsys, "bound", "--lambda", "0.6", "--K", "2.5", "--beta", "0.25", "--atomic", *argv
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: bound --atomic does not read {message}\n"
+
+
+def test_bound_atomic_takes_nu_none_and_nonatomic_reads_nu(capsys):
+    # --nu none is the atomic regime's own value; a nonatomic bound reads
+    # --nu and --K-tilde, and a different --nu changes its certificate.
+    atomic = ["bound", "--lambda", "0.6", "--K", "2.5", "--beta", "0.25", "--atomic"]
+    assert run_cli(capsys, *atomic, "--nu", "none") == run_cli(capsys, *atomic)
+    nonatomic = ["bound", "--lambda", "0.7", "--K", "3.0", "--beta", "0.2", "--beta-tilde", "0.3"]
+    code, concentrated, _ = run_cli(capsys, *nonatomic, "--nu", "concentrated")
+    assert code == 0
+    code, v_integral, _ = run_cli(capsys, *nonatomic, "--nu", "v-integral", "--K-tilde", "1.5")
+    assert code == 0 and v_integral != concentrated
+
+
 def test_json_round_trip_bitwise(capsys):
     args = [
         "bound", "--lambda", "0.71153846153846154", "--K", "2.3125",

@@ -37,6 +37,7 @@ from ergocert.models import (
     walk_truncated_chain,
 )
 from ergocert.numerics import elementary
+from reference_forms import general_rho_floor
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -457,7 +458,7 @@ def test_mh_array_floor_matches_the_scalar_floor_on_coarse_grid(nu_variant):
     got = bounds._rho_floor(*constants, 1)
     dd, ss = np.broadcast_arrays(d_grid[:, None], s_grid[None, :])
     for floor, d, s in zip(got, dd[valid], ss[valid]):
-        want = bounds._general_rho_floor(mh_normal_params(float(d), float(s), nu_variant), 1)
+        want = general_rho_floor(mh_normal_params(float(d), float(s), nu_variant), 1)
         assert abs(floor - want) <= 4e-16, (d, s)
 
 
@@ -613,7 +614,7 @@ def _reference_contracting_search(method, theta):
     return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}, rates
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.75, 0.9, -0.5, 0.25, -0.9])
+@pytest.mark.parametrize("theta", [0.5, 0.75, 0.9, -0.5, 0.25, -0.9, 0.1, 0.6, 0.95, 0.99])
 def test_optimize_contracting_matches_scalar_loop(theta):
     # Where the reference loop raises (thm1.2 at |theta| = 0.9), the search
     # raises the same error at the same c.
@@ -668,21 +669,22 @@ def _spy_evaluated_c(monkeypatch):
     seen = []
     real = models._contracting_rho_or_inf
 
-    def spy(method, theta, c, p):
+    def spy(method, theta, c):
         seen.append(c)
-        return real(method, theta, c, p)
+        return real(method, theta, c)
 
     monkeypatch.setattr(models, "_contracting_rho_or_inf", spy)
     return seen
 
 
-def _contracting_general_floors(theta, c):
-    # The one-piece and the 16-piece thm1.1 floors at c, as the search takes
-    # them: inf where c has no constants.
-    p = models._contracting_params_or_none(theta, c)
-    if p is None:
-        return math.inf, math.inf
-    return bounds._general_rho_floor(p, 1), bounds._general_rho_floor(p, 16)
+def _contracting_floors(method, theta, c):
+    # The method's floor at c as the search takes it, and for thm1.1 also
+    # its 16-piece floor (the one-piece floor again for the other methods).
+    constants = models._floor_constants(method, theta, c)
+    floor = models._contracting_floor(method, constants)
+    if method != "thm1.1":
+        return floor, floor
+    return floor, models._contracting_floor(method, constants, 16)
 
 
 @pytest.mark.parametrize("theta, rated", [(0.25, 73), (0.5, 34), (0.9, 8)])
@@ -700,10 +702,46 @@ def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
     assert optimize_contracting_tuning("thm1.1", theta) == want
     assert len(set(seen)) == len(seen) == rated
     for c, rho in zip(grid, rates):
-        floor, floor_16 = _contracting_general_floors(theta, c)
+        floor, floor_16 = _contracting_floors("thm1.1", theta, c)
         assert floor <= floor_16 <= rho, c
         if c not in seen:
             assert floor_16 > want["rho"], c
+
+
+# The c values that the other methods rate at theta = 0.25 / 0.5 / 0.75 of
+# the 296 (259 for coupling) that the full scan rates. thm1.3, binomial and
+# coupling have their rate as their floor, so only the winner is rated.
+OTHER_METHODS_RATED = {
+    "thm1.2": (112, 37, 8),
+    "thm1.3": (1, 1, 1),
+    "coupling": (1, 1, 1),
+    "binomial": (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "method, theta, rated",
+    [
+        (method, theta, n)
+        for method, counts in OTHER_METHODS_RATED.items()
+        for theta, n in zip((0.25, 0.5, 0.75), counts)
+    ],
+)
+def test_optimize_contracting_rates_only_c_values_its_floor_admits(
+    monkeypatch, method, theta, rated
+):
+    # Each c is rated at most once, and a c left unrated has a reference
+    # rate above the winner's: the floor ruled out only c values that could
+    # not win.
+    want, rates = _reference_contracting_search(method, theta)
+    lo = _COUPLING_C_LO if method == "coupling" else 1.05
+    seen = _spy_evaluated_c(monkeypatch)
+    assert optimize_contracting_tuning(method, theta) == want
+    assert len(set(seen)) == len(seen) == rated
+    assert want["c"] in seen
+    for c, rho in zip(models._c_grid(lo, 4.0), rates):
+        if c not in seen:
+            assert rho > want["rho"], c
 
 
 @given(
@@ -711,15 +749,17 @@ def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
     c=st.floats(1.05, 4.0),
 )
 @settings(max_examples=200, deadline=None)
-def test_contracting_general_floor_is_below_the_rate(theta, c):
-    # Both floors that prune the thm1.1 search are at most the rate they
-    # stand for, inf included, wherever that rate is defined.
-    p = models._contracting_params_or_none(theta, c)
+@pytest.mark.parametrize("method", models.RATE_METHODS)
+def test_contracting_floor_is_below_the_rate(method, theta, c):
+    # Each floor that prunes a search is at most the rate it stands for,
+    # inf included, wherever that rate is defined, and -inf wherever the
+    # rate raises, so that c is rated before any other.
+    floor, floor_16 = _contracting_floors(method, theta, c)
     try:
-        rho = models._contracting_rho_or_inf("thm1.1", theta, c, p)
+        rho = models._contracting_rho_or_inf(method, theta, c)
     except ErgoCertError:
+        assert floor == floor_16 == -math.inf
         return
-    floor, floor_16 = _contracting_general_floors(theta, c)
     assert floor <= rho and floor_16 <= rho
 
 
@@ -745,28 +785,42 @@ def test_16_piece_floor_overshoots_with_each_secant_at_the_top_radius():
     assert over > 0
 
 
-def test_contracting_search_differs_when_the_floor_overshoots(monkeypatch):
-    # Falsification control: a floor just above the best rate at the winning
-    # c prunes the winner, so the search no longer matches the reference.
-    want, _ = _reference_contracting_search("thm1.1", 0.5)
-    winner = contracting_params(0.5, want["c"])
-    real = models._general_rho_floor
+@pytest.mark.parametrize("method", models.RATE_METHODS)
+def test_contracting_search_differs_when_the_floor_overshoots(monkeypatch, method):
+    # Falsification control: a floor at the winning c just above the
+    # runner-up's rate prunes the winner, so the search no longer matches
+    # the reference.
+    want, rates = _reference_contracting_search(method, 0.5)
+    runner_up = sorted(rates)[1]
+    winner = models._floor_constants(method, 0.5, want["c"])
+    real = models._contracting_floor
 
-    def overshoot(p, pieces):
-        return want["rho"] + 1e-6 if p == winner else real(p, pieces)
+    def overshoot(method, constants, pieces=1):
+        return runner_up + 1e-9 if constants == winner else real(method, constants, pieces)
 
-    monkeypatch.setattr(models, "_general_rho_floor", overshoot)
-    assert optimize_contracting_tuning("thm1.1", 0.5) != want
+    monkeypatch.setattr(models, "_contracting_floor", overshoot)
+    assert optimize_contracting_tuning(method, 0.5) != want
 
 
-@pytest.mark.parametrize("method", ["thm1.2", "thm1.3", "coupling", "binomial"])
-def test_optimize_contracting_other_methods_rate_every_c_in_order(monkeypatch, method):
-    # Only thm1.1 has a floor: the other methods rate every c of the grid,
-    # in grid order.
-    lo = math.sqrt(2.0) + 1e-6 if method == "coupling" else 1.05
-    seen = _spy_evaluated_c(monkeypatch)
-    optimize_contracting_tuning(method, 0.5)
-    assert seen == models._c_grid(lo, 4.0)
+def test_contracting_search_stops_raising_without_the_must_visit_floor(monkeypatch):
+    # Falsification control: where the R2 solve may raise, the thm1.2 floor
+    # is -inf, so that c is rated first. With the floor at the bracket's up
+    # end there instead, the search stops before any such c at theta = 0.9
+    # and no longer raises the full scan's NoSignChange.
+    real = models._reversible_rho_floor
+
+    def unguarded(lam, beta, beta_tilde, alpha1, alpha2, r0):
+        floor = real(lam, beta, beta_tilde, alpha1, alpha2, r0)
+        if floor > -math.inf:
+            return floor
+        up = bounds._r2_bracket(beta, beta_tilde, alpha1, alpha2, r0)[3]
+        return bounds._rate(lam, up) - bounds._R2_FLOOR_MARGIN
+
+    with pytest.raises(NoSignChange):
+        optimize_contracting_tuning("thm1.2", 0.9)
+    monkeypatch.setattr(models, "_reversible_rho_floor", unguarded)
+    result = optimize_contracting_tuning("thm1.2", 0.9)
+    assert result["c"] < 2.5 and result["rho"] < 1.0
 
 
 def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
