@@ -250,7 +250,7 @@ _FLOOR_MARGIN = 1e-6  # slack in log(R1 - 1) for the rounding of an R1 solve
 
 def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tuple:
     # (R_tilde, R1): R1(beta, R, L(R)) maximized over the scan window, as
-    # log(R1 - 1) in u = log(R - 1), where R1 keeps the relative accuracy
+    # t = log(R1 - 1) in u = log(R - 1), where R1 keeps the relative accuracy
     # that a float next to 1 loses and the radii near 1 are spread out. The
     # window ends map to their radii exactly, so a maximum at the right edge
     # gives R_tilde = R0 - 1e-9. R1 = 1 + e^t is solve_r1 at R_tilde.
@@ -261,7 +261,22 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tup
     # where a full scan would raise it; only the radii whose bound can
     # still win are then solved, each from the ends its bound kept: one on
     # most inputs, all 16 where every radius clamps to log 1e-14, which no
-    # bound lies below. Brent's steps take ends and solve in one go.
+    # bound lies below.
+    # The climb solves no R1 equation until its end. With delta = R - 1,
+    # N = (L - 1)/delta and l = log(R/r), the equation reads
+    # G(t, u) = t - log1p(e^t) - 2 log l - log(e^2 beta / (8 N)) = 0, G
+    # increasing in t; u enters only through l (dl/du = delta/R) and N
+    # (d log N/du = delta L'/(L - 1) - 1 =: s). So dt/du = -(dG/du)/(dG/dt)
+    # is 0 exactly where l = l_s = 2 (delta/R)/s, and R1 lies below
+    # r_s = 1 + x = R e^(-l_s) just where G(log x, u) > 0, that is
+    # x/(1 + x) > (e^2 beta / (8 N)) l_s^2; there l > l_s and t falls. So
+    # rising(u) = x - (e^2 beta / (8 N)) l_s^2 (1 + x), that difference
+    # times r_s > 0, is < 0 while R1 grows and > 0 past its peak, for a few
+    # logs. It stays above -1, its limit as l_s grows, where the undivided
+    # difference runs to -inf and stalls the root finder; s <= 0, left by
+    # rounding only (L is convex with L(1) = 1), gives that -1 too. L - 1
+    # and L' come from R^alpha - 1 = expm1(alpha log1p(delta)), so s keeps
+    # its relative accuracy next to R = 1, where it is O(delta).
     lo, hi = _scan_window(de.r0)
     if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
@@ -285,7 +300,22 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tup
     def objective(u: float) -> float:
         return kendall._r1_solve(*(scanned.get(u) or ends(u)))
 
-    u, t = maximize_scalar(objective, u_lo, u_hi, bound)
+    def rising(u: float) -> float:
+        big_r = radius(u)
+        delta = big_r - 1.0
+        log_r = math.log1p(delta)
+        e1, e2 = math.expm1(a1 * log_r), math.expm1(a2 * log_r)
+        pole = bt - (1.0 - bt) * e1  # 1 - (1 - bt) R^alpha1
+        rise = bt * e2 + (1.0 - bt) * e1  # (L - 1) * pole
+        rl = bt * (1.0 + e2) * (a2 + a1 * (1.0 - bt) * (1.0 + e1) / pole) / rise  # R L'/(L - 1)
+        s = delta / big_r * rl - 1.0
+        if not s > 0.0:
+            return -1.0
+        l_s = 2.0 * delta / (big_r * s)
+        x = delta + big_r * math.expm1(-l_s)
+        return x - kendall._E2 * beta * delta * pole / (8.0 * rise) * l_s * l_s * (1.0 + x)
+
+    u, t = maximize_scalar(objective, u_lo, u_hi, bound, rising)
     return radius(u), 1.0 + math.exp(t)
 
 
@@ -322,7 +352,9 @@ def rho_general(p: DriftMinorization) -> RatePart:
 
     Atomic: rho = 1/R1(beta, 1/lambda, K/lambda). Nonatomic: the envelope
     radius R is tuned over (1, R0) to maximize R1(beta, R, L(R)), and
-    rho = 1/R1 at the winner. Always rho >= lambda because R1 < R <= 1/lambda
+    rho = 1/R1 at the winner; the diagnostic R_tilde_edge is "left" or
+    "right" where the winner is that end of the search window, else None.
+    Always rho >= lambda because R1 < R <= 1/lambda
     (``_rate`` keeps it so through rounding).
     """
     if p.atomic:
@@ -335,6 +367,7 @@ def rho_general(p: DriftMinorization) -> RatePart:
         )
     de = derived_exponents(p)
     r_tilde, r1 = _general_nonatomic_search(p, de)
+    lo, hi = _scan_window(de.r0)
     return RatePart(
         rho=_rate(p.lam, r1),
         symmetry="general",
@@ -344,6 +377,7 @@ def rho_general(p: DriftMinorization) -> RatePart:
             "R0": de.r0,
             "R_tilde": r_tilde,
             "L_at_R_tilde": _big_l_at(r_tilde, p.beta_tilde, de.alpha1, de.alpha2),
+            "R_tilde_edge": "right" if r_tilde == hi else "left" if r_tilde == lo else None,
             "R1": r1,
         },
     )

@@ -84,7 +84,8 @@ def _emit_certificate(args, cert: bounds.Certificate) -> int:
     data = cert.to_dict()
     lines = [f"{k:<12}{_fmt(v, args.precision)}" for k, v in data.items() if k != "diagnostics"]
     lines.append("diagnostics:")
-    lines += [f"  {k:<16}{_fmt(v, args.precision)}" for k, v in data["diagnostics"].items()]
+    diagnostics = data["diagnostics"].items()
+    lines += [f"  {k:<16}{_fmt(v, args.precision)}" for k, v in diagnostics if k != "R_tilde_edge"]
     return _emit_payload(args, data, "\n".join(lines))
 
 
@@ -245,7 +246,7 @@ def _cmd_model_optimize(args) -> int:
     elif args.model == "contracting-normal":
         result = models.optimize_contracting_tuning(args.method, args.theta)
         tuned = {"c": result["c"]}
-        scanned = {"c": models._C_RANGE}
+        scanned = {"c": models._c_range(args.method)}
     else:
         raise ErgoCertError("--optimize applies to mh-normal and contracting-normal")
     if None in tuned.values():

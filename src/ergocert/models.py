@@ -670,9 +670,15 @@ def _c_grid(lo: float, hi: float) -> list[float]:
     return [lo + i * d for i in range(math.ceil((hi + 1e-12 - lo) / 0.01))]
 
 
+def _c_range(method: str) -> tuple:
+    # The c range that a method's contracting search covers: coupling needs c > sqrt(2).
+    lo, hi = _C_RANGE
+    return (max(lo, math.sqrt(2.0) + 1e-6) if method == "coupling" else lo), hi
+
+
 def optimize_contracting_tuning(method: str, theta: float) -> dict:
-    """Grid-search the small-set half-width c in _C_RANGE, at step 0.01, to
-    minimise rho for fixed theta.
+    """Grid-search the small-set half-width c in _c_range(method), at step
+    0.01, to minimise rho for fixed theta.
 
     A c where the method has no rate (invalid constants, no drift) is
     skipped; an unknown method or a theta outside (-1, 1) raises
@@ -692,10 +698,7 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
     if not (-1.0 < theta < 1.0):
         raise InvalidParams(f"theta must lie in (-1, 1), got {theta}")
-    lo, hi = _C_RANGE
-    if method == "coupling":
-        lo = max(lo, math.sqrt(2.0) + 1e-6)
-    cs = _c_grid(lo, hi)
+    cs = _c_grid(*_c_range(method))
     constants = [_floor_constants(method, theta, c) for c in cs]
     floors = [_contracting_floor(method, k) for k in constants]
     best_rho, best_i = math.inf, -1

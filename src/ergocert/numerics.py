@@ -28,8 +28,9 @@ scalar finder writes the rule with conditionals and the array finder with
 every scalar solve ~30 % slower.
 ``maximize_scalar`` pre-scans 16 uniform points, evaluating f only at those
 whose caller-given upper bound can still beat the best value so far
-(branch and bound), and finishes with Brent's bounded minimizer (Brent 1973,
-ch. 5) between the best point's neighbours.
+(branch and bound), and finishes with ``solve_monotone`` on the caller's
+stationarity function between the best point's neighbours: one evaluation
+of f, at its root, instead of a search on f itself.
 
 Every root finder stops on one fixed rule (``_closed``) on the module
 constants below: a bracket at most ``_TOL_ABS`` wide, or with no float
@@ -63,11 +64,8 @@ _SQRT2 = math.sqrt(2.0)
 # Stopping rule of every root finder: bracket width, step budget.
 _TOL_ABS = 1e-12
 _MAX_ITER = 256
-# The uniform pre-scan of maximize_scalar, and Brent's golden-section ratio
-# and relative step floor.
+# The uniform pre-scan of maximize_scalar.
 _PRESCAN_POINTS = 16
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(2.0**-52)
 
 
 def _closed(x0, x1):
@@ -199,11 +197,11 @@ def solve_increasing_array(f: Callable, lo, up, hi, f_lo, *args) -> np.ndarray:
 
 
 def maximize_scalar(
-    f: Callable[[float], float], lo: float, hi: float, bound: Callable[[float], float]
+    f: Callable, lo: float, hi: float, bound: Callable, rising: Callable
 ) -> tuple[float, float]:
     """Maximize f on [lo, hi]: a 16-point uniform pre-scan, pruned by
-    bound, then Brent's bounded minimizer of -f between the best scan
-    point's neighbours.
+    bound, then the root of rising between the best scan point's
+    neighbours.
 
     The scan points are lo + (hi - lo) * i / 15, the last one hi itself.
     bound(x) must be at least f(x); it is called at every scan point, in
@@ -213,11 +211,18 @@ def maximize_scalar(
     point whose (bound, index) lies below the best (value, index) so far:
     no point from there on can win (branch and bound, Land & Doig 1960).
     A bound of inf everywhere evaluates f at every scan point. Of equal
-    best values the rightmost wins, in the scan and in Brent's search
-    alike, so the scan picks the point a scan of every value would pick.
-    Brent's search (``_brent_climb``) starts from it. Unimodality is not
-    assumed: the pre-scan picks the hill and Brent climbs it. Returns
-    (argmax, value); raises EmptyDomain unless lo < hi.
+    best values the rightmost wins, so the scan picks the point a scan of
+    every value would pick.
+
+    rising(x) must be < 0 where f still increases and > 0 past a peak,
+    like -f'(x). Unimodality is not assumed: the scan picks the hill, and
+    ``solve_monotone`` finds where rising turns from - to + between the
+    best point's neighbours, from the best point as its near end; f is
+    evaluated once more, at that root, which wins only with a larger
+    value. The best scan point is kept too where rising is not < 0 at the
+    left neighbour (lo, where f falls from there) or does not turn (hi,
+    where f still climbs). Returns (argmax, value); raises EmptyDomain
+    unless lo < hi.
     """
     if not (lo < hi):
         raise EmptyDomain(f"need lo < hi, got [{lo}, {hi}]")
@@ -232,60 +237,16 @@ def maximize_scalar(
         if best is None or (value, j) > best:
             best = value, j
     fx, i = best
-    return _brent_climb(f, xs[max(i - 1, 0)], xs[min(i + 1, n)], xs[i], fx)
-
-
-def _brent_climb(f: Callable[[float], float], a: float, b: float, x: float, fx: float) -> tuple:
-    # Brent's bounded minimizer of -f on [a, b] (Brent 1973, ch. 5:
-    # parabolic steps with a golden-section fallback) from x, with
-    # fx = f(x). It moves only to a larger value, or to an equal one on its
-    # right, so the returned value is >= fx, and stops once the best point
-    # lies within sqrt(eps) |x| + _TOL_ABS / 3 of the shrinking bracket's
-    # centre, by Brent's rule. Returns (argmax, value).
-    v, fv, w, fw = x, fx, x, fx
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + _TOL_ABS / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, fx
-        golden = True
-        if abs(e) > tol1:
-            # The vertex x + p/q of the parabola through v, w and x.
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if x < m else -tol1
-                golden = False
-        if golden:
-            e = (a if x >= m else b) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu > fx or (fu == fx and u > x):
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+    a, x = xs[max(i - 1, 0)], xs[i]
+    rising_a = rising(a)
+    if not rising_a < 0.0:
+        return x, fx
+    try:
+        root = solve_monotone(rising, a, x, xs[min(i + 1, n)], rising_a)
+    except NoSignChange:
+        return x, fx
+    value = f(root)
+    return (root, value) if value > fx else (x, fx)
 
 
 def std_normal_cdf(x: float) -> float:

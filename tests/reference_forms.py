@@ -11,9 +11,11 @@ and their check's value at the near upper end; the forms below that
 evaluate each end twice, once for the test and once in the root finder,
 are the ones they replaced. Both take their ends from
 ``kendall._r1_bracket``. The nonatomic general radius search solves only
-the pre-scan radii whose closed-form end can still win;
+the pre-scan radii whose closed-form end can still win, then finds the
+peak as the root of a closed-form stationarity function;
 ``general_nonatomic_search_full_scan`` is the full scan it replaced, which
-solves all 16 through ``KendallParams``. The R2 solves, atomic and
+solves all 16 through ``KendallParams``, with the Brent search on R1
+itself (``_brent_climb``) that it replaced. The R2 solves, atomic and
 nonatomic, run up to a closed-form upper end of the crossing;
 ``r2_reversible_wide`` and ``reversible_nonatomic_radius_wide`` solve on
 the wide bracket they replaced.
@@ -39,6 +41,7 @@ that the solved rate never exceeds it.
 """
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -61,7 +64,7 @@ from ergocert.kendall import (
     _radius_bracket,
 )
 from ergocert.models import ReflectingWalk, TruncatedChain, reflecting_walk_params
-from ergocert.numerics import _brent_climb, solve_increasing_array, solve_monotone
+from ergocert.numerics import _TOL_ABS, solve_increasing_array, solve_monotone
 from ergocert.verify import (
     CheckReport,
     IncrementDistribution,
@@ -300,12 +303,71 @@ def reversible_nonatomic_radius_wide(p: DriftMinorization, de: DerivedExponents)
     return solve_monotone(gap, lo, hi, hi, gap(lo) if lo < hi else math.nan)
 
 
+# Brent's golden-section ratio and relative step floor.
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(2.0**-52)
+
+
+def _brent_climb(f: Callable[[float], float], a: float, b: float, x: float, fx: float) -> tuple:
+    # Brent's bounded minimizer of -f on [a, b] (Brent 1973, ch. 5:
+    # parabolic steps with a golden-section fallback) from x, with
+    # fx = f(x). It moves only to a larger value, or to an equal one on its
+    # right, so the returned value is >= fx, and stops once the best point
+    # lies within sqrt(eps) |x| + _TOL_ABS / 3 of the shrinking bracket's
+    # centre, by Brent's rule. Returns (argmax, value).
+    v, fv, w, fw = x, fx, x, fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + _TOL_ABS / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            # The vertex x + p/q of the parabola through v, w and x.
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+                golden = False
+        if golden:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu > fx or (fu == fx and u > x):
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponents) -> tuple:
     """``bounds._general_nonatomic_search`` with every pre-scan radius
     solved: (R_tilde, R1) from R1 at all 16 radii, each through
     ``KendallParams`` and ``kendall._r1_log_eps`` in increasing order, so
     the first radius that raises raises; the rightmost best radius, then
-    the same Brent search from it."""
+    Brent's search on R1 itself from it (``_brent_climb``), where the
+    package climbs by the root of a stationarity function instead."""
     lo, hi = _scan_window(de.r0)
     if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")

@@ -31,7 +31,7 @@ from ergocert.errors import (
     NoSignChange,
     OutOfRange,
 )
-from ergocert.kendall import k2_series_bound, solve_r2_reversible
+from ergocert.kendall import KendallParams, k2_series_bound, solve_r2_reversible
 from ergocert.models import (
     INFIMUM_MEASURE,
     MT_MEASURE,
@@ -41,7 +41,7 @@ from ergocert.models import (
     mh_normal_params,
     reflecting_walk_params,
 )
-from ergocert.numerics import _TOL_ABS, maximize_scalar, solve_monotone
+from ergocert.numerics import _TOL_ABS, solve_monotone
 from reference_forms import (
     _m_atomic_r,
     _m_nonatomic_r,
@@ -426,8 +426,9 @@ def test_radius_search_matches_dense_rescan():
         return solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=max(big_l_val, big_r)))
 
     lo, hi = 1.0 + 1e-9, de.r0 - 1e-9
-    argmax, value = maximize_scalar(objective, lo, hi, lambda big_r: math.inf)
-    assert lo + 1e-6 < argmax < hi - 1e-6  # interior
+    diag = rho_general(p).diagnostics
+    argmax, value = diag["R_tilde"], diag["R1"]
+    assert lo + 1e-6 < argmax < hi - 1e-6 and diag["R_tilde_edge"] is None  # interior
     dense = max(objective(x) for x in np.linspace(lo, hi, 10_000))
     assert value >= dense - 1e-9
     assert abs(value - dense) <= 1e-5
@@ -856,7 +857,46 @@ def _search_outcome(search, p):
         return type(exc), str(exc)
 
 
-@given(
+def _unpruned_search(p, de):
+    # bounds._general_nonatomic_search with every pre-scan radius solved:
+    # the bound still runs, for its ends and errors, but returns inf.
+    from ergocert import bounds
+
+    real = bounds.maximize_scalar
+
+    def unpruned(f, lo, hi, bound, rising):
+        return real(f, lo, hi, lambda u: (bound(u), math.inf)[1], rising)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "maximize_scalar", unpruned)
+        return bounds._general_nonatomic_search(p, de)
+
+
+def _climb_shortfall(p) -> float:
+    # How far R1 - 1 of the radius search falls below that of Brent's climb
+    # on R1 itself from the same pre-scan (general_nonatomic_search_full_scan),
+    # relative, before the rounding of R1 = 1 + e^t: 1 - e^(t - t_ref), with
+    # t = log(R1 - 1) solved again at each R_tilde. The searches must raise
+    # the same error type and text, and then the shortfall is 0.
+    from ergocert import bounds, kendall
+
+    got = _search_outcome(bounds._general_nonatomic_search, p)
+    ref = _search_outcome(general_nonatomic_search_full_scan, p)
+    if isinstance(ref[0], type) or isinstance(got[0], type):
+        assert got == ref
+        return 0.0
+    de = derived_exponents(p)
+    t, t_ref = (
+        kendall._r1_log_eps(KendallParams(
+            beta=p.beta, big_r=r, big_l=_big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
+        ))
+        for r in (got[0], ref[0])
+    )
+    assert got[1] == 1.0 + math.exp(t)
+    return -math.expm1(t - t_ref)
+
+
+_NONATOMIC_DOMAIN = dict(
     lam=st.one_of(
         st.floats(1e-6, 0.1), st.floats(0.05, 0.95), st.floats(0.9, 1.0 - 1e-12)
     ),
@@ -866,6 +906,17 @@ def _search_outcome(search, p):
     nu_info=st.sampled_from([NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL]),
     log_k_tilde=st.floats(0.0, 3.0),
 )
+
+
+def _domain_point(lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde):
+    return DriftMinorization(
+        lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
+        beta_tilde=beta_tilde, atomic=False, nu_info=nu_info,
+        k_tilde=10.0**log_k_tilde if nu_info == NU_V_INTEGRAL else None,
+    )
+
+
+@given(**_NONATOMIC_DOMAIN)
 @example(lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
          log_k_tilde=0.0)
 @example(lam=1.0 - 1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
@@ -875,42 +926,107 @@ def _search_outcome(search, p):
 @example(lam=0.6, log_k=3.0, beta_tilde=0.999, log_beta_ratio=0.0,
          nu_info=NU_V_INTEGRAL, log_k_tilde=3.0)
 @settings(max_examples=400, deadline=None)
-def test_pruned_radius_search_equals_the_full_scan(
-    lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde
-):
+def test_pruned_radius_search_equals_the_full_scan(**draw):
     # Over the validated nonatomic domain (lambda near 0 and near 1, K up
     # to 1e3, beta down to 1e-6 beta_tilde) the search that solves only the
-    # pre-scan radii whose bound can still win returns the full scan's
-    # (R_tilde, R1) bit for bit, or raises its error type and text.
+    # pre-scan radii whose bound can still win returns the (R_tilde, R1) of
+    # the same search with all 16 solved, bit for bit, or raises its error
+    # type and text.
     from ergocert import bounds
 
-    p = DriftMinorization(
-        lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
-        beta_tilde=beta_tilde, atomic=False, nu_info=nu_info,
-        k_tilde=10.0**log_k_tilde if nu_info == NU_V_INTEGRAL else None,
-    )
+    p = _domain_point(**draw)
     got = _search_outcome(bounds._general_nonatomic_search, p)
-    assert got == _search_outcome(general_nonatomic_search_full_scan, p)
+    assert got == _search_outcome(_unpruned_search, p)
+
+
+@given(**_NONATOMIC_DOMAIN)
+@example(lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=1.0 - 1e-12, log_k=1.0, beta_tilde=0.5, log_beta_ratio=-1.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=0.6, log_k=3.0, beta_tilde=0.999, log_beta_ratio=0.0,
+         nu_info=NU_CONCENTRATED, log_k_tilde=0.0)
+@settings(max_examples=400, deadline=None)
+def test_stationarity_climb_is_never_below_brents_climb(**draw):
+    # Over the same domain the climb by the root of rising raises what
+    # Brent's search on R1 raises, and otherwise its R1 - 1 falls at most
+    # 1e-10 (relative) below Brent's before R1 = 1 + e^t is rounded. That
+    # rounding alone moves R1 - 1 by up to 2^-53 / (R1 - 1) relative, more
+    # than 1e-10 where R1 - 1 < 1.1e-6, so it is left out.
+    assert _climb_shortfall(_domain_point(**draw)) <= 1e-10
+
+
+def test_stationarity_climb_fails_with_rising_flipped():
+    # Falsification control: with the sign of rising flipped the climb
+    # finds no peak from the best scan point and keeps it, which falls
+    # short of Brent's climb by far more than 1e-10 on the seeded draws.
+    from ergocert import bounds
+
+    ps = _nonatomic_inputs(20, seed=34)
+    assert max(_climb_shortfall(p) for p in ps) <= 1e-10
+    real = bounds.maximize_scalar
+
+    def flipped(f, lo, hi, bound, rising):
+        return real(f, lo, hi, bound, lambda u: -rising(u))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "maximize_scalar", flipped)
+        assert max(_climb_shortfall(p) for p in ps) > 1e-6
+
+
+def test_rising_has_the_sign_of_minus_dt_du():
+    # rising(u) < 0 where t = log(R1 - 1) still grows with u = log(R - 1)
+    # and > 0 where it falls, checked against the solved objective at
+    # u +- 1e-4 on a 64-point grid of each seeded draw's window, wherever
+    # t moves by more than 1e-7 between them (away from the peak).
+    from ergocert import bounds
+
+    real = bounds.maximize_scalar
+    captured = []
+
+    def capture(f, lo, hi, bound, rising):
+        captured.append((f, lo, hi, rising))
+        return real(f, lo, hi, bound, rising)
+
+    checked = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "maximize_scalar", capture)
+        for p in _nonatomic_inputs(20, seed=35):
+            captured.clear()
+            try:
+                rho_general(p)
+            except ErgoCertError:
+                continue
+            f, lo, hi, rising = captured[0]
+            h = 1e-4
+            for k in range(64):
+                u = lo + h + (hi - lo - 2.0 * h) * (k / 63)
+                dt = f(u + h) - f(u - h)
+                if abs(dt) > 1e-7:
+                    assert (rising(u) > 0.0) == (dt < 0.0), (p, u)
+                    checked += 1
+    assert checked > 1_000
 
 
 def test_pruned_radius_search_differs_when_the_bound_undershoots(monkeypatch):
     # Falsification control: the bound 1 below the closed-form end at the
     # scan radius whose bound is largest, the radius solved first, is no
     # bound, and pruning by it changes some of the seeded draws' outcomes,
-    # which the true bound leaves equal to the full scan's. (The end less 1
-    # at every radius keeps their order, and on these draws the radius with
-    # the largest end is always the scan's winner, so it changes none.)
+    # which the true bound leaves equal to the unpruned search's. (The end
+    # less 1 at every radius keeps their order, and on these draws the
+    # radius with the largest end is always the scan's winner, so it
+    # changes none.)
     from ergocert import bounds
 
     ps = _nonatomic_inputs(100, seed=30)
-    want = [_search_outcome(general_nonatomic_search_full_scan, p) for p in ps]
+    want = [_search_outcome(_unpruned_search, p) for p in ps]
     assert [_search_outcome(bounds._general_nonatomic_search, p) for p in ps] == want
     real = bounds.maximize_scalar
 
-    def undershoot(f, lo, hi, bound):
+    def undershoot(f, lo, hi, bound, rising):
         xs = [lo + (hi - lo) * (i / 15) for i in range(15)] + [hi]
         top = max(reversed(xs), key=bound)
-        return real(f, lo, hi, lambda u: bound(u) - (1.0 if u == top else 0.0))
+        return real(f, lo, hi, lambda u: bound(u) - (1.0 if u == top else 0.0), rising)
 
     monkeypatch.setattr(bounds, "maximize_scalar", undershoot)
     assert [_search_outcome(bounds._general_nonatomic_search, p) for p in ps] != want
@@ -919,11 +1035,12 @@ def test_pruned_radius_search_differs_when_the_bound_undershoots(monkeypatch):
 def test_pruned_radius_search_solves_few_prescan_radii(monkeypatch):
     # Of the 16 pre-scan radii the search solves at most a few per
     # certificate on the seeded draws, each one once, and takes the ends of
-    # every radius before its first solve.
-    from ergocert import bounds, kendall, numerics
+    # every radius before its first solve. The climb then evaluates rising
+    # and solves R1 at most once, at its root, last.
+    from ergocert import bounds, kendall
 
     events = []
-    real_ends, real_solve, real_climb = kendall._r1_ends, kendall._r1_solve, numerics._brent_climb
+    real_ends, real_solve, real_max = kendall._r1_ends, kendall._r1_solve, bounds.maximize_scalar
 
     def ends(*args):
         events.append("ends")
@@ -933,27 +1050,38 @@ def test_pruned_radius_search_solves_few_prescan_radii(monkeypatch):
         events.append(("solve", args))
         return real_solve(*args)
 
-    def climb(*args):
-        events.append("brent")
-        return real_climb(*args)
+    def search(f, lo, hi, bound, rising):
+        def counted(u):
+            events.append("rising")
+            return rising(u)
+
+        return real_max(f, lo, hi, bound, counted)
 
     monkeypatch.setattr(kendall, "_r1_ends", ends)
     monkeypatch.setattr(kendall, "_r1_solve", solve)
-    monkeypatch.setattr(numerics, "_brent_climb", climb)
-    scan_solves = []
+    monkeypatch.setattr(bounds, "maximize_scalar", search)
+    scan_solves, climb_solves, risings = [], [], 0
     for p in _nonatomic_inputs(40, seed=31):
         events.clear()
         try:
             rho_general(p)
         except ErgoCertError:
             continue
-        scan = events[: events.index("brent")]
+        scan, climb = events[: events.index("rising")], events[events.index("rising") :]
         assert scan[:16] == ["ends"] * 16
         solves = [e[1] for e in scan[16:]]
         assert len(solves) == len(set(solves)) == len(scan) - 16
         scan_solves.append(len(solves))
+        rising_calls = climb.count("rising")
+        assert climb[rising_calls:] in ([], ["ends", climb[-1]])
+        climb_solves.append(len(climb) > rising_calls)
+        risings += rising_calls
     assert len(scan_solves) > 100
     assert 1 <= min(scan_solves) and sum(scan_solves) <= 4 * len(scan_solves)
+    # 120 certificates: 435 pre-scan solves, one climb solve on all but one
+    # (a window end, or no turn of rising), and 1,506 evaluations of rising.
+    counts = len(scan_solves), sum(scan_solves), sum(climb_solves), risings
+    assert counts == (120, 435, 119, 1506)
 
 
 def test_rho_is_never_below_lambda():
@@ -988,6 +1116,10 @@ def test_certificate_dict_schema():
         assert key in data
     assert data["atomic"] is True
     assert data["diagnostics"]["k_factor_kind"] == "K2"
+    general = certificate(CONTRACT, "general").to_dict()["diagnostics"]
+    for key in ("alpha1", "alpha2", "R0", "R_tilde", "L_at_R_tilde", "R_tilde_edge", "R1"):
+        assert key in general
+    assert general["R_tilde_edge"] in ("left", "right", None)
 
 
 def test_l2_contraction():

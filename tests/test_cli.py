@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,22 @@ def test_model_mh_anchor(capsys):
     assert code == 0
     rho = json.loads(out)["rho"]
     assert abs((1.0 - rho) - 0.0091) <= 0.0005
+
+
+def test_model_reports_the_window_edge_in_json_only(capsys):
+    # R1 still grows at the right end of this chain's radius window: the
+    # search returns R_tilde = R0 - 1e-9, which JSON names "right"; the
+    # text output lists the same diagnostics as before, without the label.
+    argv = ["model", "mh-normal", "--d", "1", "--s", "0.07", "--nu", "mt", "--method", "thm1.1"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    diag = json.loads(out)["diagnostics"]
+    assert diag["R_tilde_edge"] == "right" and diag["R_tilde"] == diag["R0"] - 1e-9
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[11:]] == [
+        "alpha1", "alpha2", "R0", "R_tilde", "L_at_R_tilde", "R1", "k_factor_kind", "k_factor",
+    ]
 
 
 def test_model_exact_rate(capsys):
@@ -404,6 +421,19 @@ def test_model_optimize_without_a_rate_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert err == "error: no tuning with c in [1.05, 4.0] has a thm1.1 rate\n"
+
+
+def test_model_optimize_coupling_without_a_rate_names_the_searched_range(capsys):
+    # At theta = 0 no c has a coupling rate; the coupling search starts at
+    # sqrt(2) + 1e-6, not at 1.05, and the message names the range searched.
+    code, out, err = run_cli(
+        capsys, "model", "contracting-normal", "--theta", "0", "--method", "coupling",
+        "--optimize",
+    )
+    assert code == 2 and out == ""
+    lo = math.sqrt(2.0) + 1e-6
+    assert models._c_range("coupling") == (lo, 4.0)
+    assert err == f"error: no tuning with c in [{lo}, 4.0] has a coupling rate\n"
 
 
 def test_model_optimize_mh_without_a_rate_exits_2(capsys, monkeypatch):

@@ -826,8 +826,10 @@ def test_contracting_search_stops_raising_without_the_must_visit_floor(monkeypat
 def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
     # Every evaluated c runs one maximize_scalar search of scalar R1 solves,
     # which solves only the pre-scan radii whose closed-form end can still
-    # win, then Brent's steps: 606 solves for the 34 c values rated here,
-    # against 1,116 with all 16 pre-scan radii solved per c and 11,215 with
+    # win, then climbs by the root of a closed-form stationarity function
+    # and solves once more, at that root: 68 solves for the 34 c values
+    # rated here, two per c, against 606 with Brent's steps on R1 itself,
+    # 1,116 with all 16 pre-scan radii solved per c as well and 11,215 with
     # the per-c scan-and-refine certificates.
     calls = []
     real = kendall._r1_solve
@@ -840,7 +842,7 @@ def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
     monkeypatch.setattr(kendall, "_r1_solve", counting)
     optimize_contracting_tuning("thm1.1", theta=0.5)
     assert len(seen) == 34
-    assert len(calls) == 606 < 11_215
+    assert len(calls) == 68 < 11_215
     before = len(calls)
     models.method_rho("thm1.1", ContractingNormal(theta=0.5, c=1.5))
     assert len(calls) > before  # the counter sees the scalar path

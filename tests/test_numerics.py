@@ -209,43 +209,92 @@ def _no_bound(x):
 
 
 def test_maximize_quadratic_vertex():
-    argmax, value = maximize_scalar(lambda x: -((x - 2.0) ** 2), 0.0, 5.0, _no_bound)
+    argmax, value = maximize_scalar(
+        lambda x: -((x - 2.0) ** 2), 0.0, 5.0, _no_bound, lambda x: 2.0 * (x - 2.0)
+    )
     assert abs(argmax - 2.0) <= 1e-8
     assert abs(value) <= 1e-15
 
 
 def test_maximize_constant():
-    argmax, value = maximize_scalar(lambda x: 1.25, 0.0, 1.0, _no_bound)
+    argmax, value = maximize_scalar(lambda x: 1.25, 0.0, 1.0, _no_bound, lambda x: 0.0)
     assert value == 1.25
     assert 0.0 <= argmax <= 1.0
 
 
+def _wave(x):
+    return math.sin(5.0 * x) / (1.0 + x)
+
+
+def _wave_rising(x):
+    # -f'(x) of _wave.
+    return (math.sin(5.0 * x) - 5.0 * math.cos(5.0 * x) * (1.0 + x)) / (1.0 + x) ** 2
+
+
 def test_maximize_dominates_grid():
-    f = lambda x: math.sin(5.0 * x) / (1.0 + x)
-    _, value = maximize_scalar(f, 0.0, 4.0, _no_bound)
+    _, value = maximize_scalar(_wave, 0.0, 4.0, _no_bound, _wave_rising)
     grid = np.linspace(0.0, 4.0, 2000)
-    assert value >= max(f(x) for x in grid) - 1e-9
+    assert value >= max(_wave(x) for x in grid) - 1e-9
 
 
 def test_maximize_empty_domain():
     with pytest.raises(EmptyDomain):
-        maximize_scalar(lambda x: x, 1.0, 1.0, _no_bound)
+        maximize_scalar(lambda x: x, 1.0, 1.0, _no_bound, lambda x: -1.0)
 
 
 def test_maximize_ties_go_right():
-    # On a plateau the rightmost of equal values wins, in the pre-scan and
-    # in Brent's search alike.
-    argmax, value = maximize_scalar(lambda x: min(x, 0.5), 0.0, 1.0, _no_bound)
+    # On a plateau the rightmost of equal values wins in the pre-scan, and
+    # the climb's root, of no larger value, does not displace it.
+    rising = lambda x: -1.0 if x < 0.5 else 0.0
+    argmax, value = maximize_scalar(lambda x: min(x, 0.5), 0.0, 1.0, _no_bound, rising)
     assert (argmax, value) == (1.0, 0.5)
 
 
 def test_maximize_beats_every_prescan_value():
     # A narrow peak between two pre-scan points, on a falling slope: the
     # returned value is at least the best of the 16 scan values.
-    f = lambda x: -x + 2.0 * math.exp(-(((x - 0.52) / 0.01) ** 2))
-    argmax, value = maximize_scalar(f, 0.0, 1.0, _no_bound)
+    bump = lambda x: 2.0 * math.exp(-(((x - 0.52) / 0.01) ** 2))
+    f = lambda x: -x + bump(x)
+    rising = lambda x: 1.0 + bump(x) * 2.0 * (x - 0.52) / 0.01**2
+    argmax, value = maximize_scalar(f, 0.0, 1.0, _no_bound, rising)
     scan = [f(i / 15.0) for i in range(16)]
     assert value >= max(scan) and value == f(argmax)
+
+
+def test_maximize_climbs_to_the_root_of_rising():
+    # Between the best scan point's neighbours f is evaluated once more,
+    # at the root of rising, which wins as its value beats the scan's.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return -((x - 0.3) ** 2)
+
+    argmax, value = maximize_scalar(f, 0.0, 1.0, _no_bound, lambda x: x - 0.3)
+    assert len(seen) == 17 and seen[-1] == argmax
+    assert abs(argmax - 0.3) <= 1e-12 and value > f(4.0 / 15.0)
+
+
+def test_maximize_keeps_the_window_end_where_f_climbs_out():
+    # f still rises at hi and still falls at lo: rising has no root on the
+    # end's bracket, and the end is returned with f evaluated at the scan
+    # points only.
+    for f, rising, end in ((lambda x: x, lambda x: -1.0, 1.0), (lambda x: -x, lambda x: 1.0, 0.0)):
+        seen = []
+
+        def counted(x, f=f):
+            seen.append(x)
+            return f(x)
+
+        assert maximize_scalar(counted, 0.0, 1.0, _no_bound, rising) == (end, f(end))
+        assert len(seen) == 16
+
+
+def test_maximize_keeps_the_scan_point_where_rising_does_not_turn():
+    # rising below 0 across the best interior point's bracket (a wrong
+    # stationarity function) gives no root there: the scan point stays.
+    f = lambda x: -abs(x - 0.5)
+    assert maximize_scalar(f, 0.0, 1.0, _no_bound, lambda x: -1.0) == (8 / 15, f(8 / 15))
 
 
 def test_maximize_takes_every_bound_before_any_value():
@@ -261,14 +310,19 @@ def test_maximize_takes_every_bound_before_any_value():
         calls.append(("bound", x))
         return -abs(x - 0.3) + 0.01
 
-    maximize_scalar(f, 0.0, 1.0, bound)
+    def rising(x):
+        calls.append(("rising", x))
+        return x - 0.3
+
+    maximize_scalar(f, 0.0, 1.0, bound, rising)
     xs = [i / 15.0 for i in range(16)]
     assert calls[:16] == [("bound", x) for x in xs]
     # The two scan points nearest 0.3 (0.2667 and 0.3333) are the only ones
-    # whose bound lies within 0.01 of the best value; Brent's steps follow.
+    # whose bound lies within 0.01 of the best value; the climb follows,
+    # with f evaluated once more, at the root of rising, last.
     assert calls[16:18] == [("f", xs[5]), ("f", xs[4])]
-    assert calls[18][1] not in xs
-    assert {kind for kind, _ in calls[18:]} == {"f"}
+    assert {kind for kind, _ in calls[18:-1]} == {"rising"}
+    assert calls[-1][0] == "f" and calls[-1][1] not in xs
 
 
 def test_maximize_with_a_tight_bound_keeps_the_rightmost_tie():
@@ -281,7 +335,8 @@ def test_maximize_with_a_tight_bound_keeps_the_rightmost_tie():
         seen.append(x)
         return f(x)
 
-    assert maximize_scalar(counted, 0.0, 1.0, f) == (1.0, 0.5)
+    rising = lambda x: -1.0 if x < 0.5 else 0.0
+    assert maximize_scalar(counted, 0.0, 1.0, f, rising) == (1.0, 0.5)
     assert seen[0] == 1.0 and all(x > 14.0 / 15.0 for x in seen)
 
 
@@ -296,9 +351,12 @@ def test_maximize_pruned_equals_full_prescan(a, phase, slope, slack):
     # Any bound at least f at each scan point gives the result of the
     # unpruned pre-scan (bound inf), bit for bit, on multimodal f.
     f = lambda x: math.sin(a * x + phase) + slope * x
+    rising = lambda x: -(a * math.cos(a * x + phase) + slope)
     xs = [i / 15.0 for i in range(16)]
     bound = lambda x: f(x) + slack[xs.index(x)] if x in xs else math.inf
-    assert maximize_scalar(f, 0.0, 1.0, bound) == maximize_scalar(f, 0.0, 1.0, _no_bound)
+    assert maximize_scalar(f, 0.0, 1.0, bound, rising) == maximize_scalar(
+        f, 0.0, 1.0, _no_bound, rising
+    )
 
 
 def test_cdf_at_zero():
