@@ -254,15 +254,12 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tup
     # that a float next to 1 loses and the radii near 1 are spread out. The
     # window ends map to their radii exactly, so a maximum at the right edge
     # gives R_tilde = R0 - 1e-9. R1 = 1 + e^t is solve_r1 at R_tilde.
-    # maximize_scalar bounds each pre-scan radius by the closed-form end up
-    # of its solve, plus _FLOOR_MARGIN for the solve's rounding. The bound
-    # takes R, L(R), the KendallParams checks and the solve's ends at all
-    # 16 radii, in increasing order, so an error comes from the radius
-    # where a full scan would raise it; only the radii whose bound can
-    # still win are then solved, each from the ends its bound kept: one on
-    # most inputs, all 16 where every radius clamps to log 1e-14, which no
-    # bound lies below.
-    # The climb solves no R1 equation until its end. With delta = R - 1,
+    # maximize_scalar takes R_tilde at the root of rising and solves R1
+    # there alone, with the KendallParams checks, so an error comes from
+    # that radius. Where R1 clamps to log 1e-14 at the peak it clamps at
+    # every radius, and R_tilde is hi, the rightmost of equal values, with
+    # R1 solved there.
+    # Finding the peak solves no R1 equation. With delta = R - 1,
     # N = (L - 1)/delta and l = log(R/r), the equation reads
     # G(t, u) = t - log1p(e^t) - 2 log l - log(e^2 beta / (8 N)) = 0, G
     # increasing in t; u enters only through l (dl/du = delta/R) and N
@@ -282,23 +279,15 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tup
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
     u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
     beta, bt, a1, a2 = p.beta, p.beta_tilde, de.alpha1, de.alpha2
-    scanned = {}
 
     def radius(u: float) -> float:
         return hi if u == u_hi else lo if u == u_lo else 1.0 + math.exp(u)
 
-    def ends(u: float) -> tuple:
+    def objective(u: float) -> float:
         big_r = radius(u)
         big_l = _big_l_at(big_r, bt, a1, a2)
         kendall._check_params(beta, big_r, big_l)
-        return kendall._r1_ends(beta, big_r, big_l)
-
-    def bound(u: float) -> float:
-        e = scanned[u] = ends(u)
-        return e[-1] + _FLOOR_MARGIN
-
-    def objective(u: float) -> float:
-        return kendall._r1_solve(*(scanned.get(u) or ends(u)))
+        return kendall._r1_solve(*kendall._r1_ends(beta, big_r, big_l))
 
     def rising(u: float) -> float:
         big_r = radius(u)
@@ -315,35 +304,28 @@ def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tup
         x = delta + big_r * math.expm1(-l_s)
         return x - kendall._E2 * beta * delta * pole / (8.0 * rise) * l_s * l_s * (1.0 + x)
 
-    u, t = maximize_scalar(objective, u_lo, u_hi, bound, rising)
+    u, t = maximize_scalar(objective, u_lo, u_hi, rising)
+    if t == kendall._LOG_EPS_LO and u != u_hi:
+        u, t = u_hi, objective(u_hi)
     return radius(u), 1.0 + math.exp(t)
 
 
-def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0, pieces):
+def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0):
     # A floor on the general rate 1/R1 with no search, on floats or arrays
-    # (one piece) of nonatomic constants, inf where R0 leaves no window.
-    # alpha1, alpha2 >= 1 make L convex on [1, pole) with L(1) = 1, so the
-    # secant N(R) = (L(R) - 1)/(R - 1) does not decrease: on each of the
-    # window's equal pieces [a, b] it is at least N(a), and L'(1) on the
-    # first, where a = 1 + 1e-9 leaves L(a) - 1 to rounding. There
-    # log log R <= log log b and the target e^2 beta / (8 N(R)) is at most
-    # e^2 beta / (8 N), and kendall._r1_bracket's closed-form R1 end grows
-    # with both, so its end at (b - 1, that target) bounds every
-    # log(R1 - 1) on the piece, its clamp at log 1e-14 too: the one the
+    # of nonatomic constants, inf where R0 leaves no window. alpha1,
+    # alpha2 >= 1 make L convex on [1, pole) with L(1) = 1, so the secant
+    # N(R) = (L(R) - 1)/(R - 1) is at least L'(1) over the window. There
+    # log log R <= log log hi and the target e^2 beta / (8 N(R)) is at most
+    # e^2 beta / (8 L'(1)), and kendall._r1_bracket's closed-form R1 end
+    # grows with both, so its end at (hi - 1, that target) bounds every
+    # log(R1 - 1) in the window, its clamp at log 1e-14 too: the one the
     # search of rho_general returns and each one the grid scan takes. Where
-    # hi <= lo one piece takes lo as its top, so its end stays finite before
-    # inf replaces it; more pieces return first, as L raises past the pole.
+    # hi <= lo, lo takes the place of hi, so the end stays finite before
+    # inf replaces it.
     fn = elementary(lam)
     lo, hi = _scan_window(r0)
-    if pieces > 1 and hi <= lo:
-        return math.inf
-    tops = [lo + (hi - lo) * (j / pieces) for j in range(1, pieces)] + [fn.maximum(hi, lo)]
-    slopes = [alpha2 + alpha1 * (1.0 - beta_tilde) / beta_tilde]
-    slopes += [(_big_l_at(a, beta_tilde, alpha1, alpha2) - 1.0) / (a - 1.0) for a in tops[:-1]]
-    t = max(
-        kendall._r1_bracket(b - 1.0, fn.log(kendall._E2 * beta / (8.0 * n)))[2]
-        for n, b in zip(slopes, tops)
-    )
+    slope = alpha2 + alpha1 * (1.0 - beta_tilde) / beta_tilde
+    t = kendall._r1_bracket(fn.maximum(hi, lo) - 1.0, fn.log(kendall._E2 * beta / (8.0 * slope)))[2]
     return fn.where(hi > lo, _rate(lam, 1.0 + fn.exp(t + _FLOOR_MARGIN)), math.inf)
 
 
@@ -515,9 +497,10 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
 
 def _general_radius_array(beta, beta_tilde, a1, a2, r0) -> np.ndarray:
     # The nonatomic R1 of rho_general on arrays, as the largest R1 at 16
-    # equally spaced radii of the scan window, both ends included
-    # (rho_general runs one Brent search). NaN where R0 leaves no window or
-    # no radius has an R1, where rho_general raises.
+    # equally spaced radii of the scan window, both ends included: the
+    # Metropolis grid keeps this scan, with no climb to the peak that
+    # rho_general takes. NaN where R0 leaves no window or no radius has an
+    # R1, where rho_general raises.
     import numpy as np
 
     lo, hi = _scan_window(np.asarray(r0, dtype=float))

@@ -122,8 +122,8 @@ def _r1_bracket(delta, log_target):
     # t_up = 744.4 lies above every hi (the log of a float is below 709.8),
     # so floats and arrays take one path and log(-expm1(s)) stays finite.
     # Rounding can put t_up a few ulps below the root, where the root finder
-    # takes hi instead. bounds._rho_floor, on one piece or many, relies on
-    # the end growing with delta and log_target.
+    # takes hi instead. bounds._rho_floor relies on the end growing with
+    # delta and log_target.
     fn = elementary(delta)
     hi = fn.log(delta * (1.0 - 1e-13))
     s = fn.minimum(log_target + 2.0 * fn.log(fn.log1p(delta)), -5e-324)

@@ -510,16 +510,15 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # expression mh_coupling_input takes). A
 # tuning with no rate, where the scalar path raises, gets rho = inf, which
 # never wins the argmin; the winner's array rho is returned as it is. thm1.1
-# rates the tuning with the lowest closed-form floor (bounds._rho_floor on
-# one piece) first, then only the tunings whose floor is not above that
-# rate. Every grid rate is at least its floor, so a tuning left at inf never
-# was the argmin, and the rated ones get the same bits as in a scan of all
-# of them: each step of the scan is elementwise. The contracting search
+# rates the tuning with the lowest closed-form floor (bounds._rho_floor)
+# first, then only the tunings whose floor is not above that rate. Every
+# grid rate is at least its floor, so a tuning left at inf never was the
+# argmin, and the rated ones get the same bits as in a scan of all of
+# them: each step of the scan is elementwise. The contracting search
 # gives every method a closed-form floor per c from the floats of
 # _contracting_constants (_contracting_floor), visits c in floor order and
-# calls method_rho only for the c values that its floor, and for thm1.1 its
-# 16-piece floor, does not rule out; a floor of -inf, where the rate may
-# raise, makes that c rated first.
+# calls method_rho only for the c values that its floor does not rule
+# out; a floor of -inf, where the rate may raise, makes that c rated first.
 # ---------------------------------------------------------------------------
 
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
@@ -558,7 +557,7 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
         if method == "thm1.1" and lam.size:
             # The lowest floor's tuning first; then only the tunings whose
             # floor is not above its rate (a NaN floor is rated).
-            floor = _rho_floor(*constants, 1)
+            floor = _rho_floor(*constants)
             first = np.argmin(floor)
             rated[first] = False
             rho[first] = _theorem_rate_array(method, *(c[[first]] for c in constants))[0]
@@ -634,12 +633,12 @@ def _floor_constants(method: str, theta: float, c: float) -> tuple:
     return lam, big_k, beta_tilde, beta_tilde
 
 
-def _contracting_floor(method: str, constants: tuple, pieces: int = 1) -> float:
+def _contracting_floor(method: str, constants: tuple) -> float:
     # A closed-form floor on the method's rate at c from its _floor_constants,
     # with no DriftMinorization built. thm1.3, binomial and coupling take
     # their rate's own formula, the rate itself where the constants are
     # valid; thm1.2 takes bounds._reversible_rho_floor and thm1.1
-    # bounds._rho_floor on `pieces` pieces. Invalid constants rate inf, above
+    # bounds._rho_floor. Invalid constants rate inf, above
     # any floor. -inf where the rate may raise (coupling with lambda_1 >= 1,
     # thm1.2 where its solve may) or the floats give no number, so the
     # search rates that c before any other, as a scan in grid order would.
@@ -650,7 +649,7 @@ def _contracting_floor(method: str, constants: tuple, pieces: int = 1) -> float:
         else:
             *exponents, r0 = split_exponents(lam, big_k, beta_tilde, NU_CONCENTRATED)
             if method == "thm1.1":
-                floor = _rho_floor(lam, beta, beta_tilde, *exponents, r0, pieces)
+                floor = _rho_floor(lam, beta, beta_tilde, *exponents, r0)
             elif method == "thm1.2":
                 floor = _reversible_rho_floor(lam, beta, beta_tilde, *exponents, r0)
             else:
@@ -685,28 +684,23 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
     InvalidParams. Each c gets a closed-form floor on the method's rate from
     floats (``_contracting_floor``): the rate itself for thm1.3, binomial
     and coupling, the rate at the closed-form upper end of the R2 crossing
-    for thm1.2 and ``bounds._rho_floor`` on one piece for thm1.1; -inf where
-    the rate may raise. The c values are visited in increasing (floor, index)
-    order up to the first floor above the best rate so far, and each visited
-    c is rated by method_rho; thm1.1 first skips a c whose floor on 16
-    pieces lies above the best rate so far. The first c with the lowest rate
-    wins, as in the full scan, bit for bit, and a c that may raise is rated
-    before all others, in grid order, so an error comes from the c where the
-    full scan raises it.
+    for thm1.2 and ``bounds._rho_floor`` for thm1.1; -inf where the rate may
+    raise. The c values are visited in increasing (floor, index) order up to
+    the first floor above the best rate so far, and each visited c is rated
+    by method_rho. The first c with the lowest rate wins, as in the full
+    scan, bit for bit, and a c that may raise is rated before all others, in
+    grid order, so an error comes from the c where the full scan raises it.
     """
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
     if not (-1.0 < theta < 1.0):
         raise InvalidParams(f"theta must lie in (-1, 1), got {theta}")
     cs = _c_grid(*_c_range(method))
-    constants = [_floor_constants(method, theta, c) for c in cs]
-    floors = [_contracting_floor(method, k) for k in constants]
+    floors = [_contracting_floor(method, _floor_constants(method, theta, c)) for c in cs]
     best_rho, best_i = math.inf, -1
     for i in sorted(range(len(cs)), key=floors.__getitem__):  # stable: ties by index
         if floors[i] > best_rho:
             break
-        if method == "thm1.1" and _contracting_floor(method, constants[i], 16) > best_rho:
-            continue
         rho = _contracting_rho_or_inf(method, theta, cs[i])
         if rho < best_rho or (rho == best_rho and i < best_i):
             best_rho, best_i = rho, i

@@ -26,11 +26,9 @@ which for every radius this package solves is the certified side. The
 scalar finder writes the rule with conditionals and the array finder with
 ``np.where``: routing floats through ``np.where``-style selection made
 every scalar solve ~30 % slower.
-``maximize_scalar`` pre-scans 16 uniform points, evaluating f only at those
-whose caller-given upper bound can still beat the best value so far
-(branch and bound), and finishes with ``solve_monotone`` on the caller's
-stationarity function between the best point's neighbours: one evaluation
-of f, at its root, instead of a search on f itself.
+``maximize_scalar`` finds the maximum of f as the root of the caller's
+stationarity function by ``solve_monotone`` over the whole interval, and
+evaluates f once, at that root.
 
 Every root finder stops on one fixed rule (``_closed``) on the module
 constants below: a bracket at most ``_TOL_ABS`` wide, or with no float
@@ -64,8 +62,6 @@ _SQRT2 = math.sqrt(2.0)
 # Stopping rule of every root finder: bracket width, step budget.
 _TOL_ABS = 1e-12
 _MAX_ITER = 256
-# The uniform pre-scan of maximize_scalar.
-_PRESCAN_POINTS = 16
 
 
 def _closed(x0, x1):
@@ -196,57 +192,28 @@ def solve_increasing_array(f: Callable, lo, up, hi, f_lo, *args) -> np.ndarray:
     return out.reshape(shape)
 
 
-def maximize_scalar(
-    f: Callable, lo: float, hi: float, bound: Callable, rising: Callable
-) -> tuple[float, float]:
-    """Maximize f on [lo, hi]: a 16-point uniform pre-scan, pruned by
-    bound, then the root of rising between the best scan point's
-    neighbours.
+def maximize_scalar(f: Callable, lo: float, hi: float, rising: Callable) -> tuple[float, float]:
+    """Maximize f on [lo, hi] at the root of rising.
 
-    The scan points are lo + (hi - lo) * i / 15, the last one hi itself.
-    bound(x) must be at least f(x); it is called at every scan point, in
-    increasing order, before f is called at any, so an error it raises
-    comes from the first scan point that raises it. f is then evaluated at
-    the scan points in decreasing (bound, index) order, up to the first
-    point whose (bound, index) lies below the best (value, index) so far:
-    no point from there on can win (branch and bound, Land & Doig 1960).
-    A bound of inf everywhere evaluates f at every scan point. Of equal
-    best values the rightmost wins, so the scan picks the point a scan of
-    every value would pick.
-
-    rising(x) must be < 0 where f still increases and > 0 past a peak,
-    like -f'(x). Unimodality is not assumed: the scan picks the hill, and
-    ``solve_monotone`` finds where rising turns from - to + between the
-    best point's neighbours, from the best point as its near end; f is
-    evaluated once more, at that root, which wins only with a larger
-    value. The best scan point is kept too where rising is not < 0 at the
-    left neighbour (lo, where f falls from there) or does not turn (hi,
-    where f still climbs). Returns (argmax, value); raises EmptyDomain
-    unless lo < hi.
+    rising(x) must be < 0 where f still increases and > 0 past its peak,
+    like -f'(x), and change sign at most once on [lo, hi]. The argmax is lo
+    where rising(lo) is not < 0 (f falls from lo), hi where rising has no
+    sign change on [lo, hi] (f climbs to hi), and otherwise the root of
+    rising by ``solve_monotone`` from the near end hi. f is evaluated once,
+    at the argmax. Returns (argmax, value); raises EmptyDomain unless
+    lo < hi.
     """
     if not (lo < hi):
         raise EmptyDomain(f"need lo < hi, got [{lo}, {hi}]")
-    n = _PRESCAN_POINTS - 1
-    xs = [lo + (hi - lo) * (i / n) for i in range(n)] + [hi]
-    ups = [bound(x) for x in xs]
-    best = None
-    for up, j in sorted(zip(ups, range(n + 1)), reverse=True):
-        if best is not None and (up, j) < best:
-            break
-        value = f(xs[j])
-        if best is None or (value, j) > best:
-            best = value, j
-    fx, i = best
-    a, x = xs[max(i - 1, 0)], xs[i]
-    rising_a = rising(a)
-    if not rising_a < 0.0:
-        return x, fx
-    try:
-        root = solve_monotone(rising, a, x, xs[min(i + 1, n)], rising_a)
-    except NoSignChange:
-        return x, fx
-    value = f(root)
-    return (root, value) if value > fx else (x, fx)
+    rising_lo = rising(lo)
+    if not rising_lo < 0.0:
+        x = lo
+    else:
+        try:
+            x = solve_monotone(rising, lo, hi, hi, rising_lo)
+        except NoSignChange:
+            x = hi
+    return x, f(x)
 
 
 def std_normal_cdf(x: float) -> float:

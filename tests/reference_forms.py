@@ -10,12 +10,13 @@ The R1 solves reuse their clamp test's value at the lower bracket end
 and their check's value at the near upper end; the forms below that
 evaluate each end twice, once for the test and once in the root finder,
 are the ones they replaced. Both take their ends from
-``kendall._r1_bracket``. The nonatomic general radius search solves only
-the pre-scan radii whose closed-form end can still win, then finds the
-peak as the root of a closed-form stationarity function;
-``general_nonatomic_search_full_scan`` is the full scan it replaced, which
-solves all 16 through ``KendallParams``, with the Brent search on R1
-itself (``_brent_climb``) that it replaced. The R2 solves, atomic and
+``kendall._r1_bracket``. The nonatomic general radius search finds the
+peak as the root of a closed-form stationarity function and solves R1
+there alone; ``general_nonatomic_search_full_scan`` is the 16-radius scan
+through ``KendallParams`` with the Brent search on R1 itself
+(``_brent_climb``) that it replaced. The thm1.1 floors prune on the whole
+radius window; ``general_rho_floor`` also takes it in equal pieces, as
+the contracting search once refined them. The R2 solves, atomic and
 nonatomic, run up to a closed-form upper end of the crossing;
 ``r2_reversible_wide`` and ``reversible_nonatomic_radius_wide`` solve on
 the wide bracket they replaced.
@@ -50,8 +51,9 @@ from ergocert.bounds import (
     DerivedExponents,
     DriftMinorization,
     _big_l_at,
+    _FLOOR_MARGIN,
     _r2_bracket,
-    _rho_floor,
+    _rate,
     _scan_window,
     derived_exponents,
 )
@@ -362,8 +364,8 @@ def _brent_climb(f: Callable[[float], float], a: float, b: float, x: float, fx: 
 
 
 def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponents) -> tuple:
-    """``bounds._general_nonatomic_search`` with every pre-scan radius
-    solved: (R_tilde, R1) from R1 at all 16 radii, each through
+    """The 16-radius scan that ``bounds._general_nonatomic_search``
+    replaced: (R_tilde, R1) from R1 at all 16 radii, each through
     ``KendallParams`` and ``kendall._r1_log_eps`` in increasing order, so
     the first radius that raises raises; the rightmost best radius, then
     Brent's search on R1 itself from it (``_brent_climb``), where the
@@ -389,10 +391,29 @@ def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponent
 
 
 def general_rho_floor(p: DriftMinorization, pieces: int) -> float:
-    """``bounds._rho_floor`` at one nonatomic chain's constants: at most
-    ``rho_general(p).rho``."""
+    """``bounds._rho_floor`` at one nonatomic chain's constants, on the
+    radius window cut into `pieces` equal pieces: at most
+    ``rho_general(p).rho``, and inf where R0 leaves no window.
+
+    On each piece [a, b] the secant N(R) = (L(R) - 1)/(R - 1), which does
+    not decrease, is at least N(a), and L'(1) on the first; the closed-form
+    R1 end at (b - 1, e^2 beta / (8 N)) bounds log(R1 - 1) on the piece.
+    One piece is ``bounds._rho_floor`` itself; more pieces give a floor at
+    least as high."""
     de = derived_exponents(p)
-    return _rho_floor(p.lam, p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0, pieces)
+    lo, hi = _scan_window(de.r0)
+    if hi <= lo:
+        return math.inf
+    tops = [lo + (hi - lo) * (j / pieces) for j in range(1, pieces)] + [hi]
+    slopes = [de.alpha2 + de.alpha1 * (1.0 - p.beta_tilde) / p.beta_tilde]
+    slopes += [
+        (_big_l_at(a, p.beta_tilde, de.alpha1, de.alpha2) - 1.0) / (a - 1.0) for a in tops[:-1]
+    ]
+    t = max(
+        _r1_bracket(b - 1.0, math.log(kendall_mod._E2 * p.beta / (8.0 * n)))[2]
+        for n, b in zip(slopes, tops)
+    )
+    return _rate(p.lam, 1.0 + math.exp(t + _FLOOR_MARGIN))
 
 
 def increment_radius_roots(probs) -> float:

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from ergocert.bounds import (
@@ -504,11 +505,11 @@ def test_radius_search_ends_exactly_on_the_right_edge():
 def test_general_rho_floor_is_below_the_searched_rate(
     lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde
 ):
-    # The closed-form floors that prune the thm1.1 c search, on the whole
-    # window and on 16 pieces of it, never lie above rho_general over the
-    # validated nonatomic domain (lambda near 0 and near 1, K up to 1e3,
-    # beta down to 1e-6 beta_tilde), and are inf where the radius window is
-    # empty.
+    # The closed-form floor that prunes the thm1.1 searches, on the whole
+    # window, and the reference floor on 16 pieces of it never lie above
+    # rho_general over the validated nonatomic domain (lambda near 0 and
+    # near 1, K up to 1e3, beta down to 1e-6 beta_tilde), and are inf where
+    # the radius window is empty.
     p = DriftMinorization(
         lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
         beta_tilde=beta_tilde, atomic=False, nu_info=nu_info,
@@ -549,7 +550,6 @@ def test_rho_floor_gives_the_float_floor_on_arrays():
     got = _rho_floor(
         *(np.array([getattr(p, name) for p in ps]) for name in ("lam", "beta", "beta_tilde")),
         *(np.array([getattr(de, name) for de in des]) for name in ("alpha1", "alpha2", "r0")),
-        1,
     )
     want = np.array([general_rho_floor(p, 1) for p in ps])
     assert want[0] == got[0] == math.inf
@@ -826,27 +826,23 @@ def test_r2_near_end_saves_evaluations(monkeypatch):
         assert counts["grid"] <= 7, nu_variant
 
 
-def test_radius_search_raises_scalar_error_at_first_failing_point(monkeypatch):
-    # Past a cut the envelope raises, as it does past its pole: the search
-    # raises that error at the first pre-scan radius past the cut, having
-    # seen only radii below it, in increasing order.
+def test_radius_search_raises_the_envelope_error_at_the_argmax(monkeypatch):
+    # Finding the peak takes no envelope value: the search evaluates the
+    # envelope at one radius, its argmax, and an error raised there comes
+    # out with its type and text.
     from ergocert import bounds
 
-    original = bounds._big_l_at
-    cut = 1.0 + 0.5 * (derived_exponents(CONTRACT).r0 - 1.0)
+    want = rho_general(CONTRACT).diagnostics["R_tilde"]
     seen = []
 
     def envelope(r, *args):
         seen.append(r)
-        if r > cut:
-            raise OutOfRange(f"envelope cut at r={r}")
-        return original(r, *args)
+        raise OutOfRange(f"envelope refused r={r}")
 
     monkeypatch.setattr(bounds, "_big_l_at", envelope)
-    with pytest.raises(OutOfRange, match="envelope cut"):
+    with pytest.raises(OutOfRange, match=re.escape(f"envelope refused r={want}")):
         rho_general(CONTRACT)
-    assert seen[-1] > cut and max(seen[:-1]) <= cut
-    assert seen == sorted(seen)
+    assert seen == [want]
 
 
 def _search_outcome(search, p):
@@ -857,24 +853,9 @@ def _search_outcome(search, p):
         return type(exc), str(exc)
 
 
-def _unpruned_search(p, de):
-    # bounds._general_nonatomic_search with every pre-scan radius solved:
-    # the bound still runs, for its ends and errors, but returns inf.
-    from ergocert import bounds
-
-    real = bounds.maximize_scalar
-
-    def unpruned(f, lo, hi, bound, rising):
-        return real(f, lo, hi, lambda u: (bound(u), math.inf)[1], rising)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "maximize_scalar", unpruned)
-        return bounds._general_nonatomic_search(p, de)
-
-
 def _climb_shortfall(p) -> float:
     # How far R1 - 1 of the radius search falls below that of Brent's climb
-    # on R1 itself from the same pre-scan (general_nonatomic_search_full_scan),
+    # on R1 itself from a 16-radius scan (general_nonatomic_search_full_scan),
     # relative, before the rounding of R1 = 1 + e^t: 1 - e^(t - t_ref), with
     # t = log(R1 - 1) solved again at each R_tilde. The searches must raise
     # the same error type and text, and then the shortfall is 0.
@@ -919,29 +900,6 @@ def _domain_point(lam, log_k, beta_tilde, log_beta_ratio, nu_info, log_k_tilde):
 @given(**_NONATOMIC_DOMAIN)
 @example(lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
          log_k_tilde=0.0)
-@example(lam=1.0 - 1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
-         log_k_tilde=0.0)
-@example(lam=1.0 - 1e-12, log_k=1.0, beta_tilde=0.5, log_beta_ratio=-1.0, nu_info=NU_NONE,
-         log_k_tilde=0.0)
-@example(lam=0.6, log_k=3.0, beta_tilde=0.999, log_beta_ratio=0.0,
-         nu_info=NU_V_INTEGRAL, log_k_tilde=3.0)
-@settings(max_examples=400, deadline=None)
-def test_pruned_radius_search_equals_the_full_scan(**draw):
-    # Over the validated nonatomic domain (lambda near 0 and near 1, K up
-    # to 1e3, beta down to 1e-6 beta_tilde) the search that solves only the
-    # pre-scan radii whose bound can still win returns the (R_tilde, R1) of
-    # the same search with all 16 solved, bit for bit, or raises its error
-    # type and text.
-    from ergocert import bounds
-
-    p = _domain_point(**draw)
-    got = _search_outcome(bounds._general_nonatomic_search, p)
-    assert got == _search_outcome(_unpruned_search, p)
-
-
-@given(**_NONATOMIC_DOMAIN)
-@example(lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
-         log_k_tilde=0.0)
 @example(lam=1.0 - 1e-12, log_k=1.0, beta_tilde=0.5, log_beta_ratio=-1.0, nu_info=NU_NONE,
          log_k_tilde=0.0)
 @example(lam=0.6, log_k=3.0, beta_tilde=0.999, log_beta_ratio=0.0,
@@ -957,8 +915,8 @@ def test_stationarity_climb_is_never_below_brents_climb(**draw):
 
 
 def test_stationarity_climb_fails_with_rising_flipped():
-    # Falsification control: with the sign of rising flipped the climb
-    # finds no peak from the best scan point and keeps it, which falls
+    # Falsification control: with the sign of rising flipped the search
+    # reads R1 as falling from the left end and stops there, which falls
     # short of Brent's climb by far more than 1e-10 on the seeded draws.
     from ergocert import bounds
 
@@ -966,12 +924,33 @@ def test_stationarity_climb_fails_with_rising_flipped():
     assert max(_climb_shortfall(p) for p in ps) <= 1e-10
     real = bounds.maximize_scalar
 
-    def flipped(f, lo, hi, bound, rising):
-        return real(f, lo, hi, bound, lambda u: -rising(u))
+    def flipped(f, lo, hi, rising):
+        return real(f, lo, hi, lambda u: -rising(u))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds, "maximize_scalar", flipped)
         assert max(_climb_shortfall(p) for p in ps) > 1e-6
+
+
+def _search_functions(p) -> tuple:
+    # The (objective, u_lo, u_hi, rising) that rho_general(p) hands to
+    # maximize_scalar, None where it raises first, and whether it raised.
+    from ergocert import bounds
+
+    real = bounds.maximize_scalar
+    captured = []
+
+    def capture(f, lo, hi, rising):
+        captured.append((f, lo, hi, rising))
+        return real(f, lo, hi, rising)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "maximize_scalar", capture)
+        try:
+            rho_general(p)
+        except ErgoCertError:
+            return (captured or [None])[0], True
+    return captured[0], False
 
 
 def test_rising_has_the_sign_of_minus_dt_du():
@@ -979,109 +958,49 @@ def test_rising_has_the_sign_of_minus_dt_du():
     # and > 0 where it falls, checked against the solved objective at
     # u +- 1e-4 on a 64-point grid of each seeded draw's window, wherever
     # t moves by more than 1e-7 between them (away from the peak).
-    from ergocert import bounds
-
-    real = bounds.maximize_scalar
-    captured = []
-
-    def capture(f, lo, hi, bound, rising):
-        captured.append((f, lo, hi, rising))
-        return real(f, lo, hi, bound, rising)
-
     checked = 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "maximize_scalar", capture)
-        for p in _nonatomic_inputs(20, seed=35):
-            captured.clear()
-            try:
-                rho_general(p)
-            except ErgoCertError:
-                continue
-            f, lo, hi, rising = captured[0]
-            h = 1e-4
-            for k in range(64):
-                u = lo + h + (hi - lo - 2.0 * h) * (k / 63)
-                dt = f(u + h) - f(u - h)
-                if abs(dt) > 1e-7:
-                    assert (rising(u) > 0.0) == (dt < 0.0), (p, u)
-                    checked += 1
+    for p in _nonatomic_inputs(20, seed=35):
+        functions, raised = _search_functions(p)
+        if raised:
+            continue
+        f, lo, hi, rising = functions
+        h = 1e-4
+        for k in range(64):
+            u = lo + h + (hi - lo - 2.0 * h) * (k / 63)
+            dt = f(u + h) - f(u - h)
+            if abs(dt) > 1e-7:
+                assert (rising(u) > 0.0) == (dt < 0.0), (p, u)
+                checked += 1
     assert checked > 1_000
 
 
-def test_pruned_radius_search_differs_when_the_bound_undershoots(monkeypatch):
-    # Falsification control: the bound 1 below the closed-form end at the
-    # scan radius whose bound is largest, the radius solved first, is no
-    # bound, and pruning by it changes some of the seeded draws' outcomes,
-    # which the true bound leaves equal to the unpruned search's. (The end
-    # less 1 at every radius keeps their order, and on these draws the
-    # radius with the largest end is always the scan's winner, so it
-    # changes none.)
-    from ergocert import bounds
-
-    ps = _nonatomic_inputs(100, seed=30)
-    want = [_search_outcome(_unpruned_search, p) for p in ps]
-    assert [_search_outcome(bounds._general_nonatomic_search, p) for p in ps] == want
-    real = bounds.maximize_scalar
-
-    def undershoot(f, lo, hi, bound, rising):
-        xs = [lo + (hi - lo) * (i / 15) for i in range(15)] + [hi]
-        top = max(reversed(xs), key=bound)
-        return real(f, lo, hi, lambda u: bound(u) - (1.0 if u == top else 0.0), rising)
-
-    monkeypatch.setattr(bounds, "maximize_scalar", undershoot)
-    assert [_search_outcome(bounds._general_nonatomic_search, p) for p in ps] != want
+@given(**_NONATOMIC_DOMAIN)
+@seed(35)
+@settings(max_examples=300, deadline=None)
+def test_rising_changes_sign_at_most_once(**draw):
+    # The radius search takes the one root of rising as the peak, which
+    # holds only where rising turns from - to + at most once over the
+    # window: on a 1,025-point grid of it, ends included, the points where
+    # rising < 0 all come before those where it is not.
+    functions, _ = _search_functions(_domain_point(**draw))
+    if functions is None:
+        return
+    _, lo, hi, rising = functions
+    falling = [not rising(u) < 0.0 for u in [lo + (hi - lo) * (k / 1024) for k in range(1024)]]
+    falling.append(not rising(hi) < 0.0)
+    assert falling == sorted(falling)
 
 
-def test_pruned_radius_search_solves_few_prescan_radii(monkeypatch):
-    # Of the 16 pre-scan radii the search solves at most a few per
-    # certificate on the seeded draws, each one once, and takes the ends of
-    # every radius before its first solve. The climb then evaluates rising
-    # and solves R1 at most once, at its root, last.
-    from ergocert import bounds, kendall
-
-    events = []
-    real_ends, real_solve, real_max = kendall._r1_ends, kendall._r1_solve, bounds.maximize_scalar
-
-    def ends(*args):
-        events.append("ends")
-        return real_ends(*args)
-
-    def solve(*args):
-        events.append(("solve", args))
-        return real_solve(*args)
-
-    def search(f, lo, hi, bound, rising):
-        def counted(u):
-            events.append("rising")
-            return rising(u)
-
-        return real_max(f, lo, hi, bound, counted)
-
-    monkeypatch.setattr(kendall, "_r1_ends", ends)
-    monkeypatch.setattr(kendall, "_r1_solve", solve)
-    monkeypatch.setattr(bounds, "maximize_scalar", search)
-    scan_solves, climb_solves, risings = [], [], 0
-    for p in _nonatomic_inputs(40, seed=31):
-        events.clear()
-        try:
-            rho_general(p)
-        except ErgoCertError:
-            continue
-        scan, climb = events[: events.index("rising")], events[events.index("rising") :]
-        assert scan[:16] == ["ends"] * 16
-        solves = [e[1] for e in scan[16:]]
-        assert len(solves) == len(set(solves)) == len(scan) - 16
-        scan_solves.append(len(solves))
-        rising_calls = climb.count("rising")
-        assert climb[rising_calls:] in ([], ["ends", climb[-1]])
-        climb_solves.append(len(climb) > rising_calls)
-        risings += rising_calls
-    assert len(scan_solves) > 100
-    assert 1 <= min(scan_solves) and sum(scan_solves) <= 4 * len(scan_solves)
-    # 120 certificates: 435 pre-scan solves, one climb solve on all but one
-    # (a window end, or no turn of rising), and 1,506 evaluations of rising.
-    counts = len(scan_solves), sum(scan_solves), sum(climb_solves), risings
-    assert counts == (120, 435, 119, 1506)
+def test_all_clamped_window_keeps_the_right_edge():
+    # Where R1 clamps to 1 + 1e-14 at the peak it clamps at every radius,
+    # and the search takes the right edge, as a scan of equal values takes
+    # its rightmost: R_tilde = R0 - 1e-9, where M then has no room below R1.
+    p = DriftMinorization(lam=0.9999, big_k=900, beta=5e-7, beta_tilde=0.5, atomic=False)
+    diag = rho_general(p).diagnostics
+    assert diag["R_tilde_edge"] == "right" and diag["R1"] == 1.0 + 1e-14
+    text = "r=1.000000000000005 is at or beyond the certified radius (series-bound denominator <= 0)"
+    with pytest.raises(OutOfRange, match=re.escape(text)):
+        certificate(p)
 
 
 def test_rho_is_never_below_lambda():

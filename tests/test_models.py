@@ -393,8 +393,8 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
             if math.isinf(want):
                 continue
             if method == "thm1.1":
-                # The grid takes the best of 16 radii where rho_general runs
-                # a Brent search: never below its rate, at most 1 % of
+                # The grid takes the best of 16 radii where rho_general climbs
+                # to the peak: never below its rate, at most 1 % of
                 # 1 - rho above. The 4e-16 covers the R1 clamp at 1 + 1e-14,
                 # where numpy's exp may differ from math's by an ulp.
                 assert want <= rho + 4e-16, (dd[i, j], ss[i, j])
@@ -455,7 +455,7 @@ def test_mh_array_floor_matches_the_scalar_floor_on_coarse_grid(nu_variant):
     d_grid = np.append(np.arange(0.5, 3.0, 0.05), 3.0)
     s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
     valid, constants = _mh_valid_constants(d_grid, s_grid, nu_variant)
-    got = bounds._rho_floor(*constants, 1)
+    got = bounds._rho_floor(*constants)
     dd, ss = np.broadcast_arrays(d_grid[:, None], s_grid[None, :])
     for floor, d, s in zip(got, dd[valid], ss[valid]):
         want = general_rho_floor(mh_normal_params(float(d), float(s), nu_variant), 1)
@@ -487,7 +487,7 @@ def _mh_floor_violations(floor_of, nu_variant):
 def test_mh_floor_is_below_the_grid_rate_on_fine_grid(nu_variant):
     # Every grid rate is at least its floor, so a tuning the floor rules out
     # can never be the grid's argmin.
-    assert _mh_floor_violations(lambda *c: bounds._rho_floor(*c, 1), nu_variant) == 0
+    assert _mh_floor_violations(bounds._rho_floor, nu_variant) == 0
 
 
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
@@ -678,24 +678,24 @@ def _spy_evaluated_c(monkeypatch):
 
 
 def _contracting_floors(method, theta, c):
-    # The method's floor at c as the search takes it, and for thm1.1 also
-    # its 16-piece floor (the one-piece floor again for the other methods).
-    constants = models._floor_constants(method, theta, c)
-    floor = models._contracting_floor(method, constants)
-    if method != "thm1.1":
+    # The method's floor at c as the search takes it, and for thm1.1 with a
+    # finite floor also the 16-piece reference floor of the chain at c (the
+    # floor again otherwise).
+    floor = models._contracting_floor(method, models._floor_constants(method, theta, c))
+    if method != "thm1.1" or not math.isfinite(floor):
         return floor, floor
-    return floor, models._contracting_floor(method, constants, 16)
+    return floor, general_rho_floor(contracting_params(theta, c), 16)
 
 
-@pytest.mark.parametrize("theta, rated", [(0.25, 73), (0.5, 34), (0.9, 8)])
+@pytest.mark.parametrize("theta, rated", [(0.25, 241), (0.5, 113), (0.9, 23)])
 def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
     monkeypatch, theta, rated
 ):
     # The thm1.1 search rates each c at most once, as the reference loop
     # does, and leaves out only c values whose floor lies above the rate it
-    # returns: it rates 73 of the 296 c values at theta = 0.25, 34 at 0.5
-    # and 8 at 0.9 (241, 113 and 23 with the one-piece floor alone). The
-    # 16-piece floor is at least the one-piece floor and at most the rate.
+    # returns: it rates 241 of the 296 c values at theta = 0.25, 113 at 0.5
+    # and 23 at 0.9. The 16-piece reference floor is at least the one-piece
+    # floor and at most the rate.
     want, rates = _reference_contracting_search("thm1.1", theta)
     grid = np.arange(1.05, 4.0 + 1e-12, 0.01).tolist()
     seen = _spy_evaluated_c(monkeypatch)
@@ -705,7 +705,7 @@ def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
         floor, floor_16 = _contracting_floors("thm1.1", theta, c)
         assert floor <= floor_16 <= rho, c
         if c not in seen:
-            assert floor_16 > want["rho"], c
+            assert floor > want["rho"], c
 
 
 # The c values that the other methods rate at theta = 0.25 / 0.5 / 0.75 of
@@ -795,8 +795,8 @@ def test_contracting_search_differs_when_the_floor_overshoots(monkeypatch, metho
     winner = models._floor_constants(method, 0.5, want["c"])
     real = models._contracting_floor
 
-    def overshoot(method, constants, pieces=1):
-        return runner_up + 1e-9 if constants == winner else real(method, constants, pieces)
+    def overshoot(method, constants):
+        return runner_up + 1e-9 if constants == winner else real(method, constants)
 
     monkeypatch.setattr(models, "_contracting_floor", overshoot)
     assert optimize_contracting_tuning(method, 0.5) != want
@@ -824,13 +824,10 @@ def test_contracting_search_stops_raising_without_the_must_visit_floor(monkeypat
 
 
 def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
-    # Every evaluated c runs one maximize_scalar search of scalar R1 solves,
-    # which solves only the pre-scan radii whose closed-form end can still
-    # win, then climbs by the root of a closed-form stationarity function
-    # and solves once more, at that root: 68 solves for the 34 c values
-    # rated here, two per c, against 606 with Brent's steps on R1 itself,
-    # 1,116 with all 16 pre-scan radii solved per c as well and 11,215 with
-    # the per-c scan-and-refine certificates.
+    # Every evaluated c runs one maximize_scalar search, which finds the
+    # peak as the root of a closed-form stationarity function and solves
+    # R1 there alone: 113 solves for the 113 c values rated here, one per
+    # c, against 11,215 with the per-c scan-and-refine certificates.
     calls = []
     real = kendall._r1_solve
 
@@ -841,8 +838,8 @@ def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
     seen = _spy_evaluated_c(monkeypatch)
     monkeypatch.setattr(kendall, "_r1_solve", counting)
     optimize_contracting_tuning("thm1.1", theta=0.5)
-    assert len(seen) == 34
-    assert len(calls) == 68 < 11_215
+    assert len(seen) == 113
+    assert len(calls) == 113 < 11_215
     before = len(calls)
     models.method_rho("thm1.1", ContractingNormal(theta=0.5, c=1.5))
     assert len(calls) > before  # the counter sees the scalar path
