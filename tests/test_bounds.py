@@ -1003,6 +1003,84 @@ def test_all_clamped_window_keeps_the_right_edge():
         certificate(p)
 
 
+def test_r1_clamped_at_the_peak_is_clamped_across_the_window():
+    # The right edge is as good as the peak only because a clamp at the
+    # peak is a clamp everywhere: on the seeded draws whose R1 is 1 + 1e-14
+    # the objective is log 1e-14 on a 64-point grid of the window, ends
+    # included, and R_tilde sits on the right edge.
+    from ergocert import kendall
+
+    clamped = 0
+    for p in _nonatomic_inputs(40, seed=31):
+        functions, raised = _search_functions(p)
+        if raised:
+            continue
+        diag = rho_general(p).diagnostics
+        if diag["R1"] != 1.0 + 1e-14:
+            continue
+        f, lo, hi, _ = functions
+        assert diag["R_tilde_edge"] == "right", p
+        assert all(f(lo + (hi - lo) * (k / 63)) == kendall._LOG_EPS_LO for k in range(64)), p
+        clamped += 1
+    assert clamped == 21
+
+
+def test_radius_search_solves_r1_once_per_search(monkeypatch):
+    # Finding the peak solves no R1 equation: the search evaluates rising
+    # first, then the objective once, at the argmax, with one R1 solve, and
+    # a second one at the right end only where R1 clamped at the peak.
+    from ergocert import bounds, kendall
+
+    events = []
+    real_solve, real_max = kendall._r1_solve, bounds.maximize_scalar
+
+    def solve(*args):
+        events.append("solve")
+        return real_solve(*args)
+
+    def search(f, lo, hi, rising):
+        def counted(u):
+            events.append("rising")
+            return rising(u)
+
+        return real_max(f, lo, hi, counted)
+
+    monkeypatch.setattr(kendall, "_r1_solve", solve)
+    monkeypatch.setattr(bounds, "maximize_scalar", search)
+    certificates, solves, risings = 0, 0, 0
+    for p in _nonatomic_inputs(40, seed=31):
+        events.clear()
+        try:
+            diag = rho_general(p).diagnostics
+        except ErgoCertError:
+            continue
+        n = events.count("rising")
+        clamped = diag["R1"] == 1.0 + 1e-14
+        assert n >= 1 and events[:n] == ["rising"] * n
+        assert events[n:] == ["solve"] * (1 + clamped), p
+        certificates, solves, risings = certificates + 1, solves + 1 + clamped, risings + n
+    # 120 certificates, 141 R1 solves (21 clamped at the peak) and 1,678
+    # evaluations of rising.
+    assert (certificates, solves, risings) == (120, 141, 1678)
+
+
+def test_radius_search_raises_the_r1_error_at_the_argmax(monkeypatch):
+    # An error of the R1 solve at the argmax, the only radius solved, comes
+    # out of the search with its type and text.
+    from ergocert import kendall
+
+    seen = []
+
+    def solve(*args):
+        seen.append(args)
+        raise OutOfRange(f"R1 refused at call {len(seen)}")
+
+    monkeypatch.setattr(kendall, "_r1_solve", solve)
+    with pytest.raises(OutOfRange, match=re.escape("R1 refused at call 1")):
+        rho_general(CONTRACT)
+    assert len(seen) == 1
+
+
 def test_rho_is_never_below_lambda():
     # 1/R rounds one ulp below lambda at these inputs; rho = max(lambda, 1/R)
     # keeps the bound rho >= lambda that holds for every certified radius.

@@ -687,15 +687,15 @@ def _contracting_floors(method, theta, c):
     return floor, general_rho_floor(contracting_params(theta, c), 16)
 
 
-@pytest.mark.parametrize("theta, rated", [(0.25, 241), (0.5, 113), (0.9, 23)])
+@pytest.mark.parametrize("theta, rated", [(0.25, 241), (0.5, 113), (0.75, 54), (0.9, 23)])
 def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
     monkeypatch, theta, rated
 ):
     # The thm1.1 search rates each c at most once, as the reference loop
     # does, and leaves out only c values whose floor lies above the rate it
-    # returns: it rates 241 of the 296 c values at theta = 0.25, 113 at 0.5
-    # and 23 at 0.9. The 16-piece reference floor is at least the one-piece
-    # floor and at most the rate.
+    # returns: it rates 241 of the 296 c values at theta = 0.25, 113 at 0.5,
+    # 54 at 0.75 and 23 at 0.9. The 16-piece reference floor is at least the
+    # one-piece floor and at most the rate.
     want, rates = _reference_contracting_search("thm1.1", theta)
     grid = np.arange(1.05, 4.0 + 1e-12, 0.01).tolist()
     seen = _spy_evaluated_c(monkeypatch)
@@ -706,6 +706,23 @@ def test_optimize_contracting_general_evaluates_only_c_values_its_floor_admits(
         assert floor <= floor_16 <= rho, c
         if c not in seen:
             assert floor > want["rho"], c
+
+
+def test_contracting_thm11_floor_is_the_one_piece_reference_floor():
+    # The thm1.1 search prunes by the one-piece floor alone: from the
+    # unchecked constants it is general_rho_floor(p, 1) of the chain at c,
+    # bit for bit, at every c of the grid where that chain is valid.
+    compared = 0
+    for theta in (0.25, 0.5, 0.75, 0.9, -0.5, 0.1, 0.6, 0.95, 0.99):
+        for c in models._c_grid(1.05, 4.0):
+            floor = models._contracting_floor("thm1.1", models._floor_constants("thm1.1", theta, c))
+            try:
+                p = contracting_params(theta, c)
+            except ErgoCertError:
+                continue
+            assert floor == general_rho_floor(p, 1), (theta, c)
+            compared += 1
+    assert compared == 2254
 
 
 # The c values that the other methods rate at theta = 0.25 / 0.5 / 0.75 of

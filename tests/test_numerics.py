@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergocert import numerics
@@ -248,6 +248,64 @@ def test_maximize_climbs_to_the_root_of_rising():
     assert argmax == solve_monotone(rising, 0.0, 1.0, 1.0, rising(0.0))
     assert abs(argmax - 0.3) <= 1e-12
     assert seen == [argmax] and value == -((argmax - 0.3) ** 2)
+
+
+@given(r=st.floats(-1.0, 2.0))
+@example(r=0.0)
+@example(r=1.0)
+@settings(max_examples=200)
+def test_maximize_follows_the_root_of_rising(r):
+    # rising = x - r turns at r: the argmax is lo where r <= lo, hi where
+    # r > hi and solve_monotone's root otherwise. rising is taken first at
+    # lo and only inside the window; f once, at the argmax.
+    risings = []
+
+    def rising(x):
+        risings.append(x)
+        return x - r
+
+    counted, seen = _counted(lambda x: -((x - r) ** 2))
+    argmax, value = maximize_scalar(counted, 0.0, 1.0, rising)
+    if r <= 0.0:
+        want = 0.0
+    elif r > 1.0:
+        want = 1.0
+    else:
+        want = solve_monotone(lambda x: x - r, 0.0, 1.0, 1.0, -r)
+    assert argmax == want and seen == [want] and value == -((want - r) ** 2)
+    assert risings[0] == 0.0 and all(0.0 <= x <= 1.0 for x in risings)
+
+
+def _log_peak(m):
+    # log(1 + x) - x/m peaks at x = m - 1; rising is -f', increasing in x.
+    return (lambda x: math.log1p(x) - x / m), (lambda x: 1.0 / m - 1.0 / (1.0 + x))
+
+
+@given(m=st.floats(0.5, 6.0))
+@settings(max_examples=200)
+def test_maximize_dominates_grid(m):
+    # On a unimodal f peaking inside [0, 4] or beyond either end, the value
+    # found is at least the best of a 2,000-point grid of the window.
+    f, rising = _log_peak(m)
+    argmax, value = maximize_scalar(f, 0.0, 4.0, rising)
+    assert value == f(argmax)
+    assert value >= max(f(x) for x in np.linspace(0.0, 4.0, 2000)) - 1e-12
+
+
+def test_maximize_passes_errors_through():
+    # An error raised by rising (before f is called) or by f at the argmax
+    # comes out of the search with its type and text.
+    def refuse(x):
+        raise InvalidParams(f"refused x={x}")
+
+    counted, seen = _counted(lambda x: x)
+    with pytest.raises(InvalidParams, match="refused x=0.0"):
+        maximize_scalar(counted, 0.0, 1.0, refuse)
+    assert seen == []
+    f, rising = _log_peak(2.0)
+    argmax, _ = maximize_scalar(f, 0.0, 4.0, rising)
+    with pytest.raises(InvalidParams, match=f"refused x={argmax}"):
+        maximize_scalar(refuse, 0.0, 4.0, rising)
 
 
 def test_maximize_empty_domain():
