@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Optional
 
 from . import kendall
 from .errors import GammaOutOfRange, InvalidParams, OutOfRange
-from .kendall import KendallParams
 from .numerics import (
     elementary,
     maximize_scalar,
@@ -219,10 +218,6 @@ def big_l_array(r, beta_tilde, alpha1, alpha2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_kendall_params(p: DriftMinorization) -> KendallParams:
-    return KendallParams(beta=p.beta, big_r=p.lam_inv, big_l=p.lam_inv * p.big_k)
-
-
 def _rate(lam, radius):
     # The rate rho = 1/radius of a certified radius, on floats or arrays.
     # Every radius here is at most 1/lambda, so rho >= lambda holds exactly;
@@ -329,6 +324,35 @@ def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0):
     return fn.where(hi > lo, _rate(lam, 1.0 + fn.exp(t + _FLOOR_MARGIN)), math.inf)
 
 
+# Each regime's rate has a core that returns (rho, symmetry, diagnostics)
+# and builds no record: ``certificate`` calls the core, the public rate
+# functions wrap its tuple in a RatePart. An atomic rate's diagnostics carry
+# the Kendall constants R = 1/lambda and L = K/lambda, the general nonatomic
+# rate's carry R_tilde and L(R_tilde), so the K1 factor of M reads them
+# there.
+
+
+def _general_rate(p: DriftMinorization) -> tuple:
+    if p.atomic:
+        big_r = 1.0 / p.lam
+        big_l = big_r * p.big_k
+        r1 = kendall.solve_r1(p.beta, big_r, big_l)
+        return _rate(p.lam, r1), "general", {"R": big_r, "L": big_l, "R1": r1}
+    de = derived_exponents(p)
+    r_tilde, r1 = _general_nonatomic_search(p, de)
+    lo, hi = _scan_window(de.r0)
+    diagnostics = {
+        "alpha1": de.alpha1,
+        "alpha2": de.alpha2,
+        "R0": de.r0,
+        "R_tilde": r_tilde,
+        "L_at_R_tilde": _big_l_at(r_tilde, p.beta_tilde, de.alpha1, de.alpha2),
+        "R_tilde_edge": "right" if r_tilde == hi else "left" if r_tilde == lo else None,
+        "R1": r1,
+    }
+    return _rate(p.lam, r1), "general", diagnostics
+
+
 def rho_general(p: DriftMinorization) -> RatePart:
     """Rate for the general regime.
 
@@ -339,30 +363,19 @@ def rho_general(p: DriftMinorization) -> RatePart:
     Always rho >= lambda because R1 < R <= 1/lambda
     (``_rate`` keeps it so through rounding).
     """
+    return RatePart(*_general_rate(p))
+
+
+def _reversible_rate(p: DriftMinorization) -> tuple:
     if p.atomic:
-        kp = _atomic_kendall_params(p)
-        r1 = kendall.solve_r1(kp)
-        return RatePart(
-            rho=_rate(p.lam, r1),
-            symmetry="general",
-            diagnostics={"R": kp.big_r, "L": kp.big_l, "R1": r1},
-        )
+        big_r = 1.0 / p.lam
+        big_l = big_r * p.big_k
+        r2 = kendall.solve_r2_reversible(p.beta, big_r, big_l)
+        return _rate(p.lam, r2), "reversible", {"R": big_r, "L": big_l, "R2": r2}
     de = derived_exponents(p)
-    r_tilde, r1 = _general_nonatomic_search(p, de)
-    lo, hi = _scan_window(de.r0)
-    return RatePart(
-        rho=_rate(p.lam, r1),
-        symmetry="general",
-        diagnostics={
-            "alpha1": de.alpha1,
-            "alpha2": de.alpha2,
-            "R0": de.r0,
-            "R_tilde": r_tilde,
-            "L_at_R_tilde": _big_l_at(r_tilde, p.beta_tilde, de.alpha1, de.alpha2),
-            "R_tilde_edge": "right" if r_tilde == hi else "left" if r_tilde == lo else None,
-            "R1": r1,
-        },
-    )
+    r2 = _reversible_nonatomic_radius(p, de)
+    diagnostics = {"alpha1": de.alpha1, "alpha2": de.alpha2, "R0": de.r0, "R2": r2}
+    return _rate(p.lam, r2), "reversible", diagnostics
 
 
 def rho_reversible(p: DriftMinorization) -> RatePart:
@@ -373,21 +386,7 @@ def rho_reversible(p: DriftMinorization) -> RatePart:
     line below R0, and equals R0 otherwise (possible only when R0 = 1/lambda
     sits strictly below the envelope pole).
     """
-    if p.atomic:
-        kp = _atomic_kendall_params(p)
-        r2 = kendall.solve_r2_reversible(kp)
-        return RatePart(
-            rho=_rate(p.lam, r2),
-            symmetry="reversible",
-            diagnostics={"R": kp.big_r, "L": kp.big_l, "R2": r2},
-        )
-    de = derived_exponents(p)
-    r2 = _reversible_nonatomic_radius(p, de)
-    return RatePart(
-        rho=_rate(p.lam, r2),
-        symmetry="reversible",
-        diagnostics={"alpha1": de.alpha1, "alpha2": de.alpha2, "R0": de.r0, "R2": r2},
-    )
+    return RatePart(*_reversible_rate(p))
 
 
 def _r2_bracket(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
@@ -519,16 +518,24 @@ _RADIUS_ARRAY = {
 }
 
 
+def _positive_rate(p: DriftMinorization) -> tuple:
+    if p.atomic:
+        return p.lam, "reversible-positive", {}
+    de = derived_exponents(p)
+    diagnostics = {"alpha1": de.alpha1, "alpha2": de.alpha2, "R0": de.r0}
+    return _rate(p.lam, de.r0), "reversible-positive", diagnostics
+
+
 def rho_positive(p: DriftMinorization) -> RatePart:
     """Rate for reversible positive chains: lambda (atomic) or 1/R0."""
-    if p.atomic:
-        return RatePart(rho=p.lam, symmetry="reversible-positive", diagnostics={})
-    de = derived_exponents(p)
-    return RatePart(
-        rho=_rate(p.lam, de.r0),
-        symmetry="reversible-positive",
-        diagnostics={"alpha1": de.alpha1, "alpha2": de.alpha2, "R0": de.r0},
-    )
+    return RatePart(*_positive_rate(p))
+
+
+_RATES = {
+    "general": _general_rate,
+    "reversible": _reversible_rate,
+    "reversible-positive": _positive_rate,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -587,28 +594,33 @@ def _check_gamma(rho: float, gamma: float) -> None:
         raise GammaOutOfRange(f"gamma must lie in (rho, 1) = ({rho}, 1), got {gamma}")
 
 
-def _k_factor(p: DriftMinorization, part: RatePart, r: float) -> tuple[str, float]:
+def _k_factor(
+    p: DriftMinorization, rho: float, symmetry: str, diagnostics: dict, r: float
+) -> tuple[str, float]:
     # The series factor of M at r = 1/gamma, with its kind: K1 at the
-    # Kendall constants of the general rate, K2 at the rate's radius otherwise.
-    if part.symmetry != "general":
-        return "K2", kendall.k2_series_bound(r, 1.0 / part.rho, p.beta_tilde)
+    # Kendall constants (beta, R, L) of the general rate, which its
+    # diagnostics carry, K2 at the rate's radius otherwise.
+    if symmetry != "general":
+        return "K2", kendall.k2_series_bound(r, 1.0 / rho, p.beta_tilde)
     if p.atomic:
-        kp = _atomic_kendall_params(p)
+        big_r, big_l = diagnostics["R"], diagnostics["L"]
     else:
-        d = part.diagnostics
-        kp = KendallParams(beta=p.beta, big_r=d["R_tilde"], big_l=d["L_at_R_tilde"])
-    return "K1", kendall.k1(r, kp)
+        big_r, big_l = diagnostics["R_tilde"], diagnostics["L_at_R_tilde"]
+    return "K1", kendall.k1(r, p.beta, big_r, big_l)
 
 
-def _m_with_part(p: DriftMinorization, gamma: float, part: RatePart) -> tuple[float, str, float]:
-    # M at gamma for a computed rate, with the kind and value of its series
-    # factor. A nonatomic rate carries the exponents alpha_1, alpha_2.
-    _check_gamma(part.rho, gamma)
-    kind, k_factor = _k_factor(p, part, 1.0 / gamma)
+def _m_with_part(
+    p: DriftMinorization, gamma: float, rho: float, symmetry: str, diagnostics: dict
+) -> tuple[float, str, float]:
+    # M at gamma for a computed rate (rho, symmetry, diagnostics), with the
+    # kind and value of its series factor. A nonatomic rate carries the
+    # exponents alpha_1, alpha_2.
+    _check_gamma(rho, gamma)
+    kind, k_factor = _k_factor(p, rho, symmetry, diagnostics, 1.0 / gamma)
     if p.atomic:
         big_m = _m_atomic_gamma(p.lam, p.big_k, gamma, k_factor)
     else:
-        a1, a2 = part.diagnostics["alpha1"], part.diagnostics["alpha2"]
+        a1, a2 = diagnostics["alpha1"], diagnostics["alpha2"]
         big_m = _m_nonatomic_gamma(p.lam, p.big_k, p.beta_tilde, a1, a2, gamma, k_factor)
     return big_m, kind, k_factor
 
@@ -618,10 +630,14 @@ def _m_with_part(p: DriftMinorization, gamma: float, part: RatePart) -> tuple[fl
 # ---------------------------------------------------------------------------
 
 
-def rate_part(p: DriftMinorization, symmetry: str) -> RatePart:
-    """``rho_general``, ``rho_reversible`` or ``rho_positive``, by regime."""
+def _check_symmetry(symmetry: str) -> None:
     if symmetry not in _SYMMETRIES:
         raise InvalidParams(f"symmetry must be one of {_SYMMETRIES}, got {symmetry!r}")
+
+
+def rate_part(p: DriftMinorization, symmetry: str) -> RatePart:
+    """``rho_general``, ``rho_reversible`` or ``rho_positive``, by regime."""
+    _check_symmetry(symmetry)
     if symmetry == "general":
         return rho_general(p)
     if symmetry == "reversible":
@@ -637,15 +653,19 @@ def certificate(
     """Compute a full certificate for the requested symmetry regime.
 
     gamma defaults to (1 + rho)/2: M diverges as gamma approaches rho, so a
-    midpoint keeps both the rate and the constant moderate.
+    midpoint keeps both the rate and the constant moderate. The rate is that
+    of ``rate_part``, taken from its core without a RatePart.
     """
-    part = rate_part(p, symmetry)
+    _check_symmetry(symmetry)
+    rho, _, diagnostics = _RATES[symmetry](p)
     if gamma is None:
-        gamma = 0.5 * (1.0 + part.rho)
-    big_m, kind, k_factor = _m_with_part(p, gamma, part)
-    diagnostics = {**part.diagnostics, "k_factor_kind": kind, "k_factor": k_factor}
+        gamma = 0.5 * (1.0 + rho)
+    big_m, kind, k_factor = _m_with_part(p, gamma, rho, symmetry, diagnostics)
+    # The core's dict is new on each call: the certificate takes it over.
+    diagnostics["k_factor_kind"] = kind
+    diagnostics["k_factor"] = k_factor
     return Certificate(
-        rho=part.rho,
+        rho=rho,
         gamma=gamma,
         big_m=big_m,
         symmetry=symmetry,

@@ -60,15 +60,11 @@ class KendallParams:
     def __post_init__(self) -> None:
         _check_params(self.beta, self.big_r, self.big_l)
 
-    @property
-    def n_ratio(self) -> float:
-        """N = (L - 1) / (R - 1)."""
-        return (self.big_l - 1.0) / (self.big_r - 1.0)
-
 
 def _check_params(beta: float, big_r: float, big_l: float) -> None:
-    # The validation of KendallParams, for callers that solve at (beta, R,
-    # L) without building one. Each test is written so that NaN fails it.
+    # The validation of KendallParams, which ``solve_r1``,
+    # ``solve_r2_reversible`` and ``k1`` make first on the floats they take.
+    # Each test is written so that NaN fails it.
     if not (1.0 < big_r < math.inf):
         raise InvalidParams(f"R must be finite and exceed 1, got {big_r}")
     if not (0.0 < beta <= 1.0):
@@ -166,15 +162,11 @@ def _r1_solve(delta: float, log_target: float, lo: float, hi: float, up: float) 
     return lo if gap_lo >= 0.0 else solve_monotone(gap, lo, up, hi, gap_lo)
 
 
-def _r1_log_eps(p: KendallParams) -> float:
-    # log(R1 - 1) of ``solve_r1``.
-    return _r1_solve(*_r1_ends(p.beta, p.big_r, p.big_l))
-
-
-def solve_r1(p: KendallParams) -> float:
+def solve_r1(beta: float, big_r: float, big_l: float) -> float:
     """Certified radius R1 for the general regime.
 
-    R1 is the unique r in (1, R) with
+    (beta, R, L) are checked as ``KendallParams`` checks them, and R1 is the
+    unique r in (1, R) with
 
         (r - 1) / (r * log(R/r)^2) = e^2 * beta / (8 N),   N = (L-1)/(R-1).
 
@@ -198,7 +190,8 @@ def solve_r1(p: KendallParams) -> float:
     1 in double precision) R1 = 1 + 1e-14 is returned; such values are
     never competitive in the radius searches that consume them.
     """
-    return 1.0 + math.exp(_r1_log_eps(p))
+    _check_params(beta, big_r, big_l)
+    return 1.0 + math.exp(_r1_solve(*_r1_ends(beta, big_r, big_l)))
 
 
 def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
@@ -234,13 +227,13 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
         return 1.0 + np.exp(np.where((lo < hi) & (gap_lo >= 0.0), lo, t))
 
 
-def _k1_parts(r: float, p: KendallParams) -> tuple[float, float, float]:
-    if not (1.0 < r < p.big_r):
-        raise OutOfRange(f"need 1 < r < R, got r={r}, R={p.big_r}")
-    lg = _log_ratio(p.big_r, r)
-    big_n = p.n_ratio
+def _k1_parts(r: float, beta: float, big_r: float, big_l: float) -> tuple[float, float, float]:
+    if not (1.0 < r < big_r):
+        raise OutOfRange(f"need 1 < r < R, got r={r}, R={big_r}")
+    lg = _log_ratio(big_r, r)
+    big_n = (big_l - 1.0) / (big_r - 1.0)
     a_term = 8.0 * big_n * _EM2 * (r - 1.0) / (r * lg * lg)
-    denominator = p.beta - a_term
+    denominator = beta - a_term
     if denominator <= 0.0:
         raise OutOfRange(
             f"r={r} is at or beyond the certified radius (series-bound denominator <= 0)"
@@ -249,21 +242,24 @@ def _k1_parts(r: float, p: KendallParams) -> tuple[float, float, float]:
     return a_term, denominator, log_n_term
 
 
-def k1(r: float, p: KendallParams) -> float:
+def k1(r: float, beta: float, big_r: float, big_l: float) -> float:
     """Uniform bound on |sum (u_n - u_inf) z^n| over |z| <= r, r < R1.
 
-    Nested form: (1/(r-1)) * (1 + (beta + 2 log N / log(R/r)) / denominator).
-    Diverges as r approaches R1 from below (the denominator has its zero
-    exactly at R1).
+    Nested form: (1/(r-1)) * (1 + (beta + 2 log N / log(R/r)) / denominator),
+    N = (L-1)/(R-1), with (beta, R, L) checked as ``KendallParams`` checks
+    them before r. Diverges as r approaches R1 from below (the denominator
+    has its zero exactly at R1).
     """
-    a_term, denominator, log_n_term = _k1_parts(r, p)
-    return (1.0 / (r - 1.0)) * (1.0 + (p.beta + log_n_term) / denominator)
+    _check_params(beta, big_r, big_l)
+    a_term, denominator, log_n_term = _k1_parts(r, beta, big_r, big_l)
+    return (1.0 / (r - 1.0)) * (1.0 + (beta + log_n_term) / denominator)
 
 
-def solve_r2_reversible(p: KendallParams) -> float:
+def solve_r2_reversible(beta: float, big_r: float, big_l: float) -> float:
     """Certified radius R2 for reversible chains.
 
-    When L > 1 + 2*beta*R the radius is the unique r in (1, R) where
+    (beta, R, L) are checked as ``KendallParams`` checks them. When
+    L > 1 + 2*beta*R the radius is the unique r in (1, R) where
     1 + 2*beta*r meets the convex curve r**e, e = log L / log R; otherwise
     the full radius R is already certified. The crossing is solved on
     [1 + 1e-14, up] with the closed-form upper end up = e / (e - 2 beta),
@@ -273,24 +269,25 @@ def solve_r2_reversible(p: KendallParams) -> float:
     returned where rounding leaves the gap negative there. Raises OutOfRange
     when R - 1 is too small for the solve's bracket inside (1, R).
     """
-    if p.big_l <= 1.0 + 2.0 * p.beta * p.big_r:
-        return p.big_r
-    exponent = math.log(p.big_l) / math.log(p.big_r)
+    _check_params(beta, big_r, big_l)
+    if big_l <= 1.0 + 2.0 * beta * big_r:
+        return big_r
+    exponent = math.log(big_l) / math.log(big_r)
 
     def gap(r: float) -> float:
-        return math.exp(exponent * math.log1p(r - 1.0)) - 1.0 - 2.0 * p.beta * r
+        return math.exp(exponent * math.log1p(r - 1.0)) - 1.0 - 2.0 * beta * r
 
-    lo, hi = _radius_bracket(p.big_r)
+    lo, hi = _radius_bracket(big_r)
     if hi <= lo:
         # R - 1 below ~2e-14 leaves no bracket inside (1, R); its hi may
         # even lie below 1.
-        raise OutOfRange(f"rate gap R - 1 = {p.big_r - 1.0:.3g} is below double resolution")
+        raise OutOfRange(f"rate gap R - 1 = {big_r - 1.0:.3g} is below double resolution")
     # gap(1+) = -2*beta < 0 and gap(R) = L - (1 + 2*beta*R) > 0; the crossing
     # is unique by convexity, so gap(up) >= 0 puts up at or above it, and
     # the root finder takes it.
     gap_lo = gap(lo)
     try:
-        return solve_monotone(gap, lo, max(lo, _r2_tangent_end(exponent, p.beta, hi)), hi, gap_lo)
+        return solve_monotone(gap, lo, max(lo, _r2_tangent_end(exponent, beta, hi)), hi, gap_lo)
     except NoSignChange:
         if gap_lo < 0.0:
             # L exceeds 1 + 2*beta*R only by rounding, so the crossing lies

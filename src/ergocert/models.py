@@ -510,15 +510,19 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # expression mh_coupling_input takes). A
 # tuning with no rate, where the scalar path raises, gets rho = inf, which
 # never wins the argmin; the winner's array rho is returned as it is. thm1.1
-# rates the tuning with the lowest closed-form floor (bounds._rho_floor)
-# first, then only the tunings whose floor is not above that rate. Every
-# grid rate is at least its floor, so a tuning left at inf never was the
-# argmin, and the rated ones get the same bits as in a scan of all of
-# them: each step of the scan is elementwise. The contracting search
-# gives every method a closed-form floor per c from the floats of
-# _contracting_constants (_contracting_floor), visits c in floor order and
-# calls method_rho only for the c values that its floor does not rule
-# out; a floor of -inf, where the rate may raise, makes that c rated first.
+# rates only the tunings whose closed-form floor (bounds._rho_floor) is not
+# above a bound: at a refinement the enclosing stage's best rate, at the
+# coarse step the rate of the tuning with the lowest floor, rated first.
+# The enclosing winner need not lie on the refined grid, so where no rated
+# tuning reaches the bound, the rest whose floor is not above the best
+# rated rate are rated too. Every grid rate is at least its floor, so a
+# tuning left at inf never was the argmin, and the rated ones get the same
+# bits as in a scan of all of them: each step of the scan is elementwise.
+# The contracting search gives every method a closed-form floor per c from
+# the floats of _contracting_constants (_contracting_floor), visits c in
+# floor order and calls method_rho only for the c values that its floor
+# does not rule out; a floor of -inf, where the rate may raise, makes that
+# c rated first.
 # ---------------------------------------------------------------------------
 
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
@@ -532,7 +536,9 @@ def _theorem_rate_array(method, lam, beta, beta_tilde, alpha1, alpha2, r0):
     return np.where(np.isnan(radius), np.inf, _rate(lam, radius))
 
 
-def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
+def _mh_rho_grid(d_grid, s_grid, method, nu_variant, bound=None):
+    # bound: the best rate of the enclosing stage, which thm1.1 prunes by;
+    # None at the coarse step.
     import numpy as np
 
     d, s = np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :]
@@ -553,16 +559,29 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant):
         exponents = split_exponents(lam, big_k, beta_tilde, nu_info, k_tilde)
         constants = np.broadcast_arrays(lam, beta, beta_tilde, *exponents)  # alpha_2 may be 1.0
         rho = np.full(lam.shape, np.inf)
-        rated = np.ones(lam.shape, bool)
+
+        def rate(where):
+            rho[where] = _theorem_rate_array(method, *(c[where] for c in constants))
+
+        todo = np.ones(lam.shape, bool)
         if method == "thm1.1" and lam.size:
-            # The lowest floor's tuning first; then only the tunings whose
-            # floor is not above its rate (a NaN floor is rated).
             floor = _rho_floor(*constants)
-            first = np.argmin(floor)
-            rated[first] = False
-            rho[first] = _theorem_rate_array(method, *(c[[first]] for c in constants))[0]
-            rated &= ~(floor > rho[first])
-        rho[rated] = _theorem_rate_array(method, *(c[rated] for c in constants))
+            if bound is None:
+                # The lowest floor's tuning first: its rate is the bound.
+                first = np.argmin(floor)
+                todo[first] = False
+                rate([first])
+                bound = rho[first]
+            # The tunings whose floor is not above the bound (a NaN floor is
+            # rated). The enclosing winner may lie off a refined grid: where
+            # no rated tuning reaches the bound, the rest whose floor is not
+            # above the best rated rate follow.
+            rated = todo & ~(floor > bound)
+            rate(rated)
+            best = rho.min()
+            todo &= ~rated & ~(floor > best) & (best > bound)
+        if todo.any():
+            rate(todo)
     grid = np.full(valid.shape, np.inf)
     grid[valid] = rho
     return grid, *np.broadcast_arrays(d, s)
@@ -593,7 +612,7 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
     if nu_variant not in (MT_MEASURE, INFIMUM_MEASURE):
         raise InvalidParams(f"unknown nu_variant {nu_variant!r}")
     d_grid, s_grid = (np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (_D_RANGE, _S_RANGE))
-    best_d = best_s = None
+    best_d = best_s = best_rho = None
     for step in (0.05, 0.01, 0.002):
         if best_d is not None:
             # Clipping repeats a range end; np.unique keeps one copy, in
@@ -602,7 +621,7 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
                 np.unique(np.clip(np.arange(b - 6 * step, b + 6 * step + 1e-12, step), lo, hi))
                 for b, (lo, hi) in ((best_d, _D_RANGE), (best_s, _S_RANGE))
             )
-        rho, dd, ss = _mh_rho_grid(d_grid, s_grid, method, nu_variant)
+        rho, dd, ss = _mh_rho_grid(d_grid, s_grid, method, nu_variant, best_rho)
         flat = int(np.argmin(rho))
         best_d = float(dd.ravel()[flat])
         best_s = float(ss.ravel()[flat])

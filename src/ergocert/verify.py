@@ -265,10 +265,11 @@ def kendall_check(cases: Sequence[tuple]) -> list[dict]:
     """Check the certified radius and series bound against increment laws.
 
     Each case is (law, KendallParams, r, R1, radius) with R1 =
-    kendall.solve_r1(params) and radius = increment_radius(law); the result
-    is one report per case, in order. Every case must have b_1 >= beta and
-    sum b_k R^k <= L (HypothesisViolated otherwise) and 1 < r < R1
-    (OutOfRange otherwise); an empty batch raises InvalidParams.
+    kendall.solve_r1(beta, big_r, big_l) of the params and radius =
+    increment_radius(law); the result is one report per case, in order.
+    Every case must have b_1 >= beta and sum b_k R^k <= L
+    (HypothesisViolated otherwise) and 1 < r < R1 (OutOfRange otherwise); an
+    empty batch raises InvalidParams.
 
     The reported decay rate is exact (from the increment-polynomial roots);
     the series sup is the truncated sum on 64 sampled angles of |z| = r plus
@@ -320,7 +321,7 @@ def kendall_check(cases: Sequence[tuple]) -> list[dict]:
     measured_sup = truncated + tail
     reports = []
     for i, kp in enumerate(params):
-        bound = kendall_mod.k1(float(r[i]), kp)
+        bound = kendall_mod.k1(float(r[i]), kp.beta, kp.big_r, kp.big_l)
         rate_bound = 1.0 / r1[i] + 1e-6
         reports.append(
             {
@@ -367,7 +368,7 @@ def _draw_admissible(rng: np.random.Generator, count: int) -> list[tuple]:
             exact = float(np.dot(probs, np.power(big_r, np.arange(1, probs.size + 1))))
             big_l = exact * (1.0 + 0.3 * u_big_l)
             kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
-            r1 = kendall_mod.solve_r1(kp)
+            r1 = kendall_mod.solve_r1(beta, big_r, big_l)
             law = IncrementDistribution(probs=tuple(probs))
             cases.append((law, kp, 1.0 + 0.9 * (r1 - 1.0), r1, radius))
     return cases

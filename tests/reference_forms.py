@@ -198,16 +198,22 @@ def rho_tilde_reversible_atomic(lam: float, big_k: float, beta: float) -> float:
     return lam
 
 
-def k1_single_fraction(r: float, p: KendallParams) -> float:
+def k1_single_fraction(r: float, beta: float, big_r: float, big_l: float) -> float:
     """The single-fraction arrangement of ``kendall.k1``."""
-    a_term, denominator, log_n_term = _k1_parts(r, p)
-    return (2.0 * p.beta + log_n_term - a_term) / ((r - 1.0) * denominator)
+    a_term, denominator, log_n_term = _k1_parts(r, beta, big_r, big_l)
+    return (2.0 * beta + log_n_term - a_term) / ((r - 1.0) * denominator)
+
+
+def r1_log_eps(p: KendallParams) -> float:
+    """log(R1 - 1) of ``kendall.solve_r1`` at the fields of p, the value
+    it returns 1 + e^t of."""
+    return kendall_mod._r1_solve(*kendall_mod._r1_ends(p.beta, p.big_r, p.big_l))
 
 
 def r1_log_eps_clamp_then_solve(
     p: KendallParams, gap_calls: list | None = None, wide: bool = False
 ) -> float:
-    """``kendall._r1_log_eps`` with each bracket end evaluated twice: for
+    """``r1_log_eps`` with each bracket end evaluated twice: for
     the clamp test and again for the root finder's value at the lower end,
     for the check of the near upper end and again in the root finder, which
     is handed that end as its near and its wide end. wide=True solves on
@@ -366,7 +372,7 @@ def _brent_climb(f: Callable[[float], float], a: float, b: float, x: float, fx: 
 def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponents) -> tuple:
     """The 16-radius scan that ``bounds._general_nonatomic_search``
     replaced: (R_tilde, R1) from R1 at all 16 radii, each through
-    ``KendallParams`` and ``kendall._r1_log_eps`` in increasing order, so
+    ``KendallParams`` and ``r1_log_eps`` in increasing order, so
     the first radius that raises raises; the rightmost best radius, then
     Brent's search on R1 itself from it (``_brent_climb``), where the
     package climbs by the root of a stationarity function instead."""
@@ -381,7 +387,7 @@ def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponent
     def objective(u: float) -> float:
         big_r = radius(u)
         big_l = _big_l_at(big_r, p.beta_tilde, de.alpha1, de.alpha2)
-        return kendall_mod._r1_log_eps(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l))
+        return r1_log_eps(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l))
 
     us = [u_lo + (u_hi - u_lo) * (i / 15) for i in range(15)] + [u_hi]
     vals = [objective(u) for u in us]
@@ -461,8 +467,7 @@ def kendall_check_per_case(
     powers = np.power(big_r, np.arange(1, probs.size + 1))
     if np.dot(probs, powers) > big_l * (1.0 + 1e-12):
         raise HypothesisViolated(f"sum b_k R^k = {np.dot(probs, powers)} exceeds L = {big_l}")
-    kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
-    r1 = kendall_mod.solve_r1(kp)
+    r1 = kendall_mod.solve_r1(beta, big_r, big_l)
     if not (1.0 < r < r1):
         raise OutOfRange(f"need 1 < r < R1 = {r1}, got r={r}")
 
@@ -483,7 +488,7 @@ def kendall_check_per_case(
         if math.isfinite(c_env) and rate * r < 1.0:
             tail = c_env * (rate * r) ** (cutoff + 1) / (1.0 - rate * r)
     measured_sup = truncated + tail
-    bound = kendall_mod.k1(r, kp)
+    bound = kendall_mod.k1(r, beta, big_r, big_l)
     rate_bound = 1.0 / r1 + 1e-6
     passed = (measured_sup <= bound) and (rate <= rate_bound)
     return {
@@ -512,7 +517,7 @@ def _sample_admissible(rng: np.random.Generator) -> tuple:
         big_r = 1.0 + 0.05 + 0.4 * u_big_r
         exact = float(np.dot(probs, np.power(big_r, np.arange(1, m + 1))))
         big_l = exact * (1.0 + 0.3 * u_big_l)
-        r1 = kendall_mod.solve_r1(KendallParams(beta=beta, big_r=big_r, big_l=big_l))
+        r1 = kendall_mod.solve_r1(beta, big_r, big_l)
         r = 1.0 + 0.9 * (r1 - 1.0)
         return dist, beta, big_r, big_l, r
 

@@ -50,6 +50,7 @@ from reference_forms import (
     general_rho_floor,
     prop41_bounds,
     prop44_bounds,
+    r1_log_eps,
     r2_gap,
     r2_reversible_wide,
     reversible_nonatomic_gap,
@@ -416,7 +417,7 @@ def test_radius_search_matches_dense_rescan():
     # Nonatomic-flavoured variant of the modified-boundary walk constants:
     # the tuned-envelope objective has an interior maximum, which a dense
     # 10^4-point rescan must confirm.
-    from ergocert.kendall import KendallParams, solve_r1
+    from ergocert.kendall import solve_r1
 
     p = DriftMinorization(lam=0.6, big_k=2.5, beta=0.25, beta_tilde=0.5, atomic=False)
     de = derived_exponents(p)
@@ -424,7 +425,7 @@ def test_radius_search_matches_dense_rescan():
     def objective(big_r):
         denominator = 1.0 - (1.0 - p.beta_tilde) * big_r**de.alpha1
         big_l_val = p.beta_tilde * big_r**de.alpha2 / denominator
-        return solve_r1(KendallParams(beta=p.beta, big_r=big_r, big_l=max(big_l_val, big_r)))
+        return solve_r1(beta=p.beta, big_r=big_r, big_l=max(big_l_val, big_r))
 
     lo, hi = 1.0 + 1e-9, de.r0 - 1e-9
     diag = rho_general(p).diagnostics
@@ -627,13 +628,14 @@ def _r2_solves(p: DriftMinorization) -> tuple:
     from ergocert import bounds, kendall
 
     if p.atomic:
-        kp = bounds._atomic_kendall_params(p)
+        kp = KendallParams(beta=p.beta, big_r=p.lam_inv, big_l=p.lam_inv * p.big_k)
         lo, hi = kendall._radius_bracket(kp.big_r)
         exponent = math.log(kp.big_l) / math.log(kp.big_r)
         up = max(lo, kendall._r2_tangent_end(exponent, kp.beta, hi))
         return (
             kendall, (lo, hi, up),
-            lambda: solve_r2_reversible(kp), lambda: r2_reversible_wide(kp),
+            lambda: solve_r2_reversible(kp.beta, kp.big_r, kp.big_l),
+            lambda: r2_reversible_wide(kp),
             lambda r: r2_gap(kp, r),
         )
     de = derived_exponents(p)
@@ -859,7 +861,7 @@ def _climb_shortfall(p) -> float:
     # relative, before the rounding of R1 = 1 + e^t: 1 - e^(t - t_ref), with
     # t = log(R1 - 1) solved again at each R_tilde. The searches must raise
     # the same error type and text, and then the shortfall is 0.
-    from ergocert import bounds, kendall
+    from ergocert import bounds
 
     got = _search_outcome(bounds._general_nonatomic_search, p)
     ref = _search_outcome(general_nonatomic_search_full_scan, p)
@@ -868,7 +870,7 @@ def _climb_shortfall(p) -> float:
         return 0.0
     de = derived_exponents(p)
     t, t_ref = (
-        kendall._r1_log_eps(KendallParams(
+        r1_log_eps(KendallParams(
             beta=p.beta, big_r=r, big_l=_big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
         ))
         for r in (got[0], ref[0])
@@ -1124,3 +1126,109 @@ def test_l2_contraction():
     # is at most the certified rate.
     assert rate_part(WALK_09, "reversible-positive").rho == 0.6
     assert abs(rate_part(contracting_params(0.75, 1.2), "reversible").rho - 0.9958) <= 5e-4
+
+
+# The 18 (atomic, nu_info, symmetry) cases of a certificate request.
+_CERTIFICATE_CASES = [
+    (atomic, nu_info, symmetry)
+    for atomic in (True, False)
+    for nu_info in (NU_NONE, NU_CONCENTRATED, NU_V_INTEGRAL)
+    for symmetry in ("general", "reversible", "reversible-positive")
+]
+
+
+def _case_chain(atomic, nu_info, lam, log_k, beta_tilde, log_beta_ratio, log_k_tilde):
+    # A chain of the validated domain in one of the 18 cases: _chain with
+    # nu_info kept for an atom too.
+    beta_tilde = 1.0 if atomic else beta_tilde
+    return DriftMinorization(
+        lam=lam, big_k=10.0**log_k, beta=beta_tilde * 10.0**log_beta_ratio,
+        beta_tilde=beta_tilde, atomic=atomic, nu_info=nu_info,
+        k_tilde=10.0**log_k_tilde if nu_info == NU_V_INTEGRAL else None,
+    )
+
+
+def test_certificate_builds_no_kendall_params_and_no_rate_part(monkeypatch):
+    # certificate() takes its rate from the rate's core and M from the
+    # Kendall functions on floats: on seeded inputs of each of the 18 cases
+    # it constructs no KendallParams and no RatePart, which rate_part and
+    # the Kendall oracle's cases still do.
+    from ergocert import bounds, kendall
+
+    built = []
+    for cls in (kendall.KendallParams, bounds.RatePart):
+        def init(self, *args, _real=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    rng = np.random.default_rng(38)
+    for atomic, nu_info, symmetry in _CERTIFICATE_CASES:
+        certified = 0
+        for _ in range(12):
+            near = 10.0 ** rng.uniform(-4.0, -1.0)
+            lam = float(rng.choice([near, 1.0 - near, rng.uniform(0.05, 0.95)]))
+            p = _case_chain(atomic, nu_info, lam, rng.uniform(0.0, 3.0), rng.uniform(0.02, 0.98),
+                       rng.uniform(-6.0, 0.0), rng.uniform(0.0, 3.0))
+            try:
+                certificate(p, symmetry)
+            except ErgoCertError:
+                continue
+            certified += 1
+        assert certified > 0, (atomic, nu_info, symmetry)
+        assert built == [], (atomic, nu_info, symmetry)
+    rate_part(WALK_09, "general")
+    KendallParams(0.9, 1.0 / 0.6, 2.0)
+    assert built == ["RatePart", "KendallParams"]
+
+
+@given(
+    case=st.sampled_from(_CERTIFICATE_CASES),
+    lam=st.one_of(st.floats(1e-6, 0.1), st.floats(0.05, 0.95), st.floats(0.9, 1.0 - 1e-12)),
+    log_k=st.floats(0.0, 3.0),
+    beta_tilde=st.floats(1e-3, 0.999),
+    log_beta_ratio=st.floats(-6.0, 0.0),
+    log_k_tilde=st.floats(0.0, 3.0),
+)
+# R0 leaves no radius window: the general search raises InvalidParams.
+@example(case=(False, NU_NONE, "general"), lam=1.0 - 1e-12, log_k=0.3, beta_tilde=0.5,
+         log_beta_ratio=-1.0, log_k_tilde=0.0)
+# R - 1 = 1e-9 clamps R1 at 1 + 1e-14, and K1 has no r below it.
+@example(case=(True, NU_NONE, "general"), lam=1.0 - 1e-9, log_k=3.0, beta_tilde=0.5,
+         log_beta_ratio=-6.0, log_k_tilde=0.0)
+# beta = beta_tilde = 1 at K = 1: the smallest L and the largest beta.
+@example(case=(True, NU_CONCENTRATED, "reversible"), lam=0.5, log_k=0.0, beta_tilde=0.5,
+         log_beta_ratio=0.0, log_k_tilde=0.0)
+@example(case=(False, NU_V_INTEGRAL, "reversible-positive"), lam=1e-6, log_k=3.0,
+         beta_tilde=0.999, log_beta_ratio=-6.0, log_k_tilde=3.0)
+@settings(max_examples=300, deadline=None)
+def test_certificate_rate_is_rate_part_bit_for_bit(
+    case, lam, log_k, beta_tilde, log_beta_ratio, log_k_tilde
+):
+    # certificate(p, s) and rate_part(p, s) give the same rho and the same
+    # rate diagnostics, in the same order, bit for bit, or raise the same
+    # error. Where only the certificate raises, M does, at the default gamma
+    # of that rate.
+    from ergocert import bounds
+
+    atomic, nu_info, symmetry = case
+    p = _case_chain(atomic, nu_info, lam, log_k, beta_tilde, log_beta_ratio, log_k_tilde)
+    try:
+        part = rate_part(p, symmetry)
+    except ErgoCertError as exc:
+        with pytest.raises(type(exc)) as raised:
+            certificate(p, symmetry)
+        assert str(raised.value) == str(exc)
+        return
+    try:
+        cert = certificate(p, symmetry)
+    except ErgoCertError as exc:
+        gamma = 0.5 * (1.0 + part.rho)
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            bounds._m_with_part(p, gamma, part.rho, part.symmetry, part.diagnostics)
+        return
+    # repr gives each float's shortest round trip: equal reprs, equal bits.
+    assert repr(cert.rho) == repr(part.rho) and cert.symmetry == part.symmetry
+    items = [(key, repr(value)) for key, value in cert.diagnostics.items()]
+    assert items[:-2] == [(key, repr(value)) for key, value in part.diagnostics.items()]
+    assert [key for key, _ in items[-2:]] == ["k_factor_kind", "k_factor"]

@@ -1,6 +1,7 @@
 import math
 import random
 import types
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from reference_forms import (
     k1_single_fraction,
     r1_array_log_eps_clamp_then_solve,
     r1_gap_array,
+    r1_log_eps,
     r1_log_eps_clamp_then_solve,
     rho_tilde_reversible_atomic,
 )
@@ -41,14 +43,14 @@ def _rate_equation_residual(r, p):
 
 
 def test_r1_walk_09():
-    r1 = solve_r1(WALK_09)
+    r1 = solve_r1(*astuple(WALK_09))
     assert abs(r1 - 1.1038488876302294) <= 1e-9  # high-precision root
     assert abs(1.0 / r1 - 0.9060) <= 1e-4
     assert abs(_rate_equation_residual(r1, WALK_09)) <= 1e-10
 
 
 def test_r1_walk_23():
-    r1 = solve_r1(WALK_23)
+    r1 = solve_r1(*astuple(WALK_23))
     assert abs(1.0 / r1 - 0.9994) <= 1e-4
     assert abs(_rate_equation_residual(r1, WALK_23)) <= 1e-10
 
@@ -73,9 +75,9 @@ def test_r1_keeps_relative_accuracy_next_to_one(delta):
             else:
                 hi = mid
         t_true = float(lo)
-    t = kendall._r1_log_eps(p)
+    t = r1_log_eps(p)
     assert t_true - 2e-12 <= t <= t_true + 1e-13
-    assert solve_r1(p) == 1.0 + math.exp(t)
+    assert solve_r1(*astuple(p)) == 1.0 + math.exp(t)
 
 
 _R1_CASES = [
@@ -111,7 +113,7 @@ def test_r1_evaluates_the_lower_end_once(p, monkeypatch):
         return solve_monotone(lambda t: finder_calls.append(t) or f(t), lo, up, hi, f_lo)
 
     monkeypatch.setattr(kendall, "solve_monotone", solve_counted)
-    t = kendall._r1_log_eps(p)
+    t = r1_log_eps(p)
     assert t > kendall._LOG_EPS_LO  # not clamped
     assert t == r1_log_eps_clamp_then_solve(p, reference_calls)
     delta, log_target = p.big_r - 1.0, kendall._r1_log_target(p.beta, p.big_r, p.big_l)
@@ -126,7 +128,7 @@ def test_r1_clamp_evaluates_the_lower_end_once(monkeypatch):
     exps = _count_gap_evaluations(monkeypatch)
     monkeypatch.setattr(kendall, "solve_monotone", None)
     p = KendallParams(0.5, 1.0 + 1e-9, 1e3)
-    assert kendall._r1_log_eps(p) == kendall._LOG_EPS_LO == r1_log_eps_clamp_then_solve(p)
+    assert r1_log_eps(p) == kendall._LOG_EPS_LO == r1_log_eps_clamp_then_solve(p)
     assert exps == [kendall._LOG_EPS_LO]
 
 
@@ -136,7 +138,7 @@ def test_r1_walk_23_solve_does_not_stall(monkeypatch):
     # latest one. Brent's minimum step closes the bracket from there: 7 R1
     # evaluations when this was written, against 23 that bisected the rest.
     exps = _count_gap_evaluations(monkeypatch)
-    t = kendall._r1_log_eps(WALK_23)
+    t = r1_log_eps(WALK_23)
     assert len(exps) <= 10
     assert _r1_gap(WALK_23, t) <= kendall._r1_log_target(WALK_23.beta, WALK_23.big_r, WALK_23.big_l)
 
@@ -170,7 +172,7 @@ def test_r1_near_end_bounds_the_root(p):
     lo, hi, up = kendall._r1_bracket(delta, log_target)
     wide = r1_log_eps_clamp_then_solve(p, wide=True)
     assert lo <= wide <= up <= hi
-    t = kendall._r1_log_eps(p)
+    t = r1_log_eps(p)
     assert abs(t - wide) <= 1e-12
     if wide == lo:  # clamped
         assert t == lo
@@ -179,7 +181,7 @@ def test_r1_near_end_bounds_the_root(p):
     below = lo + 0.5 * (wide - lo)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kendall, "_r1_bracket", lambda delta, log_target: (lo, hi, below))
-        assert kendall._r1_log_eps(p) == wide
+        assert r1_log_eps(p) == wide
 
 
 def test_r1_near_end_saves_evaluations(monkeypatch):
@@ -198,7 +200,7 @@ def test_r1_near_end_saves_evaluations(monkeypatch):
             continue
         wide += len(wide_calls) - 1  # the reference evaluates lo twice
         exps.clear()
-        kendall._r1_log_eps(p)
+        r1_log_eps(p)
         near += len(exps)
     assert near <= 0.6 * wide
 
@@ -240,15 +242,15 @@ def test_r1_array_takes_lists_as_arrays():
     want = solve_r1_array(np.array([0.5, 0.5]), np.array([1.4, 1.5]), np.array([2.0, 2.0]))
     assert got.tobytes() == want.tobytes()
     for r1, big_r in zip(got, (1.4, 1.5)):
-        assert r1 == pytest.approx(solve_r1(KendallParams(beta=0.5, big_r=big_r, big_l=2.0)), abs=1e-12)
+        assert r1 == pytest.approx(solve_r1(beta=0.5, big_r=big_r, big_l=2.0), abs=1e-12)
     assert got == pytest.approx([1.019, 1.033], abs=5e-4)
 
 
 def test_r1_monotone_in_beta_and_l():
     base = dict(big_r=1.4, big_l=2.0)
-    r1s = [solve_r1(KendallParams(beta=b, **base)) for b in (0.1, 0.3, 0.5, 0.8, 1.0)]
+    r1s = [solve_r1(beta=b, **base) for b in (0.1, 0.3, 0.5, 0.8, 1.0)]
     assert all(a <= b + 1e-12 for a, b in zip(r1s, r1s[1:]))
-    r1s = [solve_r1(KendallParams(beta=0.5, big_r=1.4, big_l=l)) for l in (1.5, 2.0, 3.0, 5.0)]
+    r1s = [solve_r1(beta=0.5, big_r=1.4, big_l=l) for l in (1.5, 2.0, 3.0, 5.0)]
     assert all(a >= b - 1e-12 for a, b in zip(r1s, r1s[1:]))
 
 
@@ -279,25 +281,25 @@ def test_params_reject_a_non_finite_r(big_r, big_l):
 
 def test_k1_rejects_a_nan_radius():
     with pytest.raises(OutOfRange):
-        k1(math.nan, WALK_09)
+        k1(math.nan, *astuple(WALK_09))
 
 
 def test_k1_frozen_value():
     # Independent 40-digit transcription gives 118.7515786017...
-    assert abs(k1(1.05, WALK_09) - 118.7515786017) <= 1e-8
+    assert abs(k1(1.05, *astuple(WALK_09)) - 118.7515786017) <= 1e-8
 
 
 def test_k1_out_of_range():
-    r1 = solve_r1(WALK_09)
+    r1 = solve_r1(*astuple(WALK_09))
     with pytest.raises(OutOfRange):
-        k1(1.0, WALK_09)
+        k1(1.0, *astuple(WALK_09))
     with pytest.raises(OutOfRange):
-        k1(r1 * 1.0001, WALK_09)
+        k1(r1 * 1.0001, *astuple(WALK_09))
 
 
 def test_k1_diverges_at_radius():
-    r1 = solve_r1(WALK_09)
-    values = [k1(1.0 + f * (r1 - 1.0), WALK_09) for f in (0.5, 0.9, 0.99, 0.9999)]
+    r1 = solve_r1(*astuple(WALK_09))
+    values = [k1(1.0 + f * (r1 - 1.0), *astuple(WALK_09)) for f in (0.5, 0.9, 0.99, 0.9999)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] > 1e5
 
@@ -312,16 +314,15 @@ def test_k1_diverges_at_radius():
 def test_k1_two_forms_agree(beta, r_gap, l_scale, frac):
     big_r = 1.0 + r_gap
     big_l = max(big_r, beta * big_r) * (1.0 + l_scale)
-    p = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
-    r = 1.0 + frac * (solve_r1(p) - 1.0)
-    a, b = k1(r, p), k1_single_fraction(r, p)
+    r = 1.0 + frac * (solve_r1(beta, big_r, big_l) - 1.0)
+    a, b = k1(r, beta, big_r, big_l), k1_single_fraction(r, beta, big_r, big_l)
     assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
 def test_r2_crossing_case():
     # Modified-boundary walk p=0.9, eps=0.25: K = 2.5, lambda = 0.6.
     p = KendallParams(beta=0.25, big_r=1.0 / 0.6, big_l=2.5 / 0.6)
-    r2 = solve_r2_reversible(p)
+    r2 = solve_r2_reversible(*astuple(p))
     assert abs(1.0 / r2 - 0.8470) <= 1e-4
     exponent = math.log(p.big_l) / math.log(p.big_r)
     assert abs(1.0 + 2.0 * p.beta * r2 - r2**exponent) <= 1e-10
@@ -339,7 +340,7 @@ def test_r2_evaluates_each_bracket_end_once(p, monkeypatch):
     # come first and appear once each, and the wide end hi is never
     # evaluated.
     exps = _count_gap_evaluations(monkeypatch)
-    r2 = solve_r2_reversible(p)
+    r2 = solve_r2_reversible(*astuple(p))
     lo, hi = kendall._radius_bracket(p.big_r)
     exponent = math.log(p.big_l) / math.log(p.big_r)
     up = kendall._r2_tangent_end(exponent, p.beta, hi)
@@ -351,7 +352,7 @@ def test_r2_evaluates_each_bracket_end_once(p, monkeypatch):
 
 
 def test_r2_no_crossing_returns_r():
-    r2 = solve_r2_reversible(WALK_23)
+    r2 = solve_r2_reversible(*astuple(WALK_23))
     assert r2 == WALK_23.big_r
     assert abs(1.0 / r2 - 0.9428) <= 1e-4
 
@@ -394,10 +395,9 @@ def test_rho_tilde_branches():
 def test_r2_defining_equation_residual(beta, r_gap, l_scale):
     big_r = 1.0 + r_gap
     big_l = max(big_r, beta * big_r) * (1.0 + l_scale)
-    p = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
-    r2 = solve_r2_reversible(p)
+    r2 = solve_r2_reversible(beta, big_r, big_l)
     if r2 == big_r:
-        assert p.big_l <= 1.0 + 2.0 * beta * big_r
+        assert big_l <= 1.0 + 2.0 * beta * big_r
     else:
         exponent = math.log(big_l) / math.log(big_r)
         assert abs(1.0 + 2.0 * beta * r2 - r2**exponent) <= 1e-9
@@ -411,8 +411,7 @@ def test_r2_defining_equation_residual(beta, r_gap, l_scale):
 @settings(max_examples=60)
 def test_rho_tilde_dominates_exact_reversible_rate(beta, lam, k_extra):
     big_k = 1.0 + k_extra
-    p = KendallParams(beta=min(beta, 1.0), big_r=1.0 / lam, big_l=big_k / lam)
-    exact = 1.0 / solve_r2_reversible(p)
+    exact = 1.0 / solve_r2_reversible(min(beta, 1.0), 1.0 / lam, big_k / lam)
     easy = rho_tilde_reversible_atomic(lam, big_k, min(beta, 1.0))
     assert easy >= exact - 1e-9
 
@@ -423,13 +422,13 @@ def test_r2_at_rounding_edge_stays_below_full_radius():
     lam = 0.21797575134834302
     p = KendallParams(beta=0.5, big_r=1.0 / lam, big_l=(1.0 + lam) / lam)
     assert p.big_l > 1.0 + 2.0 * p.beta * p.big_r
-    r2 = solve_r2_reversible(p)
+    r2 = solve_r2_reversible(*astuple(p))
     assert p.big_r * (1.0 - 1e-12) < r2 < p.big_r
 
 
 def test_rates_stay_inside_interval():
     for p in (WALK_09, WALK_23):
-        for rate in (solve_r1(p), solve_r2_reversible(p)):
+        for rate in (solve_r1(*astuple(p)), solve_r2_reversible(*astuple(p))):
             assert 1.0 < rate <= p.big_r + 1e-12
 
 
@@ -454,7 +453,7 @@ def test_r1_array_matches_scalar(elements, shared_beta):
     assert got.shape == big_r.shape
     for i in range(len(elements)):
         b = float(betas[0]) if shared_beta else float(betas[i])
-        want = solve_r1(KendallParams(beta=b, big_r=float(big_r[i]), big_l=float(big_l[i])))
+        want = solve_r1(beta=b, big_r=float(big_r[i]), big_l=float(big_l[i]))
         # 2 * tol_abs: both solves start from the same ends, but numpy's
         # log1p and exp may differ from math's by an ulp, so the steps can
         # part and each solve returns its own point at most tol_abs below
@@ -501,8 +500,8 @@ def test_r1_array_clamp_nan_and_shape():
     big_l = np.array([[1e3, 1.0], [2.0, math.nan]])
     got = solve_r1_array(beta, big_r, big_l)
     assert got.shape == (2, 2)
-    assert got[0, 0] == 1.0 + 1e-14 == solve_r1(KendallParams(0.5, 1.0 + 1e-9, 1e3))
+    assert got[0, 0] == 1.0 + 1e-14 == solve_r1(0.5, 1.0 + 1e-9, 1e3)
     # Both solves start from the same near end: WALK_09 gives the bits of
     # the scalar solve.
-    assert got[1, 0] == solve_r1(WALK_09)
+    assert got[1, 0] == solve_r1(*astuple(WALK_09))
     assert math.isnan(got[0, 1]) and math.isnan(got[1, 1])

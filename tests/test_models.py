@@ -403,10 +403,11 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
                 assert abs(rho - want) <= 1e-12, (method, dd[i, j], ss[i, j])
 
 
-# The tunings that the thm1.1 search rates after the one with the lowest
-# floor, at its coarse step and at its two refinements: of the 1,355 valid
-# coarse tunings and of the 169 of each refinement.
-MH_GENERAL_RATED = {MT_MEASURE: (120, 138, 168), INFIMUM_MEASURE: (157, 168, 168)}
+# The tunings that the thm1.1 search rates: at its coarse step after the
+# one with the lowest floor, of the 1,355 valid coarse tunings, and at its
+# two refinements those whose floor is not above the enclosing stage's best
+# rate, of the 169 of each refinement.
+MH_GENERAL_RATED = {MT_MEASURE: (120, 134, 169), INFIMUM_MEASURE: (157, 169, 169)}
 
 
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
@@ -415,8 +416,9 @@ def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
     # only, 16 radii each for the scan, and never a placeholder in place of
     # an invalid one: every lambda (lambda_1 for coupling) and beta_tilde
     # they get lies below 1. split_exponents sees all of them; the R1 scan
-    # of each thm1.1 stage sees the tuning with the lowest floor, then the
-    # tunings whose floor is not above its rate.
+    # of the coarse thm1.1 stage sees the tuning with the lowest floor, then
+    # the tunings whose floor is not above its rate, and that of each
+    # refinement the tunings whose floor is not above the enclosing best.
     # The d and s axes of the coarse step of optimize_mh_tuning.
     d_grid = np.append(np.arange(0.5, 3.0, 0.05), 3.0)
     s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
@@ -443,9 +445,42 @@ def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
     assert [np.size(lam) for lam, _ in split_args[:3]] == [n_valid] * 3
     r1_sizes.clear()
     optimize_mh_tuning("thm1.1", nu_variant)
-    assert r1_sizes == [16 * n for rated in MH_GENERAL_RATED[nu_variant] for n in (1, rated)]
+    assert r1_sizes == [16, *(16 * rated for rated in MH_GENERAL_RATED[nu_variant])]
     for lam, beta_tilde in split_args:
         assert (lam < 1.0).all() and (beta_tilde < 1.0).all()
+
+
+@pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
+def test_mh_grid_below_an_unreached_bound_keeps_the_full_scan_winner(monkeypatch, nu_variant):
+    # A bound an ulp under the floor of the full scan's winner on a
+    # refinement grid: the tunings whose floor admits the bound do not hold
+    # the winner, and none reaches the bound, so the grid rates the rest
+    # whose floor is not above the best of those, in a second R1 scan. The
+    # argmin is the full scan's, with its bits, and each rated tuning has
+    # the full scan's rate.
+    best = optimize_mh_tuning("thm1.1", nu_variant)
+    d_grid, s_grid = (
+        np.unique(np.clip(np.arange(b - 0.06, b + 0.06 + 1e-12, 0.01), lo, hi))
+        for b, (lo, hi) in ((best["d"], models._D_RANGE), (best["s"], models._S_RANGE))
+    )
+    valid, rho, constants = _mh_full_general_grid(d_grid, s_grid, nu_variant)
+    full = np.full(valid.shape, math.inf)
+    full[valid] = rho
+    bound = np.nextafter(bounds._rho_floor(*constants)[np.argmin(rho)], 0.0)
+    r1_sizes = []
+    real_r1 = kendall.solve_r1_array
+
+    def r1_spy(beta, big_r, big_l):
+        r1_sizes.append(np.broadcast(beta, big_r, big_l).size // 16)
+        return real_r1(beta, big_r, big_l)
+
+    monkeypatch.setattr(kendall, "solve_r1_array", r1_spy)
+    got = models._mh_rho_grid(d_grid, s_grid, "thm1.1", nu_variant, bound)[0]
+    assert len(r1_sizes) == 2 and min(r1_sizes) > 0
+    assert np.argmin(got) == np.argmin(full) and got.min() == full.min()
+    rated = np.isfinite(got)
+    assert (got[rated] == full[rated]).all()
+    assert (full[~rated] > got.min()).all()
 
 
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
@@ -560,7 +595,7 @@ def test_mh_array_solves_close_in_few_lockstep_steps(method, monkeypatch):
 def test_mh_tuning_without_a_rate_names_no_tuning(monkeypatch):
     # No tuning of any grid has a rate: as the contracting search does, the
     # result names no tuning.
-    def no_rate(d_grid, s_grid, method, nu_variant):
+    def no_rate(d_grid, s_grid, method, nu_variant, bound=None):
         dd, ss = np.broadcast_arrays(np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :])
         return np.full(dd.shape, math.inf), dd, ss
 
@@ -920,11 +955,11 @@ def test_mh_tuning_coarse_grid_reaches_the_top_of_the_range(monkeypatch):
     # grid rates its s = 1.5 column alone, so no other s prunes it.
     rho_grid = models._mh_rho_grid
 
-    def rates_at_top(d_grid, s_grid, method, nu_variant):
+    def rates_at_top(d_grid, s_grid, method, nu_variant, bound=None):
         dd, ss = np.broadcast_arrays(np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :])
         rho = np.full(dd.shape, math.inf)
         top = ss[0] == 1.5
-        rho[:, top] = rho_grid(d_grid, ss[0, top], method, nu_variant)[0]
+        rho[:, top] = rho_grid(d_grid, ss[0, top], method, nu_variant, bound)[0]
         return rho, dd, ss
 
     monkeypatch.setattr(models, "_mh_rho_grid", rates_at_top)
@@ -940,7 +975,7 @@ def test_mh_tuning_grids_hold_each_value_once(monkeypatch):
     # (0.5, 0.01).
     grids = []
 
-    def spy(d_grid, s_grid, method, nu_variant):
+    def spy(d_grid, s_grid, method, nu_variant, bound=None):
         grids.append((np.asarray(d_grid), np.asarray(s_grid)))
         dd, ss = np.broadcast_arrays(grids[-1][0][:, None], grids[-1][1][None, :])
         return 0.5 + 0.01 * (dd + ss), dd, ss

@@ -189,7 +189,7 @@ def test_stacked_radius_of_a_mixed_length_batch_matches_np_roots_bit_for_bit():
 def _case(law, beta, big_r, big_l, r):
     # One kendall_check case, with the R1 and increment radius it expects.
     kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
-    return law, kp, r, kendall_mod.solve_r1(kp), increment_radius(law)
+    return law, kp, r, kendall_mod.solve_r1(beta, big_r, big_l), increment_radius(law)
 
 
 def test_kendall_check_passes_and_gates():
@@ -308,8 +308,9 @@ def test_block_draw_matches_one_candidate_at_a_time(monkeypatch, seed, count):
         ref_kp = KendallParams(beta=beta, big_r=big_r, big_l=big_l)
         assert np.array(law.probs).tobytes() == np.array(ref_law.probs).tobytes()
         assert kp == ref_kp
+        ref_r1 = kendall_mod.solve_r1(beta, big_r, big_l)
         assert np.array([r, r1, radius]).tobytes() == (
-            np.array([ref_r, kendall_mod.solve_r1(ref_kp), increment_radius(ref_law)]).tobytes()
+            np.array([ref_r, ref_r1, increment_radius(ref_law)]).tobytes()
         )
     # No draw past the last case: the generators go on alike.
     assert rng.random(8).tobytes() == ref_rng.random(8).tobytes()
@@ -324,7 +325,7 @@ def test_kendall_check_survives_overflowing_powers():
     # r ** 1200 overflows a double. One law is summed only to its own
     # resolved cutoff (about n = 5 here), never to the last renewal term,
     # so the check stays finite and equals the per-case result.
-    r1 = kendall_mod.solve_r1(KendallParams(*_STEEP[1:]))
+    r1 = kendall_mod.solve_r1(*_STEEP[1:])
     args = (*_STEEP, 1.0 + 0.9 * (r1 - 1.0))
     with np.errstate(over="ignore"):
         assert np.power(args[-1], 1200) == math.inf
@@ -350,7 +351,7 @@ def test_kendall_checks_mask_overflowing_powers_of_a_shorter_row():
     ]
     cases, refs = [], []
     for law, beta, big_r, big_l in drawn:
-        r1 = kendall_mod.solve_r1(KendallParams(beta=beta, big_r=big_r, big_l=big_l))
+        r1 = kendall_mod.solve_r1(beta, big_r, big_l)
         r = 1.0 + 0.9 * (r1 - 1.0)
         cases.append(_case(law, beta, big_r, big_l, r))
         refs.append(kendall_check_per_case(law, beta, big_r, big_l, r))
