@@ -243,66 +243,56 @@ def _r1_at_radius(big_r, beta, beta_tilde, alpha1, alpha2) -> np.ndarray:
 _FLOOR_MARGIN = 1e-6  # slack in log(R1 - 1) for the rounding of an R1 solve
 
 
-def _general_nonatomic_search(p: DriftMinorization, de: DerivedExponents) -> tuple:
-    # (R_tilde, R1): R1(beta, R, L(R)) maximized over the scan window, as
-    # t = log(R1 - 1) in u = log(R - 1), where R1 keeps the relative accuracy
-    # that a float next to 1 loses and the radii near 1 are spread out. The
-    # window ends map to their radii exactly, so a maximum at the right edge
-    # gives R_tilde = R0 - 1e-9. R1 = 1 + e^t is solve_r1 at R_tilde.
-    # maximize_scalar takes R_tilde at the root of rising and solves R1
-    # there alone, with the KendallParams checks, so an error comes from
-    # that radius. Where R1 clamps to log 1e-14 at the peak it clamps at
-    # every radius, and R_tilde is hi, the rightmost of equal values, with
-    # R1 solved there.
-    # Finding the peak solves no R1 equation. With delta = R - 1,
-    # N = (L - 1)/delta and l = log(R/r), the equation reads
-    # G(t, u) = t - log1p(e^t) - 2 log l - log(e^2 beta / (8 N)) = 0, G
-    # increasing in t; u enters only through l (dl/du = delta/R) and N
-    # (d log N/du = delta L'/(L - 1) - 1 =: s). So dt/du = -(dG/du)/(dG/dt)
-    # is 0 exactly where l = l_s = 2 (delta/R)/s, and R1 lies below
-    # r_s = 1 + x = R e^(-l_s) just where G(log x, u) > 0, that is
-    # x/(1 + x) > (e^2 beta / (8 N)) l_s^2; there l > l_s and t falls. So
-    # rising(u) = x - (e^2 beta / (8 N)) l_s^2 (1 + x), that difference
-    # times r_s > 0, is < 0 while R1 grows and > 0 past its peak, for a few
-    # logs. It stays above -1, its limit as l_s grows, where the undivided
-    # difference runs to -inf and stalls the root finder; s <= 0, left by
-    # rounding only (L is convex with L(1) = 1), gives that -1 too. L - 1
-    # and L' come from R^alpha - 1 = expm1(alpha log1p(delta)), so s keeps
-    # its relative accuracy next to R = 1, where it is O(delta).
-    lo, hi = _scan_window(de.r0)
+def _rising(delta, beta, beta_tilde, alpha1, alpha2):
+    # The stationarity function of the general nonatomic radius search at
+    # delta = R - 1, taken exactly (R = 1 + delta), on floats or arrays:
+    # < 0 while R1(beta, R, L(R)) grows with R and > 0 past its peak. With
+    # N = (L - 1)/delta and l = log(R/r), R1 solves G(t, delta) = t -
+    # log1p(e^t) - 2 log l - log(e^2 beta / (8 N)) = 0 in t = log(R1 - 1), G
+    # increasing in t; delta enters through l (delta dl/ddelta = delta/R)
+    # and N (delta d log N/ddelta = delta L'/(L - 1) - 1 =: s), so dt/ddelta
+    # is 0 where l = l_s = 2 (delta/R)/s, and t falls just where R1 lies
+    # below r_s = 1 + x = R e^(-l_s): x/(1 + x) > (e^2 beta / (8 N)) l_s^2.
+    # The value is that difference times 1 + x, which tends to -1, not -inf,
+    # as l_s grows, so the root finder does not stall; s <= 0, left by
+    # rounding only (L is convex, L(1) = 1), gives -1 with l_s taken at
+    # s = 1, which divides by no zero and overflows nothing on floats.
+    # expm1(alpha log1p(delta)) = R^alpha - 1 keeps s accurate next to R = 1.
+    fn = elementary(delta)
+    big_r, log_r = 1.0 + delta, fn.log1p(delta)
+    e1, e2 = fn.expm1(alpha1 * log_r), fn.expm1(alpha2 * log_r)
+    pole = beta_tilde - (1.0 - beta_tilde) * e1  # 1 - (1 - beta_tilde) R^alpha1
+    rise = beta_tilde * e2 + (1.0 - beta_tilde) * e1  # (L - 1) * pole
+    rl = beta_tilde * (1.0 + e2) * (alpha2 + alpha1 * (1.0 - beta_tilde) * (1.0 + e1) / pole) / rise
+    s = delta / big_r * rl - 1.0  # rl is R L'/(L - 1)
+    turns = s > 0.0
+    l_s = 2.0 * delta / (big_r * fn.where(turns, s, 1.0))
+    x = delta + big_r * fn.expm1(-l_s)
+    target = kendall._E2 * beta * delta * pole / (8.0 * rise)  # e^2 beta / (8 N)
+    return fn.where(turns, x - target * l_s * l_s * (1.0 + x), -1.0)
+
+
+def _general_nonatomic_search(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
+    # (R_tilde, R1) of nonatomic floats: log(R1 - 1) maximized over
+    # delta = R - 1 in the scan window, whose ends map to delta and back
+    # exactly, at the root of _rising, with R1 solved and (R, L(R)) checked
+    # there alone. Where R1 clamps to 1 + 1e-14 at the peak it clamps at
+    # every radius, and R_tilde is hi, the rightmost of equal values.
+    lo, hi = _scan_window(r0)
     if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
-    u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
-    beta, bt, a1, a2 = p.beta, p.beta_tilde, de.alpha1, de.alpha2
+    constants, d_hi = (beta, beta_tilde, alpha1, alpha2), hi - 1.0
 
-    def radius(u: float) -> float:
-        return hi if u == u_hi else lo if u == u_lo else 1.0 + math.exp(u)
-
-    def objective(u: float) -> float:
-        big_r = radius(u)
-        big_l = _big_l_at(big_r, bt, a1, a2)
+    def objective(delta: float) -> float:
+        big_r = 1.0 + delta
+        big_l = _big_l_at(big_r, beta_tilde, alpha1, alpha2)
         kendall._check_params(beta, big_r, big_l)
         return kendall._r1_solve(*kendall._r1_ends(beta, big_r, big_l))
 
-    def rising(u: float) -> float:
-        big_r = radius(u)
-        delta = big_r - 1.0
-        log_r = math.log1p(delta)
-        e1, e2 = math.expm1(a1 * log_r), math.expm1(a2 * log_r)
-        pole = bt - (1.0 - bt) * e1  # 1 - (1 - bt) R^alpha1
-        rise = bt * e2 + (1.0 - bt) * e1  # (L - 1) * pole
-        rl = bt * (1.0 + e2) * (a2 + a1 * (1.0 - bt) * (1.0 + e1) / pole) / rise  # R L'/(L - 1)
-        s = delta / big_r * rl - 1.0
-        if not s > 0.0:
-            return -1.0
-        l_s = 2.0 * delta / (big_r * s)
-        x = delta + big_r * math.expm1(-l_s)
-        return x - kendall._E2 * beta * delta * pole / (8.0 * rise) * l_s * l_s * (1.0 + x)
-
-    u, t = maximize_scalar(objective, u_lo, u_hi, rising)
-    if t == kendall._LOG_EPS_LO and u != u_hi:
-        u, t = u_hi, objective(u_hi)
-    return radius(u), 1.0 + math.exp(t)
+    delta, t = maximize_scalar(objective, lo - 1.0, d_hi, lambda d: _rising(d, *constants))
+    if t == kendall._LOG_EPS_LO and delta != d_hi:
+        delta, t = d_hi, objective(d_hi)
+    return 1.0 + delta, 1.0 + math.exp(t)
 
 
 def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0):
@@ -314,9 +304,9 @@ def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0):
     # e^2 beta / (8 L'(1)), and kendall._r1_bracket's closed-form R1 end
     # grows with both, so its end at (hi - 1, that target) bounds every
     # log(R1 - 1) in the window, its clamp at log 1e-14 too: the one the
-    # search of rho_general returns and each one the grid scan takes. Where
-    # hi <= lo, lo takes the place of hi, so the end stays finite before
-    # inf replaces it.
+    # search of rho_general returns, and its array twin. Where hi <= lo, lo
+    # takes the place of hi, so the end stays finite before inf replaces
+    # it.
     fn = elementary(lam)
     lo, hi = _scan_window(r0)
     slope = alpha2 + alpha1 * (1.0 - beta_tilde) / beta_tilde
@@ -339,7 +329,7 @@ def _general_rate(p: DriftMinorization) -> tuple:
         r1 = kendall.solve_r1(p.beta, big_r, big_l)
         return _rate(p.lam, r1), "general", {"R": big_r, "L": big_l, "R1": r1}
     de = derived_exponents(p)
-    r_tilde, r1 = _general_nonatomic_search(p, de)
+    r_tilde, r1 = _general_nonatomic_search(p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)
     lo, hi = _scan_window(de.r0)
     diagnostics = {
         "alpha1": de.alpha1,
@@ -494,19 +484,26 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
     return np.where(at_r0, r0, r2)
 
 
-def _general_radius_array(beta, beta_tilde, a1, a2, r0) -> np.ndarray:
-    # The nonatomic R1 of rho_general on arrays, as the largest R1 at 16
-    # equally spaced radii of the scan window, both ends included: the
-    # Metropolis grid keeps this scan, with no climb to the peak that
-    # rho_general takes. NaN where R0 leaves no window or no radius has an
-    # R1, where rho_general raises.
+def _general_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
+    # The nonatomic R1 of rho_general on arrays of one shape, by the steps of
+    # _general_nonatomic_search per element: delta at the left end where
+    # _rising is not < 0 there, at the right end where it has no sign change,
+    # else its root; R1 there, or at the right end where it clamps. NaN
+    # where R0 leaves no window or R1 has no root, where rho_general raises.
     import numpy as np
 
-    lo, hi = _scan_window(np.asarray(r0, dtype=float))
-    radii = lo + (hi - lo)[..., None] * (np.arange(16) / 15)
-    radii[..., -1] = hi
-    r1 = _r1_at_radius(radii, *(np.asarray(c)[..., None] for c in (beta, beta_tilde, a1, a2)))
-    return np.where(hi > lo, np.fmax.reduce(r1, axis=-1), np.nan)
+    constants = beta, beta_tilde, alpha1, alpha2
+    lo, hi = np.broadcast_arrays(*_scan_window(r0))
+    d_lo, d_hi = lo - 1.0, hi - 1.0
+    with np.errstate(all="ignore"):
+        rising_lo = _rising(d_lo, *constants)
+    root = solve_increasing_array(_rising, d_lo, d_hi, d_hi, rising_lo, *constants)
+    delta = np.where(rising_lo < 0.0, np.where(np.isnan(root), d_hi, root), d_lo)
+    r1 = _r1_at_radius(1.0 + delta, *constants)
+    again = (r1 == 1.0 + np.exp(kendall._LOG_EPS_LO)) & (delta != d_hi)
+    if again.any():
+        r1[again] = _r1_at_radius(hi[again], *(c[again] for c in constants))
+    return np.where(hi > lo, r1, np.nan)
 
 
 # The nonatomic radius of each regime's rate from arrays of (beta,

@@ -86,6 +86,9 @@ def _emit_certificate(args, cert: bounds.Certificate) -> int:
     lines.append("diagnostics:")
     diagnostics = data["diagnostics"].items()
     lines += [f"  {k:<16}{_fmt(v, args.precision)}" for k, v in diagnostics if k != "R_tilde_edge"]
+    edge = data["diagnostics"].get("R_tilde_edge")
+    if edge:
+        lines.append(f"warning: R_tilde sits at the {edge} end of the window [1 + 1e-9, R0 - 1e-9]")
     return _emit_payload(args, data, "\n".join(lines))
 
 

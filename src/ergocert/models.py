@@ -25,6 +25,7 @@ from .bounds import (
     NU_V_INTEGRAL,
     _RADIUS_ARRAY,
     DriftMinorization,
+    _general_nonatomic_search,
     _rate,
     _reversible_rho_floor,
     _rho_floor,
@@ -33,7 +34,7 @@ from .bounds import (
     split_exponents,
 )
 from .competitors import CouplingInput, _coupling_rate, _lambda1, coupling_rho
-from .errors import InvalidParams, MonotoneViolation, OutOfRange, TruncationTooSmall
+from .errors import ErgoCertError, InvalidParams, MonotoneViolation, OutOfRange, TruncationTooSmall
 from .numerics import _is_array, elementary, std_normal_cdf
 
 if TYPE_CHECKING:
@@ -499,25 +500,26 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # ---------------------------------------------------------------------------
 # tuning searches
 #
-# The Metropolis search rates a d axis against an s axis as method_rho
-# rates one tuning, through the same formulas: _mh_constants on the axes;
-# then, on the tunings with valid constants only, the coupling rate of
-# lambda_1 < 1, or split_exponents, the array radius of the theorem's regime
-# (bounds._RADIUS_ARRAY, which scans 16 radii for thm1.1 and solves the
-# thm1.2 crossing from the closed-form upper end of bounds._r2_bracket, as
-# rho_reversible does) and _rate. Only the coupling grid evaluates its
-# offset b = lambda(0, s) - lambda (_mh_coupling_offset, once per s, the
-# expression mh_coupling_input takes). A
-# tuning with no rate, where the scalar path raises, gets rho = inf, which
-# never wins the argmin; the winner's array rho is returned as it is. thm1.1
-# rates only the tunings whose closed-form floor (bounds._rho_floor) is not
-# above a bound: at a refinement the enclosing stage's best rate, at the
-# coarse step the rate of the tuning with the lowest floor, rated first.
-# The enclosing winner need not lie on the refined grid, so where no rated
-# tuning reaches the bound, the rest whose floor is not above the best
-# rated rate are rated too. Every grid rate is at least its floor, so a
-# tuning left at inf never was the argmin, and the rated ones get the same
-# bits as in a scan of all of them: each step of the scan is elementwise.
+# The Metropolis search rates a d axis against an s axis as method_rho rates
+# one tuning, through the same formulas: _mh_constants on the axes; then, on
+# the tunings with valid constants only, the coupling rate of lambda_1 < 1,
+# or split_exponents, the array radius of the theorem's regime
+# (bounds._RADIUS_ARRAY, which takes the root of bounds._rising and one R1
+# for thm1.1, as rho_general does, and solves the thm1.2 crossing from the
+# closed-form upper end of bounds._r2_bracket, as rho_reversible does) and
+# _rate. Only the coupling grid evaluates its offset b = lambda(0, s) -
+# lambda (_mh_coupling_offset, once per s, the expression mh_coupling_input
+# takes). A tuning with no rate, where the scalar path raises, gets rho =
+# inf, which never wins the argmin; the winner's array rho is returned as it
+# is. thm1.1 rates only the tunings whose closed-form floor
+# (bounds._rho_floor) is not above a bound: at a refinement the enclosing
+# stage's best rate, at the coarse step the scalar rate of the tuning with
+# the lowest floor. The enclosing winner need not lie on the refined grid,
+# so where no rated tuning reaches the bound, the rest whose floor is not
+# above the best rated rate are rated too. Every grid rate is at least its
+# floor, so a tuning left at inf never was the argmin, and the rated ones
+# get the same bits as in a scan of all of them: each step of the scan is
+# elementwise.
 # The contracting search gives every method a closed-form floor per c from
 # the floats of _contracting_constants (_contracting_floor), visits c in
 # floor order and calls method_rho only for the c values that its floor
@@ -526,14 +528,6 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # ---------------------------------------------------------------------------
 
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
-
-
-def _theorem_rate_array(method, lam, beta, beta_tilde, alpha1, alpha2, r0):
-    # The theorem's rate on arrays of valid constants, inf where it has none.
-    import numpy as np
-
-    radius = _RADIUS_ARRAY[THEOREM_SYMMETRY[method]](beta, beta_tilde, alpha1, alpha2, r0)
-    return np.where(np.isnan(radius), np.inf, _rate(lam, radius))
 
 
 def _mh_rho_grid(d_grid, s_grid, method, nu_variant, bound=None):
@@ -560,18 +554,23 @@ def _mh_rho_grid(d_grid, s_grid, method, nu_variant, bound=None):
         constants = np.broadcast_arrays(lam, beta, beta_tilde, *exponents)  # alpha_2 may be 1.0
         rho = np.full(lam.shape, np.inf)
 
-        def rate(where):
-            rho[where] = _theorem_rate_array(method, *(c[where] for c in constants))
+        def rate(where):  # the theorem's rate of valid constants, inf where it has none
+            lam_at, *others = (c[where] for c in constants)
+            radius = _RADIUS_ARRAY[THEOREM_SYMMETRY[method]](*others)
+            rho[where] = np.where(np.isnan(radius), np.inf, _rate(lam_at, radius))
 
         todo = np.ones(lam.shape, bool)
         if method == "thm1.1" and lam.size:
             floor = _rho_floor(*constants)
             if bound is None:
-                # The lowest floor's tuning first: its rate is the bound.
+                # The scalar rate of the lowest floor's tuning, inf where it
+                # raises; an ulp off its grid rate, the fallback below mends it.
                 first = np.argmin(floor)
-                todo[first] = False
-                rate([first])
-                bound = rho[first]
+                lam_at, *others = (float(c[first]) for c in constants)
+                try:
+                    bound = _rate(lam_at, _general_nonatomic_search(*others)[1])
+                except ErgoCertError:
+                    bound = math.inf
             # The tunings whose floor is not above the bound (a NaN floor is
             # rated). The enclosing winner may lie off a refined grid: where
             # no rated tuning reaches the bound, the rest whose floor is not

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -847,10 +848,10 @@ def test_radius_search_raises_the_envelope_error_at_the_argmax(monkeypatch):
     assert seen == [want]
 
 
-def _search_outcome(search, p):
+def _search_outcome(search, *args):
     # (R_tilde, R1) of a radius search, or the type and text of its error.
     try:
-        return search(p, derived_exponents(p))
+        return search(*args)
     except ErgoCertError as exc:
         return type(exc), str(exc)
 
@@ -863,12 +864,14 @@ def _climb_shortfall(p) -> float:
     # the same error type and text, and then the shortfall is 0.
     from ergocert import bounds
 
-    got = _search_outcome(bounds._general_nonatomic_search, p)
-    ref = _search_outcome(general_nonatomic_search_full_scan, p)
+    de = derived_exponents(p)
+    got = _search_outcome(
+        bounds._general_nonatomic_search, p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0
+    )
+    ref = _search_outcome(general_nonatomic_search_full_scan, p, de)
     if isinstance(ref[0], type) or isinstance(got[0], type):
         assert got == ref
         return 0.0
-    de = derived_exponents(p)
     t, t_ref = (
         r1_log_eps(KendallParams(
             beta=p.beta, big_r=r, big_l=_big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
@@ -927,7 +930,7 @@ def test_stationarity_climb_fails_with_rising_flipped():
     real = bounds.maximize_scalar
 
     def flipped(f, lo, hi, rising):
-        return real(f, lo, hi, lambda u: -rising(u))
+        return real(f, lo, hi, lambda delta: -rising(delta))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds, "maximize_scalar", flipped)
@@ -935,8 +938,8 @@ def test_stationarity_climb_fails_with_rising_flipped():
 
 
 def _search_functions(p) -> tuple:
-    # The (objective, u_lo, u_hi, rising) that rho_general(p) hands to
-    # maximize_scalar, None where it raises first, and whether it raised.
+    # The (objective, delta_lo, delta_hi, rising) that rho_general(p) hands
+    # to maximize_scalar, None where it raises first, and whether it raised.
     from ergocert import bounds
 
     real = bounds.maximize_scalar
@@ -956,22 +959,24 @@ def _search_functions(p) -> tuple:
 
 
 def test_rising_has_the_sign_of_minus_dt_du():
-    # rising(u) < 0 where t = log(R1 - 1) still grows with u = log(R - 1)
-    # and > 0 where it falls, checked against the solved objective at
-    # u +- 1e-4 on a 64-point grid of each seeded draw's window, wherever
-    # t moves by more than 1e-7 between them (away from the peak).
+    # rising(delta) < 0 where t = log(R1 - 1) still grows with
+    # delta = R - 1 and > 0 where it falls, checked against the solved
+    # objective at delta * e^(+-1e-4) on a 64-point grid of each seeded
+    # draw's window in u = log(delta), wherever t moves by more than 1e-7
+    # between them (away from the peak). delta +- 1e-4 would leave the
+    # window next to delta = 1e-9.
     checked = 0
     for p in _nonatomic_inputs(20, seed=35):
         functions, raised = _search_functions(p)
         if raised:
             continue
         f, lo, hi, rising = functions
-        h = 1e-4
+        h, u_lo, u_hi = 1e-4, math.log(lo), math.log(hi)
         for k in range(64):
-            u = lo + h + (hi - lo - 2.0 * h) * (k / 63)
-            dt = f(u + h) - f(u - h)
+            delta = math.exp(u_lo + h + (u_hi - u_lo - 2.0 * h) * (k / 63))
+            dt = f(delta * math.exp(h)) - f(delta * math.exp(-h))
             if abs(dt) > 1e-7:
-                assert (rising(u) > 0.0) == (dt < 0.0), (p, u)
+                assert (rising(delta) > 0.0) == (dt < 0.0), (p, delta)
                 checked += 1
     assert checked > 1_000
 
@@ -982,15 +987,87 @@ def test_rising_has_the_sign_of_minus_dt_du():
 def test_rising_changes_sign_at_most_once(**draw):
     # The radius search takes the one root of rising as the peak, which
     # holds only where rising turns from - to + at most once over the
-    # window: on a 1,025-point grid of it, ends included, the points where
-    # rising < 0 all come before those where it is not.
+    # window: on a 1,025-point grid of it, equally spaced in log delta,
+    # ends included, the points where rising < 0 all come before those
+    # where it is not.
     functions, _ = _search_functions(_domain_point(**draw))
     if functions is None:
         return
     _, lo, hi, rising = functions
-    falling = [not rising(u) < 0.0 for u in [lo + (hi - lo) * (k / 1024) for k in range(1024)]]
-    falling.append(not rising(hi) < 0.0)
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    deltas = [lo, *(math.exp(u_lo + (u_hi - u_lo) * (k / 1024)) for k in range(1, 1024)), hi]
+    falling = [not rising(delta) < 0.0 for delta in deltas]
     assert falling == sorted(falling)
+
+
+def _log_slope_minus_one(delta, beta_tilde, alpha1, alpha2) -> float:
+    # s = delta L'(R) / (L(R) - 1) - 1 at R = 1 + delta, at 40 digits: the
+    # quantity whose sign picks _rising's branch. Its float, a difference
+    # next to 0 for delta next to 0, carries rounding of ~2^-53 / s
+    # relative to itself.
+    with mpmath.workdps(40):
+        d, bt, a1, a2 = (mpmath.mpf(v) for v in (delta, beta_tilde, alpha1, alpha2))
+        r = 1 + d
+        pole = 1 - (1 - bt) * r**a1
+        slope = bt * (a2 * r ** (a2 - 1) * pole + (1 - bt) * a1 * r ** (a1 + a2 - 1)) / pole**2
+        return float(d * slope / (bt * r**a2 / pole - 1) - 1)
+
+
+@given(**_NONATOMIC_DOMAIN)
+@seed(40)
+@example(lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=1.0 - 1e-12, log_k=1.0, beta_tilde=0.5, log_beta_ratio=-1.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=1e-4, log_k=0.0, beta_tilde=0.99999, log_beta_ratio=0.0,
+         nu_info=NU_CONCENTRATED, log_k_tilde=0.0)  # R0 = 1/lambda = 1e4
+@settings(max_examples=200, deadline=None)
+def test_rising_takes_delta_exactly_on_floats_and_arrays(**draw):
+    # The window ends survive delta = R - 1 and back bit for bit, so the
+    # search's R_tilde is lo or hi itself at an end. On 17 deltas of the
+    # window, equally spaced in log delta, ends included, _rising on the
+    # array agrees with _rising on each float to 64 ulps of
+    # 1 + delta + |value|, over min(1, s): numpy's log1p and expm1 may
+    # differ from math's by an ulp, as in solve_r1_array, and s takes that
+    # ulp relative to itself. Where s <= 0 both are -1.
+    from ergocert import bounds
+
+    p = _domain_point(**draw)
+    de = derived_exponents(p)
+    lo, hi = bounds._scan_window(de.r0)
+    if not hi > lo:
+        return
+    assert 1.0 + (lo - 1.0) == lo and 1.0 + (hi - 1.0) == hi
+    constants = p.beta, p.beta_tilde, de.alpha1, de.alpha2
+    u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
+    inner = (math.exp(u_lo + (u_hi - u_lo) * (k / 16)) for k in range(1, 16))
+    deltas = [lo - 1.0, *inner, hi - 1.0]
+    for delta, value in zip(deltas, bounds._rising(np.array(deltas), *constants)):
+        want = bounds._rising(delta, *constants)
+        s = _log_slope_minus_one(delta, *constants[1:])
+        if s <= 0.0:
+            assert value == want == -1.0
+            continue
+        tol = 64.0 * 2.0**-52 * (1.0 + delta + abs(want)) / min(1.0, s)
+        assert abs(value - want) <= tol, (p, delta, value, want)
+
+
+@pytest.mark.parametrize(
+    "beta_tilde, alpha1, alpha2", [(1.0, 1.0, 1.0), (0.9, 0.01, 0.5), (0.9, 0.5, 0.5)]
+)
+def test_rising_is_minus_one_where_s_is_not_positive(beta_tilde, alpha1, alpha2):
+    # s <= 0, which rounding alone leaves on the validated domain, gives -1
+    # on floats with no exception, as on arrays. L(R) = R (beta_tilde = 1,
+    # alpha = 1) has s = 0, whose float is 0 or an ulp below it: a division
+    # by s, or expm1 of -2 delta / (R s), would raise there. Exponents
+    # below 1 make L concave, with s < 0.
+    from ergocert import bounds
+
+    deltas = [1e-9, 3e-9, 1e-6, 1e-3, 0.5, 3.0]
+    for delta in deltas:
+        assert _log_slope_minus_one(delta, beta_tilde, alpha1, alpha2) <= 0.0
+        assert bounds._rising(delta, 0.5, beta_tilde, alpha1, alpha2) == -1.0
+    assert (bounds._rising(np.array(deltas), 0.5, beta_tilde, alpha1, alpha2) == -1.0).all()
 
 
 def test_all_clamped_window_keeps_the_right_edge():
@@ -1041,9 +1118,9 @@ def test_radius_search_solves_r1_once_per_search(monkeypatch):
         return real_solve(*args)
 
     def search(f, lo, hi, rising):
-        def counted(u):
+        def counted(delta):
             events.append("rising")
-            return rising(u)
+            return rising(delta)
 
         return real_max(f, lo, hi, counted)
 
@@ -1061,9 +1138,9 @@ def test_radius_search_solves_r1_once_per_search(monkeypatch):
         assert n >= 1 and events[:n] == ["rising"] * n
         assert events[n:] == ["solve"] * (1 + clamped), p
         certificates, solves, risings = certificates + 1, solves + 1 + clamped, risings + n
-    # 120 certificates, 141 R1 solves (21 clamped at the peak) and 1,678
+    # 120 certificates, 141 R1 solves (21 clamped at the peak) and 1,027
     # evaluations of rising.
-    assert (certificates, solves, risings) == (120, 141, 1678)
+    assert (certificates, solves, risings) == (120, 141, 1027)
 
 
 def test_radius_search_raises_the_r1_error_at_the_argmax(monkeypatch):

@@ -157,10 +157,11 @@ def test_model_mh_anchor(capsys):
     assert abs((1.0 - rho) - 0.0091) <= 0.0005
 
 
-def test_model_reports_the_window_edge_in_json_only(capsys):
+def test_model_reports_the_window_edge_in_json_and_warns_in_text(capsys):
     # R1 still grows at the right end of this chain's radius window: the
     # search returns R_tilde = R0 - 1e-9, which JSON names "right"; the
-    # text output lists the same diagnostics as before, without the label.
+    # text output lists the same diagnostics as before, without the label,
+    # and then one warning line. A radius inside the window adds none.
     argv = ["model", "mh-normal", "--d", "1", "--s", "0.07", "--nu", "mt", "--method", "thm1.1"]
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
@@ -170,7 +171,14 @@ def test_model_reports_the_window_edge_in_json_only(capsys):
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()[11:]] == [
         "alpha1", "alpha2", "R0", "R_tilde", "L_at_R_tilde", "R1", "k_factor_kind", "k_factor",
+        "warning:",
     ]
+    assert out.splitlines()[-1] == (
+        "warning: R_tilde sits at the right end of the window [1 + 1e-9, R0 - 1e-9]"
+    )
+    code, out, _ = run_cli(capsys, "bound", "--lambda", "0.7", "--K", "3.0", "--beta", "0.2",
+                           "--beta-tilde", "0.3", "--nu", "concentrated")
+    assert code == 0 and "R_tilde " in out and "warning" not in out
 
 
 def test_model_exact_rate(capsys):
