@@ -15,7 +15,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -73,10 +72,14 @@ def _flatten(data: dict) -> dict:
 def _emit_payload(args, payload: dict, text: str) -> int:
     # One result (a certificate or a model payload) as JSON, one CSV row or
     # the given text. Returns the exit code 0.
-    if args.format == "csv":
+    if args.format == "json":
+        import json  # here, not at the top: text and CSV runs never load it
+
+        text = json.dumps(payload, indent=2)
+    elif args.format == "csv":
         row = _flatten(payload)
         text = _csv(list(row), [row], args.precision)
-    _emit(json.dumps(payload, indent=2) if args.format == "json" else text, args.output)
+    _emit(text, args.output)
     return 0
 
 
@@ -94,6 +97,8 @@ def _emit_certificate(args, cert: bounds.Certificate) -> int:
 
 def _render_records(records: list[dict], fmt: str, precision: int) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(records, indent=2)
     columns = ["table", "row", "case", "quantity", "published", "computed", "abs_diff", "note"]
     if fmt == "csv":
@@ -108,6 +113,8 @@ def _render_records(records: list[dict], fmt: str, precision: int) -> str:
 
 def _render_suites(reports: list, fmt: str, precision: int) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps([r.to_dict() for r in reports], indent=2)
     if fmt == "csv":
         columns = ["suite", "name", "measured", "bound", "margin", "pass", "detail"]
@@ -256,6 +263,7 @@ def _cmd_model_optimize(args) -> int:
         # rho = inf: the payload would print Infinity, which is not JSON.
         ranges = ", ".join(f"{k} in [{lo}, {hi}]" for k, (lo, hi) in scanned.items())
         raise ErgoCertError(f"no tuning with {ranges} has a {args.method} rate")
+    edge = result["edge"]
     payload = {
         "model": args.model,
         "method": args.method,
@@ -263,11 +271,20 @@ def _cmd_model_optimize(args) -> int:
         "rho": result["rho"],
         "one_minus_rho": result["one_minus_rho"],
     }
+    if edge or args.format == "json":
+        # JSON always carries edge; CSV gains its edge_<knob> columns only
+        # where it is set, so the usual header stays.
+        payload["edge"] = edge
     knobs = ", ".join(f"{k}={_fmt(v, args.precision)}" for k, v in tuned.items())
     text = (
         f"tuned {knobs}: rho = {_fmt(result['rho'], args.precision)} "
         f"(1-rho = {_fmt(result['one_minus_rho'], args.precision)})"
     )
+    if edge:
+        ends = " and ".join(
+            f"the {end} end of {k} in [{scanned[k][0]}, {scanned[k][1]}]" for k, end in edge.items()
+        )
+        text += f"\nwarning: the winner sits at {ends}"
     return _emit_payload(args, payload, text)
 
 

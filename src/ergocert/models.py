@@ -15,6 +15,7 @@ validated against published table values rather than exact distances.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -532,11 +533,25 @@ _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
 
 def _mh_rho_grid(d_grid, s_grid, method, nu_variant, bound=None):
     # bound: the best rate of the enclosing stage, which thm1.1 prunes by;
-    # None at the coarse step.
+    # None at the coarse step. The coarse table's axes are the only
+    # read-only ones a search passes; for them the table's constants are
+    # read, not computed.
     import numpy as np
 
     d, s = np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :]
-    lam, big_k, beta, beta_tilde, nu_info, k_tilde, v_min = _mh_constants(d, s, nu_variant)
+    if not d.flags.writeable:
+        table_d, table_s, constants = _mh_coarse_table(nu_variant, _D_RANGE, _S_RANGE)
+        if d_grid is table_d and s_grid is table_s:
+            return _mh_rate_constants(d, s, constants, method, bound)
+    return _mh_rate_constants(d, s, _mh_constants(d, s, nu_variant), method, bound)
+
+
+def _mh_rate_constants(d, s, consts, method, bound):
+    # The method's rate of each tuning of a d column against an s row from
+    # their _mh_constants; inf where the tuning has none.
+    import numpy as np
+
+    lam, big_k, beta, beta_tilde, nu_info, k_tilde, v_min = consts
     valid = (lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)
     if method == "coupling":
         b = _mh_coupling_offset(s, lam)
@@ -593,6 +608,38 @@ _S_RANGE = (0.01, 1.5)
 _C_RANGE = (1.05, 4.0)
 
 
+@functools.cache
+def _mh_coarse_table(nu_variant: str, d_range: tuple, s_range: tuple) -> tuple:
+    # The coarse step's d axis, s axis and _mh_constants of d against s under
+    # one measure, the same for every method: built on the first search that
+    # needs them, once per measure and ranges, and read-only.
+    import numpy as np
+
+    d, s = (np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (d_range, s_range))
+    constants = _mh_constants(d[:, None], s[None, :], nu_variant)
+    for array in (d, s, *constants):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return d, s, constants
+
+
+def _range_edge(winner: dict) -> Optional[dict]:
+    # {coordinate: "lower" or "upper"} for each winning coordinate within
+    # 1e-9 of an end of its range, given as {coordinate: (value, (lo, hi))};
+    # None where none is or no tuning won. Next to an end, a refinement grid
+    # may hold a point a few ulp inside it (b + k * step); no other grid
+    # point lies that close.
+    edge = {}
+    for name, (value, (lo, hi)) in winner.items():
+        if value is None:
+            continue
+        if abs(value - lo) <= 1e-9:
+            edge[name] = "lower"
+        elif abs(value - hi) <= 1e-9:
+            edge[name] = "upper"
+    return edge or None
+
+
 def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
     """Grid-search (d, s) to minimise rho for the given certificate method.
 
@@ -601,8 +648,11 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
     around the running best (same final resolution as a flat 0.01 grid with
     refinement, at a fraction of the work for the radius-search objective).
     thm1.1 rates only the tunings of each grid that its closed-form rate
-    floor does not rule out, with the same winner. Returns the winning
-    tuning with its rate.
+    floor does not rule out, with the same winner. The coarse constants are
+    those of the measure's table (``_mh_coarse_table``), built by the first
+    search. Returns the winning tuning with its rate, and as edge the
+    coordinates of the winner at an end of _D_RANGE or _S_RANGE ("lower" or
+    "upper"), or None.
     """
     import numpy as np
 
@@ -610,7 +660,7 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
         raise InvalidParams(f"method must be one of {sorted(_MH_METHODS)}")
     if nu_variant not in (MT_MEASURE, INFIMUM_MEASURE):
         raise InvalidParams(f"unknown nu_variant {nu_variant!r}")
-    d_grid, s_grid = (np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (_D_RANGE, _S_RANGE))
+    d_grid, s_grid, _ = _mh_coarse_table(nu_variant, _D_RANGE, _S_RANGE)
     best_d = best_s = best_rho = None
     for step in (0.05, 0.01, 0.002):
         if best_d is not None:
@@ -627,7 +677,9 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
         best_rho = float(rho.ravel()[flat])
     if best_rho == math.inf:
         best_d = best_s = None
-    return {"d": best_d, "s": best_s, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}
+    edge = _range_edge({"d": (best_d, _D_RANGE), "s": (best_s, _S_RANGE)})
+    return {"d": best_d, "s": best_s, "rho": best_rho, "one_minus_rho": 1.0 - best_rho,
+            "edge": edge}
 
 
 def _contracting_rho_or_inf(method: str, theta: float, c: float) -> float:
@@ -708,6 +760,8 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
     by method_rho. The first c with the lowest rate wins, as in the full
     scan, bit for bit, and a c that may raise is rated before all others, in
     grid order, so an error comes from the c where the full scan raises it.
+    edge is {"c": "lower"} or {"c": "upper"} where the winner is the first
+    or last c of the grid, else None.
     """
     if method not in RATE_METHODS:
         raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
@@ -723,4 +777,5 @@ def optimize_contracting_tuning(method: str, theta: float) -> dict:
         if rho < best_rho or (rho == best_rho and i < best_i):
             best_rho, best_i = rho, i
     best_c = cs[best_i] if best_i >= 0 else None
-    return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}
+    edge = _range_edge({"c": (best_c, (cs[0], cs[-1]))})
+    return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho, "edge": edge}

@@ -455,6 +455,66 @@ def test_model_optimize_mh_without_a_rate_exits_2(capsys, monkeypatch):
     assert "d in [0.5, 3.0], s in [0.01, 1.5] has a coupling rate" in err
 
 
+def test_model_optimize_reports_no_edge_for_an_inner_winner(capsys):
+    # The winner lies inside its range: the JSON says edge null, the text is
+    # the one result line and the CSV keeps its columns.
+    argv = ("model", "contracting-normal", "--theta", "0.5", "--method", "thm1.3", "--optimize")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["edge"] is None
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 1 and "warning" not in out
+
+
+def _edge_stub(edge):
+    def at_edge(method, nu_variant):
+        return {"d": 0.5, "s": 0.7, "rho": 0.99, "one_minus_rho": 0.01, "edge": edge}
+
+    return at_edge
+
+
+def test_model_optimize_warns_where_the_winner_sits_at_a_range_end(capsys, monkeypatch):
+    monkeypatch.setattr(models, "optimize_mh_tuning", _edge_stub({"d": "lower"}))
+    argv = ("model", "mh-normal", "--method", "thm1.2", "--optimize")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "tuned d=0.5, s=0.7: rho = 0.99 (1-rho = 0.01)",
+        "warning: the winner sits at the lower end of d in [0.5, 3.0]",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["edge"] == {"d": "lower"}
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "model,method,tuned_d,tuned_s,rho,one_minus_rho,edge_d"
+    monkeypatch.setattr(models, "optimize_mh_tuning", _edge_stub({"d": "lower", "s": "upper"}))
+    code, out, _ = run_cli(capsys, *argv)
+    assert out.splitlines()[1] == (
+        "warning: the winner sits at the lower end of d in [0.5, 3.0]"
+        " and the upper end of s in [0.01, 1.5]"
+    )
+
+
+def test_text_commands_never_load_json():
+    # Only the JSON branches import json: importing the CLI and running
+    # text-format commands leaves it unloaded, and a JSON command loads it.
+    script = (
+        "import sys, io, contextlib\n"
+        "from ergocert import cli\n"
+        "loaded = ['json' in sys.modules]\n"
+        "for argv in (['bound', '--lambda', '0.6', '--K', '1.2', '--beta', '0.9', '--atomic'],\n"
+        "             ['table', '2'], ['table', '2', '--format', 'json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(argv)\n"
+        "    loaded.append('json' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False, True]"
+
+
 def test_verify_mc_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "mc", "--seed", "1", "--format", "json")
     assert code == 0

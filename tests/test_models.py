@@ -596,7 +596,9 @@ def test_mh_tuning_without_a_rate_names_no_tuning(monkeypatch):
 
     monkeypatch.setattr(models, "_mh_rho_grid", no_rate)
     result = optimize_mh_tuning("coupling")
-    assert result == {"d": None, "s": None, "rho": math.inf, "one_minus_rho": -math.inf}
+    assert result == {
+        "d": None, "s": None, "rho": math.inf, "one_minus_rho": -math.inf, "edge": None
+    }
 
 
 def test_optimize_mh_rejects_unknown_nu_variant():
@@ -630,9 +632,10 @@ def _reference_contracting_search(method, theta):
     lo, hi = 1.05, 4.0
     if method == "coupling":
         lo = max(lo, math.sqrt(2.0) + 1e-6)
-    best_c, best_rho = None, math.inf
+    best_c, best_rho, edge = None, math.inf, None
     rates = []
-    for c in np.arange(lo, hi + 1e-12, 0.01):
+    grid = np.arange(lo, hi + 1e-12, 0.01)
+    for i, c in enumerate(grid):
         try:
             rho = models.method_rho(method, ContractingNormal(theta=theta, c=float(c)))
         except (InvalidParams, MonotoneViolation):
@@ -641,7 +644,9 @@ def _reference_contracting_search(method, theta):
         rates.append(rho)
         if rho < best_rho:
             best_c, best_rho = float(c), rho
-    return {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho}, rates
+            edge = {0: {"c": "lower"}, len(grid) - 1: {"c": "upper"}}.get(i)
+    result = {"c": best_c, "rho": best_rho, "one_minus_rho": 1.0 - best_rho, "edge": edge}
+    return result, rates
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.75, 0.9, -0.5, 0.25, -0.9, 0.1, 0.6, 0.95, 0.99])
@@ -897,7 +902,7 @@ def test_optimize_contracting_without_a_rate_names_no_c(method):
     # At theta = 0.9999999 no c in the range has a rate: every c is rated,
     # none with a rate, and the result names no c.
     result = optimize_contracting_tuning(method, 0.9999999)
-    assert result == {"c": None, "rho": math.inf, "one_minus_rho": -math.inf}
+    assert result == {"c": None, "rho": math.inf, "one_minus_rho": -math.inf, "edge": None}
 
 
 def test_optimize_contracting_matches_published_choice():
@@ -983,3 +988,123 @@ def test_mh_tuning_grids_hold_each_value_once(monkeypatch):
     for grid in (g for pair in grids for g in pair):
         assert (np.diff(grid) > 0.0).all(), grid
     assert len(grids[1][0]) < 13 and len(grids[1][1]) < 13
+
+
+# --- the coarse table of the Metropolis search --------------------------------
+
+
+@pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
+def test_mh_coarse_table_is_the_fresh_constants_bit_for_bit(nu_variant):
+    # The coarse d and s axes as the coarse step built them before the table.
+    d_grid, s_grid = (
+        np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (models._D_RANGE, models._S_RANGE)
+    )
+    d, s, constants = models._mh_coarse_table(nu_variant, models._D_RANGE, models._S_RANGE)
+    assert d.tobytes() == d_grid.tobytes() and s.tobytes() == s_grid.tobytes()
+    fresh = models._mh_constants(d_grid[:, None], s_grid[None, :], nu_variant)
+    assert len(constants) == len(fresh) == 7
+    for got, want in zip(constants, fresh):
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:  # nu_info, and k_tilde under the concentrated measure
+            assert got == want
+
+
+@pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
+def test_mh_coarse_table_is_read_only(nu_variant):
+    d, s, constants = models._mh_coarse_table(nu_variant, models._D_RANGE, models._S_RANGE)
+    arrays = [a for a in (d, s, *constants) if isinstance(a, np.ndarray)]
+    # d, s, lambda, K, beta, beta_tilde (beta again under the concentrated
+    # measure), k_tilde under the infimum measure, and min V off C.
+    assert len(arrays) == (8 if nu_variant == INFIMUM_MEASURE else 7)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+def test_mh_searches_give_the_same_result_cold_and_warm():
+    # A search that builds the table and one that reads it give the same
+    # dict, for each of the eight searches; no winner sits at a range end.
+    for nu_variant in (MT_MEASURE, INFIMUM_MEASURE):
+        for method in ("thm1.1", "thm1.2", "thm1.3", "coupling"):
+            models._mh_coarse_table.cache_clear()
+            cold = optimize_mh_tuning(method, nu_variant)
+            assert models._mh_coarse_table.cache_info().currsize == 1
+            warm = optimize_mh_tuning(method, nu_variant)
+            assert warm == cold and cold["edge"] is None, (method, nu_variant)
+            want_d, want_s = MH_WINNERS[nu_variant, method]
+            assert abs(cold["d"] - want_d) <= 1e-9 and abs(cold["s"] - want_s) <= 1e-9
+
+
+def test_mh_warm_search_evaluates_no_coarse_constants(monkeypatch):
+    # Once the measure's table is built, a search calls mh_normal_lambda only
+    # on refinement grids of at most 13 x 13 tunings (and on the s axis for
+    # the coupling offset); a cold search calls it on the 51 x 31 coarse grid.
+    sizes = []
+    real = models.mh_normal_lambda
+
+    def spied(x, s):
+        sizes.append(np.broadcast(x, s).size)
+        return real(x, s)
+
+    monkeypatch.setattr(models, "mh_normal_lambda", spied)
+    for nu_variant in (MT_MEASURE, INFIMUM_MEASURE):
+        models._mh_coarse_table.cache_clear()
+        optimize_mh_tuning("thm1.3", nu_variant)
+        assert max(sizes) == 51 * 31
+        for method in ("thm1.1", "thm1.2", "thm1.3", "coupling"):
+            sizes.clear()
+            optimize_mh_tuning(method, nu_variant)
+            assert sizes and max(sizes) <= 13 * 13, (method, nu_variant)
+
+
+def test_mh_coarse_table_follows_a_patched_range(monkeypatch):
+    # The table is keyed by the ranges it is built from: a search over a
+    # patched range reads a table of that range, not the one of the
+    # ranges before.
+    optimize_mh_tuning("thm1.3")
+    grids = []
+    rho_grid = models._mh_rho_grid
+
+    def spy(d_grid, s_grid, method, nu_variant, bound=None):
+        grids.append(np.asarray(d_grid))
+        return rho_grid(d_grid, s_grid, method, nu_variant, bound)
+
+    monkeypatch.setattr(models, "_mh_rho_grid", spy)
+    monkeypatch.setattr(models, "_D_RANGE", (0.5, 2.0))
+    optimize_mh_tuning("thm1.3")
+    assert grids[0][-1] == 2.0 and len(grids[0]) == 31
+
+
+@pytest.mark.parametrize("corner, edge", [
+    ((0.5, 0.01), {"d": "lower", "s": "lower"}),
+    ((3.0, 1.5), {"d": "upper", "s": "upper"}),
+    ((3.0, 0.7), {"d": "upper"}),
+])
+def test_mh_tuning_reports_a_winner_at_a_range_end(monkeypatch, corner, edge):
+    # A stubbed grid whose rate falls towards one tuning: the search names
+    # the coordinates of the winner that sit at an end of their range. The
+    # refinements may hold the upper end of d an ulp off, which still counts.
+    def peaked(d_grid, s_grid, method, nu_variant, bound=None):
+        dd, ss = np.broadcast_arrays(np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :])
+        return 0.5 + 0.01 * (abs(dd - corner[0]) + abs(ss - corner[1])), dd, ss
+
+    monkeypatch.setattr(models, "_mh_rho_grid", peaked)
+    result = optimize_mh_tuning("thm1.2")
+    assert abs(result["d"] - corner[0]) <= 1e-12 and abs(result["s"] - corner[1]) <= 1e-12
+    assert result["edge"] == edge
+
+
+@pytest.mark.parametrize("first, edge", [(True, {"c": "lower"}), (False, {"c": "upper"})])
+def test_contracting_tuning_reports_a_winner_at_a_range_end(monkeypatch, first, edge):
+    # A stubbed rate that falls towards the first or the last c of the grid,
+    # with no floor ruling any c out: the winner is that c, named as edge.
+    cs = models._c_grid(*models._c_range("thm1.3"))
+    monkeypatch.setattr(models, "_contracting_floor", lambda method, constants: -math.inf)
+    monkeypatch.setattr(
+        models, "_contracting_rho_or_inf",
+        lambda method, theta, c: 0.5 + 0.01 * (c if first else -c),
+    )
+    result = optimize_contracting_tuning("thm1.3", 0.5)
+    assert result["c"] == (cs[0] if first else cs[-1])
+    assert result["edge"] == edge
