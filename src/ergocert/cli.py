@@ -270,11 +270,12 @@ def _cmd_model_optimize(args) -> int:
         "tuned": tuned,
         "rho": result["rho"],
         "one_minus_rho": result["one_minus_rho"],
+        "edge": edge,
     }
-    if edge or args.format == "json":
-        # JSON always carries edge; CSV gains its edge_<knob> columns only
-        # where it is set, so the usual header stays.
-        payload["edge"] = edge
+    if args.format == "csv":
+        # One header for every search: edge, whose keys vary, is left to the
+        # JSON and the text warning.
+        del payload["edge"]
     knobs = ", ".join(f"{k}={_fmt(v, args.precision)}" for k, v in tuned.items())
     text = (
         f"tuned {knobs}: rho = {_fmt(result['rho'], args.precision)} "

@@ -533,17 +533,17 @@ _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
 
 def _mh_rho_grid(d_grid, s_grid, method, nu_variant, bound=None):
     # bound: the best rate of the enclosing stage, which thm1.1 prunes by;
-    # None at the coarse step. The coarse table's axes are the only
-    # read-only ones a search passes; for them the table's constants are
-    # read, not computed.
+    # None at the coarse step. Handed the measure's coarse axes themselves
+    # (the arrays of _mh_coarse_table, as optimize_mh_tuning passes them),
+    # the grid reads the table's constants; any other axes get theirs
+    # computed.
     import numpy as np
 
+    table_d, table_s, constants = _mh_coarse_table(nu_variant, _D_RANGE, _S_RANGE)
     d, s = np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :]
-    if not d.flags.writeable:
-        table_d, table_s, constants = _mh_coarse_table(nu_variant, _D_RANGE, _S_RANGE)
-        if d_grid is table_d and s_grid is table_s:
-            return _mh_rate_constants(d, s, constants, method, bound)
-    return _mh_rate_constants(d, s, _mh_constants(d, s, nu_variant), method, bound)
+    if d_grid is not table_d or s_grid is not table_s:
+        constants = _mh_constants(d, s, nu_variant)
+    return _mh_rate_constants(d, s, constants, method, bound)
 
 
 def _mh_rate_constants(d, s, consts, method, bound):
@@ -611,8 +611,8 @@ _C_RANGE = (1.05, 4.0)
 @functools.cache
 def _mh_coarse_table(nu_variant: str, d_range: tuple, s_range: tuple) -> tuple:
     # The coarse step's d axis, s axis and _mh_constants of d against s under
-    # one measure, the same for every method: built on the first search that
-    # needs them, once per measure and ranges, and read-only.
+    # one measure, the same for every method: built on first use, once per
+    # measure and ranges, and read-only.
     import numpy as np
 
     d, s = (np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (d_range, s_range))

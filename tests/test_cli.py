@@ -463,6 +463,8 @@ def test_model_optimize_reports_no_edge_for_an_inner_winner(capsys):
     assert code == 0 and json.loads(out)["edge"] is None
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and len(out.splitlines()) == 1 and "warning" not in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "model,method,tuned_c,rho,one_minus_rho"
 
 
 def _edge_stub(edge):
@@ -485,7 +487,10 @@ def test_model_optimize_warns_where_the_winner_sits_at_a_range_end(capsys, monke
     assert code == 0 and json.loads(out)["edge"] == {"d": "lower"}
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "model,method,tuned_d,tuned_s,rho,one_minus_rho,edge_d"
+    # CSV keeps the header of an inner winner: edge is not a column.
+    assert out.splitlines() == [
+        "model,method,tuned_d,tuned_s,rho,one_minus_rho", "mh-normal,thm1.2,0.5,0.7,0.99,0.01"
+    ]
     monkeypatch.setattr(models, "optimize_mh_tuning", _edge_stub({"d": "lower", "s": "upper"}))
     code, out, _ = run_cli(capsys, *argv)
     assert out.splitlines()[1] == (
