@@ -512,15 +512,11 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 # lambda (_mh_coupling_offset, once per s, the expression mh_coupling_input
 # takes). A tuning with no rate, where the scalar path raises, gets rho =
 # inf, which never wins the argmin; the winner's array rho is returned as it
-# is. thm1.1 rates only the tunings whose closed-form floor
-# (bounds._rho_floor) is not above a bound: at a refinement the enclosing
-# stage's best rate, at the coarse step the scalar rate of the tuning with
-# the lowest floor. The enclosing winner need not lie on the refined grid,
-# so where no rated tuning reaches the bound, the rest whose floor is not
-# above the best rated rate are rated too. Every grid rate is at least its
-# floor, so a tuning left at inf never was the argmin, and the rated ones
-# get the same bits as in a scan of all of them: each step of the scan is
-# elementwise.
+# is. thm1.1 rates only the tunings of a grid whose closed-form floor
+# (bounds._rho_floor) is not above the scalar rate of the grid's tuning with
+# the lowest floor. Every grid rate is at least its floor, so a tuning left
+# at inf never was the argmin, and the rated ones get the same bits as in a
+# scan of all of them: each step of the scan is elementwise.
 # The contracting search gives every method a closed-form floor per c from
 # the floats of _contracting_constants (_contracting_floor), visits c in
 # floor order and calls method_rho only for the c values that its floor
@@ -531,27 +527,14 @@ def method_rho(method: str, chain: ModelSpec) -> float:
 _MH_METHODS = (*THEOREM_SYMMETRY, "coupling")
 
 
-def _mh_rho_grid(d_grid, s_grid, method, nu_variant, bound=None):
-    # bound: the best rate of the enclosing stage, which thm1.1 prunes by;
-    # None at the coarse step. Handed the measure's coarse axes themselves
-    # (the arrays of _mh_coarse_table, as optimize_mh_tuning passes them),
-    # the grid reads the table's constants; any other axes get theirs
-    # computed.
-    import numpy as np
-
-    table_d, table_s, constants = _mh_coarse_table(nu_variant, _D_RANGE, _S_RANGE)
-    d, s = np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :]
-    if d_grid is not table_d or s_grid is not table_s:
-        constants = _mh_constants(d, s, nu_variant)
-    return _mh_rate_constants(d, s, constants, method, bound)
-
-
-def _mh_rate_constants(d, s, consts, method, bound):
-    # The method's rate of each tuning of a d column against an s row from
-    # their _mh_constants; inf where the tuning has none.
+def _mh_rho_grid(d, s, consts, method):
+    # The method's rate of each tuning of the d axis against the s axis from
+    # their _mh_constants (of d[:, None] and s[None, :]); inf where the
+    # tuning has none.
     import numpy as np
 
     lam, big_k, beta, beta_tilde, nu_info, k_tilde, v_min = consts
+    shape = (len(d), len(s))
     valid = (lam < 1.0) & (beta > 0.0) & (beta_tilde < 1.0) & (big_k > beta_tilde)
     if method == "coupling":
         b = _mh_coupling_offset(s, lam)
@@ -559,7 +542,7 @@ def _mh_rate_constants(d, s, consts, method, bound):
         valid &= (b > 0.0) & (lam < 1.0)
     # k_tilde, None under the concentrated measure, is NaN there, never read.
     lam, big_k, beta, beta_tilde, k_tilde = (
-        np.broadcast_to(np.asarray(c, dtype=float), valid.shape)[valid]
+        np.broadcast_to(np.asarray(c, dtype=float), shape)[valid]
         for c in (lam, big_k, beta, beta_tilde, k_tilde)
     )
     if method == "coupling":
@@ -576,29 +559,26 @@ def _mh_rate_constants(d, s, consts, method, bound):
 
         todo = np.ones(lam.shape, bool)
         if method == "thm1.1" and lam.size:
+            # The scalar rate of the lowest floor's tuning, inf where it
+            # raises, bounds the grid's best: the tunings whose floor is
+            # above it are not rated (a NaN floor is). That tuning's grid
+            # rate may lie an ulp above it, and then the rest whose floor is
+            # not above the best rated rate follow.
             floor = _rho_floor(*constants)
-            if bound is None:
-                # The scalar rate of the lowest floor's tuning, inf where it
-                # raises; an ulp off its grid rate, the fallback below mends it.
-                first = np.argmin(floor)
-                lam_at, *others = (float(c[first]) for c in constants)
-                try:
-                    bound = _rate(lam_at, _general_nonatomic_search(*others)[1])
-                except ErgoCertError:
-                    bound = math.inf
-            # The tunings whose floor is not above the bound (a NaN floor is
-            # rated). The enclosing winner may lie off a refined grid: where
-            # no rated tuning reaches the bound, the rest whose floor is not
-            # above the best rated rate follow.
-            rated = todo & ~(floor > bound)
+            lam_at, *others = (float(c[np.argmin(floor)]) for c in constants)
+            try:
+                bound = _rate(lam_at, _general_nonatomic_search(*others)[1])
+            except ErgoCertError:
+                bound = math.inf
+            rated = ~(floor > bound)
             rate(rated)
             best = rho.min()
-            todo &= ~rated & ~(floor > best) & (best > bound)
+            todo = ~rated & ~(floor > best) & (best > bound)
         if todo.any():
             rate(todo)
-    grid = np.full(valid.shape, np.inf)
+    grid = np.full(shape, np.inf)
     grid[valid] = rho
-    return grid, *np.broadcast_arrays(d, s)
+    return grid
 
 
 # The (d, s) ranges of the Metropolis search and the c range of the
@@ -609,13 +589,13 @@ _C_RANGE = (1.05, 4.0)
 
 
 @functools.cache
-def _mh_coarse_table(nu_variant: str, d_range: tuple, s_range: tuple) -> tuple:
+def _mh_coarse_table(nu_variant: str) -> tuple:
     # The coarse step's d axis, s axis and _mh_constants of d against s under
     # one measure, the same for every method: built on first use, once per
-    # measure and ranges, and read-only.
+    # measure, and read-only.
     import numpy as np
 
-    d, s = (np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (d_range, s_range))
+    d, s = (np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (_D_RANGE, _S_RANGE))
     constants = _mh_constants(d[:, None], s[None, :], nu_variant)
     for array in (d, s, *constants):
         if isinstance(array, np.ndarray):
@@ -623,19 +603,27 @@ def _mh_coarse_table(nu_variant: str, d_range: tuple, s_range: tuple) -> tuple:
     return d, s, constants
 
 
+def _refined_axis(b: float, step: float, lo: float, hi: float):
+    # The 13 points b + k * step, k = -6..6, in [lo, hi], ascending, each
+    # once. A point within step / 2 of an end is that end: outside the range,
+    # or a few ulp inside it, where b + k * step misses the end.
+    import numpy as np
+
+    axis = np.arange(b - 6 * step, b + 6 * step + 1e-12, step)
+    axis[axis < lo + step / 2] = lo
+    axis[axis > hi - step / 2] = hi
+    return np.unique(axis)
+
+
 def _range_edge(winner: dict) -> Optional[dict]:
-    # {coordinate: "lower" or "upper"} for each winning coordinate within
-    # 1e-9 of an end of its range, given as {coordinate: (value, (lo, hi))};
-    # None where none is or no tuning won. Next to an end, a refinement grid
-    # may hold a point a few ulp inside it (b + k * step); no other grid
-    # point lies that close.
+    # {coordinate: "lower" or "upper"} for each winning coordinate at an end
+    # of its range, given as {coordinate: (value, (lo, hi))}; None where none
+    # is or no tuning won.
     edge = {}
     for name, (value, (lo, hi)) in winner.items():
-        if value is None:
-            continue
-        if abs(value - lo) <= 1e-9:
+        if value == lo:
             edge[name] = "lower"
-        elif abs(value - hi) <= 1e-9:
+        elif value == hi:
             edge[name] = "upper"
     return edge or None
 
@@ -660,21 +648,17 @@ def optimize_mh_tuning(method: str, nu_variant: str = MT_MEASURE) -> dict:
         raise InvalidParams(f"method must be one of {sorted(_MH_METHODS)}")
     if nu_variant not in (MT_MEASURE, INFIMUM_MEASURE):
         raise InvalidParams(f"unknown nu_variant {nu_variant!r}")
-    d_grid, s_grid, _ = _mh_coarse_table(nu_variant, _D_RANGE, _S_RANGE)
-    best_d = best_s = best_rho = None
-    for step in (0.05, 0.01, 0.002):
-        if best_d is not None:
-            # Clipping repeats a range end; np.unique keeps one copy, in
-            # ascending order, so the argmin picks the same (d, s).
-            d_grid, s_grid = (
-                np.unique(np.clip(np.arange(b - 6 * step, b + 6 * step + 1e-12, step), lo, hi))
-                for b, (lo, hi) in ((best_d, _D_RANGE), (best_s, _S_RANGE))
+    d, s, constants = _mh_coarse_table(nu_variant)
+    for refine in (0.01, 0.002, None):  # the step of the next grid
+        rho = _mh_rho_grid(d, s, constants, method)
+        i, j = np.unravel_index(np.argmin(rho), rho.shape)
+        if refine:
+            d, s = (
+                _refined_axis(float(axis[k]), refine, lo, hi)
+                for axis, k, (lo, hi) in ((d, i, _D_RANGE), (s, j, _S_RANGE))
             )
-        rho, dd, ss = _mh_rho_grid(d_grid, s_grid, method, nu_variant, best_rho)
-        flat = int(np.argmin(rho))
-        best_d = float(dd.ravel()[flat])
-        best_s = float(ss.ravel()[flat])
-        best_rho = float(rho.ravel()[flat])
+            constants = _mh_constants(d[:, None], s[None, :], nu_variant)
+    best_d, best_s, best_rho = float(d[i]), float(s[j]), float(rho[i, j])
     if best_rho == math.inf:
         best_d = best_s = None
     edge = _range_edge({"d": (best_d, _D_RANGE), "s": (best_s, _S_RANGE)})

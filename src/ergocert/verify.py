@@ -564,8 +564,9 @@ def mc_regeneration(
     """Estimate E^x0[r^tau] for the walk and compare with the drift bound.
 
     tau is the first return time to C = {0}. The bound is r*K for x0 in C
-    and V(x0) otherwise, valid for 1 <= r <= 1/lambda; the check passes when
-    the sample mean stays within three standard errors of it. x0 and
+    and V(x0) otherwise, valid for 1 <= r <= 1/lambda; the check is
+    one-sided and passes when the sample mean is at most the bound plus
+    three standard errors, however far below the bound it lies. x0 and
     samples must be integers (not bool), x0 >= 0 and samples >= 1;
     InvalidParams otherwise. Philox keeps runs reproducible for a fixed
     seed: step n draws one uniform per walker still out, in index order.

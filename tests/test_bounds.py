@@ -825,7 +825,8 @@ def test_r2_near_end_saves_evaluations(monkeypatch):
     s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
     for nu_variant in (MT_MEASURE, INFIMUM_MEASURE):
         counts["grid"] = 0
-        models._mh_rho_grid(d_grid, s_grid, "thm1.2", nu_variant)
+        constants = models._mh_constants(d_grid[:, None], s_grid[None, :], nu_variant)
+        models._mh_rho_grid(d_grid, s_grid, constants, "thm1.2")
         assert counts["grid"] <= 7, nu_variant
 
 

@@ -187,7 +187,7 @@ def test_mh_theorem_grids_never_evaluate_the_coupling_offset(monkeypatch):
     for method in ("thm1.1", "thm1.2", "thm1.3", "coupling"):
         for nu_variant in (MT_MEASURE, INFIMUM_MEASURE):
             calls.clear()
-            models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
+            _mh_rates(d_grid, s_grid, method, nu_variant)
             assert calls == ([False, True] if method == "coupling" else [False]), method
 
 
@@ -334,6 +334,13 @@ def test_truncation_takes_numpy_integers():
 # --- tuning searches ---------------------------------------------------------
 
 
+def _mh_rates(d_grid, s_grid, method, nu_variant):
+    # models._mh_rho_grid of a d axis against an s axis, given their
+    # constants as a refinement of optimize_mh_tuning computes them.
+    constants = models._mh_constants(d_grid[:, None], s_grid[None, :], nu_variant)
+    return models._mh_rho_grid(d_grid, s_grid, constants, method)
+
+
 def _mh_valid_constants(d_grid, s_grid, nu_variant):
     # The mask of the (d, s) tunings with valid constants, as the Metropolis
     # grid takes it, and their (lambda, beta, beta_tilde, alpha_1, alpha_2,
@@ -371,7 +378,7 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
         "coupling": lambda d, s: coupling_rho(mh_coupling_input(d, s, nu_variant)),
     }
     for method, rate in rates.items():
-        got, dd, ss = models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
+        got = _mh_rates(d_grid, s_grid, method, nu_variant)
         if method == "thm1.1":
             # The grid rates only the tunings its floor admits. Each one it
             # rates has the full rating's rho bit for bit, and each one it
@@ -386,21 +393,20 @@ def test_mh_array_rates_match_scalar_rates_on_coarse_grid(nu_variant):
             got = full
         for (i, j), rho in np.ndenumerate(got):
             try:
-                want = rate(float(dd[i, j]), float(ss[i, j]))
+                want = rate(float(d_grid[i]), float(s_grid[j]))
             except ErgoCertError:
                 want = math.inf
-            assert math.isinf(rho) == math.isinf(want), (method, dd[i, j], ss[i, j])
+            assert math.isinf(rho) == math.isinf(want), (method, d_grid[i], s_grid[j])
             if math.isinf(want):
                 continue
-            assert abs(rho - want) <= 1e-12, (method, dd[i, j], ss[i, j])
+            assert abs(rho - want) <= 1e-12, (method, d_grid[i], s_grid[j])
 
 
-# The tunings that the thm1.1 search rates: at its coarse step those whose
-# floor is not above the scalar rate of the one with the lowest floor, that
-# one included, of the 1,355 valid coarse tunings, and at its two
-# refinements those whose floor is not above the enclosing stage's best
-# rate, of the 169 of each refinement.
-MH_GENERAL_RATED = {MT_MEASURE: (121, 134, 169), INFIMUM_MEASURE: (158, 169, 169)}
+# The tunings that the thm1.1 search rates on each of its grids, the 1,355
+# valid coarse tunings and the 169 of each refinement: those whose floor is
+# not above the scalar rate of the grid's tuning with the lowest floor, that
+# one included.
+MH_GENERAL_RATED = {MT_MEASURE: (121, 139, 169), INFIMUM_MEASURE: (158, 169, 169)}
 
 
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
@@ -409,10 +415,9 @@ def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
     # only, one R1 each for the solve, and never a placeholder in place of
     # an invalid one: every lambda (lambda_1 for coupling) and beta_tilde
     # they get lies below 1. split_exponents sees all of them; the R1 solve
-    # of the coarse thm1.1 stage sees the tunings whose floor is not above
-    # the scalar rate of the tuning with the lowest floor, which takes no
-    # array solve, and that of each refinement the tunings whose floor is
-    # not above the enclosing best.
+    # of each thm1.1 grid, in one array scan, sees the tunings whose floor
+    # is not above the scalar rate of the grid's tuning with the lowest
+    # floor, which takes no array solve.
     # The d and s axes of the coarse step of optimize_mh_tuning.
     d_grid = np.append(np.arange(0.5, 3.0, 0.05), 3.0)
     s_grid = np.append(np.arange(0.01, 1.5, 0.05), 1.5)
@@ -434,7 +439,7 @@ def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
     monkeypatch.setattr(models, "split_exponents", split_spy)
     monkeypatch.setattr(competitors, "split_exponents", split_spy)
     for method in ("thm1.1", "thm1.2", "thm1.3", "coupling"):
-        models._mh_rho_grid(d_grid, s_grid, method, nu_variant)
+        _mh_rates(d_grid, s_grid, method, nu_variant)
     assert r1_sizes == [MH_GENERAL_RATED[nu_variant][0]]
     assert [np.size(lam) for lam, _ in split_args[:3]] == [n_valid] * 3
     r1_sizes.clear()
@@ -446,21 +451,26 @@ def test_mh_grid_rates_only_the_valid_tunings(monkeypatch, nu_variant):
 
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
 def test_mh_grid_below_an_unreached_bound_keeps_the_full_scan_winner(monkeypatch, nu_variant):
-    # A bound an ulp under the floor of the full scan's winner on a
-    # refinement grid: the tunings whose floor admits the bound do not hold
-    # the winner, and none reaches the bound, so the grid rates the rest
-    # whose floor is not above the best of those, in a second R1 scan. The
-    # argmin is the full scan's, with its bits, and each rated tuning has
-    # the full scan's rate.
+    # The scalar search of the grid's seed, its tuning with the lowest
+    # floor, stubbed to give an R1 so high that its rate lies a few ulps
+    # under the floor of the full scan's winner on a refinement grid: the
+    # tunings whose floor admits that bound do not hold the winner, and none
+    # reaches the bound, so the grid rates the rest whose floor is not above
+    # the best of those, in a second R1 scan. The argmin is the full scan's,
+    # with its bits, and each rated tuning has the full scan's rate.
     best = optimize_mh_tuning("thm1.1", nu_variant)
     d_grid, s_grid = (
-        np.unique(np.clip(np.arange(b - 0.06, b + 0.06 + 1e-12, 0.01), lo, hi))
+        models._refined_axis(b, 0.01, lo, hi)
         for b, (lo, hi) in ((best["d"], models._D_RANGE), (best["s"], models._S_RANGE))
     )
     valid, rho, constants = _mh_full_general_grid(d_grid, s_grid, nu_variant)
     full = np.full(valid.shape, math.inf)
     full[valid] = rho
-    bound = np.nextafter(bounds._rho_floor(*constants)[np.argmin(rho)], 0.0)
+    bound = bounds._rho_floor(*constants)[np.argmin(rho)] - 4e-16
+    real_search = models._general_nonatomic_search
+    monkeypatch.setattr(
+        models, "_general_nonatomic_search", lambda *args: (real_search(*args)[0], 1.0 / bound)
+    )
     r1_sizes = []
     real_r1 = kendall.solve_r1_array
 
@@ -469,7 +479,7 @@ def test_mh_grid_below_an_unreached_bound_keeps_the_full_scan_winner(monkeypatch
         return real_r1(beta, big_r, big_l)
 
     monkeypatch.setattr(kendall, "solve_r1_array", r1_spy)
-    got = models._mh_rho_grid(d_grid, s_grid, "thm1.1", nu_variant, bound)[0]
+    got = _mh_rates(d_grid, s_grid, "thm1.1", nu_variant)
     assert len(r1_sizes) == 2 and min(r1_sizes) > 0
     assert np.argmin(got) == np.argmin(full) and got.min() == full.min()
     rated = np.isfinite(got)
@@ -590,9 +600,8 @@ def test_mh_array_solves_close_in_few_lockstep_steps(method, monkeypatch):
 def test_mh_tuning_without_a_rate_names_no_tuning(monkeypatch):
     # No tuning of any grid has a rate: as the contracting search does, the
     # result names no tuning.
-    def no_rate(d_grid, s_grid, method, nu_variant, bound=None):
-        dd, ss = np.broadcast_arrays(np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :])
-        return np.full(dd.shape, math.inf), dd, ss
+    def no_rate(d, s, constants, method):
+        return np.full((len(d), len(s)), math.inf)
 
     monkeypatch.setattr(models, "_mh_rho_grid", no_rate)
     result = optimize_mh_tuning("coupling")
@@ -914,11 +923,11 @@ def test_optimize_contracting_matches_published_choice():
 def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
     # A tuning whose R1 equation has no root (NaN) at the root of rising
     # gets rho = inf, never the argmin, where the other tuning keeps its
-    # rate. The coarse grid takes its bound from the scalar search, which
-    # solves no array R1, so the array solve sees each tuning once, and the
-    # tuning at d = 1.0 is told by its beta.
+    # rate. The grid takes its bound from the scalar search, which solves no
+    # array R1, so the array solve sees each tuning once, and the tuning at
+    # d = 1.0 is told by its beta.
     d, s = np.array([1.0, 1.2]), np.array([0.1])
-    want = models._mh_rho_grid(d, s, "thm1.1", MT_MEASURE)[0]
+    want = _mh_rates(d, s, "thm1.1", MT_MEASURE)
     assert np.isfinite(want).all()
     beta_at_1 = mh_normal_params(1.0, 0.1).beta
     real = kendall.solve_r1_array
@@ -932,7 +941,7 @@ def test_mh_general_objective_treats_nan_radii_as_no_rate(monkeypatch):
         return r1
 
     monkeypatch.setattr(kendall, "solve_r1_array", with_nan)
-    got = models._mh_rho_grid(d, s, "thm1.1", MT_MEASURE)[0]
+    got = _mh_rates(d, s, "thm1.1", MT_MEASURE)
     assert sorted(seen) == [False, True]
     assert got[0, 0] == math.inf
     assert got[1, 0] == want[1, 0]
@@ -945,7 +954,7 @@ def test_mh_general_objective_gives_no_rate_where_r0_leaves_no_window():
     with pytest.raises(InvalidParams, match="R0"):
         rho_general(params)
     d, s = np.array([1.0]), np.array([1e-12, 0.1])
-    got = models._mh_rho_grid(d, s, "thm1.1", MT_MEASURE)[0]
+    got = _mh_rates(d, s, "thm1.1", MT_MEASURE)
     assert got[0, 0] == math.inf
     assert rho_general(mh_normal_params(1.0, 0.1)).rho <= got[0, 1] < 1.0
 
@@ -956,12 +965,12 @@ def test_mh_tuning_coarse_grid_reaches_the_top_of_the_range(monkeypatch):
     # grid rates its s = 1.5 column alone, so no other s prunes it.
     rho_grid = models._mh_rho_grid
 
-    def rates_at_top(d_grid, s_grid, method, nu_variant, bound=None):
-        dd, ss = np.broadcast_arrays(np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :])
-        rho = np.full(dd.shape, math.inf)
-        top = ss[0] == 1.5
-        rho[:, top] = rho_grid(d_grid, ss[0, top], method, nu_variant, bound)[0]
-        return rho, dd, ss
+    def rates_at_top(d, s, constants, method):
+        rho = np.full((len(d), len(s)), math.inf)
+        top = s == 1.5
+        at_top = models._mh_constants(d[:, None], s[None, top], MT_MEASURE)
+        rho[:, top] = rho_grid(d, s[top], at_top, method)
+        return rho
 
     monkeypatch.setattr(models, "_mh_rho_grid", rates_at_top)
     result = optimize_mh_tuning("thm1.1")
@@ -969,24 +978,27 @@ def test_mh_tuning_coarse_grid_reaches_the_top_of_the_range(monkeypatch):
     assert result["rho"] < 1.0
 
 
-def test_mh_tuning_grids_hold_each_value_once(monkeypatch):
+@pytest.mark.parametrize("corner", [(0.5, 0.01), (3.0, 1.5)])
+def test_mh_tuning_grids_hold_each_value_once(monkeypatch, corner):
     # Near a range end the 13-point refinement grids clip to the end; each
-    # clipped value is evaluated once, and the grids stay ascending. Rates
-    # growing in d and s put the coarse argmin at the bottom corner
-    # (0.5, 0.01).
+    # clipped value is evaluated once, and the grids stay ascending, with no
+    # two points closer than half the grid's step (np.arange's b + k * step
+    # may fall a few ulp short of an end). Rates growing away from a corner
+    # put every argmin there.
     grids = []
 
-    def spy(d_grid, s_grid, method, nu_variant, bound=None):
-        grids.append((np.asarray(d_grid), np.asarray(s_grid)))
-        dd, ss = np.broadcast_arrays(grids[-1][0][:, None], grids[-1][1][None, :])
-        return 0.5 + 0.01 * (dd + ss), dd, ss
+    def spy(d, s, constants, method):
+        grids.append((d, s))
+        dd, ss = np.broadcast_arrays(d[:, None], s[None, :])
+        return 0.5 + 0.01 * (abs(dd - corner[0]) + abs(ss - corner[1]))
 
     monkeypatch.setattr(models, "_mh_rho_grid", spy)
     result = optimize_mh_tuning("thm1.1")
-    assert (result["d"], result["s"]) == (0.5, 0.01)
+    assert (result["d"], result["s"]) == corner
     assert len(grids) == 3
-    for grid in (g for pair in grids for g in pair):
-        assert (np.diff(grid) > 0.0).all(), grid
+    for step, pair in zip((0.05, 0.01, 0.002), grids):
+        for grid in pair:
+            assert (np.diff(grid) > step / 2).all(), grid
     assert len(grids[1][0]) < 13 and len(grids[1][1]) < 13
 
 
@@ -999,7 +1011,7 @@ def test_mh_coarse_table_is_the_fresh_constants_bit_for_bit(nu_variant):
     d_grid, s_grid = (
         np.append(np.arange(lo, hi, 0.05), hi) for lo, hi in (models._D_RANGE, models._S_RANGE)
     )
-    d, s, constants = models._mh_coarse_table(nu_variant, models._D_RANGE, models._S_RANGE)
+    d, s, constants = models._mh_coarse_table(nu_variant)
     assert d.tobytes() == d_grid.tobytes() and s.tobytes() == s_grid.tobytes()
     fresh = models._mh_constants(d_grid[:, None], s_grid[None, :], nu_variant)
     assert len(constants) == len(fresh) == 7
@@ -1012,7 +1024,7 @@ def test_mh_coarse_table_is_the_fresh_constants_bit_for_bit(nu_variant):
 
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
 def test_mh_coarse_table_is_read_only(nu_variant):
-    d, s, constants = models._mh_coarse_table(nu_variant, models._D_RANGE, models._S_RANGE)
+    d, s, constants = models._mh_coarse_table(nu_variant)
     arrays = [a for a in (d, s, *constants) if isinstance(a, np.ndarray)]
     # d, s, lambda, K, beta, beta_tilde (beta again under the concentrated
     # measure), k_tilde under the infimum measure, and min V off C.
@@ -1058,24 +1070,6 @@ def test_mh_warm_search_evaluates_no_coarse_constants(monkeypatch):
             assert sizes and max(sizes) <= 13 * 13, (method, nu_variant)
 
 
-def test_mh_coarse_table_follows_a_patched_range(monkeypatch):
-    # The table is keyed by the ranges it is built from: a search over a
-    # patched range reads a table of that range, not the one of the
-    # ranges before.
-    optimize_mh_tuning("thm1.3")
-    grids = []
-    rho_grid = models._mh_rho_grid
-
-    def spy(d_grid, s_grid, method, nu_variant, bound=None):
-        grids.append(np.asarray(d_grid))
-        return rho_grid(d_grid, s_grid, method, nu_variant, bound)
-
-    monkeypatch.setattr(models, "_mh_rho_grid", spy)
-    monkeypatch.setattr(models, "_D_RANGE", (0.5, 2.0))
-    optimize_mh_tuning("thm1.3")
-    assert grids[0][-1] == 2.0 and len(grids[0]) == 31
-
-
 @pytest.mark.parametrize("corner, edge", [
     ((0.5, 0.01), {"d": "lower", "s": "lower"}),
     ((3.0, 1.5), {"d": "upper", "s": "upper"}),
@@ -1083,15 +1077,19 @@ def test_mh_coarse_table_follows_a_patched_range(monkeypatch):
 ])
 def test_mh_tuning_reports_a_winner_at_a_range_end(monkeypatch, corner, edge):
     # A stubbed grid whose rate falls towards one tuning: the search names
-    # the coordinates of the winner that sit at an end of their range. The
-    # refinements may hold the upper end of d an ulp off, which still counts.
-    def peaked(d_grid, s_grid, method, nu_variant, bound=None):
-        dd, ss = np.broadcast_arrays(np.asarray(d_grid)[:, None], np.asarray(s_grid)[None, :])
-        return 0.5 + 0.01 * (abs(dd - corner[0]) + abs(ss - corner[1])), dd, ss
+    # the coordinates of the winner that sit at an end of their range.
+    def peaked(d, s, constants, method):
+        dd, ss = np.broadcast_arrays(d[:, None], s[None, :])
+        return 0.5 + 0.01 * (abs(dd - corner[0]) + abs(ss - corner[1]))
 
     monkeypatch.setattr(models, "_mh_rho_grid", peaked)
     result = optimize_mh_tuning("thm1.2")
-    assert abs(result["d"] - corner[0]) <= 1e-12 and abs(result["s"] - corner[1]) <= 1e-12
+    # A range end is a grid point exactly; s = 0.7, inside, lies an ulp off.
+    for name, want in zip(("d", "s"), corner):
+        if name in edge:
+            assert result[name] == want
+        else:
+            assert abs(result[name] - want) <= 1e-12
     assert result["edge"] == edge
 
 
