@@ -39,11 +39,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DriftMinorization",
-    "DerivedExponents",
     "Certificate",
     "RatePart",
     "split_exponents",
-    "derived_exponents",
     "big_l_array",
     "reversible_radius_array",
     "rate_part",
@@ -116,15 +114,6 @@ class DriftMinorization:
 
 
 @dataclass(frozen=True)
-class DerivedExponents:
-    """Split-chain exponents alpha_1, alpha_2 and the radius cap R0."""
-
-    alpha1: float
-    alpha2: float
-    r0: float
-
-
-@dataclass(frozen=True)
 class RatePart:
     """Rate plus diagnostics, before a gamma and M are attached."""
 
@@ -184,12 +173,9 @@ def split_exponents(lam, big_k, beta_tilde, nu_info: str, k_tilde=None) -> tuple
     return alpha1, alpha2, xp.minimum(1.0 / lam, pole)
 
 
-def derived_exponents(p: DriftMinorization) -> DerivedExponents:
-    """``split_exponents`` of a nonatomic chain's constants."""
-    if p.atomic:
-        raise InvalidParams("derived exponents apply to nonatomic chains only")
-    alpha1, alpha2, r0 = split_exponents(p.lam, p.big_k, p.beta_tilde, p.nu_info, p.k_tilde)
-    return DerivedExponents(alpha1=alpha1, alpha2=alpha2, r0=r0)
+def _exponents(p: DriftMinorization) -> tuple:
+    # (alpha_1, alpha_2, R0) of a nonatomic chain's constants.
+    return split_exponents(p.lam, p.big_k, p.beta_tilde, p.nu_info, p.k_tilde)
 
 
 def _big_l_at(r: float, beta_tilde: float, alpha1: float, alpha2: float) -> float:
@@ -287,7 +273,7 @@ def _general_nonatomic_search(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
         big_r = 1.0 + delta
         big_l = _big_l_at(big_r, beta_tilde, alpha1, alpha2)
         kendall._check_params(beta, big_r, big_l)
-        return kendall._r1_solve(*kendall._r1_ends(beta, big_r, big_l))
+        return kendall._r1_log(beta, big_r, big_l)
 
     delta, t = maximize_scalar(objective, lo - 1.0, d_hi, lambda d: _rising(d, *constants))
     if t == kendall._LOG_EPS_LO and delta != d_hi:
@@ -328,15 +314,15 @@ def _general_rate(p: DriftMinorization) -> tuple:
         big_l = big_r * p.big_k
         r1 = kendall.solve_r1(p.beta, big_r, big_l)
         return _rate(p.lam, r1), "general", {"R": big_r, "L": big_l, "R1": r1}
-    de = derived_exponents(p)
-    r_tilde, r1 = _general_nonatomic_search(p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)
-    lo, hi = _scan_window(de.r0)
+    alpha1, alpha2, r0 = _exponents(p)
+    r_tilde, r1 = _general_nonatomic_search(p.beta, p.beta_tilde, alpha1, alpha2, r0)
+    lo, hi = _scan_window(r0)
     diagnostics = {
-        "alpha1": de.alpha1,
-        "alpha2": de.alpha2,
-        "R0": de.r0,
+        "alpha1": alpha1,
+        "alpha2": alpha2,
+        "R0": r0,
         "R_tilde": r_tilde,
-        "L_at_R_tilde": _big_l_at(r_tilde, p.beta_tilde, de.alpha1, de.alpha2),
+        "L_at_R_tilde": _big_l_at(r_tilde, p.beta_tilde, alpha1, alpha2),
         "R_tilde_edge": "right" if r_tilde == hi else "left" if r_tilde == lo else None,
         "R1": r1,
     }
@@ -362,9 +348,13 @@ def _reversible_rate(p: DriftMinorization) -> tuple:
         big_l = big_r * p.big_k
         r2 = kendall.solve_r2_reversible(p.beta, big_r, big_l)
         return _rate(p.lam, r2), "reversible", {"R": big_r, "L": big_l, "R2": r2}
-    de = derived_exponents(p)
-    r2 = _reversible_nonatomic_radius(p, de)
-    diagnostics = {"alpha1": de.alpha1, "alpha2": de.alpha2, "R0": de.r0, "R2": r2}
+    alpha1, alpha2, r0 = _exponents(p)
+    constants = p.beta, p.beta_tilde, alpha1, alpha2
+    crossing, r2 = _r2_crossing(*constants, r0), r0
+    if crossing is not None:
+        # An empty bracket is not evaluated: the root finder raises.
+        r2 = solve_monotone(functools.partial(_r2_gap, *constants), *crossing)
+    diagnostics = {"alpha1": alpha1, "alpha2": alpha2, "R0": r0, "R2": r2}
     return _rate(p.lam, r2), "reversible", diagnostics
 
 
@@ -421,15 +411,6 @@ def _r2_crossing(beta, beta_tilde, alpha1, alpha2, r0) -> Optional[tuple]:
         return None
     gap_lo = _r2_gap(beta, beta_tilde, alpha1, alpha2, lo) if lo < hi else math.nan
     return lo, up, hi, gap_lo
-
-
-def _reversible_nonatomic_radius(p: DriftMinorization, de: DerivedExponents) -> float:
-    constants = p.beta, p.beta_tilde, de.alpha1, de.alpha2
-    crossing = _r2_crossing(*constants, de.r0)
-    if crossing is None:
-        return de.r0
-    # An empty bracket is not evaluated: the root finder raises.
-    return solve_monotone(functools.partial(_r2_gap, *constants), *crossing)
 
 
 # Slack in the reversible floor: a thousand times the few ulps (2.2e-16 each
@@ -518,9 +499,9 @@ _RADIUS_ARRAY = {
 def _positive_rate(p: DriftMinorization) -> tuple:
     if p.atomic:
         return p.lam, "reversible-positive", {}
-    de = derived_exponents(p)
-    diagnostics = {"alpha1": de.alpha1, "alpha2": de.alpha2, "R0": de.r0}
-    return _rate(p.lam, de.r0), "reversible-positive", diagnostics
+    alpha1, alpha2, r0 = _exponents(p)
+    diagnostics = {"alpha1": alpha1, "alpha2": alpha2, "R0": r0}
+    return _rate(p.lam, r0), "reversible-positive", diagnostics
 
 
 def rho_positive(p: DriftMinorization) -> RatePart:

@@ -37,23 +37,29 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _emit(text: str, path: Optional[str]) -> None:
-    if path is None:
+def _emit_result(args, data, text: str, rows: list[dict], quoted=()) -> int:
+    # A result in the format asked for, to stdout or --output: data as JSON,
+    # rows as CSV headed by the first row's keys (the quoted columns hold
+    # free text that may contain commas), or the given text. Returns the
+    # exit code 0.
+    if args.format == "json":
+        import json  # here, not at the top: text and CSV runs never load it
+
+        text = json.dumps(data, indent=2)
+    elif args.format == "csv":
+        columns, precision = list(rows[0]), args.precision
+        lines = [",".join(columns)]
+        lines += [
+            ",".join(f'"{row[c]}"' if c in quoted else _fmt(row[c], precision) for c in columns)
+            for row in rows
+        ]
+        text = "\n".join(lines)
+    if args.output is None:
         print(text)
     else:
-        with open(path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
-
-
-def _csv(columns: list, rows: list[dict], precision: int, quoted=()) -> str:
-    # A header line, then one line per row; the quoted columns hold free
-    # text that may contain commas.
-    lines = [",".join(columns)]
-    lines += [
-        ",".join(f'"{row[c]}"' if c in quoted else _fmt(row[c], precision) for c in columns)
-        for row in rows
-    ]
-    return "\n".join(lines)
+    return 0
 
 
 def _flatten(data: dict) -> dict:
@@ -69,20 +75,6 @@ def _flatten(data: dict) -> dict:
     return row
 
 
-def _emit_payload(args, payload: dict, text: str) -> int:
-    # One result (a certificate or a model payload) as JSON, one CSV row or
-    # the given text. Returns the exit code 0.
-    if args.format == "json":
-        import json  # here, not at the top: text and CSV runs never load it
-
-        text = json.dumps(payload, indent=2)
-    elif args.format == "csv":
-        row = _flatten(payload)
-        text = _csv(list(row), [row], args.precision)
-    _emit(text, args.output)
-    return 0
-
-
 def _emit_certificate(args, cert: bounds.Certificate) -> int:
     data = cert.to_dict()
     lines = [f"{k:<12}{_fmt(v, args.precision)}" for k, v in data.items() if k != "diagnostics"]
@@ -92,17 +84,11 @@ def _emit_certificate(args, cert: bounds.Certificate) -> int:
     edge = data["diagnostics"].get("R_tilde_edge")
     if edge:
         lines.append(f"warning: R_tilde sits at the {edge} end of the window [1 + 1e-9, R0 - 1e-9]")
-    return _emit_payload(args, data, "\n".join(lines))
+    return _emit_result(args, data, "\n".join(lines), [_flatten(data)])
 
 
-def _render_records(records: list[dict], fmt: str, precision: int) -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps(records, indent=2)
+def _render_records(records: list[dict], precision: int) -> str:
     columns = ["table", "row", "case", "quantity", "published", "computed", "abs_diff", "note"]
-    if fmt == "csv":
-        return _csv(columns, records, precision, quoted=("case", "note"))
     rows = [{c: _fmt(rec[c], precision) for c in columns} for rec in records]
     widths = {c: max([len(c)] + [len(row[c]) for row in rows]) for c in columns}
     header = "  ".join(c.ljust(widths[c]) for c in columns)
@@ -111,15 +97,7 @@ def _render_records(records: list[dict], fmt: str, precision: int) -> str:
     return "\n".join(lines)
 
 
-def _render_suites(reports: list, fmt: str, precision: int) -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps([r.to_dict() for r in reports], indent=2)
-    if fmt == "csv":
-        columns = ["suite", "name", "measured", "bound", "margin", "pass", "detail"]
-        rows = [{"suite": rep.name, **c.to_dict()} for rep in reports for c in rep.checks]
-        return _csv(columns, rows, precision, quoted=("detail",))
+def _render_suites(reports: list, precision: int) -> str:
     lines = []
     for rep in reports:
         good, total = rep.counts
@@ -220,7 +198,7 @@ def _cmd_model(args) -> int:
         _require(args, ["p", "epsilon"])
         rho_v = models.reflecting_walk_rho_exact(args.p, args.epsilon)
         payload = {"model": args.model, "p": args.p, "epsilon": args.epsilon, "rho_V": rho_v}
-        return _emit_payload(args, payload, f"rho_V = {_fmt(rho_v, precision)}")
+        return _emit_result(args, payload, f"rho_V = {_fmt(rho_v, precision)}", [_flatten(payload)])
 
     if args.method == "coupling":
         if args.model == "reflecting-walk":
@@ -228,7 +206,7 @@ def _cmd_model(args) -> int:
         rho = models.method_rho("coupling", _chain(args))
         payload = {"model": args.model, "method": "coupling", "rho": rho, "one_minus_rho": 1 - rho}
         text = f"rho = {_fmt(rho, precision)}  (1-rho = {_fmt(1 - rho, precision)})"
-        return _emit_payload(args, payload, text)
+        return _emit_result(args, payload, text, [_flatten(payload)])
 
     if args.method == "binomial":
         if args.model == "mh-normal":
@@ -241,7 +219,7 @@ def _cmd_model(args) -> int:
             "rho_lazy_squared": rho * rho,
         }
         text = f"rho_lazy = {_fmt(rho, precision)}  rho_lazy^2 = {_fmt(rho * rho, precision)}"
-        return _emit_payload(args, payload, text)
+        return _emit_result(args, payload, text, [_flatten(payload)])
 
     params = _chain(args).params()
     cert = bounds.certificate(params, models.THEOREM_SYMMETRY[args.method], args.gamma)
@@ -272,10 +250,6 @@ def _cmd_model_optimize(args) -> int:
         "one_minus_rho": result["one_minus_rho"],
         "edge": edge,
     }
-    if args.format == "csv":
-        # One header for every search: edge, whose keys vary, is left to the
-        # JSON and the text warning.
-        del payload["edge"]
     knobs = ", ".join(f"{k}={_fmt(v, args.precision)}" for k, v in tuned.items())
     text = (
         f"tuned {knobs}: rho = {_fmt(result['rho'], args.precision)} "
@@ -286,13 +260,16 @@ def _cmd_model_optimize(args) -> int:
             f"the {end} end of {k} in [{scanned[k][0]}, {scanned[k][1]}]" for k, end in edge.items()
         )
         text += f"\nwarning: the winner sits at {ends}"
-    return _emit_payload(args, payload, text)
+    # One CSV header for every search: edge, whose keys vary, is left to the
+    # JSON and the text warning.
+    row = _flatten({k: v for k, v in payload.items() if k != "edge"})
+    return _emit_result(args, payload, text, [row])
 
 
 def _cmd_table(args) -> int:
     records = tables.build_table(args.number)
-    _emit(_render_records(records, args.format, args.precision), args.output)
-    return 0
+    text = _render_records(records, args.precision)
+    return _emit_result(args, records, text, records, quoted=("case", "note"))
 
 
 def _cmd_verify(args) -> int:
@@ -307,7 +284,9 @@ def _cmd_verify(args) -> int:
         reports = [verify.run_mc_suite(seed=args.seed)]
     else:
         reports = verify.run_all_suites(seed=args.seed)
-    _emit(_render_suites(reports, args.format, args.precision), args.output)
+    rows = [{"suite": rep.name, **c.to_dict()} for rep in reports for c in rep.checks]
+    data = [rep.to_dict() for rep in reports]
+    _emit_result(args, data, _render_suites(reports, args.precision), rows, quoted=("detail",))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -126,33 +126,21 @@ def _r1_bracket(delta, log_target):
     return _LOG_EPS_LO, hi, fn.maximum(_LOG_EPS_LO, fn.minimum(hi, s - fn.log(-fn.expm1(s))))
 
 
-def _log_ratio(big_r: float, r: float) -> float:
-    # log(R / r) computed as log1p((R - r) / r) to keep accuracy when both
-    # sit within 1e-6 of each other.
-    return math.log1p((big_r - r) / r)
-
-
 def _r1_log_target(beta, big_r, big_l):
     # log(e^2 beta / (8 N)), N = (L-1)/(R-1), on floats or arrays.
     return elementary(big_r).log(_E2 * beta / (8.0 * ((big_l - 1.0) / (big_r - 1.0))))
 
 
-def _r1_ends(beta: float, big_r: float, big_l: float) -> tuple:
-    # (delta, log_target, lo, hi, up) of the R1 solve at validated (beta,
-    # R, L): delta = R - 1, the log target and the three ends of
-    # _r1_bracket. No equation is evaluated; up is a closed-form upper end
-    # of log(R1 - 1), up to the rounding of the solve.
+def _r1_log(beta: float, big_r: float, big_l: float) -> float:
+    # log(R1 - 1) at validated (beta, R, L): the lower end of the final
+    # bracket in t = log(r - 1), on the ends of _r1_bracket, or the
+    # bracket's lower end where the root lies below. The clamp test's value
+    # is the root finder's value at lo, and the root finder tries the near
+    # end up. An empty bracket is not evaluated: the root finder raises.
     delta = big_r - 1.0
     log_target = _r1_log_target(beta, big_r, big_l)
-    return (delta, log_target, *_r1_bracket(delta, log_target))
+    lo, hi, up = _r1_bracket(delta, log_target)
 
-
-def _r1_solve(delta: float, log_target: float, lo: float, hi: float, up: float) -> float:
-    # log(R1 - 1) from the ends of _r1_ends: the lower end of the final
-    # bracket in t = log(r - 1), or the bracket's lower end where the root
-    # lies below. The clamp test's value is the root finder's value at lo,
-    # and the root finder tries the near end up. An empty bracket is not
-    # evaluated: the root finder raises.
     def gap(t: float) -> float:
         eps = math.exp(t)
         lg = math.log1p((delta - eps) / (1.0 + eps))
@@ -191,7 +179,7 @@ def solve_r1(beta: float, big_r: float, big_l: float) -> float:
     never competitive in the radius searches that consume them.
     """
     _check_params(beta, big_r, big_l)
-    return 1.0 + math.exp(_r1_solve(*_r1_ends(beta, big_r, big_l)))
+    return 1.0 + math.exp(_r1_log(beta, big_r, big_l))
 
 
 def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
@@ -227,21 +215,6 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
         return 1.0 + np.exp(np.where((lo < hi) & (gap_lo >= 0.0), lo, t))
 
 
-def _k1_parts(r: float, beta: float, big_r: float, big_l: float) -> tuple[float, float, float]:
-    if not (1.0 < r < big_r):
-        raise OutOfRange(f"need 1 < r < R, got r={r}, R={big_r}")
-    lg = _log_ratio(big_r, r)
-    big_n = (big_l - 1.0) / (big_r - 1.0)
-    a_term = 8.0 * big_n * _EM2 * (r - 1.0) / (r * lg * lg)
-    denominator = beta - a_term
-    if denominator <= 0.0:
-        raise OutOfRange(
-            f"r={r} is at or beyond the certified radius (series-bound denominator <= 0)"
-        )
-    log_n_term = 2.0 * math.log(big_n) / lg
-    return a_term, denominator, log_n_term
-
-
 def k1(r: float, beta: float, big_r: float, big_l: float) -> float:
     """Uniform bound on |sum (u_n - u_inf) z^n| over |z| <= r, r < R1.
 
@@ -251,8 +224,18 @@ def k1(r: float, beta: float, big_r: float, big_l: float) -> float:
     has its zero exactly at R1).
     """
     _check_params(beta, big_r, big_l)
-    a_term, denominator, log_n_term = _k1_parts(r, beta, big_r, big_l)
-    return (1.0 / (r - 1.0)) * (1.0 + (beta + log_n_term) / denominator)
+    if not (1.0 < r < big_r):
+        raise OutOfRange(f"need 1 < r < R, got r={r}, R={big_r}")
+    # log(R/r) as log1p((R - r)/r) keeps its accuracy where r and R lie
+    # within 1e-6 of each other.
+    lg = math.log1p((big_r - r) / r)
+    big_n = (big_l - 1.0) / (big_r - 1.0)
+    denominator = beta - 8.0 * big_n * _EM2 * (r - 1.0) / (r * lg * lg)
+    if denominator <= 0.0:
+        raise OutOfRange(
+            f"r={r} is at or beyond the certified radius (series-bound denominator <= 0)"
+        )
+    return (1.0 / (r - 1.0)) * (1.0 + (beta + 2.0 * math.log(big_n) / lg) / denominator)
 
 
 def solve_r2_reversible(beta: float, big_r: float, big_l: float) -> float:

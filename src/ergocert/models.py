@@ -489,11 +489,20 @@ def method_rho(method: str, chain: ModelSpec) -> float:
     rho_positive of the chain's constants, coupling gives coupling_rho, and
     binomial gives rho_positive of the lazy chain, squared: two lazy steps
     match one step of the chain on average. ``method`` is one of
-    RATE_METHODS.
+    RATE_METHODS; coupling takes a Metropolis or contracting chain, binomial
+    a walk or contracting chain.
     """
+    if method not in RATE_METHODS:
+        raise InvalidParams(f"method must be one of {sorted(RATE_METHODS)}")
     if method == "coupling":
+        if isinstance(chain, ReflectingWalk):
+            raise InvalidParams("coupling is available for mh-normal and contracting-normal")
         return coupling_rho(chain.coupling_input())
     if method == "binomial":
+        if isinstance(chain, MetropolisNormal):
+            raise InvalidParams(
+                "binomial modification is set up for walks and contracting normals"
+            )
         return rho_positive(chain.lazy_params()).rho ** 2
     return rate_part(chain.params(), THEOREM_SYMMETRY[method]).rho
 

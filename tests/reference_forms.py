@@ -48,19 +48,17 @@ import numpy as np
 
 from ergocert import kendall as kendall_mod
 from ergocert.bounds import (
-    DerivedExponents,
     DriftMinorization,
     _big_l_at,
+    _exponents,
     _FLOOR_MARGIN,
     _r2_bracket,
     _rate,
     _scan_window,
-    derived_exponents,
 )
 from ergocert.errors import HypothesisViolated, InvalidParams, OutOfRange
 from ergocert.kendall import (
     KendallParams,
-    _k1_parts,
     _r1_bracket,
     _r1_log_target,
     _radius_bracket,
@@ -156,10 +154,10 @@ def prop44_bounds(r: float, p: DriftMinorization) -> dict:
     """
     if p.atomic:
         raise InvalidParams("split-chain bounds apply to nonatomic chains only")
-    de = derived_exponents(p)
-    if not (1.0 < r < de.r0):
-        raise OutOfRange(f"need 1 < r < R0 = {de.r0}, got r={r}")
-    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
+    a1, a2, r0 = _exponents(p)
+    if not (1.0 < r < r0):
+        raise OutOfRange(f"need 1 < r < R0 = {r0}, got r={r}")
+    bt = p.beta_tilde
     q = 1.0 - r * p.lam
     d = 1.0 - (1.0 - bt) * r**a1
     gbar = _big_l_at(r, bt, a1, a2)
@@ -199,15 +197,19 @@ def rho_tilde_reversible_atomic(lam: float, big_k: float, beta: float) -> float:
 
 
 def k1_single_fraction(r: float, beta: float, big_r: float, big_l: float) -> float:
-    """The single-fraction arrangement of ``kendall.k1``."""
-    a_term, denominator, log_n_term = _k1_parts(r, beta, big_r, big_l)
-    return (2.0 * beta + log_n_term - a_term) / ((r - 1.0) * denominator)
+    """The single-fraction arrangement of ``kendall.k1``:
+    (2 beta + 2 log N / l - a) / ((r - 1)(beta - a)), with l = log(R/r),
+    N = (L-1)/(R-1) and a = 8 N e^-2 (r - 1) / (r l^2)."""
+    l = math.log1p((big_r - r) / r)
+    big_n = (big_l - 1.0) / (big_r - 1.0)
+    a = 8.0 * big_n * math.exp(-2.0) * (r - 1.0) / (r * l * l)
+    return (2.0 * beta + 2.0 * math.log(big_n) / l - a) / ((r - 1.0) * (beta - a))
 
 
 def r1_log_eps(p: KendallParams) -> float:
     """log(R1 - 1) of ``kendall.solve_r1`` at the fields of p, the value
     it returns 1 + e^t of."""
-    return kendall_mod._r1_solve(*kendall_mod._r1_ends(p.beta, p.big_r, p.big_l))
+    return kendall_mod._r1_log(p.beta, p.big_r, p.big_l)
 
 
 def r1_log_eps_clamp_then_solve(
@@ -273,10 +275,11 @@ def r2_gap(p: KendallParams, r: float) -> float:
     return math.exp(exponent * math.log1p(r - 1.0)) - 1.0 - 2.0 * p.beta * r
 
 
-def reversible_nonatomic_gap(p: DriftMinorization, de: DerivedExponents, r: float) -> float:
-    """The gap log L(r) - log(1 + 2 beta r) of
-    ``bounds._reversible_nonatomic_radius``, as it computes it."""
-    big_l = _big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
+def reversible_nonatomic_gap(p: DriftMinorization, de: tuple, r: float) -> float:
+    """The gap log L(r) - log(1 + 2 beta r) of the nonatomic
+    ``bounds.rho_reversible``, as it computes it, at de = (alpha_1,
+    alpha_2, R0)."""
+    big_l = _big_l_at(r, p.beta_tilde, *de[:2])
     return math.log(big_l) - math.log1p(2.0 * p.beta * r)
 
 
@@ -295,15 +298,16 @@ def r2_reversible_wide(p: KendallParams) -> float:
     return solve_monotone(lambda r: r2_gap(p, r), lo, hi, hi, r2_gap(p, lo))
 
 
-def reversible_nonatomic_radius_wide(p: DriftMinorization, de: DerivedExponents) -> float:
-    """``bounds._reversible_nonatomic_radius`` on the wide bracket [lo, hi]
-    of ``bounds._r2_bracket``, as before the closed-form upper end: R0
-    where R0 lies below the pole and L(R0) <= 1 + 2 beta R0, else the root
-    of log L(r) - log(1 + 2 beta r) on [lo, hi]."""
-    bt, a1, a2 = p.beta_tilde, de.alpha1, de.alpha2
-    pole_limited, lo, hi, _ = _r2_bracket(p.beta, bt, a1, a2, de.r0)
-    if not pole_limited and _big_l_at(de.r0, bt, a1, a2) <= 1.0 + 2.0 * p.beta * de.r0:
-        return de.r0
+def reversible_nonatomic_radius_wide(p: DriftMinorization, de: tuple) -> float:
+    """The nonatomic R2 of ``bounds.rho_reversible`` on the wide bracket
+    [lo, hi] of ``bounds._r2_bracket``, as before the closed-form upper end,
+    at de = (alpha_1, alpha_2, R0): R0 where R0 lies below the pole and
+    L(R0) <= 1 + 2 beta R0, else the root of log L(r) - log(1 + 2 beta r)
+    on [lo, hi]."""
+    bt, (a1, a2, r0) = p.beta_tilde, de
+    pole_limited, lo, hi, _ = _r2_bracket(p.beta, bt, a1, a2, r0)
+    if not pole_limited and _big_l_at(r0, bt, a1, a2) <= 1.0 + 2.0 * p.beta * r0:
+        return r0
 
     def gap(r: float) -> float:
         return reversible_nonatomic_gap(p, de, r)
@@ -369,14 +373,16 @@ def _brent_climb(f: Callable[[float], float], a: float, b: float, x: float, fx: 
                 v, fv = u, fu
 
 
-def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponents) -> tuple:
+def general_nonatomic_search_full_scan(p: DriftMinorization, de: tuple) -> tuple:
     """The 16-radius scan that ``bounds._general_nonatomic_search``
     replaced: (R_tilde, R1) from R1 at all 16 radii, each through
     ``KendallParams`` and ``r1_log_eps`` in increasing order, so
     the first radius that raises raises; the rightmost best radius, then
     Brent's search on R1 itself from it (``_brent_climb``), where the
-    package climbs by the root of a stationarity function instead."""
-    lo, hi = _scan_window(de.r0)
+    package climbs by the root of a stationarity function instead. de is
+    (alpha_1, alpha_2, R0)."""
+    a1, a2, r0 = de
+    lo, hi = _scan_window(r0)
     if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
     u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
@@ -386,7 +392,7 @@ def general_nonatomic_search_full_scan(p: DriftMinorization, de: DerivedExponent
 
     def objective(u: float) -> float:
         big_r = radius(u)
-        big_l = _big_l_at(big_r, p.beta_tilde, de.alpha1, de.alpha2)
+        big_l = _big_l_at(big_r, p.beta_tilde, a1, a2)
         return r1_log_eps(KendallParams(beta=p.beta, big_r=big_r, big_l=big_l))
 
     us = [u_lo + (u_hi - u_lo) * (i / 15) for i in range(15)] + [u_hi]
@@ -406,14 +412,14 @@ def general_rho_floor(p: DriftMinorization, pieces: int) -> float:
     R1 end at (b - 1, e^2 beta / (8 N)) bounds log(R1 - 1) on the piece.
     One piece is ``bounds._rho_floor`` itself; more pieces give a floor at
     least as high."""
-    de = derived_exponents(p)
-    lo, hi = _scan_window(de.r0)
+    a1, a2, r0 = _exponents(p)
+    lo, hi = _scan_window(r0)
     if hi <= lo:
         return math.inf
     tops = [lo + (hi - lo) * (j / pieces) for j in range(1, pieces)] + [hi]
-    slopes = [de.alpha2 + de.alpha1 * (1.0 - p.beta_tilde) / p.beta_tilde]
+    slopes = [a2 + a1 * (1.0 - p.beta_tilde) / p.beta_tilde]
     slopes += [
-        (_big_l_at(a, p.beta_tilde, de.alpha1, de.alpha2) - 1.0) / (a - 1.0) for a in tops[:-1]
+        (_big_l_at(a, p.beta_tilde, a1, a2) - 1.0) / (a - 1.0) for a in tops[:-1]
     ]
     t = max(
         _r1_bracket(b - 1.0, math.log(kendall_mod._E2 * p.beta / (8.0 * n)))[2]

@@ -13,10 +13,10 @@ from ergocert.bounds import (
     NU_V_INTEGRAL,
     DriftMinorization,
     _big_l_at,
+    _exponents,
     _r2_bracket,
     big_l_array,
     certificate,
-    derived_exponents,
     rate_part,
     reversible_radius_array,
     rho_general,
@@ -95,18 +95,18 @@ def test_validation_rejects_non_finite_k_and_k_tilde(value):
 
 
 def test_derived_exponents_contracting_anchor():
-    de = derived_exponents(CONTRACT)
-    assert abs(de.alpha1 - 4.3312) <= 2e-3
-    assert abs(de.r0 - 1.11548) <= 5e-4
-    assert de.alpha2 == 1.0  # measure concentrated on C
+    alpha1, alpha2, r0 = _exponents(CONTRACT)
+    assert abs(alpha1 - 4.3312) <= 2e-3
+    assert abs(r0 - 1.11548) <= 5e-4
+    assert alpha2 == 1.0  # measure concentrated on C
 
 
 def test_derived_exponents_invariants():
     for p in (CONTRACT, mh_normal_params(1.0, 0.07), mh_normal_params(1.0, 0.11, "infimum_measure")):
-        de = derived_exponents(p)
-        assert de.alpha1 >= 1.0
-        assert de.alpha2 >= 1.0
-        assert 1.0 < de.r0 <= p.lam_inv + 1e-15
+        alpha1, alpha2, r0 = _exponents(p)
+        assert alpha1 >= 1.0
+        assert alpha2 >= 1.0
+        assert 1.0 < r0 <= p.lam_inv + 1e-15
 
 
 def test_derived_exponents_v_integral_branch():
@@ -114,8 +114,8 @@ def test_derived_exponents_v_integral_branch():
         lam=0.5, big_k=2.0, beta=0.2, beta_tilde=0.4, atomic=False,
         nu_info=NU_V_INTEGRAL, k_tilde=1.5,
     )
-    de = derived_exponents(p)
-    assert abs(de.alpha2 - (1.0 + math.log(1.5) / math.log(2.0))) <= 1e-12
+    alpha1, alpha2, r0 = _exponents(p)
+    assert abs(alpha2 - (1.0 + math.log(1.5) / math.log(2.0))) <= 1e-12
 
 
 def test_r0_limit_as_minorization_saturates():
@@ -127,10 +127,10 @@ def test_r0_limit_as_minorization_saturates():
     for j in range(3, 10):
         bt = 1.0 - 10.0**-j
         p = DriftMinorization(lam=lam, big_k=big_k, beta=0.1, beta_tilde=bt, atomic=False)
-        de = derived_exponents(p)
+        alpha1, alpha2, r0 = _exponents(p)
         a1 = 1.0 + math.log((big_k - bt) / (1.0 - bt)) / log_li
-        assert abs(de.alpha1 - a1) <= 1e-12
-        pole = (1.0 - bt) ** (-1.0 / de.alpha1)
+        assert abs(alpha1 - a1) <= 1e-12
+        pole = (1.0 - bt) ** (-1.0 / alpha1)
         gaps.append((j, abs(pole - 1.0 / lam)))
     assert all(a >= b for (_, a), (_, b) in zip(gaps, gaps[1:]))
     for j, gap in gaps[3:]:
@@ -184,26 +184,26 @@ def test_split_formulas_agree_on_floats_and_arrays(rows, nu_info):
 def test_big_l_far_beyond_pole_raises_out_of_range():
     # alpha_1 ~ 6.9e4, so r**alpha_1 leaves the float range at 2 * R0.
     p = DriftMinorization(lam=1.0 - 1e-4, big_k=1e3, beta=0.01, beta_tilde=0.02, atomic=False)
-    de = derived_exponents(p)
-    assert de.alpha1 > 6e4
+    alpha1, alpha2, r0 = _exponents(p)
+    assert alpha1 > 6e4
     with pytest.raises(OutOfRange):
-        _big_l_at(2.0 * de.r0, p.beta_tilde, de.alpha1, de.alpha2)
-    assert np.isnan(big_l_array(np.array([2.0 * de.r0]), p.beta_tilde, de.alpha1, de.alpha2)).all()
-    assert np.isnan(big_l_array(2.0 * de.r0, p.beta_tilde, de.alpha1, de.alpha2))
+        _big_l_at(2.0 * r0, p.beta_tilde, alpha1, alpha2)
+    assert np.isnan(big_l_array(np.array([2.0 * r0]), p.beta_tilde, alpha1, alpha2)).all()
+    assert np.isnan(big_l_array(2.0 * r0, p.beta_tilde, alpha1, alpha2))
 
 
 def test_big_l_limits_and_pole():
-    de = derived_exponents(CONTRACT)
+    alpha1, alpha2, r0 = _exponents(CONTRACT)
 
     def big_l(r):
-        return _big_l_at(r, CONTRACT.beta_tilde, de.alpha1, de.alpha2)
+        return _big_l_at(r, CONTRACT.beta_tilde, alpha1, alpha2)
 
     assert abs(big_l(1.0 + 1e-12) - 1.0) <= 1e-9
-    pole = (1.0 - CONTRACT.beta_tilde) ** (-1.0 / de.alpha1)
+    pole = (1.0 - CONTRACT.beta_tilde) ** (-1.0 / alpha1)
     assert big_l(pole - 1e-9) > 1e6
     with pytest.raises(OutOfRange):
         big_l(pole * (1.0 + 1e-12))
-    assert big_l(de.r0 * 0.999) > 0.0
+    assert big_l(r0 * 0.999) > 0.0
 
 
 def test_rho_general_benchmarks():
@@ -301,15 +301,15 @@ def test_m_series_factor_term_is_the_regeneration_bound():
             assert abs((m_at[1] - m_at[0]) - term) <= 1e-12 * m_at[1], (p, r)
     for theta, c in ((0.75, 1.2), (0.5, 1.5), (0.9, 2.0)):
         p = contracting_params(theta, c)
-        de = derived_exponents(p)
+        alpha1, alpha2, r0 = _exponents(p)
         bt = p.beta_tilde
         for f in fractions:
-            r = 1.0 + f * (de.r0 - 1.0)
+            r = 1.0 + f * (r0 - 1.0)
             m_at = [
-                _m_nonatomic_gamma(p.lam, p.big_k, bt, de.alpha1, de.alpha2, 1.0 / r, k)
+                _m_nonatomic_gamma(p.lam, p.big_k, bt, alpha1, alpha2, 1.0 / r, k)
                 for k in (0.0, 1.0)
             ]
-            d = 1.0 - (1.0 - bt) * r**de.alpha1
+            d = 1.0 - (1.0 - bt) * r**alpha1
             term = bt * p.big_k * r * prop44_bounds(r, p)["hbar_a1"] / d
             assert abs((m_at[1] - m_at[0]) - term) <= 1e-12 * m_at[1], (theta, c, r)
 
@@ -356,14 +356,14 @@ def test_m_reversible_uses_series_bound():
 def test_nonatomic_certificate_m_uses_chain_exponents_and_its_k_factor():
     # Every regime's M is the series-variable form at the chain's alpha_1,
     # alpha_2 (here alpha_1 > alpha_2 = 1) and the certificate's own factor.
-    de = derived_exponents(CONTRACT)
+    alpha1, alpha2, r0 = _exponents(CONTRACT)
     lam, big_k, bt = CONTRACT.lam, CONTRACT.big_k, CONTRACT.beta_tilde
     for symmetry in ("general", "reversible", "reversible-positive"):
         cert = certificate(CONTRACT, symmetry)
         k_factor = cert.diagnostics["k_factor"]
         if symmetry != "general":
             assert k_factor == k2_series_bound(1.0 / cert.gamma, 1.0 / cert.rho, bt)
-        want = _m_nonatomic_r(lam, big_k, bt, de.alpha1, de.alpha2, 1.0 / cert.gamma, k_factor)
+        want = _m_nonatomic_r(lam, big_k, bt, alpha1, alpha2, 1.0 / cert.gamma, k_factor)
         assert abs(cert.big_m - want) <= 1e-12 * want, symmetry
 
 
@@ -399,19 +399,19 @@ def test_prop41_bounds_values():
 
 def test_prop44_bounds_structure():
     p = CONTRACT
-    de = derived_exponents(p)
-    r = 1.0 + 0.5 * (de.r0 - 1.0)
+    alpha1, alpha2, r0 = _exponents(p)
+    r = 1.0 + 0.5 * (r0 - 1.0)
     vals = prop44_bounds(r, p)
-    big_l = _big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
+    big_l = _big_l_at(r, p.beta_tilde, alpha1, alpha2)
     assert vals["gbar_a1"] == pytest.approx(big_l, rel=1e-12)
-    assert vals["g_tilde"] == pytest.approx(r**de.alpha1, rel=1e-12)
+    assert vals["g_tilde"] == pytest.approx(r**alpha1, rel=1e-12)
     # r -> 1 limits: gbar -> 1 and hbar -> (K - lambda)/((1-lambda) beta_tilde).
     near = prop44_bounds(1.0 + 1e-8, p)
     assert abs(near["gbar_a1"] - 1.0) <= 1e-6
     limit = (p.big_k - p.lam) / ((1.0 - p.lam) * p.beta_tilde)
     assert abs(near["hbar_a1"] - limit) <= 1e-5 * limit
     with pytest.raises(OutOfRange):
-        prop44_bounds(de.r0 * 1.01, p)
+        prop44_bounds(r0 * 1.01, p)
 
 
 def test_radius_search_matches_dense_rescan():
@@ -421,14 +421,14 @@ def test_radius_search_matches_dense_rescan():
     from ergocert.kendall import solve_r1
 
     p = DriftMinorization(lam=0.6, big_k=2.5, beta=0.25, beta_tilde=0.5, atomic=False)
-    de = derived_exponents(p)
+    alpha1, alpha2, r0 = _exponents(p)
 
     def objective(big_r):
-        denominator = 1.0 - (1.0 - p.beta_tilde) * big_r**de.alpha1
-        big_l_val = p.beta_tilde * big_r**de.alpha2 / denominator
+        denominator = 1.0 - (1.0 - p.beta_tilde) * big_r**alpha1
+        big_l_val = p.beta_tilde * big_r**alpha2 / denominator
         return solve_r1(beta=p.beta, big_r=big_r, big_l=max(big_l_val, big_r))
 
-    lo, hi = 1.0 + 1e-9, de.r0 - 1e-9
+    lo, hi = 1.0 + 1e-9, r0 - 1e-9
     diag = rho_general(p).diagnostics
     argmax, value = diag["R_tilde"], diag["R1"]
     assert lo + 1e-6 < argmax < hi - 1e-6 and diag["R_tilde_edge"] is None  # interior
@@ -464,20 +464,20 @@ def test_radius_search_beats_dense_log_grid_scan():
     from ergocert import bounds
 
     ps = _nonatomic_inputs(340, seed=23)
-    des = [derived_exponents(p) for p in ps]
+    des = [_exponents(p) for p in ps]
     cols = [np.array(c)[:, None] for c in zip(*(
-        (p.beta, p.beta_tilde, de.alpha1, de.alpha2) for p, de in zip(ps, des)))]
-    lo, hi = bounds._scan_window(np.array([de.r0 for de in des]))
+        (p.beta, p.beta_tilde, alpha1, alpha2) for p, (alpha1, alpha2, _) in zip(ps, des)))]
+    lo, hi = bounds._scan_window(np.array([r0 for _, _, r0 in des]))
     assert (hi > lo).all()
     # Row i is lo[i], then offsets geometric from 1e-9 of the window up to hi[i].
     offsets = [0.0] + [math.exp(math.log(1e-9) * (1.0 - i / 510)) for i in range(511)]
     grid = lo + (hi - lo)[:, None] * np.array(offsets)
     grid[:, -1] = hi
     scans = bounds._r1_at_radius(grid, *cols)
-    for p, de, scan in zip(ps, des, scans):
+    for p, (alpha1, alpha2, _), scan in zip(ps, des, scans):
         diag = rho_general(p).diagnostics
         assert diag["R1"] >= (1.0 - 1e-12) * np.nanmax(scan), p
-        big_l = _big_l_at(diag["R_tilde"], p.beta_tilde, de.alpha1, de.alpha2)
+        big_l = _big_l_at(diag["R_tilde"], p.beta_tilde, alpha1, alpha2)
         assert diag["L_at_R_tilde"] == big_l
 
 
@@ -548,10 +548,9 @@ def test_rho_floor_gives_the_float_floor_on_arrays():
             atomic=False, nu_info=nu_info,
             k_tilde=10.0 ** rng.uniform(0.0, 3.0) if nu_info == NU_V_INTEGRAL else None,
         ))
-    des = [derived_exponents(p) for p in ps]
     got = _rho_floor(
         *(np.array([getattr(p, name) for p in ps]) for name in ("lam", "beta", "beta_tilde")),
-        *(np.array([getattr(de, name) for de in des]) for name in ("alpha1", "alpha2", "r0")),
+        *np.array([_exponents(p) for p in ps]).T,
     )
     want = np.array([general_rho_floor(p, 1) for p in ps])
     assert want[0] == got[0] == math.inf
@@ -562,11 +561,9 @@ def test_rho_floor_gives_the_float_floor_on_arrays():
 
 
 def _reversible_radius_array_of(ps):
-    des = [derived_exponents(p) for p in ps]
     return reversible_radius_array(
         np.array([p.beta for p in ps]), np.array([p.beta_tilde for p in ps]),
-        np.array([de.alpha1 for de in des]), np.array([de.alpha2 for de in des]),
-        np.array([de.r0 for de in des]),
+        *np.array([_exponents(p) for p in ps]).T,
     )
 
 
@@ -577,8 +574,8 @@ def test_reversible_radius_array_matches_scalar_r2():
     r2 = _reversible_radius_array_of(ps)
     pole_limited = 0
     for p, got in zip(ps, r2.tolist()):
-        de = derived_exponents(p)
-        pole_limited += bool(_r2_bracket(p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)[0])
+        alpha1, alpha2, r0 = _exponents(p)
+        pole_limited += bool(_r2_bracket(p.beta, p.beta_tilde, alpha1, alpha2, r0)[0])
         try:
             want = rho_reversible(p).diagnostics["R2"]
         except NoSignChange:
@@ -597,7 +594,7 @@ def test_reversible_radius_array_takes_r0_below_the_pole():
     p = DriftMinorization(lam=0.5, big_k=1.0, beta=0.98, beta_tilde=0.98, atomic=False,
                           nu_info=NU_CONCENTRATED)
     want = rho_reversible(p).diagnostics["R2"]
-    assert want == derived_exponents(p).r0 == 2.0
+    assert want == _exponents(p)[2] == 2.0
     assert _reversible_radius_array_of([p]).tolist() == [want]
 
 
@@ -639,11 +636,11 @@ def _r2_solves(p: DriftMinorization) -> tuple:
             lambda: r2_reversible_wide(kp),
             lambda r: r2_gap(kp, r),
         )
-    de = derived_exponents(p)
-    ends = _r2_bracket(p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)[1:]
+    de = _exponents(p)
+    ends = _r2_bracket(p.beta, p.beta_tilde, *de)[1:]
     return (
         bounds, ends,
-        lambda: bounds._reversible_nonatomic_radius(p, de),
+        lambda: rho_reversible(p).diagnostics["R2"],
         lambda: reversible_nonatomic_radius_wide(p, de),
         lambda r: reversible_nonatomic_gap(p, de, r),
     )
@@ -676,10 +673,10 @@ def _check_r2_near_end(p: DriftMinorization) -> None:
     module, (lo, hi, up), solve, wide_solve, gap = _r2_solves(p)
     assert lo <= up <= hi or hi <= lo
     if not p.atomic:
-        de = derived_exponents(p)
-        floats = _r2_bracket(p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)
+        alpha1, alpha2, r0 = _exponents(p)
+        floats = _r2_bracket(p.beta, p.beta_tilde, alpha1, alpha2, r0)
         arrays = _r2_bracket(*(np.array([c]) for c in (
-            p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0)))
+            p.beta, p.beta_tilde, alpha1, alpha2, r0)))
         assert [float(np.ravel(a)[0]) for a in arrays[:3]] == [float(f) for f in floats[:3]]
         assert abs(float(arrays[3][0]) - up) <= 2.0 * math.ulp(up)
     taken = []
@@ -865,17 +862,15 @@ def _climb_shortfall(p) -> float:
     # the same error type and text, and then the shortfall is 0.
     from ergocert import bounds
 
-    de = derived_exponents(p)
-    got = _search_outcome(
-        bounds._general_nonatomic_search, p.beta, p.beta_tilde, de.alpha1, de.alpha2, de.r0
-    )
+    de = _exponents(p)
+    got = _search_outcome(bounds._general_nonatomic_search, p.beta, p.beta_tilde, *de)
     ref = _search_outcome(general_nonatomic_search_full_scan, p, de)
     if isinstance(ref[0], type) or isinstance(got[0], type):
         assert got == ref
         return 0.0
     t, t_ref = (
         r1_log_eps(KendallParams(
-            beta=p.beta, big_r=r, big_l=_big_l_at(r, p.beta_tilde, de.alpha1, de.alpha2)
+            beta=p.beta, big_r=r, big_l=_big_l_at(r, p.beta_tilde, *de[:2])
         ))
         for r in (got[0], ref[0])
     )
@@ -1034,12 +1029,12 @@ def test_rising_takes_delta_exactly_on_floats_and_arrays(**draw):
     from ergocert import bounds
 
     p = _domain_point(**draw)
-    de = derived_exponents(p)
-    lo, hi = bounds._scan_window(de.r0)
+    alpha1, alpha2, r0 = _exponents(p)
+    lo, hi = bounds._scan_window(r0)
     if not hi > lo:
         return
     assert 1.0 + (lo - 1.0) == lo and 1.0 + (hi - 1.0) == hi
-    constants = p.beta, p.beta_tilde, de.alpha1, de.alpha2
+    constants = p.beta, p.beta_tilde, alpha1, alpha2
     u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
     inner = (math.exp(u_lo + (u_hi - u_lo) * (k / 16)) for k in range(1, 16))
     deltas = [lo - 1.0, *inner, hi - 1.0]
@@ -1112,7 +1107,7 @@ def test_radius_search_solves_r1_once_per_search(monkeypatch):
     from ergocert import bounds, kendall
 
     events = []
-    real_solve, real_max = kendall._r1_solve, bounds.maximize_scalar
+    real_solve, real_max = kendall._r1_log, bounds.maximize_scalar
 
     def solve(*args):
         events.append("solve")
@@ -1125,7 +1120,7 @@ def test_radius_search_solves_r1_once_per_search(monkeypatch):
 
         return real_max(f, lo, hi, counted)
 
-    monkeypatch.setattr(kendall, "_r1_solve", solve)
+    monkeypatch.setattr(kendall, "_r1_log", solve)
     monkeypatch.setattr(bounds, "maximize_scalar", search)
     certificates, solves, risings = 0, 0, 0
     for p in _nonatomic_inputs(40, seed=31):
@@ -1155,7 +1150,7 @@ def test_radius_search_raises_the_r1_error_at_the_argmax(monkeypatch):
         seen.append(args)
         raise OutOfRange(f"R1 refused at call {len(seen)}")
 
-    monkeypatch.setattr(kendall, "_r1_solve", solve)
+    monkeypatch.setattr(kendall, "_r1_log", solve)
     with pytest.raises(OutOfRange, match=re.escape("R1 refused at call 1")):
         rho_general(CONTRACT)
     assert len(seen) == 1

@@ -281,6 +281,25 @@ def test_binomial_modification_contracting_anchor():
     assert abs(rho_positive(lazy).rho ** 2 - 0.952) <= 0.002
 
 
+@pytest.mark.parametrize(
+    "method, chain, message",
+    [
+        ("bogus", ContractingNormal(theta=0.5, c=1.5), "method must be one of "
+         "['binomial', 'coupling', 'thm1.1', 'thm1.2', 'thm1.3']"),
+        ("coupling", ReflectingWalk(p=0.9),
+         "coupling is available for mh-normal and contracting-normal"),
+        ("binomial", MetropolisNormal(d=1.0, s=0.1),
+         "binomial modification is set up for walks and contracting normals"),
+    ],
+    ids=["unknown-method", "coupling-walk", "binomial-metropolis"],
+)
+def test_method_rho_rejects_a_method_the_chain_lacks(method, chain, message):
+    # An unknown method, or one with no rate for the chain's family, is a
+    # validation error with the text the CLI prints for it.
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        models.method_rho(method, chain)
+
+
 # --- truncated chain ---------------------------------------------------------
 
 
@@ -830,12 +849,11 @@ def test_16_piece_floor_overshoots_with_each_secant_at_the_top_radius():
     # rho_general at some c of the theta = 0.5 grid, so the pieces' N at
     # their bottom radius is what keeps the floor below the rate.
     def floor_16_at_top(p):
-        de = bounds.derived_exponents(p)
-        lo, hi = bounds._scan_window(de.r0)
+        alpha1, alpha2, r0 = bounds._exponents(p)
+        lo, hi = bounds._scan_window(r0)
         tops = [lo + (hi - lo) * (j / 16) for j in range(1, 16)] + [hi]
         slopes = [
-            (bounds._big_l_at(b, p.beta_tilde, de.alpha1, de.alpha2) - 1.0) / (b - 1.0)
-            for b in tops
+            (bounds._big_l_at(b, p.beta_tilde, alpha1, alpha2) - 1.0) / (b - 1.0) for b in tops
         ]
         return _floor_of_pieces(p.lam, p.beta, slopes, tops)
 
@@ -890,14 +908,14 @@ def test_optimize_contracting_general_makes_few_scalar_r1_solves(monkeypatch):
     # R1 there alone: 113 solves for the 113 c values rated here, one per
     # c, against 11,215 with the per-c scan-and-refine certificates.
     calls = []
-    real = kendall._r1_solve
+    real = kendall._r1_log
 
-    def counting(*ends):
-        calls.append(ends)
-        return real(*ends)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     seen = _spy_evaluated_c(monkeypatch)
-    monkeypatch.setattr(kendall, "_r1_solve", counting)
+    monkeypatch.setattr(kendall, "_r1_log", counting)
     optimize_contracting_tuning("thm1.1", theta=0.5)
     assert len(seen) == 113
     assert len(calls) == 113 < 11_215
