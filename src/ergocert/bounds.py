@@ -185,7 +185,10 @@ def _big_l_at(r: float, beta_tilde: float, alpha1: float, alpha2: float) -> floa
         denominator = -math.inf
     if denominator <= 0.0:
         raise OutOfRange(f"r={r} is at or beyond the envelope pole")
-    return beta_tilde * r**alpha2 / denominator
+    try:
+        return beta_tilde * r**alpha2 / denominator
+    except OverflowError:
+        raise OutOfRange(f"r**alpha_2 leaves the double range at r={r}, alpha_2={alpha2}") from None
 
 
 def big_l_array(r, beta_tilde, alpha1, alpha2) -> np.ndarray:
@@ -275,7 +278,12 @@ def _general_nonatomic_search(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
         kendall._check_params(beta, big_r, big_l)
         return kendall._r1_log(beta, big_r, big_l)
 
-    delta, t = maximize_scalar(objective, lo - 1.0, d_hi, lambda d: _rising(d, *constants))
+    try:
+        delta, t = maximize_scalar(objective, lo - 1.0, d_hi, lambda d: _rising(d, *constants))
+    except OverflowError:  # from R**alpha_2 - 1 in _rising
+        raise OutOfRange(f"R**alpha_2 leaves the double range in the window up to {hi}") from None
+    except ZeroDivisionError:  # 1 - (1 - beta_tilde) R**alpha_1 rounds to 0 in _rising
+        raise OutOfRange(f"the radius window up to {hi} reaches the envelope pole") from None
     if t == kendall._LOG_EPS_LO and delta != d_hi:
         delta, t = d_hi, objective(d_hi)
     return 1.0 + delta, 1.0 + math.exp(t)
@@ -447,21 +455,20 @@ def reversible_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
     """
     import numpy as np
 
-    def gap(r, b, bt, a1, a2):
-        return np.log(big_l_array(r, bt, a1, a2)) - np.log1p(2.0 * b * r)
+    def gap(r):  # on the broadcast constants below
+        return np.log(big_l_array(r, beta_tilde, alpha1, alpha2)) - np.log1p(2.0 * beta * r)
 
     beta, beta_tilde, alpha1, alpha2, r0 = np.broadcast_arrays(
         *(np.asarray(c, dtype=float) for c in (beta, beta_tilde, alpha1, alpha2, r0))
     )
-    constants = beta, beta_tilde, alpha1, alpha2
     with np.errstate(all="ignore"):
-        pole_limited, lo, hi, up = _r2_bracket(*constants, r0)
+        pole_limited, lo, hi, up = _r2_bracket(beta, beta_tilde, alpha1, alpha2, r0)
         l_at_r0 = big_l_array(r0, beta_tilde, alpha1, alpha2)
         at_r0 = ~pole_limited & (l_at_r0 <= 1.0 + 2.0 * beta * r0)
-        # NaN at R0, which has no crossing to solve: the root finder
-        # evaluates nothing there.
-        gap_lo = np.where(at_r0, np.nan, gap(lo, *constants))
-    r2 = solve_increasing_array(gap, lo, up, hi, gap_lo, *constants)
+        # NaN at R0, which has no crossing to solve: the root finder takes
+        # no step there.
+        gap_lo = np.where(at_r0, np.nan, gap(lo))
+    r2 = solve_increasing_array(gap, lo, up, hi, gap_lo)
     return np.where(at_r0, r0, r2)
 
 
@@ -478,7 +485,7 @@ def _general_radius_array(beta, beta_tilde, alpha1, alpha2, r0) -> np.ndarray:
     d_lo, d_hi = lo - 1.0, hi - 1.0
     with np.errstate(all="ignore"):
         rising_lo = _rising(d_lo, *constants)
-    root = solve_increasing_array(_rising, d_lo, d_hi, d_hi, rising_lo, *constants)
+    root = solve_increasing_array(lambda d: _rising(d, *constants), d_lo, d_hi, d_hi, rising_lo)
     delta = np.where(rising_lo < 0.0, np.where(np.isnan(root), d_hi, root), d_lo)
     r1 = _r1_at_radius(1.0 + delta, *constants)
     again = (r1 == 1.0 + np.exp(kendall._LOG_EPS_LO)) & (delta != d_hi)
@@ -600,6 +607,8 @@ def _m_with_part(
     else:
         a1, a2 = diagnostics["alpha1"], diagnostics["alpha2"]
         big_m = _m_nonatomic_gamma(p.lam, p.big_k, p.beta_tilde, a1, a2, gamma, k_factor)
+    if not big_m < math.inf:
+        raise OutOfRange(f"M leaves the double range at gamma={gamma}")
     return big_m, kind, k_factor
 
 

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification check failed or the reader
 closed standard output early (as in ``| head -1``), 2 usage or validation
-error.
+error, a result out of the double range, or an --output path that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _emit_result(args, data, text: str, rows: list[dict], quoted=()) -> int:
     # A result in the format asked for, to stdout or --output: data as JSON,
     # rows as CSV headed by the first row's keys (the quoted columns hold
     # free text that may contain commas), or the given text. Returns the
-    # exit code 0.
+    # exit code 0; an --output path that cannot be written is an error.
     if args.format == "json":
         import json  # here, not at the top: text and CSV runs never load it
 
@@ -57,8 +58,11 @@ def _emit_result(args, data, text: str, rows: list[dict], quoted=()) -> int:
     if args.output is None:
         print(text)
     else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ErgoCertError(f"cannot write {args.output}: {exc.strerror}") from None
     return 0
 
 

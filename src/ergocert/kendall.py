@@ -138,7 +138,13 @@ def _r1_log(beta: float, big_r: float, big_l: float) -> float:
     # is the root finder's value at lo, and the root finder tries the near
     # end up. An empty bracket is not evaluated: the root finder raises.
     delta = big_r - 1.0
-    log_target = _r1_log_target(beta, big_r, big_l)
+    try:
+        log_target = _r1_log_target(beta, big_r, big_l)
+    except ValueError:  # log(0): the target rounds to 0
+        raise OutOfRange(
+            f"the R1 target e^2 beta / (8 N), N = (L-1)/(R-1), leaves the double range:"
+            f" beta={beta}, R={big_r}, L={big_l}"
+        ) from None
     lo, hi, up = _r1_bracket(delta, log_target)
 
     def gap(t: float) -> float:
@@ -200,7 +206,7 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
     """
     import numpy as np
 
-    def gap(t, delta, log_target):
+    def gap(t):  # on the (delta, log_target) below
         eps = np.exp(t)
         return t - np.log1p(eps) - 2.0 * np.log(np.log1p((delta - eps) / (1.0 + eps))) - log_target
 
@@ -208,10 +214,10 @@ def solve_r1_array(beta, big_r, big_l) -> np.ndarray:
         beta, big_r, big_l = (np.asarray(a, dtype=float) for a in (beta, big_r, big_l))
         delta, log_target = np.broadcast_arrays(big_r - 1.0, _r1_log_target(beta, big_r, big_l))
         lo, hi, up = _r1_bracket(delta, log_target)
-        gap_lo = gap(lo, delta, log_target)
+        gap_lo = gap(lo)
         # A clamped element has gap_lo >= 0, which the root finder evaluates
         # no further.
-        t = solve_increasing_array(gap, lo, up, hi, gap_lo, delta, log_target)
+        t = solve_increasing_array(gap, lo, up, hi, gap_lo)
         return 1.0 + np.exp(np.where((lo < hi) & (gap_lo >= 0.0), lo, t))
 
 

@@ -6,9 +6,9 @@ loads it.
 
 Everything is a pure function of its arguments. ``solve_monotone`` solves
 one scalar equation f(x) = 0 and ``solve_increasing_array`` a whole array of
-them, both from f's value at lo, which the caller hands over, and a near
-end up in [lo, hi] that they try first (one near step, written in each),
-and both by the Illinois method (Dowell & Jarratt 1971), with one step rule:
+them in place, both on (f, lo, up, hi, f_lo), from f's value f_lo at lo and
+a near end up in [lo, hi] tried first (one near step, written in each), and
+both by the Illinois method (Dowell & Jarratt 1971), with one step rule:
 from the latest point x1 and the end x0 kept from before, whose values
 differ in sign, the next point x is their regula falsi point; where that
 point lies less than ``_TOL_ABS`` / 2 from x1, x is x1 moved ``_TOL_ABS`` / 2
@@ -120,76 +120,56 @@ def solve_monotone(f: Callable, lo: float, up: float, hi: float, f_lo: float) ->
     raise NoConvergence(f"no convergence after {_MAX_ITER} Illinois steps")
 
 
-def _array_brackets(f, lo, up, hi, f_lo, args) -> tuple:
-    # The ends of solve_increasing_array on 1-d inputs, by solve_monotone's
-    # near step where f_lo < 0: the result with an exact root at either end
-    # filled in and NaN elsewhere, the indices of the elements with f < 0 at
-    # lo and > 0 at the end taken, and their ends, values and arguments.
-    # The full-size copies die here, before any step.
-    import numpy as np
-
-    def f_at(x, where):
-        return f(x[where], *(arg[where] for arg in args)) if where.any() else x[where]
-
-    out = np.where((lo < hi) & (f_lo == 0.0), lo, np.nan)
-    idx = np.flatnonzero((lo < hi) & (f_lo < 0.0))
-    lo, up, hi, f_lo, args = lo[idx], up[idx], hi[idx], f_lo[idx], [arg[idx] for arg in args]
-    f_hi = np.full(idx.shape, np.nan)
-    tried = lo < up
-    f_hi[tried] = f_at(up, tried)
-    near = (f_hi >= 0.0) | (up == hi)
-    hi = np.where(near, up, hi)
-    f_hi[~near] = f_at(hi, ~near)
-    out[idx[f_hi == 0.0]] = hi[f_hi == 0.0]
-    keep = f_hi > 0.0
-    return out, idx[keep], lo[keep], f_lo[keep], hi[keep], f_hi[keep], [arg[keep] for arg in args]
-
-
-def solve_increasing_array(f: Callable, lo, up, hi, f_lo, *args) -> np.ndarray:
+def solve_increasing_array(f: Callable, lo, up, hi, f_lo) -> np.ndarray:
     """``solve_monotone`` for arrays of increasing functions: element i
-    solves f(x, args[0][i], args[1][i], ...) = 0 on [lo[i], hi[i]], given
-    its value f_lo[i] at lo[i] and its near end up[i].
+    solves f(x)[i] = 0 on [lo[i], hi[i]], given its value f_lo[i] at lo[i]
+    and its near end up[i].
 
-    All inputs broadcast against each other; f takes and returns 1-d arrays.
-    Each element takes the steps of ``solve_monotone``: the near step, an
-    exact root at either end returned as it is, and the Illinois steps,
-    which stop on the same rule with the same end returned. All elements
-    step together and finished ones drop out. f is called only where
-    f_lo < 0, so an element with f_lo NaN costs no evaluation. Where f is
-    not < 0 at lo and > 0 at the end taken (no sign change, NaN values, or
-    lo >= hi) the element comes back NaN, where ``solve_monotone`` would
-    raise or solve a decreasing f. Raises NoConvergence if an element is
-    still open after the step budget.
+    The inputs broadcast against each other, and f takes and returns arrays
+    of their shape. Each element takes the steps of ``solve_monotone``: the
+    near step, an exact root at either end returned as it is, and the
+    Illinois steps, which stop on the same rule with the same end returned.
+    All elements step together, in place; one that needs no value at a call
+    (not open, not trying its near end, not going wide, or closed) is
+    handed its own lo, and f's value there is never read. Where f is not
+    < 0 at lo and > 0 at the end taken (no sign change, NaN values, or
+    lo >= hi) the element comes back NaN, or lo where f_lo is 0 and lo < hi,
+    where ``solve_monotone`` would raise or solve a decreasing f. Raises
+    NoConvergence if an element is still open after the step budget.
     """
     import numpy as np
 
-    lo, up, hi, f_lo, *args = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (lo, up, hi, f_lo, *args))
-    )
-    shape = lo.shape
+    lo, up, hi, f_lo = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, up, hi, f_lo)))
+
+    def f_at(x, where, other):  # f at x where `where` holds, no call where nothing does
+        return np.where(where, f(np.where(where, x, lo)), other) if where.any() else other
+
     with np.errstate(all="ignore"):
-        out, idx, x0, g0, x1, g1, args = _array_brackets(
-            f, *(a.ravel() for a in (lo, up, hi, f_lo)), [a.ravel() for a in args]
-        )
+        out = np.where((lo < hi) & (f_lo == 0.0), lo, np.nan)
+        live = (lo < hi) & (f_lo < 0.0)
+        f_hi = f_at(up, live & (lo < up), np.full(lo.shape, np.nan))
+        near = (f_hi >= 0.0) | (up == hi)
+        hi = np.where(near, up, hi)
+        f_hi = f_at(hi, live & ~near, f_hi)
+        out = np.where(live & (f_hi == 0.0), hi, out)
+        # x1 is the latest point and x0 the end kept from before.
+        x0, g0, x1, g1, open_ = lo, f_lo, hi, f_hi, live & (f_hi > 0.0)
         for _ in range(_MAX_ITER):
-            if idx.size == 0:
+            if not open_.any():
                 break
             x = x1 - g1 * (x1 - x0) / (g1 - g0)
             x = np.where(abs(x - x1) < 0.5 * _TOL_ABS, x1 + np.copysign(0.5 * _TOL_ABS, x0 - x1), x)
             x = np.where((x - x0) * (x - x1) < 0.0, x, 0.5 * (x0 + x1))
-            gx = f(x, *args)
+            gx = f(np.where(open_, x, lo))
             flip = (gx < 0.0) != (g1 < 0.0)
             x0, g0 = np.where(flip, x1, x0), np.where(flip, g1, 0.5 * g0)
             x1, g1 = x, gx
-            done = (gx == 0.0) | _closed(x0, x1)
-            if done.any():
-                out[idx[done]] = np.where(gx == 0.0, x, np.minimum(x0, x))[done]
-                keep = ~done
-                idx, x0, g0, x1, g1 = (v[keep] for v in (idx, x0, g0, x1, g1))
-                args = [arg[keep] for arg in args]
-    if idx.size:
+            done = open_ & ((gx == 0.0) | _closed(x0, x1))
+            out = np.where(done, np.where(gx == 0.0, x, np.minimum(x0, x)), out)
+            open_ &= ~done
+    if open_.any():
         raise NoConvergence(f"no convergence after {_MAX_ITER} Illinois steps")
-    return out.reshape(shape)
+    return out
 
 
 def maximize_scalar(f: Callable, lo: float, hi: float, rising: Callable) -> tuple[float, float]:

@@ -263,7 +263,7 @@ def r1_array_log_eps_clamp_then_solve(beta, big_r, big_l, wide: bool = False) ->
         t = np.full(hi.shape, lo)
         gap_lo = r1_gap_array(lo, delta, log_target)
         t[rest] = solve_increasing_array(
-            r1_gap_array, lo, hi_rest, hi_rest, gap_lo, delta, log_target
+            lambda x: r1_gap_array(x, delta, log_target), lo, hi_rest, hi_rest, gap_lo
         )
         return t
 

@@ -235,6 +235,39 @@ def test_reversible_rate_gap_below_double_resolution_raises_out_of_range(gap):
         certificate(p, "reversible")
 
 
+# Validated inputs whose certificate leaves the double range, with the
+# symmetry and the message naming the quantity that leaves it. Each raised a
+# bare OverflowError, ValueError or ZeroDivisionError, or gave M = inf.
+OUT_OF_DOUBLE_RANGE = [
+    (  # alpha_2 ~ 26 over a radius window up to R0 = 1e12
+        DriftMinorization(1e-12, 1.0, 0.1583351903463137, 0.999999999999, False,
+                          NU_V_INTEGRAL, 1e300),
+        "general", r"R\*\*alpha_2 leaves the double range",
+    ),
+    (
+        DriftMinorization(1e-12, 1.000000000000001, 9.99999999999e-301, 0.999999999999, False,
+                          NU_V_INTEGRAL, 1e300),
+        "reversible", r"r\*\*alpha_2 leaves the double range",
+    ),
+    (  # N = (L - 1)/(R - 1) overflows, so e^2 beta / (8 N) rounds to 0
+        DriftMinorization(0.999999999999999, 1e300, 1.0),
+        "general", "the R1 target .* leaves the double range",
+    ),
+    (DriftMinorization(0.5, 1e300, 0.5), "reversible-positive", "M leaves the double range"),
+    (  # 1 - (1 - beta_tilde) R**alpha_1 rounds to 0 at the window's right end
+        DriftMinorization(2.128486395581166e-08, 1.0000000000431433, 0.9999996669541759,
+                          0.9999996669541759, False, NU_V_INTEGRAL, 3.579367427342504e+198),
+        "general", "reaches the envelope pole",
+    ),
+]
+
+
+@pytest.mark.parametrize("p, symmetry, message", OUT_OF_DOUBLE_RANGE)
+def test_certificate_out_of_the_double_range_raises_out_of_range(p, symmetry, message):
+    with pytest.raises(OutOfRange, match=message):
+        certificate(p, symmetry)
+
+
 def test_rho_positive_benchmarks():
     assert rho_positive(WALK_09).rho == 0.6
     assert abs(rho_positive(CONTRACT).rho - 0.897) <= 1e-3
@@ -779,7 +812,8 @@ def test_r2_near_end_saves_evaluations(monkeypatch):
     # and 0.32 times when this was written); the coarse Metropolis thm1.2
     # grids close in at most 7 array evaluations inside their brackets, 13
     # from the wide end. The root finders' evaluations at their near and
-    # wide ends are not counted.
+    # wide ends are not counted, nor the lo that the array finder hands an
+    # element that needs no value.
     import reference_forms
     from ergocert import bounds, kendall, models
 
@@ -788,6 +822,7 @@ def test_r2_near_end_saves_evaluations(monkeypatch):
     def counting(finder, name):
         def solve(f, lo, up, hi, *rest):
             ends = set(np.ravel(up).tolist()) | set(np.ravel(hi).tolist())
+            ends |= set(np.ravel(lo).tolist())  # the array finder's filler
 
             def counted(x, *args):
                 counts[name] += not set(np.ravel(x).tolist()) <= ends

@@ -75,6 +75,47 @@ def test_bound_non_finite_k_exits_2_naming_the_field(capsys, argv, field):
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "argv, leaves",
+    [
+        (("--lambda", "1e-12", "--K", "1", "--beta", "0.1583351903463137", "--beta-tilde",
+          "0.999999999999", "--nu", "v-integral", "--K-tilde", "1e300"), "R**alpha_2"),
+        (("--lambda", "1e-12", "--K", "1.000000000000001", "--beta", "9.99999999999e-301",
+          "--beta-tilde", "0.999999999999", "--nu", "v-integral", "--K-tilde", "1e300",
+          "--symmetry", "reversible"), "r**alpha_2"),
+        (("--lambda", "0.999999999999999", "--K", "1e300", "--beta", "1", "--atomic"),
+         "the R1 target"),
+        (("--lambda", "0.5", "--K", "1e300", "--beta", "0.5", "--atomic", "--symmetry",
+          "reversible-positive", "--format", "json"), "M"),
+        (("--lambda", "2.128486395581166e-08", "--K", "1.0000000000431433", "--beta",
+          "0.9999996669541759", "--beta-tilde", "0.9999996669541759", "--nu", "v-integral",
+          "--K-tilde", "3.579367427342504e+198"), "the radius window"),
+    ],
+)
+def test_bound_out_of_the_double_range_exits_2(capsys, argv, leaves):
+    # Validated constants whose certificate leaves the double range: one
+    # error line naming the quantity, no traceback, and no JSON with
+    # M = Infinity.
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {leaves} ") and err.count("\n") == 1
+
+
+def test_output_to_a_path_that_cannot_be_written_exits_2(capsys, tmp_path):
+    # A missing directory and a directory: one error line each, no file.
+    missing = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(
+        capsys, "bound", "--lambda", "0.6", "--K", "1.2", "--beta", "0.9", "--atomic",
+        "--output", str(missing),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+    code, out, err = run_cli(capsys, "verify", "kendall", "--output", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bound_atomic_rejects_beta_tilde_below_one(capsys):
     code, out, err = run_cli(
         capsys, "bound", "--lambda", "0.6", "--K", "2.5", "--beta", "0.25",

@@ -208,14 +208,14 @@ def test_r1_near_end_saves_evaluations(monkeypatch):
 def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
     # The root finder's values at the lower end are the clamp test's array,
     # handed over once, not second evaluations, with the bracket and the
-    # near ends of _r1_bracket; the radii are those of the form that
-    # evaluates each end twice, bit for bit, clamped, NaN and 2-d elements
-    # included.
+    # near ends of _r1_bracket at (delta, log target) of the inputs; the
+    # radii are those of the form that evaluates each end twice, bit for
+    # bit, clamped, NaN and 2-d elements included.
     handed = []
 
-    def solve_spied(f, lo, up, hi, f_lo, *args):
-        handed.append((lo, up, hi, f_lo, args))
-        return solve_increasing_array(f, lo, up, hi, f_lo, *args)
+    def solve_spied(f, lo, up, hi, f_lo):
+        handed.append((lo, up, hi, f_lo))
+        return solve_increasing_array(f, lo, up, hi, f_lo)
 
     monkeypatch.setattr(kendall, "solve_increasing_array", solve_spied)
     rng = np.random.default_rng(3)
@@ -227,8 +227,9 @@ def test_r1_array_root_finder_takes_the_clamp_values(monkeypatch):
     want = 1.0 + np.exp(r1_array_log_eps_clamp_then_solve(beta, big_r, big_l))
     assert got.tobytes() == want.tobytes()
     assert (got == 1.0 + 1e-14).any() and np.isnan(got).any()
-    [(lo, up, hi, f_lo, args)] = handed
+    [(lo, up, hi, f_lo)] = handed
     with np.errstate(all="ignore"):
+        args = np.broadcast_arrays(big_r - 1.0, kendall._r1_log_target(beta, big_r, big_l))
         ends = kendall._r1_bracket(*args)
         assert lo == ends[0] and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(
             (hi, up), ends[1:]))

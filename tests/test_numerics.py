@@ -80,7 +80,7 @@ def test_solve_takes_the_minimum_step_where_regula_falsi_rounds_onto_the_latest_
     assert calls[0] == 4.0 and len(calls) - 1 <= 16  # the end, then the steps
     array_calls = []
     got = solve_increasing_array(
-        lambda x, t: array_calls.append(x) or f(x) - t, 0.0, 4.0, 4.0, f(0.0) - 3.0, np.array([3.0])
+        lambda x: array_calls.append(x) or f(x) - 3.0, 0.0, 4.0, 4.0, np.array([f(0.0) - 3.0])
     )
     assert got[0] == x and len(array_calls) == len(calls)
 
@@ -115,8 +115,10 @@ def test_solve_increasing_array_matches_solve_monotone_property(rows):
     # once, lo never, and every later point lies strictly inside the bracket
     # taken. From up under the root, at hi or at lo the solve gives the
     # wide solve's bits, from up above the root a root within the stop
-    # tolerance, on the lower side. The array finder evaluates nothing where
-    # f(lo) >= 0 and returns lo or NaN there. A decreasing f (the cubic
+    # tolerance, on the lower side. The array finder hands an element its lo
+    # where it needs no value, so each element's points other than lo are
+    # the scalar solve's, none where f(lo) >= 0, and it returns lo or NaN
+    # there. A decreasing f (the cubic
     # negated) never tries up and gives the bits of the wide solve: the
     # Illinois steps depend on the signs of f only through their comparison.
     lo, hi = -2.0, 3.0
@@ -137,12 +139,13 @@ def test_solve_increasing_array_matches_solve_monotone_property(rows):
     a, b, t, f_lo, _, _, _, up = (np.array(col) for col in zip(*elements))
     array_calls = [[] for _ in elements]
 
-    def f_array(x, a, b, t, i):
-        for xi, ii in zip(x.tolist(), i.tolist()):
-            array_calls[int(ii)].append(xi)
+    def f_array(x):
+        for calls, xi in zip(array_calls, x.tolist()):
+            if xi != lo:
+                calls.append(xi)
         return f(x, a, b, t)
 
-    got = solve_increasing_array(f_array, lo, up, hi, f_lo, a, b, t, np.arange(len(rows)))
+    got = solve_increasing_array(f_array, lo, up, hi, f_lo)
     for i, (a, b, t, f_lo, solvable, wide, kind, up) in enumerate(elements):
         calls = []
         try:
@@ -175,16 +178,21 @@ def test_solve_increasing_array_matches_solve_monotone_property(rows):
 
 
 def test_array_finder_evaluates_nothing_at_a_nan_lower_value():
-    # An element whose value at lo is NaN costs no evaluation and comes
-    # back NaN; the others solve as they would alone.
+    # An element whose value at lo is NaN is handed only its lo, where its
+    # value is never read, and comes back NaN; the other solves as it would
+    # alone, bit for bit. f takes the broadcast shape of the inputs, here
+    # (1, 2) from a 2-d f_lo.
+    t = np.array([5.0, 3.0])
     seen = []
 
-    def f(x, t):
-        seen.append(x.size)
-        return x - t
+    def f(x):
+        seen.append(x.copy())
+        return x * x * x + x - t
 
-    got = solve_increasing_array(f, 0.0, 2.0, 4.0, np.array([np.nan, -1.0]), np.array([5.0, 1.0]))
-    assert math.isnan(got[0]) and got[1] == 1.0 and set(seen) == {1}
+    got = solve_increasing_array(f, 0.0, 2.0, 4.0, np.array([[np.nan, -3.0]]))
+    alone = solve_monotone(lambda x: x * x * x + x - 3.0, 0.0, 2.0, 4.0, -3.0)
+    assert got.shape == (1, 2) and math.isnan(got[0, 0]) and got[0, 1].hex() == alone.hex()
+    assert seen and all(x.shape == (1, 2) and x[0, 0] == 0.0 for x in seen)
 
 
 @given(
