@@ -261,32 +261,64 @@ def _rising(delta, beta, beta_tilde, alpha1, alpha2):
     return fn.where(turns, x - target * l_s * l_s * (1.0 + x), -1.0)
 
 
+def _rising_at(beta, beta_tilde, alpha1, alpha2):
+    # _rising on floats as a closure over one search's constants, for the
+    # root finder's ~9 calls per search: the same float operations in the
+    # same order, so the same value or the same exception at every delta,
+    # with 1 - beta_tilde, alpha1 (1 - beta_tilde) and e^2 beta taken once
+    # and -1 returned before l_s where s is not > 0 (NaN included), as
+    # _rising's float where returns it. The dispatch and where of the shared
+    # formula cost ~30 % of each root.
+    log1p, expm1 = math.log1p, math.expm1
+    spare = 1.0 - beta_tilde
+    alpha1_spare, e2_beta = alpha1 * spare, kendall._E2 * beta
+
+    def rising(delta: float) -> float:
+        big_r, log_r = 1.0 + delta, log1p(delta)
+        e1, e2 = expm1(alpha1 * log_r), expm1(alpha2 * log_r)
+        pole = beta_tilde - spare * e1
+        rise = beta_tilde * e2 + spare * e1
+        rl = beta_tilde * (1.0 + e2) * (alpha2 + alpha1_spare * (1.0 + e1) / pole) / rise
+        s = delta / big_r * rl - 1.0
+        if not s > 0.0:
+            return -1.0
+        l_s = 2.0 * delta / (big_r * s)
+        x = delta + big_r * expm1(-l_s)
+        target = e2_beta * delta * pole / (8.0 * rise)
+        return x - target * l_s * l_s * (1.0 + x)
+
+    return rising
+
+
 def _general_nonatomic_search(beta, beta_tilde, alpha1, alpha2, r0) -> tuple:
-    # (R_tilde, R1) of nonatomic floats: log(R1 - 1) maximized over
-    # delta = R - 1 in the scan window, whose ends map to delta and back
-    # exactly, at the root of _rising, with R1 solved and (R, L(R)) checked
+    # (R_tilde, R1, L(R_tilde), lo, hi) of nonatomic floats, [lo, hi] the
+    # scan window: log(R1 - 1) maximized over delta = R - 1 in the window,
+    # whose ends map to delta and back exactly, at the root of _rising
+    # (its float closure _rising_at), with R1 solved and (R, L(R)) checked
     # there alone. Where R1 clamps to 1 + 1e-14 at the peak it clamps at
     # every radius, and R_tilde is hi, the rightmost of equal values.
     lo, hi = _scan_window(r0)
     if hi <= lo:
         raise InvalidParams("R0 is too close to 1 for a usable radius search")
-    constants, d_hi = (beta, beta_tilde, alpha1, alpha2), hi - 1.0
+    d_hi, big_l = hi - 1.0, math.nan
 
-    def objective(delta: float) -> float:
+    def objective(delta: float) -> float:  # keeps L at the radius it solves
+        nonlocal big_l
         big_r = 1.0 + delta
         big_l = _big_l_at(big_r, beta_tilde, alpha1, alpha2)
         kendall._check_params(beta, big_r, big_l)
         return kendall._r1_log(beta, big_r, big_l)
 
+    rising = _rising_at(beta, beta_tilde, alpha1, alpha2)
     try:
-        delta, t = maximize_scalar(objective, lo - 1.0, d_hi, lambda d: _rising(d, *constants))
+        delta, t = maximize_scalar(objective, lo - 1.0, d_hi, rising)
     except OverflowError:  # from R**alpha_2 - 1 in _rising
         raise OutOfRange(f"R**alpha_2 leaves the double range in the window up to {hi}") from None
     except ZeroDivisionError:  # 1 - (1 - beta_tilde) R**alpha_1 rounds to 0 in _rising
         raise OutOfRange(f"the radius window up to {hi} reaches the envelope pole") from None
     if t == kendall._LOG_EPS_LO and delta != d_hi:
         delta, t = d_hi, objective(d_hi)
-    return 1.0 + delta, 1.0 + math.exp(t)
+    return 1.0 + delta, 1.0 + math.exp(t), big_l, lo, hi
 
 
 def _rho_floor(lam, beta, beta_tilde, alpha1, alpha2, r0):
@@ -323,14 +355,13 @@ def _general_rate(p: DriftMinorization) -> tuple:
         r1 = kendall.solve_r1(p.beta, big_r, big_l)
         return _rate(p.lam, r1), "general", {"R": big_r, "L": big_l, "R1": r1}
     alpha1, alpha2, r0 = _exponents(p)
-    r_tilde, r1 = _general_nonatomic_search(p.beta, p.beta_tilde, alpha1, alpha2, r0)
-    lo, hi = _scan_window(r0)
+    r_tilde, r1, big_l, lo, hi = _general_nonatomic_search(p.beta, p.beta_tilde, alpha1, alpha2, r0)
     diagnostics = {
         "alpha1": alpha1,
         "alpha2": alpha2,
         "R0": r0,
         "R_tilde": r_tilde,
-        "L_at_R_tilde": _big_l_at(r_tilde, p.beta_tilde, alpha1, alpha2),
+        "L_at_R_tilde": big_l,
         "R_tilde_edge": "right" if r_tilde == hi else "left" if r_tilde == lo else None,
         "R1": r1,
     }
@@ -535,10 +566,11 @@ _RATES = {
 
 def _m_atomic_gamma(lam: float, big_k: float, gamma: float, k_factor: float) -> float:
     g = gamma
-    t1 = max(lam, big_k - lam / g) / (g - lam)
-    t2 = big_k * (big_k - lam / g) / (g * (g - lam)) * k_factor
-    t3 = (big_k - lam / g) * max(lam, big_k - lam) / ((g - lam) * (1.0 - lam))
-    t4 = lam * (big_k - 1.0) / ((g - lam) * (1.0 - lam))
+    excess, g_lam, one_lam = big_k - lam / g, g - lam, 1.0 - lam
+    t1 = max(lam, excess) / g_lam
+    t2 = big_k * excess / (g * g_lam) * k_factor
+    t3 = excess * max(lam, big_k - lam) / (g_lam * one_lam)
+    t4 = lam * (big_k - 1.0) / (g_lam * one_lam)
     return t1 + t2 + t3 + t4
 
 
@@ -552,24 +584,26 @@ def _m_nonatomic_gamma(
     k_factor: float,
 ) -> float:
     g = gamma
-    d = 1.0 - (1.0 - bt) * g**-a1
-    t1 = max(lam, big_k - lam / g) / (g - lam)
-    t2 = big_k * (big_k * g - lam - bt * (g - lam)) / (g * g * (g - lam) * d)
-    t3 = bt * g ** (-a2 - 2.0) * big_k * (big_k * g - lam) / ((g - lam) * d * d) * k_factor
+    g_a1, g_lam, one_lam = g**-a1, g - lam, 1.0 - lam
+    d = 1.0 - (1.0 - bt) * g_a1
+    t1 = max(lam, big_k - lam / g) / g_lam
+    t2 = big_k * (big_k * g - lam - bt * g_lam) / (g * g * g_lam * d)
+    t3 = bt * g ** (-a2 - 2.0) * big_k * (big_k * g - lam) / (g_lam * d * d) * k_factor
     t4 = (
         g ** (-a2 - 1.0)
         * (big_k * g - lam)
-        / ((g - lam) * d * d)
+        / (g_lam * d * d)
         * (
-            bt * max(lam, big_k - lam) / (1.0 - lam)
-            + (1.0 - bt) * (g**-a1 - 1.0) / (1.0 / g - 1.0)
+            bt * max(lam, big_k - lam) / one_lam
+            + (1.0 - bt) * (g_a1 - 1.0) / (1.0 / g - 1.0)
         )
     )
-    t5 = g**-a2 * lam * (big_k - 1.0) / ((1.0 - lam) * (g - lam) * d)
+    g_a2 = g**-a2  # after t1-t4, so an error in them is raised first
+    t5 = g_a2 * lam * (big_k - 1.0) / (one_lam * g_lam * d)
     t6 = (
-        (big_k - lam - bt * (1.0 - lam))
-        / ((1.0 - lam) * (1.0 - g) * d)
-        * ((g**-a2 - 1.0) + (1.0 - bt) * (g**-a1 - 1.0) / bt)
+        (big_k - lam - bt * one_lam)
+        / (one_lam * (1.0 - g) * d)
+        * ((g_a2 - 1.0) + (1.0 - bt) * (g_a1 - 1.0) / bt)
     )
     return t1 + t2 + t3 + t4 + t5 + t6
 

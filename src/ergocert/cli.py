@@ -393,9 +393,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ErgoCertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -239,10 +239,10 @@ def test_reversible_rate_gap_below_double_resolution_raises_out_of_range(gap):
 # symmetry and the message naming the quantity that leaves it. Each raised a
 # bare OverflowError, ValueError or ZeroDivisionError, or gave M = inf.
 OUT_OF_DOUBLE_RANGE = [
-    (  # alpha_2 ~ 26 over a radius window up to R0 = 1e12
+    (  # alpha_2 ~ 26 over a radius window up to R0 = 1e12; its whole message
         DriftMinorization(1e-12, 1.0, 0.1583351903463137, 0.999999999999, False,
                           NU_V_INTEGRAL, 1e300),
-        "general", r"R\*\*alpha_2 leaves the double range",
+        "general", r"^R\*\*alpha_2 leaves the double range in the window up to 1000000000000\.0$",
     ),
     (
         DriftMinorization(1e-12, 1.000000000000001, 9.99999999999e-301, 0.999999999999, False,
@@ -1099,6 +1099,75 @@ def test_rising_is_minus_one_where_s_is_not_positive(beta_tilde, alpha1, alpha2)
         assert _log_slope_minus_one(delta, beta_tilde, alpha1, alpha2) <= 0.0
         assert bounds._rising(delta, 0.5, beta_tilde, alpha1, alpha2) == -1.0
     assert (bounds._rising(np.array(deltas), 0.5, beta_tilde, alpha1, alpha2) == -1.0).all()
+
+
+def _float_outcome(f, delta):
+    # The bits of f(delta), or the type of the exception it raises.
+    try:
+        return f(delta).hex()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _rising_twin_outcomes(beta, beta_tilde, alpha1, alpha2, r0) -> list:
+    # On 33 deltas of the scan window, equally spaced in log delta, ends
+    # included, the outcome of the float closure bounds._rising_at, which
+    # must be that of _rising on the float: the same bits, or the same
+    # exception type.
+    from ergocert import bounds
+
+    lo, hi = bounds._scan_window(r0)
+    if not hi > lo:
+        return []
+    constants = beta, beta_tilde, alpha1, alpha2
+    rising = bounds._rising_at(*constants)
+    u_lo, u_hi = math.log(lo - 1.0), math.log(hi - 1.0)
+    inner = (math.exp(u_lo + (u_hi - u_lo) * (k / 32)) for k in range(1, 32))
+    outcomes = []
+    for delta in (lo - 1.0, *inner, hi - 1.0):
+        got = _float_outcome(rising, delta)
+        assert got == _float_outcome(lambda d: bounds._rising(d, *constants), delta), delta
+        outcomes.append(got)
+    return outcomes
+
+
+@given(**_NONATOMIC_DOMAIN)
+@seed(46)
+@example(lam=1e-6, log_k=3.0, beta_tilde=0.5, log_beta_ratio=-6.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=1.0 - 1e-12, log_k=1.0, beta_tilde=0.5, log_beta_ratio=-1.0, nu_info=NU_NONE,
+         log_k_tilde=0.0)
+@example(lam=1e-4, log_k=0.0, beta_tilde=0.99999, log_beta_ratio=0.0,
+         nu_info=NU_CONCENTRATED, log_k_tilde=0.0)
+@settings(max_examples=300, deadline=None)
+def test_rising_closure_gives_the_bits_of_rising_on_floats(**draw):
+    # _NONATOMIC_DOMAIN takes the bands of _CHAIN_DOMAIN, nonatomic.
+    p = _domain_point(**draw)
+    _rising_twin_outcomes(p.beta, p.beta_tilde, *_exponents(p))
+
+
+def test_rising_closure_raises_where_rising_raises():
+    # The general inputs of OUT_OF_DOUBLE_RANGE, whose windows reach both
+    # exceptions of _rising: OverflowError from expm1(alpha_2 log1p delta)
+    # and ZeroDivisionError where the pole 1 - (1 - beta_tilde) R**alpha_1
+    # rounds to 0. The closure raises the same type at the same deltas.
+    raised = set()
+    for p, symmetry, _ in OUT_OF_DOUBLE_RANGE:
+        if symmetry == "general" and not p.atomic:
+            raised.update(o for o in _rising_twin_outcomes(p.beta, p.beta_tilde, *_exponents(p))
+                          if isinstance(o, type))
+    assert raised == {OverflowError, ZeroDivisionError}
+
+
+def test_rising_closure_is_minus_one_where_s_is_not_positive():
+    # The inputs of test_rising_is_minus_one_where_s_is_not_positive: the
+    # closure returns -1 before any division by s.
+    from ergocert import bounds
+
+    for constants in ((1.0, 1.0, 1.0), (0.9, 0.01, 0.5), (0.9, 0.5, 0.5)):
+        rising = bounds._rising_at(0.5, *constants)
+        for delta in (1e-9, 3e-9, 1e-6, 1e-3, 0.5, 3.0):
+            assert rising(delta) == -1.0
 
 
 def test_all_clamped_window_keeps_the_right_edge():

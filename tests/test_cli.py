@@ -46,11 +46,12 @@ def test_bound_missing_flag_exits_2():
 
 
 def test_bound_validation_error_exits_2(capsys):
-    code, _, err = run_cli(
+    # InvalidParams, a ValueError too, exits 2 as an ErgoCertError: one line.
+    code, out, err = run_cli(
         capsys, "bound", "--lambda", "1.4", "--K", "2.0", "--beta", "0.5", "--atomic"
     )
-    assert code == 2
-    assert "error" in err
+    assert code == 2 and out == ""
+    assert err == "error: lambda must lie in (0, 1), got 1.4\n"
 
 
 @pytest.mark.parametrize(
@@ -99,6 +100,19 @@ def test_bound_out_of_the_double_range_exits_2(capsys, argv, leaves):
     code, out, err = run_cli(capsys, "bound", *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {leaves} ") and err.count("\n") == 1
+
+
+def test_untyped_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # Every deliberate error is an ErgoCertError; a bare ValueError from a
+    # kernel is a bug, which propagates with its traceback instead of
+    # reading as an input error.
+    def broken(*args):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(bounds, "certificate", broken)
+    with pytest.raises(ValueError, match="math domain error"):
+        main(["bound", "--lambda", "0.6", "--K", "1.2", "--beta", "0.9", "--atomic"])
+    assert capsys.readouterr().err == ""
 
 
 def test_output_to_a_path_that_cannot_be_written_exits_2(capsys, tmp_path):

@@ -506,6 +506,31 @@ def test_mh_grid_below_an_unreached_bound_keeps_the_full_scan_winner(monkeypatch
     assert (full[~rated] > got.min()).all()
 
 
+def test_mh_grid_with_no_radius_window_rates_every_tuning_inf(monkeypatch):
+    # R0 lies within 2e-9 of 1 at every tuning (lambda = 1 - 1e-10), so
+    # every floor is inf and the scalar search of the lowest-floor tuning
+    # raises InvalidParams: the bound is then inf, and the grid rates every
+    # tuning inf without raising.
+    shape = (2, 3)
+    constants = (np.full(shape, 1.0 - 1e-10), 2.0, 0.1, 0.2, bounds.NU_CONCENTRATED, None,
+                 np.ones(shape))
+    raised = []
+    real_search = models._general_nonatomic_search
+
+    def search(*args):
+        try:
+            return real_search(*args)
+        except ErgoCertError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(models, "_general_nonatomic_search", search)
+    grid = models._mh_rho_grid(np.array([1.0, 2.0]), np.array([0.5, 1.0, 1.5]), constants, "thm1.1")
+    assert grid.shape == shape and (grid == math.inf).all()
+    assert [type(exc) for exc in raised] == [InvalidParams]
+    assert str(raised[0]).startswith("R0 is too close to 1")
+
+
 @pytest.mark.parametrize("nu_variant", [MT_MEASURE, INFIMUM_MEASURE])
 def test_mh_array_floor_matches_the_scalar_floor_on_coarse_grid(nu_variant):
     # The floor that prunes the thm1.1 grid, on arrays, is the scalar floor
